@@ -23,9 +23,9 @@ from typing import Optional
 
 from rfpop.counterexample import CexReaderRecord, CexTagState
 from rfpop.errors import FrameError, UnknownSnapshot
-from rfpop.ma import MaParams, MaReaderRecord, MaTagState, index_for
+from rfpop.ma import MaReaderRecord, MaTagState, index_for
 from rfpop.model.database import SessionRecord
-from rfpop.pop import IMPL_KTIME, KeyDirectory, PopParams, PopReaderRecord, PopTagState
+from rfpop.pop import IMPL_KTIME, KeyDirectory, PopReaderRecord, PopTagState, interior_params
 from rfpop.primitives.bitstring import BitString
 from rfpop.primitives.sig import FULLTIME, KTIME, VerifyKey, signer_from_dict
 
@@ -116,12 +116,11 @@ def tag_fields(mode: str, params, state) -> list[tuple[str, bytes]]:
 
 
 def _ctr_width(params) -> int:
-    ma = params.ma if isinstance(params, PopParams) else params
-    return ma.out_bits // 8
+    return interior_params(params).out_bits // 8
 
 
-def _interior(params) -> MaParams:
-    return params.ma if isinstance(params, PopParams) else params
+def _params(config: Config):
+    return config.pop_params() if config.mode == "mapop" else config.ma_params()
 
 
 def encode_record(mode: str, params, rec) -> bytes:
@@ -130,7 +129,7 @@ def encode_record(mode: str, params, rec) -> bytes:
 
 def decode_record(mode: str, params, impl: str, cursor: _Cursor):
     fields = cursor.fields()
-    ma = _interior(params)
+    ma = interior_params(params)
     if mode == "mapop":
         if len(fields) != 6:
             raise FrameError(f"extended reader record needs 6 fields, got {len(fields)}")
@@ -180,9 +179,6 @@ class DbFileData:
     reader_signer: Optional[object] = None
     directory: Optional[KeyDirectory] = None
 
-    def params(self):
-        return self.config.pop_params() if self.config.mode == "mapop" else self.config.ma_params()
-
     def snapshot(self, j: int) -> dict[bytes, object]:
         """Database contents right after journaled session `j` (0 = initial)."""
         if not 0 <= j <= len(self.journal):
@@ -208,7 +204,7 @@ def save_db(path: str, config: Config, records, reader_id: bytes = b"reader-0",
             for party, vk in sorted(directory.entries.items())
         }
     meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("ascii")
-    params = config.pop_params() if config.mode == "mapop" else config.ma_params()
+    params = _params(config)
     ordered = sorted(records, key=lambda r: r.tag_id.to_bytes())
     body = [MAGIC, _U32.pack(len(meta_blob)), meta_blob, _U32.pack(len(ordered))]
     body += [encode_record(config.mode, params, rec) for rec in ordered]
@@ -228,7 +224,7 @@ def load_db(path: str) -> DbFileData:
         raise FrameError(f"corrupt metadata block: {exc}") from exc
     config = config_from_dict(meta["config"])
     reader_id = bytes.fromhex(meta["reader_id"])
-    params = config.pop_params() if config.mode == "mapop" else config.ma_params()
+    params = _params(config)
     initial = {}
     for _ in range(cursor.u32()):
         rec = decode_record(config.mode, params, config.impl, cursor)
@@ -279,7 +275,7 @@ def _read_journal_entry(cursor: _Cursor, config: Config, params) -> JournalEntry
 
 def append_journal(path: str, config: Config, j: int, session: SessionRecord):
     """Append one terminated session to the file's snapshot journal."""
-    params = config.pop_params() if config.mode == "mapop" else config.ma_params()
+    params = _params(config)
     parts = [
         _JOURNAL_MARK,
         _U32.pack(j),

@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from rfpop.harness.adversaries import drop_tag_replies
+from rfpop.harness.oracles import OracleHub
+from rfpop.model.session import relay
 from rfpop.model.types import Msg, Transcript
 from rfpop.pop import IMPL_KTIME, cred_gen
 from rfpop.primitives.counters import OpCounters, counting
@@ -38,11 +41,9 @@ def config_for_impl(impl: str, tags: int = 2, seed: str = "report") -> Config:
 
 @dataclass
 class SessionMeasure:
+    transcript: Transcript
     reader_ops: OpCounters
     tag_ops: OpCounters
-    messages: list[Msg]
-    o_reader: Optional[int]
-    o_tag: Optional[int]
     via_step: Optional[int]
 
 
@@ -57,41 +58,18 @@ def instrumented_session(
     tag_ops = OpCounters()
     with counting(reader_ops):
         sid, challenge = reader.start(rng, mode=mode)
-    messages = [challenge]
-    o_reader = None
-    o_tag = None
-    to_tag = challenge
-    while True:
+
+    def to_tag(msg: Msg):
         with counting(tag_ops):
-            t_out = tag.step(sid, to_tag, rng)
-        if t_out.msg is not None:
-            messages.append(t_out.msg)
-        if t_out.output is not None:
-            o_tag = t_out.output
-        if t_out.msg is None:
-            break
+            return tag.step(sid, msg, rng)
+
+    def to_reader(msg: Msg):
         with counting(reader_ops):
-            r_out = reader.step(sid, t_out.msg, rng)
-        if r_out.msg is not None:
-            messages.append(r_out.msg)
-        if r_out.output is not None:
-            o_reader = r_out.output
-        if r_out.msg is None:
-            break
-        to_tag = r_out.msg
+            return reader.step(sid, msg, rng)
+
+    transcript = relay(sid, challenge, to_tag, to_reader)
     via_step = reader.history.sessions[-1].via_step if reader.history.sessions else None
-    return SessionMeasure(reader_ops, tag_ops, messages, o_reader, o_tag, via_step)
-
-
-def desynchronize(system: System, tag_id: bytes, rng: Rng):
-    """Advance a tag one step past the reader by discarding one tag reply."""
-    sid = rng.take_bits(128)
-    challenge = Msg(0, rng.take_bits(_challenge_bits(system)))
-    system.tag(tag_id).step(sid, challenge, rng)
-
-
-def _challenge_bits(system: System) -> int:
-    return system.protocol.slots()[0].bit_lengths[0]
+    return SessionMeasure(transcript, reader_ops, tag_ops, via_step)
 
 
 def _session_mode(config: Config) -> Optional[str]:
@@ -149,9 +127,9 @@ def measure_scan_cost(tag_count: int, config: Config, seed: str = "scan") -> int
     scan_config = config.with_overrides(mode="ma", impl="1", tags=tag_count)
     system = scan_config.build_system(Rng(f"{seed}-{tag_count}"))
     last = system.tag_ids()[-1]
-    desynchronize(system, last, system.rng.spawn("desync"))
+    drop_tag_replies(OracleHub(system), last, 1, system.rng.spawn("desync"))
     measure = instrumented_session(system, tag_id=last)
-    if measure.o_reader != 1 or measure.via_step != 2:
+    if measure.transcript.o_reader != 1 or measure.via_step != 2:
         raise RuntimeError("scan measurement expected a full-scan recovery")
     return measure.reader_ops.hashes
 
@@ -162,14 +140,14 @@ def report_ops(impl: str, seed: str = "report-ops") -> dict:
 
     sync_system = config.build_system(Rng(f"{seed}-sync"))
     sync = instrumented_session(sync_system, mode=mode)
-    if sync.o_reader != 1 or sync.o_tag != 1:
+    if not sync.transcript.completed:
         raise RuntimeError("sync measurement session failed")
 
     desync_system = config.build_system(Rng(f"{seed}-desync"))
     first = desync_system.first_tag_id()
-    desynchronize(desync_system, first, desync_system.rng.spawn("desync"))
+    drop_tag_replies(OracleHub(desync_system), first, 1, desync_system.rng.spawn("desync"))
     desync = instrumented_session(desync_system, tag_id=first, mode=mode)
-    if desync.o_reader != 1 or desync.o_tag != 1:
+    if not desync.transcript.completed:
         raise RuntimeError("desync recovery session failed")
 
     scan_small = measure_scan_cost(100, config, seed=seed)

@@ -22,36 +22,17 @@ flawed counter protocol (cex-distinguisher), and three credential forgers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Optional
 
-from rfpop.model.types import SID_BITS, Msg
-from rfpop.pop import Credential
-from rfpop.primitives.bitstring import BitString
+from rfpop.model.session import relay
+from rfpop.model.types import SID_BITS, Msg, Transcript
+from rfpop.pop import Credential, interior_params
 from rfpop.primitives.rng import Rng
 from rfpop.primitives.sig import fulltime_keygen
 
 from .oracles import OracleHub
-
-
-def interior_params(params):
-    """The counter-protocol length profile, whether the system runs it bare
-    or wrapped with the possession proof."""
-    return getattr(params, "ma", params)
-
-
-@dataclass
-class RelayResult:
-    """What an adversary observed while ferrying one session."""
-
-    sid: Optional[BitString]
-    messages: list[Msg] = field(default_factory=list)
-    o_reader: Optional[int] = None
-    o_tag: Optional[int] = None
-
-    @property
-    def completed(self) -> bool:
-        return self.o_reader == 1 and self.o_tag == 1
 
 
 def relay_session(
@@ -60,7 +41,7 @@ def relay_session(
     flip_at: int = 0,
     flip_bit: int = 0,
     inject: Optional[dict[int, Msg]] = None,
-) -> RelayResult:
+) -> Transcript:
     """Ferry one session between reader and tag, recording every message and
     both execution results.
 
@@ -70,35 +51,25 @@ def relay_session(
     Either tampering leaves the recorded transcript holding the original.
     """
     res = hub.o1_init_reader()
-    result = RelayResult(sid=res.sid)
     if res.msg is None:
-        return result
+        return Transcript(res.sid)
     sid = res.sid
-    msg = res.msg
-    position = 1
-    result.messages.append(msg)
-    to_tag = True
-    while True:
-        deliver = msg
+    positions = itertools.count(1)
+
+    def tampered(msg: Msg) -> Msg:
+        position = next(positions)
         if inject and position in inject:
-            deliver = inject[position]
+            msg = inject[position]
         if position == flip_at:
-            deliver = Msg(deliver.round, deliver.bits.flip_bit(flip_bit))
-        if to_tag:
-            step = hub.o2_send_tag(tag_id, sid, deliver)
-            if step.output is not None:
-                result.o_tag = step.output
-        else:
-            step = hub.o3_send_reader(sid, deliver)
-            if step.output is not None:
-                result.o_reader = step.output
-        if step.msg is None:
-            break
-        msg = step.msg
-        position += 1
-        result.messages.append(msg)
-        to_tag = not to_tag
-    return result
+            msg = Msg(msg.round, msg.bits.flip_bit(flip_bit))
+        return msg
+
+    return relay(
+        sid,
+        res.msg,
+        lambda msg: hub.o2_send_tag(tag_id, sid, tampered(msg)),
+        lambda msg: hub.o3_send_reader(sid, tampered(msg)),
+    )
 
 
 def drop_tag_replies(hub: OracleHub, tag_id: bytes, count: int, rng: Rng):
@@ -263,7 +234,7 @@ class Replayer:
     def name(self) -> str:
         return f"replayer-m{self.message_index}"
 
-    def _script(self, hub: OracleHub, tag_id: bytes) -> tuple[RelayResult, RelayResult]:
+    def _script(self, hub: OracleHub, tag_id: bytes) -> tuple[Transcript, Transcript]:
         first = relay_session(hub, tag_id)
         captured = {}
         if len(first.messages) >= self.message_index:

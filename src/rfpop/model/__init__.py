@@ -14,11 +14,7 @@ from rfpop.model.types import (
 from rfpop.model.session import (
     Reader,
     Tag,
-    reader_start,
-    reader_step,
-    reader_timeout,
     run_honest_session,
-    tag_step,
 )
 
 __all__ = [
@@ -32,9 +28,5 @@ __all__ = [
     "Transcript",
     "Reader",
     "Tag",
-    "reader_start",
-    "reader_step",
-    "reader_timeout",
     "run_honest_session",
-    "tag_step",
 ]

@@ -247,20 +247,32 @@ class Tag:
         self.session = None
 
 
-def reader_start(reader: Reader, rng: Rng, mode: Optional[str] = None):
-    return reader.start(rng, mode=mode)
+def relay(sid: BitString, first: Msg, to_tag, to_reader) -> Transcript:
+    """Ferry one session: deliver `first` to the tag, then alternate between
+    the parties until a delivery returns no message.
 
-
-def reader_step(reader: Reader, sid: BitString, msg: Msg, rng: Rng) -> StepOutcome:
-    return reader.step(sid, msg, rng)
-
-
-def reader_timeout(reader: Reader) -> StepOutcome:
-    return reader.timeout()
-
-
-def tag_step(tag: Tag, sid: BitString, msg: Msg, rng: Rng) -> StepOutcome:
-    return tag.step(sid, msg, rng)
+    `to_tag` and `to_reader` deliver one message and return anything with
+    `.msg` and `.output`. The transcript records every message the parties
+    sent, as sent, and each side's last output.
+    """
+    trs = Transcript(sid, [first])
+    msg = first
+    while True:
+        # No tag (ma, pop, cex) answers the reader's terminal message with a
+        # message, only an output, so the session ends with that delivery.
+        out = to_tag(msg)
+        if out.output is not None:
+            trs.o_tag = out.output
+        if out.msg is None:
+            return trs
+        trs.messages.append(out.msg)
+        out = to_reader(out.msg)
+        if out.output is not None:
+            trs.o_reader = out.output
+        if out.msg is None:
+            return trs
+        msg = out.msg
+        trs.messages.append(msg)
 
 
 def run_honest_session(
@@ -268,27 +280,9 @@ def run_honest_session(
 ) -> Transcript:
     """Relay one session faithfully between the two parties."""
     sid, challenge = reader.start(rng, mode=mode)
-    trs = Transcript(sid, [challenge])
-    to_tag = challenge
-    while True:
-        t_out = tag.step(sid, to_tag, rng)
-        if t_out.msg is not None:
-            trs.messages.append(t_out.msg)
-        if t_out.output is not None:
-            trs.o_tag = t_out.output
-        if t_out.msg is None:
-            break
-        r_out = reader.step(sid, t_out.msg, rng)
-        if r_out.msg is not None:
-            trs.messages.append(r_out.msg)
-        if r_out.output is not None:
-            trs.o_reader = r_out.output
-        if r_out.kind == "reply":
-            to_tag = r_out.msg
-            continue
-        if r_out.kind == "reply_output":
-            final = tag.step(sid, r_out.msg, rng)
-            if final.output is not None:
-                trs.o_tag = final.output
-        break
-    return trs
+    return relay(
+        sid,
+        challenge,
+        lambda msg: tag.step(sid, msg, rng),
+        lambda msg: reader.step(sid, msg, rng),
+    )

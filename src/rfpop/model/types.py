@@ -51,6 +51,10 @@ class Transcript:
     o_reader: Optional[int] = None
     o_tag: Optional[int] = None
 
+    @property
+    def completed(self) -> bool:
+        return self.o_reader == 1 and self.o_tag == 1
+
     def message_bits(self, round: int) -> BitString:
         for m in self.messages:
             if m.round == round:

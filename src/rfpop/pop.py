@@ -103,6 +103,12 @@ class PopParams:
         return PrfDescriptor("pop-g", self.pop_key_bits, None, self.hash_bits)
 
 
+def interior_params(params) -> MaParams:
+    """The counter-protocol length profile, whether the system runs it bare
+    or wrapped with the possession proof."""
+    return params.ma if isinstance(params, PopParams) else params
+
+
 @dataclass
 class PopTagState:
     ma: MaTagState
