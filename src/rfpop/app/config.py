@@ -16,15 +16,9 @@ from typing import Optional
 
 from rfpop.errors import ConfigError
 from rfpop.ma import MaParams
-from rfpop.pop import IMPL_FULLTIME, IMPL_KTIME, IMPL_POOLED, PopParams
+from rfpop.pop import DEFAULT_K, IMPL_FULLTIME, IMPL_KTIME, IMPL_POOLED, PopParams
 from rfpop.primitives.rng import Rng
-from rfpop.system import (
-    DEFAULT_LIFETIME,
-    System,
-    build_cex_system,
-    build_ma_system,
-    build_pop_system,
-)
+from rfpop.system import DEFAULT_LIFETIME, SYSTEM_BUILDERS, System
 
 ENV_CONFIG = "RFPOP_CONFIG"
 
@@ -66,7 +60,7 @@ class Config:
     l_v: int = 256
     mode: str = "mapop"
     impl: str = IMPL_FULLTIME
-    K: int = 16
+    K: int = DEFAULT_K
     s: int = DEFAULT_LIFETIME
     lifetime: Optional[int] = None
     tags: int = 2
@@ -144,20 +138,18 @@ class Config:
             pool_size=self.s,
         )
 
+    def params(self):
+        """The parameters this config's mode runs: `PopParams` for mapop,
+        the interior `MaParams` for ma and cex."""
+        return self.pop_params() if self.mode == "mapop" else self.ma_params()
+
     def build_system(self, rng: Optional[Rng] = None, tag_count: Optional[int] = None) -> System:
         """Instantiate reader, tags and key material for this config."""
-        rng = rng if rng is not None else Rng(self.seed)
-        count = tag_count if tag_count is not None else self.tags
-        if self.mode == "ma":
-            return build_ma_system(
-                rng, tag_count=count, params=self.ma_params(), lifetime=self.effective_lifetime
-            )
-        if self.mode == "cex":
-            return build_cex_system(
-                rng, tag_count=count, params=self.ma_params(), lifetime=self.effective_lifetime
-            )
-        return build_pop_system(
-            rng, tag_count=count, params=self.pop_params(), lifetime=self.effective_lifetime
+        return SYSTEM_BUILDERS[self.mode](
+            rng if rng is not None else Rng(self.seed),
+            tag_count=tag_count if tag_count is not None else self.tags,
+            params=self.params(),
+            lifetime=self.effective_lifetime,
         )
 
     def to_dict(self) -> dict:

@@ -17,6 +17,7 @@ round trip is byte-identical.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -119,10 +120,6 @@ def _ctr_width(params) -> int:
     return interior_params(params).out_bits // 8
 
 
-def _params(config: Config):
-    return config.pop_params() if config.mode == "mapop" else config.ma_params()
-
-
 def encode_record(mode: str, params, rec) -> bytes:
     return _pack_fields([blob for _, blob in record_fields(mode, params, rec)])
 
@@ -204,7 +201,7 @@ def save_db(path: str, config: Config, records, reader_id: bytes = b"reader-0",
             for party, vk in sorted(directory.entries.items())
         }
     meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("ascii")
-    params = _params(config)
+    params = config.params()
     ordered = sorted(records, key=lambda r: r.tag_id.to_bytes())
     body = [MAGIC, _U32.pack(len(meta_blob)), meta_blob, _U32.pack(len(ordered))]
     body += [encode_record(config.mode, params, rec) for rec in ordered]
@@ -224,7 +221,7 @@ def load_db(path: str) -> DbFileData:
         raise FrameError(f"corrupt metadata block: {exc}") from exc
     config = config_from_dict(meta["config"])
     reader_id = bytes.fromhex(meta["reader_id"])
-    params = _params(config)
+    params = config.params()
     initial = {}
     for _ in range(cursor.u32()):
         rec = decode_record(config.mode, params, config.impl, cursor)
@@ -275,7 +272,7 @@ def _read_journal_entry(cursor: _Cursor, config: Config, params) -> JournalEntry
 
 def append_journal(path: str, config: Config, j: int, session: SessionRecord):
     """Append one terminated session to the file's snapshot journal."""
-    params = _params(config)
+    params = config.params()
     parts = [
         _JOURNAL_MARK,
         _U32.pack(j),
@@ -300,7 +297,10 @@ def db_snapshot_load(path: str, j: int) -> dict[bytes, object]:
 
 
 def save_tag(path: str, mode: str, state, key_version: int = 0):
-    """Write one tag's secrets as a JSON key file."""
+    """Write one tag's secrets as a JSON key file.
+
+    The file is written beside its final name and renamed over it, so a
+    crash during the write leaves the previous key file whole."""
     if mode == "mapop":
         doc = {
             "mode": mode,
@@ -320,9 +320,11 @@ def save_tag(path: str, mode: str, state, key_version: int = 0):
         if mode == "cex":
             doc["st"] = state.st
     doc["key_version"] = key_version
-    with open(path, "w", encoding="utf-8") as handle:
+    staged = path + ".tmp"
+    with open(staged, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    os.replace(staged, path)
 
 
 def load_tag(path: str):

@@ -45,11 +45,11 @@ TICK_SECONDS = 0.05
 
 
 def protocol_for(config: Config, reader_signer=None):
-    if config.mode == "ma":
-        return MaProtocol(config.ma_params())
-    if config.mode == "cex":
-        return CexProtocol(config.ma_params())
-    return PopProtocol(config.pop_params(), reader_signer)
+    """The protocol a reader or tag process runs; only a mapop reader signs."""
+    params = config.params()
+    if config.mode == "mapop":
+        return PopProtocol(params, reader_signer)
+    return CexProtocol(params) if config.mode == "cex" else MaProtocol(params)
 
 
 def reader_from_file(db_path: str) -> tuple[DbFileData, Reader]:
@@ -143,7 +143,7 @@ def _serve_one(
             if outcome.output is not None:
                 o_reader = outcome.output
                 _send(conn, result_frame(TYPE_RESULT_READER, sid.to_bytes(), o_reader))
-                cred = _issue_credential(reader, config)
+                cred = _issue_credential(reader)
                 if cred is not None:
                     _send(conn, Frame(TYPE_CREDENTIAL, sid.to_bytes(), cred.encode()))
         elif frame.msg_type == TYPE_RESULT_TAG:
@@ -167,13 +167,14 @@ def _serve_one(
     }
 
 
-def _issue_credential(reader: Reader, config: Config):
-    if config.mode != "mapop":
-        return None
+def _issue_credential(reader: Reader):
+    """The credential for the session just ended; only a mapop reader's
+    sessions run in "pop" mode."""
     record = reader.history.sessions[-1]
-    if record.o_reader != 1 or record.mode != "pop":
+    if record.mode != "pop":
         return None
-    return cred_gen(config.pop_params(), reader, reader.protocol.reader_signer, record.j)
+    protocol = reader.protocol
+    return cred_gen(protocol.params, reader, protocol.reader_signer, record.j)
 
 
 def tag_run(
@@ -187,7 +188,8 @@ def tag_run(
     announce: Callable[[str], None] = print,
     cred_out: Optional[str] = None,
 ) -> list[dict]:
-    """Run `sessions` sessions against a reader server, updating the key file."""
+    """Run `sessions` sessions against a reader server, saving the key file
+    after each one."""
     mode, state, key_version = load_tag(tag_path)
     if mode != config.mode:
         raise FrameError(f"tag file is for mode {mode!r} but config says {config.mode!r}")
@@ -202,12 +204,12 @@ def tag_run(
     for _ in range(sessions):
         with socket.create_connection((peer_host, peer_port), timeout=timeout_s) as sock:
             result = _client_one(tag, sock, rng)
+        save_tag(tag_path, mode, tag.state, tag.key_version)
         if result["credential"] and cred_out:
             with open(cred_out, "wb") as handle:
                 handle.write(bytes.fromhex(result["credential"]))
         announce("session: o_T={o_tag} o_R={o_reader}".format(**result))
         results.append(result)
-    save_tag(tag_path, mode, tag.state, tag.key_version)
     return results
 
 

@@ -47,17 +47,16 @@ class SessionMeasure:
     via_step: Optional[int]
 
 
-def instrumented_session(
-    system: System, tag_id: Optional[bytes] = None, mode: Optional[str] = None
-) -> SessionMeasure:
-    """Run one honest session, charging each party's operations separately."""
+def instrumented_session(system: System, tag_id: Optional[bytes] = None) -> SessionMeasure:
+    """Run one honest session in the protocol's default mode, charging each
+    party's operations separately."""
     reader = system.reader
     tag = system.tag(tag_id if tag_id is not None else system.first_tag_id())
     rng = system.rng
     reader_ops = OpCounters()
     tag_ops = OpCounters()
     with counting(reader_ops):
-        sid, challenge = reader.start(rng, mode=mode)
+        sid, challenge = reader.start(rng)
 
     def to_tag(msg: Msg):
         with counting(tag_ops):
@@ -72,14 +71,10 @@ def instrumented_session(
     return SessionMeasure(transcript, reader_ops, tag_ops, via_step)
 
 
-def _session_mode(config: Config) -> Optional[str]:
-    return "pop" if config.mode == "mapop" else None
-
-
 def report_sizes(impl: str, seed: str = "report-sizes") -> dict:
     config = config_for_impl(impl, seed=seed)
     system = config.build_system()
-    transcript: Transcript = system.run_honest(mode=_session_mode(config))
+    transcript: Transcript = system.run_honest()
     params = system.params
     rec = next(iter(system.reader.db.records_ascending()))
     reader_parts = {name: len(blob) for name, blob in record_fields(config.mode, params, rec)}
@@ -136,17 +131,15 @@ def measure_scan_cost(tag_count: int, config: Config, seed: str = "scan") -> int
 
 def report_ops(impl: str, seed: str = "report-ops") -> dict:
     config = config_for_impl(impl, seed=seed)
-    mode = _session_mode(config)
-
     sync_system = config.build_system(Rng(f"{seed}-sync"))
-    sync = instrumented_session(sync_system, mode=mode)
+    sync = instrumented_session(sync_system)
     if not sync.transcript.completed:
         raise RuntimeError("sync measurement session failed")
 
     desync_system = config.build_system(Rng(f"{seed}-desync"))
     first = desync_system.first_tag_id()
     drop_tag_replies(OracleHub(desync_system), first, 1, desync_system.rng.spawn("desync"))
-    desync = instrumented_session(desync_system, tag_id=first, mode=mode)
+    desync = instrumented_session(desync_system, tag_id=first)
     if not desync.transcript.completed:
         raise RuntimeError("desync recovery session failed")
 

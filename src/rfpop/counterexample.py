@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from rfpop.errors import CounterOverflow, LengthMismatch
-from rfpop.ma import MaParams, counter_bits
+from rfpop.ma import MaParams, counter_bits, tag_id_for
 from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import ReaderAction, TagAction
 from rfpop.model.types import MessageSlot, Msg
@@ -184,11 +184,5 @@ class CexProtocol:
 def cex_setup(
     params: CexParams, tag_count: int, rng: Rng
 ) -> tuple[list[CexTagState], list[CexReaderRecord]]:
-    tags = []
-    records = []
-    for i in range(tag_count):
-        tag_id = BitString.from_bytes(bytes(28) + i.to_bytes(4, "big"))
-        key = rng.take_bits(params.key_bits)
-        tags.append(CexTagState(tag_id=tag_id, key=key, ctr=1))
-        records.append(CexReaderRecord(tag_id=tag_id, key=key, ctr=1))
-    return tags, records
+    tags = [CexTagState(tag_id_for(i), rng.take_bits(params.key_bits), 1) for i in range(tag_count)]
+    return tags, [CexReaderRecord(t.tag_id, t.key, 1) for t in tags]

@@ -18,7 +18,7 @@ counts the two forgery events.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from rfpop.errors import BudgetExceeded, GuessStageViolation, InvalidChallenge
 from rfpop.harness.blinded import BlindedWorld, PureRandomWorld

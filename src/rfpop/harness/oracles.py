@@ -14,7 +14,7 @@ o_T/o_R execution results in oracle answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from rfpop.errors import (
@@ -22,7 +22,7 @@ from rfpop.errors import (
     GuessStageViolation,
     NoOpenSession,
 )
-from rfpop.model.types import IGNORE, Msg, StepOutcome
+from rfpop.model.types import Msg, StepOutcome
 from rfpop.pop import Credential, cred_gen
 from rfpop.primitives.bitstring import BitString
 from rfpop.system import System

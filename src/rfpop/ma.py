@@ -27,7 +27,7 @@ starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from rfpop.errors import CounterOverflow, LengthMismatch
@@ -260,19 +260,15 @@ class MaProtocol:
         pass
 
 
+def tag_id_for(i: int) -> BitString:
+    """Identifier of the i-th tag a setup draws; ascending in i."""
+    return BitString.from_bytes(bytes(28) + i.to_bytes(4, "big"))
+
+
 def ma_setup(
     params: MaParams, tag_count: int, rng: Rng
 ) -> tuple[list[MaTagState], list[MaReaderRecord]]:
     """Draw per-tag keys and build the matching reader records."""
-    tags = []
-    records = []
-    for i in range(tag_count):
-        tag_id = BitString.from_bytes(bytes(28) + i.to_bytes(4, "big"))
-        key = rng.take_bits(params.key_bits)
-        tags.append(MaTagState(tag_id=tag_id, key=key, ctr=1))
-        records.append(
-            MaReaderRecord(
-                tag_id=tag_id, key=key, ctr=1, index=index_for(params, key, 1)
-            )
-        )
+    tags = [MaTagState(tag_id_for(i), rng.take_bits(params.key_bits), 1) for i in range(tag_count)]
+    records = [MaReaderRecord(t.tag_id, t.key, 1, index_for(params, t.key, 1)) for t in tags]
     return tags, records

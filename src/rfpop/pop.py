@@ -44,22 +44,20 @@ from rfpop.ma import (
     MaParams,
     MaReaderRecord,
     MaTagState,
+    index_for,
     ma_reader_auth,
     ma_tag_respond,
     ma_tag_verify,
     parse_tag_reply,
+    tag_id_for,
 )
-from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import Reader, ReaderAction, TagAction
 from rfpop.model.types import MessageSlot, Msg
 from rfpop.primitives.bitstring import BitString
 from rfpop.primitives.prf import PrfDescriptor, hash_digest, prf_eval
 from rfpop.primitives.rng import Rng
 from rfpop.primitives.sig import (
-    FULLTIME,
-    KTIME,
     FullTimeSigner,
-    KTimeSigner,
     VerifyKey,
     fulltime_keygen,
     ktime_keygen,
@@ -68,6 +66,10 @@ from rfpop.primitives.sig import (
 IMPL_FULLTIME = "impl1"  # full-time signatures, online signing
 IMPL_POOLED = "impl2"  # full-time signatures, precomputed-pair signing
 IMPL_KTIME = "impl3"  # K-time signatures
+
+# impl3 signing budget.  A K-time verifying key costs K+1 point
+# multiplications to derive, so the default stays small.
+DEFAULT_K = 16
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ class PopParams:
     hash_bits: int = 256  # pop challenge, binder, and sig_tag length
     pop_key_bits: int = 256
     sig_impl: str = IMPL_FULLTIME
-    k_time: int = 1 << 17  # signing budget for impl3
+    k_time: int = DEFAULT_K  # signing budget for impl3
     pool_size: int = 1 << 17  # precomputed pairs for impl2
 
     def __post_init__(self):
@@ -492,17 +494,15 @@ def piprime_run(
 
 
 def pop_setup(
-    params: PopParams, tag_count: int, rng: Rng, reader_id: bytes = b"reader-0"
+    params: PopParams, tag_count: int, rng: Rng, reader_id: bytes
 ) -> tuple[list[PopTagState], list[PopReaderRecord], KeyDirectory, FullTimeSigner]:
     """Extend the interior setup with masking keys and signature keypairs."""
-    from rfpop.ma import index_for
-
     reader_signer, reader_vk = fulltime_keygen(rng)
     entries = {reader_id: reader_vk}
     tags = []
     records = []
     for i in range(tag_count):
-        tag_id = BitString.from_bytes(bytes(28) + i.to_bytes(4, "big"))
+        tag_id = tag_id_for(i)
         key = rng.take_bits(params.ma.key_bits)
         pop_key = rng.take_bits(params.pop_key_bits)
         if params.sig_impl == IMPL_FULLTIME:

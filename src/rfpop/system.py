@@ -6,7 +6,7 @@ a single RNG so that identically seeded systems are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from rfpop.counterexample import CexParams, CexProtocol, cex_setup
@@ -18,19 +18,26 @@ from rfpop.pop import KeyDirectory, PopParams, PopProtocol, pop_setup
 from rfpop.primitives.rng import Rng
 
 DEFAULT_LIFETIME = 1 << 17
+READER_ID = b"reader-0"
 
 
 @dataclass
 class System:
-    kind: str
     protocol: object
-    params: object
     reader: Reader
     tags: dict[bytes, Tag]
     rng: Rng
     lifetime: int
     directory: Optional[KeyDirectory] = None
     reader_signer: object = None
+
+    @property
+    def kind(self) -> str:
+        return self.protocol.name
+
+    @property
+    def params(self):
+        return self.protocol.params
 
     def tag_ids(self) -> list[bytes]:
         return sorted(self.tags)
@@ -46,53 +53,14 @@ class System:
         return run_honest_session(self.reader, tag, self.rng, mode=mode)
 
 
-def _wrap_tags(protocol, states, lifetime) -> dict[bytes, Tag]:
-    return {
-        st.tag_id.to_bytes(): Tag(protocol, st, lifetime)
-        for st in states
-    }
-
-
-def build_ma_system(
-    rng: Rng,
-    tag_count: int = 2,
-    params: Optional[MaParams] = None,
-    lifetime: int = DEFAULT_LIFETIME,
-) -> System:
-    params = params or MaParams()
-    protocol = MaProtocol(params)
-    states, records = ma_setup(params, tag_count, rng.spawn("setup"))
-    reader = Reader(protocol, ReaderDatabase(records), reader_id=b"reader-0")
+def _system(rng: Rng, protocol, states, records, lifetime: int,
+            directory: Optional[KeyDirectory] = None, reader_signer=None) -> System:
+    """Put a reader over `records` and a tag around each state, all running
+    `protocol`; sessions draw from the builder RNG's "session" stream."""
     return System(
-        kind="ma",
         protocol=protocol,
-        params=params,
-        reader=reader,
-        tags=_wrap_tags(protocol, states, lifetime),
-        rng=rng.spawn("session"),
-        lifetime=lifetime,
-    )
-
-
-def build_pop_system(
-    rng: Rng,
-    tag_count: int = 2,
-    params: Optional[PopParams] = None,
-    lifetime: int = DEFAULT_LIFETIME,
-    reader_id: bytes = b"reader-0",
-) -> System:
-    params = params or PopParams()
-    states, records, directory, reader_signer = pop_setup(
-        params, tag_count, rng.spawn("setup"), reader_id=reader_id
-    )
-    protocol = PopProtocol(params, reader_signer)
-    reader = Reader(protocol, ReaderDatabase(records), reader_id=reader_id)
-    return System(
-        kind="mapop",
-        protocol=protocol,
-        params=params,
-        reader=reader,
-        tags=_wrap_tags(protocol, states, lifetime),
+        reader=Reader(protocol, ReaderDatabase(records), reader_id=READER_ID),
+        tags={st.tag_id.to_bytes(): Tag(protocol, st, lifetime) for st in states},
         rng=rng.spawn("session"),
         lifetime=lifetime,
         directory=directory,
@@ -100,25 +68,25 @@ def build_pop_system(
     )
 
 
-def build_cex_system(
-    rng: Rng,
-    tag_count: int = 2,
-    params: Optional[CexParams] = None,
-    lifetime: int = DEFAULT_LIFETIME,
-) -> System:
+def build_ma_system(rng: Rng, tag_count: int = 2, params: Optional[MaParams] = None,
+                    lifetime: int = DEFAULT_LIFETIME) -> System:
+    params = params or MaParams()
+    states, records = ma_setup(params, tag_count, rng.spawn("setup"))
+    return _system(rng, MaProtocol(params), states, records, lifetime)
+
+
+def build_pop_system(rng: Rng, tag_count: int = 2, params: Optional[PopParams] = None,
+                     lifetime: int = DEFAULT_LIFETIME) -> System:
+    params = params or PopParams()
+    states, records, directory, signer = pop_setup(params, tag_count, rng.spawn("setup"), READER_ID)
+    return _system(rng, PopProtocol(params, signer), states, records, lifetime, directory, signer)
+
+
+def build_cex_system(rng: Rng, tag_count: int = 2, params: Optional[CexParams] = None,
+                     lifetime: int = DEFAULT_LIFETIME) -> System:
     params = params or CexParams()
-    protocol = CexProtocol(params)
     states, records = cex_setup(params, tag_count, rng.spawn("setup"))
-    reader = Reader(protocol, ReaderDatabase(records), reader_id=b"reader-0")
-    return System(
-        kind="cex",
-        protocol=protocol,
-        params=params,
-        reader=reader,
-        tags=_wrap_tags(protocol, states, lifetime),
-        rng=rng.spawn("session"),
-        lifetime=lifetime,
-    )
+    return _system(rng, CexProtocol(params), states, records, lifetime)
 
 
 def mapop_session(system: System, tag_id: Optional[bytes] = None) -> Transcript:

@@ -13,7 +13,7 @@ from rfpop.app.config import (
     save_config,
 )
 from rfpop.errors import ConfigError
-from rfpop.pop import IMPL_FULLTIME, IMPL_KTIME, IMPL_POOLED
+from rfpop.pop import IMPL_FULLTIME, IMPL_KTIME, IMPL_POOLED, PopParams
 from rfpop.primitives.rng import Rng
 from rfpop.system import DEFAULT_LIFETIME
 
@@ -99,6 +99,17 @@ def test_params_reflect_lengths():
     assert pop.sig_impl == IMPL_KTIME
     assert pop.k_time == 8
     assert pop.hash_bits == pop_config.l_r
+
+
+def test_params_follow_mode():
+    for mode in ("ma", "cex"):
+        assert Config(mode=mode, l_v=128).params() == Config(l_v=128).ma_params()
+    config = Config(mode="mapop", impl="3", K=8)
+    assert config.params() == config.pop_params()
+
+
+def test_default_signing_budget_matches_config():
+    assert PopParams(sig_impl=IMPL_KTIME).k_time == Config().K
 
 
 def test_build_system_matches_mode():

@@ -1,5 +1,7 @@
 """Reader database files and tag key files."""
 
+import json
+
 import pytest
 
 from rfpop.app.config import Config
@@ -235,3 +237,24 @@ def test_tag_file_preserves_cex_interrupt_flag(tmp_path):
     save_tag(str(path), "cex", tag.state)
     _, state, _ = load_tag(str(path))
     assert state.st == 1
+
+
+def test_torn_tag_write_keeps_previous_key_file(tmp_path, monkeypatch):
+    system = build(Config(mode="ma"))
+    tag = system.tag(system.first_tag_id())
+    path = tmp_path / "tag.json"
+    save_tag(str(path), "ma", tag.state)
+    before = path.read_bytes()
+    system.run_honest()
+
+    def torn_dump(doc, handle, **kwargs):
+        handle.write('{"ctr": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    with pytest.raises(OSError, match="disk full"):
+        save_tag(str(path), "ma", tag.state, key_version=tag.key_version)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    _mode, state, key_version = load_tag(str(path))
+    assert (state.ctr, key_version) == (1, 0)

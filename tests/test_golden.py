@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from rfpop.app.config import Config
+from rfpop.app.cli import main
+from rfpop.app.config import Config, save_config
 from rfpop.app.reports import report_ops, report_sizes
 from rfpop.harness.adversaries import (
     DbSplicer,
@@ -170,3 +171,28 @@ def test_experiment_reports_are_pinned(name):
     else:
         report = exp_unp_sharp(factory, adversary, 6, rng)
     assert digest(report.to_json()) == GOLDEN_EXPERIMENTS[name]
+
+
+GOLDEN_SETUP = {
+    "ma": "b247ed25f59a2b685cef2fed2f4d76077d2a04347c874bc226b1921a8317ff3b",
+    "cex": "655b117c14c93a2ce15d10a7f0499cc0ee3853134c0d88473d37a0c7161c6020",
+    "mapop-impl1": "80c12aa8cdaf99534684306e61f59a5e9aff554baffb15c46f81bab5c57c8473",
+    "mapop-impl3": "0a32d58d5047642af878e7db9e5f2b6cc841c5c83d7ac5149e27f7cefd91a716",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SETUP))
+def test_setup_files_are_pinned(name, tmp_path, capsys):
+    """The bytes `rfpop setup` writes: the reader database, then every tag
+    key file in order."""
+    mode, _, impl = name.partition("-")
+    config = Config(mode=mode, impl=impl or "impl1", K=4, tags=3, seed=f"golden-setup-{name}")
+    config_path = tmp_path / "config.json"
+    save_config(config, str(config_path))
+    out = tmp_path / "out"
+    assert main(["setup", "--config", str(config_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    sha = hashlib.sha256((out / "reader.db").read_bytes())
+    for path in sorted(out.glob("tag-*.json")):
+        sha.update(path.read_bytes())
+    assert sha.hexdigest() == GOLDEN_SETUP[name]

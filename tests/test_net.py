@@ -265,6 +265,20 @@ def test_journal_numbering_survives_server_restart(tmp_path):
     assert state.ctr == 4
 
 
+def test_tag_file_is_saved_after_each_session(tmp_path):
+    """A tag whose second session cannot connect keeps the first session's
+    counter on disk."""
+    config = Config(mode="ma", tags=1, seed="net-save-each")
+    db_path, tag_paths, _system = deploy(tmp_path, config)
+    box = start_server(db_path, sessions=1)
+    with pytest.raises(ConnectionRefusedError):
+        # Joining the server after the first session closes its listener.
+        tag_run(tag_paths[0], config, host="127.0.0.1", port=box["port"], sessions=2,
+                announce=lambda line: finish(box))
+    _mode, state, _version = load_tag(tag_paths[0])
+    assert state.ctr == 2
+
+
 def test_mode_mismatch_is_rejected_before_connecting(tmp_path):
     config = Config(mode="ma", tags=1, seed="net-mismatch")
     _db_path, tag_paths, _system = deploy(tmp_path, config)
