@@ -8,7 +8,9 @@ The tag client answers rounds, reports its own verdict as a tag-result frame,
 and persists its updated state back to its key file.
 
 Timeouts are configured in ticks; the socket layer maps one tick to
-`TICK_SECONDS` of wall-clock time.  A peer that stalls past the budget, closes
+`TICK_SECONDS` of wall-clock time.  The budget is a deadline for the whole
+session, not for each recv, so a peer that trickles bytes cannot hold the
+single-connection reader.  A peer that stalls past the deadline, closes
 mid-frame, or violates framing loses the session: the reader records o_R = 0
 exactly as it would for a radio timeout.
 """
@@ -16,6 +18,7 @@ exactly as it would for a radio timeout.
 from __future__ import annotations
 
 import socket
+import time
 from typing import Callable, Optional
 
 from rfpop.counterexample import CexProtocol
@@ -99,7 +102,6 @@ def serve_reader(
         for _ in range(sessions):
             conn, _peer = server.accept()
             with conn:
-                conn.settimeout(config.timeout_ticks * TICK_SECONDS)
                 summary = _serve_one(reader, conn, rng, session_mode, config, db_path, base_j)
             announce(
                 "session {j}: o_R={o_reader} o_T={o_tag} via_step={via_step}".format(**summary)
@@ -117,6 +119,9 @@ def _serve_one(
     db_path: str,
     base_j: int,
 ) -> dict:
+    budget = config.timeout_ticks * TICK_SECONDS
+    deadline = time.monotonic() + budget
+    conn.settimeout(budget)
     sid, challenge = reader.start(rng, mode=session_mode)
     _send(conn, frame_for_msg(sid, challenge))
     o_reader = None
@@ -124,7 +129,7 @@ def _serve_one(
     cred = None
     while o_reader is None or o_tag is None:
         try:
-            frame = read_frame(conn)
+            frame = read_frame(conn, deadline)
         except (FrameError, OSError):
             # Stall, disconnect, or framing violation: score it as a timeout.
             if o_reader is None:
@@ -203,7 +208,7 @@ def tag_run(
     results = []
     for _ in range(sessions):
         with socket.create_connection((peer_host, peer_port), timeout=timeout_s) as sock:
-            result = _client_one(tag, sock, rng)
+            result = _client_one(tag, sock, rng, timeout_s)
         save_tag(tag_path, mode, tag.state, tag.key_version)
         if result["credential"] and cred_out:
             with open(cred_out, "wb") as handle:
@@ -213,14 +218,15 @@ def tag_run(
     return results
 
 
-def _client_one(tag: Tag, sock, rng: Rng) -> dict:
+def _client_one(tag: Tag, sock, rng: Rng, timeout_s: float) -> dict:
+    deadline = time.monotonic() + timeout_s
     o_tag = None
     o_reader = None
     cred_hex = None
     closed = False
     while o_tag is None and not closed:
         try:
-            frame = read_frame(sock)
+            frame = read_frame(sock, deadline)
         except (FrameError, OSError):
             break
         if frame.msg_type in ROUND_TYPES:
@@ -238,7 +244,7 @@ def _client_one(tag: Tag, sock, rng: Rng) -> dict:
     # The reader's verdict (and any credential) may still be in flight.
     while not closed and (o_reader is None or cred_hex is None):
         try:
-            frame = read_frame(sock)
+            frame = read_frame(sock, deadline)
         except (FrameError, OSError):
             closed = True
             break

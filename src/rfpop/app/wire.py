@@ -11,7 +11,9 @@ mismatches are framing violations and raise FrameError.
 from __future__ import annotations
 
 import struct
+import time
 from dataclasses import dataclass
+from typing import Optional
 
 from rfpop.errors import FrameError
 from rfpop.model.types import SID_BITS, Msg
@@ -70,22 +72,30 @@ def decode_frame(data: bytes) -> Frame:
     return Frame(msg_type=msg_type, sid=sid, payload=payload)
 
 
-def read_frame(sock) -> Frame:
-    """Read one frame from a socket-like object with recv()."""
-    header = _recv_exact(sock, _HEADER.size)
+def read_frame(sock, deadline: Optional[float] = None) -> Frame:
+    """Read one frame from a socket-like object with recv().
+
+    With a `deadline` (a `time.monotonic()` value) every recv waits only for
+    the time left before it, so a peer that trickles bytes cannot stretch the
+    wait past it; once it has passed, only bytes already buffered are read
+    and an empty buffer raises OSError.
+    """
+    header = _recv_exact(sock, _HEADER.size, deadline)
     length, msg_type, sid = _HEADER.unpack(header)
     if msg_type not in _KNOWN_TYPES:
         raise FrameError(f"unknown message type 0x{msg_type:02x}")
     if length > MAX_PAYLOAD:
         raise FrameError(f"declared payload of {length} bytes exceeds limit")
-    payload = _recv_exact(sock, length) if length else b""
+    payload = _recv_exact(sock, length, deadline) if length else b""
     return Frame(msg_type=msg_type, sid=sid, payload=payload)
 
 
-def _recv_exact(sock, n: int) -> bytes:
+def _recv_exact(sock, n: int, deadline: Optional[float]) -> bytes:
     chunks = []
     remaining = n
     while remaining:
+        if deadline is not None:
+            sock.settimeout(max(deadline - time.monotonic(), 0.0))
         chunk = sock.recv(remaining)
         if not chunk:
             raise FrameError(f"connection closed mid-frame ({n - remaining}/{n} bytes)")

@@ -1,13 +1,22 @@
 """Minimal secp256k1 group arithmetic for the K-time signature scheme.
 
-Affine coordinates with None as the point at infinity. This is a reference
-implementation: it is only exercised with small K-time key sets, so clarity
-beats constant-time or projective tricks. Each scalar-by-point multiplication
-counts as one point-multiplication unit for cost accounting.
+Points cross the module boundary in affine coordinates, with None as the point
+at infinity. Inside `point_mul` the doublings and additions run in Jacobian
+coordinates, adding each precomputed affine multiple with a mixed addition,
+and the result is brought back to affine with a single inversion. A base of
+`G` walks a table of 64 rows of 15 multiples (row i holds d*16^i*G for
+d = 1..15), built on first use rather than at import; any other base uses a
+left-to-right 4-bit window over its own 15 multiples. None of this is
+constant-time: the walks branch on the scalar's digits, so it models cost, not
+a side-channel-safe signer. Each scalar-by-point multiplication counts as one
+point-multiplication unit for cost accounting. The Jacobian formulas are the
+standard ones for a = 0 (Hankerson, Menezes and Vanstone, Guide to Elliptic
+Curve Cryptography, 2004, section 3.2.2).
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional
 
 from rfpop.primitives.counters import count_point_mul
@@ -20,6 +29,7 @@ G = (
 )
 
 Point = Optional[tuple[int, int]]
+_Jacobian = tuple[int, int, int]  # (X, Y, Z) stands for (X/Z^2, Y/Z^3)
 
 
 def point_add(p1: Point, p2: Point) -> Point:
@@ -40,17 +50,94 @@ def point_add(p1: Point, p2: Point) -> Point:
 
 
 def point_mul(p: Point, k: int) -> Point:
-    """Double-and-add scalar multiplication; counts one point-mul unit."""
+    """k*p for any k (reduced mod N); counts one point-mul unit."""
     count_point_mul()
     k %= N
-    result: Point = None
-    addend = p
-    while k:
-        if k & 1:
-            result = point_add(result, addend)
-        addend = point_add(addend, addend)
-        k >>= 1
-    return result
+    if p is None or k == 0:
+        return None
+    acc: Optional[_Jacobian] = None
+    if p == G:
+        for row in _g_table():
+            digit = k & 15
+            if digit:
+                acc = _add_affine(acc, row[digit - 1])
+            k >>= 4
+    else:
+        multiples = _multiples(p, 15)
+        for shift in range((k.bit_length() - 1) // 4 * 4, -1, -4):
+            if acc is not None:
+                acc = _double(_double(_double(_double(acc))))
+            digit = (k >> shift) & 15
+            if digit:
+                acc = _add_affine(acc, multiples[digit - 1])
+    return None if acc is None else _to_affine([acc])[0]
+
+
+def _double(j: _Jacobian) -> _Jacobian:
+    """2*j; y^2 = x^3 + 7 has no point of order 2, so Y is never 0."""
+    x, y, z = j
+    yy = y * y % P
+    s = 4 * x * yy % P
+    m = 3 * x * x % P
+    x3 = (m * m - 2 * s) % P
+    return (x3, (m * (s - x3) - 8 * yy * yy) % P, 2 * y * z % P)
+
+
+def _add_affine(j: Optional[_Jacobian], q: tuple[int, int]) -> Optional[_Jacobian]:
+    """j + q for a Jacobian j (None for infinity) and an affine q."""
+    if j is None:
+        return (q[0], q[1], 1)
+    x1, y1, z1 = j
+    zz = z1 * z1 % P
+    h = (q[0] * zz - x1) % P
+    r = (q[1] * zz * z1 - y1) % P
+    if h == 0:
+        return _double(j) if r == 0 else None
+    hh = h * h % P
+    hhh = h * hh % P
+    v = x1 * hh % P
+    x3 = (r * r - hhh - 2 * v) % P
+    return (x3, (r * (v - x3) - y1 * hhh) % P, z1 * h % P)
+
+
+def _to_affine(points: list[_Jacobian]) -> list[tuple[int, int]]:
+    """Affine forms of Jacobian points with one inversion (Montgomery's trick)."""
+    prefix = []
+    acc = 1
+    for _, _, z in points:
+        acc = acc * z % P
+        prefix.append(acc)
+    inv = pow(acc, -1, P)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        z_inv = inv * prefix[i - 1] % P if i else inv
+        inv = inv * z % P
+        zz = z_inv * z_inv % P
+        out[i] = (x * zz % P, y * zz * z_inv % P)
+    return out
+
+
+def _multiples(p: tuple[int, int], count: int) -> list[tuple[int, int]]:
+    """[1*p, 2*p, ..., count*p] in affine coordinates."""
+    acc = None
+    jacobian = []
+    for _ in range(count):
+        acc = _add_affine(acc, p)
+        jacobian.append(acc)
+    return _to_affine(jacobian)
+
+
+@cache
+def _g_table() -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row i holds d*16^i*G for d = 1..15; one row per 4-bit digit of k < N."""
+    rows = []
+    base = G
+    for _ in range(64):
+        row = _multiples(base, 16)
+        rows.append(tuple(row[:15]))
+        base = row[15]
+    return tuple(rows)
 
 
 def point_encode(p: Point) -> bytes:

@@ -1,6 +1,7 @@
 """Socket reader server and tag client over loopback."""
 
 import queue
+import select
 import socket
 import threading
 import time
@@ -12,6 +13,9 @@ from rfpop.app.dbfile import load_db, load_tag, save_db, save_tag
 from rfpop.app.netrun import TICK_SECONDS, serve_reader, tag_run
 from rfpop.app.wire import (
     TYPE_RESULT_READER,
+    TYPE_ROUND_CHALLENGE,
+    TYPE_ROUND_REPLY,
+    Frame,
     read_frame,
     result_frame,
     result_value,
@@ -211,6 +215,72 @@ def test_stalled_client_scores_reader_zero(tmp_path):
     assert server[0]["o_reader"] == 1
     assert server[0]["via_step"] == 1
     assert load_db(db_path).current()[system.first_tag_id()].ctr == 2
+
+
+# A peer that sends one byte per DRIBBLE_S never stalls a single recv for a
+# 2-tick budget, so only a per-session deadline stops it.  It gives up after
+# DRIBBLE_LIMIT_S, which bounds each test; a session that lasts that long was
+# held open by the dribble.
+DRIBBLE_S = 0.03
+DRIBBLE_LIMIT_S = 2.0
+
+
+def test_dribbling_client_is_cut_off_at_the_session_deadline(tmp_path):
+    config = Config(mode="ma", tags=1, seed="net-dribble", timeout_ticks=2)
+    db_path, _tag_paths, _system = deploy(tmp_path, config)
+    box = start_server(db_path, sessions=1)
+
+    with socket.create_connection(("127.0.0.1", box["port"]), timeout=5) as sock:
+        challenge = read_frame(sock)
+        start = time.monotonic()
+        trickle = Frame(TYPE_ROUND_REPLY, challenge.sid, bytes(1000)).encode()
+        for byte in trickle:
+            if time.monotonic() - start > DRIBBLE_LIMIT_S:
+                break
+            if select.select([sock], [], [], DRIBBLE_S)[0]:
+                break  # the reader has given its verdict
+            sock.sendall(bytes([byte]))
+        elapsed = time.monotonic() - start
+        verdict = read_frame(sock)
+
+    assert result_value(verdict) == 0
+    assert elapsed < 10 * config.timeout_ticks * TICK_SECONDS
+    server = finish(box)
+    assert server[0]["o_reader"] == 0
+
+
+def test_dribbling_reader_is_cut_off_at_the_session_deadline(tmp_path):
+    config = Config(mode="ma", tags=1, seed="net-dribble-tag", timeout_ticks=2)
+    _db_path, tag_paths, _system = deploy(tmp_path, config)
+    server = socket.create_server(("127.0.0.1", 0))
+    done = threading.Event()
+
+    def dribble():
+        conn, _peer = server.accept()
+        with conn:
+            begun = time.monotonic()
+            for byte in Frame(TYPE_ROUND_CHALLENGE, bytes(16), bytes(1000)).encode():
+                if done.wait(DRIBBLE_S) or time.monotonic() - begun > DRIBBLE_LIMIT_S:
+                    break
+                try:
+                    conn.sendall(bytes([byte]))
+                except OSError:
+                    break  # the tag hung up
+
+    thread = threading.Thread(target=dribble, daemon=True)
+    with server:
+        thread.start()
+        start = time.monotonic()
+        try:
+            result = tag_run(tag_paths[0], config, host="127.0.0.1",
+                             port=server.getsockname()[1], announce=lambda line: None)
+        finally:
+            elapsed = time.monotonic() - start
+            done.set()
+            thread.join(5)
+    assert not thread.is_alive()
+    assert result == [{"o_tag": None, "o_reader": None, "credential": None}]
+    assert elapsed < 10 * config.timeout_ticks * TICK_SECONDS
 
 
 def test_framing_violations_score_reader_zero(tmp_path):
