@@ -4,9 +4,13 @@ A database file starts with the magic ``RFPOP1``, a canonical-JSON metadata
 block (config, reader identity, reader signing key, public-key directory), and
 the initial reader records.  After the header the file is an append-only
 journal: one entry per terminated session recording the verdict and the
-records that session changed.  Replaying the journal up to entry `j`
-reproduces the exact database state after session `j`, so old snapshots stay
-loadable for credential audits.
+records that session changed.  `load_db` reads the entries into the same
+`History` a live reader keeps, so the database state after any journaled
+session `j` stays loadable for credential audits.
+
+An append cut short by a crash leaves a torn last entry.  `load_db` drops it
+and reports how many bytes it dropped; damage anywhere before the last entry
+is an error.
 
 Records are stored as fixed-order length-prefixed fields (4-byte big-endian
 prefixes, since K-time verifying keys can be large).  Counters are stored as
@@ -19,13 +23,13 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from rfpop.counterexample import CexReaderRecord, CexTagState
-from rfpop.errors import FrameError, UnknownSnapshot
+from rfpop.errors import FrameError
 from rfpop.ma import MaReaderRecord, MaTagState, index_for
-from rfpop.model.database import SessionRecord
+from rfpop.model.database import History, SessionRecord
 from rfpop.pop import IMPL_KTIME, KeyDirectory, PopReaderRecord, PopTagState, interior_params
 from rfpop.primitives.bitstring import BitString
 from rfpop.primitives.sig import FULLTIME, KTIME, VerifyKey, signer_from_dict
@@ -45,6 +49,10 @@ def _pack_fields(fields: list[bytes]) -> bytes:
     return b"".join(out)
 
 
+class _Truncated(FrameError):
+    """The data ended inside a field."""
+
+
 class _Cursor:
     def __init__(self, data: bytes, pos: int = 0):
         self.data = data
@@ -56,7 +64,7 @@ class _Cursor:
 
     def take(self, n: int) -> bytes:
         if self.remaining < n:
-            raise FrameError("database file truncated")
+            raise _Truncated("database file truncated")
         chunk = self.data[self.pos : self.pos + n]
         self.pos += n
         return chunk
@@ -157,36 +165,21 @@ def decode_record(mode: str, params, impl: str, cursor: _Cursor):
 
 
 @dataclass
-class JournalEntry:
-    j: int
-    sid: bytes
-    o_reader: int
-    via_step: int
-    mode: str
-    tag_id: Optional[bytes]
-    changes: dict[bytes, object] = field(default_factory=dict)
-
-
-@dataclass
 class DbFileData:
     config: Config
     reader_id: bytes
-    initial: dict[bytes, object]
-    journal: list[JournalEntry]
+    history: History
     reader_signer: Optional[object] = None
     directory: Optional[KeyDirectory] = None
+    torn_bytes: int = 0  # length of the cut-short last journal entry load_db dropped
 
-    def snapshot(self, j: int) -> dict[bytes, object]:
-        """Database contents right after journaled session `j` (0 = initial)."""
-        if not 0 <= j <= len(self.journal):
-            raise UnknownSnapshot(f"snapshot {j} outside 0..{len(self.journal)}")
-        state = dict(self.initial)
-        for entry in self.journal[:j]:
-            state.update(entry.changes)
-        return state
+    @property
+    def initial(self) -> dict[bytes, object]:
+        return self.history.initial
 
-    def current(self) -> dict[bytes, object]:
-        return self.snapshot(len(self.journal))
+    @property
+    def journal(self) -> list[SessionRecord]:
+        return self.history.sessions
 
 
 def save_db(path: str, config: Config, records, reader_id: bytes = b"reader-0",
@@ -234,39 +227,53 @@ def load_db(path: str) -> DbFileData:
             for party, doc in meta["directory"].items()
         }
         directory = KeyDirectory(entries=entries)
-    journal = []
+    history = History(initial=initial)
+    torn_bytes = 0
     while cursor.remaining:
-        journal.append(_read_journal_entry(cursor, config, params))
-        expect = len(journal)
-        if journal[-1].j != expect:
-            raise FrameError(f"journal entry {expect} carries j={journal[-1].j}")
+        start = cursor.pos
+        expect = len(history.sessions) + 1
+        try:
+            record = _read_journal_entry(cursor, config, params)
+        except _Truncated:
+            # A crash mid-append cuts the last entry short.  Damage that makes
+            # an earlier entry run past the end leaves the next entry's
+            # header in the dropped bytes.
+            if data.find(_JOURNAL_MARK + _U32.pack(expect + 1), start + 1) != -1:
+                raise FrameError(f"journal entry {expect} is corrupt") from None
+            torn_bytes = len(data) - start
+            break
+        if record.j != expect:
+            raise FrameError(f"journal entry {expect} carries j={record.j}")
+        history.append(record)
     return DbFileData(
         config=config,
         reader_id=reader_id,
-        initial=initial,
-        journal=journal,
+        history=history,
         reader_signer=signer,
         directory=directory,
+        torn_bytes=torn_bytes,
     )
 
 
-def _read_journal_entry(cursor: _Cursor, config: Config, params) -> JournalEntry:
+def _read_journal_entry(cursor: _Cursor, config: Config, params) -> SessionRecord:
     if cursor.take(1) != _JOURNAL_MARK:
         raise FrameError("corrupt journal marker")
     j = cursor.u32()
-    sid = cursor.take(16)
+    sid = BitString.from_bytes(cursor.take(16))
     o_reader = cursor.take(1)[0]
     via_step = cursor.take(1)[0]
-    mode = cursor.blob().decode("ascii")
-    tag_blob = cursor.blob()
-    tag_id = tag_blob or None
-    changes = {}
+    try:
+        mode = cursor.blob().decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FrameError(f"corrupt journal mode: {exc}") from exc
+    tag_id = cursor.blob() or None
+    delta = {}
     for _ in range(cursor.u32()):
         rec = decode_record(config.mode, params, config.impl, cursor)
-        changes[rec.tag_id.to_bytes()] = rec
-    return JournalEntry(
-        j=j, sid=sid, o_reader=o_reader, via_step=via_step, mode=mode,
-        tag_id=tag_id, changes=changes,
+        delta[rec.tag_id.to_bytes()] = rec
+    return SessionRecord(
+        j=j, sid=sid, o_reader=o_reader, tag_id=tag_id, mode=mode,
+        delta=delta, via_step=via_step,
     )
 
 
@@ -293,7 +300,7 @@ def append_journal(path: str, config: Config, j: int, session: SessionRecord):
 
 def db_snapshot_load(path: str, j: int) -> dict[bytes, object]:
     """Load the reader records exactly as they stood after journaled session `j`."""
-    return load_db(path).snapshot(j)
+    return load_db(path).history.db_at(j)
 
 
 def save_tag(path: str, mode: str, state, key_version: int = 0):

@@ -17,6 +17,7 @@ exactly as it would for a radio timeout.
 
 from __future__ import annotations
 
+import os
 import socket
 import time
 from typing import Callable, Optional
@@ -56,11 +57,13 @@ def protocol_for(config: Config, reader_signer=None):
 
 
 def reader_from_file(db_path: str) -> tuple[DbFileData, Reader]:
-    """Rebuild a live reader from a database file at its latest journaled state."""
+    """Rebuild a live reader from a database file at its latest journaled
+    state; the reader carries on the file's journal and its numbering."""
     data = load_db(db_path)
     protocol = protocol_for(data.config, data.reader_signer)
-    db = ReaderDatabase(list(data.current().values()))
-    return data, Reader(protocol, db, reader_id=data.reader_id)
+    history = data.history
+    db = ReaderDatabase(list(history.db_at(len(history.sessions)).values()))
+    return data, Reader(protocol, db, reader_id=data.reader_id, history=history)
 
 
 def _send(conn, frame: Frame):
@@ -85,14 +88,19 @@ def serve_reader(
     announce: Callable[[str], None] = print,
     ready: Optional[Callable[[int], None]] = None,
 ) -> list[dict]:
-    """Accept `sessions` connections, one session each, journaling every verdict."""
+    """Accept `sessions` connections, one session each, journaling every verdict.
+
+    A torn last journal entry is cut off the file before the first append."""
     data, reader = reader_from_file(db_path)
     config = data.config
+    if data.torn_bytes:
+        os.truncate(db_path, os.path.getsize(db_path) - data.torn_bytes)
+        announce(f"dropped a torn journal tail of {data.torn_bytes} bytes "
+                 f"after session {len(data.journal)}")
     if rng is None:
         rng = Rng(config.seed).spawn("net-reader")
     bind_host = host if host is not None else config.host
     bind_port = port if port is not None else config.port
-    base_j = len(data.journal)
     results = []
     with socket.create_server((bind_host, bind_port)) as server:
         actual_port = server.getsockname()[1]
@@ -102,7 +110,7 @@ def serve_reader(
         for _ in range(sessions):
             conn, _peer = server.accept()
             with conn:
-                summary = _serve_one(reader, conn, rng, session_mode, config, db_path, base_j)
+                summary = _serve_one(reader, conn, rng, session_mode, config, db_path)
             announce(
                 "session {j}: o_R={o_reader} o_T={o_tag} via_step={via_step}".format(**summary)
             )
@@ -117,7 +125,6 @@ def _serve_one(
     session_mode: Optional[str],
     config: Config,
     db_path: str,
-    base_j: int,
 ) -> dict:
     budget = config.timeout_ticks * TICK_SECONDS
     deadline = time.monotonic() + budget
@@ -160,9 +167,9 @@ def _serve_one(
                 _try_send(conn, result_frame(TYPE_RESULT_READER, sid.to_bytes(), o_reader))
             break
     record = reader.history.sessions[-1]
-    append_journal(db_path, config, base_j + record.j, record)
+    append_journal(db_path, config, record.j, record)
     return {
-        "j": base_j + record.j,
+        "j": record.j,
         "sid": record.sid.to_bytes().hex(),
         "o_reader": record.o_reader,
         "o_tag": o_tag,

@@ -46,7 +46,8 @@ class InvalidChallenge(RfpopError):
 
 
 class UnknownSnapshot(RfpopError):
-    """A database snapshot index is out of range for the stored journal."""
+    """A snapshot or session is out of range for the journal, or its messages
+    were not kept (sessions loaded from a database file)."""
 
 
 class FrameError(RfpopError):

@@ -184,9 +184,13 @@ def _event1(system: System, hub: OracleHub, cred) -> bool:
         return False
     if cred_veri(system.params, system.directory, cred) != 1:
         return False
+    # An issued credential names its session's tag and pop nonce, so only
+    # sessions with both can have issued this one.
     encoded = cred.encode()
-    for j in range(1, len(system.reader.history.sessions) + 1):
-        issued = cred_gen(system.params, system.reader, system.reader_signer, j)
+    for rec in system.reader.history.sessions:
+        if rec.tag_id != cred.tag_id or rec.coins.get("pop_nonce") != cred.nonce:
+            continue
+        issued = cred_gen(system.params, system.reader, system.reader_signer, rec.j)
         if issued is not None and issued.encode() == encoded:
             return False
     return True

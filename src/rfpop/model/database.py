@@ -1,19 +1,21 @@
-"""Reader-side database with per-session snapshot history.
+"""Reader-side database and the session journal.
 
 The database maps tag identities to protocol-specific records. Records are
 mutable dataclasses whose fields are immutable values; protocols mutate a
 record in place and then report the update so the index map and the current
 session's delta stay consistent.
 
-Snapshots are deltas: for each terminated session the history stores the
-records that session changed (their post-session values). The database state
-after any session j is reconstructed by replaying deltas 1..j onto the
-initial records; j=0 is the state right after setup.
+The journal (`History`) is the one record of terminated sessions, for a live
+reader and for a database file alike. For each session it stores the records
+that session changed (their post-session values), and for each tag the
+ascending list of sessions that changed it, so the record a tag had after any
+session j is one bisect away; j=0 is the state right after setup.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -96,16 +98,19 @@ class ReaderDatabase:
 
 @dataclass
 class SessionRecord:
-    """Everything the reader keeps about one terminated session."""
+    """Everything the reader keeps about one terminated session.
+
+    A database file stores no messages, coins or note, so a record loaded
+    from one leaves them empty."""
 
     j: int
     sid: BitString
     o_reader: int
     tag_id: Optional[bytes]
     mode: str
-    messages: list[Msg]
-    coins: dict[str, bytes]
-    delta: dict[bytes, object]
+    messages: list[Msg] = field(default_factory=list)
+    coins: dict[str, bytes] = field(default_factory=dict)
+    delta: dict[bytes, object] = field(default_factory=dict)
     via_step: Optional[int] = None
     note: str = ""
 
@@ -117,12 +122,16 @@ class History:
     initial: dict[bytes, object]
     sessions: list[SessionRecord] = field(default_factory=list)
     sid_to_j: dict[bytes, int] = field(default_factory=dict)
+    # tag id -> ascending numbers of the sessions whose delta holds it
+    changed_in: dict[bytes, list[int]] = field(default_factory=dict)
 
     def append(self, record: SessionRecord):
         if record.j != len(self.sessions) + 1:
             raise ValueError("session records must be appended in order")
         self.sessions.append(record)
         self.sid_to_j.setdefault(record.sid.to_bytes(), record.j)
+        for key in record.delta:
+            self.changed_in.setdefault(key, []).append(record.j)
 
     def session(self, j: int) -> SessionRecord:
         if not 1 <= j <= len(self.sessions):
@@ -132,12 +141,20 @@ class History:
     def j_for_sid(self, sid: BitString) -> Optional[int]:
         return self.sid_to_j.get(sid.to_bytes())
 
-    def db_at(self, j: int) -> dict[bytes, object]:
-        """Database image after session j (j=0: right after setup)."""
+    def _check_snapshot(self, j: int):
         if not 0 <= j <= len(self.sessions):
             raise UnknownSnapshot(f"no snapshot {j}; have 0..{len(self.sessions)}")
-        image = {key: _clone(rec) for key, rec in self.initial.items()}
-        for record in self.sessions[:j]:
-            for key, rec in record.delta.items():
-                image[key] = _clone(rec)
-        return image
+
+    def record_at(self, tag_id: bytes, j: int):
+        """A copy of tag `tag_id`'s record after session j (j=0: after setup)."""
+        self._check_snapshot(j)
+        changed = self.changed_in.get(tag_id, ())
+        at = bisect_right(changed, j)
+        if at == 0:
+            return _clone(self.initial[tag_id])
+        return _clone(self.sessions[changed[at - 1] - 1].delta[tag_id])
+
+    def db_at(self, j: int) -> dict[bytes, object]:
+        """Database image after session j (j=0: right after setup)."""
+        self._check_snapshot(j)
+        return {key: self.record_at(key, j) for key in self.initial}

@@ -93,13 +93,15 @@ class OpenTagSession:
 
 
 class Reader:
-    """Single-session reader with a snapshot history."""
+    """Single-session reader with a snapshot history. A reader restarted
+    from a database file carries on the file's history and its numbering."""
 
-    def __init__(self, protocol, db: ReaderDatabase, reader_id: bytes = b"R"):
+    def __init__(self, protocol, db: ReaderDatabase, reader_id: bytes = b"R",
+                 history: Optional[History] = None):
         self.protocol = protocol
         self.db = db
         self.reader_id = reader_id
-        self.history = History(initial=db.clone_records())
+        self.history = History(initial=db.clone_records()) if history is None else history
         self.session: Optional[OpenReaderSession] = None
 
     @property

@@ -39,7 +39,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
-from rfpop.errors import FrameError, KTimeExhausted, PairPoolExhausted
+from rfpop.errors import FrameError, KTimeExhausted, PairPoolExhausted, UnknownSnapshot
 from rfpop.ma import (
     MaParams,
     MaReaderRecord,
@@ -395,13 +395,15 @@ def cred_gen(
     for rejected, timed-out, or plain-mode sessions.
 
     The tag's possession signature is recovered by recomputing the mask from
-    the masking key in the database image the session ran against; it is
-    never stored."""
+    the masking key in the tag's record as the session found it; it is never
+    stored. A session loaded from a database file has no messages to unmask,
+    so asking for its credential raises UnknownSnapshot."""
     record = reader.history.session(j)
     if record.o_reader != 1 or record.mode != "pop" or record.tag_id is None:
         return None
-    db_image = reader.history.db_at(j - 1)
-    tag_record = db_image[record.tag_id]
+    if not record.messages:
+        raise UnknownSnapshot(f"session {j} was loaded from a journal, which keeps no messages")
+    tag_record = reader.history.record_at(record.tag_id, j - 1)
     nonce = record.coins["pop_nonce"]
     issuer_sig = reader_signer.sign(nonce)
     finalize_bits = next(m.bits for m in record.messages if m.round == 2)

@@ -97,17 +97,17 @@ def test_journal_replays_counter_history(tmp_path):
     assert [e.j for e in loaded.journal] == [1, 2, 3]
     assert loaded.journal[0].tag_id == tag_a
     for j in range(4):
-        image = loaded.snapshot(j)
+        image = loaded.history.db_at(j)
         expected = system.reader.history.db_at(j)
         assert {t: r.ctr for t, r in image.items()} == {
             t: r.ctr for t, r in expected.items()
         }
     assert db_snapshot_load(str(path), 2)[tag_b].ctr == 2
     with pytest.raises(UnknownSnapshot):
-        loaded.snapshot(4)
+        loaded.history.db_at(4)
     with pytest.raises(UnknownSnapshot):
         db_snapshot_load(str(path), -1)
-    assert loaded.current() == loaded.snapshot(3)
+    assert loaded.history.record_at(tag_a, 3).ctr == 3
 
 
 def test_journal_records_session_metadata(tmp_path):
@@ -119,12 +119,12 @@ def test_journal_records_session_metadata(tmp_path):
     record = system.reader.history.session(1)
     append_journal(str(path), config, 1, record)
     entry = load_db(str(path)).journal[0]
-    assert entry.sid == record.sid.to_bytes()
+    assert entry.sid == record.sid
     assert entry.o_reader == 1
     assert entry.via_step == 1
     assert entry.mode == "pop"
     assert entry.tag_id == record.tag_id
-    assert set(entry.changes) == set(record.delta)
+    assert set(entry.delta) == set(record.delta)
 
 
 def test_load_rejects_corrupt_files(tmp_path):
@@ -160,6 +160,57 @@ def test_load_rejects_corrupt_files(tmp_path):
     append_journal(str(out_of_order), config, 2, system.reader.history.session(1))
     with pytest.raises(FrameError):
         load_db(str(out_of_order))
+
+
+def journaled(tmp_path, sessions=3):
+    """A database file with `sessions` journaled MA sessions, the file's size
+    after each append (index 0: header only), and the live system."""
+    config = Config(mode="ma", tags=2)
+    system = build(config)
+    path = tmp_path / "t.db"
+    write_db(path, config, system)
+    sizes = [path.stat().st_size]
+    for j in range(1, sessions + 1):
+        system.run_honest(system.tag_ids()[j % 2])
+        append_journal(str(path), config, j, system.reader.history.session(j))
+        sizes.append(path.stat().st_size)
+    return path, sizes, system
+
+
+@pytest.mark.parametrize("kept", ["every byte", "all but one byte", "half", "one byte"])
+def test_load_drops_torn_last_entry(tmp_path, kept):
+    """An append cut short leaves the complete entries loadable."""
+    path, sizes, system = journaled(tmp_path)
+    entry = sizes[3] - sizes[2]
+    keep = {"every byte": entry, "all but one byte": entry - 1, "half": entry // 2,
+            "one byte": 1}[kept]
+    path.write_bytes(path.read_bytes()[: sizes[2] + keep])
+    loaded = load_db(str(path))
+    complete = 3 if keep == entry else 2
+    assert [e.j for e in loaded.journal] == list(range(1, complete + 1))
+    assert loaded.torn_bytes == keep % entry
+    assert loaded.history.db_at(complete) == system.reader.history.db_at(complete)
+
+
+def test_entry_running_past_the_end_mid_file_is_corrupt(tmp_path):
+    """A damaged length prefix in entry 1 makes it overrun the file; entry 2
+    follows it, so this is not a torn tail."""
+    path, sizes, _system = journaled(tmp_path, sessions=2)
+    blob = bytearray(path.read_bytes())
+    mode_len_at = sizes[0] + 1 + 4 + 16 + 1 + 1  # marker, j, sid, o_R, via_step
+    blob[mode_len_at : mode_len_at + 4] = b"\xff\xff\xff\xff"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FrameError, match="entry 1 is corrupt"):
+        load_db(str(path))
+
+
+def test_non_ascii_session_mode_is_corrupt(tmp_path):
+    path, sizes, _system = journaled(tmp_path, sessions=1)
+    blob = bytearray(path.read_bytes())
+    blob[sizes[0] + 1 + 4 + 16 + 1 + 1 + 4] = 0xC3  # first byte of the mode
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FrameError, match="mode"):
+        load_db(str(path))
 
 
 def test_declared_field_sizes_match_encoders():

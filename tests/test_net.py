@@ -1,5 +1,6 @@
 """Socket reader server and tag client over loopback."""
 
+import os
 import queue
 import select
 import socket
@@ -46,7 +47,7 @@ def deploy(tmp_path, config):
     return db_path, tag_paths, system
 
 
-def start_server(db_path, *, sessions, rng=None, session_mode=None):
+def start_server(db_path, *, sessions, rng=None, session_mode=None, announce=lambda line: None):
     """Run serve_reader on a free loopback port in a daemon thread."""
     ports = queue.Queue()
     box = {}
@@ -60,7 +61,7 @@ def start_server(db_path, *, sessions, rng=None, session_mode=None):
                 sessions=sessions,
                 rng=rng,
                 session_mode=session_mode,
-                announce=lambda line: None,
+                announce=announce,
                 ready=ports.put,
             )
         except BaseException as exc:
@@ -113,7 +114,7 @@ def test_ma_sessions_over_loopback(tmp_path):
 
     data = load_db(db_path)
     assert len(data.journal) == 3
-    assert data.current()[system.first_tag_id()].ctr == 4
+    assert data.history.db_at(3)[system.first_tag_id()].ctr == 4
     mode, state, _version = load_tag(tag_paths[0])
     assert mode == "ma"
     assert state.ctr == 4
@@ -214,7 +215,7 @@ def test_stalled_client_scores_reader_zero(tmp_path):
     assert server[0]["j"] == 2
     assert server[0]["o_reader"] == 1
     assert server[0]["via_step"] == 1
-    assert load_db(db_path).current()[system.first_tag_id()].ctr == 2
+    assert load_db(db_path).history.db_at(2)[system.first_tag_id()].ctr == 2
 
 
 # A peer that sends one byte per DRIBBLE_S never stalls a single recv for a
@@ -329,10 +330,44 @@ def test_journal_numbering_survives_server_restart(tmp_path):
     data = load_db(db_path)
     assert [entry.j for entry in data.journal] == [1, 2, 3]
     tid = system.first_tag_id()
-    assert data.snapshot(2)[tid].ctr == 3
-    assert data.current()[tid].ctr == 4
+    assert data.history.db_at(2)[tid].ctr == 3
+    assert data.history.db_at(3)[tid].ctr == 4
     _mode, state, _version = load_tag(tag_paths[0])
     assert state.ctr == 4
+
+
+def test_restart_after_torn_append_resyncs_through_step_two(tmp_path):
+    """The reader died part-way through journaling session 2, after the tag
+    had already saved its advanced counter.  The restarted reader drops the
+    torn entry, and the tag, now ahead of the reader's record, is accepted
+    through Step 2 in the session that takes number 2."""
+    config = Config(mode="ma", tags=1, seed="net-torn")
+    db_path, tag_paths, system = deploy(tmp_path, config)
+    box = start_server(db_path, sessions=1)
+    run_client(box, tag_paths[0], config, sessions=1)
+    finish(box)
+    one_entry = os.path.getsize(db_path)
+    box = start_server(db_path, sessions=1)
+    run_client(box, tag_paths[0], config, sessions=1)
+    finish(box)
+    torn = (os.path.getsize(db_path) - one_entry) // 2
+    os.truncate(db_path, one_entry + torn)
+
+    lines = []
+    box = start_server(db_path, sessions=1, announce=lines.append)
+    client = run_client(box, tag_paths[0], config, sessions=1)
+    server = finish(box)
+    assert any(f"torn journal tail of {torn} bytes" in line for line in lines)
+    assert client[0]["o_tag"] == 1
+    assert server[0]["j"] == 2
+    assert server[0]["o_reader"] == 1
+    assert server[0]["via_step"] == 2
+
+    data = load_db(db_path)
+    assert data.torn_bytes == 0
+    assert [entry.j for entry in data.journal] == [1, 2]
+    _mode, state, _version = load_tag(tag_paths[0])
+    assert data.history.db_at(2)[system.first_tag_id()].ctr == state.ctr == 4
 
 
 def test_tag_file_is_saved_after_each_session(tmp_path):
