@@ -15,7 +15,12 @@ is an error.
 Records are stored as fixed-order length-prefixed fields (4-byte big-endian
 prefixes, since K-time verifying keys can be large).  Counters are stored as
 fixed-width big-endian integers of the counter length, so a save/load/save
-round trip is byte-identical.
+round trip is byte-identical.  Loading checks every key, index and counter
+field against the configured lengths.
+
+A journal entry stores its session's `via_step` as one byte; a session that
+closed without reaching a verdict step (timeout, out-of-space message, failed
+possession proof) has `via_step` None, stored as `VIA_STEP_NONE`.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from rfpop.counterexample import CexReaderRecord, CexTagState
 from rfpop.errors import FrameError
 from rfpop.ma import MaReaderRecord, MaTagState, index_for
 from rfpop.model.database import History, SessionRecord
+from rfpop.model.types import SID_BITS
 from rfpop.pop import IMPL_KTIME, KeyDirectory, PopReaderRecord, PopTagState, interior_params
-from rfpop.primitives.bitstring import BitString
 from rfpop.primitives.sig import FULLTIME, KTIME, VerifyKey, signer_from_dict
 
 from rfpop.app.config import Config, config_from_dict
@@ -39,6 +44,7 @@ from rfpop.app.config import Config, config_from_dict
 MAGIC = b"RFPOP1"
 _U32 = struct.Struct(">I")
 _JOURNAL_MARK = b"J"
+VIA_STEP_NONE = 0xFF
 
 
 def _pack_fields(fields: list[bytes]) -> bytes:
@@ -92,18 +98,18 @@ def record_fields(mode: str, params, rec) -> list[tuple[str, bytes]]:
     ctr_bytes = _ctr_width(params)
     if mode == "mapop":
         return [
-            ("index", rec.index.to_bytes()),
-            ("key", rec.key.to_bytes()),
-            ("pop_key", rec.pop_key.to_bytes()),
+            ("index", rec.index),
+            ("key", rec.key),
+            ("pop_key", rec.pop_key),
             ("ctr", rec.ctr.to_bytes(ctr_bytes, "big")),
-            ("tag_id", rec.tag_id.to_bytes()),
+            ("tag_id", rec.tag_id),
             ("verify_key", rec.verify_key.data),
         ]
     # Plain readers derive the index from (key, ctr); the counterexample
     # protocol has no index at all.  Either way only three fields persist.
     return [
-        ("tag_id", rec.tag_id.to_bytes()),
-        ("key", rec.key.to_bytes()),
+        ("tag_id", rec.tag_id),
+        ("key", rec.key),
         ("ctr", rec.ctr.to_bytes(ctr_bytes, "big")),
     ]
 
@@ -113,13 +119,13 @@ def tag_fields(mode: str, params, state) -> list[tuple[str, bytes]]:
     ctr_bytes = _ctr_width(params)
     if mode == "mapop":
         return [
-            ("key", state.ma.key.to_bytes()),
+            ("key", state.ma.key),
             ("ctr", state.ma.ctr.to_bytes(ctr_bytes, "big")),
-            ("pop_key", state.pop_key.to_bytes()),
+            ("pop_key", state.pop_key),
             ("signer_seed", bytes.fromhex(state.signer.to_dict()["seed"])),
         ]
     return [
-        ("key", state.key.to_bytes()),
+        ("key", state.key),
         ("ctr", state.ctr.to_bytes(ctr_bytes, "big")),
     ]
 
@@ -132,6 +138,12 @@ def encode_record(mode: str, params, rec) -> bytes:
     return _pack_fields([blob for _, blob in record_fields(mode, params, rec)])
 
 
+def _sized(name: str, blob: bytes, nbits: int) -> bytes:
+    if 8 * len(blob) != nbits:
+        raise FrameError(f"record {name} is {len(blob)} bytes, config says {nbits // 8}")
+    return blob
+
+
 def decode_record(mode: str, params, impl: str, cursor: _Cursor):
     fields = cursor.fields()
     ma = interior_params(params)
@@ -140,28 +152,21 @@ def decode_record(mode: str, params, impl: str, cursor: _Cursor):
             raise FrameError(f"extended reader record needs 6 fields, got {len(fields)}")
         index, key, pop_key, ctr, tag_id, vk = fields
         return PopReaderRecord(
-            tag_id=BitString.from_bytes(tag_id),
-            key=BitString.from_bytes(key),
-            ctr=int.from_bytes(ctr, "big"),
-            index=BitString.from_bytes(index),
-            pop_key=BitString.from_bytes(pop_key),
+            tag_id=tag_id,
+            key=_sized("key", key, ma.key_bits),
+            ctr=int.from_bytes(_sized("ctr", ctr, ma.out_bits), "big"),
+            index=_sized("index", index, ma.out_bits),
+            pop_key=_sized("pop_key", pop_key, params.pop_key_bits),
             verify_key=VerifyKey(_sig_scheme(impl), vk),
         )
     if len(fields) != 3:
         raise FrameError(f"reader record needs 3 fields, got {len(fields)}")
     tag_id, key, ctr = fields
-    key_bits = BitString.from_bytes(key)
-    ctr_val = int.from_bytes(ctr, "big")
+    key = _sized("key", key, ma.key_bits)
+    ctr = int.from_bytes(_sized("ctr", ctr, ma.out_bits), "big")
     if mode == "cex":
-        return CexReaderRecord(
-            tag_id=BitString.from_bytes(tag_id), key=key_bits, ctr=ctr_val
-        )
-    return MaReaderRecord(
-        tag_id=BitString.from_bytes(tag_id),
-        key=key_bits,
-        ctr=ctr_val,
-        index=index_for(ma, key_bits, ctr_val),
-    )
+        return CexReaderRecord(tag_id=tag_id, key=key, ctr=ctr)
+    return MaReaderRecord(tag_id=tag_id, key=key, ctr=ctr, index=index_for(ma, key, ctr))
 
 
 @dataclass
@@ -195,7 +200,7 @@ def save_db(path: str, config: Config, records, reader_id: bytes = b"reader-0",
         }
     meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("ascii")
     params = config.params()
-    ordered = sorted(records, key=lambda r: r.tag_id.to_bytes())
+    ordered = sorted(records, key=lambda r: r.tag_id)
     body = [MAGIC, _U32.pack(len(meta_blob)), meta_blob, _U32.pack(len(ordered))]
     body += [encode_record(config.mode, params, rec) for rec in ordered]
     with open(path, "wb") as handle:
@@ -218,7 +223,7 @@ def load_db(path: str) -> DbFileData:
     initial = {}
     for _ in range(cursor.u32()):
         rec = decode_record(config.mode, params, config.impl, cursor)
-        initial[rec.tag_id.to_bytes()] = rec
+        initial[rec.tag_id] = rec
     signer = signer_from_dict(meta["reader_signer"]) if "reader_signer" in meta else None
     directory = None
     if "directory" in meta:
@@ -259,9 +264,11 @@ def _read_journal_entry(cursor: _Cursor, config: Config, params) -> SessionRecor
     if cursor.take(1) != _JOURNAL_MARK:
         raise FrameError("corrupt journal marker")
     j = cursor.u32()
-    sid = BitString.from_bytes(cursor.take(16))
+    sid = cursor.take(SID_BITS // 8)
     o_reader = cursor.take(1)[0]
     via_step = cursor.take(1)[0]
+    if via_step == VIA_STEP_NONE:
+        via_step = None
     try:
         mode = cursor.blob().decode("ascii")
     except UnicodeDecodeError as exc:
@@ -270,7 +277,7 @@ def _read_journal_entry(cursor: _Cursor, config: Config, params) -> SessionRecor
     delta = {}
     for _ in range(cursor.u32()):
         rec = decode_record(config.mode, params, config.impl, cursor)
-        delta[rec.tag_id.to_bytes()] = rec
+        delta[rec.tag_id] = rec
     return SessionRecord(
         j=j, sid=sid, o_reader=o_reader, tag_id=tag_id, mode=mode,
         delta=delta, via_step=via_step,
@@ -283,9 +290,9 @@ def append_journal(path: str, config: Config, j: int, session: SessionRecord):
     parts = [
         _JOURNAL_MARK,
         _U32.pack(j),
-        session.sid.to_bytes(),
+        session.sid,
         bytes([session.o_reader & 1]),
-        bytes([session.via_step or 0]),
+        bytes([VIA_STEP_NONE if session.via_step is None else session.via_step]),
     ]
     mode_blob = (session.mode or "").encode("ascii")
     parts += [_U32.pack(len(mode_blob)), mode_blob]
@@ -311,17 +318,17 @@ def save_tag(path: str, mode: str, state, key_version: int = 0):
     if mode == "mapop":
         doc = {
             "mode": mode,
-            "tag_id": state.ma.tag_id.to_bytes().hex(),
-            "key": state.ma.key.to_bytes().hex(),
+            "tag_id": state.ma.tag_id.hex(),
+            "key": state.ma.key.hex(),
             "ctr": state.ma.ctr,
-            "pop_key": state.pop_key.to_bytes().hex(),
+            "pop_key": state.pop_key.hex(),
             "signer": state.signer.to_dict(),
         }
     else:
         doc = {
             "mode": mode,
-            "tag_id": state.tag_id.to_bytes().hex(),
-            "key": state.key.to_bytes().hex(),
+            "tag_id": state.tag_id.hex(),
+            "key": state.key.hex(),
             "ctr": state.ctr,
         }
         if mode == "cex":
@@ -339,12 +346,12 @@ def load_tag(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     mode = doc["mode"]
-    tag_id = BitString.from_bytes(bytes.fromhex(doc["tag_id"]))
-    key = BitString.from_bytes(bytes.fromhex(doc["key"]))
+    tag_id = bytes.fromhex(doc["tag_id"])
+    key = bytes.fromhex(doc["key"])
     if mode == "mapop":
         state = PopTagState(
             ma=MaTagState(tag_id=tag_id, key=key, ctr=doc["ctr"]),
-            pop_key=BitString.from_bytes(bytes.fromhex(doc["pop_key"])),
+            pop_key=bytes.fromhex(doc["pop_key"]),
             signer=signer_from_dict(doc["signer"]),
         )
     elif mode == "cex":

@@ -141,7 +141,7 @@ def _serve_one(
             # Stall, disconnect, or framing violation: score it as a timeout.
             if o_reader is None:
                 o_reader = reader.timeout().output
-                _try_send(conn, result_frame(TYPE_RESULT_READER, sid.to_bytes(), o_reader))
+                _try_send(conn, result_frame(TYPE_RESULT_READER, sid, o_reader))
             break
         if frame.msg_type in ROUND_TYPES:
             if o_reader is not None:
@@ -154,23 +154,23 @@ def _serve_one(
                 _send(conn, frame_for_msg(sid, outcome.msg))
             if outcome.output is not None:
                 o_reader = outcome.output
-                _send(conn, result_frame(TYPE_RESULT_READER, sid.to_bytes(), o_reader))
+                _send(conn, result_frame(TYPE_RESULT_READER, sid, o_reader))
                 cred = _issue_credential(reader)
                 if cred is not None:
-                    _send(conn, Frame(TYPE_CREDENTIAL, sid.to_bytes(), cred.encode()))
+                    _send(conn, Frame(TYPE_CREDENTIAL, sid, cred.encode()))
         elif frame.msg_type == TYPE_RESULT_TAG:
             o_tag = result_value(frame)
         else:
             # Clients may not send reader-result or credential frames.
             if o_reader is None:
                 o_reader = reader.timeout().output
-                _try_send(conn, result_frame(TYPE_RESULT_READER, sid.to_bytes(), o_reader))
+                _try_send(conn, result_frame(TYPE_RESULT_READER, sid, o_reader))
             break
     record = reader.history.sessions[-1]
     append_journal(db_path, config, record.j, record)
     return {
         "j": record.j,
-        "sid": record.sid.to_bytes().hex(),
+        "sid": record.sid.hex(),
         "o_reader": record.o_reader,
         "o_tag": o_tag,
         "via_step": record.via_step,
@@ -243,7 +243,7 @@ def _client_one(tag: Tag, sock, rng: Rng, timeout_s: float) -> dict:
                 _send(sock, frame_for_msg(f_sid, outcome.msg))
             if outcome.output is not None:
                 o_tag = outcome.output
-                _send(sock, result_frame(TYPE_RESULT_TAG, f_sid.to_bytes(), o_tag))
+                _send(sock, result_frame(TYPE_RESULT_TAG, f_sid, o_tag))
         elif frame.msg_type == TYPE_RESULT_READER:
             o_reader = result_value(frame)
         elif frame.msg_type == TYPE_CREDENTIAL:

@@ -83,7 +83,7 @@ def report_sizes(impl: str, seed: str = "report-sizes") -> dict:
     out = {
         "impl": impl,
         "mode": config.mode,
-        "round_bytes": [len(m.bits) // 8 for m in transcript.messages],
+        "round_bytes": [len(m.payload) for m in transcript.messages],
         "reader_record_fields": reader_parts,
         "reader_record_bytes": sum(reader_parts.values()),
         "tag_state_fields": tag_parts,

@@ -17,7 +17,6 @@ from typing import Optional
 
 from rfpop.errors import FrameError
 from rfpop.model.types import SID_BITS, Msg
-from rfpop.primitives.bitstring import BitString
 
 TYPE_ROUND_CHALLENGE = 0x01
 TYPE_ROUND_REPLY = 0x02
@@ -104,19 +103,17 @@ def _recv_exact(sock, n: int, deadline: Optional[float]) -> bytes:
     return b"".join(chunks)
 
 
-def frame_for_msg(sid: BitString, msg: Msg) -> Frame:
+def frame_for_msg(sid: bytes, msg: Msg) -> Frame:
     if not 0 <= msg.round < len(ROUND_TYPES):
         raise FrameError(f"round {msg.round} has no frame type")
-    return Frame(msg_type=ROUND_TYPES[msg.round], sid=sid.to_bytes(), payload=msg.bits.to_bytes())
+    return Frame(msg_type=ROUND_TYPES[msg.round], sid=sid, payload=msg.payload)
 
 
-def msg_from_frame(frame: Frame) -> tuple[BitString, Msg]:
+def msg_from_frame(frame: Frame) -> tuple[bytes, Msg]:
     """Recover (sid, protocol message) from a round frame."""
     if frame.msg_type not in ROUND_TYPES:
         raise FrameError(f"frame type 0x{frame.msg_type:02x} is not a protocol round")
-    sid = BitString.from_bytes(frame.sid)
-    bits = BitString.from_bytes(frame.payload)
-    return sid, Msg(ROUND_TYPES.index(frame.msg_type), bits)
+    return frame.sid, Msg(ROUND_TYPES.index(frame.msg_type), frame.payload)
 
 
 def result_frame(msg_type: int, sid: bytes, value: int) -> Frame:

@@ -30,11 +30,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from rfpop.errors import CounterOverflow, LengthMismatch
-from rfpop.ma import MaParams, counter_bits, tag_id_for
+from rfpop.ma import MaParams, counter_bytes, tag_id_for
 from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import ReaderAction, TagAction
 from rfpop.model.types import MessageSlot, Msg
-from rfpop.primitives.bitstring import BitString, concat_all
+from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.prf import prf_eval
 from rfpop.primitives.rng import Rng
 
@@ -43,91 +43,91 @@ CexParams = MaParams  # same length profile as the main protocol
 
 @dataclass
 class CexTagState:
-    tag_id: BitString
-    key: BitString
+    tag_id: bytes
+    key: bytes
     ctr: int
     st: int = 0
 
 
 @dataclass
 class CexReaderRecord:
-    tag_id: BitString
-    key: BitString
+    tag_id: bytes
+    key: bytes
     ctr: int
 
 
 @dataclass
 class CexTagScratch:
-    challenge: BitString
-    nonce: BitString
+    challenge: bytes
+    nonce: bytes
     expect_ctr: int
 
 
-def _padded_block(params: CexParams, data: BitString) -> BitString:
+def _padded_block(params: CexParams, data: bytes) -> bytes:
     """Zero-extend a short PRF input on the right to the input block."""
-    if len(data) > params.prf_input_bits:
+    block = params.prf_input_bits // 8
+    if len(data) > block:
         raise LengthMismatch("input longer than the PRF block")
-    return data.concat(BitString.zeros(params.prf_input_bits - len(data)))
+    return data + bytes(block - len(data))
 
 
 def _branch_value(
-    params: CexParams, key: BitString, challenge: BitString, nonce: Optional[BitString]
-) -> BitString:
-    data = challenge if nonce is None else challenge.concat(nonce)
+    params: CexParams, key: bytes, challenge: bytes, nonce: Optional[bytes]
+) -> bytes:
+    data = challenge if nonce is None else challenge + nonce
     return prf_eval(params.prf, key, _padded_block(params, data))
 
 
 def _finish_value(
-    params: CexParams, key: BitString, challenge: BitString, ctr: int, nonce: BitString
-) -> BitString:
-    return prf_eval(
-        params.prf, key, concat_all(challenge, counter_bits(params, ctr), nonce)
-    )
+    params: CexParams, key: bytes, challenge: bytes, ctr: int, nonce: bytes
+) -> bytes:
+    return prf_eval(params.prf, key, challenge + counter_bytes(params, ctr) + nonce)
 
 
 def cex_tag_respond(
-    params: CexParams, state: CexTagState, challenge: BitString, rng: Rng
-) -> tuple[BitString, CexTagScratch]:
+    params: CexParams, state: CexTagState, challenge: bytes, rng: Rng
+) -> tuple[bytes, CexTagScratch]:
     """Tag reply r1 || r2; branch choice depends on st."""
     if state.ctr + 1 > params.max_counter:
         raise CounterOverflow("tag counter exhausted")
     nonce = rng.take_bits(params.nonce_bits)
     branch = _branch_value(params, state.key, challenge, nonce if state.st else None)
-    r1 = branch.xor(counter_bits(params, state.ctr))
+    r1 = xor(branch, counter_bytes(params, state.ctr))
     state.ctr += 1
     state.st = 1
     scratch = CexTagScratch(challenge=challenge, nonce=nonce, expect_ctr=state.ctr)
-    return r1.concat(nonce), scratch
+    return r1 + nonce, scratch
 
 
 def cex_reader_respond(
     params: CexParams,
     db: ReaderDatabase,
-    challenge: BitString,
-    r1: BitString,
-    nonce: BitString,
+    challenge: bytes,
+    r1: bytes,
+    nonce: bytes,
     rng: Rng,
-) -> tuple[bool, Optional[bytes], BitString]:
+) -> tuple[bool, Optional[bytes], bytes]:
     """Exact-counter database check over both tag branches; the third message
     is always sent (random on reject)."""
+    masked = int.from_bytes(r1, "big")
     for rec in db.records_ascending():
         if rec.ctr + 1 > params.max_counter:
             continue
         clean = _branch_value(params, rec.key, challenge, None)
-        hit = clean.xor(r1).to_int() == rec.ctr
+        hit = (int.from_bytes(clean, "big") ^ masked) == rec.ctr
         if not hit:
             resumed = _branch_value(params, rec.key, challenge, nonce)
-            hit = resumed.xor(r1).to_int() == rec.ctr
+            hit = (int.from_bytes(resumed, "big") ^ masked) == rec.ctr
         if hit:
             rec.ctr += 1
             db.record_updated(rec, None)
             f = _finish_value(params, rec.key, challenge, rec.ctr, nonce)
-            return True, rec.tag_id.to_bytes(), f
+            return True, rec.tag_id, f
     return False, None, rng.take_bits(params.out_bits)
 
 
 def cex_tag_finish(
-    params: CexParams, state: CexTagState, scratch: CexTagScratch, f: BitString
+    params: CexParams, state: CexTagState, scratch: CexTagScratch, f: bytes
 ) -> bool:
     """Check the third message; a valid one clears st."""
     expected = _finish_value(
@@ -146,35 +146,35 @@ class CexProtocol:
 
     def __init__(self, params: CexParams):
         self.params = params
+        self._slots = (
+            MessageSlot("reader", (params.challenge_bits // 8,)),
+            MessageSlot("tag", ((params.out_bits + params.nonce_bits) // 8,)),
+            MessageSlot("reader", (params.out_bits // 8,)),
+        )
 
-    def slots(self) -> list[MessageSlot]:
-        p = self.params
-        return [
-            MessageSlot("reader", (p.challenge_bits,)),
-            MessageSlot("tag", (p.out_bits + p.nonce_bits,)),
-            MessageSlot("reader", (p.out_bits,)),
-        ]
+    def slots(self) -> tuple[MessageSlot, ...]:
+        return self._slots
 
     def default_mode(self) -> str:
         return "cex"
 
-    def reader_open(self, db, session, rng: Rng) -> BitString:
+    def reader_open(self, db, session, rng: Rng) -> bytes:
         return rng.take_bits(self.params.challenge_bits)
 
     def reader_on_message(self, db, session, msg: Msg, rng: Rng) -> ReaderAction:
-        r1, nonce = msg.bits.split(self.params.out_bits, self.params.nonce_bits)
+        r1, nonce = split(msg.payload, self.params.out_bits // 8, self.params.nonce_bits // 8)
         accepted, tag_id, f = cex_reader_respond(
             self.params, db, session.challenge, r1, nonce, rng
         )
         if accepted:
-            return ReaderAction("accept_send", bits=f, tag_id=tag_id, via_step=1)
-        return ReaderAction("reject_send", bits=f, via_step=0)
+            return ReaderAction("accept_send", payload=f, tag_id=tag_id, via_step=1)
+        return ReaderAction("reject_send", payload=f, via_step=0)
 
-    def tag_respond(self, state: CexTagState, sid, challenge: BitString, rng: Rng):
+    def tag_respond(self, state: CexTagState, sid, challenge: bytes, rng: Rng):
         return cex_tag_respond(self.params, state, challenge, rng)
 
     def tag_on_message(self, state: CexTagState, scratch, msg: Msg, rng: Rng) -> TagAction:
-        ok = cex_tag_finish(self.params, state, scratch, msg.bits)
+        ok = cex_tag_finish(self.params, state, scratch, msg.payload)
         return TagAction("output", output=1 if ok else 0)
 
     def tag_terminal(self, state: CexTagState):

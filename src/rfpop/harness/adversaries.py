@@ -29,6 +29,7 @@ from typing import Optional
 from rfpop.model.session import relay
 from rfpop.model.types import SID_BITS, Msg, Transcript
 from rfpop.pop import Credential, interior_params
+from rfpop.primitives import bitstring
 from rfpop.primitives.rng import Rng
 from rfpop.primitives.sig import fulltime_keygen
 
@@ -61,7 +62,7 @@ def relay_session(
         if inject and position in inject:
             msg = inject[position]
         if position == flip_at:
-            msg = Msg(msg.round, msg.bits.flip_bit(flip_bit))
+            msg = Msg(msg.round, bitstring.flip_bit(msg.payload, flip_bit))
         return msg
 
     return relay(
@@ -132,13 +133,13 @@ class TranscriptStatistics:
         first = relay_session(hub, tag_id)
         second = relay_session(hub, tag_id)
         for a, b in zip(first.messages, second.messages):
-            if a.bits == b.bits:
+            if a.payload == b.payload:
                 return 1
         ones = 0
         total = 0
         for msg in first.messages + second.messages:
-            ones += msg.bits.to_int().bit_count()
-            total += len(msg.bits)
+            ones += int.from_bytes(msg.payload, "big").bit_count()
+            total += 8 * len(msg.payload)
         if total == 0:
             return 1
         z = abs(2 * ones - total) / (total ** 0.5)
@@ -177,7 +178,7 @@ class RepeatedQuery:
         if cont.output != expected:
             return 1
 
-        flipped = Msg(cont.msg.round, cont.msg.bits.flip_bit(0))
+        flipped = Msg(cont.msg.round, bitstring.flip_bit(cont.msg.payload, 0))
         broken = hub.o2_send_tag(tag_id, sid_a, flipped)
         if broken.msg is not None or broken.output != reject:
             return 1
@@ -186,13 +187,13 @@ class RepeatedQuery:
         if second.msg is None or second.sid is None:
             return 1
         sid_b, c1_b = second.sid, second.msg
-        if sid_b == sid_a or c1_b.bits == c1_a.bits:
+        if sid_b == sid_a or c1_b.payload == c1_a.payload:
             return 1
 
-        replayed = hub.o2_send_tag(tag_id, sid_b, Msg(0, c1_a.bits))
+        replayed = hub.o2_send_tag(tag_id, sid_b, Msg(0, c1_a.payload))
         if replayed.msg is None or replayed.output is not None:
             return 1
-        if replayed.msg.bits == alpha_a.bits:
+        if replayed.msg.payload == alpha_a.payload:
             return 1
 
         crossed = hub.o3_send_reader(sid_b, replayed.msg)
@@ -288,9 +289,9 @@ class CexDistinguisher:
         run = relay_session(hub, tag)
         if len(run.messages) < 2:
             return tag, None
-        width = interior_params(hub.system.params).out_bits
-        challenge = run.messages[0].bits
-        first_block = run.messages[1].bits.bits(0, width)
+        width = interior_params(hub.system.params).out_bits // 8
+        challenge = run.messages[0].payload
+        first_block = run.messages[1].payload[:width]
         return tag, (challenge, first_block)
 
     def guess(self, hub: OracleHub, tag_id: bytes, st, rng: Rng) -> int:
@@ -299,10 +300,10 @@ class CexDistinguisher:
         challenge, first_block = st
         sid = rng.take_bits(SID_BITS)
         res = hub.o2_send_tag(tag_id, sid, Msg(0, challenge))
-        if res.msg is None or len(res.msg.bits) < len(first_block):
+        if res.msg is None or len(res.msg.payload) < len(first_block):
             return 0
-        repeat = res.msg.bits.bits(0, len(first_block))
-        delta = first_block.xor(repeat).to_int()
+        repeat = res.msg.payload[: len(first_block)]
+        delta = int.from_bytes(bitstring.xor(first_block, repeat), "big")
         return 1 if delta != 0 and delta & (delta + 1) == 0 else 0
 
 

@@ -39,7 +39,7 @@ def _sender(round: int) -> str:
 class BlindedWorld:
     """Ledger-driven simulator for the guess stage with b=0."""
 
-    def __init__(self, slots: list[MessageSlot], draw_rng: Rng):
+    def __init__(self, slots: tuple[MessageSlot, ...], draw_rng: Rng):
         self.slots = slots
         self.draw = draw_rng
         self.ledgers: dict[bytes, _Ledger] = {}
@@ -50,27 +50,26 @@ class BlindedWorld:
         )
 
     def _draw_msg(self, round: int) -> Msg:
-        width = self.slots[round].bit_lengths[0]
-        return Msg(round, self.draw.take_bits(width))
+        return Msg(round, self.draw.take_bytes(self.slots[round].byte_lengths[0]))
 
     def _in_challenge_space(self, msg: Msg) -> bool:
-        return msg.round == 0 and self.slots[0].allows(len(msg.bits))
+        return msg.round == 0 and self.slots[0].allows(msg.payload)
 
     def o1_init_reader(self):
         sid = self.draw.take_bits(SID_BITS)
         challenge = self._draw_msg(0)
         # First registration wins on (negligible) sid collisions.
-        self.ledgers.setdefault(sid.to_bytes(), _Ledger("reader", [challenge]))
+        self.ledgers.setdefault(sid, _Ledger("reader", [challenge]))
         return sid, challenge
 
     def o2_send_tag(self, sid, msg: Msg) -> StepOutcome:
-        led = self.ledgers.get(sid.to_bytes())
+        led = self.ledgers.get(sid)
         if led is None:
             if self._in_challenge_space(msg):
                 adv = _Ledger("adv", [msg])
                 reply = self._draw_msg(1)
                 adv.msgs.append(reply)
-                self.ledgers[sid.to_bytes()] = adv
+                self.ledgers[sid] = adv
                 return Reply(sid, reply)
             return IGNORE
         if led.kind == "adv":
@@ -109,7 +108,7 @@ class BlindedWorld:
         return Output(sid, 0)
 
     def o3_send_reader(self, sid, msg: Msg) -> StepOutcome:
-        led = self.ledgers.get(sid.to_bytes())
+        led = self.ledgers.get(sid)
         if led is None or led.kind == "adv":
             return IGNORE
         if led.preset_reject:
@@ -144,16 +143,15 @@ class PureRandomWorld:
     query is answered with a fresh uniform draw from the responding party's
     next message space; nothing is recorded and no outputs are returned."""
 
-    def __init__(self, slots: list[MessageSlot], draw_rng: Rng):
+    def __init__(self, slots: tuple[MessageSlot, ...], draw_rng: Rng):
         self.slots = slots
         self.draw = draw_rng
 
     def _valid(self, msg: Msg) -> bool:
-        return msg.round < len(self.slots) and self.slots[msg.round].allows(len(msg.bits))
+        return msg.round < len(self.slots) and self.slots[msg.round].allows(msg.payload)
 
     def _draw_msg(self, round: int) -> Msg:
-        width = self.slots[round].bit_lengths[0]
-        return Msg(round, self.draw.take_bits(width))
+        return Msg(round, self.draw.take_bytes(self.slots[round].byte_lengths[0]))
 
     def o1_init_reader(self):
         return self.draw.take_bits(SID_BITS), self._draw_msg(0)

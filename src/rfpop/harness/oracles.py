@@ -24,7 +24,6 @@ from rfpop.errors import (
 )
 from rfpop.model.types import Msg, StepOutcome
 from rfpop.pop import Credential, cred_gen
-from rfpop.primitives.bitstring import BitString
 from rfpop.system import System
 
 
@@ -45,7 +44,7 @@ class OracleResult:
     """What an oracle hands back: an optional message, an optional execution
     result, and whether the query was ignored outright."""
 
-    sid: Optional[BitString] = None
+    sid: Optional[bytes] = None
     msg: Optional[Msg] = None
     output: Optional[int] = None
     ignored: bool = False
@@ -101,7 +100,7 @@ class OracleHub:
         sid, msg = reader.start(self.system.rng)
         return OracleResult(sid=sid, msg=msg)
 
-    def o2_send_tag(self, tag_id: bytes, sid: BitString, msg: Msg) -> OracleResult:
+    def o2_send_tag(self, tag_id: bytes, sid: bytes, msg: Msg) -> OracleResult:
         self._spend("n2")
         if tag_id not in self.system.tags:
             return OracleResult(sid=sid, ignored=True, note="unknown tag")
@@ -113,7 +112,7 @@ class OracleHub:
         outcome = self.system.tags[tag_id].step(sid, msg, self.system.rng)
         return _from_outcome(sid, outcome, self.suppress_outputs)
 
-    def o3_send_reader(self, sid: BitString, msg: Msg) -> OracleResult:
+    def o3_send_reader(self, sid: bytes, msg: Msg) -> OracleResult:
         self._spend("n3")
         if self.blinded is not None:
             outcome = self.blinded.o3_send_reader(sid, msg)
@@ -134,7 +133,7 @@ class OracleHub:
         tag = self.system.tags[tag_id]
         return {"state": tag.state, "key_version": tag.key_version}
 
-    def o5_get_cred(self, sid: BitString) -> Optional[Credential]:
+    def o5_get_cred(self, sid: bytes) -> Optional[Credential]:
         self._spend("n5")
         if self.guess_stage:
             raise GuessStageViolation("credential oracle unavailable in the guess stage")

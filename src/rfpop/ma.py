@@ -28,22 +28,24 @@ starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from rfpop.errors import CounterOverflow, LengthMismatch
 from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import ReaderAction, TagAction
 from rfpop.model.types import MessageSlot, Msg
-from rfpop.primitives.bitstring import BitString, concat_all
+from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.prf import PrfDescriptor, prf_eval
 from rfpop.primitives.rng import Rng
 
 
 @dataclass(frozen=True)
 class MaParams:
-    """Length parameters (bits). The PRF input block is
+    """Length parameters (bits, whole bytes). The PRF input block is
     challenge_bits + out_bits + nonce_bits; counter inputs are padded with
-    zeros up to the block."""
+    zeros up to the block. The pad, the counter bound and the PRF descriptor
+    are computed once, on first use."""
 
     key_bits: int = 256
     out_bits: int = 256
@@ -60,109 +62,106 @@ class MaParams:
     def prf_input_bits(self) -> int:
         return self.challenge_bits + self.out_bits + self.nonce_bits
 
-    @property
-    def pad_bits(self) -> int:
-        return self.prf_input_bits - self.out_bits
+    @cached_property
+    def pad(self) -> bytes:
+        """Zero bytes that extend a counter to the PRF input block."""
+        return bytes((self.prf_input_bits - self.out_bits) // 8)
 
     @property
     def reply_bits(self) -> int:
         return self.out_bits + self.nonce_bits + self.out_bits
 
-    @property
+    @cached_property
     def max_counter(self) -> int:
         return (1 << self.out_bits) - 1
 
-    @property
+    @cached_property
     def prf(self) -> PrfDescriptor:
         return PrfDescriptor("ma-f", self.key_bits, self.prf_input_bits, self.out_bits)
 
 
 @dataclass
 class MaTagState:
-    tag_id: BitString
-    key: BitString
+    tag_id: bytes
+    key: bytes
     ctr: int
 
 
 @dataclass
 class MaReaderRecord:
-    tag_id: BitString
-    key: BitString
+    tag_id: bytes
+    key: bytes
     ctr: int
-    index: BitString
+    index: bytes
 
 
 @dataclass
 class MaTagScratch:
-    challenge: BitString
-    nonce: BitString
+    challenge: bytes
+    nonce: bytes
     expect_ctr: int
 
 
 @dataclass(frozen=True)
 class MaTagReply:
-    index: BitString
-    nonce: BitString
-    masked_ctr: BitString
+    index: bytes
+    nonce: bytes
+    masked_ctr: bytes
 
-    def bits(self) -> BitString:
-        return concat_all(self.index, self.nonce, self.masked_ctr)
+    def payload(self) -> bytes:
+        return self.index + self.nonce + self.masked_ctr
 
 
 @dataclass(frozen=True)
 class MaAuthResult:
     accepted: bool
     tag_id: Optional[bytes] = None
-    confirm: Optional[BitString] = None
+    confirm: Optional[bytes] = None
     new_ctr: Optional[int] = None
     via_step: int = 0
 
 
-def counter_bits(params: MaParams, ctr: int) -> BitString:
+def counter_bytes(params: MaParams, ctr: int) -> bytes:
     if not 0 <= ctr <= params.max_counter:
         raise CounterOverflow(f"counter {ctr} outside 0..{params.max_counter}")
-    return BitString(params.out_bits, ctr)
+    return ctr.to_bytes(params.out_bits // 8, "big")
 
 
-def index_for(params: MaParams, key: BitString, ctr: int) -> BitString:
+def index_for(params: MaParams, key: bytes, ctr: int) -> bytes:
     """F_k(ctr || pad)."""
-    block = counter_bits(params, ctr).concat(BitString.zeros(params.pad_bits))
-    return prf_eval(params.prf, key, block)
+    return prf_eval(params.prf, key, counter_bytes(params, ctr) + params.pad)
 
 
 def counter_mask(
-    params: MaParams, key: BitString, challenge: BitString, index: BitString, nonce: BitString
-) -> BitString:
+    params: MaParams, key: bytes, challenge: bytes, index: bytes, nonce: bytes
+) -> bytes:
     """F_k(challenge || index || nonce), the pad that hides the counter."""
-    return prf_eval(params.prf, key, concat_all(challenge, index, nonce))
+    return prf_eval(params.prf, key, challenge + index + nonce)
 
 
 def confirm_value(
-    params: MaParams, key: BitString, challenge: BitString, ctr: int, nonce: BitString
-) -> BitString:
+    params: MaParams, key: bytes, challenge: bytes, ctr: int, nonce: bytes
+) -> bytes:
     """F_k(challenge || ctr || nonce) for the post-update counter."""
-    return prf_eval(
-        params.prf, key, concat_all(challenge, counter_bits(params, ctr), nonce)
-    )
+    return prf_eval(params.prf, key, challenge + counter_bytes(params, ctr) + nonce)
 
 
-def parse_tag_reply(params: MaParams, bits: BitString) -> MaTagReply:
-    index, nonce, masked = bits.split(params.out_bits, params.nonce_bits, params.out_bits)
-    return MaTagReply(index, nonce, masked)
+def parse_tag_reply(params: MaParams, payload: bytes) -> MaTagReply:
+    out = params.out_bits // 8
+    return MaTagReply(*split(payload, out, params.nonce_bits // 8, out))
 
 
 def ma_tag_respond(
-    params: MaParams, state: MaTagState, challenge: BitString, rng: Rng
+    params: MaParams, state: MaTagState, challenge: bytes, rng: Rng
 ) -> tuple[MaTagReply, MaTagScratch]:
     """Tag's round-1 computation; advances the tag counter."""
-    if len(challenge) != params.challenge_bits:
-        raise LengthMismatch("challenge has the wrong length")
     if state.ctr + 1 > params.max_counter:
         raise CounterOverflow("tag counter exhausted")
     index = index_for(params, state.key, state.ctr)
     nonce = rng.take_bits(params.nonce_bits)
-    masked = counter_mask(params, state.key, challenge, index, nonce).xor(
-        counter_bits(params, state.ctr)
+    masked = xor(
+        counter_mask(params, state.key, challenge, index, nonce),
+        counter_bytes(params, state.ctr),
     )
     state.ctr += 1
     reply = MaTagReply(index, nonce, masked)
@@ -177,33 +176,34 @@ def _advance(params: MaParams, db: ReaderDatabase, rec: MaReaderRecord, new_ctr:
 
 
 def ma_reader_auth(
-    params: MaParams, db: ReaderDatabase, challenge: BitString, reply: MaTagReply
+    params: MaParams, db: ReaderDatabase, challenge: bytes, reply: MaTagReply
 ) -> MaAuthResult:
     """Two-step authentication over the database; updates the matched record."""
+    masked = int.from_bytes(reply.masked_ctr, "big")
     # Step 1: synchronized fast path via the index map.
     for rec in db.candidates_for_index(reply.index):
         mask = counter_mask(params, rec.key, challenge, reply.index, reply.nonce)
-        recovered = mask.xor(reply.masked_ctr).to_int()
+        recovered = int.from_bytes(mask, "big") ^ masked
         if recovered == rec.ctr and recovered + 1 <= params.max_counter:
             _advance(params, db, rec, recovered + 1)
             confirm = confirm_value(params, rec.key, challenge, rec.ctr, reply.nonce)
-            return MaAuthResult(True, rec.tag_id.to_bytes(), confirm, rec.ctr, via_step=1)
+            return MaAuthResult(True, rec.tag_id, confirm, rec.ctr, via_step=1)
     # Step 2: desynchronized scan; the received index must be reproducible
     # from the recovered counter under the record's key.
     for rec in db.records_ascending():
         mask = counter_mask(params, rec.key, challenge, reply.index, reply.nonce)
-        recovered = mask.xor(reply.masked_ctr).to_int()
+        recovered = int.from_bytes(mask, "big") ^ masked
         if recovered + 1 > params.max_counter:
             continue
         if index_for(params, rec.key, recovered) == reply.index:
             _advance(params, db, rec, recovered + 1)
             confirm = confirm_value(params, rec.key, challenge, rec.ctr, reply.nonce)
-            return MaAuthResult(True, rec.tag_id.to_bytes(), confirm, rec.ctr, via_step=2)
+            return MaAuthResult(True, rec.tag_id, confirm, rec.ctr, via_step=2)
     return MaAuthResult(False)
 
 
 def ma_tag_verify(
-    params: MaParams, state: MaTagState, scratch: MaTagScratch, confirm: BitString
+    params: MaParams, state: MaTagState, scratch: MaTagScratch, confirm: bytes
 ) -> bool:
     """Check the reader's confirmation against the tag's updated counter."""
     expected = confirm_value(
@@ -219,39 +219,39 @@ class MaProtocol:
 
     def __init__(self, params: MaParams):
         self.params = params
+        self._slots = (
+            MessageSlot("reader", (params.challenge_bits // 8,)),
+            MessageSlot("tag", (params.reply_bits // 8,)),
+            MessageSlot("reader", (params.out_bits // 8,)),
+        )
 
-    def slots(self) -> list[MessageSlot]:
-        p = self.params
-        return [
-            MessageSlot("reader", (p.challenge_bits,)),
-            MessageSlot("tag", (p.reply_bits,)),
-            MessageSlot("reader", (p.out_bits,)),
-        ]
+    def slots(self) -> tuple[MessageSlot, ...]:
+        return self._slots
 
     def default_mode(self) -> str:
         return "ma"
 
-    def reader_open(self, db, session, rng: Rng) -> BitString:
+    def reader_open(self, db, session, rng: Rng) -> bytes:
         return rng.take_bits(self.params.challenge_bits)
 
     def reader_on_message(self, db, session, msg: Msg, rng: Rng) -> ReaderAction:
-        reply = parse_tag_reply(self.params, msg.bits)
+        reply = parse_tag_reply(self.params, msg.payload)
         result = ma_reader_auth(self.params, db, session.challenge, reply)
         if not result.accepted:
             return ReaderAction("reject", via_step=0)
         return ReaderAction(
             "accept_send",
-            bits=result.confirm,
+            payload=result.confirm,
             tag_id=result.tag_id,
             via_step=result.via_step,
         )
 
-    def tag_respond(self, state: MaTagState, sid, challenge: BitString, rng: Rng):
+    def tag_respond(self, state: MaTagState, sid, challenge: bytes, rng: Rng):
         reply, scratch = ma_tag_respond(self.params, state, challenge, rng)
-        return reply.bits(), scratch
+        return reply.payload(), scratch
 
     def tag_on_message(self, state: MaTagState, scratch, msg: Msg, rng: Rng) -> TagAction:
-        ok = ma_tag_verify(self.params, state, scratch, msg.bits)
+        ok = ma_tag_verify(self.params, state, scratch, msg.payload)
         return TagAction("output", output=1 if ok else 0)
 
     def tag_terminal(self, state: MaTagState):
@@ -260,9 +260,9 @@ class MaProtocol:
         pass
 
 
-def tag_id_for(i: int) -> BitString:
+def tag_id_for(i: int) -> bytes:
     """Identifier of the i-th tag a setup draws; ascending in i."""
-    return BitString.from_bytes(bytes(28) + i.to_bytes(4, "big"))
+    return bytes(28) + i.to_bytes(4, "big")
 
 
 def ma_setup(

@@ -21,7 +21,6 @@ from typing import Optional
 
 from rfpop.errors import UnknownSnapshot
 from rfpop.model.types import Msg
-from rfpop.primitives.bitstring import BitString
 
 
 def _clone(record):
@@ -36,25 +35,24 @@ class ReaderDatabase:
         self._by_index: dict[bytes, list[bytes]] = {}
         self._dirty: set[bytes] = set()
         for rec in records:
-            key = rec.tag_id.to_bytes()
-            if key in self._records:
-                raise ValueError(f"duplicate tag id {key.hex()}")
-            self._records[key] = rec
+            if rec.tag_id in self._records:
+                raise ValueError(f"duplicate tag id {rec.tag_id.hex()}")
+            self._records[rec.tag_id] = rec
             self._index_insert(rec)
 
     def _index_insert(self, rec):
         idx = getattr(rec, "index", None)
         if idx is not None:
-            self._by_index.setdefault(idx.to_bytes(), []).append(rec.tag_id.to_bytes())
+            self._by_index.setdefault(idx, []).append(rec.tag_id)
 
-    def _index_remove(self, rec_id: bytes, idx: Optional[BitString]):
+    def _index_remove(self, rec_id: bytes, idx: Optional[bytes]):
         if idx is None:
             return
-        bucket = self._by_index.get(idx.to_bytes())
+        bucket = self._by_index.get(idx)
         if bucket and rec_id in bucket:
             bucket.remove(rec_id)
             if not bucket:
-                del self._by_index[idx.to_bytes()]
+                del self._by_index[idx]
 
     def __len__(self) -> int:
         return len(self._records)
@@ -69,15 +67,15 @@ class ReaderDatabase:
         for key in self.ids():
             yield self._records[key]
 
-    def candidates_for_index(self, index: BitString) -> list:
+    def candidates_for_index(self, index: bytes) -> list:
         """Records whose stored index equals `index`, ascending by tag id."""
-        ids = sorted(self._by_index.get(index.to_bytes(), []))
+        ids = sorted(self._by_index.get(index, []))
         return [self._records[i] for i in ids]
 
-    def record_updated(self, rec, old_index: Optional[BitString]):
+    def record_updated(self, rec, old_index: Optional[bytes]):
         """Report an in-place record mutation (fixes the index map, marks the
         record dirty for the current session's snapshot delta)."""
-        key = rec.tag_id.to_bytes()
+        key = rec.tag_id
         if key not in self._records:
             raise KeyError(f"unknown tag id {key.hex()}")
         new_index = getattr(rec, "index", None)
@@ -104,7 +102,7 @@ class SessionRecord:
     from one leaves them empty."""
 
     j: int
-    sid: BitString
+    sid: bytes
     o_reader: int
     tag_id: Optional[bytes]
     mode: str
@@ -129,7 +127,7 @@ class History:
         if record.j != len(self.sessions) + 1:
             raise ValueError("session records must be appended in order")
         self.sessions.append(record)
-        self.sid_to_j.setdefault(record.sid.to_bytes(), record.j)
+        self.sid_to_j.setdefault(record.sid, record.j)
         for key in record.delta:
             self.changed_in.setdefault(key, []).append(record.j)
 
@@ -138,8 +136,8 @@ class History:
             raise UnknownSnapshot(f"no session {j}; have 1..{len(self.sessions)}")
         return self.sessions[j - 1]
 
-    def j_for_sid(self, sid: BitString) -> Optional[int]:
-        return self.sid_to_j.get(sid.to_bytes())
+    def j_for_sid(self, sid: bytes) -> Optional[int]:
+        return self.sid_to_j.get(sid)
 
     def _check_snapshot(self, j: int):
         if not 0 <= j <= len(self.sessions):

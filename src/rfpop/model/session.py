@@ -6,11 +6,12 @@ snapshot deltas, tag key-version bumps, and lifetime limits. A protocol
 object plugs in the cryptographic content via a small duck-typed interface:
 
     name                   protocol label
-    slots()                list[MessageSlot], round 0 first
+    slots()                tuple[MessageSlot, ...], round 0 first; the same
+                           object on every call
     default_mode()         mode label for new sessions
-    reader_open(db, session, rng)            -> round-0 payload bits
+    reader_open(db, session, rng)            -> round-0 payload
     reader_on_message(db, session, msg, rng) -> ReaderAction
-    tag_respond(state, sid, challenge, rng)  -> (reply bits, scratch)
+    tag_respond(state, sid, challenge, rng)  -> (reply payload, scratch)
     tag_on_message(state, scratch, msg, rng) -> TagAction
     tag_terminal(state)                      key-update hook at terminal output
 
@@ -39,7 +40,6 @@ from rfpop.model.types import (
     StepOutcome,
     Transcript,
 )
-from rfpop.primitives.bitstring import BitString
 from rfpop.primitives.rng import Rng
 
 
@@ -48,11 +48,11 @@ class ReaderAction:
     """Protocol verdict on a message delivered to the reader.
 
     kind: reply | accept_send | accept | reject | reject_send
-    (the *_send kinds carry outgoing payload bits).
+    (the *_send kinds carry an outgoing payload).
     """
 
     kind: str
-    bits: Optional[BitString] = None
+    payload: Optional[bytes] = None
     tag_id: Optional[bytes] = None
     via_step: Optional[int] = None
     note: str = ""
@@ -66,14 +66,14 @@ class TagAction:
     """
 
     kind: str
-    bits: Optional[BitString] = None
+    payload: Optional[bytes] = None
     output: Optional[int] = None
     note: str = ""
 
 
 @dataclass
 class OpenReaderSession:
-    sid: BitString
+    sid: bytes
     mode: str
     messages: list[Msg] = field(default_factory=list)
     coins: dict[str, bytes] = field(default_factory=dict)
@@ -81,13 +81,13 @@ class OpenReaderSession:
     scratch: dict = field(default_factory=dict)
 
     @property
-    def challenge(self) -> BitString:
-        return self.messages[0].bits
+    def challenge(self) -> bytes:
+        return self.messages[0].payload
 
 
 @dataclass
 class OpenTagSession:
-    sid: BitString
+    sid: bytes
     awaiting_round: int
     scratch: object
 
@@ -108,19 +108,18 @@ class Reader:
     def next_j(self) -> int:
         return len(self.history.sessions) + 1
 
-    def start(self, rng: Rng, mode: Optional[str] = None) -> tuple[BitString, Msg]:
+    def start(self, rng: Rng, mode: Optional[str] = None) -> tuple[bytes, Msg]:
         """Open a session: draw a sid and the round-0 challenge."""
         if self.session is not None:
             raise SessionInProgress("reader already has an open session")
         sid = rng.take_bits(SID_BITS)
         ses = OpenReaderSession(sid=sid, mode=mode or self.protocol.default_mode())
-        bits = self.protocol.reader_open(self.db, ses, rng)
-        msg = Msg(0, bits)
+        msg = Msg(0, self.protocol.reader_open(self.db, ses, rng))
         ses.messages.append(msg)
         self.session = ses
         return sid, msg
 
-    def step(self, sid: BitString, msg: Msg, rng: Rng) -> StepOutcome:
+    def step(self, sid: bytes, msg: Msg, rng: Rng) -> StepOutcome:
         """Deliver a message; wrong sids are ignored, anything else that is
         not a valid expected-round message fails the session."""
         ses = self.session
@@ -132,26 +131,26 @@ class Reader:
         in_space = (
             msg.round == ses.awaiting_round
             and msg.round < len(slots)
-            and slots[msg.round].allows(len(msg.bits))
+            and slots[msg.round].allows(msg.payload)
         )
         if not in_space:
             return self._finalize(0, None, None, "message outside expected round space")
         action = self.protocol.reader_on_message(self.db, ses, msg, rng)
         if action.kind == "reply":
             ses.messages.append(msg)
-            reply = Msg(msg.round + 1, action.bits)
+            reply = Msg(msg.round + 1, action.payload)
             ses.messages.append(reply)
             ses.awaiting_round = msg.round + 2
             return Reply(sid, reply)
         if action.kind == "accept_send":
             ses.messages.append(msg)
-            reply = Msg(msg.round + 1, action.bits)
+            reply = Msg(msg.round + 1, action.payload)
             ses.messages.append(reply)
             out = self._finalize(1, action.tag_id, action.via_step, action.note)
             return ReplyWithOutput(sid, reply, out.output)
         if action.kind == "reject_send":
             ses.messages.append(msg)
-            reply = Msg(msg.round + 1, action.bits)
+            reply = Msg(msg.round + 1, action.payload)
             ses.messages.append(reply)
             out = self._finalize(0, None, action.via_step, action.note)
             return ReplyWithOutput(sid, reply, out.output)
@@ -199,12 +198,12 @@ class Tag:
         self.session: Optional[OpenTagSession] = None
 
     @property
-    def tag_id(self) -> BitString:
+    def tag_id(self) -> bytes:
         return self.state.tag_id
 
-    def step(self, sid: BitString, msg: Msg, rng: Rng) -> StepOutcome:
+    def step(self, sid: bytes, msg: Msg, rng: Rng) -> StepOutcome:
         slots = self.protocol.slots()
-        if msg.round == 0 and slots[0].allows(len(msg.bits)):
+        if msg.round == 0 and slots[0].allows(msg.payload):
             # Session start, checked before anything else: an open session is
             # voided (output 0, key update) and a fresh one replaces it.
             restarted = self.session is not None
@@ -214,9 +213,9 @@ class Tag:
                 raise LifetimeExceeded(
                     f"tag exhausted its {self.lifetime}-session lifetime"
                 )
-            bits, scratch = self.protocol.tag_respond(self.state, sid, msg.bits, rng)
+            payload, scratch = self.protocol.tag_respond(self.state, sid, msg.payload, rng)
             self.session = OpenTagSession(sid=sid, awaiting_round=2, scratch=scratch)
-            reply = Msg(1, bits)
+            reply = Msg(1, payload)
             if restarted:
                 return ReplyWithOutput(sid, reply, 0)
             return Reply(sid, reply)
@@ -226,15 +225,15 @@ class Tag:
             and sid == ses.sid
             and msg.round == ses.awaiting_round
             and msg.round < len(slots)
-            and slots[msg.round].allows(len(msg.bits))
+            and slots[msg.round].allows(msg.payload)
         ):
             action = self.protocol.tag_on_message(self.state, ses.scratch, msg, rng)
             if action.kind == "reply":
                 ses.awaiting_round = msg.round + 2
-                return Reply(sid, Msg(msg.round + 1, action.bits))
+                return Reply(sid, Msg(msg.round + 1, action.payload))
             if action.kind == "reply_output":
                 self._terminal()
-                return ReplyWithOutput(sid, Msg(msg.round + 1, action.bits), action.output)
+                return ReplyWithOutput(sid, Msg(msg.round + 1, action.payload), action.output)
             if action.kind == "output":
                 self._terminal()
                 return Output(sid, action.output)
@@ -249,7 +248,7 @@ class Tag:
         self.session = None
 
 
-def relay(sid: BitString, first: Msg, to_tag, to_reader) -> Transcript:
+def relay(sid: bytes, first: Msg, to_tag, to_reader) -> Transcript:
     """Ferry one session: deliver `first` to the tag, then alternate between
     the parties until a delivery returns no message.
 

@@ -1,8 +1,12 @@
 """Message and outcome types for the session model.
 
+Every protocol value a message carries, and every sid, is `bytes`; the
+message slots say which payload lengths (in bytes) each round admits, and the
+session machines check a payload against them before a protocol sees it.
+
 Messages carry an explicit round marker. The default parameter sizes make a
-session-start challenge and a final confirmation the same bit length, so
-"does this message open a session?" cannot be decided from length alone; the
+session-start challenge and a final confirmation the same length, so "does
+this message open a session?" cannot be decided from length alone; the
 marker is structural framing (the wire format encodes it as the frame type),
 not secret data.
 """
@@ -12,18 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from rfpop.primitives.bitstring import BitString
-
 SID_BITS = 128
 
 
 @dataclass(frozen=True)
 class Msg:
     """One protocol message: round index (0 = session-start challenge) plus
-    payload bits."""
+    payload bytes."""
 
     round: int
-    bits: BitString
+    payload: bytes
 
     def __post_init__(self):
         if self.round < 0:
@@ -32,21 +34,21 @@ class Msg:
 
 @dataclass(frozen=True)
 class MessageSlot:
-    """Shape of one round: who sends it and which payload bit lengths are
-    legal. Most rounds admit one length; a dual-mode round lists several."""
+    """Shape of one round: who sends it and which payload lengths, in bytes,
+    are legal. Most rounds admit one length; a dual-mode round lists several."""
 
     sender: str  # "reader" or "tag"
-    bit_lengths: tuple[int, ...]
+    byte_lengths: tuple[int, ...]
 
-    def allows(self, nbits: int) -> bool:
-        return nbits in self.bit_lengths
+    def allows(self, payload: bytes) -> bool:
+        return len(payload) in self.byte_lengths
 
 
 @dataclass
 class Transcript:
     """Messages exchanged in one session, with the two terminal outputs."""
 
-    sid: BitString
+    sid: bytes
     messages: list[Msg] = field(default_factory=list)
     o_reader: Optional[int] = None
     o_tag: Optional[int] = None
@@ -54,12 +56,6 @@ class Transcript:
     @property
     def completed(self) -> bool:
         return self.o_reader == 1 and self.o_tag == 1
-
-    def message_bits(self, round: int) -> BitString:
-        for m in self.messages:
-            if m.round == round:
-                return m.bits
-        raise KeyError(f"no round-{round} message in transcript")
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,7 @@ class StepOutcome:
     """
 
     kind: str
-    sid: Optional[BitString] = None
+    sid: Optional[bytes] = None
     msg: Optional[Msg] = None
     output: Optional[int] = None
 
@@ -83,15 +79,15 @@ class StepOutcome:
         return self.output is not None
 
 
-def Reply(sid: BitString, msg: Msg) -> StepOutcome:
+def Reply(sid: bytes, msg: Msg) -> StepOutcome:
     return StepOutcome("reply", sid=sid, msg=msg)
 
 
-def ReplyWithOutput(sid: BitString, msg: Msg, output: int) -> StepOutcome:
+def ReplyWithOutput(sid: bytes, msg: Msg, output: int) -> StepOutcome:
     return StepOutcome("reply_output", sid=sid, msg=msg, output=output)
 
 
-def Output(sid: Optional[BitString], output: int) -> StepOutcome:
+def Output(sid: Optional[bytes], output: int) -> StepOutcome:
     return StepOutcome("output", sid=sid, output=output)
 
 

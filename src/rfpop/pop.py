@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from rfpop.errors import FrameError, KTimeExhausted, PairPoolExhausted, UnknownSnapshot
@@ -53,7 +54,7 @@ from rfpop.ma import (
 )
 from rfpop.model.session import Reader, ReaderAction, TagAction
 from rfpop.model.types import MessageSlot, Msg
-from rfpop.primitives.bitstring import BitString
+from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.prf import PrfDescriptor, hash_digest, prf_eval
 from rfpop.primitives.rng import Rng
 from rfpop.primitives.sig import (
@@ -75,7 +76,7 @@ DEFAULT_K = 16
 @dataclass(frozen=True)
 class PopParams:
     """Interior lengths plus the possession-layer lengths and signature
-    instantiation."""
+    instantiation. The masking family's descriptor is built once."""
 
     ma: MaParams = field(default_factory=MaParams)
     hash_bits: int = 256  # pop challenge, binder, and sig_tag length
@@ -100,7 +101,7 @@ class PopParams:
     def final_reply_bits(self) -> int:
         return 8 * self.sig_bytes + self.hash_bits
 
-    @property
+    @cached_property
     def mask_prf(self) -> PrfDescriptor:
         return PrfDescriptor("pop-g", self.pop_key_bits, None, self.hash_bits)
 
@@ -114,17 +115,17 @@ def interior_params(params) -> MaParams:
 @dataclass
 class PopTagState:
     ma: MaTagState
-    pop_key: BitString
+    pop_key: bytes
     signer: object  # FullTimeSigner or KTimeSigner
 
     @property
-    def tag_id(self) -> BitString:
+    def tag_id(self) -> bytes:
         return self.ma.tag_id
 
 
 @dataclass
 class PopReaderRecord(MaReaderRecord):
-    pop_key: BitString = None
+    pop_key: bytes = None
     verify_key: VerifyKey = None
 
 
@@ -148,87 +149,95 @@ class KeyDirectory:
         self.extras[party_id] = key
 
 
-def transcript_digest(params: PopParams, challenge, tag_reply, confirm) -> BitString:
+def transcript_digest(params: PopParams, challenge: bytes, tag_reply: bytes,
+                      confirm: bytes) -> bytes:
     """H(challenge || tag_reply || confirm)."""
-    data = challenge.to_bytes() + tag_reply.to_bytes() + confirm.to_bytes()
-    return hash_digest(data, params.hash_bits)
+    return hash_digest(challenge + tag_reply + confirm, params.hash_bits)
 
 
 def binder_value(
-    params: PopParams, pop_key: BitString, trs_digest: BitString, pop_challenge: BitString
-) -> BitString:
-    return prf_eval(params.mask_prf, pop_key, trs_digest.concat(pop_challenge))
+    params: PopParams, pop_key: bytes, trs_digest: bytes, pop_challenge: bytes
+) -> bytes:
+    return prf_eval(params.mask_prf, pop_key, trs_digest + pop_challenge)
 
 
-def signature_mask(params: PopParams, pop_key: BitString, binder: BitString) -> BitString:
+def signature_mask(params: PopParams, pop_key: bytes, binder: bytes) -> bytes:
     return prf_eval(params.mask_prf, pop_key, binder, out_bits=8 * params.sig_bytes)
 
 
-def signature_tag(params: PopParams, pop_key: BitString, sig: bytes) -> BitString:
-    return prf_eval(params.mask_prf, pop_key, BitString.from_bytes(sig))
+def signature_tag(params: PopParams, pop_key: bytes, sig: bytes) -> bytes:
+    return prf_eval(params.mask_prf, pop_key, sig)
+
+
+def _split_finalize(params: PopParams, payload: bytes) -> tuple[bytes, bytes, bytes]:
+    """confirm, pop_challenge, binder of a wrapped third message."""
+    hash_bytes = params.hash_bits // 8
+    return split(payload, params.ma.out_bits // 8, hash_bytes, hash_bytes)
+
+
+def _split_final_reply(params: PopParams, payload: bytes) -> tuple[bytes, bytes]:
+    """masked_sig, sig_tag of the tag's fourth message."""
+    return split(payload, params.sig_bytes, params.hash_bits // 8)
 
 
 def pop_reader_finalize_send(
     params: PopParams,
-    pop_key: BitString,
+    pop_key: bytes,
     reader_signer: FullTimeSigner,
-    challenge: BitString,
-    tag_reply: BitString,
-    confirm: BitString,
+    challenge: bytes,
+    tag_reply: bytes,
+    confirm: bytes,
     rng: Rng,
-) -> tuple[BitString, dict]:
+) -> tuple[bytes, dict]:
     """Build the wrapped third message and the scratch needed to verify the
     reply and to rebuild the credential later."""
     nonce = rng.take_bits(params.hash_bits)
-    pop_challenge = hash_digest(reader_signer.sign(nonce.to_bytes()), params.hash_bits)
+    pop_challenge = hash_digest(reader_signer.sign(nonce), params.hash_bits)
     trs = transcript_digest(params, challenge, tag_reply, confirm)
     binder = binder_value(params, pop_key, trs, pop_challenge)
-    bits = confirm.concat(pop_challenge).concat(binder)
     scratch = {
         "pop_nonce": nonce,
         "pop_challenge": pop_challenge,
         "binder": binder,
     }
-    return bits, scratch
+    return confirm + pop_challenge + binder, scratch
 
 
 def pop_tag_finalize(
     params: PopParams,
     state: PopTagState,
     scratch: "_PopTagScratch",
-    bits: BitString,
+    payload: bytes,
 ) -> TagAction:
     """Validate the wrapped third message; on success sign and reply together
     with the terminal output."""
-    confirm, pop_challenge, binder = bits.split(
-        params.ma.out_bits, params.hash_bits, params.hash_bits
-    )
+    confirm, pop_challenge, binder = _split_finalize(params, payload)
     if not ma_tag_verify(params.ma, state.ma, scratch.inner, confirm):
         return TagAction("output", output=0, note="interior confirmation invalid")
-    trs = transcript_digest(params, scratch.challenge, scratch.reply_bits, confirm)
+    trs = transcript_digest(params, scratch.challenge, scratch.reply, confirm)
     if binder_value(params, state.pop_key, trs, pop_challenge) != binder:
         return TagAction("output", output=0, note="binder invalid")
     try:
-        sig = state.signer.sign(pop_challenge.to_bytes())
+        sig = state.signer.sign(pop_challenge)
     except (KTimeExhausted, PairPoolExhausted) as exc:
         return TagAction("output", output=0, note=f"signing unavailable: {exc}")
-    masked = signature_mask(params, state.pop_key, binder).xor(BitString.from_bytes(sig))
+    masked = xor(signature_mask(params, state.pop_key, binder), sig)
     tag_check = signature_tag(params, state.pop_key, sig)
-    return TagAction("reply_output", bits=masked.concat(tag_check), output=1)
+    return TagAction("reply_output", payload=masked + tag_check, output=1)
 
 
 def pop_reader_verify(
     params: PopParams,
-    pop_key: BitString,
+    pop_key: bytes,
     verify_key: VerifyKey,
-    pop_challenge: BitString,
-    binder: BitString,
-    bits: BitString,
+    pop_challenge: bytes,
+    binder: bytes,
+    payload: bytes,
 ) -> bool:
     """Unmask and verify the tag's possession signature."""
-    masked, tag_check = bits.split(8 * params.sig_bytes, params.hash_bits)
-    sig = masked.xor(signature_mask(params, pop_key, binder)).to_bytes()
-    if not verify_key.verify(pop_challenge.to_bytes(), sig):
+    masked, tag_check = _split_final_reply(params, payload)
+    sig = xor(masked, signature_mask(params, pop_key, binder))
+    if not verify_key.verify(pop_challenge, sig):
         return False
     return signature_tag(params, pop_key, sig) == tag_check
 
@@ -239,7 +248,7 @@ class _PopTagScratch:
     digest)."""
 
     inner: object
-    reply_bits: BitString
+    reply: bytes
 
     @property
     def challenge(self):
@@ -255,20 +264,20 @@ class PopProtocol:
     def __init__(self, params: PopParams, reader_signer: FullTimeSigner):
         self.params = params
         self.reader_signer = reader_signer
+        self._slots = (
+            MessageSlot("reader", (params.ma.challenge_bits // 8,)),
+            MessageSlot("tag", (params.ma.reply_bits // 8,)),
+            MessageSlot("reader", (params.finalize_bits // 8, params.ma.out_bits // 8)),
+            MessageSlot("tag", (params.final_reply_bits // 8,)),
+        )
 
-    def slots(self) -> list[MessageSlot]:
-        p = self.params
-        return [
-            MessageSlot("reader", (p.ma.challenge_bits,)),
-            MessageSlot("tag", (p.ma.reply_bits,)),
-            MessageSlot("reader", (p.finalize_bits, p.ma.out_bits)),
-            MessageSlot("tag", (p.final_reply_bits,)),
-        ]
+    def slots(self) -> tuple[MessageSlot, ...]:
+        return self._slots
 
     def default_mode(self) -> str:
         return "pop"
 
-    def reader_open(self, db, session, rng: Rng) -> BitString:
+    def reader_open(self, db, session, rng: Rng) -> bytes:
         return rng.take_bits(self.params.ma.challenge_bits)
 
     def reader_on_message(self, db, session, msg: Msg, rng: Rng) -> ReaderAction:
@@ -279,35 +288,35 @@ class PopProtocol:
         return ReaderAction("reject", note="unexpected round")
 
     def _reader_on_reply(self, db, session, msg: Msg, rng: Rng) -> ReaderAction:
-        reply = parse_tag_reply(self.params.ma, msg.bits)
+        reply = parse_tag_reply(self.params.ma, msg.payload)
         result = ma_reader_auth(self.params.ma, db, session.challenge, reply)
         if not result.accepted:
             return ReaderAction("reject", via_step=0)
         if session.mode == "ma":
             return ReaderAction(
                 "accept_send",
-                bits=result.confirm,
+                payload=result.confirm,
                 tag_id=result.tag_id,
                 via_step=result.via_step,
             )
         record = db.get(result.tag_id)
-        bits, scratch = pop_reader_finalize_send(
+        payload, scratch = pop_reader_finalize_send(
             self.params,
             record.pop_key,
             self.reader_signer,
             session.challenge,
-            msg.bits,
+            msg.payload,
             result.confirm,
             rng,
         )
-        session.coins["pop_nonce"] = scratch["pop_nonce"].to_bytes()
+        session.coins["pop_nonce"] = scratch["pop_nonce"]
         session.scratch = {
             "tag_id": result.tag_id,
             "via_step": result.via_step,
             "pop_challenge": scratch["pop_challenge"],
             "binder": scratch["binder"],
         }
-        return ReaderAction("reply", bits=bits)
+        return ReaderAction("reply", payload=payload)
 
     def _reader_on_final(self, db, session, msg: Msg) -> ReaderAction:
         sc = session.scratch
@@ -318,22 +327,22 @@ class PopProtocol:
             record.verify_key,
             sc["pop_challenge"],
             sc["binder"],
-            msg.bits,
+            msg.payload,
         )
         if ok:
             return ReaderAction("accept", tag_id=sc["tag_id"], via_step=sc["via_step"])
         return ReaderAction("reject", note="possession proof invalid")
 
-    def tag_respond(self, state: PopTagState, sid, challenge: BitString, rng: Rng):
+    def tag_respond(self, state: PopTagState, sid, challenge: bytes, rng: Rng):
         reply, inner = ma_tag_respond(self.params.ma, state.ma, challenge, rng)
-        bits = reply.bits()
-        return bits, _PopTagScratch(inner=inner, reply_bits=bits)
+        payload = reply.payload()
+        return payload, _PopTagScratch(inner=inner, reply=payload)
 
     def tag_on_message(self, state: PopTagState, scratch, msg: Msg, rng: Rng) -> TagAction:
-        if len(msg.bits) == self.params.ma.out_bits:
-            ok = ma_tag_verify(self.params.ma, state.ma, scratch.inner, msg.bits)
+        if 8 * len(msg.payload) == self.params.ma.out_bits:
+            ok = ma_tag_verify(self.params.ma, state.ma, scratch.inner, msg.payload)
             return TagAction("output", output=1 if ok else 0)
-        return pop_tag_finalize(self.params, state, scratch, msg.bits)
+        return pop_tag_finalize(self.params, state, scratch, msg.payload)
 
     def tag_terminal(self, state: PopTagState):
         pass
@@ -406,13 +415,11 @@ def cred_gen(
     tag_record = reader.history.record_at(record.tag_id, j - 1)
     nonce = record.coins["pop_nonce"]
     issuer_sig = reader_signer.sign(nonce)
-    finalize_bits = next(m.bits for m in record.messages if m.round == 2)
-    final_reply = next(m.bits for m in record.messages if m.round == 3)
-    _, _, binder = finalize_bits.split(
-        params.ma.out_bits, params.hash_bits, params.hash_bits
-    )
-    masked, _ = final_reply.split(8 * params.sig_bytes, params.hash_bits)
-    possession = masked.xor(signature_mask(params, tag_record.pop_key, binder)).to_bytes()
+    finalize = next(m.payload for m in record.messages if m.round == 2)
+    final_reply = next(m.payload for m in record.messages if m.round == 3)
+    _, _, binder = _split_finalize(params, finalize)
+    masked, _ = _split_final_reply(params, final_reply)
+    possession = xor(masked, signature_mask(params, tag_record.pop_key, binder))
     return Credential(
         reader_id=reader.reader_id,
         tag_id=record.tag_id,
@@ -432,7 +439,7 @@ def cred_veri(params: PopParams, directory: KeyDirectory, cred: Credential) -> i
     if not issuer_key.verify(cred.nonce, cred.issuer_sig):
         return 0
     pop_challenge = hash_digest(cred.issuer_sig, params.hash_bits)
-    if not tag_key.verify(pop_challenge.to_bytes(), cred.possession_sig):
+    if not tag_key.verify(pop_challenge, cred.possession_sig):
         return 0
     return 1
 
@@ -440,7 +447,7 @@ def cred_veri(params: PopParams, directory: KeyDirectory, cred: Credential) -> i
 @dataclass
 class PiPrimeReaderSide:
     params: PopParams
-    pop_key: BitString
+    pop_key: bytes
     signer: FullTimeSigner
     tag_key: VerifyKey
     context: bytes  # transcript the subprotocol binds to
@@ -449,7 +456,7 @@ class PiPrimeReaderSide:
 @dataclass
 class PiPrimeTagSide:
     params: PopParams
-    pop_key: BitString
+    pop_key: bytes
     signer: object
     context: bytes
 
@@ -464,7 +471,7 @@ def piprime_run(
     key."""
     params = reader_side.params
     nonce = rng.take_bits(params.hash_bits)
-    pop_challenge = hash_digest(reader_side.signer.sign(nonce.to_bytes()), params.hash_bits)
+    pop_challenge = hash_digest(reader_side.signer.sign(nonce), params.hash_bits)
     ctx_digest = hash_digest(reader_side.context, params.hash_bits)
     binder = binder_value(params, reader_side.pop_key, ctx_digest, pop_challenge)
     msgs = {"pop_challenge": pop_challenge, "binder": binder}
@@ -473,12 +480,10 @@ def piprime_run(
     if binder_value(tag_side.params, tag_side.pop_key, tag_ctx, pop_challenge) != binder:
         return 0, 0, msgs
     try:
-        sig = tag_side.signer.sign(pop_challenge.to_bytes())
+        sig = tag_side.signer.sign(pop_challenge)
     except (KTimeExhausted, PairPoolExhausted):
         return 0, 0, msgs
-    masked = signature_mask(tag_side.params, tag_side.pop_key, binder).xor(
-        BitString.from_bytes(sig)
-    )
+    masked = xor(signature_mask(tag_side.params, tag_side.pop_key, binder), sig)
     tag_check = signature_tag(tag_side.params, tag_side.pop_key, sig)
     msgs["masked_sig"] = masked
     msgs["sig_tag"] = tag_check
@@ -490,7 +495,7 @@ def piprime_run(
         reader_side.tag_key,
         pop_challenge,
         binder,
-        masked.concat(tag_check),
+        masked + tag_check,
     )
     return (1 if ok else 0), o_tag, msgs
 
@@ -526,5 +531,5 @@ def pop_setup(
             pop_key=pop_key,
             verify_key=vk,
         ))
-        entries[tag_id.to_bytes()] = vk
+        entries[tag_id] = vk
     return tags, records, KeyDirectory(entries=entries), reader_signer

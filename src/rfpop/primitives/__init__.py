@@ -1,14 +1,11 @@
-"""Primitive layer: bit strings, deterministic RNG, keyed functions,
+"""Primitive layer: byte helpers, deterministic RNG, keyed functions,
 signatures, group arithmetic, and operation counters."""
 
-from rfpop.primitives.bitstring import BitString, concat_all
 from rfpop.primitives.counters import OpCounters, counting
 from rfpop.primitives.prf import PrfDescriptor, hash_digest, prf_eval
 from rfpop.primitives.rng import Rng
 
 __all__ = [
-    "BitString",
-    "concat_all",
     "OpCounters",
     "counting",
     "PrfDescriptor",

@@ -1,117 +1,52 @@
-"""Fixed-length bit strings.
+"""Byte helpers for protocol values.
 
-Protocol values (challenges, counters, PRF outputs, masks) are bit strings of
-known length. This module gives them one immutable representation with the few
-operations the protocols need: XOR, concatenation, splitting into fixed-width
-fields, and single-bit flips for tamper experiments.
+Every protocol value (challenge, nonce, index, key, sid, PRF output, mask) is
+`bytes`: every length the protocols use is a whole number of bytes, and the
+boundaries where data enters (message slots, wire and file decoding, setup,
+`prf_eval`) check those lengths. Concatenation is `+`; this module holds the
+rest: XOR of equal-length values, splitting into fixed-width fields, and
+single-bit flips for tamper experiments. Bit 0 is the most significant bit
+of byte 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from rfpop.errors import LengthMismatch
 
 
-@dataclass(frozen=True, slots=True)
+def xor(a: bytes, b: bytes) -> bytes:
+    """Bitwise XOR of two values of the same length."""
+    if len(a) != len(b):
+        raise LengthMismatch(f"xor of {len(a)}-byte and {len(b)}-byte values")
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+def split(data: bytes, *widths: int) -> tuple[bytes, ...]:
+    """Split into consecutive fields of the given byte widths, which must sum
+    to the length of `data`."""
+    if sum(widths) != len(data):
+        raise LengthMismatch(f"split widths sum to {sum(widths)}, value has {len(data)} bytes")
+    parts = []
+    at = 0
+    for width in widths:
+        parts.append(data[at : at + width])
+        at += width
+    return tuple(parts)
+
+
+def flip_bit(data: bytes, pos: int) -> bytes:
+    """Return a copy with bit `pos` flipped (0 = most significant)."""
+    if not 0 <= pos < 8 * len(data):
+        raise LengthMismatch(f"bit {pos} out of range for {8 * len(data)} bits")
+    out = bytearray(data)
+    out[pos // 8] ^= 0x80 >> (pos % 8)
+    return bytes(out)
+
+
 class BitString:
-    """An immutable string of `length` bits, stored as a non-negative int.
-
-    Bit 0 is the most significant (leftmost) bit, matching big-endian byte
-    order when the length is a whole number of bytes.
-    """
-
-    length: int
-    value: int
+    """Stub kept only so that `bench/tracing.py` can wrap `__post_init__`
+    to count objects. Nothing in the package constructs it, so that count
+    reads 0."""
 
     def __post_init__(self):
-        if self.length < 0:
-            raise LengthMismatch(f"negative bit length {self.length}")
-        if not 0 <= self.value < (1 << self.length):
-            raise LengthMismatch(
-                f"value does not fit in {self.length} bits"
-            )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BitString":
-        return cls(8 * len(data), int.from_bytes(data, "big"))
-
-    @classmethod
-    def from_int(cls, value: int, length: int) -> "BitString":
-        return cls(length, value)
-
-    @classmethod
-    def zeros(cls, length: int) -> "BitString":
-        return cls(length, 0)
-
-    def __len__(self) -> int:
-        return self.length
-
-    def to_bytes(self) -> bytes:
-        if self.length % 8:
-            raise LengthMismatch(
-                f"{self.length}-bit string is not byte aligned"
-            )
-        return self.value.to_bytes(self.length // 8, "big")
-
-    def to_int(self) -> int:
-        return self.value
-
-    def hex(self) -> str:
-        return self.to_bytes().hex()
-
-    def xor(self, other: "BitString") -> "BitString":
-        if self.length != other.length:
-            raise LengthMismatch(
-                f"xor of {self.length}-bit and {other.length}-bit strings"
-            )
-        return BitString(self.length, self.value ^ other.value)
-
-    def concat(self, other: "BitString") -> "BitString":
-        return BitString(
-            self.length + other.length,
-            (self.value << other.length) | other.value,
-        )
-
-    def __add__(self, other: "BitString") -> "BitString":
-        return self.concat(other)
-
-    def flip_bit(self, pos: int) -> "BitString":
-        """Return a copy with bit `pos` flipped (0 = most significant)."""
-        if not 0 <= pos < self.length:
-            raise LengthMismatch(f"bit {pos} out of range for {self.length} bits")
-        return BitString(self.length, self.value ^ (1 << (self.length - 1 - pos)))
-
-    def bits(self, start: int, stop: int) -> "BitString":
-        """Return bits [start, stop) as a new string."""
-        if not 0 <= start <= stop <= self.length:
-            raise LengthMismatch(
-                f"slice [{start}:{stop}) out of range for {self.length} bits"
-            )
-        width = stop - start
-        shifted = self.value >> (self.length - stop)
-        return BitString(width, shifted & ((1 << width) - 1))
-
-    def split(self, *widths: int) -> tuple["BitString", ...]:
-        """Split into consecutive fields of the given bit widths.
-
-        The widths must sum to the total length.
-        """
-        if sum(widths) != self.length:
-            raise LengthMismatch(
-                f"split widths sum to {sum(widths)}, string has {self.length} bits"
-            )
-        parts = []
-        at = 0
-        for w in widths:
-            parts.append(self.bits(at, at + w))
-            at += w
-        return tuple(parts)
-
-
-def concat_all(*parts: BitString) -> BitString:
-    """Concatenate left to right."""
-    out = BitString.zeros(0)
-    for p in parts:
-        out = out.concat(p)
-    return out
+        pass

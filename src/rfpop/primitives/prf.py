@@ -2,9 +2,11 @@
 
 The protocols are written against length-typed function families, not a named
 algorithm. A PrfDescriptor pins the key length, the input length (None for
-variable-length input), and the default output length; evaluation enforces
-them. The backend is keyed BLAKE2b, whose parameter block includes the digest
-size, so different output lengths give independent functions by construction.
+variable-length input), and the default output length, in bits that make
+whole bytes. Keys, inputs and outputs are `bytes`, and evaluation checks
+their lengths against the descriptor. The backend is keyed BLAKE2b, whose
+parameter block includes the digest size, so different output lengths give
+independent functions by construction.
 
 Every evaluation counts as one hash operation for cost accounting.
 """
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from rfpop.errors import LengthMismatch
-from rfpop.primitives.bitstring import BitString
 from rfpop.primitives.counters import count_hash
 
 _MAX_DIGEST = 64  # BLAKE2b ceiling; all protocol outputs fit
@@ -48,41 +49,34 @@ class PrfDescriptor:
 
 def prf_eval(
     desc: PrfDescriptor,
-    key: BitString,
-    data: BitString,
+    key: bytes,
+    data: bytes,
     out_bits: Optional[int] = None,
-) -> BitString:
+) -> bytes:
     """Evaluate the keyed family described by `desc`.
 
     out_bits overrides the descriptor's default output length (the masking
     family is evaluated at several output lengths; each length is an
     independent function).
     """
-    if len(key) != desc.key_bits:
+    if 8 * len(key) != desc.key_bits:
         raise LengthMismatch(
-            f"{desc.name}: key is {len(key)} bits, descriptor says {desc.key_bits}"
+            f"{desc.name}: key is {8 * len(key)} bits, descriptor says {desc.key_bits}"
         )
-    if desc.in_bits is not None and len(data) != desc.in_bits:
+    if desc.in_bits is not None and 8 * len(data) != desc.in_bits:
         raise LengthMismatch(
-            f"{desc.name}: input is {len(data)} bits, descriptor says {desc.in_bits}"
+            f"{desc.name}: input is {8 * len(data)} bits, descriptor says {desc.in_bits}"
         )
     width = out_bits if out_bits is not None else desc.out_bits
     if width <= 0 or width % 8 or width > 8 * _MAX_DIGEST:
         raise LengthMismatch(f"{desc.name}: unsupported output length {width}")
     count_hash()
-    digest = hashlib.blake2b(
-        data.to_bytes(),
-        key=key.to_bytes(),
-        digest_size=width // 8,
-    ).digest()
-    return BitString.from_bytes(digest)
+    return hashlib.blake2b(data, key=key, digest_size=width // 8).digest()
 
 
-def hash_digest(data: bytes, out_bits: int = 256) -> BitString:
+def hash_digest(data: bytes, out_bits: int = 256) -> bytes:
     """Unkeyed hash at the requested output length."""
     if out_bits <= 0 or out_bits % 8 or out_bits > 8 * _MAX_DIGEST:
         raise LengthMismatch(f"unsupported hash output length {out_bits}")
     count_hash()
-    return BitString.from_bytes(
-        hashlib.blake2b(data, digest_size=out_bits // 8).digest()
-    )
+    return hashlib.blake2b(data, digest_size=out_bits // 8).digest()

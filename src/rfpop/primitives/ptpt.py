@@ -12,11 +12,10 @@ from typing import Callable, Optional
 
 from rfpop.errors import BudgetExceeded
 from rfpop.harness.report import ExperimentReport
-from rfpop.primitives.bitstring import BitString
 from rfpop.primitives.prf import PrfDescriptor, prf_eval
 from rfpop.primitives.rng import Rng
 
-Family = Callable[[PrfDescriptor, BitString, BitString], BitString]
+Family = Callable[[PrfDescriptor, bytes, bytes], bytes]
 
 
 class _Oracle:
@@ -27,7 +26,7 @@ class _Oracle:
         self._desc = desc
         self._left = max_queries
 
-    def __call__(self, data: BitString) -> BitString:
+    def __call__(self, data: bytes) -> bytes:
         if self._left <= 0:
             raise BudgetExceeded("ptpt query budget used up")
         self._left -= 1
@@ -60,13 +59,12 @@ def ptpt_experiment(
             fn = lambda x, key=key: family(desc, key, x)
         else:
             draw = trial_rng.spawn("random-function")
-            memo: dict[tuple[int, int], BitString] = {}
+            memo: dict[bytes, bytes] = {}
 
-            def fn(x: BitString, memo=memo, draw=draw):
-                slot = (len(x), x.to_int())
-                if slot not in memo:
-                    memo[slot] = draw.take_bits(desc.out_bits)
-                return memo[slot]
+            def fn(x: bytes, memo=memo, draw=draw):
+                if x not in memo:
+                    memo[x] = draw.take_bits(desc.out_bits)
+                return memo[x]
 
         guess = distinguisher(_Oracle(fn, desc, max_queries), desc, trial_rng.spawn("adv"))
         if guess == b:
@@ -82,14 +80,12 @@ def ptpt_experiment(
     )
 
 
-def broken_identity_family(desc: PrfDescriptor, key: BitString, data: BitString, out_bits=None) -> BitString:
+def broken_identity_family(desc: PrfDescriptor, key: bytes, data: bytes, out_bits=None) -> bytes:
     """A deliberately broken family that ignores its key: output = input,
     truncated or zero-padded to the output length. Distinguishable with one
     query."""
-    width = out_bits if out_bits is not None else desc.out_bits
-    if len(data) >= width:
-        return data.bits(0, width)
-    return data.concat(BitString.zeros(width - len(data)))
+    width = (out_bits if out_bits is not None else desc.out_bits) // 8
+    return data[:width] + bytes(max(width - len(data), 0))
 
 
 def identity_catcher(oracle, desc: PrfDescriptor, rng: Rng) -> int:
@@ -98,9 +94,8 @@ def identity_catcher(oracle, desc: PrfDescriptor, rng: Rng) -> int:
     in_bits = desc.in_bits if desc.in_bits is not None else 256
     x = rng.take_bits(in_bits)
     y = oracle(x)
-    echoed = x.bits(0, min(len(x), len(y)))
-    expect = y.bits(0, min(len(x), len(y)))
-    return 1 if echoed == expect else 0
+    n = min(len(x), len(y))
+    return 1 if x[:n] == y[:n] else 0
 
 
 def statistical_probe(oracle, desc: PrfDescriptor, rng: Rng) -> int:
@@ -111,6 +106,6 @@ def statistical_probe(oracle, desc: PrfDescriptor, rng: Rng) -> int:
     total = 0
     for _ in range(8):
         y = oracle(rng.take_bits(in_bits))
-        ones += bin(y.to_int()).count("1")
-        total += len(y)
+        ones += int.from_bytes(y, "big").bit_count()
+        total += 8 * len(y)
     return 1 if abs(ones / total - 0.5) > 0.035 else 0

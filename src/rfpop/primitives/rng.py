@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 
-from rfpop.primitives.bitstring import BitString
+from rfpop.errors import LengthMismatch
 
 _SEED_LEN = 32
 _BLOCK_LEN = 64
@@ -56,10 +56,16 @@ class Rng:
         out, self._buf = self._buf[:n], self._buf[n:]
         return out
 
-    def take_bits(self, nbits: int) -> BitString:
+    def take_bits(self, nbits: int) -> bytes:
+        """A protocol value of `nbits` bits, a whole number of bytes."""
+        if nbits % 8:
+            raise LengthMismatch(f"{nbits} bits is not a whole number of bytes")
+        return self.take_bytes(nbits // 8)
+
+    def _take_int(self, nbits: int) -> int:
+        """The top `nbits` bits of the next ceil(nbits / 8) bytes."""
         nbytes = (nbits + 7) // 8
-        raw = int.from_bytes(self.take_bytes(nbytes), "big")
-        return BitString(nbits, raw >> (8 * nbytes - nbits))
+        return int.from_bytes(self.take_bytes(nbytes), "big") >> (8 * nbytes - nbits)
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection sampling."""
@@ -67,12 +73,12 @@ class Rng:
             raise ValueError("randrange needs n >= 1")
         nbits = (n - 1).bit_length() or 1
         while True:
-            v = self.take_bits(nbits).to_int()
+            v = self._take_int(nbits)
             if v < n:
                 return v
 
     def coin(self) -> int:
-        return self.take_bits(1).to_int()
+        return self._take_int(1)
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]

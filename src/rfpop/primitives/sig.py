@@ -122,17 +122,17 @@ def _ed25519_verify(vk: bytes, msg: bytes, sig: bytes) -> bool:
 
 
 def _ktime_secret_scalar(seed: bytes) -> int:
-    return hash_digest(seed + b"ktime-y", 256).to_int() % ec.N or 1
+    return int.from_bytes(hash_digest(seed + b"ktime-y", 256), "big") % ec.N or 1
 
 
 def _ktime_nonce_scalar(seed: bytes, index: int) -> int:
     # Two hash calls: per-index secret, then nonce scalar.
-    u = hash_digest(seed + index.to_bytes(4, "big"), 256).to_bytes()
-    return hash_digest(u + b"ktime-r", 256).to_int() % ec.N or 1
+    u = hash_digest(seed + index.to_bytes(4, "big"), 256)
+    return int.from_bytes(hash_digest(u + b"ktime-r", 256), "big") % ec.N or 1
 
 
 def _ktime_challenge(msg: bytes) -> int:
-    return hash_digest(msg, 256).to_int() % ec.N
+    return int.from_bytes(hash_digest(msg, 256), "big") % ec.N
 
 
 class KTimeSigner:

@@ -60,7 +60,7 @@ def _system(rng: Rng, protocol, states, records, lifetime: int,
     return System(
         protocol=protocol,
         reader=Reader(protocol, ReaderDatabase(records), reader_id=READER_ID),
-        tags={st.tag_id.to_bytes(): Tag(protocol, st, lifetime) for st in states},
+        tags={st.tag_id: Tag(protocol, st, lifetime) for st in states},
         rng=rng.spawn("session"),
         lifetime=lifetime,
         directory=directory,

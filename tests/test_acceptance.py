@@ -19,6 +19,7 @@ from rfpop.harness.oracles import AdversaryBudget, OracleHub
 from rfpop.model.session import run_honest_session
 from rfpop.model.types import Msg
 from rfpop.pop import cred_gen, cred_veri
+from rfpop.primitives.bitstring import flip_bit
 from rfpop.primitives.prf import PrfDescriptor, hash_digest
 from rfpop.primitives.ptpt import ptpt_experiment, statistical_probe
 from rfpop.primitives.rng import Rng
@@ -115,7 +116,7 @@ def test_criterion_03_possession_sessions_yield_verifiable_credentials():
         record = system.reader.history.sessions[-1]
         cred = cred_gen(params, system.reader, system.reader_signer, record.j)
         independent = system.tag(tid).state.signer.sign(
-            hash_digest(cred.issuer_sig, params.hash_bits).to_bytes()
+            hash_digest(cred.issuer_sig, params.hash_bits)
         )
         good += (
             trs.o_reader == 1
@@ -142,7 +143,7 @@ def test_criterion_04_single_bit_tampering_is_rejected():
     hub = OracleHub(system, budget)
     probe = relay_session(hub, tid)
     assert probe.completed
-    widths = {pos: len(probe.messages[pos - 1].bits) for pos in (2, 3, 4)}
+    widths = {pos: 8 * len(probe.messages[pos - 1].payload) for pos in (2, 3, 4)}
 
     rnd = random.Random("acc-c4-flip")
     rejected = 0
@@ -227,7 +228,7 @@ def test_criterion_07_tampered_nonce_accepted_exactly_in_clean_state():
         reply = tag.step(sid, challenge, rng).msg
         flipped = Msg(
             reply.round,
-            reply.bits.flip_bit(params.out_bits + rnd.randrange(params.nonce_bits)),
+            flip_bit(reply.payload, params.out_bits + rnd.randrange(params.nonce_bits)),
         )
         accepted = system.reader.step(sid, flipped, rng).output == 1
         agree += accepted == (flag_before == 0)

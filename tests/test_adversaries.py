@@ -12,6 +12,7 @@ from rfpop.harness.adversaries import (
 )
 from rfpop.harness.experiments import exp_cred_unforge, exp_unp_sharp, exp_unp_star
 from rfpop.harness.oracles import OracleHub
+from rfpop.primitives.bitstring import flip_bit
 from rfpop.primitives.rng import Rng
 from rfpop.system import build_cex_system, build_ma_system, build_pop_system
 
@@ -32,7 +33,7 @@ def test_relay_session_records_full_transcript():
     assert [m.round for m in run.messages] == [0, 1, 2, 3]
     # The recorded transcript matches what the reader archived.
     record = hub.system.reader.history.session(1)
-    assert [m.bits for m in record.messages] == [m.bits for m in run.messages]
+    assert [m.payload for m in record.messages] == [m.payload for m in run.messages]
 
 
 def test_relay_session_flip_keeps_original_in_log():
@@ -42,7 +43,7 @@ def test_relay_session_flip_keeps_original_in_log():
     assert run.o_tag == 1  # the tag accepted before the message was tampered
     # The log holds the message as sent by the tag, not the tampered copy.
     record = hub.system.reader.history.session(1)
-    assert record.messages[3].bits == run.messages[3].bits.flip_bit(0)
+    assert record.messages[3].payload == flip_bit(run.messages[3].payload, 0)
 
 
 def test_bit_flipper_final_message_always_rejects():

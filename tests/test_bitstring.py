@@ -1,96 +1,70 @@
-"""Bit string representation and operations."""
+"""Byte helpers for protocol values: XOR, field splits, single-bit flips."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rfpop.errors import LengthMismatch
-from rfpop.primitives.bitstring import BitString, concat_all
-
-
-def bitstrings(max_bits=256):
-    return st.integers(min_value=0, max_value=max_bits).flatmap(
-        lambda n: st.builds(
-            BitString,
-            st.just(n),
-            st.integers(min_value=0, max_value=(1 << n) - 1),
-        )
-    )
-
-
-def test_byte_round_trip():
-    data = bytes(range(16))
-    bs = BitString.from_bytes(data)
-    assert len(bs) == 128
-    assert bs.to_bytes() == data
-    assert bs.hex() == data.hex()
-
-
-def test_value_must_fit():
-    with pytest.raises(LengthMismatch):
-        BitString(4, 16)
-    with pytest.raises(LengthMismatch):
-        BitString(-1, 0)
+from rfpop.primitives.bitstring import flip_bit, split, xor
 
 
 def test_msb_first_ordering():
-    bs = BitString.from_bytes(b"\x80\x00")
-    assert bs.bits(0, 1).to_int() == 1
-    assert bs.bits(1, 16).to_int() == 0
-    assert bs.flip_bit(0).to_int() == 0
+    data = b"\x80\x00"
+    assert flip_bit(data, 0) == bytes(2)
+    assert flip_bit(bytes(2), 7) == b"\x01\x00"
+    assert flip_bit(bytes(2), 15) == b"\x00\x01"
 
 
-def test_unaligned_to_bytes_rejected():
+def test_flip_bit_out_of_range_raises():
     with pytest.raises(LengthMismatch):
-        BitString(7, 0).to_bytes()
+        flip_bit(bytes(2), 16)
+    with pytest.raises(LengthMismatch):
+        flip_bit(bytes(2), -1)
+    with pytest.raises(LengthMismatch):
+        flip_bit(b"", 0)
 
 
-@given(bitstrings(), bitstrings())
+@given(st.binary(max_size=32), st.binary(max_size=32))
 def test_concat_preserves_content(a, b):
-    joined = a.concat(b)
-    assert len(joined) == len(a) + len(b)
-    assert joined.bits(0, len(a)) == a
-    assert joined.bits(len(a), len(joined)) == b
+    assert split(a + b, len(a), len(b)) == (a, b)
 
 
-@given(bitstrings())
+@given(st.binary(max_size=32))
 def test_xor_self_is_zero(a):
-    assert a.xor(a) == BitString.zeros(len(a))
-    assert a.xor(BitString.zeros(len(a))) == a
+    assert xor(a, a) == bytes(len(a))
+    assert xor(a, bytes(len(a))) == a
+
+
+@given(st.binary(min_size=1, max_size=32), st.binary(min_size=1, max_size=32))
+def test_xor_is_bytewise(a, b):
+    a, b = a[: len(b)], b[: len(a)]
+    assert xor(a, b) == bytes(x ^ y for x, y in zip(a, b))
 
 
 def test_xor_length_mismatch():
     with pytest.raises(LengthMismatch):
-        BitString(8, 1).xor(BitString(16, 1))
+        xor(b"\x01", b"\x00\x01")
 
 
-@given(bitstrings(max_bits=64), st.data())
+@given(st.binary(min_size=1, max_size=8), st.data())
 def test_flip_bit_is_involution(a, data):
-    if len(a) == 0:
-        return
-    pos = data.draw(st.integers(min_value=0, max_value=len(a) - 1))
-    flipped = a.flip_bit(pos)
+    pos = data.draw(st.integers(min_value=0, max_value=8 * len(a) - 1))
+    flipped = flip_bit(a, pos)
     assert flipped != a
-    assert flipped.flip_bit(pos) == a
+    assert len(flipped) == len(a)
+    assert flip_bit(flipped, pos) == a
 
 
-@given(bitstrings(max_bits=96))
+@given(st.binary(min_size=3, max_size=12))
 def test_split_inverts_concat(a):
-    if len(a) < 3:
-        return
-    w1 = len(a) // 3
-    w2 = len(a) // 3
-    w3 = len(a) - w1 - w2
-    parts = a.split(w1, w2, w3)
-    assert concat_all(*parts) == a
+    w1 = w2 = len(a) // 3
+    parts = split(a, w1, w2, len(a) - w1 - w2)
+    assert [len(p) for p in parts] == [w1, w2, len(a) - w1 - w2]
+    assert b"".join(parts) == a
 
 
 def test_split_must_cover_exactly():
     with pytest.raises(LengthMismatch):
-        BitString(16, 5).split(8, 4)
-
-
-def test_from_int_and_add_operator():
-    a = BitString.from_int(0xAB, 8)
-    b = BitString.from_int(0xCD, 8)
-    assert (a + b).to_bytes() == b"\xab\xcd"
+        split(bytes(2), 1)
+    with pytest.raises(LengthMismatch):
+        split(bytes(2), 2, 1)

@@ -5,7 +5,7 @@ from rfpop.harness.blinded import BlindedWorld, PureRandomWorld
 from rfpop.ma import MaParams, MaProtocol
 from rfpop.model.types import Msg
 from rfpop.pop import PopParams, PopProtocol
-from rfpop.primitives.bitstring import BitString
+from rfpop.primitives.bitstring import flip_bit
 from rfpop.primitives.rng import Rng
 from rfpop.primitives.sig import fulltime_keygen
 
@@ -21,10 +21,10 @@ def make_world(slots=MA_SLOTS, seed="blinded"):
 def test_reader_session_registration():
     world = make_world()
     sid, challenge = world.o1_init_reader()
-    assert len(sid) == 128
+    assert len(sid) == 16
     assert challenge.round == 0
-    assert len(challenge.bits) == MA_SLOTS[0].bit_lengths[0]
-    led = world.ledgers[sid.to_bytes()]
+    assert len(challenge.payload) == MA_SLOTS[0].byte_lengths[0]
+    led = world.ledgers[sid]
     assert led.kind == "reader" and led.msgs == [challenge]
 
 
@@ -38,7 +38,7 @@ def test_faithful_relay_three_rounds():
     assert r1.msg.round == 2
     t2 = world.o2_send_tag(sid, r1.msg)
     assert t2.kind == "output" and t2.output == 1
-    led = world.ledgers[sid.to_bytes()]
+    led = world.ledgers[sid]
     assert led.o_reader == 1 and led.o_tag == 1
 
 
@@ -58,7 +58,7 @@ def test_faithful_relay_four_rounds():
 def test_modified_challenge_poisons_reader_side():
     world = make_world()
     sid, challenge = world.o1_init_reader()
-    other = Msg(0, challenge.bits.flip_bit(3))
+    other = Msg(0, flip_bit(challenge.payload, 3))
     t1 = world.o2_send_tag(sid, other)
     assert t1.kind == "reply"  # the tag still answers a fresh challenge
     r1 = world.o3_send_reader(sid, t1.msg)
@@ -71,7 +71,7 @@ def test_modified_tag_reply_rejected_by_reader():
     world = make_world()
     sid, challenge = world.o1_init_reader()
     t1 = world.o2_send_tag(sid, challenge)
-    r1 = world.o3_send_reader(sid, Msg(1, t1.msg.bits.flip_bit(0)))
+    r1 = world.o3_send_reader(sid, Msg(1, flip_bit(t1.msg.payload, 0)))
     assert r1.kind == "output" and r1.output == 0
     # Session closed on the reader side; further deliveries are ignored.
     assert world.o3_send_reader(sid, t1.msg).kind == "ignore"
@@ -82,7 +82,7 @@ def test_modified_confirmation_fails_tag():
     sid, challenge = world.o1_init_reader()
     t1 = world.o2_send_tag(sid, challenge)
     r1 = world.o3_send_reader(sid, t1.msg)
-    t2 = world.o2_send_tag(sid, Msg(2, r1.msg.bits.flip_bit(5)))
+    t2 = world.o2_send_tag(sid, Msg(2, flip_bit(r1.msg.payload, 5)))
     assert t2.kind == "output" and t2.output == 0
     assert world.o2_send_tag(sid, r1.msg).kind == "ignore"  # tag side done
 
@@ -100,10 +100,10 @@ def test_out_of_turn_deliveries_ignored():
 def test_adversarial_tag_only_session():
     world = make_world()
     sid = Rng("adv-sid").take_bits(128)
-    challenge = Msg(0, Rng("adv-chal").take_bits(MA_SLOTS[0].bit_lengths[0]))
+    challenge = Msg(0, Rng("adv-chal").take_bytes(MA_SLOTS[0].byte_lengths[0]))
     t1 = world.o2_send_tag(sid, challenge)
     assert t1.kind == "reply" and t1.msg.round == 1
-    assert world.ledgers[sid.to_bytes()].kind == "adv"
+    assert world.ledgers[sid].kind == "adv"
     # The reader oracle knows nothing about adversarial sessions.
     assert world.o3_send_reader(sid, t1.msg).kind == "ignore"
     # A second delivery always fails the tag.
@@ -114,10 +114,10 @@ def test_adversarial_tag_only_session():
 
 def test_unknown_sid_out_of_space_ignored():
     world = make_world()
-    sid = BitString.zeros(128)
-    assert world.o2_send_tag(sid, Msg(0, BitString.zeros(8))).kind == "ignore"
-    assert world.o2_send_tag(sid, Msg(2, BitString.zeros(256))).kind == "ignore"
-    assert world.o3_send_reader(sid, Msg(1, BitString.zeros(768))).kind == "ignore"
+    sid = bytes(16)
+    assert world.o2_send_tag(sid, Msg(0, bytes(1))).kind == "ignore"
+    assert world.o2_send_tag(sid, Msg(2, bytes(32))).kind == "ignore"
+    assert world.o3_send_reader(sid, Msg(1, bytes(96))).kind == "ignore"
 
 
 def test_draws_are_deterministic_per_seed():
@@ -126,7 +126,7 @@ def test_draws_are_deterministic_per_seed():
         world = make_world(seed="det")
         sid, challenge = world.o1_init_reader()
         t1 = world.o2_send_tag(sid, challenge)
-        runs.append((sid.to_bytes(), challenge.bits.to_bytes(), t1.msg.bits.to_bytes()))
+        runs.append((sid, challenge.payload, t1.msg.payload))
     assert runs[0] == runs[1]
 
 
@@ -147,7 +147,7 @@ def test_pure_random_world_answers_in_space_queries():
     assert t1.kind == "reply" and t1.msg.round == 1
     # No bookkeeping: the same query answers again with a fresh draw.
     t2 = world.o2_send_tag(sid, challenge)
-    assert t2.kind == "reply" and t2.msg.bits != t1.msg.bits
+    assert t2.kind == "reply" and t2.msg.payload != t1.msg.payload
     r1 = world.o3_send_reader(sid, t1.msg)
     assert r1.kind == "reply" and r1.msg.round == 2
     assert r1.output is None
@@ -155,14 +155,14 @@ def test_pure_random_world_answers_in_space_queries():
 
 def test_pure_random_world_ignores_mismatched_queries():
     world = PureRandomWorld(MA_SLOTS, Rng("pure-ignore"))
-    sid = BitString.zeros(128)
+    sid = bytes(16)
     # Next slot belongs to the other party, the round is terminal, or the
     # message is out of space: all ignored.
-    assert world.o2_send_tag(sid, Msg(1, BitString.zeros(768))).kind == "ignore"
-    assert world.o3_send_reader(sid, Msg(0, BitString.zeros(256))).kind == "ignore"
-    assert world.o2_send_tag(sid, Msg(2, BitString.zeros(256))).kind == "ignore"
-    assert world.o2_send_tag(sid, Msg(0, BitString.zeros(8))).kind == "ignore"
-    assert world.o3_send_reader(sid, Msg(5, BitString.zeros(256))).kind == "ignore"
+    assert world.o2_send_tag(sid, Msg(1, bytes(96))).kind == "ignore"
+    assert world.o3_send_reader(sid, Msg(0, bytes(32))).kind == "ignore"
+    assert world.o2_send_tag(sid, Msg(2, bytes(32))).kind == "ignore"
+    assert world.o2_send_tag(sid, Msg(0, bytes(1))).kind == "ignore"
+    assert world.o3_send_reader(sid, Msg(5, bytes(32))).kind == "ignore"
 
 
 def test_pure_random_world_never_reports_outputs():

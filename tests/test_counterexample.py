@@ -9,7 +9,7 @@ from rfpop.counterexample import (
     cex_tag_respond,
 )
 from rfpop.model.database import ReaderDatabase
-from rfpop.primitives.bitstring import BitString
+from rfpop.primitives.bitstring import flip_bit, split, xor
 from rfpop.primitives.rng import Rng
 from rfpop.system import build_cex_system
 
@@ -21,8 +21,8 @@ def fresh_setup(tag_count=2, seed="cex-test"):
     return tags, ReaderDatabase(records)
 
 
-def split_reply(bits):
-    return bits.split(PARAMS.out_bits, PARAMS.nonce_bits)
+def split_reply(payload):
+    return split(payload, PARAMS.out_bits // 8, PARAMS.nonce_bits // 8)
 
 
 def run_session(state, db, rng, tamper_nonce=False):
@@ -30,7 +30,7 @@ def run_session(state, db, rng, tamper_nonce=False):
     reply, scratch = cex_tag_respond(PARAMS, state, challenge, rng)
     r1, nonce = split_reply(reply)
     if tamper_nonce:
-        nonce = nonce.flip_bit(0)
+        nonce = flip_bit(nonce, 0)
     accepted, tag_id, f = cex_reader_respond(PARAMS, db, challenge, r1, nonce, rng)
     ok = cex_tag_finish(PARAMS, state, scratch, f)
     return accepted, tag_id, ok
@@ -43,7 +43,7 @@ def test_honest_session_accepts_and_clears_state():
     assert state.st == 0
     accepted, tag_id, ok = run_session(state, db, rng)
     assert accepted and ok
-    assert tag_id == state.tag_id.to_bytes()
+    assert tag_id == state.tag_id
     assert state.st == 0
     assert state.ctr == db.get(tag_id).ctr == 2
 
@@ -73,7 +73,7 @@ def test_tampered_nonce_accepted_exactly_when_state_clean():
     assert not ok  # tag's finish check fails (nonce mismatch), st stays 1
     assert state.st == 1
     # Re-align counters manually, then tamper on the resume branch.
-    db.get(state.tag_id.to_bytes()).ctr = state.ctr
+    db.get(state.tag_id).ctr = state.ctr
     accepted, _, ok = run_session(state, db, rng, tamper_nonce=True)
     assert not accepted and not ok
 
@@ -87,7 +87,7 @@ def test_third_message_sent_even_on_reject():
         PARAMS, db, rng.take_bits(PARAMS.challenge_bits), r1, nonce, rng
     )
     assert not accepted and tag_id is None
-    assert len(f) == PARAMS.out_bits
+    assert 8 * len(f) == PARAMS.out_bits
 
 
 def test_tag_rejects_random_finish():
@@ -104,7 +104,7 @@ def test_same_challenge_twice_leaks_counter_pattern():
     # Two clean-state replies to one challenge XOR to ctr ^ (ctr + 1), a run of
     # trailing one bits. That pattern is what the tracing distinguisher keys on.
     state = CexTagState(
-        tag_id=BitString.zeros(256), key=Rng("leak-key").take_bits(256), ctr=6
+        tag_id=bytes(32), key=Rng("leak-key").take_bits(256), ctr=6
     )
     rng = Rng("leak")
     challenge = rng.take_bits(PARAMS.challenge_bits)
@@ -113,7 +113,7 @@ def test_same_challenge_twice_leaks_counter_pattern():
     reply2, _ = cex_tag_respond(PARAMS, state, challenge, rng)
     r1_first, _ = split_reply(reply1)
     r1_second, _ = split_reply(reply2)
-    delta = r1_first.xor(r1_second).to_int()
+    delta = int.from_bytes(xor(r1_first, r1_second), "big")
     assert delta == 6 ^ 7
     assert delta != 0 and delta & (delta + 1) == 0
 

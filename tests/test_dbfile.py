@@ -7,6 +7,7 @@ import pytest
 from rfpop.app.config import Config
 from rfpop.app.dbfile import (
     MAGIC,
+    VIA_STEP_NONE,
     append_journal,
     db_snapshot_load,
     load_db,
@@ -125,6 +126,33 @@ def test_journal_records_session_metadata(tmp_path):
     assert entry.mode == "pop"
     assert entry.tag_id == record.tag_id
     assert set(entry.delta) == set(record.delta)
+
+
+def test_journal_tells_a_timeout_from_a_no_match_reject(tmp_path):
+    """A session closed without a verdict step (via_step None) and a reply
+    that matched no record (via_step 0) load back apart; a file that stores 0
+    for both, as earlier versions wrote it, still loads."""
+    config = Config(mode="ma", tags=2)
+    system = build(config)
+    path = tmp_path / "v.db"
+    write_db(path, config, system)
+    header = path.stat().st_size
+    reader, rng = system.reader, system.rng
+    reader.start(rng)
+    reader.timeout()
+    sid, _ = reader.start(rng)
+    reader.step(sid, Msg(1, bytes(96)), rng)
+    assert [(r.via_step, r.note) for r in reader.history.sessions] == [(None, "timeout"), (0, "")]
+    for j in (1, 2):
+        append_journal(str(path), config, j, reader.history.session(j))
+    assert [e.via_step for e in load_db(str(path)).journal] == [None, 0]
+
+    blob = bytearray(path.read_bytes())
+    via_step_at = header + 1 + 4 + 16 + 1  # marker, j, sid, o_R
+    assert blob[via_step_at] == VIA_STEP_NONE
+    blob[via_step_at] = 0
+    path.write_bytes(bytes(blob))
+    assert [e.via_step for e in load_db(str(path)).journal] == [0, 0]
 
 
 def test_load_rejects_corrupt_files(tmp_path):

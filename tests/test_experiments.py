@@ -218,7 +218,7 @@ class KeyStealingForger:
     def run(self, hub, rng):
         system = hub.system
         tag_id = system.first_tag_id()
-        nonce = rng.take_bits(256).to_bytes()
+        nonce = rng.take_bits(256)
         if self.event == 1:
             issuer_id = system.reader.reader_id
             issuer_sig = system.reader_signer.sign(nonce)
@@ -229,7 +229,7 @@ class KeyStealingForger:
             issuer_sig = signer.sign(nonce)
             extra = {issuer_id: vk}
         challenge = hash_digest(issuer_sig, 256)
-        possession = system.tag(tag_id).state.signer.sign(challenge.to_bytes())
+        possession = system.tag(tag_id).state.signer.sign(challenge)
         cred = Credential(
             reader_id=issuer_id,
             tag_id=tag_id,

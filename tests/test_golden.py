@@ -33,15 +33,15 @@ def digest(doc) -> str:
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
-def bits_doc(bits) -> list:
-    return [len(bits), format(bits.to_int(), "x")]
+def bits_doc(b: bytes) -> list:
+    return [8 * len(b), format(int.from_bytes(b, "big"), "x")]
 
 
 def run_doc(run) -> dict:
     """Transcript-shaped result: sid, every message, both outputs."""
     return {
         "sid": None if run.sid is None else bits_doc(run.sid),
-        "messages": [[m.round, *bits_doc(m.bits)] for m in run.messages],
+        "messages": [[m.round, *bits_doc(m.payload)] for m in run.messages],
         "o_reader": run.o_reader,
         "o_tag": run.o_tag,
     }
@@ -57,7 +57,7 @@ def history_doc(reader) -> list:
             "mode": rec.mode,
             "via_step": rec.via_step,
             "note": rec.note,
-            "messages": [[m.round, *bits_doc(m.bits)] for m in rec.messages],
+            "messages": [[m.round, *bits_doc(m.payload)] for m in rec.messages],
         }
         for rec in reader.history.sessions
     ]
@@ -95,13 +95,13 @@ def test_honest_transcripts_are_pinned(mode):
     system = Config(mode=mode, tags=3, seed=f"golden-{mode}").build_system()
     ids = system.tag_ids()
     rng = system.rng
-    width = system.protocol.slots()[0].bit_lengths[0]
+    width = system.protocol.slots()[0].byte_lengths[0]
     session_mode = "pop" if mode == "mapop" else None
     runs = []
     for i in range(15):
         if i % 3 == 2:
             stray = ids[(i + 1) % len(ids)]
-            system.tag(stray).step(rng.take_bits(128), Msg(0, rng.take_bits(width)), rng)
+            system.tag(stray).step(rng.take_bits(128), Msg(0, rng.take_bytes(width)), rng)
         runs.append(run_doc(system.run_honest(ids[i % len(ids)], mode=session_mode)))
     assert digest([runs, history_doc(system.reader)]) == GOLDEN_HONEST[mode]
 

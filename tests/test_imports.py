@@ -65,3 +65,29 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def bitstring_uses(source: str) -> list[str]:
+    """Lines that import or name `BitString`."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named = any(alias.name.split(".")[-1] == "BitString" for alias in node.names)
+        elif isinstance(node, ast.Name):
+            named = node.id == "BitString"
+        elif isinstance(node, ast.Attribute):
+            named = node.attr == "BitString"
+        else:
+            continue
+        if named:
+            hits.append(f"line {node.lineno}")
+    return hits
+
+
+def test_no_module_imports_bitstring():
+    """Protocol values are `bytes`; the `BitString` stub in
+    primitives/bitstring.py is there for the benchmark tracer alone."""
+    assert bitstring_uses("from rfpop.primitives.bitstring import BitString, xor\n") == ["line 1"]
+    assert bitstring_uses("x = bitstring.BitString(8, 0)\n") == ["line 1"]
+    found = {str(p.relative_to(SRC)): bitstring_uses(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {path: lines for path, lines in found.items() if lines} == {}

@@ -34,14 +34,14 @@ def replay(history, j):
 def play(system, actions):
     ids = system.tag_ids()
     rng = system.rng
-    width = system.protocol.slots()[0].bit_lengths[0]
+    width = system.protocol.slots()[0].byte_lengths[0]
     for kind, i in actions:
         if kind == "honest":
             system.run_honest(ids[i])
         elif kind == "stray":
             # An unanswered challenge: the tag's next session start voids it
             # and moves the tag's counter past the reader's record.
-            system.tag(ids[i]).step(rng.take_bits(128), Msg(0, rng.take_bits(width)), rng)
+            system.tag(ids[i]).step(rng.take_bits(128), Msg(0, rng.take_bytes(width)), rng)
         else:
             system.reader.start(rng)
             system.reader.timeout()

@@ -12,7 +12,7 @@ from rfpop.ma import (
     MaTagReply,
     MaTagState,
     confirm_value,
-    counter_bits,
+    counter_bytes,
     counter_mask,
     index_for,
     ma_reader_auth,
@@ -22,7 +22,7 @@ from rfpop.ma import (
     parse_tag_reply,
 )
 from rfpop.model.database import ReaderDatabase
-from rfpop.primitives.bitstring import BitString
+from rfpop.primitives.bitstring import flip_bit, xor
 from rfpop.primitives.counters import OpCounters, counting
 from rfpop.primitives.rng import Rng
 
@@ -31,9 +31,9 @@ PARAMS = MaParams()
 # Known-answer vectors computed with hashlib.blake2b directly:
 #   key   = blake2b(b"test-key", 32), ctr = 5, pad = 64 zero bytes
 #   chal  = blake2b(b"test-chal", 32), nonce = blake2b(b"test-nonce", 32)
-KAT_KEY = BitString.from_bytes(hashlib.blake2b(b"test-key", digest_size=32).digest())
-KAT_CHAL = BitString.from_bytes(hashlib.blake2b(b"test-chal", digest_size=32).digest())
-KAT_NONCE = BitString.from_bytes(hashlib.blake2b(b"test-nonce", digest_size=32).digest())
+KAT_KEY = hashlib.blake2b(b"test-key", digest_size=32).digest()
+KAT_CHAL = hashlib.blake2b(b"test-chal", digest_size=32).digest()
+KAT_NONCE = hashlib.blake2b(b"test-nonce", digest_size=32).digest()
 KAT_CTR = 5
 KAT_INDEX = "d9d74793ba8bfac3ba533fe926ec5832de82b1ae8db854040538ea91fde1af01"
 KAT_MASK = "d12e026e2b613fbace754901aa78d4f7bad2da8ce625776cec26552bcb25b28d"
@@ -51,10 +51,10 @@ def test_index_known_answer():
 
 
 def test_counter_mask_known_answer():
-    index = BitString.from_bytes(bytes.fromhex(KAT_INDEX))
+    index = bytes.fromhex(KAT_INDEX)
     mask = counter_mask(PARAMS, KAT_KEY, KAT_CHAL, index, KAT_NONCE)
     assert mask.hex() == KAT_MASK
-    assert mask.xor(counter_bits(PARAMS, KAT_CTR)).hex() == KAT_MASKED_CTR
+    assert xor(mask, counter_bytes(PARAMS, KAT_CTR)).hex() == KAT_MASKED_CTR
 
 
 def test_confirm_known_answer():
@@ -62,12 +62,12 @@ def test_confirm_known_answer():
 
 
 def test_tag_respond_matches_formulas():
-    state = MaTagState(tag_id=BitString.zeros(256), key=KAT_KEY, ctr=KAT_CTR)
+    state = MaTagState(tag_id=bytes(32), key=KAT_KEY, ctr=KAT_CTR)
     rng = Rng("respond-vector")
     reply, scratch = ma_tag_respond(PARAMS, state, KAT_CHAL, rng)
     assert reply.index.hex() == KAT_INDEX
     expected_mask = counter_mask(PARAMS, KAT_KEY, KAT_CHAL, reply.index, reply.nonce)
-    assert reply.masked_ctr == expected_mask.xor(counter_bits(PARAMS, KAT_CTR))
+    assert reply.masked_ctr == xor(expected_mask, counter_bytes(PARAMS, KAT_CTR))
     assert state.ctr == KAT_CTR + 1
     assert scratch.expect_ctr == KAT_CTR + 1
     assert scratch.challenge == KAT_CHAL
@@ -76,11 +76,11 @@ def test_tag_respond_matches_formulas():
 
 def test_parse_tag_reply_inverts_bits():
     reply = MaTagReply(
-        index=BitString.from_int(1, 256),
-        nonce=BitString.from_int(2, 256),
-        masked_ctr=BitString.from_int(3, 256),
+        index=(1).to_bytes(32, "big"),
+        nonce=(2).to_bytes(32, "big"),
+        masked_ctr=(3).to_bytes(32, "big"),
     )
-    parsed = parse_tag_reply(PARAMS, reply.bits())
+    parsed = parse_tag_reply(PARAMS, reply.payload())
     assert parsed == reply
 
 
@@ -93,9 +93,9 @@ def test_synchronized_auth_uses_step_one():
     result = ma_reader_auth(PARAMS, db, challenge, reply)
     assert result.accepted
     assert result.via_step == 1
-    assert result.tag_id == state.tag_id.to_bytes()
+    assert result.tag_id == state.tag_id
     assert result.new_ctr == state.ctr
-    rec = db.get(state.tag_id.to_bytes())
+    rec = db.get(state.tag_id)
     assert rec.ctr == state.ctr
     assert rec.index == index_for(PARAMS, state.key, state.ctr)
     assert ma_tag_verify(PARAMS, state, scratch, result.confirm)
@@ -108,7 +108,7 @@ def test_tag_rejects_tampered_confirm():
     challenge = rng.take_bits(PARAMS.challenge_bits)
     reply, scratch = ma_tag_respond(PARAMS, state, challenge, rng)
     result = ma_reader_auth(PARAMS, db, challenge, reply)
-    assert not ma_tag_verify(PARAMS, state, scratch, result.confirm.flip_bit(0))
+    assert not ma_tag_verify(PARAMS, state, scratch, flip_bit(result.confirm, 0))
 
 
 def test_desync_recovers_via_step_two_then_step_one():
@@ -123,7 +123,7 @@ def test_desync_recovers_via_step_two_then_step_one():
         reply, scratch = ma_tag_respond(PARAMS, state, challenge, rng)
         result = ma_reader_auth(PARAMS, db, challenge, reply)
         assert result.accepted and result.via_step == 2
-        assert result.tag_id == state.tag_id.to_bytes()
+        assert result.tag_id == state.tag_id
         assert ma_tag_verify(PARAMS, state, scratch, result.confirm)
         # Resynchronized: the very next session takes the fast path.
         challenge = rng.take_bits(PARAMS.challenge_bits)
@@ -159,7 +159,7 @@ def test_scan_prefers_lowest_tag_id_on_ties():
     # Two records share a key and counter, so a desynchronized reply matches
     # both; the scan must settle on the smaller tag id.
     key = Rng("tie").take_bits(256)
-    ids = [BitString.from_bytes(bytes(31) + bytes([i])) for i in (7, 3)]
+    ids = [bytes(31) + bytes([i]) for i in (7, 3)]
     records = [
         type(obj)(tag_id=tid, key=key, ctr=1, index=index_for(PARAMS, key, 1))
         for obj, tid in zip(ma_setup(PARAMS, 2, Rng("tie-base"))[1], ids)
@@ -172,25 +172,25 @@ def test_scan_prefers_lowest_tag_id_on_ties():
     reply, _ = ma_tag_respond(PARAMS, state, challenge, rng)
     result = ma_reader_auth(PARAMS, db, challenge, reply)
     assert result.accepted and result.via_step == 2
-    assert result.tag_id == ids[1].to_bytes()
+    assert result.tag_id == ids[1]
 
 
 def test_counter_bounds():
     with pytest.raises(CounterOverflow):
-        counter_bits(PARAMS, -1)
+        counter_bytes(PARAMS, -1)
     with pytest.raises(CounterOverflow):
-        counter_bits(PARAMS, PARAMS.max_counter + 1)
+        counter_bytes(PARAMS, PARAMS.max_counter + 1)
     state = MaTagState(
-        tag_id=BitString.zeros(256), key=KAT_KEY, ctr=PARAMS.max_counter
+        tag_id=bytes(32), key=KAT_KEY, ctr=PARAMS.max_counter
     )
     with pytest.raises(CounterOverflow):
         ma_tag_respond(PARAMS, state, KAT_CHAL, Rng("overflow"))
 
 
 def test_challenge_length_checked():
-    state = MaTagState(tag_id=BitString.zeros(256), key=KAT_KEY, ctr=1)
+    state = MaTagState(tag_id=bytes(32), key=KAT_KEY, ctr=1)
     with pytest.raises(LengthMismatch):
-        ma_tag_respond(PARAMS, state, BitString.zeros(8), Rng("short"))
+        ma_tag_respond(PARAMS, state, bytes(1), Rng("short"))
 
 
 def test_params_reject_unaligned_lengths():
@@ -222,8 +222,8 @@ def test_declared_operation_counts():
 @given(st.integers(min_value=0, max_value=2**64), st.binary(min_size=0, max_size=16))
 def test_session_accepts_for_arbitrary_counters(ctr, salt):
     # Counter recovery is exact for any in-range counter value.
-    key = BitString.from_bytes(hashlib.blake2b(salt, digest_size=32).digest())
-    tag_id = BitString.zeros(256)
+    key = hashlib.blake2b(salt, digest_size=32).digest()
+    tag_id = bytes(32)
     state = MaTagState(tag_id=tag_id, key=key, ctr=ctr)
     from rfpop.ma import MaReaderRecord
 

@@ -10,7 +10,7 @@ from rfpop.errors import (
 )
 from rfpop.model.session import Tag, run_honest_session
 from rfpop.model.types import Msg
-from rfpop.primitives.bitstring import BitString
+from rfpop.primitives.bitstring import flip_bit
 from rfpop.primitives.rng import Rng
 
 
@@ -33,17 +33,17 @@ def test_reader_refuses_concurrent_sessions(ma_system, rng):
 
 
 def test_reader_step_without_session_raises(ma_system, rng):
-    msg = Msg(1, BitString.zeros(96 * 8))
+    msg = Msg(1, bytes(96))
     with pytest.raises(NoOpenSession):
-        ma_system.reader.step(BitString.zeros(128), msg, rng)
+        ma_system.reader.step(bytes(16), msg, rng)
     with pytest.raises(NoOpenSession):
         ma_system.reader.timeout()
 
 
 def test_reader_ignores_wrong_sid(ma_system, rng):
     sid, _ = ma_system.reader.start(rng)
-    other = BitString.from_int(sid.to_int() ^ 1, len(sid))
-    out = ma_system.reader.step(other, Msg(1, BitString.zeros(96 * 8)), rng)
+    other = flip_bit(sid, 127)
+    out = ma_system.reader.step(other, Msg(1, bytes(96)), rng)
     assert out.kind == "ignore"
     assert ma_system.reader.session is not None
 
@@ -51,7 +51,7 @@ def test_reader_ignores_wrong_sid(ma_system, rng):
 def test_reader_rejects_message_outside_round_space(ma_system, rng):
     sid, _ = ma_system.reader.start(rng)
     # Correct round number but a length no slot permits.
-    out = ma_system.reader.step(sid, Msg(1, BitString.zeros(8)), rng)
+    out = ma_system.reader.step(sid, Msg(1, bytes(1)), rng)
     assert out.kind == "output"
     assert out.output == 0
     assert ma_system.reader.session is None
@@ -102,7 +102,7 @@ def test_tag_ignores_unrelated_messages(ma_system, rng):
     assert tag.step(sid, Msg(2, rng.take_bits(256)), rng).kind == "ignore"
     tag.step(sid, Msg(0, rng.take_bits(256)), rng)
     # Wrong sid, wrong round, wrong length are all ignored mid-session.
-    other = BitString.from_int(sid.to_int() ^ 1, len(sid))
+    other = flip_bit(sid, 127)
     assert tag.step(other, Msg(2, rng.take_bits(256)), rng).kind == "ignore"
     assert tag.step(sid, Msg(1, rng.take_bits(96 * 8)), rng).kind == "ignore"
     assert tag.step(sid, Msg(2, rng.take_bits(8)), rng).kind == "ignore"
@@ -157,7 +157,7 @@ def test_history_maps_sid_to_session_number(ma_system):
     history = ma_system.reader.history
     for j in (1, 2):
         assert history.j_for_sid(history.session(j).sid) == j
-    assert history.j_for_sid(BitString.zeros(128)) is None
+    assert history.j_for_sid(bytes(16)) is None
 
 
 def test_delta_only_contains_touched_records(ma_system):
@@ -175,7 +175,7 @@ def test_transcripts_deterministic_under_same_seed():
     for _ in range(2):
         system = build_ma_system(Rng("model-determinism"), tag_count=3)
         trs = system.run_honest(system.first_tag_id())
-        runs.append([m.bits.to_bytes() for m in trs.messages])
+        runs.append([m.payload for m in trs.messages])
     assert runs[0] == runs[1]
 
 
@@ -187,3 +187,16 @@ def test_interleaved_sessions_across_tags(ma_system):
         assert trs.o_reader == 1 and trs.o_tag == 1
     history = ma_system.reader.history
     assert [history.session(j + 1).tag_id for j in range(7)] == order
+
+
+@pytest.mark.parametrize("mode", ["ma", "mapop", "cex"])
+def test_descriptors_and_slots_are_built_once(mode):
+    from rfpop.app.config import Config
+    from rfpop.pop import interior_params
+
+    system = Config(mode=mode, tags=1).build_system()
+    params = system.params
+    assert interior_params(params).prf is interior_params(params).prf
+    if mode == "mapop":
+        assert params.mask_prf is params.mask_prf
+    assert system.protocol.slots() is system.protocol.slots()

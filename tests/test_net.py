@@ -177,7 +177,7 @@ def test_shared_rng_reproduces_in_memory_transcript(tmp_path):
         config.pop_params(), twin.reader, twin.reader.protocol.reader_signer, 1
     )
 
-    assert server[0]["sid"] == record.sid.to_bytes().hex()
+    assert server[0]["sid"] == record.sid.hex()
     assert server[0]["o_reader"] == record.o_reader == 1
     assert server[0]["via_step"] == record.via_step
     assert server[0]["tag_id"] == record.tag_id.hex()

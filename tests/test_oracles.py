@@ -5,7 +5,6 @@ import pytest
 from rfpop.errors import BudgetExceeded, GuessStageViolation
 from rfpop.harness.oracles import AdversaryBudget, OracleHub
 from rfpop.model.types import Msg
-from rfpop.primitives.bitstring import BitString
 from rfpop.primitives.rng import Rng
 from rfpop.system import build_ma_system, build_pop_system
 
@@ -105,7 +104,7 @@ def test_guess_stage_blocks_corrupt_and_cred():
     with pytest.raises(GuessStageViolation):
         hub.o4_corrupt(tag_id)
     with pytest.raises(GuessStageViolation):
-        hub.o5_get_cred(BitString.zeros(128))
+        hub.o5_get_cred(bytes(16))
     # The first three oracles keep working on the real system.
     assert relay_once(hub, tag_id) == (1, 1)
 
@@ -117,7 +116,7 @@ def test_credential_oracle_returns_session_credential():
     sid = hub.system.reader.history.session(1).sid
     cred = hub.o5_get_cred(sid)
     assert cred is not None and cred.tag_id == tag_id
-    assert hub.o5_get_cred(BitString.zeros(128)) is None
+    assert hub.o5_get_cred(bytes(16)) is None
 
 
 def test_credential_oracle_none_for_plain_systems():
@@ -130,7 +129,7 @@ def test_credential_oracle_none_for_plain_systems():
 
 def test_send_reader_without_session_is_ignored():
     hub = fresh_hub()
-    res = hub.o3_send_reader(BitString.zeros(128), Msg(1, BitString.zeros(96 * 8)))
+    res = hub.o3_send_reader(bytes(16), Msg(1, bytes(96)))
     assert res.ignored and res.note == "no open session"
 
 

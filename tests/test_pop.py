@@ -25,7 +25,7 @@ from rfpop.pop import (
     signature_tag,
     transcript_digest,
 )
-from rfpop.primitives.bitstring import BitString
+from rfpop.primitives.bitstring import flip_bit, split, xor
 from rfpop.primitives.prf import hash_digest
 from rfpop.primitives.rng import Rng
 from rfpop.primitives.sig import fulltime_keygen, ktime_keygen
@@ -74,7 +74,7 @@ def test_interior_rounds_unchanged(pop_system):
     replay.take_bits(pop_system.params.ma.challenge_bits)
     out = tag.step(sid, Msg(0, challenge), probe)
     reply, _ = ma_tag_respond(pop_system.params.ma, interior_copy, challenge, replay)
-    assert out.msg.bits == reply.bits()
+    assert out.msg.payload == reply.payload()
 
 
 def test_finalize_message_structure(pop_system):
@@ -83,18 +83,17 @@ def test_finalize_message_structure(pop_system):
     trs = mapop_session(pop_system, tag_id)
     record = pop_system.reader.history.session(1)
     tag_record = pop_system.reader.history.db_at(0)[tag_id]
-    challenge = trs.messages[0].bits
-    tag_reply = trs.messages[1].bits
-    confirm, pop_challenge, binder = trs.messages[2].bits.split(
-        params.ma.out_bits, params.hash_bits, params.hash_bits
-    )
+    challenge = trs.messages[0].payload
+    tag_reply = trs.messages[1].payload
+    out, hash_len = params.ma.out_bits // 8, params.hash_bits // 8
+    confirm, pop_challenge, binder = split(trs.messages[2].payload, out, hash_len, hash_len)
     # confirm: interior confirmation for the post-update counter.
     assert confirm == confirm_value(
         params.ma,
         tag_record.key,
         challenge,
         tag_record.ctr + 1,
-        tag_reply.split(params.ma.out_bits, params.ma.nonce_bits, params.ma.out_bits)[1],
+        split(tag_reply, out, params.ma.nonce_bits // 8, out)[1],
     )
     # pop_challenge: hash of the issuer signature on the session nonce.
     issuer_sig = pop_system.reader_signer.sign(record.coins["pop_nonce"])
@@ -103,10 +102,10 @@ def test_finalize_message_structure(pop_system):
     trs_digest = transcript_digest(params, challenge, tag_reply, confirm)
     assert binder == binder_value(params, tag_record.pop_key, trs_digest, pop_challenge)
     # final reply: masked signature plus signature tag, both recomputable.
-    masked, tag_check = trs.messages[3].bits.split(8 * params.sig_bytes, params.hash_bits)
-    sig = masked.xor(signature_mask(params, tag_record.pop_key, binder)).to_bytes()
+    masked, tag_check = split(trs.messages[3].payload, params.sig_bytes, hash_len)
+    sig = xor(masked, signature_mask(params, tag_record.pop_key, binder))
     vk = pop_system.directory.key_for(tag_id)
-    assert vk.verify(pop_challenge.to_bytes(), sig)
+    assert vk.verify(pop_challenge, sig)
     assert signature_tag(params, tag_record.pop_key, sig) == tag_check
 
 
@@ -121,7 +120,7 @@ def step_by_step_session(system, tamper_round2=None, tamper_round3=None):
     assert r1.kind == "reply" and r1.output is None  # reader output deferred
     m3 = r1.msg
     if tamper_round2 is not None:
-        m3 = Msg(m3.round, m3.bits.flip_bit(tamper_round2))
+        m3 = Msg(m3.round, flip_bit(m3.payload, tamper_round2))
     t2 = tag.step(sid, m3, rng)
     o_tag = t2.output
     if t2.msg is None:
@@ -129,7 +128,7 @@ def step_by_step_session(system, tamper_round2=None, tamper_round3=None):
         return 0, o_tag
     m4 = t2.msg
     if tamper_round3 is not None:
-        m4 = Msg(m4.round, m4.bits.flip_bit(tamper_round3))
+        m4 = Msg(m4.round, flip_bit(m4.payload, tamper_round3))
     r2 = reader.step(sid, m4, rng)
     return r2.output, o_tag
 
@@ -167,7 +166,7 @@ def test_dropped_final_message_times_out_reader(pop_system):
     sid, challenge = reader.start(rng, mode="pop")
     t1 = tag.step(sid, challenge, rng)
     reader.step(sid, t1.msg, rng)
-    tag.step(sid, Msg(2, t1.msg.bits), rng)  # wrong shape, ignored by the tag
+    tag.step(sid, Msg(2, t1.msg.payload), rng)  # wrong shape, ignored by the tag
     out = reader.timeout()
     assert out.output == 0
     assert reader.history.session(1).note == "timeout"
@@ -208,7 +207,7 @@ def test_credential_contents_and_independent_signature(pop_system):
     # The recovered possession signature equals what the tag's signer produces
     # on the hash of the issuer signature, bit for bit.
     pop_challenge = hash_digest(cred.issuer_sig, params.hash_bits)
-    expected = pop_system.tag(tag_id).state.signer.sign(pop_challenge.to_bytes())
+    expected = pop_system.tag(tag_id).state.signer.sign(pop_challenge)
     assert cred.possession_sig == expected
 
 
@@ -305,7 +304,7 @@ def test_possession_subprotocol_binds_context():
 
 def test_possession_subprotocol_requires_shared_mask_key():
     reader_side, tag_side = make_piprime_sides()
-    tag_side.pop_key = tag_side.pop_key.flip_bit(0)
+    tag_side.pop_key = flip_bit(tag_side.pop_key, 0)
     o_reader, o_tag, msgs = piprime_run(reader_side, tag_side, Rng("pp-key"))
     assert (o_reader, o_tag) == (0, 0)
 

@@ -5,15 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rfpop.errors import LengthMismatch
-from rfpop.primitives.bitstring import BitString
+from rfpop.primitives.bitstring import flip_bit
 from rfpop.primitives.counters import OpCounters, counting
 from rfpop.primitives.prf import PrfDescriptor, hash_digest, prf_eval
 
 MA_DESC = PrfDescriptor("ma-f", 256, 768, 256)
 VAR_DESC = PrfDescriptor("pop-g", 256, None, 256)
 
-KEY = BitString.from_bytes(bytes(range(32)))
-DATA = BitString.from_bytes(bytes(range(32, 32 + 96)))
+KEY = bytes(range(32))
+DATA = bytes(range(32, 32 + 96))
 
 # Frozen against direct keyed-BLAKE2b calls with the same key/data/digest size.
 VECTOR_OUT256 = "299f5bfbd131dd11dfb870817a68bb85df2963e87fbd2ec37f0dbd2e22380147"
@@ -27,7 +27,7 @@ def test_frozen_vector_default_width():
 
 
 def test_frozen_vector_variable_input():
-    assert prf_eval(VAR_DESC, KEY, BitString.zeros(0)).hex() == VECTOR_EMPTY
+    assert prf_eval(VAR_DESC, KEY, b"").hex() == VECTOR_EMPTY
 
 
 def test_frozen_vector_override_width():
@@ -41,14 +41,14 @@ def test_frozen_vector_unkeyed_hash():
 def test_output_lengths_are_independent_functions():
     long = prf_eval(VAR_DESC, KEY, DATA, out_bits=512)
     short = prf_eval(VAR_DESC, KEY, DATA, out_bits=256)
-    assert long.bits(0, 256) != short
+    assert long[:32] != short
 
 
 def test_length_contracts_enforced():
     with pytest.raises(LengthMismatch):
-        prf_eval(MA_DESC, BitString.zeros(128), DATA)
+        prf_eval(MA_DESC, bytes(16), DATA)
     with pytest.raises(LengthMismatch):
-        prf_eval(MA_DESC, KEY, BitString.zeros(8))
+        prf_eval(MA_DESC, KEY, bytes(1))
     with pytest.raises(LengthMismatch):
         prf_eval(VAR_DESC, KEY, DATA, out_bits=12)
     with pytest.raises(LengthMismatch):
@@ -75,12 +75,10 @@ def test_each_eval_counts_one_hash():
 
 
 @given(st.binary(min_size=32, max_size=32), st.binary(min_size=96, max_size=96))
-def test_deterministic_and_key_sensitive(key_bytes, data_bytes):
-    key = BitString.from_bytes(key_bytes)
-    data = BitString.from_bytes(data_bytes)
+def test_deterministic_and_key_sensitive(key, data):
     out1 = prf_eval(MA_DESC, key, data)
     out2 = prf_eval(MA_DESC, key, data)
     assert out1 == out2
-    assert len(out1) == 256
-    flipped = prf_eval(MA_DESC, key.flip_bit(0), data)
+    assert len(out1) == 32
+    flipped = prf_eval(MA_DESC, flip_bit(key, 0), data)
     assert flipped != out1

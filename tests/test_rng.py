@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from rfpop.errors import LengthMismatch
 from rfpop.primitives.rng import Rng
 
 # Frozen against a direct keyed-BLAKE2b computation of the stream layout.
@@ -50,9 +51,26 @@ def test_spawn_labels_are_independent():
 
 def test_take_bits_width():
     r = Rng("bits")
-    for width in (1, 3, 8, 13, 256):
-        bs = r.take_bits(width)
-        assert len(bs) == width
+    for width in (8, 128, 256):
+        assert len(r.take_bits(width)) == width // 8
+    for width in (1, 3, 13):
+        with pytest.raises(LengthMismatch):
+            r.take_bits(width)
+
+
+def test_take_bits_reads_the_byte_stream():
+    a, b = Rng("bits"), Rng("bits")
+    assert a.take_bits(128) + a.take_bits(256) == b.take_bytes(48)
+
+
+def test_draw_order_is_frozen():
+    # Seeded experiments replay only if coin and randrange keep their shift
+    # and the number of bytes each draw reads.
+    r = Rng("draw-order")
+    assert [r.coin() for _ in range(16)] == [1, 0, 1, 1, 1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0]
+    assert [r.randrange(1000) for _ in range(8)] == [907, 267, 884, 332, 430, 269, 524, 331]
+    assert r.randrange(6) == 4
+    assert r.take_bytes(4).hex() == "1e46a927"
 
 
 def test_randrange_bounds_and_coverage():

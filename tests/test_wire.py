@@ -24,7 +24,6 @@ from rfpop.app.wire import (
 )
 from rfpop.errors import FrameError
 from rfpop.model.types import Msg
-from rfpop.primitives.bitstring import BitString
 
 SID = bytes(range(16))
 
@@ -97,16 +96,16 @@ def test_read_frame_eof_mid_frame():
 
 
 def test_round_frames_carry_protocol_messages():
-    sid = BitString.from_bytes(SID)
+    sid = SID
     for round in range(4):
-        msg = Msg(round, BitString.from_bytes(bytes([round]) * 32))
+        msg = Msg(round, bytes([round]) * 32)
         frame = frame_for_msg(sid, msg)
         assert frame.msg_type == ROUND_TYPES[round]
         back_sid, back = msg_from_frame(frame)
         assert back_sid == sid
         assert back == msg
     with pytest.raises(FrameError):
-        frame_for_msg(sid, Msg(4, BitString.zeros(8)))
+        frame_for_msg(sid, Msg(4, bytes(1)))
     with pytest.raises(FrameError):
         msg_from_frame(result_frame(TYPE_RESULT_TAG, SID, 1))
 
