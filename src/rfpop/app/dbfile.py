@@ -116,18 +116,13 @@ def record_fields(mode: str, params, rec) -> list[tuple[str, bytes]]:
 
 def tag_fields(mode: str, params, state) -> list[tuple[str, bytes]]:
     """Named secret fields a tag stores, in storage order."""
-    ctr_bytes = _ctr_width(params)
+    fields = [("key", state.key), ("ctr", state.ctr.to_bytes(_ctr_width(params), "big"))]
     if mode == "mapop":
-        return [
-            ("key", state.ma.key),
-            ("ctr", state.ma.ctr.to_bytes(ctr_bytes, "big")),
+        fields += [
             ("pop_key", state.pop_key),
             ("signer_seed", bytes.fromhex(state.signer.to_dict()["seed"])),
         ]
-    return [
-        ("key", state.key),
-        ("ctr", state.ctr.to_bytes(ctr_bytes, "big")),
-    ]
+    return fields
 
 
 def _ctr_width(params) -> int:
@@ -315,25 +310,18 @@ def save_tag(path: str, mode: str, state, key_version: int = 0):
 
     The file is written beside its final name and renamed over it, so a
     crash during the write leaves the previous key file whole."""
+    doc = {
+        "mode": mode,
+        "tag_id": state.tag_id.hex(),
+        "key": state.key.hex(),
+        "ctr": state.ctr,
+        "key_version": key_version,
+    }
     if mode == "mapop":
-        doc = {
-            "mode": mode,
-            "tag_id": state.ma.tag_id.hex(),
-            "key": state.ma.key.hex(),
-            "ctr": state.ma.ctr,
-            "pop_key": state.pop_key.hex(),
-            "signer": state.signer.to_dict(),
-        }
-    else:
-        doc = {
-            "mode": mode,
-            "tag_id": state.tag_id.hex(),
-            "key": state.key.hex(),
-            "ctr": state.ctr,
-        }
-        if mode == "cex":
-            doc["st"] = state.st
-    doc["key_version"] = key_version
+        doc["pop_key"] = state.pop_key.hex()
+        doc["signer"] = state.signer.to_dict()
+    elif mode == "cex":
+        doc["st"] = state.st
     staged = path + ".tmp"
     with open(staged, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
@@ -341,21 +329,26 @@ def save_tag(path: str, mode: str, state, key_version: int = 0):
     os.replace(staged, path)
 
 
+def _unhex(doc: dict, name: str) -> bytes:
+    try:
+        return bytes.fromhex(doc[name])
+    except (TypeError, ValueError) as exc:
+        raise FrameError(f"tag file {name} is not hex: {exc}") from exc
+
+
 def load_tag(path: str):
-    """Read a tag key file back into (mode, state, key_version)."""
+    """Read a tag key file back into (mode, state, key_version).  Lengths are
+    not checked here: the file does not say which lengths its config uses."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     mode = doc["mode"]
-    tag_id = bytes.fromhex(doc["tag_id"])
-    key = bytes.fromhex(doc["key"])
+    common = dict(tag_id=_unhex(doc, "tag_id"), key=_unhex(doc, "key"), ctr=doc["ctr"])
     if mode == "mapop":
         state = PopTagState(
-            ma=MaTagState(tag_id=tag_id, key=key, ctr=doc["ctr"]),
-            pop_key=bytes.fromhex(doc["pop_key"]),
-            signer=signer_from_dict(doc["signer"]),
+            **common, pop_key=_unhex(doc, "pop_key"), signer=signer_from_dict(doc["signer"])
         )
     elif mode == "cex":
-        state = CexTagState(tag_id=tag_id, key=key, ctr=doc["ctr"], st=doc.get("st", 0))
+        state = CexTagState(**common, st=doc.get("st", 0))
     else:
-        state = MaTagState(tag_id=tag_id, key=key, ctr=doc["ctr"])
+        state = MaTagState(**common)
     return mode, state, doc.get("key_version", 0)

@@ -27,7 +27,7 @@ from rfpop.errors import FrameError
 from rfpop.ma import MaProtocol
 from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import Reader, Tag
-from rfpop.pop import PopProtocol, cred_gen
+from rfpop.pop import PopProtocol, cred_gen, interior_params
 from rfpop.primitives.rng import Rng
 
 from rfpop.app.config import Config
@@ -205,12 +205,21 @@ def tag_run(
     mode, state, key_version = load_tag(tag_path)
     if mode != config.mode:
         raise FrameError(f"tag file is for mode {mode!r} but config says {config.mode!r}")
+    protocol = protocol_for(config)
+    params = protocol.params
+    sizes = {"key": interior_params(params).key_bits // 8}
+    if mode == "mapop":
+        sizes["pop_key"] = params.pop_key_bits // 8
+    for name, size in sizes.items():
+        got = len(getattr(state, name))
+        if got != size:
+            raise FrameError(f"tag file {name} is {got} bytes, config says {size}")
     if rng is None:
         rng = Rng(config.seed).spawn("net-tag")
     peer_host = host if host is not None else config.host
     peer_port = port if port is not None else config.port
     timeout_s = config.timeout_ticks * TICK_SECONDS
-    tag = Tag(protocol_for(config), state, config.effective_lifetime)
+    tag = Tag(protocol, state, config.effective_lifetime)
     tag.key_version = key_version
     results = []
     for _ in range(sessions):

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from rfpop.errors import CounterOverflow, LengthMismatch
-from rfpop.ma import MaParams, counter_bytes, tag_id_for
+from rfpop.ma import MaParams, MaTagScratch, confirm_value, counter_bytes, tag_id_for
 from rfpop.model.database import ReaderDatabase
-from rfpop.model.session import ReaderAction, TagAction
+from rfpop.model.session import Action
 from rfpop.model.types import MessageSlot, Msg
 from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.prf import prf_eval
@@ -56,13 +56,6 @@ class CexReaderRecord:
     ctr: int
 
 
-@dataclass
-class CexTagScratch:
-    challenge: bytes
-    nonce: bytes
-    expect_ctr: int
-
-
 def _padded_block(params: CexParams, data: bytes) -> bytes:
     """Zero-extend a short PRF input on the right to the input block."""
     block = params.prf_input_bits // 8
@@ -78,15 +71,9 @@ def _branch_value(
     return prf_eval(params.prf, key, _padded_block(params, data))
 
 
-def _finish_value(
-    params: CexParams, key: bytes, challenge: bytes, ctr: int, nonce: bytes
-) -> bytes:
-    return prf_eval(params.prf, key, challenge + counter_bytes(params, ctr) + nonce)
-
-
 def cex_tag_respond(
     params: CexParams, state: CexTagState, challenge: bytes, rng: Rng
-) -> tuple[bytes, CexTagScratch]:
+) -> tuple[bytes, MaTagScratch]:
     """Tag reply r1 || r2; branch choice depends on st."""
     if state.ctr + 1 > params.max_counter:
         raise CounterOverflow("tag counter exhausted")
@@ -95,7 +82,7 @@ def cex_tag_respond(
     r1 = xor(branch, counter_bytes(params, state.ctr))
     state.ctr += 1
     state.st = 1
-    scratch = CexTagScratch(challenge=challenge, nonce=nonce, expect_ctr=state.ctr)
+    scratch = MaTagScratch(challenge=challenge, nonce=nonce, expect_ctr=state.ctr)
     return r1 + nonce, scratch
 
 
@@ -121,16 +108,16 @@ def cex_reader_respond(
         if hit:
             rec.ctr += 1
             db.record_updated(rec, None)
-            f = _finish_value(params, rec.key, challenge, rec.ctr, nonce)
+            f = confirm_value(params, rec.key, challenge, rec.ctr, nonce)
             return True, rec.tag_id, f
     return False, None, rng.take_bits(params.out_bits)
 
 
 def cex_tag_finish(
-    params: CexParams, state: CexTagState, scratch: CexTagScratch, f: bytes
+    params: CexParams, state: CexTagState, scratch: MaTagScratch, f: bytes
 ) -> bool:
     """Check the third message; a valid one clears st."""
-    expected = _finish_value(
+    expected = confirm_value(
         params, state.key, scratch.challenge, scratch.expect_ctr, scratch.nonce
     )
     if expected == f:
@@ -161,21 +148,21 @@ class CexProtocol:
     def reader_open(self, db, session, rng: Rng) -> bytes:
         return rng.take_bits(self.params.challenge_bits)
 
-    def reader_on_message(self, db, session, msg: Msg, rng: Rng) -> ReaderAction:
+    def reader_on_message(self, db, session, msg: Msg, rng: Rng) -> Action:
         r1, nonce = split(msg.payload, self.params.out_bits // 8, self.params.nonce_bits // 8)
         accepted, tag_id, f = cex_reader_respond(
             self.params, db, session.challenge, r1, nonce, rng
         )
         if accepted:
-            return ReaderAction("accept_send", payload=f, tag_id=tag_id, via_step=1)
-        return ReaderAction("reject_send", payload=f, via_step=0)
+            return Action(f, 1, tag_id, via_step=1)
+        return Action(f, 0, via_step=0)
 
     def tag_respond(self, state: CexTagState, sid, challenge: bytes, rng: Rng):
         return cex_tag_respond(self.params, state, challenge, rng)
 
-    def tag_on_message(self, state: CexTagState, scratch, msg: Msg, rng: Rng) -> TagAction:
+    def tag_on_message(self, state: CexTagState, scratch, msg: Msg, rng: Rng) -> Action:
         ok = cex_tag_finish(self.params, state, scratch, msg.payload)
-        return TagAction("output", output=1 if ok else 0)
+        return Action(output=1 if ok else 0)
 
     def tag_terminal(self, state: CexTagState):
         pass

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from rfpop.model.types import IGNORE, MessageSlot, Msg, Output, Reply, ReplyWithOutput, SID_BITS, StepOutcome
+from rfpop.model.types import IGNORE, MessageSlot, Msg, SID_BITS, StepOutcome
 from rfpop.primitives.rng import Rng
 
 
@@ -70,7 +70,7 @@ class BlindedWorld:
                 reply = self._draw_msg(1)
                 adv.msgs.append(reply)
                 self.ledgers[sid] = adv
-                return Reply(sid, reply)
+                return StepOutcome(sid, reply)
             return IGNORE
         if led.kind == "adv":
             if led.tag_done:
@@ -78,7 +78,7 @@ class BlindedWorld:
             # Second message on an adversarial session always fails the tag.
             led.o_tag = 0
             led.tag_done = True
-            return Output(sid, 0)
+            return StepOutcome(sid, None, 0)
         if led.tag_done:
             return IGNORE
         last = led.msgs[-1]
@@ -88,24 +88,24 @@ class BlindedWorld:
             if last.round == self.final_reader_round and not self.tag_final:
                 led.o_tag = 1
                 led.tag_done = True
-                return Output(sid, 1)
+                return StepOutcome(sid, None, 1)
             reply = self._draw_msg(last.round + 1)
             led.msgs.append(reply)
             if self.tag_final and last.round + 1 == len(self.slots) - 1:
                 led.o_tag = 1
                 led.tag_done = True
-                return ReplyWithOutput(sid, reply, 1)
-            return Reply(sid, reply)
+                return StepOutcome(sid, reply, 1)
+            return StepOutcome(sid, reply)
         if last.round == 0 and self._in_challenge_space(msg):
             # Modified session-start challenge: the tag-side answer is drawn,
             # and the reader side is poisoned to reject.
             reply = self._draw_msg(1)
             led.msgs.append(reply)
             led.preset_reject = True
-            return Reply(sid, reply)
+            return StepOutcome(sid, reply)
         led.o_tag = 0
         led.tag_done = True
-        return Output(sid, 0)
+        return StepOutcome(sid, None, 0)
 
     def o3_send_reader(self, sid, msg: Msg) -> StepOutcome:
         led = self.ledgers.get(sid)
@@ -115,7 +115,7 @@ class BlindedWorld:
             # Poisoned session: the pre-set rejection, idempotently.
             led.o_reader = 0
             led.reader_done = True
-            return Output(sid, 0)
+            return StepOutcome(sid, None, 0)
         if led.reader_done:
             return IGNORE
         last = led.msgs[-1]
@@ -125,17 +125,17 @@ class BlindedWorld:
             if self.tag_final and last.round == len(self.slots) - 1:
                 led.o_reader = 1
                 led.reader_done = True
-                return Output(sid, 1)
+                return StepOutcome(sid, None, 1)
             nxt = self._draw_msg(last.round + 1)
             led.msgs.append(nxt)
             if not self.tag_final and nxt.round == self.final_reader_round:
                 led.o_reader = 1
                 led.reader_done = True
-                return ReplyWithOutput(sid, nxt, 1)
-            return Reply(sid, nxt)
+                return StepOutcome(sid, nxt, 1)
+            return StepOutcome(sid, nxt)
         led.o_reader = 0
         led.reader_done = True
-        return Output(sid, 0)
+        return StepOutcome(sid, None, 0)
 
 
 class PureRandomWorld:
@@ -159,11 +159,11 @@ class PureRandomWorld:
     def o2_send_tag(self, sid, msg: Msg) -> StepOutcome:
         nxt = msg.round + 1
         if self._valid(msg) and nxt < len(self.slots) and self.slots[nxt].sender == "tag":
-            return Reply(sid, self._draw_msg(nxt))
+            return StepOutcome(sid, self._draw_msg(nxt))
         return IGNORE
 
     def o3_send_reader(self, sid, msg: Msg) -> StepOutcome:
         nxt = msg.round + 1
         if self._valid(msg) and nxt < len(self.slots) and self.slots[nxt].sender == "reader":
-            return Reply(sid, self._draw_msg(nxt))
+            return StepOutcome(sid, self._draw_msg(nxt))
         return IGNORE

@@ -52,7 +52,7 @@ class OracleResult:
 
 
 def _from_outcome(sid, outcome: StepOutcome, suppress_outputs: bool) -> OracleResult:
-    if outcome.kind == "ignore":
+    if outcome.msg is None and outcome.output is None:
         return OracleResult(sid=sid, ignored=True)
     return OracleResult(
         sid=outcome.sid if outcome.sid is not None else sid,

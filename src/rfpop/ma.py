@@ -33,7 +33,7 @@ from typing import Optional
 
 from rfpop.errors import CounterOverflow, LengthMismatch
 from rfpop.model.database import ReaderDatabase
-from rfpop.model.session import ReaderAction, TagAction
+from rfpop.model.session import Action
 from rfpop.model.types import MessageSlot, Msg
 from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.prf import PrfDescriptor, prf_eval
@@ -234,25 +234,20 @@ class MaProtocol:
     def reader_open(self, db, session, rng: Rng) -> bytes:
         return rng.take_bits(self.params.challenge_bits)
 
-    def reader_on_message(self, db, session, msg: Msg, rng: Rng) -> ReaderAction:
+    def reader_on_message(self, db, session, msg: Msg, rng: Rng) -> Action:
         reply = parse_tag_reply(self.params, msg.payload)
         result = ma_reader_auth(self.params, db, session.challenge, reply)
         if not result.accepted:
-            return ReaderAction("reject", via_step=0)
-        return ReaderAction(
-            "accept_send",
-            payload=result.confirm,
-            tag_id=result.tag_id,
-            via_step=result.via_step,
-        )
+            return Action(output=0, via_step=0)
+        return Action(result.confirm, 1, result.tag_id, result.via_step)
 
     def tag_respond(self, state: MaTagState, sid, challenge: bytes, rng: Rng):
         reply, scratch = ma_tag_respond(self.params, state, challenge, rng)
         return reply.payload(), scratch
 
-    def tag_on_message(self, state: MaTagState, scratch, msg: Msg, rng: Rng) -> TagAction:
+    def tag_on_message(self, state: MaTagState, scratch, msg: Msg, rng: Rng) -> Action:
         ok = ma_tag_verify(self.params, state, scratch, msg.payload)
-        return TagAction("output", output=1 if ok else 0)
+        return Action(output=1 if ok else 0)
 
     def tag_terminal(self, state: MaTagState):
         # Key update is the identity for this protocol; the session machine

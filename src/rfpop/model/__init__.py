@@ -5,9 +5,6 @@ from rfpop.model.types import (
     IGNORE,
     MessageSlot,
     Msg,
-    Output,
-    Reply,
-    ReplyWithOutput,
     StepOutcome,
     Transcript,
 )
@@ -21,9 +18,6 @@ __all__ = [
     "IGNORE",
     "MessageSlot",
     "Msg",
-    "Output",
-    "Reply",
-    "ReplyWithOutput",
     "StepOutcome",
     "Transcript",
     "Reader",

@@ -10,10 +10,15 @@ object plugs in the cryptographic content via a small duck-typed interface:
                            object on every call
     default_mode()         mode label for new sessions
     reader_open(db, session, rng)            -> round-0 payload
-    reader_on_message(db, session, msg, rng) -> ReaderAction
+    reader_on_message(db, session, msg, rng) -> Action
     tag_respond(state, sid, challenge, rng)  -> (reply payload, scratch)
-    tag_on_message(state, scratch, msg, rng) -> TagAction
+    tag_on_message(state, scratch, msg, rng) -> Action
     tag_terminal(state)                      key-update hook at terminal output
+
+An `Action` says what the delivery does to the party: `payload` is the next
+message it sends (None: it sends nothing), and `output` is its terminal
+output (None: the session goes on; 1 accept, 0 reject). A party may both
+send and end in one step.
 
 Dispatch rules follow the session model: a tag checks "is this a session
 start?" before anything else, restarting (and voiding the current session)
@@ -30,44 +35,20 @@ from typing import Optional
 
 from rfpop.errors import LifetimeExceeded, NoOpenSession, SessionInProgress
 from rfpop.model.database import History, ReaderDatabase, SessionRecord
-from rfpop.model.types import (
-    IGNORE,
-    Msg,
-    Output,
-    Reply,
-    ReplyWithOutput,
-    SID_BITS,
-    StepOutcome,
-    Transcript,
-)
+from rfpop.model.types import IGNORE, Msg, SID_BITS, StepOutcome, Transcript
 from rfpop.primitives.rng import Rng
 
 
 @dataclass(frozen=True)
-class ReaderAction:
-    """Protocol verdict on a message delivered to the reader.
+class Action:
+    """Protocol verdict on a message delivered to a party (see the module
+    docstring). A reader's terminal verdict also carries the accepted tag,
+    the authentication step that decided it and a reason for the record."""
 
-    kind: reply | accept_send | accept | reject | reject_send
-    (the *_send kinds carry an outgoing payload).
-    """
-
-    kind: str
-    payload: Optional[bytes] = None
-    tag_id: Optional[bytes] = None
-    via_step: Optional[int] = None
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class TagAction:
-    """Protocol verdict on a mid-session message delivered to the tag.
-
-    kind: reply | reply_output | output | ignore
-    """
-
-    kind: str
     payload: Optional[bytes] = None
     output: Optional[int] = None
+    tag_id: Optional[bytes] = None
+    via_step: Optional[int] = None
     note: str = ""
 
 
@@ -136,31 +117,16 @@ class Reader:
         if not in_space:
             return self._finalize(0, None, None, "message outside expected round space")
         action = self.protocol.reader_on_message(self.db, ses, msg, rng)
-        if action.kind == "reply":
-            ses.messages.append(msg)
+        ses.messages.append(msg)
+        reply = None
+        if action.payload is not None:
             reply = Msg(msg.round + 1, action.payload)
             ses.messages.append(reply)
+        if action.output is None:
             ses.awaiting_round = msg.round + 2
-            return Reply(sid, reply)
-        if action.kind == "accept_send":
-            ses.messages.append(msg)
-            reply = Msg(msg.round + 1, action.payload)
-            ses.messages.append(reply)
-            out = self._finalize(1, action.tag_id, action.via_step, action.note)
-            return ReplyWithOutput(sid, reply, out.output)
-        if action.kind == "reject_send":
-            ses.messages.append(msg)
-            reply = Msg(msg.round + 1, action.payload)
-            ses.messages.append(reply)
-            out = self._finalize(0, None, action.via_step, action.note)
-            return ReplyWithOutput(sid, reply, out.output)
-        if action.kind == "accept":
-            ses.messages.append(msg)
-            return self._finalize(1, action.tag_id, action.via_step, action.note)
-        if action.kind == "reject":
-            ses.messages.append(msg)
-            return self._finalize(0, None, action.via_step, action.note)
-        raise ValueError(f"unknown reader action {action.kind!r}")
+        else:
+            self._finalize(action.output, action.tag_id, action.via_step, action.note)
+        return StepOutcome(sid, reply, action.output)
 
     def timeout(self) -> StepOutcome:
         """Close the open session with output 0."""
@@ -184,7 +150,7 @@ class Reader:
         )
         self.history.append(record)
         self.session = None
-        return Output(ses.sid, o_reader)
+        return StepOutcome(ses.sid, None, o_reader)
 
 
 class Tag:
@@ -215,10 +181,7 @@ class Tag:
                 )
             payload, scratch = self.protocol.tag_respond(self.state, sid, msg.payload, rng)
             self.session = OpenTagSession(sid=sid, awaiting_round=2, scratch=scratch)
-            reply = Msg(1, payload)
-            if restarted:
-                return ReplyWithOutput(sid, reply, 0)
-            return Reply(sid, reply)
+            return StepOutcome(sid, Msg(1, payload), 0 if restarted else None)
         ses = self.session
         if (
             ses is not None
@@ -228,18 +191,12 @@ class Tag:
             and slots[msg.round].allows(msg.payload)
         ):
             action = self.protocol.tag_on_message(self.state, ses.scratch, msg, rng)
-            if action.kind == "reply":
+            if action.output is None:
                 ses.awaiting_round = msg.round + 2
-                return Reply(sid, Msg(msg.round + 1, action.payload))
-            if action.kind == "reply_output":
+            else:
                 self._terminal()
-                return ReplyWithOutput(sid, Msg(msg.round + 1, action.payload), action.output)
-            if action.kind == "output":
-                self._terminal()
-                return Output(sid, action.output)
-            if action.kind == "ignore":
-                return IGNORE
-            raise ValueError(f"unknown tag action {action.kind!r}")
+            reply = None if action.payload is None else Msg(msg.round + 1, action.payload)
+            return StepOutcome(sid, reply, action.output)
         return IGNORE
 
     def _terminal(self):

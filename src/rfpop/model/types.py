@@ -60,35 +60,23 @@ class Transcript:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """Result of delivering one message to a party.
+    """Result of delivering one message to a party: the message it sends
+    next, if any, and its terminal output bit, if it ended. Neither set means
+    the message was dropped without a state change.
 
-    kind is one of:
-      reply         - a message to forward, session continues
-      reply_output  - a message plus the party's terminal output bit
-      output        - terminal output bit only
-      ignore        - the message was dropped without state change
+    `kind` names the four shapes: reply (message only), reply_output
+    (message and output), output (output only) and ignore (neither).
     """
 
-    kind: str
     sid: Optional[bytes] = None
     msg: Optional[Msg] = None
     output: Optional[int] = None
 
     @property
-    def is_terminal(self) -> bool:
-        return self.output is not None
+    def kind(self) -> str:
+        if self.msg is None:
+            return "ignore" if self.output is None else "output"
+        return "reply" if self.output is None else "reply_output"
 
 
-def Reply(sid: bytes, msg: Msg) -> StepOutcome:
-    return StepOutcome("reply", sid=sid, msg=msg)
-
-
-def ReplyWithOutput(sid: bytes, msg: Msg, output: int) -> StepOutcome:
-    return StepOutcome("reply_output", sid=sid, msg=msg, output=output)
-
-
-def Output(sid: Optional[bytes], output: int) -> StepOutcome:
-    return StepOutcome("output", sid=sid, output=output)
-
-
-IGNORE = StepOutcome("ignore")
+IGNORE = StepOutcome()

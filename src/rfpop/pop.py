@@ -52,7 +52,7 @@ from rfpop.ma import (
     parse_tag_reply,
     tag_id_for,
 )
-from rfpop.model.session import Reader, ReaderAction, TagAction
+from rfpop.model.session import Action, Reader
 from rfpop.model.types import MessageSlot, Msg
 from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.prf import PrfDescriptor, hash_digest, prf_eval
@@ -113,14 +113,9 @@ def interior_params(params) -> MaParams:
 
 
 @dataclass
-class PopTagState:
-    ma: MaTagState
-    pop_key: bytes
-    signer: object  # FullTimeSigner or KTimeSigner
-
-    @property
-    def tag_id(self) -> bytes:
-        return self.ma.tag_id
+class PopTagState(MaTagState):
+    pop_key: bytes = None
+    signer: object = None  # FullTimeSigner or KTimeSigner
 
 
 @dataclass
@@ -208,22 +203,22 @@ def pop_tag_finalize(
     state: PopTagState,
     scratch: "_PopTagScratch",
     payload: bytes,
-) -> TagAction:
+) -> Action:
     """Validate the wrapped third message; on success sign and reply together
     with the terminal output."""
     confirm, pop_challenge, binder = _split_finalize(params, payload)
-    if not ma_tag_verify(params.ma, state.ma, scratch.inner, confirm):
-        return TagAction("output", output=0, note="interior confirmation invalid")
+    if not ma_tag_verify(params.ma, state, scratch.inner, confirm):
+        return Action(output=0, note="interior confirmation invalid")
     trs = transcript_digest(params, scratch.challenge, scratch.reply, confirm)
     if binder_value(params, state.pop_key, trs, pop_challenge) != binder:
-        return TagAction("output", output=0, note="binder invalid")
+        return Action(output=0, note="binder invalid")
     try:
         sig = state.signer.sign(pop_challenge)
     except (KTimeExhausted, PairPoolExhausted) as exc:
-        return TagAction("output", output=0, note=f"signing unavailable: {exc}")
+        return Action(output=0, note=f"signing unavailable: {exc}")
     masked = xor(signature_mask(params, state.pop_key, binder), sig)
     tag_check = signature_tag(params, state.pop_key, sig)
-    return TagAction("reply_output", payload=masked + tag_check, output=1)
+    return Action(masked + tag_check, 1)
 
 
 def pop_reader_verify(
@@ -280,25 +275,20 @@ class PopProtocol:
     def reader_open(self, db, session, rng: Rng) -> bytes:
         return rng.take_bits(self.params.ma.challenge_bits)
 
-    def reader_on_message(self, db, session, msg: Msg, rng: Rng) -> ReaderAction:
+    def reader_on_message(self, db, session, msg: Msg, rng: Rng) -> Action:
         if msg.round == 1:
             return self._reader_on_reply(db, session, msg, rng)
         if msg.round == 3:
             return self._reader_on_final(db, session, msg)
-        return ReaderAction("reject", note="unexpected round")
+        return Action(output=0, note="unexpected round")
 
-    def _reader_on_reply(self, db, session, msg: Msg, rng: Rng) -> ReaderAction:
+    def _reader_on_reply(self, db, session, msg: Msg, rng: Rng) -> Action:
         reply = parse_tag_reply(self.params.ma, msg.payload)
         result = ma_reader_auth(self.params.ma, db, session.challenge, reply)
         if not result.accepted:
-            return ReaderAction("reject", via_step=0)
+            return Action(output=0, via_step=0)
         if session.mode == "ma":
-            return ReaderAction(
-                "accept_send",
-                payload=result.confirm,
-                tag_id=result.tag_id,
-                via_step=result.via_step,
-            )
+            return Action(result.confirm, 1, result.tag_id, result.via_step)
         record = db.get(result.tag_id)
         payload, scratch = pop_reader_finalize_send(
             self.params,
@@ -316,9 +306,9 @@ class PopProtocol:
             "pop_challenge": scratch["pop_challenge"],
             "binder": scratch["binder"],
         }
-        return ReaderAction("reply", payload=payload)
+        return Action(payload)
 
-    def _reader_on_final(self, db, session, msg: Msg) -> ReaderAction:
+    def _reader_on_final(self, db, session, msg: Msg) -> Action:
         sc = session.scratch
         record = db.get(sc["tag_id"])
         ok = pop_reader_verify(
@@ -330,18 +320,18 @@ class PopProtocol:
             msg.payload,
         )
         if ok:
-            return ReaderAction("accept", tag_id=sc["tag_id"], via_step=sc["via_step"])
-        return ReaderAction("reject", note="possession proof invalid")
+            return Action(output=1, tag_id=sc["tag_id"], via_step=sc["via_step"])
+        return Action(output=0, note="possession proof invalid")
 
     def tag_respond(self, state: PopTagState, sid, challenge: bytes, rng: Rng):
-        reply, inner = ma_tag_respond(self.params.ma, state.ma, challenge, rng)
+        reply, inner = ma_tag_respond(self.params.ma, state, challenge, rng)
         payload = reply.payload()
         return payload, _PopTagScratch(inner=inner, reply=payload)
 
-    def tag_on_message(self, state: PopTagState, scratch, msg: Msg, rng: Rng) -> TagAction:
+    def tag_on_message(self, state: PopTagState, scratch, msg: Msg, rng: Rng) -> Action:
         if 8 * len(msg.payload) == self.params.ma.out_bits:
-            ok = ma_tag_verify(self.params.ma, state.ma, scratch.inner, msg.payload)
-            return TagAction("output", output=1 if ok else 0)
+            ok = ma_tag_verify(self.params.ma, state, scratch.inner, msg.payload)
+            return Action(output=1 if ok else 0)
         return pop_tag_finalize(self.params, state, scratch, msg.payload)
 
     def tag_terminal(self, state: PopTagState):
@@ -518,11 +508,7 @@ def pop_setup(
             signer, vk = fulltime_keygen(rng, pool_size=params.pool_size)
         else:
             signer, vk = ktime_keygen(rng, params.k_time)
-        tags.append(PopTagState(
-            ma=MaTagState(tag_id=tag_id, key=key, ctr=1),
-            pop_key=pop_key,
-            signer=signer,
-        ))
+        tags.append(PopTagState(tag_id=tag_id, key=key, ctr=1, pop_key=pop_key, signer=signer))
         records.append(PopReaderRecord(
             tag_id=tag_id,
             key=key,

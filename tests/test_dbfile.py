@@ -278,16 +278,12 @@ def test_tag_file_round_trip(config, tmp_path):
     loaded_mode, state, key_version = load_tag(str(path))
     assert loaded_mode == config.mode
     assert key_version == tag.key_version == 1
+    assert state.tag_id == tag.state.tag_id
+    assert state.key == tag.state.key
+    assert state.ctr == tag.state.ctr
     if config.mode == "mapop":
-        assert state.ma.tag_id == tag.state.ma.tag_id
-        assert state.ma.key == tag.state.ma.key
-        assert state.ma.ctr == tag.state.ma.ctr
         assert state.pop_key == tag.state.pop_key
         assert state.signer.to_dict() == tag.state.signer.to_dict()
-    else:
-        assert state.tag_id == tag.state.tag_id
-        assert state.key == tag.state.key
-        assert state.ctr == tag.state.ctr
     if config.mode == "cex":
         assert state.st == tag.state.st
 

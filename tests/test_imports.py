@@ -91,3 +91,31 @@ def test_no_module_imports_bitstring():
     assert bitstring_uses("x = bitstring.BitString(8, 0)\n") == ["line 1"]
     found = {str(p.relative_to(SRC)): bitstring_uses(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+RETIRED_STEP_NAMES = {"ReaderAction", "TagAction", "Reply", "ReplyWithOutput", "Output"}
+
+
+def retired_step_names(source: str) -> list[str]:
+    """Lines that define or import one of the retired step-result names."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        else:
+            continue
+        hits += [f"line {node.lineno}: {name}" for name in names if name in RETIRED_STEP_NAMES]
+    return hits
+
+
+def test_no_module_defines_or_imports_a_retired_step_result():
+    """A protocol verdict is one `Action`, a step result one `StepOutcome`."""
+    assert retired_step_names("from rfpop.model.types import Output, StepOutcome\n") == ["line 1: Output"]
+    assert retired_step_names("class TagAction:\n    pass\n\n\nReply = None\n") == [
+        "line 1: TagAction", "line 5: Reply"]
+    found = {str(p.relative_to(SRC)): retired_step_names(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {path: lines for path, lines in found.items() if lines} == {}

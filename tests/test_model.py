@@ -9,9 +9,24 @@ from rfpop.errors import (
     UnknownSnapshot,
 )
 from rfpop.model.session import Tag, run_honest_session
-from rfpop.model.types import Msg
+from rfpop.model.types import IGNORE, Msg, StepOutcome
 from rfpop.primitives.bitstring import flip_bit
 from rfpop.primitives.rng import Rng
+
+
+@pytest.mark.parametrize(
+    "msg, output, kind",
+    [
+        (None, None, "ignore"),
+        (None, 0, "output"),
+        (Msg(1, bytes(1)), None, "reply"),
+        (Msg(1, bytes(1)), 1, "reply_output"),
+    ],
+    ids=["ignore", "output", "reply", "reply_output"],
+)
+def test_step_outcome_kind_follows_msg_and_output(msg, output, kind):
+    assert StepOutcome(bytes(16), msg, output).kind == kind
+    assert IGNORE.kind == "ignore"
 
 
 def test_honest_session_accepts_and_identifies(ma_system, rng):

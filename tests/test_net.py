@@ -1,5 +1,6 @@
 """Socket reader server and tag client over loopback."""
 
+import json
 import os
 import queue
 import select
@@ -395,3 +396,25 @@ def test_mode_mismatch_is_rejected_before_connecting(tmp_path):
             port=1,
             announce=lambda line: None,
         )
+
+
+@pytest.mark.parametrize(
+    "mode, field, damage, error",
+    [
+        ("ma", "key", lambda text: text[:-2], "key is 31 bytes, config says 32"),
+        ("mapop", "pop_key", lambda text: text[:-2], "pop_key is 31 bytes, config says 32"),
+        ("ma", "key", lambda text: "zz" + text[2:], "key is not hex"),
+    ],
+    ids=["short-key", "short-pop_key", "non-hex-key"],
+)
+def test_damaged_key_file_is_rejected_before_connecting(tmp_path, mode, field, damage, error):
+    """A damaged key file fails at load, not inside its first session."""
+    config = Config(mode=mode, tags=1, seed="net-damaged-key")
+    _db_path, tag_paths, _system = deploy(tmp_path, config)
+    with open(tag_paths[0], encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc[field] = damage(doc[field])
+    with open(tag_paths[0], "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    with pytest.raises(FrameError, match=error):
+        tag_run(tag_paths[0], config, host="127.0.0.1", port=1, announce=lambda line: None)

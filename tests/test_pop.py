@@ -63,9 +63,7 @@ def test_interior_rounds_unchanged(pop_system):
     # same randomness reproduces the wire bytes bit for bit.
     tag_id = pop_system.first_tag_id()
     tag = pop_system.tag(tag_id)
-    interior_copy = MaTagState(
-        tag_id=tag.state.ma.tag_id, key=tag.state.ma.key, ctr=tag.state.ma.ctr
-    )
+    interior_copy = MaTagState(tag_id=tag.state.tag_id, key=tag.state.key, ctr=tag.state.ctr)
     probe = Rng("interior-probe")
     replay = Rng("interior-probe")
     sid = probe.take_bits(128)
