@@ -337,12 +337,16 @@ def _unhex(doc: dict, name: str) -> bytes:
 
 
 def load_tag(path: str):
-    """Read a tag key file back into (mode, state, key_version).  Lengths are
-    not checked here: the file does not say which lengths its config uses."""
+    """Read a tag key file back into (mode, state, key_version).  Lengths and
+    the counter's upper bound are not checked here: the file does not say
+    which lengths its config uses."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     mode = doc["mode"]
-    common = dict(tag_id=_unhex(doc, "tag_id"), key=_unhex(doc, "key"), ctr=doc["ctr"])
+    ctr = doc["ctr"]
+    if type(ctr) is not int or ctr < 0:
+        raise FrameError(f"tag file ctr is {ctr!r}, not a non-negative integer")
+    common = dict(tag_id=_unhex(doc, "tag_id"), key=_unhex(doc, "key"), ctr=ctr)
     if mode == "mapop":
         state = PopTagState(
             **common, pop_key=_unhex(doc, "pop_key"), signer=signer_from_dict(doc["signer"])

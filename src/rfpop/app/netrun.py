@@ -4,6 +4,9 @@ Both sides speak the length-prefixed frame protocol from `rfpop.app.wire`.
 The reader serves one session per connection: it opens with the round-0
 challenge, relays protocol rounds, and reports its verdict as a reader-result
 frame (followed by a credential frame when an extended-mode session accepts).
+It journals each session as soon as it reaches its verdict, before it sends
+the message, result or credential that verdict produces, so a reader that
+crashes has told no peer of a session its file does not hold.
 The tag client answers rounds, reports its own verdict as a tag-result frame,
 and persists its updated state back to its key file.
 
@@ -140,16 +143,16 @@ def _serve_one(
         except (FrameError, OSError):
             # Stall, disconnect, or framing violation: score it as a timeout.
             if o_reader is None:
-                o_reader = reader.timeout().output
-                _try_send(conn, result_frame(TYPE_RESULT_READER, sid, o_reader))
+                o_reader = _time_out(reader, conn, sid, config, db_path)
             break
         if frame.msg_type in ROUND_TYPES:
             if o_reader is not None:
                 continue
             f_sid, msg = msg_from_frame(frame)
             outcome = reader.step(f_sid, msg, rng)
-            if outcome.msg is None and outcome.output is None:
-                continue
+            if outcome.output is not None:
+                # Journal the verdict before any of it leaves the reader.
+                _journal(reader, config, db_path)
             if outcome.msg is not None:
                 _send(conn, frame_for_msg(sid, outcome.msg))
             if outcome.output is not None:
@@ -163,11 +166,9 @@ def _serve_one(
         else:
             # Clients may not send reader-result or credential frames.
             if o_reader is None:
-                o_reader = reader.timeout().output
-                _try_send(conn, result_frame(TYPE_RESULT_READER, sid, o_reader))
+                o_reader = _time_out(reader, conn, sid, config, db_path)
             break
     record = reader.history.sessions[-1]
-    append_journal(db_path, config, record.j, record)
     return {
         "j": record.j,
         "sid": record.sid.hex(),
@@ -177,6 +178,20 @@ def _serve_one(
         "tag_id": record.tag_id.hex() if record.tag_id else None,
         "credential": cred.encode().hex() if cred is not None else None,
     }
+
+
+def _journal(reader: Reader, config: Config, db_path: str):
+    """Append the session the reader just closed to its database file."""
+    record = reader.history.sessions[-1]
+    append_journal(db_path, config, record.j, record)
+
+
+def _time_out(reader: Reader, conn, sid: bytes, config: Config, db_path: str) -> int:
+    """Close the session with o_R = 0, journal it, then tell the peer."""
+    o_reader = reader.timeout().output
+    _journal(reader, config, db_path)
+    _try_send(conn, result_frame(TYPE_RESULT_READER, sid, o_reader))
+    return o_reader
 
 
 def _issue_credential(reader: Reader):
@@ -201,19 +216,24 @@ def tag_run(
     cred_out: Optional[str] = None,
 ) -> list[dict]:
     """Run `sessions` sessions against a reader server, saving the key file
-    after each one."""
+    after each one. Each result carries the tag's output, the reader's, the
+    credential (hex) and the tag's reason for its output ("" on accept, None
+    when the tag's session did not end)."""
     mode, state, key_version = load_tag(tag_path)
     if mode != config.mode:
         raise FrameError(f"tag file is for mode {mode!r} but config says {config.mode!r}")
     protocol = protocol_for(config)
     params = protocol.params
-    sizes = {"key": interior_params(params).key_bits // 8}
+    interior = interior_params(params)
+    sizes = {"key": interior.key_bits // 8}
     if mode == "mapop":
         sizes["pop_key"] = params.pop_key_bits // 8
     for name, size in sizes.items():
         got = len(getattr(state, name))
         if got != size:
             raise FrameError(f"tag file {name} is {got} bytes, config says {size}")
+    if state.ctr > interior.max_counter:
+        raise FrameError(f"tag file ctr is above the config's bound {interior.max_counter}")
     if rng is None:
         rng = Rng(config.seed).spawn("net-tag")
     peer_host = host if host is not None else config.host
@@ -268,4 +288,5 @@ def _client_one(tag: Tag, sock, rng: Rng, timeout_s: float) -> dict:
             o_reader = result_value(frame)
         elif frame.msg_type == TYPE_CREDENTIAL:
             cred_hex = frame.payload.hex()
-    return {"o_tag": o_tag, "o_reader": o_reader, "credential": cred_hex}
+    note = tag.note if o_tag is not None else None
+    return {"o_tag": o_tag, "o_reader": o_reader, "credential": cred_hex, "note": note}

@@ -30,7 +30,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from rfpop.errors import CounterOverflow, LengthMismatch
-from rfpop.ma import MaParams, MaTagScratch, confirm_value, counter_bytes, tag_id_for
+from rfpop.ma import (
+    MaParams,
+    MaTagScratch,
+    confirm_value,
+    counter_bytes,
+    scan_first,
+    tag_id_for,
+)
 from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import Action
 from rfpop.model.types import MessageSlot, Msg
@@ -94,23 +101,22 @@ def cex_reader_respond(
     nonce: bytes,
     rng: Rng,
 ) -> tuple[bool, Optional[bytes], bytes]:
-    """Exact-counter database check over both tag branches; the third message
-    is always sent (random on reject)."""
-    masked = int.from_bytes(r1, "big")
-    for rec in db.records_ascending():
-        if rec.ctr + 1 > params.max_counter:
-            continue
-        clean = _branch_value(params, rec.key, challenge, None)
-        hit = (int.from_bytes(clean, "big") ^ masked) == rec.ctr
-        if not hit:
-            resumed = _branch_value(params, rec.key, challenge, nonce)
-            hit = (int.from_bytes(resumed, "big") ^ masked) == rec.ctr
-        if hit:
-            rec.ctr += 1
-            db.record_updated(rec, None)
-            f = confirm_value(params, rec.key, challenge, rec.ctr, nonce)
-            return True, rec.tag_id, f
-    return False, None, rng.take_bits(params.out_bits)
+    """Exact-counter database check over both tag branches, on the Step-2
+    scan kernel; the third message is always sent (random on reject)."""
+    hit = scan_first(
+        db,
+        params.prf,
+        (_padded_block(params, challenge), _padded_block(params, challenge + nonce)),
+        int.from_bytes(r1, "big"),
+        lambda rec, state, ctr: ctr == rec.ctr,
+        eligible=lambda rec: rec.ctr + 1 <= params.max_counter,
+    )
+    if hit is None:
+        return False, None, rng.take_bits(params.out_bits)
+    rec = hit[0]
+    rec.ctr += 1
+    db.record_updated(rec, None)
+    return True, rec.tag_id, confirm_value(params, rec.key, challenge, rec.ctr, nonce)
 
 
 def cex_tag_finish(

@@ -22,21 +22,29 @@ counter. The reader authenticates in two steps:
 
 On a match the reader stores ctr'+1 and the refreshed index. First match in
 ascending tag-id order wins, and Step 1 runs to completion before Step 2
-starts.
+starts. Step 2 runs on `scan_first`, the scan kernel this protocol shares
+with the counterexample protocol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 from rfpop.errors import CounterOverflow, LengthMismatch
 from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import Action
 from rfpop.model.types import MessageSlot, Msg
 from rfpop.primitives.bitstring import split, xor
-from rfpop.primitives.prf import PrfDescriptor, prf_eval
+from rfpop.primitives.counters import count_hash
+from rfpop.primitives.prf import (
+    PrfDescriptor,
+    check_input,
+    prf_eval,
+    prf_state,
+    prf_state_eval,
+)
 from rfpop.primitives.rng import Rng
 
 
@@ -168,11 +176,65 @@ def ma_tag_respond(
     return reply, MaTagScratch(challenge=challenge, nonce=nonce, expect_ctr=state.ctr)
 
 
-def _advance(params: MaParams, db: ReaderDatabase, rec: MaReaderRecord, new_ctr: int):
+def scan_first(
+    db: ReaderDatabase,
+    desc: PrfDescriptor,
+    inputs: tuple[bytes, ...],
+    masked: int,
+    accept: Callable[[object, object, int], bool],
+    eligible: Optional[Callable[[object], bool]] = None,
+) -> Optional[tuple[object, int]]:
+    """The reader's Step-2 scan: the first record, in ascending tag-id order,
+    for which accept(rec, state, F_key(x) XOR masked) holds for an input x of
+    `inputs` (tried in order); returns (rec, that value), or None.
+
+    Records that fail eligible(rec) are skipped without an evaluation. The
+    fixed inputs are length-checked once per scan. Each record key is keyed
+    into a BLAKE2b state once per database (`db.keyed_states`), and each
+    evaluation runs on a copy of it; `accept` gets the state so it can
+    evaluate more inputs with prf_state_eval. Every evaluation counts as one
+    hash, however the scan ends."""
+    for x in inputs:
+        check_input(desc, x)
+    states = db.keyed_states.setdefault(desc, {})
+    evaluated = 0
+    try:
+        # records_ascending is the one way in: the benchmark tracer counts
+        # scanned records through it.
+        for rec in db.records_ascending():
+            if eligible is not None and not eligible(rec):
+                continue
+            state = states.get(rec.key)
+            if state is None:
+                state = states[rec.key] = prf_state(desc, rec.key)
+            for x in inputs:
+                h = state.copy()
+                h.update(x)
+                evaluated += 1
+                value = int.from_bytes(h.digest(), "big") ^ masked
+                if accept(rec, state, value):
+                    return rec, value
+        return None
+    finally:
+        count_hash(evaluated)
+
+
+def _accept(
+    params: MaParams,
+    db: ReaderDatabase,
+    rec: MaReaderRecord,
+    recovered: int,
+    challenge: bytes,
+    nonce: bytes,
+    via_step: int,
+) -> MaAuthResult:
+    """Store recovered+1 and the refreshed index; confirm the new counter."""
     old_index = rec.index
-    rec.ctr = new_ctr
-    rec.index = index_for(params, rec.key, new_ctr)
+    rec.ctr = recovered + 1
+    rec.index = index_for(params, rec.key, rec.ctr)
     db.record_updated(rec, old_index)
+    confirm = confirm_value(params, rec.key, challenge, rec.ctr, nonce)
+    return MaAuthResult(True, rec.tag_id, confirm, rec.ctr, via_step=via_step)
 
 
 def ma_reader_auth(
@@ -185,21 +247,25 @@ def ma_reader_auth(
         mask = counter_mask(params, rec.key, challenge, reply.index, reply.nonce)
         recovered = int.from_bytes(mask, "big") ^ masked
         if recovered == rec.ctr and recovered + 1 <= params.max_counter:
-            _advance(params, db, rec, recovered + 1)
-            confirm = confirm_value(params, rec.key, challenge, rec.ctr, reply.nonce)
-            return MaAuthResult(True, rec.tag_id, confirm, rec.ctr, via_step=1)
+            return _accept(params, db, rec, recovered, challenge, reply.nonce, 1)
     # Step 2: desynchronized scan; the received index must be reproducible
     # from the recovered counter under the record's key.
-    for rec in db.records_ascending():
-        mask = counter_mask(params, rec.key, challenge, reply.index, reply.nonce)
-        recovered = int.from_bytes(mask, "big") ^ masked
-        if recovered + 1 > params.max_counter:
-            continue
-        if index_for(params, rec.key, recovered) == reply.index:
-            _advance(params, db, rec, recovered + 1)
-            confirm = confirm_value(params, rec.key, challenge, rec.ctr, reply.nonce)
-            return MaAuthResult(True, rec.tag_id, confirm, rec.ctr, via_step=2)
-    return MaAuthResult(False)
+    width, pad = params.out_bits // 8, params.pad
+
+    def reproduces_index(rec, state, recovered: int) -> bool:
+        # recovered < max_counter keeps recovered+1 a valid counter.
+        return (
+            recovered < params.max_counter
+            and prf_state_eval(state, recovered.to_bytes(width, "big") + pad) == reply.index
+        )
+
+    hit = scan_first(
+        db, params.prf, (challenge + reply.index + reply.nonce,), masked, reproduces_index
+    )
+    if hit is None:
+        return MaAuthResult(False)
+    rec, recovered = hit
+    return _accept(params, db, rec, recovered, challenge, reply.nonce, 2)
 
 
 def ma_tag_verify(

@@ -28,13 +28,19 @@ def _clone(record):
 
 
 class ReaderDatabase:
-    """Current records plus the index map used for constant-time sync lookup."""
+    """Current records, kept in ascending tag-id order, plus the index map
+    used for constant-time sync lookup.
+
+    `keyed_states` holds, per PRF descriptor, a keyed BLAKE2b state per record
+    key (see `rfpop.primitives.prf.prf_state`). The Step-2 scan fills it on
+    first use; a record whose key changes misses it and gets a fresh state."""
 
     def __init__(self, records):
         self._records: dict[bytes, object] = {}
         self._by_index: dict[bytes, list[bytes]] = {}
         self._dirty: set[bytes] = set()
-        for rec in records:
+        self.keyed_states: dict[object, dict[bytes, object]] = {}
+        for rec in sorted(records, key=lambda r: r.tag_id):
             if rec.tag_id in self._records:
                 raise ValueError(f"duplicate tag id {rec.tag_id.hex()}")
             self._records[rec.tag_id] = rec
@@ -57,15 +63,12 @@ class ReaderDatabase:
     def __len__(self) -> int:
         return len(self._records)
 
-    def ids(self) -> list[bytes]:
-        return sorted(self._records)
-
     def get(self, tag_id: bytes):
         return self._records[tag_id]
 
     def records_ascending(self):
-        for key in self.ids():
-            yield self._records[key]
+        """Iterate the records in ascending tag-id order."""
+        return iter(self._records.values())
 
     def candidates_for_index(self, index: bytes) -> list:
         """Records whose stored index equals `index`, ascending by tag id."""

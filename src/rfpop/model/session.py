@@ -154,7 +154,8 @@ class Reader:
 
 
 class Tag:
-    """Single-session tag with key versioning and a lifetime bound."""
+    """Single-session tag with key versioning and a lifetime bound. `note`
+    is the reason the last ended session gave for its output ("" on accept)."""
 
     def __init__(self, protocol, state, lifetime: int):
         self.protocol = protocol
@@ -162,6 +163,7 @@ class Tag:
         self.lifetime = lifetime
         self.key_version = 0
         self.session: Optional[OpenTagSession] = None
+        self.note = ""
 
     @property
     def tag_id(self) -> bytes:
@@ -174,7 +176,7 @@ class Tag:
             # voided (output 0, key update) and a fresh one replaces it.
             restarted = self.session is not None
             if restarted:
-                self._terminal()
+                self._terminal("voided by a new session")
             if self.key_version >= self.lifetime:
                 raise LifetimeExceeded(
                     f"tag exhausted its {self.lifetime}-session lifetime"
@@ -194,12 +196,13 @@ class Tag:
             if action.output is None:
                 ses.awaiting_round = msg.round + 2
             else:
-                self._terminal()
+                self._terminal(action.note)
             reply = None if action.payload is None else Msg(msg.round + 1, action.payload)
             return StepOutcome(sid, reply, action.output)
         return IGNORE
 
-    def _terminal(self):
+    def _terminal(self, note: str):
+        self.note = note
         self.key_version += 1
         self.protocol.tag_terminal(self.state)
         self.session = None

@@ -9,6 +9,10 @@ parameter block includes the digest size, so different output lengths give
 independent functions by construction.
 
 Every evaluation counts as one hash operation for cost accounting.
+
+A caller that evaluates many inputs under one key can key a BLAKE2b state
+once (`prf_state`) and evaluate on copies of it (`prf_state_eval`); the
+reader's Step-2 scan does this for every record.
 """
 
 from __future__ import annotations
@@ -47,6 +51,21 @@ class PrfDescriptor:
             raise LengthMismatch(f"{self.name}: out_bits above backend maximum")
 
 
+def _check_key(desc: PrfDescriptor, key: bytes):
+    if 8 * len(key) != desc.key_bits:
+        raise LengthMismatch(
+            f"{desc.name}: key is {8 * len(key)} bits, descriptor says {desc.key_bits}"
+        )
+
+
+def check_input(desc: PrfDescriptor, data: bytes):
+    """Raise LengthMismatch unless `data` is an input the family accepts."""
+    if desc.in_bits is not None and 8 * len(data) != desc.in_bits:
+        raise LengthMismatch(
+            f"{desc.name}: input is {8 * len(data)} bits, descriptor says {desc.in_bits}"
+        )
+
+
 def prf_eval(
     desc: PrfDescriptor,
     key: bytes,
@@ -59,19 +78,32 @@ def prf_eval(
     family is evaluated at several output lengths; each length is an
     independent function).
     """
-    if 8 * len(key) != desc.key_bits:
-        raise LengthMismatch(
-            f"{desc.name}: key is {8 * len(key)} bits, descriptor says {desc.key_bits}"
-        )
-    if desc.in_bits is not None and 8 * len(data) != desc.in_bits:
-        raise LengthMismatch(
-            f"{desc.name}: input is {8 * len(data)} bits, descriptor says {desc.in_bits}"
-        )
+    _check_key(desc, key)
+    check_input(desc, data)
     width = out_bits if out_bits is not None else desc.out_bits
     if width <= 0 or width % 8 or width > 8 * _MAX_DIGEST:
         raise LengthMismatch(f"{desc.name}: unsupported output length {width}")
     count_hash()
     return hashlib.blake2b(data, key=key, digest_size=width // 8).digest()
+
+
+def prf_state(desc: PrfDescriptor, key: bytes):
+    """A BLAKE2b state keyed with `key` at the descriptor's output length.
+
+    F_key(x) is the digest of a copy of the state fed x, the same value
+    prf_eval(desc, key, x) returns. Building the state checks the key length
+    and counts no hash."""
+    _check_key(desc, key)
+    return hashlib.blake2b(key=key, digest_size=desc.out_bits // 8)
+
+
+def prf_state_eval(state, data: bytes) -> bytes:
+    """F_key(data) on a state from prf_state; counts one hash. The caller
+    vouches for the input length."""
+    h = state.copy()
+    h.update(data)
+    count_hash()
+    return h.digest()
 
 
 def hash_digest(data: bytes, out_bits: int = 256) -> bytes:

@@ -1,15 +1,25 @@
 """Deliberately flawed counter protocol used as the traceability control."""
 
+import dataclasses
+import hashlib
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rfpop.counterexample import (
     CexParams,
+    CexReaderRecord,
     CexTagState,
+    _branch_value,
     cex_reader_respond,
     cex_setup,
     cex_tag_finish,
     cex_tag_respond,
 )
+from rfpop.ma import confirm_value, counter_bytes
 from rfpop.model.database import ReaderDatabase
 from rfpop.primitives.bitstring import flip_bit, split, xor
+from rfpop.primitives.counters import OpCounters, counting
 from rfpop.primitives.rng import Rng
 from rfpop.system import build_cex_system
 
@@ -126,3 +136,76 @@ def test_full_protocol_round_trip():
         assert trs.o_reader == 1 and trs.o_tag == 1
         assert len(trs.messages) == 3
     assert system.reader.history.session(2).tag_id == tag_id
+
+
+# -- the Step-2 scan kernel against a scan on prf_eval ----------------------
+
+
+def reference_respond(params, db, challenge, r1, nonce, rng):
+    """cex_reader_respond with every PRF call on prf_eval: both branches of
+    every record in ascending tag-id order, skipping counters at the bound."""
+    masked = int.from_bytes(r1, "big")
+    for rec in sorted(db.records_ascending(), key=lambda r: r.tag_id):
+        if rec.ctr + 1 > params.max_counter:
+            continue
+        hit = False
+        for branch_nonce in (None, nonce):
+            branch = _branch_value(params, rec.key, challenge, branch_nonce)
+            if int.from_bytes(branch, "big") ^ masked == rec.ctr:
+                hit = True
+                break
+        if hit:
+            rec.ctr += 1
+            db.record_updated(rec, None)
+            return True, rec.tag_id, confirm_value(params, rec.key, challenge, rec.ctr, nonce)
+    return False, None, rng.take_bits(params.out_bits)
+
+
+TOP = PARAMS.max_counter
+SCAN_KEYS = [hashlib.blake2b(bytes([i]), digest_size=32).digest() for i in range(3)]
+
+
+@st.composite
+def scan_cases(draw):
+    """A database over a few shared keys, counters near zero and at the
+    bound, and a run of r1 values from either branch of some record's key at
+    a counter near the record's, or garbage."""
+    ids = draw(st.lists(st.integers(0, 255), min_size=1, max_size=6, unique=True))
+    records = [
+        CexReaderRecord(
+            bytes(31) + bytes([i]),
+            SCAN_KEYS[draw(st.integers(0, len(SCAN_KEYS) - 1))],
+            draw(st.sampled_from([1, 2, 4, TOP - 1, TOP])),
+        )
+        for i in ids
+    ]
+    replies = []
+    for n in range(draw(st.integers(1, 4))):
+        challenge = hashlib.blake2b(b"c%d" % n, digest_size=32).digest()
+        nonce = hashlib.blake2b(b"n%d" % n, digest_size=32).digest()
+        if draw(st.booleans()):
+            rec = records[draw(st.integers(0, len(records) - 1))]
+            ctr = min(max(rec.ctr + draw(st.integers(-1, 2)), 0), TOP)
+            branch_nonce = nonce if draw(st.booleans()) else None
+            branch = _branch_value(PARAMS, rec.key, challenge, branch_nonce)
+            r1 = xor(branch, counter_bytes(PARAMS, ctr))
+        else:
+            r1 = hashlib.blake2b(challenge, digest_size=32).digest()
+        replies.append((challenge, r1, nonce))
+    return records, replies
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+def test_scan_kernel_matches_reference_scan(case):
+    records, replies = case
+    dbs = [ReaderDatabase([dataclasses.replace(r) for r in records]) for _ in range(2)]
+    for n, (challenge, r1, nonce) in enumerate(replies):
+        outcomes = []
+        for respond, db in zip((reference_respond, cex_reader_respond), dbs):
+            ops = OpCounters()
+            with counting(ops):
+                verdict = respond(PARAMS, db, challenge, r1, nonce, Rng(b"reject-%d" % n))
+            states = [dataclasses.astuple(rec) for rec in db.records_ascending()]
+            outcomes.append((verdict, ops.hashes, states))
+        assert outcomes[0] == outcomes[1]

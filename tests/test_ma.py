@@ -1,5 +1,6 @@
 """Mutual authentication: formula vectors, two-step lookup, desync recovery."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from rfpop.errors import CounterOverflow, LengthMismatch
 from rfpop.ma import (
+    MaAuthResult,
     MaParams,
+    MaReaderRecord,
     MaTagReply,
     MaTagState,
     confirm_value,
@@ -225,8 +228,6 @@ def test_session_accepts_for_arbitrary_counters(ctr, salt):
     key = hashlib.blake2b(salt, digest_size=32).digest()
     tag_id = bytes(32)
     state = MaTagState(tag_id=tag_id, key=key, ctr=ctr)
-    from rfpop.ma import MaReaderRecord
-
     db = ReaderDatabase(
         [MaReaderRecord(tag_id=tag_id, key=key, ctr=ctr, index=index_for(PARAMS, key, ctr))]
     )
@@ -237,3 +238,134 @@ def test_session_accepts_for_arbitrary_counters(ctr, salt):
     assert result.accepted and result.via_step == 1
     assert result.new_ctr == ctr + 1
     assert ma_tag_verify(PARAMS, state, scratch, result.confirm)
+
+
+# -- the Step-2 scan kernel against a scan on prf_eval ----------------------
+
+
+def reference_auth(params, db, challenge, reply):
+    """ma_reader_auth as it reads in the module docstring, every PRF call on
+    prf_eval: Step 1 over the index map, then a scan in ascending tag-id order."""
+    masked = int.from_bytes(reply.masked_ctr, "big")
+
+    def accept(rec, recovered, via_step):
+        old_index = rec.index
+        rec.ctr = recovered + 1
+        rec.index = index_for(params, rec.key, rec.ctr)
+        db.record_updated(rec, old_index)
+        confirm = confirm_value(params, rec.key, challenge, rec.ctr, reply.nonce)
+        return MaAuthResult(True, rec.tag_id, confirm, rec.ctr, via_step)
+
+    for rec in db.candidates_for_index(reply.index):
+        mask = counter_mask(params, rec.key, challenge, reply.index, reply.nonce)
+        recovered = int.from_bytes(mask, "big") ^ masked
+        if recovered == rec.ctr and recovered + 1 <= params.max_counter:
+            return accept(rec, recovered, 1)
+    for rec in sorted(db.records_ascending(), key=lambda r: r.tag_id):
+        mask = counter_mask(params, rec.key, challenge, reply.index, reply.nonce)
+        recovered = int.from_bytes(mask, "big") ^ masked
+        if recovered + 1 > params.max_counter:
+            continue
+        if index_for(params, rec.key, recovered) == reply.index:
+            return accept(rec, recovered, 2)
+    return MaAuthResult(False)
+
+
+def crafted_reply(key, ctr, challenge, nonce):
+    """The reply a tag holding (key, ctr) sends, for any ctr up to the bound."""
+    index = index_for(PARAMS, key, ctr)
+    mask = counter_mask(PARAMS, key, challenge, index, nonce)
+    return MaTagReply(index, nonce, xor(mask, counter_bytes(PARAMS, ctr)))
+
+
+def record_states(db):
+    return [dataclasses.astuple(rec) for rec in db.records_ascending()]
+
+
+TOP = PARAMS.max_counter
+SCAN_KEYS = [hashlib.blake2b(bytes([i]), digest_size=32).digest() for i in range(3)]
+SCAN_CTRS = st.sampled_from([1, 2, 3, 5, TOP - 2, TOP - 1, TOP])
+
+
+@st.composite
+def scan_cases(draw):
+    """A database over a few shared keys (so indexes collide), counters near
+    zero and at the bound, and a run of replies: desynchronized tags (ahead
+    of their record), stale ones (behind it) and garbage."""
+    ids = draw(st.lists(st.integers(0, 255), min_size=1, max_size=6, unique=True))
+    records = []
+    for i in ids:
+        key = SCAN_KEYS[draw(st.integers(0, len(SCAN_KEYS) - 1))]
+        ctr = draw(SCAN_CTRS)
+        records.append(MaReaderRecord(bytes(31) + bytes([i]), key, ctr, index_for(PARAMS, key, ctr)))
+    replies = []
+    for n in range(draw(st.integers(1, 4))):
+        challenge = hashlib.blake2b(b"c%d" % n, digest_size=32).digest()
+        nonce = hashlib.blake2b(b"n%d" % n, digest_size=32).digest()
+        kind = draw(st.sampled_from(["record", "record", "garbage"]))
+        if kind == "garbage":
+            reply = MaTagReply(nonce, challenge, hashlib.blake2b(nonce, digest_size=32).digest())
+        else:
+            rec = records[draw(st.integers(0, len(records) - 1))]
+            drift = draw(st.integers(-2, 3))
+            ctr = min(max(rec.ctr + drift, 0), TOP)
+            reply = crafted_reply(rec.key, ctr, challenge, nonce)
+        replies.append((challenge, reply))
+    return records, replies
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+def test_scan_kernel_matches_reference_scan(case):
+    records, replies = case
+    dbs = [ReaderDatabase([dataclasses.replace(r) for r in records]) for _ in range(2)]
+    for challenge, reply in replies:
+        outcomes = []
+        for auth, db in zip((reference_auth, ma_reader_auth), dbs):
+            ops = OpCounters()
+            with counting(ops):
+                result = auth(PARAMS, db, challenge, reply)
+            outcomes.append((result, ops.hashes, record_states(db)))
+        assert outcomes[0] == outcomes[1]
+
+
+def desync_reply(state, rng):
+    """Drop one challenge to the tag, then return a fresh (challenge, reply)."""
+    ma_tag_respond(PARAMS, state, rng.take_bits(PARAMS.challenge_bits), rng)
+    challenge = rng.take_bits(PARAMS.challenge_bits)
+    reply, _ = ma_tag_respond(PARAMS, state, challenge, rng)
+    return challenge, reply
+
+
+def test_scan_raises_on_a_record_key_of_the_wrong_length():
+    tags, db = fresh_setup()
+    db.get(tags[1].tag_id).key = bytes(31)
+    challenge, reply = desync_reply(tags[2], Rng("short-key"))
+    with pytest.raises(LengthMismatch, match="key is 248 bits"):
+        ma_reader_auth(PARAMS, db, challenge, reply)
+
+
+def test_scan_uses_a_reassigned_record_key():
+    tags, db = fresh_setup()
+    rng = Rng("rekey")
+    # The first scan reaches the last record and keys a state for it.
+    result = ma_reader_auth(PARAMS, db, *desync_reply(tags[2], rng))
+    assert result.via_step == 2 and db.keyed_states
+    rec = db.get(tags[2].tag_id)
+    old_index = rec.index
+    rec.key = tags[2].key = rng.take_bits(PARAMS.key_bits)
+    rec.index = index_for(PARAMS, rec.key, rec.ctr)
+    db.record_updated(rec, old_index)
+    result = ma_reader_auth(PARAMS, db, *desync_reply(tags[2], rng))
+    assert result.accepted and result.via_step == 2
+    assert result.tag_id == tags[2].tag_id
+
+
+def test_database_without_step_two_holds_no_keyed_states():
+    tags, db = fresh_setup()
+    rng = Rng("sync-only")
+    for state in tags * 2:
+        challenge = rng.take_bits(PARAMS.challenge_bits)
+        reply, _ = ma_tag_respond(PARAMS, state, challenge, rng)
+        assert ma_reader_auth(PARAMS, db, challenge, reply).via_step == 1
+    assert db.keyed_states == {}

@@ -12,7 +12,8 @@ import pytest
 
 from rfpop.app.config import Config
 from rfpop.app.dbfile import load_db, load_tag, save_db, save_tag
-from rfpop.app.netrun import TICK_SECONDS, serve_reader, tag_run
+from rfpop.app import netrun
+from rfpop.app.netrun import TICK_SECONDS, reader_from_file, serve_reader, tag_run
 from rfpop.app.wire import (
     TYPE_RESULT_READER,
     TYPE_ROUND_CHALLENGE,
@@ -22,7 +23,7 @@ from rfpop.app.wire import (
     result_frame,
     result_value,
 )
-from rfpop.errors import FrameError
+from rfpop.errors import FrameError, UnknownSnapshot
 from rfpop.model.session import run_honest_session
 from rfpop.pop import Credential, cred_gen, cred_veri
 from rfpop.primitives.rng import Rng
@@ -111,7 +112,7 @@ def test_ma_sessions_over_loopback(tmp_path):
         assert summary["o_tag"] == 1
         assert summary["tag_id"] == system.first_tag_id().hex()
         assert summary["credential"] is None
-    assert client == [{"o_tag": 1, "o_reader": 1, "credential": None}] * 3
+    assert client == [{"o_tag": 1, "o_reader": 1, "credential": None, "note": ""}] * 3
 
     data = load_db(db_path)
     assert len(data.journal) == 3
@@ -150,7 +151,7 @@ def test_session_mode_override_runs_plain_rounds(tmp_path):
 
     assert server[0]["o_reader"] == 1
     assert server[0]["credential"] is None
-    assert client[0] == {"o_tag": 1, "o_reader": 1, "credential": None}
+    assert client[0] == {"o_tag": 1, "o_reader": 1, "credential": None, "note": ""}
     assert load_db(db_path).journal[0].mode == "ma"
 
 
@@ -281,7 +282,7 @@ def test_dribbling_reader_is_cut_off_at_the_session_deadline(tmp_path):
             done.set()
             thread.join(5)
     assert not thread.is_alive()
-    assert result == [{"o_tag": None, "o_reader": None, "credential": None}]
+    assert result == [{"o_tag": None, "o_reader": None, "credential": None, "note": None}]
     assert elapsed < 10 * config.timeout_ticks * TICK_SECONDS
 
 
@@ -371,6 +372,86 @@ def test_restart_after_torn_append_resyncs_through_step_two(tmp_path):
     assert data.history.db_at(2)[system.first_tag_id()].ctr == state.ctr == 4
 
 
+class ReaderKilled(Exception):
+    """Stands in for a reader process dying at an injected point."""
+
+
+def kill_reader_at_append(monkeypatch, *, after_write):
+    """Make the reader's next journal append die, before or after it writes."""
+    write = netrun.append_journal
+
+    def append(*args):
+        if after_write:
+            write(*args)
+        raise ReaderKilled
+
+    monkeypatch.setattr(netrun, "append_journal", append)
+
+
+def crash_then_restart(tmp_path, monkeypatch, seed, *, after_write):
+    """One mapop session whose reader dies at its journal append, then one
+    honest session against a reader restarted from the file.  Returns the
+    crashed session's tag result, the next session's tag and reader results,
+    and the deployment."""
+    config = Config(mode="mapop", tags=2, seed=seed)
+    db_path, tag_paths, system = deploy(tmp_path, config)
+    start = time.monotonic()
+    kill_reader_at_append(monkeypatch, after_write=after_write)
+    box = start_server(db_path, sessions=1)
+    crashed = run_client(box, tag_paths[0], config, sessions=1)
+    with pytest.raises(ReaderKilled):
+        finish(box)
+    monkeypatch.undo()
+    box = start_server(db_path, sessions=1)
+    client = run_client(box, tag_paths[0], config, sessions=1)
+    server = finish(box)
+    assert time.monotonic() - start < 10 * config.timeout_ticks * TICK_SECONDS
+    return crashed[0], client[0], server[0], (config, db_path, tag_paths, system)
+
+
+def test_reader_killed_before_its_append_resyncs_through_step_two(tmp_path, monkeypatch):
+    """The reader accepted session 1 and died before journaling it.  It had
+    sent no verdict and no credential, so the tag holds nothing the file does
+    not.  The tag's counter is one ahead of the file's record, and the
+    restarted reader accepts it through Step 2 in a session numbered 1."""
+    crashed, client, server, deployment = crash_then_restart(
+        tmp_path, monkeypatch, "net-kill-before-append", after_write=False)
+    config, db_path, tag_paths, system = deployment
+    assert crashed == {"o_tag": 1, "o_reader": None, "credential": None, "note": ""}
+    assert (client["o_tag"], client["o_reader"]) == (1, 1)
+    assert (server["j"], server["o_reader"], server["via_step"]) == (1, 1, 2)
+
+    data = load_db(db_path)
+    assert [entry.j for entry in data.journal] == [1]
+    _mode, state, _version = load_tag(tag_paths[0])
+    assert data.history.db_at(1)[system.first_tag_id()].ctr == state.ctr == 3
+    cred = Credential.decode(bytes.fromhex(client["credential"]))
+    assert cred_veri(config.pop_params(), data.directory, cred) == 1
+
+
+def test_reader_killed_after_its_append_resumes_on_step_one(tmp_path, monkeypatch):
+    """The reader journaled session 1 and died before sending its verdict and
+    credential.  Reader and tag agree on the counter, so the restarted reader
+    accepts the next session through Step 1 as session 2.  The credential the
+    crash withheld is lost: the journal keeps no messages to rebuild it from."""
+    crashed, client, server, deployment = crash_then_restart(
+        tmp_path, monkeypatch, "net-kill-after-append", after_write=True)
+    config, db_path, tag_paths, system = deployment
+    assert crashed == {"o_tag": 1, "o_reader": None, "credential": None, "note": ""}
+    assert (client["o_tag"], client["o_reader"]) == (1, 1)
+    assert (server["j"], server["o_reader"], server["via_step"]) == (2, 1, 1)
+
+    data, reader = reader_from_file(db_path)
+    assert [entry.j for entry in data.journal] == [1, 2]
+    assert data.journal[0].o_reader == 1
+    _mode, state, _version = load_tag(tag_paths[0])
+    assert data.history.db_at(2)[system.first_tag_id()].ctr == state.ctr == 3
+    with pytest.raises(UnknownSnapshot, match="keeps no messages"):
+        cred_gen(config.pop_params(), reader, data.reader_signer, 1)
+    cred = Credential.decode(bytes.fromhex(client["credential"]))
+    assert cred_veri(config.pop_params(), data.directory, cred) == 1
+
+
 def test_tag_file_is_saved_after_each_session(tmp_path):
     """A tag whose second session cannot connect keeps the first session's
     counter on disk."""
@@ -404,8 +485,12 @@ def test_mode_mismatch_is_rejected_before_connecting(tmp_path):
         ("ma", "key", lambda text: text[:-2], "key is 31 bytes, config says 32"),
         ("mapop", "pop_key", lambda text: text[:-2], "pop_key is 31 bytes, config says 32"),
         ("ma", "key", lambda text: "zz" + text[2:], "key is not hex"),
+        ("ma", "ctr", lambda ctr: -1, "ctr is -1, not a non-negative integer"),
+        ("ma", "ctr", lambda ctr: str(ctr), "ctr is '1', not a non-negative integer"),
+        ("ma", "ctr", lambda ctr: 2**256, "ctr is above the config's bound"),
     ],
-    ids=["short-key", "short-pop_key", "non-hex-key"],
+    ids=["short-key", "short-pop_key", "non-hex-key", "negative-ctr", "string-ctr",
+         "ctr-above-bound"],
 )
 def test_damaged_key_file_is_rejected_before_connecting(tmp_path, mode, field, damage, error):
     """A damaged key file fails at load, not inside its first session."""

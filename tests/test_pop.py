@@ -146,6 +146,17 @@ def test_tamper_rejection_each_finalize_field():
         assert system.reader.history.session(1).o_reader == 0
 
 
+def test_tag_keeps_its_reject_reason():
+    params = PopParams()
+    system = build_pop_system(Rng("tag-note"), tag_count=2)
+    tag = system.tag(system.first_tag_id())
+    assert step_by_step_session(system) == (1, 1)
+    assert tag.note == ""
+    binder_byte = (params.ma.out_bits + params.hash_bits) // 8
+    assert step_by_step_session(system, tamper_round2=8 * binder_byte + 3) == (0, 0)
+    assert tag.note == "binder invalid"
+
+
 def test_tamper_rejection_each_final_reply_field():
     params = PopParams()
     # One bit in the masked signature and in the signature tag respectively.
