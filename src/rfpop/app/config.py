@@ -130,7 +130,7 @@ class Config:
 
     def pop_params(self) -> PopParams:
         return PopParams(
-            ma=self.ma_params(),
+            **vars(self.ma_params()),
             hash_bits=self.l_r,
             pop_key_bits=self.l_k,
             sig_impl=self.impl,
@@ -139,8 +139,9 @@ class Config:
         )
 
     def params(self):
-        """The parameters this config's mode runs: `PopParams` for mapop,
-        the interior `MaParams` for ma and cex."""
+        """The parameters this config's mode runs: `PopParams` (a `MaParams`
+        with the possession lengths added) for mapop, `MaParams` for ma and
+        cex."""
         return self.pop_params() if self.mode == "mapop" else self.ma_params()
 
     def build_system(self, rng: Optional[Rng] = None, tag_count: Optional[int] = None) -> System:

@@ -36,7 +36,7 @@ from rfpop.errors import FrameError
 from rfpop.ma import MaReaderRecord, MaTagState, index_for
 from rfpop.model.database import History, SessionRecord
 from rfpop.model.types import SID_BITS
-from rfpop.pop import IMPL_KTIME, KeyDirectory, PopReaderRecord, PopTagState, interior_params
+from rfpop.pop import IMPL_KTIME, KeyDirectory, PopReaderRecord, PopTagState
 from rfpop.primitives.sig import FULLTIME, KTIME, VerifyKey, signer_from_dict
 
 from rfpop.app.config import Config, config_from_dict
@@ -126,7 +126,7 @@ def tag_fields(mode: str, params, state) -> list[tuple[str, bytes]]:
 
 
 def _ctr_width(params) -> int:
-    return interior_params(params).out_bits // 8
+    return params.out_bits // 8
 
 
 def encode_record(mode: str, params, rec) -> bytes:
@@ -141,27 +141,26 @@ def _sized(name: str, blob: bytes, nbits: int) -> bytes:
 
 def decode_record(mode: str, params, impl: str, cursor: _Cursor):
     fields = cursor.fields()
-    ma = interior_params(params)
     if mode == "mapop":
         if len(fields) != 6:
             raise FrameError(f"extended reader record needs 6 fields, got {len(fields)}")
         index, key, pop_key, ctr, tag_id, vk = fields
         return PopReaderRecord(
             tag_id=tag_id,
-            key=_sized("key", key, ma.key_bits),
-            ctr=int.from_bytes(_sized("ctr", ctr, ma.out_bits), "big"),
-            index=_sized("index", index, ma.out_bits),
+            key=_sized("key", key, params.key_bits),
+            ctr=int.from_bytes(_sized("ctr", ctr, params.out_bits), "big"),
+            index=_sized("index", index, params.out_bits),
             pop_key=_sized("pop_key", pop_key, params.pop_key_bits),
             verify_key=VerifyKey(_sig_scheme(impl), vk),
         )
     if len(fields) != 3:
         raise FrameError(f"reader record needs 3 fields, got {len(fields)}")
     tag_id, key, ctr = fields
-    key = _sized("key", key, ma.key_bits)
-    ctr = int.from_bytes(_sized("ctr", ctr, ma.out_bits), "big")
+    key = _sized("key", key, params.key_bits)
+    ctr = int.from_bytes(_sized("ctr", ctr, params.out_bits), "big")
     if mode == "cex":
         return CexReaderRecord(tag_id=tag_id, key=key, ctr=ctr)
-    return MaReaderRecord(tag_id=tag_id, key=key, ctr=ctr, index=index_for(ma, key, ctr))
+    return MaReaderRecord(tag_id=tag_id, key=key, ctr=ctr, index=index_for(params, key, ctr))
 
 
 @dataclass

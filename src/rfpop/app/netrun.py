@@ -30,7 +30,7 @@ from rfpop.errors import FrameError
 from rfpop.ma import MaProtocol
 from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import Reader, Tag
-from rfpop.pop import PopProtocol, cred_gen, interior_params
+from rfpop.pop import PopProtocol, cred_gen
 from rfpop.primitives.rng import Rng
 
 from rfpop.app.config import Config
@@ -224,16 +224,15 @@ def tag_run(
         raise FrameError(f"tag file is for mode {mode!r} but config says {config.mode!r}")
     protocol = protocol_for(config)
     params = protocol.params
-    interior = interior_params(params)
-    sizes = {"key": interior.key_bits // 8}
+    sizes = {"key": params.key_bits // 8}
     if mode == "mapop":
         sizes["pop_key"] = params.pop_key_bits // 8
     for name, size in sizes.items():
         got = len(getattr(state, name))
         if got != size:
             raise FrameError(f"tag file {name} is {got} bytes, config says {size}")
-    if state.ctr > interior.max_counter:
-        raise FrameError(f"tag file ctr is above the config's bound {interior.max_counter}")
+    if state.ctr > params.max_counter:
+        raise FrameError(f"tag file ctr is above the config's bound {params.max_counter}")
     if rng is None:
         rng = Rng(config.seed).spawn("net-tag")
     peer_host = host if host is not None else config.host

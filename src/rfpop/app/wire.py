@@ -56,15 +56,22 @@ class Frame:
         return _HEADER.pack(len(self.payload), self.msg_type, self.sid) + self.payload
 
 
-def decode_frame(data: bytes) -> Frame:
-    """Parse one complete frame; the buffer must hold exactly one frame."""
-    if len(data) < _HEADER.size:
-        raise FrameError(f"truncated frame header ({len(data)} bytes)")
-    length, msg_type, sid = _HEADER.unpack_from(data)
+def _parse_header(header: bytes) -> tuple[int, int, bytes]:
+    """(payload length, message type, sid) of a frame header; an unknown
+    type or an oversized declared payload raises FrameError."""
+    length, msg_type, sid = _HEADER.unpack_from(header)
     if msg_type not in _KNOWN_TYPES:
         raise FrameError(f"unknown message type 0x{msg_type:02x}")
     if length > MAX_PAYLOAD:
         raise FrameError(f"declared payload of {length} bytes exceeds limit")
+    return length, msg_type, sid
+
+
+def decode_frame(data: bytes) -> Frame:
+    """Parse one complete frame; the buffer must hold exactly one frame."""
+    if len(data) < _HEADER.size:
+        raise FrameError(f"truncated frame header ({len(data)} bytes)")
+    length, msg_type, sid = _parse_header(data)
     payload = data[_HEADER.size :]
     if len(payload) != length:
         raise FrameError(f"declared payload length {length} but got {len(payload)} bytes")
@@ -79,12 +86,7 @@ def read_frame(sock, deadline: Optional[float] = None) -> Frame:
     wait past it; once it has passed, only bytes already buffered are read
     and an empty buffer raises OSError.
     """
-    header = _recv_exact(sock, _HEADER.size, deadline)
-    length, msg_type, sid = _HEADER.unpack(header)
-    if msg_type not in _KNOWN_TYPES:
-        raise FrameError(f"unknown message type 0x{msg_type:02x}")
-    if length > MAX_PAYLOAD:
-        raise FrameError(f"declared payload of {length} bytes exceeds limit")
+    length, msg_type, sid = _parse_header(_recv_exact(sock, _HEADER.size, deadline))
     payload = _recv_exact(sock, length, deadline) if length else b""
     return Frame(msg_type=msg_type, sid=sid, payload=payload)
 

@@ -89,8 +89,8 @@ def cex_tag_respond(
     r1 = xor(branch, counter_bytes(params, state.ctr))
     state.ctr += 1
     state.st = 1
-    scratch = MaTagScratch(challenge=challenge, nonce=nonce, expect_ctr=state.ctr)
-    return r1 + nonce, scratch
+    scratch = MaTagScratch(challenge, nonce, state.ctr, r1 + nonce)
+    return scratch.reply, scratch
 
 
 def cex_reader_respond(
@@ -167,8 +167,9 @@ class CexProtocol:
         return cex_tag_respond(self.params, state, challenge, rng)
 
     def tag_on_message(self, state: CexTagState, scratch, msg: Msg, rng: Rng) -> Action:
-        ok = cex_tag_finish(self.params, state, scratch, msg.payload)
-        return Action(output=1 if ok else 0)
+        if cex_tag_finish(self.params, state, scratch, msg.payload):
+            return Action(output=1)
+        return Action(output=0, note="confirmation invalid")
 
     def tag_terminal(self, state: CexTagState):
         pass

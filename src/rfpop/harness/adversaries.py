@@ -28,7 +28,7 @@ from typing import Optional
 
 from rfpop.model.session import relay
 from rfpop.model.types import SID_BITS, Msg, Transcript
-from rfpop.pop import Credential, interior_params
+from rfpop.pop import Credential
 from rfpop.primitives import bitstring
 from rfpop.primitives.rng import Rng
 from rfpop.primitives.sig import fulltime_keygen
@@ -76,7 +76,7 @@ def relay_session(
 def drop_tag_replies(hub: OracleHub, tag_id: bytes, count: int, rng: Rng):
     """Query the tag with fresh challenges and discard every reply, leaving
     the tag's counter ahead of the reader's."""
-    width = interior_params(hub.system.params).challenge_bits
+    width = hub.system.params.challenge_bits
     for _ in range(count):
         sid = rng.take_bits(SID_BITS)
         hub.o2_send_tag(tag_id, sid, Msg(0, rng.take_bits(width)))
@@ -289,7 +289,7 @@ class CexDistinguisher:
         run = relay_session(hub, tag)
         if len(run.messages) < 2:
             return tag, None
-        width = interior_params(hub.system.params).out_bits // 8
+        width = hub.system.params.out_bits // 8
         challenge = run.messages[0].payload
         first_block = run.messages[1].payload[:width]
         return tag, (challenge, first_block)

@@ -108,6 +108,7 @@ class MaTagScratch:
     challenge: bytes
     nonce: bytes
     expect_ctr: int
+    reply: bytes  # the tag's round-1 payload
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,8 @@ def ma_tag_respond(
     )
     state.ctr += 1
     reply = MaTagReply(index, nonce, masked)
-    return reply, MaTagScratch(challenge=challenge, nonce=nonce, expect_ctr=state.ctr)
+    scratch = MaTagScratch(challenge, nonce, state.ctr, reply.payload())
+    return reply, scratch
 
 
 def scan_first(
@@ -308,12 +310,13 @@ class MaProtocol:
         return Action(result.confirm, 1, result.tag_id, result.via_step)
 
     def tag_respond(self, state: MaTagState, sid, challenge: bytes, rng: Rng):
-        reply, scratch = ma_tag_respond(self.params, state, challenge, rng)
-        return reply.payload(), scratch
+        _, scratch = ma_tag_respond(self.params, state, challenge, rng)
+        return scratch.reply, scratch
 
     def tag_on_message(self, state: MaTagState, scratch, msg: Msg, rng: Rng) -> Action:
-        ok = ma_tag_verify(self.params, state, scratch, msg.payload)
-        return Action(output=1 if ok else 0)
+        if ma_tag_verify(self.params, state, scratch, msg.payload):
+            return Action(output=1)
+        return Action(output=0, note="confirmation invalid")
 
     def tag_terminal(self, state: MaTagState):
         # Key update is the identity for this protocol; the session machine

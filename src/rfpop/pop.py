@@ -1,9 +1,12 @@
 """Proof-of-possession extension of the mutual authentication protocol.
 
-The interior protocol runs unchanged; its final confirmation is wrapped into
-a larger third message, and the tag answers with a fourth message proving it
-holds its signing key. Per tag the parties share an extra masking key k'
-(pop_key) besides the interior key, and each party has a signature keypair.
+MAPoP is the interior MA interaction extended by one round, and its types
+extend MA's: `PopParams` is a `MaParams`, `PopProtocol` a `MaProtocol`, and
+the tag state and reader record subclass MA's. Rounds 0 and 1 run unchanged;
+the final confirmation is wrapped into a larger third message, and the tag
+answers with a fourth message proving it holds its signing key. Per tag the
+parties share an extra masking key k' (pop_key) besides the interior key, and
+each party has a signature keypair.
 
     reader -> tag : challenge                                  (interior)
     tag    -> reader : index' || nonce || masked_ctr           (interior)
@@ -43,13 +46,12 @@ from typing import Optional
 from rfpop.errors import FrameError, KTimeExhausted, PairPoolExhausted, UnknownSnapshot
 from rfpop.ma import (
     MaParams,
+    MaProtocol,
     MaReaderRecord,
+    MaTagScratch,
     MaTagState,
     index_for,
-    ma_reader_auth,
-    ma_tag_respond,
     ma_tag_verify,
-    parse_tag_reply,
     tag_id_for,
 )
 from rfpop.model.session import Action, Reader
@@ -74,11 +76,11 @@ DEFAULT_K = 16
 
 
 @dataclass(frozen=True)
-class PopParams:
-    """Interior lengths plus the possession-layer lengths and signature
-    instantiation. The masking family's descriptor is built once."""
+class PopParams(MaParams):
+    """The interior lengths of `MaParams`, plus the possession-layer lengths
+    and the signature instantiation. The masking family's descriptor is
+    built once."""
 
-    ma: MaParams = field(default_factory=MaParams)
     hash_bits: int = 256  # pop challenge, binder, and sig_tag length
     pop_key_bits: int = 256
     sig_impl: str = IMPL_FULLTIME
@@ -86,6 +88,7 @@ class PopParams:
     pool_size: int = 1 << 17  # precomputed pairs for impl2
 
     def __post_init__(self):
+        super().__post_init__()
         if self.sig_impl not in (IMPL_FULLTIME, IMPL_POOLED, IMPL_KTIME):
             raise ValueError(f"unknown signature instantiation {self.sig_impl!r}")
 
@@ -95,7 +98,7 @@ class PopParams:
 
     @property
     def finalize_bits(self) -> int:
-        return self.ma.out_bits + 2 * self.hash_bits
+        return self.out_bits + 2 * self.hash_bits
 
     @property
     def final_reply_bits(self) -> int:
@@ -104,12 +107,6 @@ class PopParams:
     @cached_property
     def mask_prf(self) -> PrfDescriptor:
         return PrfDescriptor("pop-g", self.pop_key_bits, None, self.hash_bits)
-
-
-def interior_params(params) -> MaParams:
-    """The counter-protocol length profile, whether the system runs it bare
-    or wrapped with the possession proof."""
-    return params.ma if isinstance(params, PopParams) else params
 
 
 @dataclass
@@ -167,7 +164,7 @@ def signature_tag(params: PopParams, pop_key: bytes, sig: bytes) -> bytes:
 def _split_finalize(params: PopParams, payload: bytes) -> tuple[bytes, bytes, bytes]:
     """confirm, pop_challenge, binder of a wrapped third message."""
     hash_bytes = params.hash_bits // 8
-    return split(payload, params.ma.out_bits // 8, hash_bytes, hash_bytes)
+    return split(payload, params.out_bits // 8, hash_bytes, hash_bytes)
 
 
 def _split_final_reply(params: PopParams, payload: bytes) -> tuple[bytes, bytes]:
@@ -201,13 +198,13 @@ def pop_reader_finalize_send(
 def pop_tag_finalize(
     params: PopParams,
     state: PopTagState,
-    scratch: "_PopTagScratch",
+    scratch: MaTagScratch,
     payload: bytes,
 ) -> Action:
     """Validate the wrapped third message; on success sign and reply together
     with the terminal output."""
     confirm, pop_challenge, binder = _split_finalize(params, payload)
-    if not ma_tag_verify(params.ma, state, scratch.inner, confirm):
+    if not ma_tag_verify(params, state, scratch, confirm):
         return Action(output=0, note="interior confirmation invalid")
     trs = transcript_digest(params, scratch.challenge, scratch.reply, confirm)
     if binder_value(params, state.pop_key, trs, pop_challenge) != binder:
@@ -237,72 +234,51 @@ def pop_reader_verify(
     return signature_tag(params, pop_key, sig) == tag_check
 
 
-@dataclass
-class _PopTagScratch:
-    """Interior scratch plus the raw round-1 reply (needed for the transcript
-    digest)."""
-
-    inner: object
-    reply: bytes
-
-    @property
-    def challenge(self):
-        return self.inner.challenge
-
-
-class PopProtocol:
-    """Plug-in for the generic session machines; supports both the extended
-    mode ("pop") and a plain interior session ("ma") on the same hardware."""
+class PopProtocol(MaProtocol):
+    """The interior protocol's session machine plug-in, extended by the
+    possession rounds 2 and 3. A session runs either the extended mode
+    ("pop") or a plain interior session ("ma") on the same hardware; the
+    plain mode is exactly `MaProtocol`'s."""
 
     name = "mapop"
 
     def __init__(self, params: PopParams, reader_signer: FullTimeSigner):
-        self.params = params
+        super().__init__(params)
         self.reader_signer = reader_signer
-        self._slots = (
-            MessageSlot("reader", (params.ma.challenge_bits // 8,)),
-            MessageSlot("tag", (params.ma.reply_bits // 8,)),
-            MessageSlot("reader", (params.finalize_bits // 8, params.ma.out_bits // 8)),
+        self._slots = self._slots[:2] + (
+            MessageSlot("reader", (params.finalize_bits // 8, params.out_bits // 8)),
             MessageSlot("tag", (params.final_reply_bits // 8,)),
         )
 
-    def slots(self) -> tuple[MessageSlot, ...]:
-        return self._slots
+    # The benchmark tracer wraps each protocol class's own callbacks
+    # (`cls.__dict__`), so the inherited ones are bound here by name.
+    reader_open = MaProtocol.reader_open
+    tag_respond = MaProtocol.tag_respond
+    tag_terminal = MaProtocol.tag_terminal
 
     def default_mode(self) -> str:
         return "pop"
 
-    def reader_open(self, db, session, rng: Rng) -> bytes:
-        return rng.take_bits(self.params.ma.challenge_bits)
-
     def reader_on_message(self, db, session, msg: Msg, rng: Rng) -> Action:
-        if msg.round == 1:
-            return self._reader_on_reply(db, session, msg, rng)
         if msg.round == 3:
             return self._reader_on_final(db, session, msg)
-        return Action(output=0, note="unexpected round")
-
-    def _reader_on_reply(self, db, session, msg: Msg, rng: Rng) -> Action:
-        reply = parse_tag_reply(self.params.ma, msg.payload)
-        result = ma_reader_auth(self.params.ma, db, session.challenge, reply)
-        if not result.accepted:
-            return Action(output=0, via_step=0)
-        if session.mode == "ma":
-            return Action(result.confirm, 1, result.tag_id, result.via_step)
-        record = db.get(result.tag_id)
+        action = super().reader_on_message(db, session, msg, rng)
+        if action.output != 1 or session.mode != "pop":
+            return action
+        record = db.get(action.tag_id)
         payload, scratch = pop_reader_finalize_send(
             self.params,
             record.pop_key,
             self.reader_signer,
             session.challenge,
             msg.payload,
-            result.confirm,
+            action.payload,
             rng,
         )
         session.coins["pop_nonce"] = scratch["pop_nonce"]
         session.scratch = {
-            "tag_id": result.tag_id,
-            "via_step": result.via_step,
+            "tag_id": action.tag_id,
+            "via_step": action.via_step,
             "pop_challenge": scratch["pop_challenge"],
             "binder": scratch["binder"],
         }
@@ -323,19 +299,10 @@ class PopProtocol:
             return Action(output=1, tag_id=sc["tag_id"], via_step=sc["via_step"])
         return Action(output=0, note="possession proof invalid")
 
-    def tag_respond(self, state: PopTagState, sid, challenge: bytes, rng: Rng):
-        reply, inner = ma_tag_respond(self.params.ma, state, challenge, rng)
-        payload = reply.payload()
-        return payload, _PopTagScratch(inner=inner, reply=payload)
-
     def tag_on_message(self, state: PopTagState, scratch, msg: Msg, rng: Rng) -> Action:
-        if 8 * len(msg.payload) == self.params.ma.out_bits:
-            ok = ma_tag_verify(self.params.ma, state, scratch.inner, msg.payload)
-            return Action(output=1 if ok else 0)
+        if 8 * len(msg.payload) == self.params.out_bits:
+            return super().tag_on_message(state, scratch, msg, rng)
         return pop_tag_finalize(self.params, state, scratch, msg.payload)
-
-    def tag_terminal(self, state: PopTagState):
-        pass
 
 
 CRED_VERSION = 0x01
@@ -500,7 +467,7 @@ def pop_setup(
     records = []
     for i in range(tag_count):
         tag_id = tag_id_for(i)
-        key = rng.take_bits(params.ma.key_bits)
+        key = rng.take_bits(params.key_bits)
         pop_key = rng.take_bits(params.pop_key_bits)
         if params.sig_impl == IMPL_FULLTIME:
             signer, vk = fulltime_keygen(rng)
@@ -513,7 +480,7 @@ def pop_setup(
             tag_id=tag_id,
             key=key,
             ctr=1,
-            index=index_for(params.ma, key, 1),
+            index=index_for(params, key, 1),
             pop_key=pop_key,
             verify_key=vk,
         ))

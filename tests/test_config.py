@@ -13,6 +13,7 @@ from rfpop.app.config import (
     save_config,
 )
 from rfpop.errors import ConfigError
+from rfpop.ma import MaParams
 from rfpop.pop import IMPL_FULLTIME, IMPL_KTIME, IMPL_POOLED, PopParams
 from rfpop.primitives.rng import Rng
 from rfpop.system import DEFAULT_LIFETIME
@@ -106,6 +107,14 @@ def test_params_follow_mode():
         assert Config(mode=mode, l_v=128).params() == Config(l_v=128).ma_params()
     config = Config(mode="mapop", impl="3", K=8)
     assert config.params() == config.pop_params()
+
+
+def test_pop_params_are_interior_params():
+    params = Config(mode="mapop").params()
+    assert isinstance(params, MaParams)
+    lengths = ("key_bits", "out_bits", "challenge_bits", "nonce_bits")
+    ma = Config().ma_params()
+    assert [getattr(params, n) for n in lengths] == [getattr(ma, n) for n in lengths]
 
 
 def test_default_signing_budget_matches_config():

@@ -119,3 +119,28 @@ def test_no_module_defines_or_imports_a_retired_step_result():
         "line 1: TagAction", "line 5: Reply"]
     found = {str(p.relative_to(SRC)): retired_step_names(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+RETIRED_WRAPPERS = {"interior_params", "_PopTagScratch"}
+
+
+def mapop_wrappers(source: str) -> list[str]:
+    """Lines that define a retired MAPoP wrapper or read an attribute `ma`
+    (the old `PopParams.ma`)."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in RETIRED_WRAPPERS:
+            hits.append(f"line {node.lineno}: {node.name}")
+        elif isinstance(node, ast.Attribute) and node.attr == "ma":
+            hits.append(f"line {node.lineno}: .ma")
+    return hits
+
+
+def test_mapop_extends_ma_without_wrappers():
+    """`PopParams` is a `MaParams` and the tag has one scratch type, so no
+    module unwraps interior parameters or scratch."""
+    assert mapop_wrappers("def interior_params(p):\n    return p.ma\n") == [
+        "line 1: interior_params", "line 2: .ma"]
+    assert mapop_wrappers("from rfpop.ma import MaParams\n") == []
+    found = {str(p.relative_to(SRC)): mapop_wrappers(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {path: lines for path, lines in found.items() if lines} == {}

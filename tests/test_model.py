@@ -207,11 +207,26 @@ def test_interleaved_sessions_across_tags(ma_system):
 @pytest.mark.parametrize("mode", ["ma", "mapop", "cex"])
 def test_descriptors_and_slots_are_built_once(mode):
     from rfpop.app.config import Config
-    from rfpop.pop import interior_params
 
     system = Config(mode=mode, tags=1).build_system()
     params = system.params
-    assert interior_params(params).prf is interior_params(params).prf
+    assert params.prf is params.prf
     if mode == "mapop":
         assert params.mask_prf is params.mask_prf
     assert system.protocol.slots() is system.protocol.slots()
+
+
+@pytest.mark.parametrize("mode", ["ma", "cex", "mapop"])
+def test_tag_names_a_failed_confirmation(mode):
+    """A plain three-message session whose confirmation lost one bit: the tag
+    rejects and says why (a mapop system runs its plain "ma" mode here)."""
+    from rfpop.app.config import Config
+
+    system = Config(mode=mode, tags=1).build_system()
+    reader, tag, rng = system.reader, system.tag(system.first_tag_id()), system.rng
+    sid, challenge = reader.start(rng, mode="ma" if mode == "mapop" else None)
+    reply = tag.step(sid, challenge, rng).msg
+    confirm = reader.step(sid, reply, rng).msg
+    out = tag.step(sid, Msg(confirm.round, flip_bit(confirm.payload, 0)), rng)
+    assert out.output == 0
+    assert tag.note == "confirmation invalid"

@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from rfpop.errors import FrameError
-from rfpop.ma import MaTagState, confirm_value, ma_tag_respond
+from rfpop.errors import FrameError, LengthMismatch
+from rfpop.ma import MaProtocol, MaTagState, confirm_value, ma_tag_respond
 from rfpop.model.types import Msg
 from rfpop.pop import (
     IMPL_FULLTIME,
@@ -17,6 +17,7 @@ from rfpop.pop import (
     PiPrimeReaderSide,
     PiPrimeTagSide,
     PopParams,
+    PopProtocol,
     binder_value,
     cred_gen,
     cred_veri,
@@ -30,6 +31,15 @@ from rfpop.primitives.prf import hash_digest
 from rfpop.primitives.rng import Rng
 from rfpop.primitives.sig import fulltime_keygen, ktime_keygen
 from rfpop.system import build_pop_system, mapop_session
+
+
+def test_pop_params_run_the_interior_length_checks():
+    with pytest.raises(LengthMismatch):
+        PopParams(out_bits=12)
+
+
+def test_pop_protocol_extends_the_interior_protocol():
+    assert issubclass(PopProtocol, MaProtocol)
 
 
 def test_honest_session_four_messages(pop_system):
@@ -67,11 +77,11 @@ def test_interior_rounds_unchanged(pop_system):
     probe = Rng("interior-probe")
     replay = Rng("interior-probe")
     sid = probe.take_bits(128)
-    challenge = probe.take_bits(pop_system.params.ma.challenge_bits)
+    challenge = probe.take_bits(pop_system.params.challenge_bits)
     replay.take_bits(128)
-    replay.take_bits(pop_system.params.ma.challenge_bits)
+    replay.take_bits(pop_system.params.challenge_bits)
     out = tag.step(sid, Msg(0, challenge), probe)
-    reply, _ = ma_tag_respond(pop_system.params.ma, interior_copy, challenge, replay)
+    reply, _ = ma_tag_respond(pop_system.params, interior_copy, challenge, replay)
     assert out.msg.payload == reply.payload()
 
 
@@ -83,15 +93,15 @@ def test_finalize_message_structure(pop_system):
     tag_record = pop_system.reader.history.db_at(0)[tag_id]
     challenge = trs.messages[0].payload
     tag_reply = trs.messages[1].payload
-    out, hash_len = params.ma.out_bits // 8, params.hash_bits // 8
+    out, hash_len = params.out_bits // 8, params.hash_bits // 8
     confirm, pop_challenge, binder = split(trs.messages[2].payload, out, hash_len, hash_len)
     # confirm: interior confirmation for the post-update counter.
     assert confirm == confirm_value(
-        params.ma,
+        params,
         tag_record.key,
         challenge,
         tag_record.ctr + 1,
-        split(tag_reply, out, params.ma.nonce_bits // 8, out)[1],
+        split(tag_reply, out, params.nonce_bits // 8, out)[1],
     )
     # pop_challenge: hash of the issuer signature on the session nonce.
     issuer_sig = pop_system.reader_signer.sign(record.coins["pop_nonce"])
@@ -139,7 +149,7 @@ def test_reader_output_deferred_to_final_message(pop_system):
 def test_tamper_rejection_each_finalize_field():
     params = PopParams()
     # One bit in confirm, pop_challenge, and binder respectively.
-    for pos in (0, params.ma.out_bits, params.ma.out_bits + params.hash_bits):
+    for pos in (0, params.out_bits, params.out_bits + params.hash_bits):
         system = build_pop_system(Rng(f"m3-tamper-{pos}"), tag_count=2)
         o_reader, o_tag = step_by_step_session(system, tamper_round2=pos)
         assert (o_reader, o_tag) == (0, 0)
@@ -152,7 +162,7 @@ def test_tag_keeps_its_reject_reason():
     tag = system.tag(system.first_tag_id())
     assert step_by_step_session(system) == (1, 1)
     assert tag.note == ""
-    binder_byte = (params.ma.out_bits + params.hash_bits) // 8
+    binder_byte = (params.out_bits + params.hash_bits) // 8
     assert step_by_step_session(system, tamper_round2=8 * binder_byte + 3) == (0, 0)
     assert tag.note == "binder invalid"
 
