@@ -87,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", help="bind host (default from the database's config)")
     p.add_argument("--port", type=int, help="bind port (default from the database's config)")
     p.add_argument("--sessions", type=int, default=1, help="sessions to serve before exiting")
-    p.add_argument("--mode", choices=("ma", "pop"), help="session mode override")
 
     p = sub.add_parser("tag-run", help="run sessions as a tag against a reader")
     p.add_argument("--config", help="config JSON (default: $RFPOP_CONFIG or built-ins)")
@@ -164,13 +163,7 @@ def _cmd_setup(args) -> int:
 
 
 def _cmd_serve_reader(args) -> int:
-    serve_reader(
-        args.db,
-        host=args.host,
-        port=args.port,
-        sessions=args.sessions,
-        session_mode=args.mode,
-    )
+    serve_reader(args.db, host=args.host, port=args.port, sessions=args.sessions)
     return 0
 
 

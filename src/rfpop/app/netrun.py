@@ -3,7 +3,7 @@
 Both sides speak the length-prefixed frame protocol from `rfpop.app.wire`.
 The reader serves one session per connection: it opens with the round-0
 challenge, relays protocol rounds, and reports its verdict as a reader-result
-frame (followed by a credential frame when an extended-mode session accepts).
+frame (followed by a credential frame when a mapop session accepts).
 It journals each session as soon as it reaches its verdict, before it sends
 the message, result or credential that verdict produces, so a reader that
 crashes has told no peer of a session its file does not hold.
@@ -87,7 +87,6 @@ def serve_reader(
     port: Optional[int] = None,
     sessions: int = 1,
     rng: Optional[Rng] = None,
-    session_mode: Optional[str] = None,
     announce: Callable[[str], None] = print,
     ready: Optional[Callable[[int], None]] = None,
 ) -> list[dict]:
@@ -113,7 +112,7 @@ def serve_reader(
         for _ in range(sessions):
             conn, _peer = server.accept()
             with conn:
-                summary = _serve_one(reader, conn, rng, session_mode, config, db_path)
+                summary = _serve_one(reader, conn, rng, config, db_path)
             announce(
                 "session {j}: o_R={o_reader} o_T={o_tag} via_step={via_step}".format(**summary)
             )
@@ -121,18 +120,11 @@ def serve_reader(
     return results
 
 
-def _serve_one(
-    reader: Reader,
-    conn,
-    rng: Rng,
-    session_mode: Optional[str],
-    config: Config,
-    db_path: str,
-) -> dict:
+def _serve_one(reader: Reader, conn, rng: Rng, config: Config, db_path: str) -> dict:
     budget = config.timeout_ticks * TICK_SECONDS
     deadline = time.monotonic() + budget
     conn.settimeout(budget)
-    sid, challenge = reader.start(rng, mode=session_mode)
+    sid, challenge = reader.start(rng)
     _send(conn, frame_for_msg(sid, challenge))
     o_reader = None
     o_tag = None
@@ -195,13 +187,13 @@ def _time_out(reader: Reader, conn, sid: bytes, config: Config, db_path: str) ->
 
 
 def _issue_credential(reader: Reader):
-    """The credential for the session just ended; only a mapop reader's
-    sessions run in "pop" mode."""
-    record = reader.history.sessions[-1]
-    if record.mode != "pop":
-        return None
+    """The credential for the session just ended; only a mapop reader issues
+    credentials."""
     protocol = reader.protocol
-    return cred_gen(protocol.params, reader, protocol.reader_signer, record.j)
+    if not isinstance(protocol, PopProtocol):
+        return None
+    j = reader.history.sessions[-1].j
+    return cred_gen(protocol.params, reader, protocol.reader_signer, j)
 
 
 def tag_run(

@@ -136,20 +136,18 @@ class CexProtocol:
     """Plug-in for the generic session machines."""
 
     name = "cex"
+    record_mode = "cex"
 
     def __init__(self, params: CexParams):
         self.params = params
         self._slots = (
-            MessageSlot("reader", (params.challenge_bits // 8,)),
-            MessageSlot("tag", ((params.out_bits + params.nonce_bits) // 8,)),
-            MessageSlot("reader", (params.out_bits // 8,)),
+            MessageSlot("reader", params.challenge_bits // 8),
+            MessageSlot("tag", (params.out_bits + params.nonce_bits) // 8),
+            MessageSlot("reader", params.out_bits // 8),
         )
 
     def slots(self) -> tuple[MessageSlot, ...]:
         return self._slots
-
-    def default_mode(self) -> str:
-        return "cex"
 
     def reader_open(self, db, session, rng: Rng) -> bytes:
         return rng.take_bits(self.params.challenge_bits)

@@ -15,9 +15,9 @@ registers in the key directory before checking the forgery events.
 The suite covers sanity baselines (coin-flipper, honest-runner), the
 statistical distinguishers used by the privacy acceptance checks
 (transcript-statistics, repeated-query), scripted interference scenarios
-(bit-flipper, replayer, desync-attacker), the tracing attack against the
-flawed counter protocol (cex-distinguisher), and three credential forgers
-(honest-replayer, db-splicer, random-forger).
+(bit-flipper, replayer, desync-attacker, finalize-truncator), the tracing
+attack against the flawed counter protocol (cex-distinguisher), and three
+credential forgers (honest-replayer, db-splicer, random-forger).
 """
 
 from __future__ import annotations
@@ -276,6 +276,31 @@ class DesyncAttacker:
         return 0 if len(run.messages) == rounds else 1
 
 
+class FinalizeTruncator:
+    """Relays rounds 0 and 1 faithfully, then hands the tag only the first
+    `out_bits` of the reader's round-2 message, the length of an MA
+    confirmation. The blinded world never answers the cut message with
+    o_T=1, so the guess is b=1 exactly when the tag accepts it: a message
+    the reader never sent."""
+
+    name = "finalize-truncator"
+
+    def learn(self, hub: OracleHub, rng: Rng):
+        return _first_tag(hub), None
+
+    def guess(self, hub: OracleHub, tag_id: bytes, st, rng: Rng) -> int:
+        start = hub.o1_init_reader()
+        reply = hub.o2_send_tag(tag_id, start.sid, start.msg)
+        if reply.msg is None:
+            return 0
+        finalize = hub.o3_send_reader(start.sid, reply.msg)
+        if finalize.msg is None:
+            return 0
+        cut = finalize.msg.payload[: hub.system.params.out_bits // 8]
+        res = hub.o2_send_tag(tag_id, start.sid, Msg(finalize.msg.round, cut))
+        return 1 if res.output == 1 else 0
+
+
 class CexDistinguisher:
     """Tracing attack on the flawed counter protocol: query the same
     challenge before and after a clean finish; the first reply blocks then
@@ -383,6 +408,7 @@ PRIVACY_ADVERSARIES = {
     "bit-flipper": BitFlipper,
     "replayer": Replayer,
     "desync-attacker": DesyncAttacker,
+    "finalize-truncator": FinalizeTruncator,
 }
 
 FORGERY_ADVERSARIES = {

@@ -50,10 +50,10 @@ class BlindedWorld:
         )
 
     def _draw_msg(self, round: int) -> Msg:
-        return Msg(round, self.draw.take_bytes(self.slots[round].byte_lengths[0]))
+        return Msg(round, self.draw.take_bytes(self.slots[round].byte_len))
 
-    def _in_challenge_space(self, msg: Msg) -> bool:
-        return msg.round == 0 and self.slots[0].allows(msg.payload)
+    def _in_slot(self, msg: Msg, round: int) -> bool:
+        return msg.round == round and self.slots[round].allows(msg.payload)
 
     def o1_init_reader(self):
         sid = self.draw.take_bits(SID_BITS)
@@ -65,25 +65,21 @@ class BlindedWorld:
     def o2_send_tag(self, sid, msg: Msg) -> StepOutcome:
         led = self.ledgers.get(sid)
         if led is None:
-            if self._in_challenge_space(msg):
+            if self._in_slot(msg, 0):
                 adv = _Ledger("adv", [msg])
                 reply = self._draw_msg(1)
                 adv.msgs.append(reply)
                 self.ledgers[sid] = adv
                 return StepOutcome(sid, reply)
             return IGNORE
-        if led.kind == "adv":
-            if led.tag_done:
-                return IGNORE
-            # Second message on an adversarial session always fails the tag.
-            led.o_tag = 0
-            led.tag_done = True
-            return StepOutcome(sid, None, 0)
         if led.tag_done:
             return IGNORE
         last = led.msgs[-1]
-        if _sender(last.round) != "reader":
-            return IGNORE  # out of turn for the tag oracle
+        awaited = last.round if _sender(last.round) == "reader" else last.round + 1
+        if not (self._in_slot(msg, 0) or self._in_slot(msg, awaited)):
+            # Neither a session start nor a message of the round the tag takes
+            # next: the real tag ignores it, as `Tag.step` does.
+            return IGNORE
         if msg == last:
             if last.round == self.final_reader_round and not self.tag_final:
                 led.o_tag = 1
@@ -96,13 +92,15 @@ class BlindedWorld:
                 led.tag_done = True
                 return StepOutcome(sid, reply, 1)
             return StepOutcome(sid, reply)
-        if last.round == 0 and self._in_challenge_space(msg):
+        if last.round == 0:
             # Modified session-start challenge: the tag-side answer is drawn,
             # and the reader side is poisoned to reject.
             reply = self._draw_msg(1)
             led.msgs.append(reply)
             led.preset_reject = True
             return StepOutcome(sid, reply)
+        # Any other delivery the tag takes fails it: a continuation of an
+        # adversarial session, or a changed message of the awaited round.
         led.o_tag = 0
         led.tag_done = True
         return StepOutcome(sid, None, 0)
@@ -151,7 +149,7 @@ class PureRandomWorld:
         return msg.round < len(self.slots) and self.slots[msg.round].allows(msg.payload)
 
     def _draw_msg(self, round: int) -> Msg:
-        return Msg(round, self.draw.take_bytes(self.slots[round].byte_lengths[0]))
+        return Msg(round, self.draw.take_bytes(self.slots[round].byte_len))
 
     def o1_init_reader(self):
         return self.draw.take_bits(SID_BITS), self._draw_msg(0)

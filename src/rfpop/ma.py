@@ -284,20 +284,18 @@ class MaProtocol:
     """Plug-in for the generic session machines."""
 
     name = "ma"
+    record_mode = "ma"
 
     def __init__(self, params: MaParams):
         self.params = params
         self._slots = (
-            MessageSlot("reader", (params.challenge_bits // 8,)),
-            MessageSlot("tag", (params.reply_bits // 8,)),
-            MessageSlot("reader", (params.out_bits // 8,)),
+            MessageSlot("reader", params.challenge_bits // 8),
+            MessageSlot("tag", params.reply_bits // 8),
+            MessageSlot("reader", params.out_bits // 8),
         )
 
     def slots(self) -> tuple[MessageSlot, ...]:
         return self._slots
-
-    def default_mode(self) -> str:
-        return "ma"
 
     def reader_open(self, db, session, rng: Rng) -> bytes:
         return rng.take_bits(self.params.challenge_bits)

@@ -8,7 +8,7 @@ object plugs in the cryptographic content via a small duck-typed interface:
     name                   protocol label
     slots()                tuple[MessageSlot, ...], round 0 first; the same
                            object on every call
-    default_mode()         mode label for new sessions
+    record_mode            label every session record of this protocol carries
     reader_open(db, session, rng)            -> round-0 payload
     reader_on_message(db, session, msg, rng) -> Action
     tag_respond(state, sid, challenge, rng)  -> (reply payload, scratch)
@@ -55,7 +55,6 @@ class Action:
 @dataclass
 class OpenReaderSession:
     sid: bytes
-    mode: str
     messages: list[Msg] = field(default_factory=list)
     coins: dict[str, bytes] = field(default_factory=dict)
     awaiting_round: int = 1
@@ -89,12 +88,12 @@ class Reader:
     def next_j(self) -> int:
         return len(self.history.sessions) + 1
 
-    def start(self, rng: Rng, mode: Optional[str] = None) -> tuple[bytes, Msg]:
+    def start(self, rng: Rng) -> tuple[bytes, Msg]:
         """Open a session: draw a sid and the round-0 challenge."""
         if self.session is not None:
             raise SessionInProgress("reader already has an open session")
         sid = rng.take_bits(SID_BITS)
-        ses = OpenReaderSession(sid=sid, mode=mode or self.protocol.default_mode())
+        ses = OpenReaderSession(sid=sid)
         msg = Msg(0, self.protocol.reader_open(self.db, ses, rng))
         ses.messages.append(msg)
         self.session = ses
@@ -141,7 +140,7 @@ class Reader:
             sid=ses.sid,
             o_reader=o_reader,
             tag_id=tag_id,
-            mode=ses.mode,
+            mode=self.protocol.record_mode,
             messages=list(ses.messages),
             coins=dict(ses.coins),
             delta=self.db.take_delta(),
@@ -236,11 +235,9 @@ def relay(sid: bytes, first: Msg, to_tag, to_reader) -> Transcript:
         trs.messages.append(msg)
 
 
-def run_honest_session(
-    reader: Reader, tag: Tag, rng: Rng, mode: Optional[str] = None
-) -> Transcript:
+def run_honest_session(reader: Reader, tag: Tag, rng: Rng) -> Transcript:
     """Relay one session faithfully between the two parties."""
-    sid, challenge = reader.start(rng, mode=mode)
+    sid, challenge = reader.start(rng)
     return relay(
         sid,
         challenge,

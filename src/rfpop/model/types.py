@@ -34,14 +34,14 @@ class Msg:
 
 @dataclass(frozen=True)
 class MessageSlot:
-    """Shape of one round: who sends it and which payload lengths, in bytes,
-    are legal. Most rounds admit one length; a dual-mode round lists several."""
+    """Shape of one round: who sends it and the one payload length, in bytes,
+    that it admits."""
 
     sender: str  # "reader" or "tag"
-    byte_lengths: tuple[int, ...]
+    byte_len: int
 
     def allows(self, payload: bytes) -> bool:
-        return len(payload) in self.byte_lengths
+        return len(payload) == self.byte_len
 
 
 @dataclass

@@ -4,9 +4,9 @@ MAPoP is the interior MA interaction extended by one round, and its types
 extend MA's: `PopParams` is a `MaParams`, `PopProtocol` a `MaProtocol`, and
 the tag state and reader record subclass MA's. Rounds 0 and 1 run unchanged;
 the final confirmation is wrapped into a larger third message, and the tag
-answers with a fourth message proving it holds its signing key. Per tag the
-parties share an extra masking key k' (pop_key) besides the interior key, and
-each party has a signature keypair.
+answers with a fourth message proving it holds its signing key. Every session
+runs all four rounds. Per tag the parties share an extra masking key k'
+(pop_key) besides the interior key, and each party has a signature keypair.
 
     reader -> tag : challenge                                  (interior)
     tag    -> reader : index' || nonce || masked_ctr           (interior)
@@ -236,18 +236,18 @@ def pop_reader_verify(
 
 class PopProtocol(MaProtocol):
     """The interior protocol's session machine plug-in, extended by the
-    possession rounds 2 and 3. A session runs either the extended mode
-    ("pop") or a plain interior session ("ma") on the same hardware; the
-    plain mode is exactly `MaProtocol`'s."""
+    possession rounds 2 and 3. Every session runs all four rounds: the round-2
+    slot admits only the wrapped third message."""
 
     name = "mapop"
+    record_mode = "pop"
 
     def __init__(self, params: PopParams, reader_signer: FullTimeSigner):
         super().__init__(params)
         self.reader_signer = reader_signer
         self._slots = self._slots[:2] + (
-            MessageSlot("reader", (params.finalize_bits // 8, params.out_bits // 8)),
-            MessageSlot("tag", (params.final_reply_bits // 8,)),
+            MessageSlot("reader", params.finalize_bits // 8),
+            MessageSlot("tag", params.final_reply_bits // 8),
         )
 
     # The benchmark tracer wraps each protocol class's own callbacks
@@ -256,14 +256,11 @@ class PopProtocol(MaProtocol):
     tag_respond = MaProtocol.tag_respond
     tag_terminal = MaProtocol.tag_terminal
 
-    def default_mode(self) -> str:
-        return "pop"
-
     def reader_on_message(self, db, session, msg: Msg, rng: Rng) -> Action:
         if msg.round == 3:
             return self._reader_on_final(db, session, msg)
         action = super().reader_on_message(db, session, msg, rng)
-        if action.output != 1 or session.mode != "pop":
+        if action.output != 1:
             return action
         record = db.get(action.tag_id)
         payload, scratch = pop_reader_finalize_send(
@@ -300,8 +297,6 @@ class PopProtocol(MaProtocol):
         return Action(output=0, note="possession proof invalid")
 
     def tag_on_message(self, state: PopTagState, scratch, msg: Msg, rng: Rng) -> Action:
-        if 8 * len(msg.payload) == self.params.out_bits:
-            return super().tag_on_message(state, scratch, msg, rng)
         return pop_tag_finalize(self.params, state, scratch, msg.payload)
 
 
@@ -358,14 +353,14 @@ def cred_gen(
     j: int,
 ) -> Optional[Credential]:
     """Rebuild the credential for accepted session j from the snapshot; None
-    for rejected, timed-out, or plain-mode sessions.
+    for rejected or timed-out sessions.
 
     The tag's possession signature is recovered by recomputing the mask from
     the masking key in the tag's record as the session found it; it is never
     stored. A session loaded from a database file has no messages to unmask,
     so asking for its credential raises UnknownSnapshot."""
     record = reader.history.session(j)
-    if record.o_reader != 1 or record.mode != "pop" or record.tag_id is None:
+    if record.o_reader != 1 or record.tag_id is None:
         return None
     if not record.messages:
         raise UnknownSnapshot(f"session {j} was loaded from a journal, which keeps no messages")
@@ -399,62 +394,6 @@ def cred_veri(params: PopParams, directory: KeyDirectory, cred: Credential) -> i
     if not tag_key.verify(pop_challenge, cred.possession_sig):
         return 0
     return 1
-
-
-@dataclass
-class PiPrimeReaderSide:
-    params: PopParams
-    pop_key: bytes
-    signer: FullTimeSigner
-    tag_key: VerifyKey
-    context: bytes  # transcript the subprotocol binds to
-
-
-@dataclass
-class PiPrimeTagSide:
-    params: PopParams
-    pop_key: bytes
-    signer: object
-    context: bytes
-
-
-def piprime_run(
-    reader_side: PiPrimeReaderSide, tag_side: PiPrimeTagSide, rng: Rng
-) -> tuple[int, int, dict]:
-    """Standalone possession subprotocol over an agreed context string.
-
-    Returns (reader output, tag output, messages). The tag refuses to sign
-    unless the binder authenticates the challenge under the shared masking
-    key."""
-    params = reader_side.params
-    nonce = rng.take_bits(params.hash_bits)
-    pop_challenge = hash_digest(reader_side.signer.sign(nonce), params.hash_bits)
-    ctx_digest = hash_digest(reader_side.context, params.hash_bits)
-    binder = binder_value(params, reader_side.pop_key, ctx_digest, pop_challenge)
-    msgs = {"pop_challenge": pop_challenge, "binder": binder}
-
-    tag_ctx = hash_digest(tag_side.context, params.hash_bits)
-    if binder_value(tag_side.params, tag_side.pop_key, tag_ctx, pop_challenge) != binder:
-        return 0, 0, msgs
-    try:
-        sig = tag_side.signer.sign(pop_challenge)
-    except (KTimeExhausted, PairPoolExhausted):
-        return 0, 0, msgs
-    masked = xor(signature_mask(tag_side.params, tag_side.pop_key, binder), sig)
-    tag_check = signature_tag(tag_side.params, tag_side.pop_key, sig)
-    msgs["masked_sig"] = masked
-    msgs["sig_tag"] = tag_check
-    o_tag = 1
-
-    ok = pop_reader_verify(
-        params,
-        reader_side.pop_key,
-        reader_side.tag_key,
-        pop_challenge,
-        binder,
-        masked + tag_check,
-    )
-    return (1 if ok else 0), o_tag, msgs
 
 
 def pop_setup(

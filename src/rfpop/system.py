@@ -49,8 +49,12 @@ class System:
         return self.tag_ids()[0]
 
     def run_honest(self, tag_id: Optional[bytes] = None, mode: Optional[str] = None) -> Transcript:
+        # `mode` stays only because the benchmark passes run_honest(mode="pop").
+        expected = self.protocol.record_mode
+        if mode not in (None, expected):
+            raise ValueError(f"{self.kind} sessions run {expected!r}, not {mode!r}")
         tag = self.tags[tag_id if tag_id is not None else self.first_tag_id()]
-        return run_honest_session(self.reader, tag, self.rng, mode=mode)
+        return run_honest_session(self.reader, tag, self.rng)
 
 
 def _system(rng: Rng, protocol, states, records, lifetime: int,
@@ -90,10 +94,10 @@ def build_cex_system(rng: Rng, tag_count: int = 2, params: Optional[CexParams] =
 
 
 def mapop_session(system: System, tag_id: Optional[bytes] = None) -> Transcript:
-    """One full extended-mode session against the chosen tag."""
+    """One full four-round session against the chosen tag."""
     if system.kind != "mapop":
         raise ValueError("mapop_session needs a proof-of-possession system")
-    return system.run_honest(tag_id=tag_id, mode="pop")
+    return system.run_honest(tag_id=tag_id)
 
 
 SYSTEM_BUILDERS = {

@@ -182,6 +182,16 @@ def test_criterion_05_statistical_adversaries_gain_nothing():
     criterion(5, ok, f"{trials} trials each; " + "; ".join(measured))
 
 
+def test_finalize_truncation_gains_nothing():
+    """A relay that cuts the reader's round-2 message to the length of an MA
+    confirmation: the tag ignores the cut message in both worlds, so the
+    adversary's guess is a constant."""
+    report = exp_unp_sharp(
+        mapop_factory, make_adversary("finalize-truncator"), 200, Rng("acc-trunc")
+    )
+    assert report.advantage <= 0.05 and report.ci_contains_zero, report.to_text()
+
+
 def test_criterion_06_distinguisher_separates_flawed_protocol():
     trials = 1000
     adversary = make_adversary("cex-distinguisher")

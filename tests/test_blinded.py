@@ -23,7 +23,7 @@ def test_reader_session_registration():
     sid, challenge = world.o1_init_reader()
     assert len(sid) == 16
     assert challenge.round == 0
-    assert len(challenge.payload) == MA_SLOTS[0].byte_lengths[0]
+    assert len(challenge.payload) == MA_SLOTS[0].byte_len
     led = world.ledgers[sid]
     assert led.kind == "reader" and led.msgs == [challenge]
 
@@ -100,7 +100,7 @@ def test_out_of_turn_deliveries_ignored():
 def test_adversarial_tag_only_session():
     world = make_world()
     sid = Rng("adv-sid").take_bits(128)
-    challenge = Msg(0, Rng("adv-chal").take_bytes(MA_SLOTS[0].byte_lengths[0]))
+    challenge = Msg(0, Rng("adv-chal").take_bytes(MA_SLOTS[0].byte_len))
     t1 = world.o2_send_tag(sid, challenge)
     assert t1.kind == "reply" and t1.msg.round == 1
     assert world.ledgers[sid].kind == "adv"

@@ -160,6 +160,13 @@ def test_experiment_unknown_adversary_rc2(capsys):
     assert "error:" in stderr
 
 
+def test_serve_reader_has_no_session_mode(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["serve-reader", "--db", "reader.db", "--mode", "ma"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode ma" in capsys.readouterr().err
+
+
 def test_experiment_bad_adversary_options_rc2(capsys):
     rc, _, stderr = run_cli(
         capsys,

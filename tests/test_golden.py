@@ -95,7 +95,7 @@ def test_honest_transcripts_are_pinned(mode):
     system = Config(mode=mode, tags=3, seed=f"golden-{mode}").build_system()
     ids = system.tag_ids()
     rng = system.rng
-    width = system.protocol.slots()[0].byte_lengths[0]
+    width = system.protocol.slots()[0].byte_len
     session_mode = "pop" if mode == "mapop" else None
     runs = []
     for i in range(15):

@@ -144,3 +144,31 @@ def test_mapop_extends_ma_without_wrappers():
     assert mapop_wrappers("from rfpop.ma import MaParams\n") == []
     found = {str(p.relative_to(SRC)): mapop_wrappers(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+RETIRED_MODE_NAMES = {"default_mode", "piprime_run"}
+
+
+def per_session_modes(source: str) -> list[str]:
+    """Lines that define `default_mode` or `piprime_run`, or take a
+    parameter named `session_mode`."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name in RETIRED_MODE_NAMES:
+            hits.append(f"line {node.lineno}: {node.name}")
+        args = node.args
+        hits += [f"line {a.lineno}: {a.arg}" for a in args.posonlyargs + args.args + args.kwonlyargs
+                 if a.arg == "session_mode"]
+    return hits
+
+
+def test_one_session_shape_per_protocol():
+    """No protocol picks a mode per session, and the possession subprotocol
+    runs only inside a MAPoP session."""
+    assert per_session_modes(
+        "def default_mode(self):\n    pass\n\n\ndef serve(db, *, session_mode=None):\n    pass\n"
+    ) == ["line 1: default_mode", "line 5: session_mode"]
+    found = {str(p.relative_to(SRC)): per_session_modes(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {path: lines for path, lines in found.items() if lines} == {}

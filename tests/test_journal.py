@@ -34,7 +34,7 @@ def replay(history, j):
 def play(system, actions):
     ids = system.tag_ids()
     rng = system.rng
-    width = system.protocol.slots()[0].byte_lengths[0]
+    width = system.protocol.slots()[0].byte_len
     for kind, i in actions:
         if kind == "honest":
             system.run_honest(ids[i])
@@ -114,8 +114,8 @@ def test_restarted_reader_matches_an_uninterrupted_twin(order, restart_at):
             if n == restart_at:
                 _data, reader = reader_from_file(path)
                 before = {j: db_snapshot_load(path, j) for j in range(n + 1)}
-            run_honest_session(reader, system.tag(ids[i]), system.rng, mode="pop")
-            run_honest_session(twin.reader, twin.tag(ids[i]), twin.rng, mode="pop")
+            run_honest_session(reader, system.tag(ids[i]), system.rng)
+            run_honest_session(twin.reader, twin.tag(ids[i]), twin.rng)
             record = reader.history.sessions[-1]
             assert record.j == n + 1 == twin.reader.history.sessions[-1].j
             append_journal(path, config, record.j, record)

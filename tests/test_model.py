@@ -216,15 +216,15 @@ def test_descriptors_and_slots_are_built_once(mode):
     assert system.protocol.slots() is system.protocol.slots()
 
 
-@pytest.mark.parametrize("mode", ["ma", "cex", "mapop"])
+@pytest.mark.parametrize("mode", ["ma", "cex"])
 def test_tag_names_a_failed_confirmation(mode):
-    """A plain three-message session whose confirmation lost one bit: the tag
-    rejects and says why (a mapop system runs its plain "ma" mode here)."""
+    """A three-message session whose confirmation lost one bit: the tag
+    rejects and says why."""
     from rfpop.app.config import Config
 
     system = Config(mode=mode, tags=1).build_system()
     reader, tag, rng = system.reader, system.tag(system.first_tag_id()), system.rng
-    sid, challenge = reader.start(rng, mode="ma" if mode == "mapop" else None)
+    sid, challenge = reader.start(rng)
     reply = tag.step(sid, challenge, rng).msg
     confirm = reader.step(sid, reply, rng).msg
     out = tag.step(sid, Msg(confirm.round, flip_bit(confirm.payload, 0)), rng)

@@ -49,7 +49,7 @@ def deploy(tmp_path, config):
     return db_path, tag_paths, system
 
 
-def start_server(db_path, *, sessions, rng=None, session_mode=None, announce=lambda line: None):
+def start_server(db_path, *, sessions, rng=None, announce=lambda line: None):
     """Run serve_reader on a free loopback port in a daemon thread."""
     ports = queue.Queue()
     box = {}
@@ -62,7 +62,6 @@ def start_server(db_path, *, sessions, rng=None, session_mode=None, announce=lam
                 port=0,
                 sessions=sessions,
                 rng=rng,
-                session_mode=session_mode,
                 announce=announce,
                 ready=ports.put,
             )
@@ -140,19 +139,6 @@ def test_mapop_session_issues_verifiable_credential(tmp_path):
     cred = Credential.decode(cred_path.read_bytes())
     assert cred_veri(config.pop_params(), data.directory, cred) == 1
     assert cred.tag_id == system.first_tag_id()
-
-
-def test_session_mode_override_runs_plain_rounds(tmp_path):
-    config = Config(mode="mapop", tags=1, seed="net-plain")
-    db_path, tag_paths, _system = deploy(tmp_path, config)
-    box = start_server(db_path, sessions=1, session_mode="ma")
-    client = run_client(box, tag_paths[0], config, sessions=1)
-    server = finish(box)
-
-    assert server[0]["o_reader"] == 1
-    assert server[0]["credential"] is None
-    assert client[0] == {"o_tag": 1, "o_reader": 1, "credential": None, "note": ""}
-    assert load_db(db_path).journal[0].mode == "ma"
 
 
 def test_shared_rng_reproduces_in_memory_transcript(tmp_path):

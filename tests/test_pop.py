@@ -14,14 +14,11 @@ from rfpop.pop import (
     CRED_VERSION,
     Credential,
     KeyDirectory,
-    PiPrimeReaderSide,
-    PiPrimeTagSide,
     PopParams,
     PopProtocol,
     binder_value,
     cred_gen,
     cred_veri,
-    piprime_run,
     signature_mask,
     signature_tag,
     transcript_digest,
@@ -29,7 +26,7 @@ from rfpop.pop import (
 from rfpop.primitives.bitstring import flip_bit, split, xor
 from rfpop.primitives.prf import hash_digest
 from rfpop.primitives.rng import Rng
-from rfpop.primitives.sig import fulltime_keygen, ktime_keygen
+from rfpop.primitives.sig import fulltime_keygen
 from rfpop.system import build_pop_system, mapop_session
 
 
@@ -53,18 +50,11 @@ def test_honest_session_four_messages(pop_system):
     assert record.tag_id == tag_id
 
 
-def test_plain_mode_on_same_hardware(pop_system):
-    tag_id = pop_system.first_tag_id()
-    trs = pop_system.run_honest(tag_id, mode="ma")
-    assert trs.o_reader == 1 and trs.o_tag == 1
-    assert len(trs.messages) == 3
-    record = pop_system.reader.history.session(1)
-    assert record.mode == "ma"
-    # Plain-mode sessions never yield a credential.
-    assert cred_gen(pop_system.params, pop_system.reader, pop_system.reader_signer, 1) is None
-    # The extended mode still works afterwards on the same counters.
-    trs = mapop_session(pop_system, tag_id)
-    assert trs.o_reader == 1 and trs.o_tag == 1
+def test_run_honest_refuses_a_plain_session(pop_system):
+    with pytest.raises(ValueError):
+        pop_system.run_honest(mode="ma")
+    assert pop_system.reader.history.sessions == []
+    assert pop_system.run_honest(mode="pop").completed
 
 
 def test_interior_rounds_unchanged(pop_system):
@@ -122,7 +112,7 @@ def step_by_step_session(system, tamper_round2=None, tamper_round3=None):
     tag = system.tag(system.first_tag_id())
     reader = system.reader
     rng = system.rng
-    sid, challenge = reader.start(rng, mode="pop")
+    sid, challenge = reader.start(rng)
     t1 = tag.step(sid, challenge, rng)
     r1 = reader.step(sid, t1.msg, rng)
     assert r1.kind == "reply" and r1.output is None  # reader output deferred
@@ -165,6 +155,10 @@ def test_tag_keeps_its_reject_reason():
     binder_byte = (params.out_bits + params.hash_bits) // 8
     assert step_by_step_session(system, tamper_round2=8 * binder_byte + 3) == (0, 0)
     assert tag.note == "binder invalid"
+    # A tag whose masking key differs from the reader's refuses to sign.
+    tag.state.pop_key = flip_bit(tag.state.pop_key, 0)
+    assert step_by_step_session(system) == (0, 0)
+    assert tag.note == "binder invalid"
 
 
 def test_tamper_rejection_each_final_reply_field():
@@ -182,13 +176,30 @@ def test_dropped_final_message_times_out_reader(pop_system):
     tag = pop_system.tag(pop_system.first_tag_id())
     reader = pop_system.reader
     rng = pop_system.rng
-    sid, challenge = reader.start(rng, mode="pop")
+    sid, challenge = reader.start(rng)
     t1 = tag.step(sid, challenge, rng)
     reader.step(sid, t1.msg, rng)
     tag.step(sid, Msg(2, t1.msg.payload), rng)  # wrong shape, ignored by the tag
     out = reader.timeout()
     assert out.output == 0
     assert reader.history.session(1).note == "timeout"
+
+
+def test_truncated_finalize_is_ignored(pop_system):
+    """The round-2 slot admits only the wrapped third message: cut to the
+    length of an MA confirmation, it is ignored, and the faithful message
+    still completes the session."""
+    params = pop_system.params
+    tag = pop_system.tag(pop_system.first_tag_id())
+    reader, rng = pop_system.reader, pop_system.rng
+    sid, challenge = reader.start(rng)
+    t1 = tag.step(sid, challenge, rng)
+    finalize = reader.step(sid, t1.msg, rng).msg
+    cut = tag.step(sid, Msg(2, finalize.payload[: params.out_bits // 8]), rng)
+    assert cut.kind == "ignore"
+    t2 = tag.step(sid, finalize, rng)
+    assert t2.output == 1
+    assert reader.step(sid, t2.msg, rng).output == 1
 
 
 def test_exhausted_signer_fails_closed():
@@ -232,7 +243,7 @@ def test_credential_contents_and_independent_signature(pop_system):
 
 def test_cred_gen_none_for_failed_sessions(pop_system):
     rng = pop_system.rng
-    pop_system.reader.start(rng, mode="pop")
+    pop_system.reader.start(rng)
     pop_system.reader.timeout()
     assert cred_gen(pop_system.params, pop_system.reader, pop_system.reader_signer, 1) is None
 
@@ -284,53 +295,3 @@ def test_key_directory_lookup_and_registration(pop_system):
     assert directory.key_for(b"adversary-0") is vk
     with pytest.raises(ValueError):
         directory.register_extra(tag_id, vk)
-
-
-def make_piprime_sides(context=b"ctx", tag_context=None, k_time=None):
-    params = PopParams() if k_time is None else PopParams(sig_impl=IMPL_KTIME, k_time=k_time)
-    rng = Rng("piprime")
-    pop_key = rng.take_bits(params.pop_key_bits)
-    reader_signer, _ = fulltime_keygen(rng)
-    if k_time is None:
-        tag_signer, tag_vk = fulltime_keygen(rng)
-    else:
-        tag_signer, tag_vk = ktime_keygen(rng, k_time)
-    reader_side = PiPrimeReaderSide(
-        params=params, pop_key=pop_key, signer=reader_signer, tag_key=tag_vk, context=context
-    )
-    tag_side = PiPrimeTagSide(
-        params=params,
-        pop_key=pop_key,
-        signer=tag_signer,
-        context=context if tag_context is None else tag_context,
-    )
-    return reader_side, tag_side
-
-
-def test_standalone_possession_subprotocol():
-    reader_side, tag_side = make_piprime_sides()
-    o_reader, o_tag, msgs = piprime_run(reader_side, tag_side, Rng("pp-run"))
-    assert (o_reader, o_tag) == (1, 1)
-    assert {"pop_challenge", "binder", "masked_sig", "sig_tag"} <= set(msgs)
-
-
-def test_possession_subprotocol_binds_context():
-    reader_side, tag_side = make_piprime_sides(tag_context=b"other")
-    o_reader, o_tag, msgs = piprime_run(reader_side, tag_side, Rng("pp-ctx"))
-    assert (o_reader, o_tag) == (0, 0)
-    assert "masked_sig" not in msgs  # tag refused to sign
-
-
-def test_possession_subprotocol_requires_shared_mask_key():
-    reader_side, tag_side = make_piprime_sides()
-    tag_side.pop_key = flip_bit(tag_side.pop_key, 0)
-    o_reader, o_tag, msgs = piprime_run(reader_side, tag_side, Rng("pp-key"))
-    assert (o_reader, o_tag) == (0, 0)
-
-
-def test_possession_subprotocol_exhausted_signer():
-    reader_side, tag_side = make_piprime_sides(k_time=1)
-    assert piprime_run(reader_side, tag_side, Rng("pp-k1"))[:2] == (1, 1)
-    o_reader, o_tag, msgs = piprime_run(reader_side, tag_side, Rng("pp-k2"))
-    assert (o_reader, o_tag) == (0, 0)
-    assert "masked_sig" not in msgs
