@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from rfpop.errors import ConfigError
@@ -141,7 +142,12 @@ class Config:
     def params(self):
         """The parameters this config's mode runs: `PopParams` (a `MaParams`
         with the possession lengths added) for mapop, `MaParams` for ma and
-        cex."""
+        cex. Built once per config, so the descriptors and pads the params
+        build on first use are built once too."""
+        return self._params
+
+    @cached_property
+    def _params(self):
         return self.pop_params() if self.mode == "mapop" else self.ma_params()
 
     def build_system(self, rng: Optional[Rng] = None, tag_count: Optional[int] = None) -> System:

@@ -2,11 +2,12 @@
 
 BlindedWorld implements the bookkeeping tree of the current privacy notion:
 per-sid ledgers record what the adversary has relayed so far, faithful relays
-extend a session with fresh uniform draws, and tampered deliveries produce
-the outputs a real execution would produce (without ever touching real key
-material). PureRandomWorld implements the predecessor notion's guess stage:
-uniform draws from the reply spaces with no bookkeeping and no execution
-results at all.
+extend a session with fresh uniform draws, and tampered deliveries, a
+delivery to the reader out of its turn among them, produce the outputs a real
+execution would produce (without ever touching real key material).
+PureRandomWorld implements the predecessor notion's guess stage: uniform
+draws from the reply spaces with no bookkeeping and no execution results at
+all.
 
 Draws come from a dedicated RNG stream so that real and blinded guess stages
 consume the system's own randomness identically.
@@ -117,9 +118,7 @@ class BlindedWorld:
         if led.reader_done:
             return IGNORE
         last = led.msgs[-1]
-        if _sender(last.round) != "tag":
-            return IGNORE  # out of turn for the reader oracle
-        if msg == last:
+        if msg == last and _sender(last.round) == "tag":
             if self.tag_final and last.round == len(self.slots) - 1:
                 led.o_reader = 1
                 led.reader_done = True
@@ -131,6 +130,8 @@ class BlindedWorld:
                 led.reader_done = True
                 return StepOutcome(sid, nxt, 1)
             return StepOutcome(sid, nxt)
+        # A changed message, or any delivery while the reader awaits the tag:
+        # the real reader rejects whatever is not the round it awaits.
         led.o_reader = 0
         led.reader_done = True
         return StepOutcome(sid, None, 0)

@@ -5,13 +5,19 @@ at infinity. Inside `point_mul` the doublings and additions run in Jacobian
 coordinates, adding each precomputed affine multiple with a mixed addition,
 and the result is brought back to affine with a single inversion. A base of
 `G` walks a table of 64 rows of 15 multiples (row i holds d*16^i*G for
-d = 1..15), built on first use rather than at import; any other base uses a
-left-to-right 4-bit window over its own 15 multiples. None of this is
-constant-time: the walks branch on the scalar's digits, so it models cost, not
-a side-channel-safe signer. Each scalar-by-point multiplication counts as one
-point-multiplication unit for cost accounting. The Jacobian formulas are the
-standard ones for a = 0 (Hankerson, Menezes and Vanstone, Guide to Elliptic
-Curve Cryptography, 2004, section 3.2.2).
+d = 1..15), built on first use rather than at import. Any other base P uses
+the curve's endomorphism LAMBDA*(x, y) = (BETA*x, y): the scalar splits into
+two signed halves of about 128 bits, k = k1 + k2*LAMBDA (mod N), and one loop
+of about 129 doublings walks both halves' width-5 NAFs together, adding odd
+multiples of P for k1 and of LAMBDA*P for k2 (Gallant, Lambert and Vanstone,
+"Faster Point Multiplication on Elliptic Curves with Efficient
+Endomorphisms", CRYPTO 2001). None of this is constant-time: the walks branch
+on the scalar's digits, so it models cost, not a side-channel-safe signer.
+Each scalar-by-point multiplication counts as one point-multiplication unit
+for cost accounting. The Jacobian formulas are the standard ones for a = 0,
+and the width-w NAF and the interleaved walk follow Hankerson, Menezes and
+Vanstone, Guide to Elliptic Curve Cryptography, 2004, sections 3.2.2, 3.3
+and 3.5.
 """
 
 from __future__ import annotations
@@ -27,6 +33,15 @@ G = (
     0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
     0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8,
 )
+
+# LAMBDA is a cube root of 1 mod N and BETA one mod P with LAMBDA*(x, y) = (BETA*x, y).
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+# A reduced basis (A1, B1), (A2, B2) of the lattice {(a, b): a + b*LAMBDA = 0 mod N}.
+A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+B2 = A1
 
 Point = Optional[tuple[int, int]]
 _Jacobian = tuple[int, int, int]  # (X, Y, Z) stands for (X/Z^2, Y/Z^3)
@@ -63,14 +78,54 @@ def point_mul(p: Point, k: int) -> Point:
                 acc = _add_affine(acc, row[digit - 1])
             k >>= 4
     else:
-        multiples = _multiples(p, 15)
-        for shift in range((k.bit_length() - 1) // 4 * 4, -1, -4):
+        k1, k2 = split_scalar(k)
+        odd = _multiples(p, 15)[::2]  # 1p, 3p, ..., 15p
+        t1 = _digit_table(odd, k1 < 0)
+        t2 = _digit_table([(BETA * x % P, y) for x, y in odd], k2 < 0)
+        length = max(k1.bit_length(), k2.bit_length()) + 1
+        for d1, d2 in zip(reversed(_wnaf(abs(k1), length)), reversed(_wnaf(abs(k2), length))):
             if acc is not None:
-                acc = _double(_double(_double(_double(acc))))
-            digit = (k >> shift) & 15
-            if digit:
-                acc = _add_affine(acc, multiples[digit - 1])
+                acc = _double(acc)
+            if d1:
+                acc = _add_affine(acc, t1[d1])
+            if d2:
+                acc = _add_affine(acc, t2[d2])
     return None if acc is None else _to_affine([acc])[0]
+
+
+def split_scalar(k: int) -> tuple[int, int]:
+    """(k1, k2) with k1 + k2*LAMBDA = k (mod N), each below 2^129 in absolute
+    value for 0 <= k < N: k rounded onto the lattice basis, and the remainder."""
+    c1 = (B2 * k + N // 2) // N
+    c2 = (-B1 * k + N // 2) // N
+    return k - c1 * A1 - c2 * A2, -c1 * B1 - c2 * B2
+
+
+def _wnaf(k: int, length: int) -> list[int]:
+    """The width-5 NAF of k >= 0 in `length` digits, least significant first:
+    each nonzero digit is odd, below 16 in absolute value, and followed by at
+    least four zeros. `length` must exceed k's bit length."""
+    digits = [0] * length
+    i = 0
+    while k:
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        i += zeros
+        digit = (k & 31) - 32 if k & 16 else k & 31
+        digits[i] = digit
+        # k - digit is a multiple of 32: the next four digits are 0.
+        k = (k - digit) >> 5
+        i += 5
+    return digits
+
+
+def _digit_table(odd: list[tuple[int, int]], negate: bool) -> dict[int, tuple[int, int]]:
+    """Signed digit d -> d*Q for odd = [1Q, 3Q, ..., 15Q], or -d*Q if `negate`."""
+    table = {}
+    for i, (x, y) in enumerate(odd):
+        table[2 * i + 1] = (x, P - y) if negate else (x, y)
+        table[-2 * i - 1] = (x, y) if negate else (x, P - y)
+    return table
 
 
 def _double(j: _Jacobian) -> _Jacobian:

@@ -192,6 +192,26 @@ def test_finalize_truncation_gains_nothing():
     assert report.advantage <= 0.05 and report.ci_contains_zero, report.to_text()
 
 
+class ChallengeEcho:
+    """Hands the reader's round-0 challenge straight back to the reader. The
+    real reader rejects a message out of its turn, so the guess is b=1
+    exactly when the reader answers o_R=0."""
+
+    name = "challenge-echo"
+
+    def learn(self, hub, rng):
+        return hub.system.first_tag_id(), None
+
+    def guess(self, hub, tag_id, st, rng):
+        start = hub.o1_init_reader()
+        return 1 if hub.o3_send_reader(start.sid, start.msg).output == 0 else 0
+
+
+def test_challenge_echoed_to_the_reader_gains_nothing():
+    report = exp_unp_sharp(mapop_factory, ChallengeEcho(), 200, Rng("acc-echo"))
+    assert report.advantage <= 0.05 and report.ci_contains_zero, report.to_text()
+
+
 def test_criterion_06_distinguisher_separates_flawed_protocol():
     trials = 1000
     adversary = make_adversary("cex-distinguisher")

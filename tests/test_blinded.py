@@ -87,13 +87,37 @@ def test_modified_confirmation_fails_tag():
     assert world.o2_send_tag(sid, r1.msg).kind == "ignore"  # tag side done
 
 
-def test_out_of_turn_deliveries_ignored():
+def test_out_of_turn_delivery_to_the_reader_rejects():
     world = make_world()
     sid, challenge = world.o1_init_reader()
-    # Reader just sent; delivering to the reader again is out of turn.
-    assert world.o3_send_reader(sid, challenge).kind == "ignore"
+    # Reader just sent; a delivery to it is out of turn, and the real reader
+    # rejects any message that is not of the round it awaits.
+    out = world.o3_send_reader(sid, challenge)
+    assert out.kind == "output" and out.output == 0
+    led = world.ledgers[sid]
+    assert led.o_reader == 0 and led.reader_done
+    # The tag side carries on; the reader side is closed.
     t1 = world.o2_send_tag(sid, challenge)
-    # Tag just sent; delivering its own reply back to it is out of turn too.
+    assert t1.kind == "reply"
+    assert world.o3_send_reader(sid, t1.msg).kind == "ignore"
+
+
+def test_out_of_turn_delivery_to_the_reader_awaiting_round_3_rejects():
+    world = make_world(slots=POP_SLOTS)
+    sid, challenge = world.o1_init_reader()
+    t1 = world.o2_send_tag(sid, challenge)
+    r1 = world.o3_send_reader(sid, t1.msg)
+    out = world.o3_send_reader(sid, r1.msg)
+    assert out.kind == "output" and out.output == 0
+
+
+def test_out_of_turn_deliveries_ignored():
+    """Only the tag ignores a delivery out of its turn; the reader rejects
+    one (see the two tests above)."""
+    world = make_world()
+    sid, challenge = world.o1_init_reader()
+    t1 = world.o2_send_tag(sid, challenge)
+    # Tag just sent; delivering its own reply back to it is out of turn.
     assert world.o2_send_tag(sid, t1.msg).kind == "ignore"
 
 

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfpop.primitives import ec
 from rfpop.primitives.counters import OpCounters, counting
@@ -38,6 +40,19 @@ def random_scalars(seed, count):
     return [rnd.randrange(1, ec.N) for _ in range(count)]
 
 
+def scalar_with_signs(neg1, neg2):
+    """The first seeded scalar whose halves k1, k2 have the given signs."""
+    rnd = random.Random(f"ec-signs-{neg1}-{neg2}")
+    while True:
+        k = rnd.randrange(1, ec.N)
+        k1, k2 = ec.split_scalar(k)
+        if (k1 < 0, k2 < 0) == (neg1, neg2):
+            return k
+
+
+SIGNED_SCALARS = [scalar_with_signs(a, b) for a in (False, True) for b in (False, True)]
+
+
 @pytest.mark.parametrize("base", [ec.G, Y], ids=["G", "Y"])
 def test_matches_reference_on_random_scalars(base):
     for k in random_scalars(f"ec-{base == ec.G}", 6):
@@ -46,7 +61,10 @@ def test_matches_reference_on_random_scalars(base):
 
 @pytest.mark.parametrize("base", [ec.G, Y], ids=["G", "Y"])
 def test_small_and_boundary_scalars(base):
-    for k in (1, 2, 15, 16, 17, 255, 256, 1 << 252, 15 << 252):
+    # wNAF digit boundaries, the halves' 2^128 boundary, k = LAMBDA (k1 = 0)
+    # and a scalar for each sign pattern of the halves.
+    for k in (1, 2, 3, 15, 16, 17, 31, 32, 33, 255, 256, (1 << 128) - 1, (1 << 128) + 1,
+              1 << 252, 15 << 252, ec.LAMBDA, ec.N - 2, *SIGNED_SCALARS):
         assert ec.point_mul(base, k) == reference_mul(base, k)
 
 
@@ -69,7 +87,8 @@ def test_multiplication_distributes_over_point_add():
     assert ec.point_add(ec.point_mul(Y, a), ec.point_mul(Y, b)) == ec.point_mul(Y, a + b)
 
 
-@pytest.mark.parametrize("base,k", [(ec.G, 7), (Y, 7), (ec.G, 0), (None, 3)])
+@pytest.mark.parametrize("base,k", [(ec.G, 7), (Y, 7), (ec.G, 0), (None, 3),
+                                    pytest.param(Y, SIGNED_SCALARS[3], id="Y-negative-halves")])
 def test_each_call_counts_one_point_mul(base, k):
     with counting(OpCounters()) as counters:
         ec.point_mul(base, k)
@@ -87,3 +106,34 @@ def test_importing_the_cli_leaves_the_g_table_unbuilt():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "0"
+
+
+def test_endomorphism_constants():
+    assert ec.BETA != 1 and pow(ec.BETA, 3, ec.P) == 1
+    assert ec.LAMBDA != 1 and pow(ec.LAMBDA, 3, ec.N) == 1
+    assert ec.point_mul(ec.G, ec.LAMBDA) == (ec.BETA * ec.G[0] % ec.P, ec.G[1])
+    for a, b in ((ec.A1, ec.B1), (ec.A2, ec.B2)):
+        assert (a + b * ec.LAMBDA) % ec.N == 0
+
+
+def test_split_recombines_into_short_halves():
+    for k in random_scalars("ec-split", 200) + [0, 1, ec.N - 1, ec.LAMBDA]:
+        k1, k2 = ec.split_scalar(k)
+        assert (k1 + k2 * ec.LAMBDA - k) % ec.N == 0
+        assert abs(k1) < 1 << 129 and abs(k2) < 1 << 129
+
+
+def test_wnaf_digits_rebuild_the_scalar():
+    for k in random_scalars("ec-wnaf", 50) + [1, 15, 16, 17, 31, 32, 33, (1 << 128) - 1]:
+        digits = ec._wnaf(k, k.bit_length() + 1)
+        assert sum(d << i for i, d in enumerate(digits)) == k
+        nonzero = [i for i, d in enumerate(digits) if d]
+        assert all(d % 2 and abs(d) < 16 for d in digits if d)
+        assert all(b - a >= 5 for a, b in zip(nonzero, nonzero[1:]))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(1, ec.N - 1), st.integers(0, 2 * ec.N))
+def test_random_bases_and_scalars_match_reference(base_scalar, k):
+    base = ec.point_mul(ec.G, base_scalar)
+    assert ec.point_mul(base, k) == reference_mul(base, k)

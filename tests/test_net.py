@@ -1,5 +1,6 @@
 """Socket reader server and tag client over loopback."""
 
+import collections
 import json
 import os
 import queue
@@ -25,7 +26,7 @@ from rfpop.app.wire import (
 )
 from rfpop.errors import FrameError, UnknownSnapshot
 from rfpop.model.session import run_honest_session
-from rfpop.pop import Credential, cred_gen, cred_veri
+from rfpop.pop import Credential, PopParams, cred_gen, cred_veri
 from rfpop.primitives.rng import Rng
 
 
@@ -119,6 +120,31 @@ def test_ma_sessions_over_loopback(tmp_path):
     mode, state, _version = load_tag(tag_paths[0])
     assert mode == "ma"
     assert state.ctr == 4
+
+
+def test_served_sessions_build_pop_params_once_per_side(tmp_path, monkeypatch):
+    """The reader (one serve_reader) and the tag (one tag_run per session,
+    one config) each build their PopParams once, not once per session."""
+    config = Config(mode="mapop", tags=1, seed="net-params")
+    db_path, tag_paths, _system = deploy(tmp_path, config)
+    builds = collections.Counter()
+    post_init = PopParams.__post_init__
+
+    def counted(self):
+        builds[threading.current_thread().name] += 1
+        post_init(self)
+
+    monkeypatch.setattr(PopParams, "__post_init__", counted)
+    box = start_server(db_path, sessions=2)
+    client_config = Config(mode="mapop", tags=1, seed="net-params")
+    client = [run_client(box, tag_paths[0], client_config)[0] for _ in range(2)]
+    server = finish(box)
+
+    assert [r["o_reader"] for r in server] == [1, 1]
+    assert [r["o_tag"] for r in client] == [1, 1]
+    assert builds[threading.main_thread().name] == 1
+    assert builds[box["thread"].name] == 1
+    assert sum(builds.values()) == 2
 
 
 def test_mapop_session_issues_verifiable_credential(tmp_path):
