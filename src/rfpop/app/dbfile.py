@@ -335,6 +335,12 @@ def _unhex(doc: dict, name: str) -> bytes:
         raise FrameError(f"tag file {name} is not hex: {exc}") from exc
 
 
+def _natural(value, name: str) -> int:
+    if type(value) is not int or value < 0:
+        raise FrameError(f"tag file {name} is {value!r}, not a non-negative integer")
+    return value
+
+
 def load_tag(path: str):
     """Read a tag key file back into (mode, state, key_version).  Lengths and
     the counter's upper bound are not checked here: the file does not say
@@ -342,16 +348,18 @@ def load_tag(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     mode = doc["mode"]
-    ctr = doc["ctr"]
-    if type(ctr) is not int or ctr < 0:
-        raise FrameError(f"tag file ctr is {ctr!r}, not a non-negative integer")
-    common = dict(tag_id=_unhex(doc, "tag_id"), key=_unhex(doc, "key"), ctr=ctr)
+    common = dict(
+        tag_id=_unhex(doc, "tag_id"), key=_unhex(doc, "key"), ctr=_natural(doc["ctr"], "ctr")
+    )
     if mode == "mapop":
         state = PopTagState(
             **common, pop_key=_unhex(doc, "pop_key"), signer=signer_from_dict(doc["signer"])
         )
     elif mode == "cex":
-        state = CexTagState(**common, st=doc.get("st", 0))
+        st = doc.get("st", 0)
+        if type(st) is not int or st not in (0, 1):
+            raise FrameError(f"tag file st is {st!r}, not 0 or 1")
+        state = CexTagState(**common, st=st)
     else:
         state = MaTagState(**common)
-    return mode, state, doc.get("key_version", 0)
+    return mode, state, _natural(doc.get("key_version", 0), "key_version")

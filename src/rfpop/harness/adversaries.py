@@ -148,8 +148,9 @@ class TranscriptStatistics:
 
 class RepeatedQuery:
     """Replays a challenge across sessions and tampers with a continuation,
-    then checks every oracle answer against the blinded world's case rules.
-    A faithful implementation matches the rules in both worlds."""
+    then checks every oracle answer against the session rules. Both worlds
+    run the same session machines, so a faithful implementation matches the
+    rules in both."""
 
     name = "repeated-query"
 

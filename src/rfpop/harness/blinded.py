@@ -1,10 +1,16 @@
-"""Blinded (b=0) worlds for the privacy experiments.
+"""Guess-stage worlds for the privacy experiments.
 
-BlindedWorld implements the bookkeeping tree of the current privacy notion:
-per-sid ledgers record what the adversary has relayed so far, faithful relays
-extend a session with fresh uniform draws, and tampered deliveries, a
-delivery to the reader out of its turn among them, produce the outputs a real
-execution would produce (without ever touching real key material).
+A SessionWorld is a reader and its tags as the first three oracles drive
+them. The real system is one; the b=0 world of unp-sharp is another, built by
+`blinded_world` from the same `Reader` and `Tag` session machines running the
+`_Ledger` plug-in instead of the protocol. Both worlds therefore handle sids,
+rounds, restarts, abandoned sessions and timeouts with the same code. The
+ledger sends fresh uniform draws only, and a party accepts a delivery iff its
+partner sent the conversation that the delivery extends: the matching
+conversations of Bellare and Rogaway ("Entity Authentication and Key
+Distribution", CRYPTO 1993). The b=0 tags hold their tag id and nothing else,
+so no key material is reachable from that world.
+
 PureRandomWorld implements the predecessor notion's guess stage: uniform
 draws from the reply spaces with no bookkeeping and no execution results at
 all.
@@ -15,126 +21,113 @@ consume the system's own randomness identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from rfpop.model.database import ReaderDatabase
+from rfpop.model.session import Action, Reader, Tag
 from rfpop.model.types import IGNORE, MessageSlot, Msg, SID_BITS, StepOutcome
 from rfpop.primitives.rng import Rng
+from rfpop.system import System
 
 
-@dataclass
+class SessionWorld:
+    """A reader and its tags behind the first three oracles. `o1` times out
+    an open reader session before it starts the next one; `o3` raises
+    NoOpenSession when the reader has none."""
+
+    def __init__(self, reader: Reader, tags: dict[bytes, Tag], rng: Rng):
+        self.reader = reader
+        self.tags = tags
+        self.rng = rng
+
+    def o1(self) -> tuple[bytes, Msg]:
+        if self.reader.session is not None:
+            # An abandoned session times out when the reader is re-invoked.
+            self.reader.timeout()
+        return self.reader.start(self.rng)
+
+    def o2(self, tag_id: bytes, sid: bytes, msg: Msg) -> StepOutcome:
+        return self.tags[tag_id].step(sid, msg, self.rng)
+
+    def o3(self, sid: bytes, msg: Msg) -> StepOutcome:
+        return self.reader.step(sid, msg, self.rng)
+
+    def timeout(self) -> Optional[StepOutcome]:
+        if self.reader.session is None:
+            return None
+        return self.reader.timeout()
+
+
 class _Ledger:
-    kind: str  # "reader" for reader-opened sessions, "adv" for tag-only ones
-    msgs: list[Msg] = field(default_factory=list)
-    o_reader: Optional[int] = None
-    o_tag: Optional[int] = None
-    preset_reject: bool = False  # modified first-round challenge was answered
-    tag_done: bool = False
-    reader_done: bool = False
+    """Protocol plug-in of the b=0 world. Every message it sends is a fresh
+    draw from its slot, and `sent` holds each conversation that a sent
+    message ends. A delivery extends the receiving party's conversation; the
+    party accepts iff its partner sent the extended conversation, and
+    outputs 1 once no slot is left for it to receive.
+
+    A conversation is the tuple of its payloads: the session machines only
+    pass on a message of the round that comes next, so its round is its
+    position."""
+
+    record_mode = "ledger"
+
+    def __init__(self, slots: tuple[MessageSlot, ...]):
+        self._slots = slots
+        self.sent: set[tuple[bytes, ...]] = set()
+
+    def slots(self) -> tuple[MessageSlot, ...]:
+        return self._slots
+
+    def _send(self, heard: tuple[bytes, ...], rng: Rng) -> bytes:
+        payload = rng.take_bytes(self._slots[len(heard)].byte_len)
+        self.sent.add(heard + (payload,))
+        return payload
+
+    def _answer(self, heard: tuple[bytes, ...], rng: Rng) -> Action:
+        if heard not in self.sent:
+            return Action(output=0)
+        last = len(self._slots) - 1
+        round = len(heard) - 1
+        reply = self._send(heard, rng) if round < last else None
+        return Action(reply, 1 if round + 1 >= last else None)
+
+    def reader_open(self, db, session, rng: Rng) -> bytes:
+        return self._send((), rng)
+
+    def reader_on_message(self, db, session, msg: Msg, rng: Rng) -> Action:
+        return self._answer((*(m.payload for m in session.messages), msg.payload), rng)
+
+    def tag_respond(self, state, sid, challenge: bytes, rng: Rng):
+        reply = self._send((challenge,), rng)
+        return reply, [challenge, reply]
+
+    def tag_on_message(self, state, scratch: list[bytes], msg: Msg, rng: Rng) -> Action:
+        action = self._answer((*scratch, msg.payload), rng)
+        if action.payload is not None:
+            scratch += [msg.payload, action.payload]
+        return action
+
+    def tag_terminal(self, state):
+        pass
 
 
-def _sender(round: int) -> str:
-    return "reader" if round % 2 == 0 else "tag"
+@dataclass(frozen=True)
+class _StandIn:
+    """A b=0 tag's state: its id, and no key material."""
+
+    tag_id: bytes
 
 
-class BlindedWorld:
-    """Ledger-driven simulator for the guess stage with b=0."""
-
-    def __init__(self, slots: tuple[MessageSlot, ...], draw_rng: Rng):
-        self.slots = slots
-        self.draw = draw_rng
-        self.ledgers: dict[bytes, _Ledger] = {}
-        # Which party sends last decides where the terminal outputs attach.
-        self.tag_final = slots[-1].sender == "tag"
-        self.final_reader_round = max(
-            i for i, s in enumerate(slots) if s.sender == "reader"
-        )
-
-    def _draw_msg(self, round: int) -> Msg:
-        return Msg(round, self.draw.take_bytes(self.slots[round].byte_len))
-
-    def _in_slot(self, msg: Msg, round: int) -> bool:
-        return msg.round == round and self.slots[round].allows(msg.payload)
-
-    def o1_init_reader(self):
-        sid = self.draw.take_bits(SID_BITS)
-        challenge = self._draw_msg(0)
-        # First registration wins on (negligible) sid collisions.
-        self.ledgers.setdefault(sid, _Ledger("reader", [challenge]))
-        return sid, challenge
-
-    def o2_send_tag(self, sid, msg: Msg) -> StepOutcome:
-        led = self.ledgers.get(sid)
-        if led is None:
-            if self._in_slot(msg, 0):
-                adv = _Ledger("adv", [msg])
-                reply = self._draw_msg(1)
-                adv.msgs.append(reply)
-                self.ledgers[sid] = adv
-                return StepOutcome(sid, reply)
-            return IGNORE
-        if led.tag_done:
-            return IGNORE
-        last = led.msgs[-1]
-        awaited = last.round if _sender(last.round) == "reader" else last.round + 1
-        if not (self._in_slot(msg, 0) or self._in_slot(msg, awaited)):
-            # Neither a session start nor a message of the round the tag takes
-            # next: the real tag ignores it, as `Tag.step` does.
-            return IGNORE
-        if msg == last:
-            if last.round == self.final_reader_round and not self.tag_final:
-                led.o_tag = 1
-                led.tag_done = True
-                return StepOutcome(sid, None, 1)
-            reply = self._draw_msg(last.round + 1)
-            led.msgs.append(reply)
-            if self.tag_final and last.round + 1 == len(self.slots) - 1:
-                led.o_tag = 1
-                led.tag_done = True
-                return StepOutcome(sid, reply, 1)
-            return StepOutcome(sid, reply)
-        if last.round == 0:
-            # Modified session-start challenge: the tag-side answer is drawn,
-            # and the reader side is poisoned to reject.
-            reply = self._draw_msg(1)
-            led.msgs.append(reply)
-            led.preset_reject = True
-            return StepOutcome(sid, reply)
-        # Any other delivery the tag takes fails it: a continuation of an
-        # adversarial session, or a changed message of the awaited round.
-        led.o_tag = 0
-        led.tag_done = True
-        return StepOutcome(sid, None, 0)
-
-    def o3_send_reader(self, sid, msg: Msg) -> StepOutcome:
-        led = self.ledgers.get(sid)
-        if led is None or led.kind == "adv":
-            return IGNORE
-        if led.preset_reject:
-            # Poisoned session: the pre-set rejection, idempotently.
-            led.o_reader = 0
-            led.reader_done = True
-            return StepOutcome(sid, None, 0)
-        if led.reader_done:
-            return IGNORE
-        last = led.msgs[-1]
-        if msg == last and _sender(last.round) == "tag":
-            if self.tag_final and last.round == len(self.slots) - 1:
-                led.o_reader = 1
-                led.reader_done = True
-                return StepOutcome(sid, None, 1)
-            nxt = self._draw_msg(last.round + 1)
-            led.msgs.append(nxt)
-            if not self.tag_final and nxt.round == self.final_reader_round:
-                led.o_reader = 1
-                led.reader_done = True
-                return StepOutcome(sid, nxt, 1)
-            return StepOutcome(sid, nxt)
-        # A changed message, or any delivery while the reader awaits the tag:
-        # the real reader rejects whatever is not the round it awaits.
-        led.o_reader = 0
-        led.reader_done = True
-        return StepOutcome(sid, None, 0)
+def blinded_world(system: System, draw_rng: Rng) -> SessionWorld:
+    """The b=0 world of unp-sharp: a reader with an empty database and a tag
+    per real tag, with its lifetime and key version, all on one ledger."""
+    ledger = _Ledger(system.protocol.slots())
+    tags = {}
+    for tag_id, real in system.tags.items():
+        tags[tag_id] = Tag(ledger, _StandIn(tag_id), real.lifetime)
+        tags[tag_id].key_version = real.key_version
+    return SessionWorld(Reader(ledger, ReaderDatabase([])), tags, draw_rng)
 
 
 class PureRandomWorld:
@@ -142,8 +135,8 @@ class PureRandomWorld:
     query is answered with a fresh uniform draw from the responding party's
     next message space; nothing is recorded and no outputs are returned."""
 
-    def __init__(self, slots: tuple[MessageSlot, ...], draw_rng: Rng):
-        self.slots = slots
+    def __init__(self, system: System, draw_rng: Rng):
+        self.slots = system.protocol.slots()
         self.draw = draw_rng
 
     def _valid(self, msg: Msg) -> bool:
@@ -152,17 +145,20 @@ class PureRandomWorld:
     def _draw_msg(self, round: int) -> Msg:
         return Msg(round, self.draw.take_bytes(self.slots[round].byte_len))
 
-    def o1_init_reader(self):
+    def _answer(self, sid, msg: Msg, sender: str) -> StepOutcome:
+        nxt = msg.round + 1
+        if self._valid(msg) and nxt < len(self.slots) and self.slots[nxt].sender == sender:
+            return StepOutcome(sid, self._draw_msg(nxt))
+        return IGNORE
+
+    def o1(self) -> tuple[bytes, Msg]:
         return self.draw.take_bits(SID_BITS), self._draw_msg(0)
 
-    def o2_send_tag(self, sid, msg: Msg) -> StepOutcome:
-        nxt = msg.round + 1
-        if self._valid(msg) and nxt < len(self.slots) and self.slots[nxt].sender == "tag":
-            return StepOutcome(sid, self._draw_msg(nxt))
-        return IGNORE
+    def o2(self, tag_id: bytes, sid: bytes, msg: Msg) -> StepOutcome:
+        return self._answer(sid, msg, "tag")
 
-    def o3_send_reader(self, sid, msg: Msg) -> StepOutcome:
-        nxt = msg.round + 1
-        if self._valid(msg) and nxt < len(self.slots) and self.slots[nxt].sender == "reader":
-            return StepOutcome(sid, self._draw_msg(nxt))
-        return IGNORE
+    def o3(self, sid: bytes, msg: Msg) -> StepOutcome:
+        return self._answer(sid, msg, "reader")
+
+    def timeout(self) -> None:
+        return None

@@ -8,8 +8,9 @@ Privacy games (exp_unp_sharp, exp_unp_star): the adversary first learns with
 all five oracles against the real system, names a challenge tag, then a
 hidden bit decides whether its guess-stage queries (first three oracles
 only) hit the real system or a blinded world. exp_unp_sharp blinds with the
-ledger simulator; exp_unp_star blinds with pure random draws and suppresses
-execution results in the guess stage for both worlds.
+session machines on a ledger of uniform draws (`blinded_world`);
+exp_unp_star blinds with pure random draws and suppresses execution results
+in the guess stage for both worlds.
 
 Forgery game (exp_cred_unforge): the adversary uses the oracles and then
 emits a credential (optionally registering its own issuer key); the report
@@ -21,11 +22,10 @@ from __future__ import annotations
 from typing import Callable
 
 from rfpop.errors import BudgetExceeded, GuessStageViolation, InvalidChallenge
-from rfpop.harness.blinded import BlindedWorld, PureRandomWorld
+from rfpop.harness.blinded import PureRandomWorld, blinded_world
 from rfpop.harness.oracles import AdversaryBudget, OracleHub
 from rfpop.harness.report import ExperimentReport
 from rfpop.pop import cred_gen, cred_veri
-from rfpop.primitives.ptpt import ptpt_experiment  # noqa: F401  (re-export)
 from rfpop.primitives.rng import Rng
 from rfpop.system import System
 
@@ -37,7 +37,7 @@ BUDGET_ABORT = "abort"  # budget overrun aborts the whole experiment
 
 def _privacy_experiment(
     name: str,
-    blinded_cls,
+    make_world,
     suppress_outputs: bool,
     system_factory: SystemFactory,
     adversary,
@@ -64,12 +64,9 @@ def _privacy_experiment(
             b = trial_rng.spawn("coin").coin()
             hub.suppress_outputs = suppress_outputs
             if b == 0:
-                world = blinded_cls(
-                    system.protocol.slots(), trial_rng.spawn("blinded-draws")
-                )
-                hub.enter_guess_stage(world)
+                hub.enter_guess_stage(make_world(system, trial_rng.spawn("blinded-draws")))
             else:
-                hub.enter_guess_stage(None)
+                hub.enter_guess_stage()
             b_prime = adversary.guess(hub, challenge_tag, st, trial_rng.spawn("guess"))
             if b_prime == b:
                 successes += 1
@@ -103,9 +100,10 @@ def exp_unp_sharp(
     budget: AdversaryBudget = AdversaryBudget(),
     budget_policy: str = BUDGET_FAIL,
 ) -> ExperimentReport:
-    """Current privacy notion: b=0 world is the ledger-blinded simulator."""
+    """Current privacy notion: the b=0 world runs the session machines on a
+    ledger of uniform draws that accepts matching conversations."""
     return _privacy_experiment(
-        "unp-sharp", BlindedWorld, False,
+        "unp-sharp", blinded_world, False,
         system_factory, adversary, trials, rng, budget, budget_policy,
     )
 

@@ -5,11 +5,13 @@ the reader, corrupt a tag, and fetch the credential of a finished session.
 Budgets are enforced exactly: the query that would exceed its limit raises
 BudgetExceeded before touching any state.
 
-The hub starts in the learning stage (real system, all five oracles). For
-the guess stage the experiment narrows it: only the first three oracles stay
-available, and with b=0 they are answered by a blinded world instead of the
-real system. The predecessor-notion experiments additionally suppress the
-o_T/o_R execution results in oracle answers.
+The first three oracles and the clock are answered by a world: a
+SessionWorld over the system's own reader and tags, until the guess stage
+swaps in the b=0 world. The hub itself answers the same way in every world:
+it checks budgets, refuses unknown and corrupted tags, and turns a reader
+with no open session into an ignored query. In the guess stage only the
+first three oracles stay available, and the predecessor-notion experiments
+additionally suppress the o_T/o_R execution results in oracle answers.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from rfpop.errors import (
     GuessStageViolation,
     NoOpenSession,
 )
+from rfpop.harness.blinded import SessionWorld
 from rfpop.model.types import Msg, StepOutcome
 from rfpop.pop import Credential, cred_gen
 from rfpop.system import System
@@ -74,13 +77,14 @@ class OracleHub:
         self.used = {"n1": 0, "n2": 0, "n3": 0, "n4": 0, "n5": 0}
         self.corrupted: set[bytes] = set()
         self.guess_stage = False
-        self.blinded = None  # set in the guess stage when b=0
+        self.world = SessionWorld(system.reader, system.tags, system.rng)
 
-    def enter_guess_stage(self, blinded=None):
-        """Restrict to the first three oracles; route them to `blinded` when
-        given (the b=0 world)."""
+    def enter_guess_stage(self, world=None):
+        """Restrict to the first three oracles; answer them from `world`
+        when given (the b=0 world)."""
         self.guess_stage = True
-        self.blinded = blinded
+        if world is not None:
+            self.world = world
 
     def _spend(self, name: str):
         limit = getattr(self.budget, name)
@@ -90,14 +94,7 @@ class OracleHub:
 
     def o1_init_reader(self) -> OracleResult:
         self._spend("n1")
-        if self.blinded is not None:
-            sid, msg = self.blinded.o1_init_reader()
-            return OracleResult(sid=sid, msg=msg)
-        reader = self.system.reader
-        if reader.session is not None:
-            # An abandoned session times out when the reader is re-invoked.
-            reader.timeout()
-        sid, msg = reader.start(self.system.rng)
+        sid, msg = self.world.o1()
         return OracleResult(sid=sid, msg=msg)
 
     def o2_send_tag(self, tag_id: bytes, sid: bytes, msg: Msg) -> OracleResult:
@@ -106,19 +103,13 @@ class OracleHub:
             return OracleResult(sid=sid, ignored=True, note="unknown tag")
         if tag_id in self.corrupted:
             return OracleResult(sid=sid, ignored=True, note="corrupted tag")
-        if self.blinded is not None:
-            outcome = self.blinded.o2_send_tag(sid, msg)
-            return _from_outcome(sid, outcome, self.suppress_outputs)
-        outcome = self.system.tags[tag_id].step(sid, msg, self.system.rng)
+        outcome = self.world.o2(tag_id, sid, msg)
         return _from_outcome(sid, outcome, self.suppress_outputs)
 
     def o3_send_reader(self, sid: bytes, msg: Msg) -> OracleResult:
         self._spend("n3")
-        if self.blinded is not None:
-            outcome = self.blinded.o3_send_reader(sid, msg)
-            return _from_outcome(sid, outcome, self.suppress_outputs)
         try:
-            outcome = self.system.reader.step(sid, msg, self.system.rng)
+            outcome = self.world.o3(sid, msg)
         except NoOpenSession:
             return OracleResult(sid=sid, ignored=True, note="no open session")
         return _from_outcome(sid, outcome, self.suppress_outputs)
@@ -149,7 +140,7 @@ class OracleHub:
     def advance_time(self) -> Optional[OracleResult]:
         """Logical clock tick: times out the reader's open session, if any.
         Not budgeted; timeouts are events, not adversary queries."""
-        if self.blinded is not None or self.system.reader.session is None:
+        outcome = self.world.timeout()
+        if outcome is None:
             return None
-        outcome = self.system.reader.timeout()
         return _from_outcome(outcome.sid, outcome, self.suppress_outputs)

@@ -207,8 +207,73 @@ class ChallengeEcho:
         return 1 if hub.o3_send_reader(start.sid, start.msg).output == 0 else 0
 
 
-def test_challenge_echoed_to_the_reader_gains_nothing():
-    report = exp_unp_sharp(mapop_factory, ChallengeEcho(), 200, Rng("acc-echo"))
+class CrossSidRelay(ChallengeEcho):
+    """Relays the challenge to the tag under another sid and returns the
+    reply on the reader's own. Messages carry no sid, so the real reader
+    answers the reply."""
+
+    name = "cross-sid-relay"
+
+    def guess(self, hub, tag_id, st, rng):
+        start = hub.o1_init_reader()
+        reply = hub.o2_send_tag(tag_id, flip_bit(start.sid, 0), start.msg)
+        return 1 if hub.o3_send_reader(start.sid, reply.msg).msg is not None else 0
+
+
+class AbandonedSession(ChallengeEcho):
+    """Opens a second reader session, then ferries the first one. The real
+    reader timed the first one out, so it ignores the tag's reply."""
+
+    name = "abandoned-session"
+
+    def guess(self, hub, tag_id, st, rng):
+        start = hub.o1_init_reader()
+        hub.o1_init_reader()
+        reply = hub.o2_send_tag(tag_id, start.sid, start.msg)
+        return 1 if hub.o3_send_reader(start.sid, reply.msg).ignored else 0
+
+
+class RepeatedChallenge(ChallengeEcho):
+    """Hands the challenge to the tag twice on the same sid. The real tag
+    voids its open session and answers the second one too."""
+
+    name = "repeated-challenge"
+
+    def guess(self, hub, tag_id, st, rng):
+        start = hub.o1_init_reader()
+        hub.o2_send_tag(tag_id, start.sid, start.msg)
+        return 1 if hub.o2_send_tag(tag_id, start.sid, start.msg).msg is not None else 0
+
+
+class ClockTick(ChallengeEcho):
+    """Opens a reader session and lets the clock time it out."""
+
+    name = "clock-tick"
+
+    def guess(self, hub, tag_id, st, rng):
+        hub.o1_init_reader()
+        return 1 if hub.advance_time() is not None else 0
+
+
+class NoSessionNote(ChallengeEcho):
+    """Sends to the reader before it opens a session and reads the note."""
+
+    name = "no-session-note"
+
+    def guess(self, hub, tag_id, st, rng):
+        res = hub.o3_send_reader(bytes(16), Msg(1, bytes(96)))
+        return 1 if res.note == "no open session" else 0
+
+
+@pytest.mark.parametrize(
+    "adversary",
+    [ChallengeEcho, CrossSidRelay, AbandonedSession, RepeatedChallenge, ClockTick, NoSessionNote],
+    ids=lambda cls: cls.name,
+)
+def test_challenge_echoed_to_the_reader_gains_nothing(adversary):
+    """Each adversary reads one session rule off an oracle answer; the b=0
+    world follows the same rules, so none of them gains anything."""
+    report = exp_unp_sharp(mapop_factory, adversary(), 200, Rng("acc-echo"))
     assert report.advantage <= 0.05 and report.ci_contains_zero, report.to_text()
 
 

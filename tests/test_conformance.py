@@ -1,12 +1,12 @@
-"""The ledger simulator answers guess-stage deliveries as the real system does.
+"""The b=0 world of unp-sharp answers guess-stage queries as the real system does.
 
-`BlindedWorld`, the b=0 world of unp-sharp, is sound only if every delivery
-reads the same in both worlds: whether it returns a message, and each o_T and
-o_R. This test drives a real `OracleHub` and one routed to a `BlindedWorld`
-through the same schedule and compares the two patterns, for `ma` and `mapop`
-(`cex` differs on purpose; see criterion 7).
+The b=0 world is sound only if every oracle answer reads the same in both
+worlds: whether it returns a message, each o_T and o_R, whether it was
+ignored, and its note. This test drives a real `OracleHub` and one in the
+b=0 world through the same schedule and compares the two patterns, for `ma`
+and `mapop` (`cex` differs on purpose; see criterion 7).
 
-Each schedule ferries one session and changes the delivery at one position
+Each schedule ferries one session and changes it at one position
 (1 = the round-0 challenge):
 
 - faithful: nothing changes;
@@ -15,31 +15,37 @@ Each schedule ferries one session and changes the delivery at one position
   slot plus 1;
 - replay: the message of the same round from a session finished in the
   learning stage takes its place (round 1 or later);
+- cross-sid: the message is delivered under another sid;
 - echo: the message is first delivered back to the party that sent it, out
-  of turn: the tag ignores it, the reader rejects.
+  of turn: the tag ignores it, the reader rejects;
+- restart: the session's round-0 challenge is first delivered to the tag
+  again, which voids its open session and answers afresh;
+- abandon: a second `o1` first opens a new reader session, which times out
+  the one being ferried;
+- clock: `advance_time` first times out the reader's open session;
+- no-session: before the first `o1`, the learning-stage session's message of
+  that position is sent to the reader, which has no open session.
 
 A changed delivery that returns no message is followed by the faithful one.
-
-In the guess stage the schedules open one reader session, send every message
-under its sid, and start at most one session per tag. Two known divergences
-lie outside them, and `CHANGES.md` records each as a FOUND line: a round-0
-challenge delivered to a tag whose session is open (a restart), and a message
-relayed under another sid than its session's.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfpop.app.config import Config
 from rfpop.harness.adversaries import relay_session
-from rfpop.harness.blinded import BlindedWorld
+from rfpop.harness.blinded import blinded_world
 from rfpop.harness.oracles import OracleHub
 from rfpop.model.types import Msg
 from rfpop.primitives.bitstring import flip_bit
 from rfpop.primitives.rng import Rng
 
 ROUNDS = {"ma": 3, "mapop": 4}
-KINDS = ("faithful", "flip", "length", "replay", "echo")
+KINDS = (
+    "faithful", "flip", "length", "replay", "cross-sid",
+    "echo", "restart", "abandon", "clock", "no-session",
+)
 
 
 def guess_stage(mode: str, blinded: bool):
@@ -50,8 +56,7 @@ def guess_stage(mode: str, blinded: bool):
     hub = OracleHub(system)
     learned = relay_session(hub, system.first_tag_id())
     assert learned.completed
-    world = BlindedWorld(system.protocol.slots(), rng.spawn("blinded")) if blinded else None
-    hub.enter_guess_stage(world)
+    hub.enter_guess_stage(blinded_world(system, rng.spawn("blinded")) if blinded else None)
     return hub, learned
 
 
@@ -66,24 +71,44 @@ def changed(kind: str, msg: Msg, arg: int, learned) -> Msg:
 
 
 def play(hub: OracleHub, learned, kind: str, at: int, arg: int) -> list:
-    """Run one schedule; (message returned?, output) for every delivery."""
+    """Run one schedule; (message returned?, output, ignored, note) for
+    every oracle answer, and None for a clock tick that times nothing out."""
     tag_id = hub.system.first_tag_id()
-    start = hub.o1_init_reader()
-    sid, msg = start.sid, start.msg
     pattern = []
 
-    def send(to_tag: bool, m: Msg):
-        res = hub.o2_send_tag(tag_id, sid, m) if to_tag else hub.o3_send_reader(sid, m)
-        pattern.append((res.msg is not None, res.output))
+    def shown(res):
+        if res is None:
+            pattern.append(None)
+        else:
+            pattern.append((res.msg is not None, res.output, res.ignored, res.note))
         return res
+
+    if kind == "no-session":
+        shown(hub.o3_send_reader(learned.sid, learned.messages[at - 1]))
+    start = hub.o1_init_reader()
+    sid, msg = start.sid, start.msg
+
+    def send(to_tag: bool, m: Msg, to_sid: bytes = sid):
+        if to_tag:
+            return shown(hub.o2_send_tag(tag_id, to_sid, m))
+        return shown(hub.o3_send_reader(to_sid, m))
 
     for position in range(1, 2 * len(learned.messages)):
         to_tag = position % 2 == 1
         res = None
-        if position == at and kind == "echo":
-            send(not to_tag, msg)
-        elif position == at and kind != "faithful":
-            res = send(to_tag, changed(kind, msg, arg, learned))
+        if position == at:
+            if kind == "echo":
+                send(not to_tag, msg)
+            elif kind == "restart":
+                send(True, start.msg)
+            elif kind == "abandon":
+                shown(hub.o1_init_reader())
+            elif kind == "clock":
+                shown(hub.advance_time())
+            elif kind == "cross-sid":
+                res = send(to_tag, msg, flip_bit(sid, arg % (8 * len(sid))))
+            elif kind in ("flip", "length", "replay"):
+                res = send(to_tag, changed(kind, msg, arg, learned))
         if res is None or res.msg is None:
             res = send(to_tag, msg)
         if res.msg is None:
@@ -92,12 +117,16 @@ def play(hub: OracleHub, learned, kind: str, at: int, arg: int) -> list:
     raise AssertionError(f"the session did not end: {pattern}")
 
 
+def positions(kind: str, rounds: int) -> range:
+    return range(2 if kind == "replay" else 1, rounds + 1)
+
+
 @st.composite
 def schedules(draw):
     mode = draw(st.sampled_from(sorted(ROUNDS)))
     kind = draw(st.sampled_from(KINDS))
     rounds = ROUNDS[mode]
-    at = draw(st.integers(2 if kind == "replay" else 1, rounds))
+    at = draw(st.sampled_from(positions(kind, rounds)))
     return mode, kind, at, draw(st.integers(0, 1 << 12))
 
 
@@ -114,6 +143,21 @@ def test_real_and_blinded_worlds_read_the_same(schedule):
     mode, kind, at, arg = schedule
     real = play(*guess_stage(mode, blinded=False), kind, at, arg)
     simulated = play(*guess_stage(mode, blinded=True), kind, at, arg)
+    assert real == simulated
+
+
+@pytest.mark.parametrize(
+    "mode,kind,at",
+    [
+        (mode, kind, at)
+        for mode, rounds in sorted(ROUNDS.items())
+        for kind in KINDS[1:]
+        for at in positions(kind, rounds)
+    ],
+)
+def test_every_change_at_every_position_reads_the_same(mode, kind, at):
+    real = play(*guess_stage(mode, blinded=False), kind, at, 0)
+    simulated = play(*guess_stage(mode, blinded=True), kind, at, 0)
     assert real == simulated
 
 

@@ -500,9 +500,16 @@ def test_mode_mismatch_is_rejected_before_connecting(tmp_path):
         ("ma", "ctr", lambda ctr: -1, "ctr is -1, not a non-negative integer"),
         ("ma", "ctr", lambda ctr: str(ctr), "ctr is '1', not a non-negative integer"),
         ("ma", "ctr", lambda ctr: 2**256, "ctr is above the config's bound"),
+        ("ma", "key_version", lambda v: "7", "key_version is '7', not a non-negative integer"),
+        ("ma", "key_version", lambda v: None, "key_version is None, not a non-negative integer"),
+        ("ma", "key_version", lambda v: -3, "key_version is -3, not a non-negative integer"),
+        ("cex", "st", lambda st: 2, "st is 2, not 0 or 1"),
+        ("cex", "st", lambda st: "1", "st is '1', not 0 or 1"),
+        ("cex", "st", lambda st: -1, "st is -1, not 0 or 1"),
     ],
     ids=["short-key", "short-pop_key", "non-hex-key", "negative-ctr", "string-ctr",
-         "ctr-above-bound"],
+         "ctr-above-bound", "string-key_version", "null-key_version", "negative-key_version",
+         "st-2", "string-st", "negative-st"],
 )
 def test_damaged_key_file_is_rejected_before_connecting(tmp_path, mode, field, damage, error):
     """A damaged key file fails at load, not inside its first session."""
