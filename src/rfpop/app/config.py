@@ -132,8 +132,6 @@ class Config:
     def pop_params(self) -> PopParams:
         return PopParams(
             **vars(self.ma_params()),
-            hash_bits=self.l_r,
-            pop_key_bits=self.l_k,
             sig_impl=self.impl,
             k_time=max(self.K, 1),
             pool_size=self.s,
@@ -141,7 +139,7 @@ class Config:
 
     def params(self):
         """The parameters this config's mode runs: `PopParams` (a `MaParams`
-        with the possession lengths added) for mapop, `MaParams` for ma and
+        with the signature instantiation added) for mapop, `MaParams` for ma and
         cex. Built once per config, so the descriptors and pads the params
         build on first use are built once too."""
         return self._params

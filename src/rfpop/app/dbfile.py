@@ -36,8 +36,15 @@ from rfpop.errors import FrameError
 from rfpop.ma import MaReaderRecord, MaTagState, index_for
 from rfpop.model.database import History, SessionRecord
 from rfpop.model.types import SID_BITS
-from rfpop.pop import IMPL_KTIME, KeyDirectory, PopReaderRecord, PopTagState
-from rfpop.primitives.sig import FULLTIME, KTIME, VerifyKey, signer_from_dict
+from rfpop.pop import KeyDirectory, PopReaderRecord, PopTagState
+from rfpop.primitives.sig import (
+    FULLTIME,
+    KTIME,
+    FullTimeSigner,
+    KTimeSigner,
+    VerifyKey,
+    signer_from_dict,
+)
 
 from rfpop.app.config import Config, config_from_dict
 
@@ -83,10 +90,6 @@ class _Cursor:
 
     def fields(self) -> list[bytes]:
         return [self.blob() for _ in range(self.u32())]
-
-
-def _sig_scheme(impl: str) -> str:
-    return KTIME if impl == IMPL_KTIME else FULLTIME
 
 
 def record_fields(mode: str, params, rec) -> list[tuple[str, bytes]]:
@@ -139,7 +142,7 @@ def _sized(name: str, blob: bytes, nbits: int) -> bytes:
     return blob
 
 
-def decode_record(mode: str, params, impl: str, cursor: _Cursor):
+def decode_record(mode: str, params, cursor: _Cursor):
     fields = cursor.fields()
     if mode == "mapop":
         if len(fields) != 6:
@@ -151,7 +154,7 @@ def decode_record(mode: str, params, impl: str, cursor: _Cursor):
             ctr=int.from_bytes(_sized("ctr", ctr, params.out_bits), "big"),
             index=_sized("index", index, params.out_bits),
             pop_key=_sized("pop_key", pop_key, params.pop_key_bits),
-            verify_key=VerifyKey(_sig_scheme(impl), vk),
+            verify_key=VerifyKey(params.sig_scheme, vk),
         )
     if len(fields) != 3:
         raise FrameError(f"reader record needs 3 fields, got {len(fields)}")
@@ -216,7 +219,7 @@ def load_db(path: str) -> DbFileData:
     params = config.params()
     initial = {}
     for _ in range(cursor.u32()):
-        rec = decode_record(config.mode, params, config.impl, cursor)
+        rec = decode_record(config.mode, params, cursor)
         initial[rec.tag_id] = rec
     signer = signer_from_dict(meta["reader_signer"]) if "reader_signer" in meta else None
     directory = None
@@ -270,7 +273,7 @@ def _read_journal_entry(cursor: _Cursor, config: Config, params) -> SessionRecor
     tag_id = cursor.blob() or None
     delta = {}
     for _ in range(cursor.u32()):
-        rec = decode_record(config.mode, params, config.impl, cursor)
+        rec = decode_record(config.mode, params, cursor)
         delta[rec.tag_id] = rec
     return SessionRecord(
         j=j, sid=sid, o_reader=o_reader, tag_id=tag_id, mode=mode,
@@ -330,7 +333,7 @@ def save_tag(path: str, mode: str, state, key_version: int = 0):
 
 def _unhex(doc: dict, name: str) -> bytes:
     try:
-        return bytes.fromhex(doc[name])
+        return bytes.fromhex(doc.get(name))
     except (TypeError, ValueError) as exc:
         raise FrameError(f"tag file {name} is not hex: {exc}") from exc
 
@@ -341,10 +344,30 @@ def _natural(value, name: str) -> int:
     return value
 
 
+def _load_signer(block):
+    """The signer of a mapop key file's `signer` block, each field checked."""
+    scheme = block.get("scheme") if isinstance(block, dict) else None
+    if scheme not in (FULLTIME, KTIME):
+        raise FrameError(f"tag file signer scheme {scheme!r} is unknown")
+    seed = _unhex(block, "seed")
+    if len(seed) != 32:
+        raise FrameError(f"tag file seed is {len(seed)} bytes, not 32")
+    if scheme == KTIME:
+        k = block.get("k")
+        if type(k) is not int or k < 1:
+            raise FrameError(f"tag file k is {k!r}, not a positive integer")
+        used = _natural(block.get("used", 0), "used")
+        if used > k:
+            raise FrameError(f"tag file used is {used}, above k = {k}")
+        return KTimeSigner(seed, k, used)
+    pool = block.get("pool_remaining")
+    return FullTimeSigner(seed, None if pool is None else _natural(pool, "pool_remaining"))
+
+
 def load_tag(path: str):
-    """Read a tag key file back into (mode, state, key_version).  Lengths and
-    the counter's upper bound are not checked here: the file does not say
-    which lengths its config uses."""
+    """Read a tag key file back into (mode, state, key_version).  Lengths, the
+    counter's upper bound and the signer's scheme are not checked here: the
+    file does not say which config it runs under."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     mode = doc["mode"]
@@ -353,7 +376,7 @@ def load_tag(path: str):
     )
     if mode == "mapop":
         state = PopTagState(
-            **common, pop_key=_unhex(doc, "pop_key"), signer=signer_from_dict(doc["signer"])
+            **common, pop_key=_unhex(doc, "pop_key"), signer=_load_signer(doc.get("signer"))
         )
     elif mode == "cex":
         st = doc.get("st", 0)

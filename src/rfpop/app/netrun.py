@@ -225,6 +225,11 @@ def tag_run(
             raise FrameError(f"tag file {name} is {got} bytes, config says {size}")
     if state.ctr > params.max_counter:
         raise FrameError(f"tag file ctr is above the config's bound {params.max_counter}")
+    if mode == "mapop" and state.signer.scheme != params.sig_scheme:
+        raise FrameError(
+            f"tag file signer scheme is {state.signer.scheme!r}, config {config.impl} "
+            f"signs with {params.sig_scheme!r}"
+        )
     if rng is None:
         rng = Rng(config.seed).spawn("net-tag")
     peer_host = host if host is not None else config.host

@@ -1,8 +1,13 @@
 """Counterexample protocol: completes honestly but is traceable.
 
-A deliberately flawed counter protocol used as the positive control for the
-privacy experiments. The tag keeps (key, ctr, st) where st records whether
-the previous session finished cleanly (st=0) or not (st=1):
+A deliberately flawed variant of the counter-based MA protocol, used as the
+positive control for the privacy experiments. It extends MA the way MAPoP
+does: `CexTagState` is an `MaTagState` plus st, and `CexProtocol` is an
+`MaProtocol` that replaces the round-1 slot, the tag's reply and the
+reader's check of it. Round 0 and the tag's check of the confirmation are
+MA's. A reader record (`CexReaderRecord`) has no index, because the reader
+looks nothing up by index. The tag keeps (key, ctr, st) where st records
+whether the previous session finished cleanly (st=0) or not (st=1):
 
     reader -> tag : challenge c
     tag    -> reader : r1 || r2        r2 random;
@@ -32,7 +37,9 @@ from typing import Optional
 from rfpop.errors import CounterOverflow, LengthMismatch
 from rfpop.ma import (
     MaParams,
+    MaProtocol,
     MaTagScratch,
+    MaTagState,
     confirm_value,
     counter_bytes,
     scan_first,
@@ -49,10 +56,7 @@ CexParams = MaParams  # same length profile as the main protocol
 
 
 @dataclass
-class CexTagState:
-    tag_id: bytes
-    key: bytes
-    ctr: int
+class CexTagState(MaTagState):
     st: int = 0
 
 
@@ -119,38 +123,22 @@ def cex_reader_respond(
     return True, rec.tag_id, confirm_value(params, rec.key, challenge, rec.ctr, nonce)
 
 
-def cex_tag_finish(
-    params: CexParams, state: CexTagState, scratch: MaTagScratch, f: bytes
-) -> bool:
-    """Check the third message; a valid one clears st."""
-    expected = confirm_value(
-        params, state.key, scratch.challenge, scratch.expect_ctr, scratch.nonce
-    )
-    if expected == f:
-        state.st = 0
-        return True
-    return False
-
-
-class CexProtocol:
-    """Plug-in for the generic session machines."""
+class CexProtocol(MaProtocol):
+    """MA's session machine plug-in with the flawed round 1. Round 0 and the
+    tag's confirmation check are MA's; a valid confirmation also clears st."""
 
     name = "cex"
     record_mode = "cex"
 
     def __init__(self, params: CexParams):
-        self.params = params
-        self._slots = (
-            MessageSlot("reader", params.challenge_bits // 8),
-            MessageSlot("tag", (params.out_bits + params.nonce_bits) // 8),
-            MessageSlot("reader", params.out_bits // 8),
-        )
+        super().__init__(params)
+        reply = MessageSlot("tag", (params.out_bits + params.nonce_bits) // 8)
+        self._slots = (self._slots[0], reply, self._slots[2])
 
-    def slots(self) -> tuple[MessageSlot, ...]:
-        return self._slots
-
-    def reader_open(self, db, session, rng: Rng) -> bytes:
-        return rng.take_bits(self.params.challenge_bits)
+    # The benchmark tracer wraps each protocol class's own callbacks
+    # (`cls.__dict__`), so the inherited ones are bound here by name.
+    reader_open = MaProtocol.reader_open
+    tag_terminal = MaProtocol.tag_terminal
 
     def reader_on_message(self, db, session, msg: Msg, rng: Rng) -> Action:
         r1, nonce = split(msg.payload, self.params.out_bits // 8, self.params.nonce_bits // 8)
@@ -165,12 +153,10 @@ class CexProtocol:
         return cex_tag_respond(self.params, state, challenge, rng)
 
     def tag_on_message(self, state: CexTagState, scratch, msg: Msg, rng: Rng) -> Action:
-        if cex_tag_finish(self.params, state, scratch, msg.payload):
-            return Action(output=1)
-        return Action(output=0, note="confirmation invalid")
-
-    def tag_terminal(self, state: CexTagState):
-        pass
+        action = super().tag_on_message(state, scratch, msg, rng)
+        if action.output == 1:
+            state.st = 0
+        return action
 
 
 def cex_setup(

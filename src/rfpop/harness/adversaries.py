@@ -416,7 +416,6 @@ FORGERY_ADVERSARIES = {
     "honest-replayer": HonestReplayer,
     "db-splicer": DbSplicer,
     "random-forger": RandomForger,
-    "splicer": DbSplicer,
 }
 
 

@@ -34,7 +34,8 @@ from rfpop.system import System
 class SessionWorld:
     """A reader and its tags behind the first three oracles. `o1` times out
     an open reader session before it starts the next one; `o3` raises
-    NoOpenSession when the reader has none."""
+    NoOpenSession when the reader has none; `end_stage` times out every open
+    session."""
 
     def __init__(self, reader: Reader, tags: dict[bytes, Tag], rng: Rng):
         self.reader = reader
@@ -57,6 +58,14 @@ class SessionWorld:
         if self.reader.session is None:
             return None
         return self.reader.timeout()
+
+    def end_stage(self):
+        """Time out the reader's and every tag's open session, as the game
+        does when the learning stage ends."""
+        self.timeout()
+        for tag in self.tags.values():
+            if tag.session is not None:
+                tag.timeout()
 
 
 class _Ledger:

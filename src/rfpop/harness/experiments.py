@@ -5,7 +5,8 @@ trial's randomness is a labeled substream of the master seed, so runs are
 replayable and trials are order-independent.
 
 Privacy games (exp_unp_sharp, exp_unp_star): the adversary first learns with
-all five oracles against the real system, names a challenge tag, then a
+all five oracles against the real system and names a challenge tag. Every
+session still open then times out, so none crosses the stage change. Then a
 hidden bit decides whether its guess-stage queries (first three oracles
 only) hit the real system or a blinded world. exp_unp_sharp blinds with the
 session machines on a ledger of uniform draws (`blinded_world`);
@@ -61,6 +62,9 @@ def _privacy_experiment(
             challenge_tag, st = adversary.learn(hub, trial_rng.spawn("learn"))
             if challenge_tag in hub.corrupted:
                 raise InvalidChallenge("challenge tag is corrupted")
+            # No session crosses the stage change, in either world: the b=0
+            # tags then copy the key versions these timeouts bump.
+            hub.world.end_stage()
             b = trial_rng.spawn("coin").coin()
             hub.suppress_outputs = suppress_outputs
             if b == 0:

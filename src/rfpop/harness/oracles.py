@@ -32,9 +32,8 @@ from rfpop.system import System
 
 @dataclass(frozen=True)
 class AdversaryBudget:
-    """Step bound t is informational; the n_i are hard per-oracle limits."""
+    """Hard per-oracle query limits."""
 
-    t: int = 1 << 20
     n1: int = 64
     n2: int = 64
     n3: int = 64

@@ -200,6 +200,14 @@ class Tag:
             return StepOutcome(sid, reply, action.output)
         return IGNORE
 
+    def timeout(self) -> StepOutcome:
+        """Close the open session with output 0."""
+        ses = self.session
+        if ses is None:
+            raise NoOpenSession("tag has no open session to time out")
+        self._terminal("timeout")
+        return StepOutcome(ses.sid, None, 0)
+
     def _terminal(self, note: str):
         self.note = note
         self.key_version += 1

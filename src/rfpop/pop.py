@@ -48,7 +48,6 @@ from rfpop.ma import (
     MaParams,
     MaProtocol,
     MaReaderRecord,
-    MaTagScratch,
     MaTagState,
     index_for,
     ma_tag_verify,
@@ -60,6 +59,8 @@ from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.prf import PrfDescriptor, hash_digest, prf_eval
 from rfpop.primitives.rng import Rng
 from rfpop.primitives.sig import (
+    FULLTIME,
+    KTIME,
     FullTimeSigner,
     VerifyKey,
     fulltime_keygen,
@@ -77,12 +78,11 @@ DEFAULT_K = 16
 
 @dataclass(frozen=True)
 class PopParams(MaParams):
-    """The interior lengths of `MaParams`, plus the possession-layer lengths
-    and the signature instantiation. The masking family's descriptor is
+    """The interior lengths of `MaParams`, plus the signature instantiation.
+    The possession layer reuses the interior lengths: its hashes are out_bits
+    long and its masking key key_bits. The masking family's descriptor is
     built once."""
 
-    hash_bits: int = 256  # pop challenge, binder, and sig_tag length
-    pop_key_bits: int = 256
     sig_impl: str = IMPL_FULLTIME
     k_time: int = DEFAULT_K  # signing budget for impl3
     pool_size: int = 1 << 17  # precomputed pairs for impl2
@@ -91,6 +91,19 @@ class PopParams(MaParams):
         super().__post_init__()
         if self.sig_impl not in (IMPL_FULLTIME, IMPL_POOLED, IMPL_KTIME):
             raise ValueError(f"unknown signature instantiation {self.sig_impl!r}")
+
+    @property
+    def hash_bits(self) -> int:
+        """Length of the pop challenge, the binder and sig_tag."""
+        return self.out_bits
+
+    @property
+    def pop_key_bits(self) -> int:
+        return self.key_bits
+
+    @property
+    def sig_scheme(self) -> str:
+        return KTIME if self.sig_impl == IMPL_KTIME else FULLTIME
 
     @property
     def sig_bytes(self) -> int:
@@ -172,68 +185,6 @@ def _split_final_reply(params: PopParams, payload: bytes) -> tuple[bytes, bytes]
     return split(payload, params.sig_bytes, params.hash_bits // 8)
 
 
-def pop_reader_finalize_send(
-    params: PopParams,
-    pop_key: bytes,
-    reader_signer: FullTimeSigner,
-    challenge: bytes,
-    tag_reply: bytes,
-    confirm: bytes,
-    rng: Rng,
-) -> tuple[bytes, dict]:
-    """Build the wrapped third message and the scratch needed to verify the
-    reply and to rebuild the credential later."""
-    nonce = rng.take_bits(params.hash_bits)
-    pop_challenge = hash_digest(reader_signer.sign(nonce), params.hash_bits)
-    trs = transcript_digest(params, challenge, tag_reply, confirm)
-    binder = binder_value(params, pop_key, trs, pop_challenge)
-    scratch = {
-        "pop_nonce": nonce,
-        "pop_challenge": pop_challenge,
-        "binder": binder,
-    }
-    return confirm + pop_challenge + binder, scratch
-
-
-def pop_tag_finalize(
-    params: PopParams,
-    state: PopTagState,
-    scratch: MaTagScratch,
-    payload: bytes,
-) -> Action:
-    """Validate the wrapped third message; on success sign and reply together
-    with the terminal output."""
-    confirm, pop_challenge, binder = _split_finalize(params, payload)
-    if not ma_tag_verify(params, state, scratch, confirm):
-        return Action(output=0, note="interior confirmation invalid")
-    trs = transcript_digest(params, scratch.challenge, scratch.reply, confirm)
-    if binder_value(params, state.pop_key, trs, pop_challenge) != binder:
-        return Action(output=0, note="binder invalid")
-    try:
-        sig = state.signer.sign(pop_challenge)
-    except (KTimeExhausted, PairPoolExhausted) as exc:
-        return Action(output=0, note=f"signing unavailable: {exc}")
-    masked = xor(signature_mask(params, state.pop_key, binder), sig)
-    tag_check = signature_tag(params, state.pop_key, sig)
-    return Action(masked + tag_check, 1)
-
-
-def pop_reader_verify(
-    params: PopParams,
-    pop_key: bytes,
-    verify_key: VerifyKey,
-    pop_challenge: bytes,
-    binder: bytes,
-    payload: bytes,
-) -> bool:
-    """Unmask and verify the tag's possession signature."""
-    masked, tag_check = _split_final_reply(params, payload)
-    sig = xor(masked, signature_mask(params, pop_key, binder))
-    if not verify_key.verify(pop_challenge, sig):
-        return False
-    return signature_tag(params, pop_key, sig) == tag_check
-
-
 class PopProtocol(MaProtocol):
     """The interior protocol's session machine plug-in, extended by the
     possession rounds 2 and 3. Every session runs all four rounds: the round-2
@@ -257,47 +208,58 @@ class PopProtocol(MaProtocol):
     tag_terminal = MaProtocol.tag_terminal
 
     def reader_on_message(self, db, session, msg: Msg, rng: Rng) -> Action:
+        """Round 1 as MA; on accept, send the wrapped third message."""
         if msg.round == 3:
             return self._reader_on_final(db, session, msg)
         action = super().reader_on_message(db, session, msg, rng)
         if action.output != 1:
             return action
-        record = db.get(action.tag_id)
-        payload, scratch = pop_reader_finalize_send(
-            self.params,
-            record.pop_key,
-            self.reader_signer,
-            session.challenge,
-            msg.payload,
-            action.payload,
-            rng,
-        )
-        session.coins["pop_nonce"] = scratch["pop_nonce"]
+        params = self.params
+        pop_key = db.get(action.tag_id).pop_key
+        nonce = rng.take_bits(params.hash_bits)
+        pop_challenge = hash_digest(self.reader_signer.sign(nonce), params.hash_bits)
+        trs = transcript_digest(params, session.challenge, msg.payload, action.payload)
+        binder = binder_value(params, pop_key, trs, pop_challenge)
+        session.coins["pop_nonce"] = nonce
         session.scratch = {
             "tag_id": action.tag_id,
             "via_step": action.via_step,
-            "pop_challenge": scratch["pop_challenge"],
-            "binder": scratch["binder"],
+            "pop_challenge": pop_challenge,
+            "binder": binder,
         }
-        return Action(payload)
+        return Action(action.payload + pop_challenge + binder)
 
     def _reader_on_final(self, db, session, msg: Msg) -> Action:
+        """Unmask the tag's possession signature; accept iff it verifies
+        under the tag's key and sig_tag matches."""
         sc = session.scratch
         record = db.get(sc["tag_id"])
-        ok = pop_reader_verify(
-            self.params,
-            record.pop_key,
-            record.verify_key,
-            sc["pop_challenge"],
-            sc["binder"],
-            msg.payload,
-        )
-        if ok:
+        masked, tag_check = _split_final_reply(self.params, msg.payload)
+        sig = xor(masked, signature_mask(self.params, record.pop_key, sc["binder"]))
+        # sig_tag is computed only for a signature that verifies.
+        if (
+            record.verify_key.verify(sc["pop_challenge"], sig)
+            and signature_tag(self.params, record.pop_key, sig) == tag_check
+        ):
             return Action(output=1, tag_id=sc["tag_id"], via_step=sc["via_step"])
         return Action(output=0, note="possession proof invalid")
 
     def tag_on_message(self, state: PopTagState, scratch, msg: Msg, rng: Rng) -> Action:
-        return pop_tag_finalize(self.params, state, scratch, msg.payload)
+        """Validate the wrapped third message; on success sign and reply
+        together with the terminal output."""
+        params = self.params
+        confirm, pop_challenge, binder = _split_finalize(params, msg.payload)
+        if not ma_tag_verify(params, state, scratch, confirm):
+            return Action(output=0, note="interior confirmation invalid")
+        trs = transcript_digest(params, scratch.challenge, scratch.reply, confirm)
+        if binder_value(params, state.pop_key, trs, pop_challenge) != binder:
+            return Action(output=0, note="binder invalid")
+        try:
+            sig = state.signer.sign(pop_challenge)
+        except (KTimeExhausted, PairPoolExhausted) as exc:
+            return Action(output=0, note=f"signing unavailable: {exc}")
+        masked = xor(signature_mask(params, state.pop_key, binder), sig)
+        return Action(masked + signature_tag(params, state.pop_key, sig), 1)
 
 
 CRED_VERSION = 0x01

@@ -8,7 +8,7 @@ that deliberately broken families can be shown to lose.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from rfpop.errors import BudgetExceeded
 from rfpop.harness.report import ExperimentReport
@@ -40,7 +40,6 @@ def ptpt_experiment(
     rng: Rng,
     family: Family = prf_eval,
     max_queries: int = 64,
-    protocol_label: Optional[str] = None,
 ) -> ExperimentReport:
     """Run the real-vs-random game `trials` times and report the advantage.
 
@@ -71,7 +70,7 @@ def ptpt_experiment(
             successes += 1
     return ExperimentReport.from_counts(
         experiment="ptpt",
-        protocol=protocol_label or desc.name,
+        protocol=desc.name,
         successes=successes,
         trials=trials,
         seed=rng.seed_hex,

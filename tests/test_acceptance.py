@@ -139,7 +139,7 @@ def test_criterion_04_single_bit_tampering_is_rejected():
     config = Config(mode="mapop", tags=2, seed="acc-c4", lifetime=5000)
     system = config.build_system(Rng(config.seed), config.tags)
     tid = system.first_tag_id()
-    budget = AdversaryBudget(t=1 << 30, n1=1 << 20, n2=1 << 20, n3=1 << 20)
+    budget = AdversaryBudget(n1=1 << 20, n2=1 << 20, n3=1 << 20)
     hub = OracleHub(system, budget)
     probe = relay_session(hub, tid)
     assert probe.completed
@@ -265,9 +265,60 @@ class NoSessionNote(ChallengeEcho):
         return 1 if res.note == "no open session" else 0
 
 
+class OpenAcrossStages(ChallengeEcho):
+    """Opens a reader session in the learning stage and lets the clock time
+    it out in the guess stage. Both worlds time every open session out at
+    the stage change, so the clock finds none in either."""
+
+    name = "reader-open-across-stages"
+
+    def learn(self, hub, rng):
+        hub.o1_init_reader()
+        return hub.system.first_tag_id(), None
+
+    def guess(self, hub, tag_id, st, rng):
+        return 1 if hub.advance_time() is not None else 0
+
+
+class ReplyAcrossStages(ChallengeEcho):
+    """Relays the challenge to the tag in the learning stage and returns the
+    tag's reply to the reader in the guess stage."""
+
+    name = "reply-across-stages"
+
+    def learn(self, hub, rng):
+        tag_id = hub.system.first_tag_id()
+        start = hub.o1_init_reader()
+        reply = hub.o2_send_tag(tag_id, start.sid, start.msg)
+        return tag_id, (start.sid, reply.msg)
+
+    def guess(self, hub, tag_id, st, rng):
+        sid, reply = st
+        return 1 if hub.o3_send_reader(sid, reply).msg is not None else 0
+
+
+class ConfirmAcrossStages(ChallengeEcho):
+    """Ferries a session up to the reader's round-2 message in the learning
+    stage and gives that message to the tag in the guess stage."""
+
+    name = "confirm-across-stages"
+
+    def learn(self, hub, rng):
+        tag_id = hub.system.first_tag_id()
+        start = hub.o1_init_reader()
+        reply = hub.o2_send_tag(tag_id, start.sid, start.msg)
+        confirm = hub.o3_send_reader(start.sid, reply.msg)
+        return tag_id, (start.sid, confirm.msg)
+
+    def guess(self, hub, tag_id, st, rng):
+        sid, confirm = st
+        return 1 if hub.o2_send_tag(tag_id, sid, confirm).output is not None else 0
+
+
 @pytest.mark.parametrize(
     "adversary",
-    [ChallengeEcho, CrossSidRelay, AbandonedSession, RepeatedChallenge, ClockTick, NoSessionNote],
+    [ChallengeEcho, CrossSidRelay, AbandonedSession, RepeatedChallenge, ClockTick, NoSessionNote,
+     OpenAcrossStages, ReplyAcrossStages, ConfirmAcrossStages],
     ids=lambda cls: cls.name,
 )
 def test_challenge_echoed_to_the_reader_gains_nothing(adversary):

@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 
 from rfpop.counterexample import (
     CexParams,
+    CexProtocol,
     CexReaderRecord,
     CexTagState,
     _branch_value,
     cex_reader_respond,
     cex_setup,
-    cex_tag_finish,
     cex_tag_respond,
 )
-from rfpop.ma import confirm_value, counter_bytes
+from rfpop.ma import MaProtocol, MaTagState, confirm_value, counter_bytes
 from rfpop.model.database import ReaderDatabase
+from rfpop.model.types import Msg
 from rfpop.primitives.bitstring import flip_bit, split, xor
 from rfpop.primitives.counters import OpCounters, counting
 from rfpop.primitives.rng import Rng
@@ -42,7 +43,7 @@ def run_session(state, db, rng, tamper_nonce=False):
     if tamper_nonce:
         nonce = flip_bit(nonce, 0)
     accepted, tag_id, f = cex_reader_respond(PARAMS, db, challenge, r1, nonce, rng)
-    ok = cex_tag_finish(PARAMS, state, scratch, f)
+    ok = CexProtocol(PARAMS).tag_on_message(state, scratch, Msg(2, f), rng).output
     return accepted, tag_id, ok
 
 
@@ -106,7 +107,8 @@ def test_tag_rejects_random_finish():
     rng = Rng("bad-finish")
     challenge = rng.take_bits(PARAMS.challenge_bits)
     _, scratch = cex_tag_respond(PARAMS, state, challenge, rng)
-    assert not cex_tag_finish(PARAMS, state, scratch, rng.take_bits(PARAMS.out_bits))
+    finish = Msg(2, rng.take_bits(PARAMS.out_bits))
+    assert not CexProtocol(PARAMS).tag_on_message(state, scratch, finish, rng).output
     assert state.st == 1
 
 
@@ -126,6 +128,22 @@ def test_same_challenge_twice_leaks_counter_pattern():
     delta = int.from_bytes(xor(r1_first, r1_second), "big")
     assert delta == 6 ^ 7
     assert delta != 0 and delta & (delta + 1) == 0
+
+
+def test_cex_extends_ma():
+    """Cex replaces only round 1: the round-0 and round-2 slots, round 0 and
+    the confirmation check are MA's, and a valid confirmation clears st."""
+    assert issubclass(CexProtocol, MaProtocol) and issubclass(CexTagState, MaTagState)
+    cex, ma = CexProtocol(PARAMS).slots(), MaProtocol(PARAMS).slots()
+    assert (cex[0], cex[2]) == (ma[0], ma[2])
+    assert cex[1].byte_len == (PARAMS.out_bits + PARAMS.nonce_bits) // 8
+    tags, db = fresh_setup()
+    state = tags[0]
+    rng = Rng("cex-extends-ma")
+    state.st = 1
+    accepted, _, ok = run_session(state, db, rng)
+    assert accepted and ok == 1
+    assert state.st == 0
 
 
 def test_full_protocol_round_trip():

@@ -1,4 +1,5 @@
-"""Every name a module under src/rfpop imports is used by that module.
+"""Every name a module under src/rfpop or a test module imports is used by
+that module.
 
 Neither ruff nor pyflakes ships with the toolchain, so this is the F401
 check done by hand over the AST.  A deliberate re-export either appears in
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rfpop"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "rfpop"
 MODULES = sorted(SRC.rglob("*.py"))
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def _annotation_names(node) -> set[str]:
@@ -62,7 +65,11 @@ def test_the_scan_sees_an_unused_import():
     assert unused_imports('from a import B\n\n__all__ = ["B"]\n') == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def _module_id(path: Path) -> str:
+    return f"tests/{path.name}" if path.parent == TESTS else str(path.relative_to(SRC))
+
+
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=_module_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -121,12 +128,19 @@ def test_no_module_defines_or_imports_a_retired_step_result():
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 
-RETIRED_WRAPPERS = {"interior_params", "_PopTagScratch"}
+RETIRED_WRAPPERS = {
+    "interior_params",
+    "_PopTagScratch",
+    "cex_tag_finish",
+    "pop_reader_finalize_send",
+    "pop_tag_finalize",
+    "pop_reader_verify",
+}
 
 
 def mapop_wrappers(source: str) -> list[str]:
-    """Lines that define a retired MAPoP wrapper or read an attribute `ma`
-    (the old `PopParams.ma`)."""
+    """Lines that define a retired wrapper or free round function, or read an
+    attribute `ma` (the old `PopParams.ma`)."""
     hits = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in RETIRED_WRAPPERS:
@@ -138,9 +152,13 @@ def mapop_wrappers(source: str) -> list[str]:
 
 def test_mapop_extends_ma_without_wrappers():
     """`PopParams` is a `MaParams` and the tag has one scratch type, so no
-    module unwraps interior parameters or scratch."""
+    module unwraps interior parameters or scratch. MAPoP's and cex's rounds
+    are methods of their `MaProtocol` subclasses, so no module defines them
+    as free functions."""
     assert mapop_wrappers("def interior_params(p):\n    return p.ma\n") == [
         "line 1: interior_params", "line 2: .ma"]
+    assert mapop_wrappers("def pop_tag_finalize(params, state, scratch, payload):\n    pass\n") == [
+        "line 1: pop_tag_finalize"]
     assert mapop_wrappers("from rfpop.ma import MaParams\n") == []
     found = {str(p.relative_to(SRC)): mapop_wrappers(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {path: lines for path, lines in found.items() if lines} == {}

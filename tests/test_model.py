@@ -8,7 +8,7 @@ from rfpop.errors import (
     SessionInProgress,
     UnknownSnapshot,
 )
-from rfpop.model.session import Tag, run_honest_session
+from rfpop.model.session import Tag
 from rfpop.model.types import IGNORE, Msg, StepOutcome
 from rfpop.primitives.bitstring import flip_bit
 from rfpop.primitives.rng import Rng
@@ -92,6 +92,18 @@ def test_reader_timeout_closes_with_zero(ma_system, rng):
     assert record.o_reader == 0
     assert record.note == "timeout"
     assert record.sid == sid
+
+
+def test_tag_timeout_closes_with_zero(ma_system, rng):
+    tag = ma_system.tag(ma_system.first_tag_id())
+    with pytest.raises(NoOpenSession):
+        tag.timeout()
+    sid, challenge = ma_system.reader.start(rng)
+    tag.step(sid, challenge, rng)
+    out = tag.timeout()
+    assert (out.sid, out.msg, out.output) == (sid, None, 0)
+    assert tag.session is None
+    assert (tag.note, tag.key_version) == ("timeout", 1)
 
 
 def test_tag_restart_voids_open_session(ma_system, rng):

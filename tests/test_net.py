@@ -491,29 +491,71 @@ def test_mode_mismatch_is_rejected_before_connecting(tmp_path):
         )
 
 
+def _without(name):
+    return lambda block: {k: v for k, v in block.items() if k != name}
+
+
 @pytest.mark.parametrize(
-    "mode, field, damage, error",
+    "mode, impl, field, damage, error",
     [
-        ("ma", "key", lambda text: text[:-2], "key is 31 bytes, config says 32"),
-        ("mapop", "pop_key", lambda text: text[:-2], "pop_key is 31 bytes, config says 32"),
-        ("ma", "key", lambda text: "zz" + text[2:], "key is not hex"),
-        ("ma", "ctr", lambda ctr: -1, "ctr is -1, not a non-negative integer"),
-        ("ma", "ctr", lambda ctr: str(ctr), "ctr is '1', not a non-negative integer"),
-        ("ma", "ctr", lambda ctr: 2**256, "ctr is above the config's bound"),
-        ("ma", "key_version", lambda v: "7", "key_version is '7', not a non-negative integer"),
-        ("ma", "key_version", lambda v: None, "key_version is None, not a non-negative integer"),
-        ("ma", "key_version", lambda v: -3, "key_version is -3, not a non-negative integer"),
-        ("cex", "st", lambda st: 2, "st is 2, not 0 or 1"),
-        ("cex", "st", lambda st: "1", "st is '1', not 0 or 1"),
-        ("cex", "st", lambda st: -1, "st is -1, not 0 or 1"),
+        ("ma", "impl1", "key", lambda text: text[:-2], "key is 31 bytes, config says 32"),
+        ("mapop", "impl1", "pop_key", lambda text: text[:-2], "pop_key is 31 bytes, config says 32"),
+        ("ma", "impl1", "key", lambda text: "zz" + text[2:], "key is not hex"),
+        ("ma", "impl1", "ctr", lambda ctr: -1, "ctr is -1, not a non-negative integer"),
+        ("ma", "impl1", "ctr", lambda ctr: str(ctr), "ctr is '1', not a non-negative integer"),
+        ("ma", "impl1", "ctr", lambda ctr: 2**256, "ctr is above the config's bound"),
+        ("ma", "impl1", "key_version", lambda v: "7",
+         "key_version is '7', not a non-negative integer"),
+        ("ma", "impl1", "key_version", lambda v: None,
+         "key_version is None, not a non-negative integer"),
+        ("ma", "impl1", "key_version", lambda v: -3,
+         "key_version is -3, not a non-negative integer"),
+        ("cex", "impl1", "st", lambda st: 2, "st is 2, not 0 or 1"),
+        ("cex", "impl1", "st", lambda st: "1", "st is '1', not 0 or 1"),
+        ("cex", "impl1", "st", lambda st: -1, "st is -1, not 0 or 1"),
+        ("mapop", "impl1", "signer", lambda block: None, "signer scheme None is unknown"),
+        ("mapop", "impl1", "signer", lambda block: {**block, "scheme": "rsa"},
+         "signer scheme 'rsa' is unknown"),
+        ("mapop", "impl1", "signer",
+         lambda block: {"scheme": "ktime-secp256k1", "seed": block["seed"], "k": 4, "used": 0},
+         "signer scheme is 'ktime-secp256k1', config impl1 signs with 'ed25519'"),
+        ("mapop", "impl3", "signer",
+         lambda block: {"scheme": "ed25519", "seed": block["seed"], "pool_remaining": None},
+         "signer scheme is 'ed25519', config impl3 signs with 'ktime-secp256k1'"),
+        ("mapop", "impl1", "signer", _without("seed"), "seed is not hex"),
+        ("mapop", "impl1", "signer", lambda block: {**block, "seed": "zz" + block["seed"][2:]},
+         "seed is not hex"),
+        ("mapop", "impl3", "signer", lambda block: {**block, "seed": block["seed"][:-2]},
+         "seed is 31 bytes, not 32"),
+        ("mapop", "impl3", "signer", lambda block: {**block, "k": 0},
+         "k is 0, not a positive integer"),
+        ("mapop", "impl3", "signer", lambda block: {**block, "k": "4"},
+         "k is '4', not a positive integer"),
+        ("mapop", "impl3", "signer", _without("k"), "k is None, not a positive integer"),
+        ("mapop", "impl3", "signer", lambda block: {**block, "used": "3"},
+         "used is '3', not a non-negative integer"),
+        ("mapop", "impl3", "signer", lambda block: {**block, "used": -1},
+         "used is -1, not a non-negative integer"),
+        ("mapop", "impl3", "signer", lambda block: {**block, "used": block["k"] + 1},
+         "used is 17, above k = 16"),
+        ("mapop", "impl2", "signer", lambda block: {**block, "pool_remaining": -1},
+         "pool_remaining is -1, not a non-negative integer"),
+        ("mapop", "impl1", "signer", lambda block: {**block, "pool_remaining": "5"},
+         "pool_remaining is '5', not a non-negative integer"),
     ],
     ids=["short-key", "short-pop_key", "non-hex-key", "negative-ctr", "string-ctr",
          "ctr-above-bound", "string-key_version", "null-key_version", "negative-key_version",
-         "st-2", "string-st", "negative-st"],
+         "st-2", "string-st", "negative-st",
+         "null-signer", "unknown-scheme", "ktime-signer-in-impl1", "fulltime-signer-in-impl3",
+         "missing-seed", "non-hex-seed", "short-seed", "zero-k", "string-k", "missing-k",
+         "string-used", "negative-used", "used-above-k", "negative-pool_remaining",
+         "string-pool_remaining"],
 )
-def test_damaged_key_file_is_rejected_before_connecting(tmp_path, mode, field, damage, error):
+def test_damaged_key_file_is_rejected_before_connecting(
+    tmp_path, mode, impl, field, damage, error
+):
     """A damaged key file fails at load, not inside its first session."""
-    config = Config(mode=mode, tags=1, seed="net-damaged-key")
+    config = Config(mode=mode, impl=impl, tags=1, seed="net-damaged-key")
     _db_path, tag_paths, _system = deploy(tmp_path, config)
     with open(tag_paths[0], encoding="utf-8") as handle:
         doc = json.load(handle)

@@ -13,7 +13,6 @@ from rfpop.pop import (
     IMPL_POOLED,
     CRED_VERSION,
     Credential,
-    KeyDirectory,
     PopParams,
     PopProtocol,
     binder_value,
