@@ -37,14 +37,7 @@ from rfpop.ma import MaReaderRecord, MaTagState, index_for
 from rfpop.model.database import History, SessionRecord
 from rfpop.model.types import SID_BITS
 from rfpop.pop import KeyDirectory, PopReaderRecord, PopTagState
-from rfpop.primitives.sig import (
-    FULLTIME,
-    KTIME,
-    FullTimeSigner,
-    KTimeSigner,
-    VerifyKey,
-    signer_from_dict,
-)
+from rfpop.primitives.sig import VerifyKey, signer_from_dict
 
 from rfpop.app.config import Config, config_from_dict
 
@@ -221,7 +214,12 @@ def load_db(path: str) -> DbFileData:
     for _ in range(cursor.u32()):
         rec = decode_record(config.mode, params, cursor)
         initial[rec.tag_id] = rec
-    signer = signer_from_dict(meta["reader_signer"]) if "reader_signer" in meta else None
+    signer = None
+    if "reader_signer" in meta:
+        try:
+            signer = signer_from_dict(meta["reader_signer"])
+        except ValueError as exc:
+            raise FrameError(f"corrupt reader_signer block: {exc}") from exc
     directory = None
     if "directory" in meta:
         entries = {
@@ -344,26 +342,6 @@ def _natural(value, name: str) -> int:
     return value
 
 
-def _load_signer(block):
-    """The signer of a mapop key file's `signer` block, each field checked."""
-    scheme = block.get("scheme") if isinstance(block, dict) else None
-    if scheme not in (FULLTIME, KTIME):
-        raise FrameError(f"tag file signer scheme {scheme!r} is unknown")
-    seed = _unhex(block, "seed")
-    if len(seed) != 32:
-        raise FrameError(f"tag file seed is {len(seed)} bytes, not 32")
-    if scheme == KTIME:
-        k = block.get("k")
-        if type(k) is not int or k < 1:
-            raise FrameError(f"tag file k is {k!r}, not a positive integer")
-        used = _natural(block.get("used", 0), "used")
-        if used > k:
-            raise FrameError(f"tag file used is {used}, above k = {k}")
-        return KTimeSigner(seed, k, used)
-    pool = block.get("pool_remaining")
-    return FullTimeSigner(seed, None if pool is None else _natural(pool, "pool_remaining"))
-
-
 def load_tag(path: str):
     """Read a tag key file back into (mode, state, key_version).  Lengths, the
     counter's upper bound and the signer's scheme are not checked here: the
@@ -375,9 +353,11 @@ def load_tag(path: str):
         tag_id=_unhex(doc, "tag_id"), key=_unhex(doc, "key"), ctr=_natural(doc["ctr"], "ctr")
     )
     if mode == "mapop":
-        state = PopTagState(
-            **common, pop_key=_unhex(doc, "pop_key"), signer=_load_signer(doc.get("signer"))
-        )
+        try:
+            signer = signer_from_dict(doc.get("signer"))
+        except ValueError as exc:
+            raise FrameError(f"tag file {exc}") from exc
+        state = PopTagState(**common, pop_key=_unhex(doc, "pop_key"), signer=signer)
     elif mode == "cex":
         st = doc.get("st", 0)
         if type(st) is not int or st not in (0, 1):

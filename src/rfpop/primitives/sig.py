@@ -217,9 +217,32 @@ def ktime_keygen(rng: Rng, k: int):
     return signer, signer.verify_key()
 
 
-def signer_from_dict(d: dict):
-    if d["scheme"] == FULLTIME:
-        return FullTimeSigner(bytes.fromhex(d["seed"]), d.get("pool_remaining"))
-    if d["scheme"] == KTIME:
-        return KTimeSigner(bytes.fromhex(d["seed"]), d["k"], d.get("used", 0))
-    raise ValueError(f"unknown signature scheme {d['scheme']!r}")
+def _natural(d: dict, name: str, default=None) -> int:
+    value = d.get(name, default)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} is {value!r}, not a non-negative integer")
+    return value
+
+
+def signer_from_dict(d):
+    """The signer a `to_dict()` block describes.  Every field is checked, and
+    a damaged one raises ValueError naming it."""
+    scheme = d.get("scheme") if isinstance(d, dict) else None
+    if scheme not in (FULLTIME, KTIME):
+        raise ValueError(f"signer scheme {scheme!r} is unknown")
+    try:
+        seed = bytes.fromhex(d.get("seed"))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"seed is not hex: {exc}") from exc
+    if len(seed) != 32:
+        raise ValueError(f"seed is {len(seed)} bytes, not 32")
+    if scheme == FULLTIME:
+        pool = None if d.get("pool_remaining") is None else _natural(d, "pool_remaining")
+        return FullTimeSigner(seed, pool)
+    k = d.get("k")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k is {k!r}, not a positive integer")
+    used = _natural(d, "used", 0)
+    if used > k:
+        raise ValueError(f"used is {used}, above k = {k}")
+    return KTimeSigner(seed, k, used)

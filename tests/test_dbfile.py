@@ -190,6 +190,32 @@ def test_load_rejects_corrupt_files(tmp_path):
         load_db(str(out_of_order))
 
 
+@pytest.mark.parametrize(
+    "damage, error",
+    [
+        (lambda block: {**block, "seed": block["seed"][:-2]}, "seed is 31 bytes, not 32"),
+        (lambda block: {**block, "scheme": "rsa"}, "signer scheme 'rsa' is unknown"),
+        (lambda block: {**block, "pool_remaining": "5"},
+         "pool_remaining is '5', not a non-negative integer"),
+    ],
+    ids=["short-seed", "unknown-scheme", "string-pool_remaining"],
+)
+def test_load_rejects_damaged_reader_signer(tmp_path, damage, error):
+    """The reader's signer block is checked by the same parser as a tag file's."""
+    config = Config(mode="mapop", impl="impl2")
+    path = tmp_path / "s.db"
+    write_db(path, config, build(config))
+    blob = path.read_bytes()
+    start = len(MAGIC) + 4
+    end = start + int.from_bytes(blob[len(MAGIC) : start], "big")
+    meta = json.loads(blob[start:end])
+    meta["reader_signer"] = damage(meta["reader_signer"])
+    damaged = json.dumps(meta).encode("ascii")
+    path.write_bytes(MAGIC + len(damaged).to_bytes(4, "big") + damaged + blob[end:])
+    with pytest.raises(FrameError, match=f"corrupt reader_signer block: {error}"):
+        load_db(str(path))
+
+
 def journaled(tmp_path, sessions=3):
     """A database file with `sessions` journaled MA sessions, the file's size
     after each append (index 0: header only), and the live system."""
