@@ -53,6 +53,7 @@ from rfpop.app.dbfile import load_db, save_db, save_tag
 from rfpop.app.netrun import serve_reader, tag_run
 from rfpop.app.reports import (
     IMPL_CHOICES,
+    config_for_impl,
     format_ops,
     format_sizes,
     report_ops,
@@ -233,8 +234,6 @@ def _cmd_experiment(args) -> int:
             family=PTPT_FAMILIES[args.family],
         )
     else:
-        from rfpop.app.reports import config_for_impl
-
         if args.protocol == "mapop":
             config = config_for_impl(args.impl, tags=args.tags)
         else:

@@ -101,8 +101,8 @@ class Config:
                     f"impl2 pair pool s={self.s} is below the expected session count "
                     f"{self.effective_lifetime}"
                 )
-        host, _, port = self.listen.rpartition(":")
-        if not host or not port.isdigit():
+        host, _, port = str(self.listen).rpartition(":")
+        if not isinstance(self.listen, str) or not host or not port.isdigit():
             raise ConfigError(f"listen must be host:port, got {self.listen!r}")
 
     @property

@@ -16,7 +16,8 @@ Records are stored as fixed-order length-prefixed fields (4-byte big-endian
 prefixes, since K-time verifying keys can be large).  Counters are stored as
 fixed-width big-endian integers of the counter length, so a save/load/save
 round trip is byte-identical.  Loading checks every key, index and counter
-field against the configured lengths.
+field against the configured lengths, and every metadata entry; damage is a
+`FrameError` naming what is damaged.
 
 A journal entry stores its session's `via_step` as one byte; a session that
 closed without reaching a verdict step (timeout, out-of-space message, failed
@@ -32,12 +33,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from rfpop.counterexample import CexReaderRecord, CexTagState
-from rfpop.errors import FrameError
+from rfpop.errors import ConfigError, FrameError
 from rfpop.ma import MaReaderRecord, MaTagState, index_for
 from rfpop.model.database import History, SessionRecord
 from rfpop.model.types import SID_BITS
 from rfpop.pop import KeyDirectory, PopReaderRecord, PopTagState
-from rfpop.primitives.sig import VerifyKey, signer_from_dict
+from rfpop.primitives.sig import SIG_LEN, VerifyKey, signer_from_dict
 
 from rfpop.app.config import Config, config_from_dict
 
@@ -207,26 +208,17 @@ def load_db(path: str) -> DbFileData:
         meta = json.loads(cursor.blob().decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FrameError(f"corrupt metadata block: {exc}") from exc
-    config = config_from_dict(meta["config"])
-    reader_id = bytes.fromhex(meta["reader_id"])
+    if not isinstance(meta, dict):
+        raise FrameError("corrupt metadata block: not a JSON object")
+    config = _meta_entry(meta, "config", config_from_dict)
+    reader_id = _meta_entry(meta, "reader_id", bytes.fromhex)
+    signer = _meta_entry(meta, "reader_signer", signer_from_dict, required=False)
+    directory = _meta_entry(meta, "directory", _directory_from_dict, required=False)
     params = config.params()
     initial = {}
     for _ in range(cursor.u32()):
         rec = decode_record(config.mode, params, cursor)
         initial[rec.tag_id] = rec
-    signer = None
-    if "reader_signer" in meta:
-        try:
-            signer = signer_from_dict(meta["reader_signer"])
-        except ValueError as exc:
-            raise FrameError(f"corrupt reader_signer block: {exc}") from exc
-    directory = None
-    if "directory" in meta:
-        entries = {
-            bytes.fromhex(party): VerifyKey(doc["scheme"], bytes.fromhex(doc["data"]))
-            for party, doc in meta["directory"].items()
-        }
-        directory = KeyDirectory(entries=entries)
     history = History(initial=initial)
     torn_bytes = 0
     while cursor.remaining:
@@ -253,6 +245,32 @@ def load_db(path: str) -> DbFileData:
         directory=directory,
         torn_bytes=torn_bytes,
     )
+
+
+def _meta_entry(meta: dict, name: str, parse, required: bool = True):
+    """parse(meta[name]); None for an absent optional entry. A missing or
+    damaged entry is a FrameError naming it."""
+    if name not in meta:
+        if required:
+            raise FrameError(f"corrupt metadata block: no {name} entry")
+        return None
+    try:
+        return parse(meta[name])
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise FrameError(f"corrupt {name} block: {exc}") from exc
+
+
+def _directory_from_dict(doc) -> KeyDirectory:
+    """The public-key directory `save_db` writes: party hex -> scheme, data."""
+    if not isinstance(doc, dict):
+        raise ValueError("not a JSON object")
+    entries = {}
+    for party, entry in doc.items():
+        scheme = entry.get("scheme") if isinstance(entry, dict) else None
+        if scheme not in SIG_LEN:
+            raise ValueError(f"party {party} scheme {scheme!r} is unknown")
+        entries[bytes.fromhex(party)] = VerifyKey(scheme, bytes.fromhex(entry.get("data")))
+    return KeyDirectory(entries=entries)
 
 
 def _read_journal_entry(cursor: _Cursor, config: Config, params) -> SessionRecord:

@@ -251,17 +251,22 @@ def tag_run(
 
 
 def _client_one(tag: Tag, sock, rng: Rng, timeout_s: float) -> dict:
+    """Answer the reader's rounds until the tag holds its own verdict, the
+    reader's and a credential, or a read fails: an MA or cex session never
+    gets a credential, so it ends when the reader closes the connection.
+    Round frames after the tag's verdict are ignored."""
     deadline = time.monotonic() + timeout_s
     o_tag = None
     o_reader = None
     cred_hex = None
-    closed = False
-    while o_tag is None and not closed:
+    while o_tag is None or o_reader is None or cred_hex is None:
         try:
             frame = read_frame(sock, deadline)
         except (FrameError, OSError):
             break
         if frame.msg_type in ROUND_TYPES:
+            if o_tag is not None:
+                continue
             f_sid, msg = msg_from_frame(frame)
             outcome = tag.step(f_sid, msg, rng)
             if outcome.msg is not None:
@@ -270,17 +275,6 @@ def _client_one(tag: Tag, sock, rng: Rng, timeout_s: float) -> dict:
                 o_tag = outcome.output
                 _send(sock, result_frame(TYPE_RESULT_TAG, f_sid, o_tag))
         elif frame.msg_type == TYPE_RESULT_READER:
-            o_reader = result_value(frame)
-        elif frame.msg_type == TYPE_CREDENTIAL:
-            cred_hex = frame.payload.hex()
-    # The reader's verdict (and any credential) may still be in flight.
-    while not closed and (o_reader is None or cred_hex is None):
-        try:
-            frame = read_frame(sock, deadline)
-        except (FrameError, OSError):
-            closed = True
-            break
-        if frame.msg_type == TYPE_RESULT_READER:
             o_reader = result_value(frame)
         elif frame.msg_type == TYPE_CREDENTIAL:
             cred_hex = frame.payload.hex()

@@ -31,7 +31,7 @@ ctr XOR (ctr+1), an all-ones-suffix pattern a distinguisher can spot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from rfpop.errors import CounterOverflow, LengthMismatch
@@ -60,7 +60,7 @@ class CexTagState(MaTagState):
     st: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class CexReaderRecord:
     tag_id: bytes
     key: bytes
@@ -117,9 +117,8 @@ def cex_reader_respond(
     )
     if hit is None:
         return False, None, rng.take_bits(params.out_bits)
-    rec = hit[0]
-    rec.ctr += 1
-    db.record_updated(rec, None)
+    rec = replace(hit[0], ctr=hit[0].ctr + 1)
+    db.put(rec)
     return True, rec.tag_id, confirm_value(params, rec.key, challenge, rec.ctr, nonce)
 
 

@@ -28,7 +28,7 @@ with the counterexample protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -95,7 +95,7 @@ class MaTagState:
     ctr: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaReaderRecord:
     tag_id: bytes
     key: bytes
@@ -231,12 +231,10 @@ def _accept(
     via_step: int,
 ) -> MaAuthResult:
     """Store recovered+1 and the refreshed index; confirm the new counter."""
-    old_index = rec.index
-    rec.ctr = recovered + 1
-    rec.index = index_for(params, rec.key, rec.ctr)
-    db.record_updated(rec, old_index)
-    confirm = confirm_value(params, rec.key, challenge, rec.ctr, nonce)
-    return MaAuthResult(True, rec.tag_id, confirm, rec.ctr, via_step=via_step)
+    ctr = recovered + 1
+    db.put(replace(rec, ctr=ctr, index=index_for(params, rec.key, ctr)))
+    confirm = confirm_value(params, rec.key, challenge, ctr, nonce)
+    return MaAuthResult(True, rec.tag_id, confirm, ctr, via_step=via_step)
 
 
 def ma_reader_auth(

@@ -1,9 +1,11 @@
 """Reader-side database and the session journal.
 
 The database maps tag identities to protocol-specific records. Records are
-mutable dataclasses whose fields are immutable values; protocols mutate a
-record in place and then report the update so the index map and the current
-session's delta stay consistent.
+frozen dataclasses: a protocol changes a tag's record by building a new one
+(`dataclasses.replace`) and handing it to `ReaderDatabase.put`, the one write,
+which keeps the index map and the current session's delta in step. Lookups
+return the stored records themselves, shared with the journal; no record is
+ever copied, because none can change once written.
 
 The journal (`History`) is the one record of terminated sessions, for a live
 reader and for a database file alike. For each session it stores the records
@@ -14,17 +16,12 @@ session j is one bisect away; j=0 is the state right after setup.
 
 from __future__ import annotations
 
-import dataclasses
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
 from rfpop.errors import UnknownSnapshot
 from rfpop.model.types import Msg
-
-
-def _clone(record):
-    return dataclasses.replace(record)
 
 
 class ReaderDatabase:
@@ -38,7 +35,7 @@ class ReaderDatabase:
     def __init__(self, records):
         self._records: dict[bytes, object] = {}
         self._by_index: dict[bytes, list[bytes]] = {}
-        self._dirty: set[bytes] = set()
+        self._delta: dict[bytes, object] = {}
         self.keyed_states: dict[object, dict[bytes, object]] = {}
         for rec in sorted(records, key=lambda r: r.tag_id):
             if rec.tag_id in self._records:
@@ -75,29 +72,32 @@ class ReaderDatabase:
         ids = sorted(self._by_index.get(index, []))
         return [self._records[i] for i in ids]
 
-    def record_updated(self, rec, old_index: Optional[bytes]):
-        """Report an in-place record mutation (fixes the index map, marks the
-        record dirty for the current session's snapshot delta)."""
+    def image(self) -> dict[bytes, object]:
+        """A new dict of the current records by tag id, ascending; the records
+        themselves are shared."""
+        return dict(self._records)
+
+    def put(self, rec):
+        """Replace the record for rec.tag_id with `rec`: fix the index map
+        and add `rec` to the current session's delta."""
         key = rec.tag_id
-        if key not in self._records:
+        old = self._records.get(key)
+        if old is None:
             raise KeyError(f"unknown tag id {key.hex()}")
-        new_index = getattr(rec, "index", None)
-        if old_index != new_index:
+        old_index = getattr(old, "index", None)
+        if old_index != getattr(rec, "index", None):
             self._index_remove(key, old_index)
             self._index_insert(rec)
-        self._dirty.add(key)
+        self._records[key] = rec
+        self._delta[key] = rec
 
     def take_delta(self) -> dict[bytes, object]:
-        """Post-session values of the records this session changed."""
-        delta = {key: _clone(self._records[key]) for key in self._dirty}
-        self._dirty.clear()
+        """The records put since the last call: this session's changes."""
+        delta, self._delta = self._delta, {}
         return delta
 
-    def clone_records(self) -> dict[bytes, object]:
-        return {key: _clone(rec) for key, rec in self._records.items()}
 
-
-@dataclass
+@dataclass(frozen=True)
 class SessionRecord:
     """Everything the reader keeps about one terminated session.
 
@@ -147,13 +147,14 @@ class History:
             raise UnknownSnapshot(f"no snapshot {j}; have 0..{len(self.sessions)}")
 
     def record_at(self, tag_id: bytes, j: int):
-        """A copy of tag `tag_id`'s record after session j (j=0: after setup)."""
+        """Tag `tag_id`'s record after session j (j=0: after setup), shared
+        with the journal."""
         self._check_snapshot(j)
         changed = self.changed_in.get(tag_id, ())
         at = bisect_right(changed, j)
         if at == 0:
-            return _clone(self.initial[tag_id])
-        return _clone(self.sessions[changed[at - 1] - 1].delta[tag_id])
+            return self.initial[tag_id]
+        return self.sessions[changed[at - 1] - 1].delta[tag_id]
 
     def db_at(self, j: int) -> dict[bytes, object]:
         """Database image after session j (j=0: right after setup)."""

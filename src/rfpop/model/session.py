@@ -81,7 +81,7 @@ class Reader:
         self.protocol = protocol
         self.db = db
         self.reader_id = reader_id
-        self.history = History(initial=db.clone_records()) if history is None else history
+        self.history = History(initial=db.image()) if history is None else history
         self.session: Optional[OpenReaderSession] = None
 
     @property
@@ -141,8 +141,8 @@ class Reader:
             o_reader=o_reader,
             tag_id=tag_id,
             mode=self.protocol.record_mode,
-            messages=list(ses.messages),
-            coins=dict(ses.coins),
+            messages=ses.messages,
+            coins=ses.coins,
             delta=self.db.take_delta(),
             via_step=via_step,
             note=note,

@@ -128,7 +128,7 @@ class PopTagState(MaTagState):
     signer: object = None  # FullTimeSigner or KTimeSigner
 
 
-@dataclass
+@dataclass(frozen=True)
 class PopReaderRecord(MaReaderRecord):
     pop_key: bytes = None
     verify_key: VerifyKey = None

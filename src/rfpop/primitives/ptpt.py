@@ -21,9 +21,8 @@ Family = Callable[[PrfDescriptor, bytes, bytes], bytes]
 class _Oracle:
     """Budgeted oracle for one trial."""
 
-    def __init__(self, fn, desc: PrfDescriptor, max_queries: int):
+    def __init__(self, fn, max_queries: int):
         self._fn = fn
-        self._desc = desc
         self._left = max_queries
 
     def __call__(self, data: bytes) -> bytes:
@@ -65,7 +64,7 @@ def ptpt_experiment(
                     memo[x] = draw.take_bits(desc.out_bits)
                 return memo[x]
 
-        guess = distinguisher(_Oracle(fn, desc, max_queries), desc, trial_rng.spawn("adv"))
+        guess = distinguisher(_Oracle(fn, max_queries), desc, trial_rng.spawn("adv"))
         if guess == b:
             successes += 1
     return ExperimentReport.from_counts(

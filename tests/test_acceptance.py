@@ -5,6 +5,7 @@ single line `criterion N: PASS/FAIL (...)` carrying the measured values, so a
 `pytest -v -s tests/test_acceptance.py` run doubles as the acceptance report.
 """
 
+import dataclasses
 import random
 import time
 
@@ -368,7 +369,8 @@ def test_criterion_07_tampered_nonce_accepted_exactly_in_clean_state():
             system.reader.timeout()
             if rnd.random() < 0.5:
                 # Realign counters so only the flag decides the outcome.
-                system.reader.db.get(tid).ctr = tag.state.ctr
+                db = system.reader.db
+                db.put(dataclasses.replace(db.get(tid), ctr=tag.state.ctr))
         flag_before = tag.state.st
         sid, challenge = system.reader.start(rng)
         reply = tag.step(sid, challenge, rng).msg

@@ -84,7 +84,7 @@ def test_tampered_nonce_accepted_exactly_when_state_clean():
     assert not ok  # tag's finish check fails (nonce mismatch), st stays 1
     assert state.st == 1
     # Re-align counters manually, then tamper on the resume branch.
-    db.get(state.tag_id).ctr = state.ctr
+    db.put(dataclasses.replace(db.get(state.tag_id), ctr=state.ctr))
     accepted, _, ok = run_session(state, db, rng, tamper_nonce=True)
     assert not accepted and not ok
 
@@ -173,8 +173,8 @@ def reference_respond(params, db, challenge, r1, nonce, rng):
                 hit = True
                 break
         if hit:
-            rec.ctr += 1
-            db.record_updated(rec, None)
+            rec = dataclasses.replace(rec, ctr=rec.ctr + 1)
+            db.put(rec)
             return True, rec.tag_id, confirm_value(params, rec.key, challenge, rec.ctr, nonce)
     return False, None, rng.take_bits(params.out_bits)
 

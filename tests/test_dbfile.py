@@ -190,29 +190,72 @@ def test_load_rejects_corrupt_files(tmp_path):
         load_db(str(out_of_order))
 
 
+def in_entry(name, damage):
+    """Damage the metadata entry `name`: damage(entry) -> the new entry."""
+    return lambda meta: {**meta, name: damage(meta[name])}
+
+
+def without(name):
+    return lambda meta: {k: v for k, v in meta.items() if k != name}
+
+
+def first_party(change):
+    """Damage the directory's first entry: change(party, entry) -> (party, entry)."""
+    def damage(directory):
+        (party, entry), *rest = directory.items()
+        return dict([change(party, entry), *rest])
+    return in_entry("directory", damage)
+
+
 @pytest.mark.parametrize(
     "damage, error",
     [
-        (lambda block: {**block, "seed": block["seed"][:-2]}, "seed is 31 bytes, not 32"),
-        (lambda block: {**block, "scheme": "rsa"}, "signer scheme 'rsa' is unknown"),
-        (lambda block: {**block, "pool_remaining": "5"},
-         "pool_remaining is '5', not a non-negative integer"),
+        (in_entry("reader_signer", lambda block: {**block, "seed": block["seed"][:-2]}),
+         "corrupt reader_signer block: seed is 31 bytes, not 32"),
+        (in_entry("reader_signer", lambda block: {**block, "scheme": "rsa"}),
+         "corrupt reader_signer block: signer scheme 'rsa' is unknown"),
+        (in_entry("reader_signer", lambda block: {**block, "pool_remaining": "5"}),
+         "corrupt reader_signer block: pool_remaining is '5', not a non-negative integer"),
+        (lambda meta: [meta], "corrupt metadata block: not a JSON object"),
+        (without("reader_id"), "corrupt metadata block: no reader_id entry"),
+        (in_entry("reader_id", lambda _: "reader"), "corrupt reader_id block: non-hex"),
+        (in_entry("reader_id", lambda _: 7),
+         r"corrupt reader_id block: fromhex\(\) argument must be str"),
+        (without("config"), "corrupt metadata block: no config entry"),
+        (in_entry("config", lambda doc: {**doc, "mode": "rsa"}),
+         "corrupt config block: mode must be one of"),
+        (in_entry("config", lambda doc: {**doc, "listen": 7410}),
+         "corrupt config block: listen must be host:port"),
+        (in_entry("directory", lambda _: []), "corrupt directory block: not a JSON object"),
+        (first_party(lambda party, entry: ("zz" + party, entry)),
+         "corrupt directory block: non-hex"),
+        (first_party(lambda party, entry: (party, {**entry, "data": "zz"})),
+         "corrupt directory block: non-hex"),
+        (first_party(lambda party, entry: (party, {"data": entry["data"]})),
+         "corrupt directory block: party .* scheme None is unknown"),
+        (first_party(lambda party, entry: (party, {**entry, "scheme": "rsa"})),
+         "corrupt directory block: party .* scheme 'rsa' is unknown"),
     ],
-    ids=["short-seed", "unknown-scheme", "string-pool_remaining"],
+    ids=[
+        "short-seed", "unknown-scheme", "string-pool_remaining", "not-an-object",
+        "no-reader_id", "non-hex-reader_id", "int-reader_id", "no-config", "invalid-config",
+        "non-string-listen",
+        "directory-not-an-object", "non-hex-party", "non-hex-data", "no-scheme",
+        "unknown-directory-scheme",
+    ],
 )
-def test_load_rejects_damaged_reader_signer(tmp_path, damage, error):
-    """The reader's signer block is checked by the same parser as a tag file's."""
+def test_load_rejects_damaged_metadata(tmp_path, damage, error):
+    """Every damaged metadata entry is a FrameError naming it; the reader's
+    signer block is checked by the same parser as a tag file's."""
     config = Config(mode="mapop", impl="impl2")
     path = tmp_path / "s.db"
     write_db(path, config, build(config))
     blob = path.read_bytes()
     start = len(MAGIC) + 4
     end = start + int.from_bytes(blob[len(MAGIC) : start], "big")
-    meta = json.loads(blob[start:end])
-    meta["reader_signer"] = damage(meta["reader_signer"])
-    damaged = json.dumps(meta).encode("ascii")
+    damaged = json.dumps(damage(json.loads(blob[start:end]))).encode("ascii")
     path.write_bytes(MAGIC + len(damaged).to_bytes(4, "big") + damaged + blob[end:])
-    with pytest.raises(FrameError, match=f"corrupt reader_signer block: {error}"):
+    with pytest.raises(FrameError, match=error):
         load_db(str(path))
 
 

@@ -190,3 +190,34 @@ def test_one_session_shape_per_protocol():
     ) == ["line 1: default_mode", "line 5: session_mode"]
     found = {str(p.relative_to(SRC)): per_session_modes(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+RETIRED_COPY_NAMES = {"record_updated", "clone_records", "_clone"}
+
+
+def record_copies(source: str) -> list[str]:
+    """Lines that define or call a retired record-copy or mutate-and-report
+    helper."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            name = node.name
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        else:
+            continue
+        if name in RETIRED_COPY_NAMES:
+            hits.append(f"line {node.lineno}: {name}")
+    return hits
+
+
+def test_reader_records_are_replaced_not_copied():
+    """Reader records are frozen and `ReaderDatabase.put` is the one write,
+    so no module reports an in-place change or copies a record to guard it."""
+    assert record_copies("def _clone(r):\n    pass\n\n\ndb.record_updated(rec, None)\n") == [
+        "line 1: _clone", "line 5: record_updated"]
+    assert record_copies("db.put(replace(rec, ctr=2))\n") == []
+    found = {str(p.relative_to(SRC)): record_copies(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {path: lines for path, lines in found.items() if lines} == {}

@@ -1,5 +1,6 @@
 """The session journal: per-tag lookups, file round trips and reader restarts."""
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -130,3 +131,27 @@ def test_restarted_reader_matches_an_uninterrupted_twin(order, restart_at):
         assert after.db_at(j) == image
     for j in range(len(order) + 1):
         assert after.db_at(j) == twin.reader.history.db_at(j)
+
+
+@pytest.mark.parametrize("mode", ["ma", "mapop", "cex"])
+def test_records_are_frozen_values(mode, tmp_path):
+    """A record once written cannot change: the database, the journal and a
+    loaded file all hand out frozen values, and `put` is the one write."""
+    config = Config(mode=mode, tags=TAGS, seed="journal-frozen")
+    system = config.build_system()
+    path = str(tmp_path / "reader.db")
+    save(path, config, system)
+    tag_id = system.first_tag_id()
+    system.run_honest(tag_id)
+    reader = system.reader
+    for value in (
+        reader.db.get(tag_id),
+        reader.history.record_at(tag_id, 1),
+        load_db(path).initial[tag_id],
+        reader.history.session(1),
+    ):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.tag_id = bytes(len(tag_id))
+    stranger = dataclasses.replace(reader.db.get(tag_id), tag_id=b"\xff" * len(tag_id))
+    with pytest.raises(KeyError, match="unknown tag id"):
+        reader.db.put(stranger)

@@ -249,10 +249,9 @@ def reference_auth(params, db, challenge, reply):
     masked = int.from_bytes(reply.masked_ctr, "big")
 
     def accept(rec, recovered, via_step):
-        old_index = rec.index
-        rec.ctr = recovered + 1
-        rec.index = index_for(params, rec.key, rec.ctr)
-        db.record_updated(rec, old_index)
+        ctr = recovered + 1
+        rec = dataclasses.replace(rec, ctr=ctr, index=index_for(params, rec.key, ctr))
+        db.put(rec)
         confirm = confirm_value(params, rec.key, challenge, rec.ctr, reply.nonce)
         return MaAuthResult(True, rec.tag_id, confirm, rec.ctr, via_step)
 
@@ -339,7 +338,7 @@ def desync_reply(state, rng):
 
 def test_scan_raises_on_a_record_key_of_the_wrong_length():
     tags, db = fresh_setup()
-    db.get(tags[1].tag_id).key = bytes(31)
+    db.put(dataclasses.replace(db.get(tags[1].tag_id), key=bytes(31)))
     challenge, reply = desync_reply(tags[2], Rng("short-key"))
     with pytest.raises(LengthMismatch, match="key is 248 bits"):
         ma_reader_auth(PARAMS, db, challenge, reply)
@@ -352,10 +351,8 @@ def test_scan_uses_a_reassigned_record_key():
     result = ma_reader_auth(PARAMS, db, *desync_reply(tags[2], rng))
     assert result.via_step == 2 and db.keyed_states
     rec = db.get(tags[2].tag_id)
-    old_index = rec.index
-    rec.key = tags[2].key = rng.take_bits(PARAMS.key_bits)
-    rec.index = index_for(PARAMS, rec.key, rec.ctr)
-    db.record_updated(rec, old_index)
+    key = tags[2].key = rng.take_bits(PARAMS.key_bits)
+    db.put(dataclasses.replace(rec, key=key, index=index_for(PARAMS, key, rec.ctr)))
     result = ma_reader_auth(PARAMS, db, *desync_reply(tags[2], rng))
     assert result.accepted and result.via_step == 2
     assert result.tag_id == tags[2].tag_id
