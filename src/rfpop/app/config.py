@@ -53,6 +53,7 @@ class Config:
     `K` bounds a K-time signer, `s` sizes a pooled signer's pair pool, and
     `lifetime` caps how many sessions a single tag may run (defaulting to `K`
     for the K-time signer, since each session consumes one signature).
+    `seed`, a string or a non-negative integer, seeds the system's `Rng`.
     """
 
     l_k: int = 256
@@ -87,6 +88,8 @@ class Config:
             raise ConfigError(f"tags must be a positive integer, got {self.tags!r}")
         if not isinstance(self.timeout_ticks, int) or self.timeout_ticks < 1:
             raise ConfigError(f"timeout_ticks must be a positive integer, got {self.timeout_ticks!r}")
+        if not (isinstance(self.seed, str) or (type(self.seed) is int and self.seed >= 0)):
+            raise ConfigError(f"seed must be a string or a non-negative integer, got {self.seed!r}")
         if self.mode == "mapop":
             if self.impl == IMPL_KTIME:
                 if self.K == 0:

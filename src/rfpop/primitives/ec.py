@@ -1,23 +1,31 @@
 """Minimal secp256k1 group arithmetic for the K-time signature scheme.
 
 Points cross the module boundary in affine coordinates, with None as the point
-at infinity. Inside `point_mul` the doublings and additions run in Jacobian
-coordinates, adding each precomputed affine multiple with a mixed addition,
-and the result is brought back to affine with a single inversion. A base of
-`G` walks a table of 64 rows of 15 multiples (row i holds d*16^i*G for
-d = 1..15), built on first use rather than at import. Any other base P uses
-the curve's endomorphism LAMBDA*(x, y) = (BETA*x, y): the scalar splits into
-two signed halves of about 128 bits, k = k1 + k2*LAMBDA (mod N), and one loop
-of about 129 doublings walks both halves' width-5 NAFs together, adding odd
-multiples of P for k1 and of LAMBDA*P for k2 (Gallant, Lambert and Vanstone,
-"Faster Point Multiplication on Elliptic Curves with Efficient
-Endomorphisms", CRYPTO 2001). None of this is constant-time: the walks branch
-on the scalar's digits, so it models cost, not a side-channel-safe signer.
-Each scalar-by-point multiplication counts as one point-multiplication unit
-for cost accounting. The Jacobian formulas are the standard ones for a = 0,
-and the width-w NAF and the interleaved walk follow Hankerson, Menezes and
-Vanstone, Guide to Elliptic Curve Cryptography, 2004, sections 3.2.2, 3.3
-and 3.5.
+at infinity. Inside a multiplication the doublings and additions run in
+Jacobian coordinates, adding each precomputed affine multiple with a mixed
+addition, and the result is brought back to affine with a single inversion.
+
+`point_mul(G, k)`, the key generator's case, walks a table of 64 rows of 15
+multiples (row i holds d*16^i*G for d = 1..15): at most 64 additions and no
+doublings. Every other product runs through one interleaved walk, which
+`point_mul_add(a, q, b)` uses for a*G + b*q and `point_mul(q, k)` for k*q
+alone. It uses the curve's endomorphism LAMBDA*(x, y) = (BETA*x, y): each
+scalar splits into two signed halves of about 128 bits, k = k1 + k2*LAMBDA
+(mod N) (Gallant, Lambert and Vanstone, "Faster Point Multiplication on
+Elliptic Curves with Efficient Endomorphisms", CRYPTO 2001). The halves of a
+walk width-8 NAFs over constant tables of 64 odd multiples of G and of
+LAMBDA*G; the halves of b walk width-5 NAFs over 8 odd multiples of q and of
+LAMBDA*q, which a caller that reuses q can build once with `wnaf_tables`. All
+halves share one run of about 129 doublings (Straus-Shamir interleaving, as
+in libsecp256k1's `secp256k1_ecmult`). The G tables are built on first use,
+not at import. None of this is constant-time: the walks branch on the
+scalars' digits, so it models cost, not a side-channel-safe signer.
+
+Each scalar-by-point product counts as one point-multiplication unit for cost
+accounting, so `point_mul_add` counts two. The Jacobian formulas are the
+standard ones for a = 0, and the width-w NAF and the interleaved walk follow
+Hankerson, Menezes and Vanstone, Guide to Elliptic Curve Cryptography, 2004,
+sections 3.2.2, 3.3 and 3.3.3.
 """
 
 from __future__ import annotations
@@ -45,9 +53,12 @@ B2 = A1
 
 Point = Optional[tuple[int, int]]
 _Jacobian = tuple[int, int, int]  # (X, Y, Z) stands for (X/Z^2, Y/Z^3)
+# A point's signed digit tables, for the point itself and for LAMBDA times it.
+_Tables = tuple[list, list]
 
 
 def point_add(p1: Point, p2: Point) -> Point:
+    """p1 + p2 in affine coordinates, one inversion; the tests' reference."""
     if p1 is None:
         return p2
     if p2 is None:
@@ -70,27 +81,85 @@ def point_mul(p: Point, k: int) -> Point:
     k %= N
     if p is None or k == 0:
         return None
+    if p != G:
+        return _walk(0, p, k, None)
     acc: Optional[_Jacobian] = None
-    if p == G:
-        for row in _g_table():
-            digit = k & 15
+    for row in _g_table():
+        digit = k & 15
+        if digit:
+            acc = _add_affine(acc, row[digit - 1])
+        k >>= 4
+    return _to_affine([acc])[0]
+
+
+def point_mul_add(a: int, q: Point, b: int, q_tables: Optional[_Tables] = None) -> Point:
+    """a*G + b*q for any a and b (reduced mod N) in one walk; counts two
+    point-mul units. `q_tables`, if given, is `wnaf_tables(q)`, built once for
+    a q that is used many times."""
+    count_point_mul(2)
+    return _walk(a % N, q, b % N, q_tables)
+
+
+def wnaf_tables(q: tuple[int, int]) -> _Tables:
+    """The signed digit tables of q and LAMBDA*q for a width-5 walk."""
+    return _signed_tables(_multiples(q, 15)[::2])
+
+
+def _walk(a: int, q: Point, b: int, q_tables: Optional[_Tables]) -> Point:
+    """a*G + b*q for 0 <= a, b < N. Each scalar splits into GLV halves; the
+    halves of a walk width-8 NAFs over the constant G and LAMBDA*G tables, the
+    halves of b width-5 NAFs over q's. All halves share one run of about 129
+    doublings, and the result is made affine with one inversion."""
+    halves = []
+    if a:
+        halves += zip(split_scalar(a), _g_tables(), (8, 8))
+    if b and q is not None:
+        halves += zip(split_scalar(b), q_tables or wnaf_tables(q), (5, 5))
+    length = max([abs(k).bit_length() for k, _, _ in halves], default=0) + 1
+    # steps[i] lists the affine points added after the doubling at bit i.
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(length)]
+    for k, table, width in halves:
+        sign = -1 if k < 0 else 1
+        for i, digit in enumerate(_wnaf(abs(k), length, width)):
             if digit:
-                acc = _add_affine(acc, row[digit - 1])
-            k >>= 4
-    else:
-        k1, k2 = split_scalar(k)
-        odd = _multiples(p, 15)[::2]  # 1p, 3p, ..., 15p
-        t1 = _digit_table(odd, k1 < 0)
-        t2 = _digit_table([(BETA * x % P, y) for x, y in odd], k2 < 0)
-        length = max(k1.bit_length(), k2.bit_length()) + 1
-        for d1, d2 in zip(reversed(_wnaf(abs(k1), length)), reversed(_wnaf(abs(k2), length))):
-            if acc is not None:
-                acc = _double(acc)
-            if d1:
-                acc = _add_affine(acc, t1[d1])
-            if d2:
-                acc = _add_affine(acc, t2[d2])
-    return None if acc is None else _to_affine([acc])[0]
+                steps[i].append(table[sign * digit])
+    # The Jacobian accumulator (x, y, z); z == 0 is the point at infinity.
+    x = y = 1
+    z = 0
+    for adds in reversed(steps):
+        if z:
+            # Doubling; y^2 = x^3 + 7 has no point of order 2, so y is never 0.
+            yy = y * y % P
+            z = 2 * y * z % P
+            s = 4 * x * yy % P
+            m = 3 * x * x % P
+            x = (m * m - 2 * s) % P
+            y = (m * (s - x) - 8 * yy * yy) % P
+        for x2, y2 in adds:
+            if not z:
+                x, y, z = x2, y2, 1
+                continue
+            # Mixed addition of the affine (x2, y2).
+            zz = z * z % P
+            h = (x2 * zz - x) % P
+            r = (y2 * zz * z - y) % P
+            if h == 0:
+                if r == 0:
+                    x, y, z = _double((x, y, z))
+                else:
+                    z = 0
+                continue
+            hh = h * h % P
+            hhh = h * hh % P
+            v = x * hh % P
+            z = z * h % P
+            x = (r * r - hhh - 2 * v) % P
+            y = (r * (v - x) - y * hhh) % P
+    if not z:
+        return None
+    z_inv = pow(z, -1, P)
+    zz = z_inv * z_inv % P
+    return (x * zz % P, y * zz * z_inv % P)
 
 
 def split_scalar(k: int) -> tuple[int, int]:
@@ -101,31 +170,36 @@ def split_scalar(k: int) -> tuple[int, int]:
     return k - c1 * A1 - c2 * A2, -c1 * B1 - c2 * B2
 
 
-def _wnaf(k: int, length: int) -> list[int]:
-    """The width-5 NAF of k >= 0 in `length` digits, least significant first:
-    each nonzero digit is odd, below 16 in absolute value, and followed by at
-    least four zeros. `length` must exceed k's bit length."""
+def _wnaf(k: int, length: int, width: int = 5) -> list[int]:
+    """The width-w NAF of k >= 0 in `length` digits, least significant first:
+    each nonzero digit is odd, below 2^(w-1) in absolute value, and followed
+    by at least w-1 zeros. `length` must exceed k's bit length."""
     digits = [0] * length
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
     i = 0
     while k:
         zeros = (k & -k).bit_length() - 1
         k >>= zeros
         i += zeros
-        digit = (k & 31) - 32 if k & 16 else k & 31
+        digit = (k & mask) - (mask + 1) if k & half else k & mask
         digits[i] = digit
-        # k - digit is a multiple of 32: the next four digits are 0.
-        k = (k - digit) >> 5
-        i += 5
+        # k - digit is a multiple of 2^w: the next w-1 digits are 0.
+        k = (k - digit) >> width
+        i += width
     return digits
 
 
-def _digit_table(odd: list[tuple[int, int]], negate: bool) -> dict[int, tuple[int, int]]:
-    """Signed digit d -> d*Q for odd = [1Q, 3Q, ..., 15Q], or -d*Q if `negate`."""
-    table = {}
+def _signed_tables(odd: list[tuple[int, int]]) -> _Tables:
+    """For odd = [1Q, 3Q, ..., (2n-1)Q], the tables of Q and LAMBDA*Q that a
+    signed digit d indexes directly: index d holds d*Q and index -d, counted
+    from the end, holds -d*Q."""
+    table: list[Optional[tuple[int, int]]] = [None] * (4 * len(odd))
     for i, (x, y) in enumerate(odd):
-        table[2 * i + 1] = (x, P - y) if negate else (x, y)
-        table[-2 * i - 1] = (x, y) if negate else (x, P - y)
-    return table
+        table[2 * i + 1] = (x, y)
+        table[-2 * i - 1] = (x, P - y)
+    endo = [None if pt is None else (BETA * pt[0] % P, pt[1]) for pt in table]
+    return table, endo
 
 
 def _double(j: _Jacobian) -> _Jacobian:
@@ -193,6 +267,12 @@ def _g_table() -> tuple[tuple[tuple[int, int], ...], ...]:
         rows.append(tuple(row[:15]))
         base = row[15]
     return tuple(rows)
+
+
+@cache
+def _g_tables() -> _Tables:
+    """The signed tables of G and LAMBDA*G for a width-8 walk: 64 odd multiples each."""
+    return _signed_tables(_multiples(G, 127)[::2])
 
 
 def point_encode(p: Point) -> bytes:

@@ -12,7 +12,13 @@ Two instantiations:
   points are fixed at key generation and published in the verifying key. Keys
   sign at most K times; signatures are 32 bytes; verification recomputes
   s*G + e*Y once and accepts iff it equals one of the K published points, so
-  it needs no signing index.
+  it needs no signing index. Both products run in one interleaved walk
+  (`ec.point_mul_add`). A `VerifyKey` decodes itself on its first K-time
+  verify and keeps the result as long as the key object lives: Y (checked to
+  be on the curve), K, the set of published points and Y's digit tables. A
+  malformed key decodes to None and every verify under it fails. The reader's
+  record and the key directory share one `VerifyKey` per tag, so a tag's key
+  is decoded once, not twice per session.
 
 Cost accounting: the K-time scheme's hash and group operations are counted
 for real by the primitives it calls. Ed25519's internals are not
@@ -24,6 +30,7 @@ costs (sign: 1 point-mul + 1 hash + 1 scalar-mul, pool-backed sign: 1 hash +
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from cryptography.exceptions import InvalidSignature
@@ -61,10 +68,16 @@ class VerifyKey:
             if self.scheme == FULLTIME:
                 return _ed25519_verify(self.data, msg, sig)
             if self.scheme == KTIME:
-                return _ktime_verify(self.data, msg, sig)
+                return _ktime_verify(self._ktime_key, msg, sig)
         except (ValueError, OverflowError):
             return False
         raise ValueError(f"unknown signature scheme {self.scheme!r}")
+
+    @cached_property
+    def _ktime_key(self) -> Optional[_KTimeKey]:
+        """A K-time key decoded on its first verify and kept for the key's
+        lifetime, None if it is malformed."""
+        return _ktime_decode(self.data)
 
 
 class FullTimeSigner:
@@ -183,23 +196,46 @@ class KTimeSigner:
         }
 
 
-def _ktime_verify(vk: bytes, msg: bytes, sig: bytes) -> bool:
-    if len(vk) < 68 or len(sig) != 32:
-        return False
-    y_point = ec.point_decode(vk[:64])
+@dataclass(frozen=True)
+class _KTimeKey:
+    """A K-time verifying key, decoded: Y, the signing budget K, the K
+    published nonce points, and Y's digit tables for `ec.point_mul_add`."""
+
+    y: tuple[int, int]
+    k: int
+    points: frozenset
+    y_tables: tuple
+
+
+def _ktime_decode(vk: bytes) -> Optional[_KTimeKey]:
+    """The decoded key, or None if vk is malformed: too short, Y off the
+    curve, or a body that is not K points long."""
+    if len(vk) < 68:
+        return None
+    try:
+        y_point = ec.point_decode(vk[:64])
+    except ValueError:
+        return None
     k = int.from_bytes(vk[64:68], "big")
     body = vk[68:]
     if len(body) != 64 * k:
+        return None
+    points = frozenset(
+        (int.from_bytes(body[j : j + 32], "big"), int.from_bytes(body[j + 32 : j + 64], "big"))
+        for j in range(0, len(body), 64)
+    )
+    return _KTimeKey(y_point, k, points, ec.wnaf_tables(y_point))
+
+
+def _ktime_verify(key: Optional[_KTimeKey], msg: bytes, sig: bytes) -> bool:
+    if key is None or len(sig) != 32:
         return False
     s = int.from_bytes(sig, "big")
     if s >= ec.N:
         return False
     e = _ktime_challenge(msg)
-    target = ec.point_add(ec.point_mul(ec.G, s), ec.point_mul(y_point, e))
-    if target is None:
-        return False
-    encoded = ec.point_encode(target)
-    return any(body[64 * j : 64 * (j + 1)] == encoded for j in range(k))
+    target = ec.point_mul_add(s, key.y, e, key.y_tables)
+    return target is not None and target in key.points
 
 
 def ktime_pk_size(k: int) -> int:

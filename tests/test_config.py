@@ -89,6 +89,19 @@ def test_listen_validation():
     assert (config.host, config.port) == ("0.0.0.0", 9000)
 
 
+@pytest.mark.parametrize("seed", [None, -1, 1.5, [], {}, True], ids=repr)
+def test_seed_validation(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        config_from_dict({"seed": seed, "mode": "ma"})
+
+
+@pytest.mark.parametrize("seed", ["rfpop", "", 0, 7])
+def test_str_and_int_seeds_load(seed):
+    config = config_from_dict({"seed": seed, "mode": "ma", "tags": 1})
+    assert config.seed == seed
+    assert config.build_system().tag_ids()
+
+
 def test_params_reflect_lengths():
     config = Config(mode="ma", l_k=128, l_r=256, l_u=256, l_v=192)
     ma = config.ma_params()

@@ -96,16 +96,71 @@ def test_each_call_counts_one_point_mul(base, k):
 
 
 def test_importing_the_cli_leaves_the_g_table_unbuilt():
-    """The table costs tens of milliseconds; `rfpop` start-up must not pay it."""
+    """The tables cost milliseconds; `rfpop` start-up must not pay them."""
     code = (
         "import rfpop.app.cli\n"
         "from rfpop.primitives import ec\n"
-        "print(ec._g_table.cache_info().currsize)\n"
+        "print(ec._g_table.cache_info().currsize, ec._g_tables.cache_info().currsize)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.strip() == "0 0"
+
+
+def reference_mul_add(a, q, b):
+    return ec.point_add(reference_mul(ec.G, a), reference_mul(q, b))
+
+
+def negate(point):
+    return (point[0], ec.P - point[1])
+
+
+def test_mul_add_matches_reference_on_random_scalars():
+    scalars = random_scalars("ec-mul-add", 8)
+    tables = ec.wnaf_tables(Y)
+    for a, b in zip(scalars[::2], scalars[1::2]):
+        assert ec.point_mul_add(a, Y, b) == reference_mul_add(a, Y, b)
+        assert ec.point_mul_add(a, Y, b, tables) == reference_mul_add(a, Y, b)
+
+
+def test_mul_add_sign_patterns_of_each_split():
+    for a in SIGNED_SCALARS:
+        for b in SIGNED_SCALARS:
+            assert ec.point_mul_add(a, Y, b) == reference_mul_add(a, Y, b)
+
+
+@pytest.mark.parametrize("a,b", [(0, 0), (0, SIGNED_SCALARS[1]), (SIGNED_SCALARS[2], 0)])
+def test_mul_add_zero_scalars(a, b):
+    assert ec.point_mul_add(a, Y, b) == reference_mul_add(a, Y, b)
+    assert ec.point_mul_add(a, None, b) == reference_mul(ec.G, a)
+
+
+def test_mul_add_reduces_scalars_mod_n():
+    a, b = random_scalars("ec-mul-add-big", 2)
+    expected = reference_mul_add(a, Y, b)
+    assert ec.point_mul_add(a + ec.N, Y, b + 2 * ec.N) == expected
+    assert ec.point_mul_add(ec.N, Y, ec.N) is None
+
+
+def test_mul_add_reaches_infinity():
+    for a in random_scalars("ec-mul-add-inf", 3) + [1, 15, ec.LAMBDA]:
+        assert ec.point_mul_add(a, ec.G, ec.N - a) is None
+
+
+@pytest.mark.parametrize("q", [ec.G, negate(ec.G)], ids=["G", "minus-G"])
+def test_mul_add_with_q_at_plus_or_minus_g(q):
+    # With q = G an addition can meet the accumulator itself (the doubling
+    # branch); with q = -G it can meet its negation (the infinity branch).
+    for a, b in [(1, 1), (3, 3), (127, 15), (2, 1), *zip(SIGNED_SCALARS, SIGNED_SCALARS)]:
+        assert ec.point_mul_add(a, q, b) == reference_mul_add(a, q, b)
+
+
+@pytest.mark.parametrize("a,q,b", [(7, Y, 9), (0, Y, 0), (5, None, 3), (3, ec.G, ec.N - 3)])
+def test_each_mul_add_counts_two_point_muls(a, q, b):
+    with counting(OpCounters()) as counters:
+        ec.point_mul_add(a, q, b)
+    assert counters.point_muls == 2
 
 
 def test_endomorphism_constants():
@@ -130,6 +185,15 @@ def test_wnaf_digits_rebuild_the_scalar():
         nonzero = [i for i, d in enumerate(digits) if d]
         assert all(d % 2 and abs(d) < 16 for d in digits if d)
         assert all(b - a >= 5 for a, b in zip(nonzero, nonzero[1:]))
+
+
+def test_width_8_wnaf_digits_rebuild_the_scalar():
+    for k in random_scalars("ec-wnaf8", 50) + [1, 127, 128, 129, 255, 256, (1 << 128) - 1]:
+        digits = ec._wnaf(k, k.bit_length() + 1, 8)
+        assert sum(d << i for i, d in enumerate(digits)) == k
+        nonzero = [i for i, d in enumerate(digits) if d]
+        assert all(d % 2 and abs(d) < 128 for d in digits if d)
+        assert all(b - a >= 8 for a, b in zip(nonzero, nonzero[1:]))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -3,11 +3,14 @@
 import pytest
 
 from rfpop.errors import KTimeExhausted, PairPoolExhausted
+from rfpop.primitives import ec
+from rfpop.primitives import sig as sig_mod
 from rfpop.primitives.counters import OpCounters, counting
 from rfpop.primitives.rng import Rng
 from rfpop.primitives.sig import (
     FULLTIME,
     KTIME,
+    VerifyKey,
     fulltime_keygen,
     ktime_keygen,
     ktime_pk_size,
@@ -71,6 +74,51 @@ def test_ktime_verification_is_index_free(rng):
     assert vk.verify(b"m", signer.sign_at(1, b"m"))
 
 
+def test_ktime_malformed_keys_fail_on_every_call(rng):
+    """A key decodes once and is kept; a malformed one must stay rejected."""
+    signer, vk = ktime_keygen(rng, 2)
+    sig = signer.sign(b"m")
+    wrong_k = VerifyKey(KTIME, vk.data[:64] + (3).to_bytes(4, "big") + vk.data[68:])
+    short_k = VerifyKey(KTIME, vk.data[:64] + (1).to_bytes(4, "big") + vk.data[68:])
+    for bad in (wrong_k, short_k):
+        assert [bad.verify(b"m", sig) for _ in range(3)] == [False] * 3
+    assert vk.verify(b"m", sig)
+
+
+def test_ktime_key_with_y_off_the_curve_fails_on_every_call(rng):
+    # Y' is off the curve and the one published point is e*Y' as the same
+    # formulas compute it, so s = 0 would pass without the curve check.
+    _, vk = ktime_keygen(rng, 2)
+    x, y = ec.point_decode(vk.data[:64])
+    y_off = (x, (y + 1) % ec.P)
+    target = ec.point_mul(y_off, sig_mod._ktime_challenge(b"m"))
+    key = VerifyKey(KTIME, ec.point_encode(y_off) + (1).to_bytes(4, "big") + ec.point_encode(target))
+    assert [key.verify(b"m", bytes(32)) for _ in range(3)] == [False] * 3
+
+
+def test_ktime_s_at_or_above_n_fails_on_every_call(rng):
+    # A key whose one published point is e*Y: s = 0 is its valid signature on
+    # b"m", and s = N would pass too if it were reduced instead of rejected.
+    _, vk = ktime_keygen(rng, 2)
+    y_point = ec.point_decode(vk.data[:64])
+    target = ec.point_mul(y_point, sig_mod._ktime_challenge(b"m"))
+    key = VerifyKey(KTIME, vk.data[:64] + (1).to_bytes(4, "big") + ec.point_encode(target))
+    for s in (ec.N, ec.N + 1, (1 << 256) - 1):
+        assert [key.verify(b"m", s.to_bytes(32, "big")) for _ in range(2)] == [False, False]
+    assert key.verify(b"m", bytes(32))
+    assert [key.verify(b"m", ec.N.to_bytes(32, "big")) for _ in range(2)] == [False, False]
+
+
+def test_ktime_valid_signature_verifies_after_a_rejected_one(rng):
+    signer, vk = ktime_keygen(rng, 2)
+    sig = signer.sign(b"m")
+    assert not vk.verify(b"m", ec.N.to_bytes(32, "big"))
+    assert not vk.verify(b"other", sig)
+    assert not vk.verify(b"m", b"short")
+    assert vk.verify(b"m", sig)
+    assert vk.verify(b"m", sig)
+
+
 def test_ktime_sign_at_bounds(rng):
     signer, _ = ktime_keygen(rng, 2)
     with pytest.raises(KTimeExhausted):
@@ -103,11 +151,19 @@ def test_declared_costs(rng):
         pooled.sign(b"m")
     assert (ops.hashes, ops.point_muls, ops.scalar_muls) == (1, 0, 1)
 
-    ksigner, _ = ktime_keygen(rng, 2)
+    ksigner, kvk = ktime_keygen(rng, 2)
     ops = OpCounters()
     with counting(ops):
-        ksigner.sign(b"m")
+        ksig = ksigner.sign(b"m")
     assert (ops.hashes, ops.point_muls, ops.scalar_muls) == (3, 0, 1)
+
+    # A K-time verify hashes the message once and computes s*G + e*Y, which
+    # counts as two point multiplications however it is evaluated.
+    for _ in range(2):
+        ops = OpCounters()
+        with counting(ops):
+            assert kvk.verify(b"m", ksig)
+        assert (ops.hashes, ops.point_muls, ops.scalar_muls) == (1, 2, 0)
 
 
 def test_signer_serialization_round_trip(rng):
