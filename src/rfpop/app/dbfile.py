@@ -326,8 +326,9 @@ def db_snapshot_load(path: str, j: int) -> dict[bytes, object]:
 def save_tag(path: str, mode: str, state, key_version: int = 0):
     """Write one tag's secrets as a JSON key file.
 
-    The file is written beside its final name and renamed over it, so a
-    crash during the write leaves the previous key file whole."""
+    A running tag rewrites it before each send that spends state (see
+    `netrun.tag_run`). The file is written beside its final name and renamed
+    over it, so a crash during the write leaves the previous key file whole."""
     doc = {
         "mode": mode,
         "tag_id": state.tag_id.hex(),

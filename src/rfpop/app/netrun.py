@@ -8,14 +8,14 @@ It journals each session as soon as it reaches its verdict, before it sends
 the message, result or credential that verdict produces, so a reader that
 crashes has told no peer of a session its file does not hold.
 The tag client answers rounds, reports its own verdict as a tag-result frame,
-and persists its updated state back to its key file.
+and writes each state it commits to its key file before the send that spends it.
 
 Timeouts are configured in ticks; the socket layer maps one tick to
 `TICK_SECONDS` of wall-clock time.  The budget is a deadline for the whole
 session, not for each recv, so a peer that trickles bytes cannot hold the
 single-connection reader.  A peer that stalls past the deadline, closes
 mid-frame, or violates framing loses the session: the reader records o_R = 0
-exactly as it would for a radio timeout.
+exactly as it would for a radio timeout, and a frame it cannot send is dropped.
 """
 
 from __future__ import annotations
@@ -70,10 +70,8 @@ def reader_from_file(db_path: str) -> tuple[DbFileData, Reader]:
 
 
 def _send(conn, frame: Frame):
-    conn.sendall(frame.encode())
-
-
-def _try_send(conn, frame: Frame):
+    """Send a frame; one a gone peer cannot take is dropped, and the next
+    read finds the peer gone."""
     try:
         conn.sendall(frame.encode())
     except OSError:
@@ -182,7 +180,7 @@ def _time_out(reader: Reader, conn, sid: bytes, config: Config, db_path: str) ->
     """Close the session with o_R = 0, journal it, then tell the peer."""
     o_reader = reader.timeout().output
     _journal(reader, config, db_path)
-    _try_send(conn, result_frame(TYPE_RESULT_READER, sid, o_reader))
+    _send(conn, result_frame(TYPE_RESULT_READER, sid, o_reader))
     return o_reader
 
 
@@ -207,10 +205,10 @@ def tag_run(
     announce: Callable[[str], None] = print,
     cred_out: Optional[str] = None,
 ) -> list[dict]:
-    """Run `sessions` sessions against a reader server, saving the key file
-    after each one. Each result carries the tag's output, the reader's, the
-    credential (hex) and the tag's reason for its output ("" on accept, None
-    when the tag's session did not end)."""
+    """Run `sessions` sessions against a reader server, with the key file as
+    the tag's sink (see `Tag`). Each result carries the tag's output, the
+    reader's, the credential (hex) and the tag's reason for its output (""
+    on accept, None when the tag's session did not end)."""
     mode, state, key_version = load_tag(tag_path)
     if mode != config.mode:
         raise FrameError(f"tag file is for mode {mode!r} but config says {config.mode!r}")
@@ -235,13 +233,12 @@ def tag_run(
     peer_host = host if host is not None else config.host
     peer_port = port if port is not None else config.port
     timeout_s = config.timeout_ticks * TICK_SECONDS
-    tag = Tag(protocol, state, config.effective_lifetime)
-    tag.key_version = key_version
+    tag = Tag(protocol, state, config.effective_lifetime, key_version,
+              sink=lambda state, version: save_tag(tag_path, mode, state, version))
     results = []
     for _ in range(sessions):
         with socket.create_connection((peer_host, peer_port), timeout=timeout_s) as sock:
             result = _client_one(tag, sock, rng, timeout_s)
-        save_tag(tag_path, mode, tag.state, tag.key_version)
         if result["credential"] and cred_out:
             with open(cred_out, "wb") as handle:
                 handle.write(bytes.fromhex(result["credential"]))

@@ -31,7 +31,7 @@ ctr XOR (ctr+1), an all-ones-suffix pattern a distinguisher can spot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from rfpop.errors import CounterOverflow, LengthMismatch
@@ -47,7 +47,7 @@ from rfpop.ma import (
 )
 from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import Action
-from rfpop.model.types import MessageSlot, Msg
+from rfpop.model.types import MessageSlot, Msg, evolve
 from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.prf import prf_eval
 from rfpop.primitives.rng import Rng
@@ -55,7 +55,7 @@ from rfpop.primitives.rng import Rng
 CexParams = MaParams  # same length profile as the main protocol
 
 
-@dataclass
+@dataclass(frozen=True)
 class CexTagState(MaTagState):
     st: int = 0
 
@@ -84,17 +84,16 @@ def _branch_value(
 
 def cex_tag_respond(
     params: CexParams, state: CexTagState, challenge: bytes, rng: Rng
-) -> tuple[bytes, MaTagScratch]:
-    """Tag reply r1 || r2; branch choice depends on st."""
+) -> tuple[bytes, MaTagScratch, CexTagState]:
+    """Tag reply r1 || r2 (branch by st), scratch and the advanced state."""
     if state.ctr + 1 > params.max_counter:
         raise CounterOverflow("tag counter exhausted")
     nonce = rng.take_bits(params.nonce_bits)
     branch = _branch_value(params, state.key, challenge, nonce if state.st else None)
     r1 = xor(branch, counter_bytes(params, state.ctr))
-    state.ctr += 1
-    state.st = 1
+    state = evolve(state, ctr=state.ctr + 1, st=1)
     scratch = MaTagScratch(challenge, nonce, state.ctr, r1 + nonce)
-    return scratch.reply, scratch
+    return scratch.reply, scratch, state
 
 
 def cex_reader_respond(
@@ -117,7 +116,7 @@ def cex_reader_respond(
     )
     if hit is None:
         return False, None, rng.take_bits(params.out_bits)
-    rec = replace(hit[0], ctr=hit[0].ctr + 1)
+    rec = evolve(hit[0], ctr=hit[0].ctr + 1)
     db.put(rec)
     return True, rec.tag_id, confirm_value(params, rec.key, challenge, rec.ctr, nonce)
 
@@ -151,11 +150,11 @@ class CexProtocol(MaProtocol):
     def tag_respond(self, state: CexTagState, sid, challenge: bytes, rng: Rng):
         return cex_tag_respond(self.params, state, challenge, rng)
 
-    def tag_on_message(self, state: CexTagState, scratch, msg: Msg, rng: Rng) -> Action:
-        action = super().tag_on_message(state, scratch, msg, rng)
+    def tag_on_message(self, state: CexTagState, scratch, msg: Msg, rng: Rng):
+        action, state = super().tag_on_message(state, scratch, msg, rng)
         if action.output == 1:
-            state.st = 0
-        return action
+            state = evolve(state, st=0)
+        return action, state
 
 
 def cex_setup(

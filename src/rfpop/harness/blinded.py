@@ -109,16 +109,16 @@ class _Ledger:
 
     def tag_respond(self, state, sid, challenge: bytes, rng: Rng):
         reply = self._send((challenge,), rng)
-        return reply, [challenge, reply]
+        return reply, [challenge, reply], state
 
-    def tag_on_message(self, state, scratch: list[bytes], msg: Msg, rng: Rng) -> Action:
+    def tag_on_message(self, state, scratch: list[bytes], msg: Msg, rng: Rng):
         action = self._answer((*scratch, msg.payload), rng)
         if action.payload is not None:
             scratch += [msg.payload, action.payload]
-        return action
+        return action, state
 
     def tag_terminal(self, state):
-        pass
+        return state
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,7 @@ def blinded_world(system: System, draw_rng: Rng) -> SessionWorld:
     ledger = _Ledger(system.protocol.slots())
     tags = {}
     for tag_id, real in system.tags.items():
-        tags[tag_id] = Tag(ledger, _StandIn(tag_id), real.lifetime)
-        tags[tag_id].key_version = real.key_version
+        tags[tag_id] = Tag(ledger, _StandIn(tag_id), real.lifetime, real.key_version)
     return SessionWorld(Reader(ledger, ReaderDatabase([])), tags, draw_rng)
 
 

@@ -5,7 +5,7 @@ record (key, ctr, index) per tag, where index = F_key(ctr || pad) is also
 cached in a lookup map.
 
     reader -> tag : challenge
-    tag    -> reader : index' || nonce || masked_ctr      (then ctr += 1)
+    tag    -> reader : index' || nonce || masked_ctr      (with ctr advanced by 1)
     reader -> tag : confirm                                (on accept)
 
 with index' = F_k(ctr || pad), masked_ctr = F_k(challenge || index' || nonce)
@@ -28,14 +28,14 @@ with the counterexample protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
 from rfpop.errors import CounterOverflow, LengthMismatch
 from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import Action
-from rfpop.model.types import MessageSlot, Msg
+from rfpop.model.types import MessageSlot, Msg, evolve
 from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.counters import count_hash
 from rfpop.primitives.prf import (
@@ -88,7 +88,7 @@ class MaParams:
         return PrfDescriptor("ma-f", self.key_bits, self.prf_input_bits, self.out_bits)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaTagState:
     tag_id: bytes
     key: bytes
@@ -162,8 +162,8 @@ def parse_tag_reply(params: MaParams, payload: bytes) -> MaTagReply:
 
 def ma_tag_respond(
     params: MaParams, state: MaTagState, challenge: bytes, rng: Rng
-) -> tuple[MaTagReply, MaTagScratch]:
-    """Tag's round-1 computation; advances the tag counter."""
+) -> tuple[MaTagReply, MaTagScratch, MaTagState]:
+    """Tag's round-1 computation: reply, scratch and the advanced state."""
     if state.ctr + 1 > params.max_counter:
         raise CounterOverflow("tag counter exhausted")
     index = index_for(params, state.key, state.ctr)
@@ -172,10 +172,10 @@ def ma_tag_respond(
         counter_mask(params, state.key, challenge, index, nonce),
         counter_bytes(params, state.ctr),
     )
-    state.ctr += 1
+    state = evolve(state, ctr=state.ctr + 1)
     reply = MaTagReply(index, nonce, masked)
     scratch = MaTagScratch(challenge, nonce, state.ctr, reply.payload())
-    return reply, scratch
+    return reply, scratch, state
 
 
 def scan_first(
@@ -232,7 +232,7 @@ def _accept(
 ) -> MaAuthResult:
     """Store recovered+1 and the refreshed index; confirm the new counter."""
     ctr = recovered + 1
-    db.put(replace(rec, ctr=ctr, index=index_for(params, rec.key, ctr)))
+    db.put(evolve(rec, ctr=ctr, index=index_for(params, rec.key, ctr)))
     confirm = confirm_value(params, rec.key, challenge, ctr, nonce)
     return MaAuthResult(True, rec.tag_id, confirm, ctr, via_step=via_step)
 
@@ -306,18 +306,18 @@ class MaProtocol:
         return Action(result.confirm, 1, result.tag_id, result.via_step)
 
     def tag_respond(self, state: MaTagState, sid, challenge: bytes, rng: Rng):
-        _, scratch = ma_tag_respond(self.params, state, challenge, rng)
-        return scratch.reply, scratch
+        _, scratch, state = ma_tag_respond(self.params, state, challenge, rng)
+        return scratch.reply, scratch, state
 
-    def tag_on_message(self, state: MaTagState, scratch, msg: Msg, rng: Rng) -> Action:
+    def tag_on_message(self, state: MaTagState, scratch, msg: Msg, rng: Rng):
         if ma_tag_verify(self.params, state, scratch, msg.payload):
-            return Action(output=1)
-        return Action(output=0, note="confirmation invalid")
+            return Action(output=1), state
+        return Action(output=0, note="confirmation invalid"), state
 
-    def tag_terminal(self, state: MaTagState):
+    def tag_terminal(self, state: MaTagState) -> MaTagState:
         # Key update is the identity for this protocol; the session machine
         # still bumps the key version.
-        pass
+        return state
 
 
 def tag_id_for(i: int) -> bytes:

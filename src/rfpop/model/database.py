@@ -2,7 +2,7 @@
 
 The database maps tag identities to protocol-specific records. Records are
 frozen dataclasses: a protocol changes a tag's record by building a new one
-(`dataclasses.replace`) and handing it to `ReaderDatabase.put`, the one write,
+(`rfpop.model.types.evolve`) and handing it to `ReaderDatabase.put`, the one write,
 which keeps the index map and the current session's delta in step. Lookups
 return the stored records themselves, shared with the journal; no record is
 ever copied, because none can change once written.

@@ -11,9 +11,9 @@ object plugs in the cryptographic content via a small duck-typed interface:
     record_mode            label every session record of this protocol carries
     reader_open(db, session, rng)            -> round-0 payload
     reader_on_message(db, session, msg, rng) -> Action
-    tag_respond(state, sid, challenge, rng)  -> (reply payload, scratch)
-    tag_on_message(state, scratch, msg, rng) -> Action
-    tag_terminal(state)                      key-update hook at terminal output
+    tag_respond(state, sid, challenge, rng)  -> (reply payload, scratch, state)
+    tag_on_message(state, scratch, msg, rng) -> (Action, state)
+    tag_terminal(state)                      -> state (key update at an output)
 
 An `Action` says what the delivery does to the party: `payload` is the next
 message it sends (None: it sends nothing), and `output` is its terminal
@@ -154,15 +154,20 @@ class Reader:
 
 class Tag:
     """Single-session tag with key versioning and a lifetime bound. `note`
-    is the reason the last ended session gave for its output ("" on accept)."""
+    is the reason the last ended session gave for its output ("" on accept).
+    `state` is a frozen value that only `_commit` replaces, before a step
+    returns the message that spends it, handing an optional `sink(state,
+    key_version)` the version the open session ends at (each ends in one bump)."""
 
-    def __init__(self, protocol, state, lifetime: int):
+    def __init__(self, protocol, state, lifetime: int, key_version: int = 0, sink=None):
         self.protocol = protocol
         self.state = state
         self.lifetime = lifetime
-        self.key_version = 0
+        self.key_version = key_version
         self.session: Optional[OpenTagSession] = None
         self.note = ""
+        self.sink = sink
+        self._sunk = None
 
     @property
     def tag_id(self) -> bytes:
@@ -180,8 +185,9 @@ class Tag:
                 raise LifetimeExceeded(
                     f"tag exhausted its {self.lifetime}-session lifetime"
                 )
-            payload, scratch = self.protocol.tag_respond(self.state, sid, msg.payload, rng)
+            payload, scratch, state = self.protocol.tag_respond(self.state, sid, msg.payload, rng)
             self.session = OpenTagSession(sid=sid, awaiting_round=2, scratch=scratch)
+            self._commit(state)
             return StepOutcome(sid, Msg(1, payload), 0 if restarted else None)
         ses = self.session
         if (
@@ -191,7 +197,8 @@ class Tag:
             and msg.round < len(slots)
             and slots[msg.round].allows(msg.payload)
         ):
-            action = self.protocol.tag_on_message(self.state, ses.scratch, msg, rng)
+            action, state = self.protocol.tag_on_message(self.state, ses.scratch, msg, rng)
+            self._commit(state)
             if action.output is None:
                 ses.awaiting_round = msg.round + 2
             else:
@@ -211,8 +218,17 @@ class Tag:
     def _terminal(self, note: str):
         self.note = note
         self.key_version += 1
-        self.protocol.tag_terminal(self.state)
         self.session = None
+        self._commit(self.protocol.tag_terminal(self.state))
+
+    def _commit(self, state):
+        """Sink, then keep, `state`; skip a sink call that repeats the last."""
+        if self.sink is not None:
+            sunk = (state, self.key_version + (self.session is not None))
+            if sunk != self._sunk:
+                self.sink(*sunk)
+                self._sunk = sunk
+        self.state = state
 
 
 def relay(sid: bytes, first: Msg, to_tag, to_reader) -> Transcript:

@@ -80,3 +80,12 @@ class StepOutcome:
 
 
 IGNORE = StepOutcome()
+
+
+def evolve(value, **changes):
+    """`dataclasses.replace` for a frozen dataclass with no `__post_init__`,
+    without its checks and keyword call: it runs per session on each side."""
+    new = object.__new__(type(value))
+    for name in value.__dataclass_fields__:
+        object.__setattr__(new, name, changes[name] if name in changes else getattr(value, name))
+    return new

@@ -38,6 +38,7 @@ signature on r' and the tag signature on H(Sign_reader(r')).
 
 from __future__ import annotations
 
+import copy
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -54,7 +55,7 @@ from rfpop.ma import (
     tag_id_for,
 )
 from rfpop.model.session import Action, Reader
-from rfpop.model.types import MessageSlot, Msg
+from rfpop.model.types import MessageSlot, Msg, evolve
 from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.prf import PrfDescriptor, hash_digest, prf_eval
 from rfpop.primitives.rng import Rng
@@ -122,10 +123,10 @@ class PopParams(MaParams):
         return PrfDescriptor("pop-g", self.pop_key_bits, None, self.hash_bits)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PopTagState(MaTagState):
     pop_key: bytes = None
-    signer: object = None  # FullTimeSigner or KTimeSigner
+    signer: object = None  # FullTimeSigner or KTimeSigner; spent on a copy
 
 
 @dataclass(frozen=True)
@@ -244,22 +245,24 @@ class PopProtocol(MaProtocol):
             return Action(output=1, tag_id=sc["tag_id"], via_step=sc["via_step"])
         return Action(output=0, note="possession proof invalid")
 
-    def tag_on_message(self, state: PopTagState, scratch, msg: Msg, rng: Rng) -> Action:
+    def tag_on_message(self, state: PopTagState, scratch, msg: Msg, rng: Rng):
         """Validate the wrapped third message; on success sign and reply
-        together with the terminal output."""
+        together with the terminal output, spending a copy of the signer."""
         params = self.params
         confirm, pop_challenge, binder = _split_finalize(params, msg.payload)
         if not ma_tag_verify(params, state, scratch, confirm):
-            return Action(output=0, note="interior confirmation invalid")
+            return Action(output=0, note="interior confirmation invalid"), state
         trs = transcript_digest(params, scratch.challenge, scratch.reply, confirm)
         if binder_value(params, state.pop_key, trs, pop_challenge) != binder:
-            return Action(output=0, note="binder invalid")
+            return Action(output=0, note="binder invalid"), state
+        signer = copy.copy(state.signer)
         try:
-            sig = state.signer.sign(pop_challenge)
+            sig = signer.sign(pop_challenge)
         except (KTimeExhausted, PairPoolExhausted) as exc:
-            return Action(output=0, note=f"signing unavailable: {exc}")
+            return Action(output=0, note=f"signing unavailable: {exc}"), state
         masked = xor(signature_mask(params, state.pop_key, binder), sig)
-        return Action(masked + signature_tag(params, state.pop_key, sig), 1)
+        reply = masked + signature_tag(params, state.pop_key, sig)
+        return Action(reply, 1), evolve(state, signer=signer)
 
 
 CRED_VERSION = 0x01

@@ -80,7 +80,14 @@ class VerifyKey:
         return _ktime_decode(self.data)
 
 
-class FullTimeSigner:
+class _Signer:
+    """Signers are equal when they save alike (`to_dict`)."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.to_dict() == self.to_dict()
+
+
+class FullTimeSigner(_Signer):
     """Ed25519 signer, optionally backed by a precomputed-pair pool."""
 
     scheme = FULLTIME
@@ -148,7 +155,7 @@ def _ktime_challenge(msg: bytes) -> int:
     return int.from_bytes(hash_digest(msg, 256), "big") % ec.N
 
 
-class KTimeSigner:
+class KTimeSigner(_Signer):
     """Signs at most `k` times; raises KTimeExhausted afterwards."""
 
     scheme = KTIME

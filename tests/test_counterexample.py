@@ -37,14 +37,16 @@ def split_reply(payload):
 
 
 def run_session(state, db, rng, tamper_nonce=False):
+    """One session; returns both verdicts, the accepted tag and the tag's
+    state after the session."""
     challenge = rng.take_bits(PARAMS.challenge_bits)
-    reply, scratch = cex_tag_respond(PARAMS, state, challenge, rng)
+    reply, scratch, state = cex_tag_respond(PARAMS, state, challenge, rng)
     r1, nonce = split_reply(reply)
     if tamper_nonce:
         nonce = flip_bit(nonce, 0)
     accepted, tag_id, f = cex_reader_respond(PARAMS, db, challenge, r1, nonce, rng)
-    ok = CexProtocol(PARAMS).tag_on_message(state, scratch, Msg(2, f), rng).output
-    return accepted, tag_id, ok
+    action, state = CexProtocol(PARAMS).tag_on_message(state, scratch, Msg(2, f), rng)
+    return accepted, tag_id, action.output, state
 
 
 def test_honest_session_accepts_and_clears_state():
@@ -52,7 +54,7 @@ def test_honest_session_accepts_and_clears_state():
     state = tags[0]
     rng = Rng("honest")
     assert state.st == 0
-    accepted, tag_id, ok = run_session(state, db, rng)
+    accepted, tag_id, ok, state = run_session(state, db, rng)
     assert accepted and ok
     assert tag_id == state.tag_id
     assert state.st == 0
@@ -64,10 +66,10 @@ def test_interrupted_session_sets_resume_branch():
     state = tags[0]
     rng = Rng("interrupt")
     challenge = rng.take_bits(PARAMS.challenge_bits)
-    cex_tag_respond(PARAMS, state, challenge, rng)  # reply lost, no finish
+    _, _, state = cex_tag_respond(PARAMS, state, challenge, rng)  # reply lost, no finish
     assert state.st == 1
     # No desync recovery: the counters now disagree and sessions fail...
-    accepted, _, ok = run_session(state, db, rng)
+    accepted, _, ok, state = run_session(state, db, rng)
     assert not accepted and not ok
     assert state.st == 1
 
@@ -79,13 +81,13 @@ def test_tampered_nonce_accepted_exactly_when_state_clean():
     state = tags[0]
     rng = Rng("tamper")
     assert state.st == 0
-    accepted, _, ok = run_session(state, db, rng, tamper_nonce=True)
+    accepted, _, ok, state = run_session(state, db, rng, tamper_nonce=True)
     assert accepted  # flaw: reader accepted a modified session
     assert not ok  # tag's finish check fails (nonce mismatch), st stays 1
     assert state.st == 1
     # Re-align counters manually, then tamper on the resume branch.
     db.put(dataclasses.replace(db.get(state.tag_id), ctr=state.ctr))
-    accepted, _, ok = run_session(state, db, rng, tamper_nonce=True)
+    accepted, _, ok, state = run_session(state, db, rng, tamper_nonce=True)
     assert not accepted and not ok
 
 
@@ -106,9 +108,10 @@ def test_tag_rejects_random_finish():
     state = tags[0]
     rng = Rng("bad-finish")
     challenge = rng.take_bits(PARAMS.challenge_bits)
-    _, scratch = cex_tag_respond(PARAMS, state, challenge, rng)
+    _, scratch, state = cex_tag_respond(PARAMS, state, challenge, rng)
     finish = Msg(2, rng.take_bits(PARAMS.out_bits))
-    assert not CexProtocol(PARAMS).tag_on_message(state, scratch, finish, rng).output
+    action, state = CexProtocol(PARAMS).tag_on_message(state, scratch, finish, rng)
+    assert not action.output
     assert state.st == 1
 
 
@@ -120,9 +123,9 @@ def test_same_challenge_twice_leaks_counter_pattern():
     )
     rng = Rng("leak")
     challenge = rng.take_bits(PARAMS.challenge_bits)
-    reply1, _ = cex_tag_respond(PARAMS, state, challenge, rng)
-    state.st = 0  # as after a cleanly finished session
-    reply2, _ = cex_tag_respond(PARAMS, state, challenge, rng)
+    reply1, _, state = cex_tag_respond(PARAMS, state, challenge, rng)
+    state = dataclasses.replace(state, st=0)  # as after a cleanly finished session
+    reply2, _, _ = cex_tag_respond(PARAMS, state, challenge, rng)
     r1_first, _ = split_reply(reply1)
     r1_second, _ = split_reply(reply2)
     delta = int.from_bytes(xor(r1_first, r1_second), "big")
@@ -138,10 +141,9 @@ def test_cex_extends_ma():
     assert (cex[0], cex[2]) == (ma[0], ma[2])
     assert cex[1].byte_len == (PARAMS.out_bits + PARAMS.nonce_bits) // 8
     tags, db = fresh_setup()
-    state = tags[0]
+    state = dataclasses.replace(tags[0], st=1)
     rng = Rng("cex-extends-ma")
-    state.st = 1
-    accepted, _, ok = run_session(state, db, rng)
+    accepted, _, ok, state = run_session(state, db, rng)
     assert accepted and ok == 1
     assert state.st == 0
 

@@ -14,6 +14,7 @@ import pytest
 
 from rfpop.app.cli import main
 from rfpop.app.config import Config, save_config
+from rfpop.app.dbfile import save_tag
 from rfpop.app.reports import report_ops, report_sizes
 from rfpop.harness.adversaries import (
     DbSplicer,
@@ -24,6 +25,7 @@ from rfpop.harness.adversaries import (
 )
 from rfpop.harness.experiments import exp_cred_unforge, exp_unp_sharp
 from rfpop.harness.oracles import OracleHub
+from rfpop.model.session import run_honest_session
 from rfpop.model.types import Msg
 from rfpop.primitives.rng import Rng
 
@@ -196,3 +198,51 @@ def test_setup_files_are_pinned(name, tmp_path, capsys):
     for path in sorted(out.glob("tag-*.json")):
         sha.update(path.read_bytes())
     assert sha.hexdigest() == GOLDEN_SETUP[name]
+
+
+GOLDEN_TAG_FILES = {
+    "ma": "42a5335b274b5747f220f090bd8bbf06dc4f403fab65ffaa0b94441d106f0413",
+    "cex": "41b0867174a40be868a50f066e69181e412a83175b67e18b52dc83f433785c87",
+    "mapop-impl1": "54912f7e7b0995d93c8335024cbe9da44beff4670cbb631de238c4cdee536331",
+    "mapop-impl2": "e6d05cc9860dee7d045f9855981451f41795d7cfee83b423985ab8e9d17ddf2a",
+    "mapop-impl3": "a7ecbc3d807307469e8f5dc1bebd083baad1da1d9508fa018cb796e199c2d9ab",
+}
+
+
+def _flipped(msg: Msg) -> Msg:
+    return Msg(msg.round, bytes([msg.payload[0] ^ 1]) + msg.payload[1:])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TAG_FILES))
+def test_tag_files_after_sessions_are_pinned(name, tmp_path):
+    """The key file `save_tag` writes for each tag after four sessions that
+    end each way: honest, voided by a new challenge, timed out, and failed
+    confirmation."""
+    mode, _, impl = name.partition("-")
+    config = Config(mode=mode, impl=impl or "impl1", K=8, tags=2, seed=f"golden-tag-{name}")
+    system = config.build_system()
+    reader, rng = system.reader, system.rng
+    sha = hashlib.sha256()
+    for tag_id in system.tag_ids():
+        tag = system.tag(tag_id)
+        assert run_honest_session(reader, tag, rng).o_tag == 1
+        sid, challenge = reader.start(rng)
+        tag.step(sid, challenge, rng)
+        reader.timeout()
+        run_honest_session(reader, tag, rng)  # its challenge voids the open session
+        assert tag.key_version == 3
+        sid, challenge = reader.start(rng)
+        tag.step(sid, challenge, rng)
+        assert tag.timeout().output == 0 and tag.key_version == 4
+        reader.timeout()
+        sid, challenge = reader.start(rng)
+        reply = tag.step(sid, challenge, rng).msg
+        confirm = reader.step(sid, reply, rng).msg
+        assert tag.step(sid, _flipped(confirm), rng).output == 0
+        assert "confirmation invalid" in tag.note and tag.key_version == 5
+        if reader.session is not None:
+            reader.timeout()
+        path = tmp_path / f"{tag_id.hex()}.json"
+        save_tag(str(path), mode, tag.state, tag.key_version)
+        sha.update(path.read_bytes())
+    assert sha.hexdigest() == GOLDEN_TAG_FILES[name]

@@ -67,11 +67,12 @@ def test_confirm_known_answer():
 def test_tag_respond_matches_formulas():
     state = MaTagState(tag_id=bytes(32), key=KAT_KEY, ctr=KAT_CTR)
     rng = Rng("respond-vector")
-    reply, scratch = ma_tag_respond(PARAMS, state, KAT_CHAL, rng)
+    reply, scratch, advanced = ma_tag_respond(PARAMS, state, KAT_CHAL, rng)
     assert reply.index.hex() == KAT_INDEX
     expected_mask = counter_mask(PARAMS, KAT_KEY, KAT_CHAL, reply.index, reply.nonce)
     assert reply.masked_ctr == xor(expected_mask, counter_bytes(PARAMS, KAT_CTR))
-    assert state.ctr == KAT_CTR + 1
+    assert advanced == dataclasses.replace(state, ctr=KAT_CTR + 1)
+    assert state.ctr == KAT_CTR
     assert scratch.expect_ctr == KAT_CTR + 1
     assert scratch.challenge == KAT_CHAL
     assert scratch.nonce == reply.nonce
@@ -92,7 +93,7 @@ def test_synchronized_auth_uses_step_one():
     state = tags[1]
     rng = Rng("sync")
     challenge = rng.take_bits(PARAMS.challenge_bits)
-    reply, scratch = ma_tag_respond(PARAMS, state, challenge, rng)
+    reply, scratch, state = ma_tag_respond(PARAMS, state, challenge, rng)
     result = ma_reader_auth(PARAMS, db, challenge, reply)
     assert result.accepted
     assert result.via_step == 1
@@ -109,7 +110,7 @@ def test_tag_rejects_tampered_confirm():
     state = tags[0]
     rng = Rng("confirm-tamper")
     challenge = rng.take_bits(PARAMS.challenge_bits)
-    reply, scratch = ma_tag_respond(PARAMS, state, challenge, rng)
+    reply, scratch, state = ma_tag_respond(PARAMS, state, challenge, rng)
     result = ma_reader_auth(PARAMS, db, challenge, reply)
     assert not ma_tag_verify(PARAMS, state, scratch, flip_bit(result.confirm, 0))
 
@@ -121,16 +122,16 @@ def test_desync_recovers_via_step_two_then_step_one():
     for drops in range(1, 6):
         # Lose `drops` tag replies: the tag advances, the reader does not.
         for _ in range(drops):
-            ma_tag_respond(PARAMS, state, rng.take_bits(PARAMS.challenge_bits), rng)
+            _, _, state = ma_tag_respond(PARAMS, state, rng.take_bits(PARAMS.challenge_bits), rng)
         challenge = rng.take_bits(PARAMS.challenge_bits)
-        reply, scratch = ma_tag_respond(PARAMS, state, challenge, rng)
+        reply, scratch, state = ma_tag_respond(PARAMS, state, challenge, rng)
         result = ma_reader_auth(PARAMS, db, challenge, reply)
         assert result.accepted and result.via_step == 2
         assert result.tag_id == state.tag_id
         assert ma_tag_verify(PARAMS, state, scratch, result.confirm)
         # Resynchronized: the very next session takes the fast path.
         challenge = rng.take_bits(PARAMS.challenge_bits)
-        reply, scratch = ma_tag_respond(PARAMS, state, challenge, rng)
+        reply, scratch, state = ma_tag_respond(PARAMS, state, challenge, rng)
         result = ma_reader_auth(PARAMS, db, challenge, reply)
         assert result.accepted and result.via_step == 1
         assert ma_tag_verify(PARAMS, state, scratch, result.confirm)
@@ -141,10 +142,10 @@ def test_lost_confirm_does_not_desynchronize():
     state = tags[0]
     rng = Rng("lost-confirm")
     challenge = rng.take_bits(PARAMS.challenge_bits)
-    reply, _ = ma_tag_respond(PARAMS, state, challenge, rng)
+    reply, _, state = ma_tag_respond(PARAMS, state, challenge, rng)
     ma_reader_auth(PARAMS, db, challenge, reply)  # confirm never delivered
     challenge = rng.take_bits(PARAMS.challenge_bits)
-    reply, _ = ma_tag_respond(PARAMS, state, challenge, rng)
+    reply, _, state = ma_tag_respond(PARAMS, state, challenge, rng)
     result = ma_reader_auth(PARAMS, db, challenge, reply)
     assert result.accepted and result.via_step == 1
 
@@ -170,9 +171,9 @@ def test_scan_prefers_lowest_tag_id_on_ties():
     db = ReaderDatabase(records)
     state = MaTagState(tag_id=ids[0], key=key, ctr=1)
     rng = Rng("tie-run")
-    ma_tag_respond(PARAMS, state, rng.take_bits(PARAMS.challenge_bits), rng)  # desync
+    _, _, state = ma_tag_respond(PARAMS, state, rng.take_bits(PARAMS.challenge_bits), rng)  # desync
     challenge = rng.take_bits(PARAMS.challenge_bits)
-    reply, _ = ma_tag_respond(PARAMS, state, challenge, rng)
+    reply, _, state = ma_tag_respond(PARAMS, state, challenge, rng)
     result = ma_reader_auth(PARAMS, db, challenge, reply)
     assert result.accepted and result.via_step == 2
     assert result.tag_id == ids[1]
@@ -210,7 +211,7 @@ def test_declared_operation_counts():
     challenge = rng.take_bits(PARAMS.challenge_bits)
     tag_ops = OpCounters()
     with counting(tag_ops):
-        reply, scratch = ma_tag_respond(PARAMS, state, challenge, rng)
+        reply, scratch, state = ma_tag_respond(PARAMS, state, challenge, rng)
     assert tag_ops.hashes == 2  # index and counter mask
     reader_ops = OpCounters()
     with counting(reader_ops):
@@ -233,7 +234,7 @@ def test_session_accepts_for_arbitrary_counters(ctr, salt):
     )
     rng = Rng(salt + b"|run")
     challenge = rng.take_bits(PARAMS.challenge_bits)
-    reply, scratch = ma_tag_respond(PARAMS, state, challenge, rng)
+    reply, scratch, state = ma_tag_respond(PARAMS, state, challenge, rng)
     result = ma_reader_auth(PARAMS, db, challenge, reply)
     assert result.accepted and result.via_step == 1
     assert result.new_ctr == ctr + 1
@@ -330,9 +331,9 @@ def test_scan_kernel_matches_reference_scan(case):
 
 def desync_reply(state, rng):
     """Drop one challenge to the tag, then return a fresh (challenge, reply)."""
-    ma_tag_respond(PARAMS, state, rng.take_bits(PARAMS.challenge_bits), rng)
+    _, _, state = ma_tag_respond(PARAMS, state, rng.take_bits(PARAMS.challenge_bits), rng)
     challenge = rng.take_bits(PARAMS.challenge_bits)
-    reply, _ = ma_tag_respond(PARAMS, state, challenge, rng)
+    reply, _, _ = ma_tag_respond(PARAMS, state, challenge, rng)
     return challenge, reply
 
 
@@ -351,9 +352,11 @@ def test_scan_uses_a_reassigned_record_key():
     result = ma_reader_auth(PARAMS, db, *desync_reply(tags[2], rng))
     assert result.via_step == 2 and db.keyed_states
     rec = db.get(tags[2].tag_id)
-    key = tags[2].key = rng.take_bits(PARAMS.key_bits)
+    key = rng.take_bits(PARAMS.key_bits)
     db.put(dataclasses.replace(rec, key=key, index=index_for(PARAMS, key, rec.ctr)))
-    result = ma_reader_auth(PARAMS, db, *desync_reply(tags[2], rng))
+    # The tag carries on from the counter the first scan stored.
+    state = dataclasses.replace(tags[2], key=key, ctr=rec.ctr)
+    result = ma_reader_auth(PARAMS, db, *desync_reply(state, rng))
     assert result.accepted and result.via_step == 2
     assert result.tag_id == tags[2].tag_id
 
@@ -361,8 +364,8 @@ def test_scan_uses_a_reassigned_record_key():
 def test_database_without_step_two_holds_no_keyed_states():
     tags, db = fresh_setup()
     rng = Rng("sync-only")
-    for state in tags * 2:
+    for i in range(2 * len(tags)):
         challenge = rng.take_bits(PARAMS.challenge_bits)
-        reply, _ = ma_tag_respond(PARAMS, state, challenge, rng)
+        reply, _, tags[i % len(tags)] = ma_tag_respond(PARAMS, tags[i % len(tags)], challenge, rng)
         assert ma_reader_auth(PARAMS, db, challenge, reply).via_step == 1
     assert db.keyed_states == {}

@@ -1,5 +1,9 @@
 """Session state machines: reader bookkeeping, tag restarts, history snapshots."""
 
+import collections
+import copy
+import dataclasses
+
 import pytest
 
 from rfpop.errors import (
@@ -8,7 +12,8 @@ from rfpop.errors import (
     SessionInProgress,
     UnknownSnapshot,
 )
-from rfpop.model.session import Tag
+from rfpop.harness.blinded import SessionWorld, blinded_world
+from rfpop.model.session import Tag, run_honest_session
 from rfpop.model.types import IGNORE, Msg, StepOutcome
 from rfpop.primitives.bitstring import flip_bit
 from rfpop.primitives.rng import Rng
@@ -242,3 +247,75 @@ def test_tag_names_a_failed_confirmation(mode):
     out = tag.step(sid, Msg(confirm.round, flip_bit(confirm.payload, 0)), rng)
     assert out.output == 0
     assert tag.note == "confirmation invalid"
+
+
+TAG_CALLBACKS = ("tag_respond", "tag_on_message", "tag_terminal")
+
+
+class InputStateChecker:
+    """A protocol wrapper that checks each tag callback leaves the state it
+    is given equal to a deep copy taken before the call."""
+
+    def __init__(self, protocol):
+        self.protocol = protocol
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        callback = getattr(self.protocol, name)
+        if name not in TAG_CALLBACKS:
+            return callback
+
+        def checked(state, *args):
+            before = copy.deepcopy(state)
+            result = callback(state, *args)
+            assert state == before, name
+            self.calls[name] += 1
+            return result
+
+        return checked
+
+
+def _system_for(name):
+    from rfpop.app.config import Config
+
+    mode, _, impl = name.partition("-")
+    return Config(mode=mode, impl=impl or "impl1", K=8, tags=1).build_system()
+
+
+@pytest.mark.parametrize("name", ["ma", "cex", "mapop-impl1", "mapop-impl2", "mapop-impl3"])
+def test_tag_states_are_frozen(name):
+    system = _system_for(name)
+    state = system.tag(system.first_tag_id()).state
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.ctr = 0
+
+
+@pytest.mark.parametrize(
+    "name", ["ma", "cex", "mapop-impl1", "mapop-impl2", "mapop-impl3", "ledger"]
+)
+def test_tag_callbacks_leave_their_input_state_alone(name):
+    """An honest session, one voided by a new challenge, one timed out and one
+    whose confirmation fails, each callback checked against a deep copy of
+    its input; `ledger` is the b=0 world's plug-in."""
+    system = _system_for("mapop-impl1" if name == "ledger" else name)
+    world = SessionWorld(system.reader, system.tags, system.rng)
+    if name == "ledger":
+        world = blinded_world(system, Rng("input-state-ledger"))
+    reader, rng = world.reader, world.rng
+    tag = world.tags[system.first_tag_id()]
+    checker = tag.protocol = InputStateChecker(tag.protocol)
+    run_honest_session(reader, tag, rng)
+    sid, challenge = reader.start(rng)
+    tag.step(sid, challenge, rng)
+    reader.timeout()
+    run_honest_session(reader, tag, rng)
+    sid, challenge = reader.start(rng)
+    tag.step(sid, challenge, rng)
+    tag.timeout()
+    reader.timeout()
+    sid, challenge = reader.start(rng)
+    reply = tag.step(sid, challenge, rng).msg
+    confirm = reader.step(sid, reply, rng).msg
+    assert tag.step(sid, Msg(confirm.round, flip_bit(confirm.payload, 0)), rng).output == 0
+    assert tag.key_version == 5
+    assert checker.calls == {"tag_respond": 5, "tag_on_message": 3, "tag_terminal": 5}

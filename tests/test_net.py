@@ -18,6 +18,7 @@ from rfpop.app.netrun import TICK_SECONDS, reader_from_file, serve_reader, tag_r
 from rfpop.app.wire import (
     TYPE_RESULT_READER,
     TYPE_ROUND_CHALLENGE,
+    TYPE_ROUND_FINAL_REPLY,
     TYPE_ROUND_REPLY,
     Frame,
     read_frame,
@@ -27,6 +28,7 @@ from rfpop.app.wire import (
 from rfpop.errors import FrameError, UnknownSnapshot
 from rfpop.model.session import run_honest_session
 from rfpop.pop import Credential, PopParams, cred_gen, cred_veri
+from rfpop.primitives.sig import KTimeSigner
 from rfpop.primitives.rng import Rng
 
 
@@ -476,6 +478,108 @@ def test_tag_file_is_saved_after_each_session(tmp_path):
                 announce=lambda line: finish(box))
     _mode, state, _version = load_tag(tag_paths[0])
     assert state.ctr == 2
+
+
+class TagKilled(Exception):
+    """Stands in for a tag process dying at an injected point."""
+
+
+# The frames a tag sends per session: its round-1 reply and its result, and
+# for mapop its round-3 reply between the two.
+TAG_SENDS = {"ma": 2, "cex": 2, "mapop": 3}
+
+
+def record_tag_process(monkeypatch, protocol_cls, kill_after):
+    """Log what the tag process (the main thread) does: every frame it sends,
+    the counter each of its round-1 replies is built from, and the index of
+    each K-time signature it makes. The process dies right after its
+    `kill_after`-th frame."""
+    log = {"sent": [], "ctrs": [], "ktime": []}
+    main = threading.main_thread()
+    send = netrun._send
+
+    def tag_send(conn, frame):
+        send(conn, frame)
+        if threading.current_thread() is main:
+            log["sent"].append(frame)
+            if len(log["sent"]) == kill_after:
+                raise TagKilled
+
+    respond = protocol_cls.tag_respond
+
+    def logged_respond(self, state, *args):
+        log["ctrs"].append(state.ctr)
+        return respond(self, state, *args)
+
+    sign_at = KTimeSigner.sign_at
+
+    def logged_sign_at(self, index, msg):
+        if threading.current_thread() is main:
+            log["ktime"].append(index)
+        return sign_at(self, index, msg)
+
+    monkeypatch.setattr(netrun, "_send", tag_send)
+    monkeypatch.setattr(protocol_cls, "tag_respond", logged_respond)
+    monkeypatch.setattr(KTimeSigner, "sign_at", logged_sign_at)
+    return log
+
+
+@pytest.mark.parametrize(
+    "mode, impl, kill_after",
+    [(mode, impl, n)
+     for mode, impl in [("ma", "impl1"), ("cex", "impl1"),
+                        ("mapop", "impl1"), ("mapop", "impl2"), ("mapop", "impl3")]
+     for n in range(1, TAG_SENDS[mode] + 1)],
+)
+def test_tag_killed_after_a_send_spends_nothing_twice(tmp_path, monkeypatch, mode, impl, kill_after):
+    """A tag process dies right after one of its sends in session 1, and a tag
+    restarted from its key file runs session 2, which both sides accept. No
+    counter serves two sessions, so no round-1 index repeats; no K-time index
+    signs twice; and the pair pool on disk has spent one pair per signature
+    sent."""
+    config = Config(mode=mode, impl=impl, K=4, tags=1, seed=f"net-kill-tag-{mode}-{impl}",
+                    timeout_ticks=4)
+    db_path, tag_paths, system = deploy(tmp_path, config)
+    log = record_tag_process(monkeypatch, type(netrun.protocol_for(config)), kill_after)
+    box = start_server(db_path, sessions=2)
+    with pytest.raises(TagKilled):
+        run_client(box, tag_paths[0], config)
+    client = run_client(box, tag_paths[0], config)
+    server = finish(box)
+
+    assert (client[0]["o_tag"], server[1]["o_reader"]) == (1, 1)
+    assert len(log["ctrs"]) == 2
+    assert len(set(log["ctrs"])) == 2, log["ctrs"]
+    replies = [f.payload for f in log["sent"] if f.msg_type == TYPE_ROUND_REPLY]
+    if mode != "cex":
+        width = config.params().out_bits // 8
+        assert len({reply[:width] for reply in replies}) == len(replies) == 2
+    assert len(set(log["ktime"])) == len(log["ktime"])
+    signed = sum(f.msg_type == TYPE_ROUND_FINAL_REPLY for f in log["sent"])
+    _mode, state, key_version = load_tag(tag_paths[0])
+    assert key_version == 2
+    if impl == "impl2":
+        assert state.signer.pool_remaining == config.s - signed
+
+
+def test_served_session_saves_the_tag_file_once(tmp_path, monkeypatch):
+    """An impl1 tag writes its key file once per served session: the write
+    that lands before its round-1 reply covers the rest of the session."""
+    config = Config(mode="mapop", tags=1, seed="net-save-count")
+    db_path, tag_paths, _system = deploy(tmp_path, config)
+    saves = []
+    save = netrun.save_tag
+
+    def counted(*args):
+        saves.append(args)
+        save(*args)
+
+    monkeypatch.setattr(netrun, "save_tag", counted)
+    box = start_server(db_path, sessions=2)
+    client = run_client(box, tag_paths[0], config, sessions=2)
+    finish(box)
+    assert [r["o_tag"] for r in client] == [1, 1]
+    assert len(saves) == 2
 
 
 def test_mode_mismatch_is_rejected_before_connecting(tmp_path):

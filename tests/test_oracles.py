@@ -91,6 +91,19 @@ def test_unknown_and_corrupted_tags_are_ignored():
     assert after.ignored and after.note == "corrupted tag"
 
 
+def test_corrupt_dump_keeps_the_state_it_was_taken_at():
+    """A dump is a value: the tag stepping on afterwards does not change it."""
+    hub = fresh_hub()
+    system = hub.system
+    tag_id = system.first_tag_id()
+    dump = hub.o4_corrupt(tag_id)
+    ctr = dump["state"].ctr
+    sid, challenge = system.reader.start(system.rng)
+    system.tag(tag_id).step(sid, challenge, system.rng)
+    assert system.tag(tag_id).state.ctr == ctr + 1
+    assert dump["state"].ctr == ctr
+
+
 def test_corrupt_unknown_tag_raises():
     hub = fresh_hub()
     with pytest.raises(KeyError):

@@ -70,7 +70,7 @@ def test_interior_rounds_unchanged(pop_system):
     replay.take_bits(128)
     replay.take_bits(pop_system.params.challenge_bits)
     out = tag.step(sid, Msg(0, challenge), probe)
-    reply, _ = ma_tag_respond(pop_system.params, interior_copy, challenge, replay)
+    reply, _, _ = ma_tag_respond(pop_system.params, interior_copy, challenge, replay)
     assert out.msg.payload == reply.payload()
 
 
@@ -155,7 +155,7 @@ def test_tag_keeps_its_reject_reason():
     assert step_by_step_session(system, tamper_round2=8 * binder_byte + 3) == (0, 0)
     assert tag.note == "binder invalid"
     # A tag whose masking key differs from the reader's refuses to sign.
-    tag.state.pop_key = flip_bit(tag.state.pop_key, 0)
+    tag.state = dataclasses.replace(tag.state, pop_key=flip_bit(tag.state.pop_key, 0))
     assert step_by_step_session(system) == (0, 0)
     assert tag.note == "binder invalid"
 
