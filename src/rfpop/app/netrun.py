@@ -234,7 +234,7 @@ def tag_run(
     peer_port = port if port is not None else config.port
     timeout_s = config.timeout_ticks * TICK_SECONDS
     tag = Tag(protocol, state, config.effective_lifetime, key_version,
-              sink=lambda state, version: save_tag(tag_path, mode, state, version))
+              sink=lambda new, version: save_tag(tag_path, mode, new, version))
     results = []
     for _ in range(sessions):
         with socket.create_connection((peer_host, peer_port), timeout=timeout_s) as sock:

@@ -16,6 +16,7 @@ additionally suppress the o_T/o_R execution results in oracle answers.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -121,7 +122,7 @@ class OracleHub:
             raise KeyError(f"unknown tag {tag_id.hex()}")
         self.corrupted.add(tag_id)
         tag = self.system.tags[tag_id]
-        return {"state": tag.state, "key_version": tag.key_version}
+        return {"state": copy.deepcopy(tag.state), "key_version": tag.key_version}
 
     def o5_get_cred(self, sid: bytes) -> Optional[Credential]:
         self._spend("n5")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from rfpop.app.config import Config
 from rfpop.errors import BudgetExceeded, GuessStageViolation
 from rfpop.harness.oracles import AdversaryBudget, OracleHub
 from rfpop.model.types import Msg
@@ -85,14 +86,15 @@ def test_unknown_and_corrupted_tags_are_ignored():
     first = hub.o1_init_reader()
     assert hub.o2_send_tag(b"missing", first.sid, first.msg).ignored
     dump = hub.o4_corrupt(tag_id)
-    assert dump["state"] is hub.system.tag(tag_id).state
+    assert dump["state"] == hub.system.tag(tag_id).state
     assert dump["key_version"] == hub.system.tag(tag_id).key_version
     after = hub.o2_send_tag(tag_id, first.sid, first.msg)
     assert after.ignored and after.note == "corrupted tag"
 
 
 def test_corrupt_dump_keeps_the_state_it_was_taken_at():
-    """A dump is a value: the tag stepping on afterwards does not change it."""
+    """A dump is a value: the tag stepping on afterwards does not change it,
+    and signing with the dump's signer spends nothing of the tag's."""
     hub = fresh_hub()
     system = hub.system
     tag_id = system.first_tag_id()
@@ -102,6 +104,11 @@ def test_corrupt_dump_keeps_the_state_it_was_taken_at():
     system.tag(tag_id).step(sid, challenge, system.rng)
     assert system.tag(tag_id).state.ctr == ctr + 1
     assert dump["state"].ctr == ctr
+
+    hub = OracleHub(Config(mode="mapop", impl="impl3", K=4, tags=1).build_system())
+    tag_id = hub.system.first_tag_id()
+    hub.o4_corrupt(tag_id)["state"].signer.sign(b"adversary")
+    assert hub.system.tag(tag_id).state.signer.used == 0
 
 
 def test_corrupt_unknown_tag_raises():
