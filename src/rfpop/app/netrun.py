@@ -1,21 +1,20 @@
 """Socket endpoints: a reader server and a tag client.
 
 Both sides speak the length-prefixed frame protocol from `rfpop.app.wire`.
-The reader serves one session per connection: it opens with the round-0
-challenge, relays protocol rounds, and reports its verdict as a reader-result
-frame (followed by a credential frame when a mapop session accepts).
-It journals each session as soon as it reaches its verdict, before it sends
-the message, result or credential that verdict produces, so a reader that
-crashes has told no peer of a session its file does not hold.
-The tag client answers rounds, reports its own verdict as a tag-result frame,
-and writes each state it commits to its key file before the send that spends it.
+The reader serves one session per connection and opens it with the round-0
+challenge; from there both ends run one exchange loop, `_exchange`.  The
+durable writes are the session machines' sinks: the reader's journals each
+session before the step that closed it returns, so a reader that crashes has
+told no peer of a session its file does not hold, and the tag's writes each
+state it commits to its key file before the send that spends it.
 
 Timeouts are configured in ticks; the socket layer maps one tick to
 `TICK_SECONDS` of wall-clock time.  The budget is a deadline for the whole
 session, not for each recv, so a peer that trickles bytes cannot hold the
 single-connection reader.  A peer that stalls past the deadline, closes
-mid-frame, or violates framing loses the session: the reader records o_R = 0
-exactly as it would for a radio timeout, and a frame it cannot send is dropped.
+mid-frame, or violates framing ends the exchange: a session still open times
+out with output 0, exactly as on the radio, and a frame that cannot be sent
+is dropped.
 """
 
 from __future__ import annotations
@@ -88,11 +87,14 @@ def serve_reader(
     announce: Callable[[str], None] = print,
     ready: Optional[Callable[[int], None]] = None,
 ) -> list[dict]:
-    """Accept `sessions` connections, one session each, journaling every verdict.
+    """Accept `sessions` connections, one session each, with the journal as
+    the reader's sink (see `Reader`), so every verdict is on file before it
+    is sent.
 
     A torn last journal entry is cut off the file before the first append."""
     data, reader = reader_from_file(db_path)
     config = data.config
+    reader.sink = lambda record: append_journal(db_path, config, record.j, record)
     if data.torn_bytes:
         os.truncate(db_path, os.path.getsize(db_path) - data.torn_bytes)
         announce(f"dropped a torn journal tail of {data.torn_bytes} bytes "
@@ -110,7 +112,7 @@ def serve_reader(
         for _ in range(sessions):
             conn, _peer = server.accept()
             with conn:
-                summary = _serve_one(reader, conn, rng, config, db_path)
+                summary = _serve_one(reader, conn, rng, config)
             announce(
                 "session {j}: o_R={o_reader} o_T={o_tag} via_step={via_step}".format(**summary)
             )
@@ -118,80 +120,34 @@ def serve_reader(
     return results
 
 
-def _serve_one(reader: Reader, conn, rng: Rng, config: Config, db_path: str) -> dict:
+def _serve_one(reader: Reader, conn, rng: Rng, config: Config) -> dict:
     budget = config.timeout_ticks * TICK_SECONDS
-    deadline = time.monotonic() + budget
     conn.settimeout(budget)
     sid, challenge = reader.start(rng)
     _send(conn, frame_for_msg(sid, challenge))
-    o_reader = None
-    o_tag = None
-    cred = None
-    while o_reader is None or o_tag is None:
-        try:
-            frame = read_frame(conn, deadline)
-        except (FrameError, OSError):
-            # Stall, disconnect, or framing violation: score it as a timeout.
-            if o_reader is None:
-                o_reader = _time_out(reader, conn, sid, config, db_path)
-            break
-        if frame.msg_type in ROUND_TYPES:
-            if o_reader is not None:
-                continue
-            f_sid, msg = msg_from_frame(frame)
-            outcome = reader.step(f_sid, msg, rng)
-            if outcome.output is not None:
-                # Journal the verdict before any of it leaves the reader.
-                _journal(reader, config, db_path)
-            if outcome.msg is not None:
-                _send(conn, frame_for_msg(sid, outcome.msg))
-            if outcome.output is not None:
-                o_reader = outcome.output
-                _send(conn, result_frame(TYPE_RESULT_READER, sid, o_reader))
-                cred = _issue_credential(reader)
-                if cred is not None:
-                    _send(conn, Frame(TYPE_CREDENTIAL, sid, cred.encode()))
-        elif frame.msg_type == TYPE_RESULT_TAG:
-            o_tag = result_value(frame)
-        else:
-            # Clients may not send reader-result or credential frames.
-            if o_reader is None:
-                o_reader = _time_out(reader, conn, sid, config, db_path)
-            break
+    frames = _exchange(reader, conn, rng, budget, TYPE_RESULT_READER, (TYPE_RESULT_TAG,),
+                       lambda sid: _credential_frame(reader, sid))
     record = reader.history.sessions[-1]
     return {
         "j": record.j,
         "sid": record.sid.hex(),
         "o_reader": record.o_reader,
-        "o_tag": o_tag,
+        "o_tag": _result(frames, TYPE_RESULT_TAG),
         "via_step": record.via_step,
         "tag_id": record.tag_id.hex() if record.tag_id else None,
-        "credential": cred.encode().hex() if cred is not None else None,
+        "credential": _credential_hex(frames),
     }
 
 
-def _journal(reader: Reader, config: Config, db_path: str):
-    """Append the session the reader just closed to its database file."""
-    record = reader.history.sessions[-1]
-    append_journal(db_path, config, record.j, record)
-
-
-def _time_out(reader: Reader, conn, sid: bytes, config: Config, db_path: str) -> int:
-    """Close the session with o_R = 0, journal it, then tell the peer."""
-    o_reader = reader.timeout().output
-    _journal(reader, config, db_path)
-    _send(conn, result_frame(TYPE_RESULT_READER, sid, o_reader))
-    return o_reader
-
-
-def _issue_credential(reader: Reader):
+def _credential_frame(reader: Reader, sid: bytes) -> Optional[Frame]:
     """The credential for the session just ended; only a mapop reader issues
-    credentials."""
+    credentials, and only for sessions it accepted."""
     protocol = reader.protocol
     if not isinstance(protocol, PopProtocol):
         return None
     j = reader.history.sessions[-1].j
-    return cred_gen(protocol.params, reader, protocol.reader_signer, j)
+    cred = cred_gen(protocol.params, reader, protocol.reader_signer, j)
+    return None if cred is None else Frame(TYPE_CREDENTIAL, sid, cred.encode())
 
 
 def tag_run(
@@ -208,7 +164,7 @@ def tag_run(
     """Run `sessions` sessions against a reader server, with the key file as
     the tag's sink (see `Tag`). Each result carries the tag's output, the
     reader's, the credential (hex) and the tag's reason for its output (""
-    on accept, None when the tag's session did not end)."""
+    on accept, None when the tag never opened a session)."""
     mode, state, key_version = load_tag(tag_path)
     if mode != config.mode:
         raise FrameError(f"tag file is for mode {mode!r} but config says {config.mode!r}")
@@ -238,7 +194,12 @@ def tag_run(
     results = []
     for _ in range(sessions):
         with socket.create_connection((peer_host, peer_port), timeout=timeout_s) as sock:
-            result = _client_one(tag, sock, rng, timeout_s)
+            frames = _exchange(tag, sock, rng, timeout_s, TYPE_RESULT_TAG,
+                               (TYPE_RESULT_READER, TYPE_CREDENTIAL))
+        o_tag = _result(frames, TYPE_RESULT_TAG)
+        result = {"o_tag": o_tag, "o_reader": _result(frames, TYPE_RESULT_READER),
+                  "credential": _credential_hex(frames),
+                  "note": tag.note if o_tag is not None else None}
         if result["credential"] and cred_out:
             with open(cred_out, "wb") as handle:
                 handle.write(bytes.fromhex(result["credential"]))
@@ -247,33 +208,58 @@ def tag_run(
     return results
 
 
-def _client_one(tag: Tag, sock, rng: Rng, timeout_s: float) -> dict:
-    """Answer the reader's rounds until the tag holds its own verdict, the
-    reader's and a credential, or a read fails: an MA or cex session never
-    gets a credential, so it ends when the reader closes the connection.
-    Round frames after the tag's verdict are ignored."""
-    deadline = time.monotonic() + timeout_s
-    o_tag = None
-    o_reader = None
-    cred_hex = None
-    while o_tag is None or o_reader is None or cred_hex is None:
+def _exchange(party, conn, rng: Rng, budget: float, own: int, accepts: tuple[int, ...],
+              after_verdict=None) -> dict[int, Frame]:
+    """Run one session's frames for `party`, a `Reader` or a `Tag`, until it
+    holds its own verdict and a frame of each type in `accepts` from its peer.
+
+    Round frames go to `party.step` until it reaches its verdict; its reply
+    is sent first, then the verdict as a result frame of type `own`, then the
+    frame `after_verdict(sid)` returns, if any.  Any other frame, a failed
+    read or the deadline `budget` seconds away ends the exchange, and so does
+    an accepted frame while the party's session is open: the peer sends every
+    round before its verdict, so no further round can arrive.  A session still
+    open at the end is timed out.  Returns the result and credential frames
+    sent and received, by type."""
+    deadline = time.monotonic() + budget
+    wanted = {own, *accepts}
+    frames: dict[int, Frame] = {}
+
+    def verdict(outcome):
+        sent = [result_frame(own, outcome.sid, outcome.output)]
+        if after_verdict is not None:
+            sent.append(after_verdict(outcome.sid))
+        for frame in sent:
+            if frame is not None:
+                frames[frame.msg_type] = frame
+                _send(conn, frame)
+
+    while not wanted <= frames.keys():
         try:
-            frame = read_frame(sock, deadline)
+            frame = read_frame(conn, deadline)
         except (FrameError, OSError):
             break
-        if frame.msg_type in ROUND_TYPES:
-            if o_tag is not None:
-                continue
-            f_sid, msg = msg_from_frame(frame)
-            outcome = tag.step(f_sid, msg, rng)
+        if frame.msg_type in ROUND_TYPES and own not in frames:
+            sid, msg = msg_from_frame(frame)
+            outcome = party.step(sid, msg, rng)
             if outcome.msg is not None:
-                _send(sock, frame_for_msg(f_sid, outcome.msg))
+                _send(conn, frame_for_msg(sid, outcome.msg))
             if outcome.output is not None:
-                o_tag = outcome.output
-                _send(sock, result_frame(TYPE_RESULT_TAG, f_sid, o_tag))
-        elif frame.msg_type == TYPE_RESULT_READER:
-            o_reader = result_value(frame)
-        elif frame.msg_type == TYPE_CREDENTIAL:
-            cred_hex = frame.payload.hex()
-    note = tag.note if o_tag is not None else None
-    return {"o_tag": o_tag, "o_reader": o_reader, "credential": cred_hex, "note": note}
+                verdict(outcome)
+        elif frame.msg_type in accepts:
+            frames[frame.msg_type] = frame
+            if party.session is not None:
+                break
+        else:
+            break
+    if party.session is not None:
+        verdict(party.timeout())
+    return frames
+
+
+def _result(frames: dict[int, Frame], msg_type: int) -> Optional[int]:
+    return result_value(frames[msg_type]) if msg_type in frames else None
+
+
+def _credential_hex(frames: dict[int, Frame]) -> Optional[str]:
+    return frames[TYPE_CREDENTIAL].payload.hex() if TYPE_CREDENTIAL in frames else None

@@ -25,7 +25,9 @@ start?" before anything else, restarting (and voiding the current session)
 if one is already open; a reader ignores wrong-sid messages and treats any
 other non-valid delivery as a failed session. Every terminal output bumps
 the tag's key version and resets its scratch; every reader termination
-appends a snapshot record.
+appends a snapshot record. Each machine hands what it commits to an optional
+sink before the step that commits it returns: the reader its session record,
+the tag its state.
 """
 
 from __future__ import annotations
@@ -74,15 +76,18 @@ class OpenTagSession:
 
 class Reader:
     """Single-session reader with a snapshot history. A reader restarted
-    from a database file carries on the file's history and its numbering."""
+    from a database file carries on the file's history and its numbering.
+    An optional `sink(record)` takes each session record before `history`
+    keeps it and before the step that closed the session returns."""
 
     def __init__(self, protocol, db: ReaderDatabase, reader_id: bytes = b"R",
-                 history: Optional[History] = None):
+                 history: Optional[History] = None, sink=None):
         self.protocol = protocol
         self.db = db
         self.reader_id = reader_id
         self.history = History(initial=db.image()) if history is None else history
         self.session: Optional[OpenReaderSession] = None
+        self.sink = sink
 
     @property
     def next_j(self) -> int:
@@ -147,6 +152,8 @@ class Reader:
             via_step=via_step,
             note=note,
         )
+        if self.sink is not None:
+            self.sink(record)
         self.history.append(record)
         self.session = None
         return StepOutcome(ses.sid, None, o_reader)

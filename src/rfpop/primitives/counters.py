@@ -18,11 +18,6 @@ class OpCounters:
     point_muls: int = 0
     scalar_muls: int = 0
 
-    def add(self, other: "OpCounters"):
-        self.hashes += other.hashes
-        self.point_muls += other.point_muls
-        self.scalar_muls += other.scalar_muls
-
     def as_dict(self) -> dict[str, int]:
         return {
             "hashes": self.hashes,

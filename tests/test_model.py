@@ -99,6 +99,50 @@ def test_reader_timeout_closes_with_zero(ma_system, rng):
     assert record.sid == sid
 
 
+def test_reader_sinks_each_record_before_it_keeps_it(ma_system, rng):
+    """The sink sees each closed session (accept, reject, out-of-space
+    message, timeout) before `step` or `timeout` returns it and before
+    `history` holds it."""
+    reader = ma_system.reader
+    tag = ma_system.tag(ma_system.first_tag_id())
+    sunk = []
+
+    def sink(record):
+        sunk.append((record, len(reader.history.sessions)))
+
+    reader.sink = sink
+    run_honest_session(reader, tag, rng)
+    sid, challenge = reader.start(rng)
+    reply = tag.step(sid, challenge, rng).msg
+    assert reader.step(sid, Msg(1, flip_bit(reply.payload, 0)), rng).output == 0
+    tag.timeout()
+    sid, _ = reader.start(rng)
+    assert reader.step(sid, Msg(1, bytes(1)), rng).output == 0
+    reader.start(rng)
+    assert reader.timeout().output == 0
+
+    assert [record for record, _kept in sunk] == reader.history.sessions
+    assert [kept for _record, kept in sunk] == [0, 1, 2, 3]
+    assert [(r.o_reader, r.note) for r in reader.history.sessions] == [
+        (1, ""), (0, ""), (0, "message outside expected round space"), (0, "timeout")]
+
+
+def test_reader_keeps_no_record_its_sink_refused(ma_system, rng):
+    class SinkDown(Exception):
+        pass
+
+    def sink(record):
+        raise SinkDown
+
+    reader = ma_system.reader
+    run_honest_session(reader, ma_system.tag(ma_system.first_tag_id()), rng)
+    reader.sink = sink
+    reader.start(rng)
+    with pytest.raises(SinkDown):
+        reader.timeout()
+    assert len(reader.history.sessions) == 1
+
+
 def test_tag_timeout_closes_with_zero(ma_system, rng):
     tag = ma_system.tag(ma_system.first_tag_id())
     with pytest.raises(NoOpenSession):

@@ -1,6 +1,7 @@
 """Socket reader server and tag client over loopback."""
 
 import collections
+import dataclasses
 import json
 import os
 import queue
@@ -17,6 +18,7 @@ from rfpop.app import netrun
 from rfpop.app.netrun import TICK_SECONDS, reader_from_file, serve_reader, tag_run
 from rfpop.app.wire import (
     TYPE_RESULT_READER,
+    TYPE_RESULT_TAG,
     TYPE_ROUND_CHALLENGE,
     TYPE_ROUND_FINAL_REPLY,
     TYPE_ROUND_REPLY,
@@ -28,6 +30,7 @@ from rfpop.app.wire import (
 from rfpop.errors import FrameError, UnknownSnapshot
 from rfpop.model.session import run_honest_session
 from rfpop.pop import Credential, PopParams, cred_gen, cred_veri
+from rfpop.primitives.bitstring import flip_bit
 from rfpop.primitives.sig import KTimeSigner
 from rfpop.primitives.rng import Rng
 
@@ -298,6 +301,96 @@ def test_dribbling_reader_is_cut_off_at_the_session_deadline(tmp_path):
     assert not thread.is_alive()
     assert result == [{"o_tag": None, "o_reader": None, "credential": None, "note": None}]
     assert elapsed < 10 * config.timeout_ticks * TICK_SECONDS
+
+
+def foreign_key_file(tmp_path, config, tag_path):
+    """Overwrite the tag's key file with the same tag's file from another
+    deployment: the reader rejects its round-1 reply."""
+    other = tmp_path / "other"
+    other.mkdir()
+    _db_path, other_paths, _system = deploy(other, dataclasses.replace(config, seed="net-other"))
+    os.replace(other_paths[0], tag_path)
+
+
+def foreign_pop_key(tmp_path, config, tag_path):
+    """Give the tag a pop_key the reader does not hold: it rejects the binder."""
+    mode, state, version = load_tag(tag_path)
+    save_tag(tag_path, mode, dataclasses.replace(state, pop_key=flip_bit(state.pop_key, 0)), version)
+
+
+@pytest.mark.parametrize(
+    "mode, damage, note, via_step",
+    [("ma", foreign_key_file, "timeout", 0), ("mapop", foreign_key_file, "timeout", 0),
+     ("mapop", foreign_pop_key, "binder invalid", None)],
+    ids=["ma-foreign-key", "mapop-foreign-key", "mapop-foreign-pop_key"],
+)
+def test_rejected_session_ends_without_waiting_out_the_budget(
+    tmp_path, mode, damage, note, via_step
+):
+    """Once the peer has sent its verdict it sends no further round, so the
+    party whose session is still open times it out at once, and neither
+    process waits out the session budget."""
+    config = Config(mode=mode, tags=1, seed=f"net-reject-{mode}")
+    db_path, tag_paths, _system = deploy(tmp_path, config)
+    damage(tmp_path, config, tag_paths[0])
+    budget = config.timeout_ticks * TICK_SECONDS
+    start = time.monotonic()
+    box = start_server(db_path, sessions=1)
+    client = run_client(box, tag_paths[0], config)
+    server = finish(box)
+    elapsed = time.monotonic() - start
+
+    assert elapsed < budget / 4
+    assert client == [{"o_tag": 0, "o_reader": 0, "credential": None, "note": note}]
+    assert (server[0]["o_reader"], server[0]["o_tag"], server[0]["credential"]) == (0, 0, None)
+    data = load_db(db_path)
+    assert [(entry.o_reader, entry.via_step) for entry in data.journal] == [(0, via_step)]
+
+
+def test_tag_times_out_when_the_reader_sends_a_frame_it_does_not_accept(tmp_path, monkeypatch):
+    """A reader that answers the tag's round-1 reply with a tag-result frame
+    ends the exchange: the tag times out its open session and says so. The
+    key file keeps the version written before the round-1 reply, because the
+    timeout commits the same state at the same version."""
+    config = Config(mode="ma", tags=1, seed="net-tag-odd-frame", timeout_ticks=4)
+    _db_path, tag_paths, _system = deploy(tmp_path, config)
+    saves = []
+    save = netrun.save_tag
+
+    def counted(*args):
+        saves.append(args)
+        save(*args)
+
+    monkeypatch.setattr(netrun, "save_tag", counted)
+    server = socket.create_server(("127.0.0.1", 0))
+    seen = []
+
+    def fake_reader():
+        conn, _peer = server.accept()
+        with conn:
+            sid = bytes(16)
+            challenge = bytes(config.params().challenge_bits // 8)
+            conn.sendall(Frame(TYPE_ROUND_CHALLENGE, sid, challenge).encode())
+            seen.append(read_frame(conn))
+            conn.sendall(result_frame(TYPE_RESULT_TAG, sid, 1).encode())
+            try:
+                seen.append(read_frame(conn))
+            except (FrameError, OSError):
+                pass
+
+    thread = threading.Thread(target=fake_reader, daemon=True)
+    with server:
+        thread.start()
+        result = tag_run(tag_paths[0], config, host="127.0.0.1",
+                         port=server.getsockname()[1], announce=lambda line: None)
+        thread.join(5)
+    assert not thread.is_alive()
+    assert result == [{"o_tag": 0, "o_reader": None, "credential": None, "note": "timeout"}]
+    assert [f.msg_type for f in seen] == [TYPE_ROUND_REPLY, TYPE_RESULT_TAG]
+    assert result_value(seen[1]) == 0
+    _mode, _state, key_version = load_tag(tag_paths[0])
+    assert key_version == 1
+    assert len(saves) == 1
 
 
 def test_framing_violations_score_reader_zero(tmp_path):
