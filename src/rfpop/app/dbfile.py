@@ -136,7 +136,7 @@ def _sized(name: str, blob: bytes, nbits: int) -> bytes:
     return blob
 
 
-def decode_record(mode: str, params, cursor: _Cursor):
+def decode_record(mode: str, params, cursor: _Cursor, keys: dict):
     fields = cursor.fields()
     if mode == "mapop":
         if len(fields) != 6:
@@ -148,7 +148,7 @@ def decode_record(mode: str, params, cursor: _Cursor):
             ctr=int.from_bytes(_sized("ctr", ctr, params.out_bits), "big"),
             index=_sized("index", index, params.out_bits),
             pop_key=_sized("pop_key", pop_key, params.pop_key_bits),
-            verify_key=VerifyKey(params.sig_scheme, vk),
+            verify_key=_shared_key(keys, params.sig_scheme, vk),
         )
     if len(fields) != 3:
         raise FrameError(f"reader record needs 3 fields, got {len(fields)}")
@@ -213,11 +213,13 @@ def load_db(path: str) -> DbFileData:
     config = _meta_entry(meta, "config", config_from_dict)
     reader_id = _meta_entry(meta, "reader_id", bytes.fromhex)
     signer = _meta_entry(meta, "reader_signer", signer_from_dict, required=False)
-    directory = _meta_entry(meta, "directory", _directory_from_dict, required=False)
+    keys: dict[VerifyKey, VerifyKey] = {}
+    directory = _meta_entry(meta, "directory", lambda doc: _directory_from_dict(doc, keys),
+                            required=False)
     params = config.params()
     initial = {}
     for _ in range(cursor.u32()):
-        rec = decode_record(config.mode, params, cursor)
+        rec = decode_record(config.mode, params, cursor, keys)
         initial[rec.tag_id] = rec
     history = History(initial=initial)
     torn_bytes = 0
@@ -225,7 +227,7 @@ def load_db(path: str) -> DbFileData:
         start = cursor.pos
         expect = len(history.sessions) + 1
         try:
-            record = _read_journal_entry(cursor, config, params)
+            record = _read_journal_entry(cursor, config, params, keys)
         except _Truncated:
             # A crash mid-append cuts the last entry short.  Damage that makes
             # an earlier entry run past the end leaves the next entry's
@@ -260,7 +262,15 @@ def _meta_entry(meta: dict, name: str, parse, required: bool = True):
         raise FrameError(f"corrupt {name} block: {exc}") from exc
 
 
-def _directory_from_dict(doc) -> KeyDirectory:
+def _shared_key(keys: dict, scheme: str, data: bytes) -> VerifyKey:
+    """The one `VerifyKey` of this load for (scheme, data), so the directory,
+    the initial records and the journal share it and a K-time key is decoded
+    once."""
+    key = VerifyKey(scheme, data)
+    return keys.setdefault(key, key)
+
+
+def _directory_from_dict(doc, keys: dict) -> KeyDirectory:
     """The public-key directory `save_db` writes: party hex -> scheme, data."""
     if not isinstance(doc, dict):
         raise ValueError("not a JSON object")
@@ -269,11 +279,11 @@ def _directory_from_dict(doc) -> KeyDirectory:
         scheme = entry.get("scheme") if isinstance(entry, dict) else None
         if scheme not in SIG_LEN:
             raise ValueError(f"party {party} scheme {scheme!r} is unknown")
-        entries[bytes.fromhex(party)] = VerifyKey(scheme, bytes.fromhex(entry.get("data")))
+        entries[bytes.fromhex(party)] = _shared_key(keys, scheme, bytes.fromhex(entry.get("data")))
     return KeyDirectory(entries=entries)
 
 
-def _read_journal_entry(cursor: _Cursor, config: Config, params) -> SessionRecord:
+def _read_journal_entry(cursor: _Cursor, config: Config, params, keys: dict) -> SessionRecord:
     if cursor.take(1) != _JOURNAL_MARK:
         raise FrameError("corrupt journal marker")
     j = cursor.u32()
@@ -289,7 +299,7 @@ def _read_journal_entry(cursor: _Cursor, config: Config, params) -> SessionRecor
     tag_id = cursor.blob() or None
     delta = {}
     for _ in range(cursor.u32()):
-        rec = decode_record(config.mode, params, cursor)
+        rec = decode_record(config.mode, params, cursor, keys)
         delta[rec.tag_id] = rec
     return SessionRecord(
         j=j, sid=sid, o_reader=o_reader, tag_id=tag_id, mode=mode,

@@ -5,20 +5,22 @@ at infinity. Inside a multiplication the doublings and additions run in
 Jacobian coordinates, adding each precomputed affine multiple with a mixed
 addition, and the result is brought back to affine with a single inversion.
 
-`point_mul(G, k)`, the key generator's case, walks a table of 64 rows of 15
-multiples (row i holds d*16^i*G for d = 1..15): at most 64 additions and no
-doublings. Every other product runs through one interleaved walk, which
-`point_mul_add(a, q, b)` uses for a*G + b*q and `point_mul(q, k)` for k*q
-alone. It uses the curve's endomorphism LAMBDA*(x, y) = (BETA*x, y): each
-scalar splits into two signed halves of about 128 bits, k = k1 + k2*LAMBDA
-(mod N) (Gallant, Lambert and Vanstone, "Faster Point Multiplication on
-Elliptic Curves with Efficient Endomorphisms", CRYPTO 2001). The halves of a
-walk width-8 NAFs over constant tables of 64 odd multiples of G and of
-LAMBDA*G; the halves of b walk width-5 NAFs over 8 odd multiples of q and of
-LAMBDA*q, which a caller that reuses q can build once with `wnaf_tables`. All
-halves share one run of about 129 doublings (Straus-Shamir interleaving, as
-in libsecp256k1's `secp256k1_ecmult`). The G tables are built on first use,
-not at import. None of this is constant-time: the walks branch on the
+Every product runs through one interleaved walk, which `point_mul_add(a, q,
+b)` uses for a*G + b*q and `point_mul(q, k)` for k*q alone. It uses the
+curve's endomorphism LAMBDA*(x, y) = (BETA*x, y): each scalar splits into two
+signed halves below 2^129, k = k1 + k2*LAMBDA (mod N) (Gallant, Lambert and
+Vanstone, "Faster Point Multiplication on Elliptic Curves with Efficient
+Endomorphisms", CRYPTO 2001). Each half is written as a width-w NAF of at
+most 130 digits, cut into four blocks of 33 bits. A base's tables
+(`point_tables`) hold the signed odd multiples of q, 2^33*q, 2^66*q and
+2^99*q, and of their LAMBDA images, so the digit at bit p is added from the
+table of block p // 33 at step p % 33 of the walk (the comb of Lim and Lee,
+"More Flexible Exponentiation with Precomputation", CRYPTO 1994). All halves
+share one run of 32 doublings (Straus-Shamir interleaving, as in
+libsecp256k1's `secp256k1_ecmult`). G's tables have width 8 and are built
+once, on first use, not at import; a caller that reuses another base builds
+its width-5 tables once with `point_tables`, and a one-shot product builds
+them on the call. None of this is constant-time: the walk branches on the
 scalars' digits, so it models cost, not a side-channel-safe signer.
 
 Each scalar-by-point product counts as one point-multiplication unit for cost
@@ -31,7 +33,7 @@ sections 3.2.2, 3.3 and 3.3.3.
 from __future__ import annotations
 
 from functools import cache
-from typing import Optional
+from typing import Iterator, Optional
 
 from rfpop.primitives.counters import count_point_mul
 
@@ -53,8 +55,13 @@ B2 = A1
 
 Point = Optional[tuple[int, int]]
 _Jacobian = tuple[int, int, int]  # (X, Y, Z) stands for (X/Z^2, Y/Z^3)
-# A point's signed digit tables, for the point itself and for LAMBDA times it.
-_Tables = tuple[list, list]
+# A base's signed digit tables, one per block, for the base itself and for
+# LAMBDA times it.
+_Tables = tuple[tuple[list, ...], tuple[list, ...]]
+
+# A half below 2^129 has a width-w NAF of at most 130 digits: four blocks of 33.
+_BLOCK = 33
+_BLOCKS = 4
 
 
 def point_add(p1: Point, p2: Point) -> Point:
@@ -78,51 +85,58 @@ def point_add(p1: Point, p2: Point) -> Point:
 def point_mul(p: Point, k: int) -> Point:
     """k*p for any k (reduced mod N); counts one point-mul unit."""
     count_point_mul()
-    k %= N
-    if p is None or k == 0:
-        return None
-    if p != G:
-        return _walk(0, p, k, None)
-    acc: Optional[_Jacobian] = None
-    for row in _g_table():
-        digit = k & 15
-        if digit:
-            acc = _add_affine(acc, row[digit - 1])
-        k >>= 4
-    return _to_affine([acc])[0]
+    return _walk(0, p, k % N, _g_tables() if p == G else None)
 
 
 def point_mul_add(a: int, q: Point, b: int, q_tables: Optional[_Tables] = None) -> Point:
     """a*G + b*q for any a and b (reduced mod N) in one walk; counts two
-    point-mul units. `q_tables`, if given, is `wnaf_tables(q)`, built once for
-    a q that is used many times."""
+    point-mul units. `q_tables`, if given, is `point_tables(q, width)`, built
+    once for a q that is used many times."""
     count_point_mul(2)
     return _walk(a % N, q, b % N, q_tables)
 
 
-def wnaf_tables(q: tuple[int, int]) -> _Tables:
-    """The signed digit tables of q and LAMBDA*q for a width-5 walk."""
-    return _signed_tables(_multiples(q, 15)[::2])
+def point_tables(q: tuple[int, int], width: int) -> _Tables:
+    """The signed tables of the odd multiples below 2^(width-1) of q, 2^33*q,
+    2^66*q and 2^99*q, and of their LAMBDA images, for a width-`width` walk:
+    one doubling chain and two batched inversions."""
+    chain = [(q[0], q[1], 1)]
+    for _ in range(_BLOCK * (_BLOCKS - 1) + 1):
+        chain.append(_double(chain[-1]))
+    # Each block's base 2^(33b)*q and its double, affine.
+    ends = _to_affine([chain[_BLOCK * b + i] for b in range(_BLOCKS) for i in (0, 1)])
+    count = 1 << (width - 2)
+    odd = []
+    for base, twice in zip(ends[::2], ends[1::2]):
+        acc = (base[0], base[1], 1)
+        odd.append(acc)
+        for _ in range(count - 1):
+            acc = _add_affine(acc, twice)
+            odd.append(acc)
+    odd = _to_affine(odd)
+    blocks = [_signed_tables(odd[i : i + count]) for i in range(0, len(odd), count)]
+    return tuple(t for t, _ in blocks), tuple(e for _, e in blocks)
 
 
 def _walk(a: int, q: Point, b: int, q_tables: Optional[_Tables]) -> Point:
     """a*G + b*q for 0 <= a, b < N. Each scalar splits into GLV halves; the
-    halves of a walk width-8 NAFs over the constant G and LAMBDA*G tables, the
-    halves of b width-5 NAFs over q's. All halves share one run of about 129
-    doublings, and the result is made affine with one inversion."""
+    halves of a walk over G's tables and LAMBDA*G's, those of b over q's and
+    LAMBDA*q's, each at its tables' width. A half's digit at bit p is added
+    at step p % 33 from the table of block p // 33, so all halves share one
+    run of 32 doublings, and the result is made affine with one inversion."""
     halves = []
     if a:
-        halves += zip(split_scalar(a), _g_tables(), (8, 8))
+        halves += zip(split_scalar(a), _g_tables())
     if b and q is not None:
-        halves += zip(split_scalar(b), q_tables or wnaf_tables(q), (5, 5))
-    length = max([abs(k).bit_length() for k, _, _ in halves], default=0) + 1
-    # steps[i] lists the affine points added after the doubling at bit i.
-    steps: list[list[tuple[int, int]]] = [[] for _ in range(length)]
-    for k, table, width in halves:
+        halves += zip(split_scalar(b), q_tables or point_tables(q, 5))
+    # steps[i] lists the affine points added after the doubling at step i.
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(_BLOCK)]
+    for k, blocks in halves:
+        # A width-w table has 2^w slots.
+        width = len(blocks[0]).bit_length() - 1
         sign = -1 if k < 0 else 1
-        for i, digit in enumerate(_wnaf(abs(k), length, width)):
-            if digit:
-                steps[i].append(table[sign * digit])
+        for p, digit in _wnaf(abs(k), width):
+            steps[p % _BLOCK].append(blocks[p // _BLOCK][sign * digit])
     # The Jacobian accumulator (x, y, z); z == 0 is the point at infinity.
     x = y = 1
     z = 0
@@ -170,11 +184,10 @@ def split_scalar(k: int) -> tuple[int, int]:
     return k - c1 * A1 - c2 * A2, -c1 * B1 - c2 * B2
 
 
-def _wnaf(k: int, length: int, width: int = 5) -> list[int]:
-    """The width-w NAF of k >= 0 in `length` digits, least significant first:
-    each nonzero digit is odd, below 2^(w-1) in absolute value, and followed
-    by at least w-1 zeros. `length` must exceed k's bit length."""
-    digits = [0] * length
+def _wnaf(k: int, width: int) -> Iterator[tuple[int, int]]:
+    """The nonzero digits of the width-w NAF of k >= 0 as (bit, digit) pairs,
+    least significant first: each digit is odd, below 2^(w-1) in absolute
+    value, and followed by at least w-1 zero digits."""
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     i = 0
@@ -183,14 +196,13 @@ def _wnaf(k: int, length: int, width: int = 5) -> list[int]:
         k >>= zeros
         i += zeros
         digit = (k & mask) - (mask + 1) if k & half else k & mask
-        digits[i] = digit
+        yield i, digit
         # k - digit is a multiple of 2^w: the next w-1 digits are 0.
         k = (k - digit) >> width
         i += width
-    return digits
 
 
-def _signed_tables(odd: list[tuple[int, int]]) -> _Tables:
+def _signed_tables(odd: list[tuple[int, int]]) -> tuple[list, list]:
     """For odd = [1Q, 3Q, ..., (2n-1)Q], the tables of Q and LAMBDA*Q that a
     signed digit d indexes directly: index d holds d*Q and index -d, counted
     from the end, holds -d*Q."""
@@ -212,16 +224,13 @@ def _double(j: _Jacobian) -> _Jacobian:
     return (x3, (m * (s - x3) - 8 * yy * yy) % P, 2 * y * z % P)
 
 
-def _add_affine(j: Optional[_Jacobian], q: tuple[int, int]) -> Optional[_Jacobian]:
-    """j + q for a Jacobian j (None for infinity) and an affine q."""
-    if j is None:
-        return (q[0], q[1], 1)
+def _add_affine(j: _Jacobian, q: tuple[int, int]) -> _Jacobian:
+    """j + q for a Jacobian j and an affine q, neither equal to the other nor
+    to its negation; the table builder adds 2B to B, 3B, ..., below 2^7*B."""
     x1, y1, z1 = j
     zz = z1 * z1 % P
     h = (q[0] * zz - x1) % P
     r = (q[1] * zz * z1 - y1) % P
-    if h == 0:
-        return _double(j) if r == 0 else None
     hh = h * h % P
     hhh = h * hh % P
     v = x1 * hh % P
@@ -247,32 +256,10 @@ def _to_affine(points: list[_Jacobian]) -> list[tuple[int, int]]:
     return out
 
 
-def _multiples(p: tuple[int, int], count: int) -> list[tuple[int, int]]:
-    """[1*p, 2*p, ..., count*p] in affine coordinates."""
-    acc = None
-    jacobian = []
-    for _ in range(count):
-        acc = _add_affine(acc, p)
-        jacobian.append(acc)
-    return _to_affine(jacobian)
-
-
-@cache
-def _g_table() -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Row i holds d*16^i*G for d = 1..15; one row per 4-bit digit of k < N."""
-    rows = []
-    base = G
-    for _ in range(64):
-        row = _multiples(base, 16)
-        rows.append(tuple(row[:15]))
-        base = row[15]
-    return tuple(rows)
-
-
 @cache
 def _g_tables() -> _Tables:
-    """The signed tables of G and LAMBDA*G for a width-8 walk: 64 odd multiples each."""
-    return _signed_tables(_multiples(G, 127)[::2])
+    """G's tables for a width-8 walk: 64 odd multiples per block."""
+    return point_tables(G, 8)
 
 
 def point_encode(p: Point) -> bytes:

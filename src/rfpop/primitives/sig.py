@@ -13,12 +13,14 @@ Two instantiations:
   sign at most K times; signatures are 32 bytes; verification recomputes
   s*G + e*Y once and accepts iff it equals one of the K published points, so
   it needs no signing index. Both products run in one interleaved walk
-  (`ec.point_mul_add`). A `VerifyKey` decodes itself on its first K-time
-  verify and keeps the result as long as the key object lives: Y (checked to
-  be on the curve), K, the set of published points and Y's digit tables. A
+  (`ec.point_mul_add`) of 32 shared doublings. A `VerifyKey` decodes itself
+  on its first K-time verify and keeps the result as long as the key object
+  lives: Y (checked to be on the curve), K, the set of published points and
+  Y's width-5 tables (`ec.point_tables`, about one walk's work to build). A
   malformed key decodes to None and every verify under it fails. The reader's
-  record and the key directory share one `VerifyKey` per tag, so a tag's key
-  is decoded once, not twice per session.
+  records and the key directory share one `VerifyKey` per tag, in a live
+  system and in a loaded database file, so a tag's key is decoded once, not
+  twice per session.
 
 Cost accounting: the K-time scheme's hash and group operations are counted
 for real by the primitives it calls. Ed25519's internals are not
@@ -231,7 +233,7 @@ def _ktime_decode(vk: bytes) -> Optional[_KTimeKey]:
         (int.from_bytes(body[j : j + 32], "big"), int.from_bytes(body[j + 32 : j + 64], "big"))
         for j in range(0, len(body), 64)
     )
-    return _KTimeKey(y_point, k, points, ec.wnaf_tables(y_point))
+    return _KTimeKey(y_point, k, points, ec.point_tables(y_point, 5))
 
 
 def _ktime_verify(key: Optional[_KTimeKey], msg: bytes, sig: bytes) -> bool:

@@ -84,6 +84,26 @@ def test_loaded_records_preserve_values(tmp_path):
     assert loaded.directory.entries == system.directory.entries
 
 
+def test_loaded_impl3_database_keeps_one_verify_key_per_tag(tmp_path):
+    """The directory, the initial records and every journaled record share
+    one `VerifyKey` per tag, so a loaded reader decodes each K-time key (and
+    builds its tables) once, as the live system does."""
+    config = Config(mode="mapop", impl="impl3", K=4, lifetime=4, tags=2)
+    system = build(config)
+    path = tmp_path / "k.db"
+    write_db(path, config, system)
+    for j, tag_id in enumerate(system.tag_ids() * 2, start=1):
+        system.run_honest(tag_id)
+        append_journal(str(path), config, j, system.reader.history.session(j))
+    loaded = load_db(str(path))
+    assert len(loaded.journal) == 4
+    for tag_id, rec in loaded.initial.items():
+        assert loaded.directory.entries[tag_id] is rec.verify_key
+    for session in loaded.journal:
+        for tag_id, rec in session.delta.items():
+            assert rec.verify_key is loaded.initial[tag_id].verify_key
+
+
 def test_journal_replays_counter_history(tmp_path):
     config = Config(mode="ma", tags=3)
     system = build(config)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,36 @@ def scalar_with_signs(neg1, neg2):
 SIGNED_SCALARS = [scalar_with_signs(a, b) for a in (False, True) for b in (False, True)]
 
 
+def scalar_of_halves(k1, k2):
+    """The scalar that `split_scalar` splits into exactly (k1, k2)."""
+    k = (k1 + k2 * ec.LAMBDA) % ec.N
+    assert ec.split_scalar(k) == (k1, k2)
+    return k
+
+
+def longest_halves(s1, s2):
+    """Halves at a corner of the split's rounding cell, just inside it: the
+    longest `split_scalar` returns (128 bits; a NAF digit can reach bit 128)."""
+    e = Fraction(4999, 10000)
+    return round(e * (s1 * ec.A1 + s2 * ec.A2)), round(e * (s1 * ec.B1 + s2 * ec.B2))
+
+
+# Halves whose NAF digits sit on either side of each block edge (bits 32/33,
+# 65/66, 98/99), with both signs, and the longest halves of each sign pattern.
+EDGE_HALVES = [
+    (1 << 32, 1 << 33),
+    ((1 << 32) + (1 << 33), (1 << 33) - 1),
+    (1 << 65, -(1 << 66)),
+    (-((1 << 66) - 1), (1 << 65) + (1 << 66)),
+    (1 << 98, 1 << 99),
+    (-(1 << 99), -((1 << 98) + (1 << 99))),
+    ((1 << 99) - 1, -((1 << 66) - 1)),
+    (-((1 << 33) + (1 << 66) + (1 << 99)), (1 << 32) + (1 << 65) + (1 << 98)),
+    *(longest_halves(s1, s2) for s1 in (1, -1) for s2 in (1, -1)),
+]
+EDGE_SCALARS = [scalar_of_halves(k1, k2) for k1, k2 in EDGE_HALVES]
+
+
 @pytest.mark.parametrize("base", [ec.G, Y], ids=["G", "Y"])
 def test_matches_reference_on_random_scalars(base):
     for k in random_scalars(f"ec-{base == ec.G}", 6):
@@ -61,10 +92,12 @@ def test_matches_reference_on_random_scalars(base):
 
 @pytest.mark.parametrize("base", [ec.G, Y], ids=["G", "Y"])
 def test_small_and_boundary_scalars(base):
-    # wNAF digit boundaries, the halves' 2^128 boundary, k = LAMBDA (k1 = 0)
-    # and a scalar for each sign pattern of the halves.
+    # wNAF digit boundaries, the halves' 2^128 boundary, the bases of G's
+    # blocks, k = LAMBDA (k1 = 0), a scalar for each sign pattern of the
+    # halves, and halves across each block edge and at their longest.
     for k in (1, 2, 3, 15, 16, 17, 31, 32, 33, 255, 256, (1 << 128) - 1, (1 << 128) + 1,
-              1 << 252, 15 << 252, ec.LAMBDA, ec.N - 2, *SIGNED_SCALARS):
+              1 << 33, 1 << 66, 1 << 99, 1 << 252, 15 << 252, ec.LAMBDA, ec.N - 2, ec.N - 1,
+              *SIGNED_SCALARS, *EDGE_SCALARS):
         assert ec.point_mul(base, k) == reference_mul(base, k)
 
 
@@ -100,12 +133,12 @@ def test_importing_the_cli_leaves_the_g_table_unbuilt():
     code = (
         "import rfpop.app.cli\n"
         "from rfpop.primitives import ec\n"
-        "print(ec._g_table.cache_info().currsize, ec._g_tables.cache_info().currsize)\n"
+        "print(ec._g_tables.cache_info().currsize)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "0 0"
+    assert out.stdout.strip() == "0"
 
 
 def reference_mul_add(a, q, b):
@@ -118,7 +151,7 @@ def negate(point):
 
 def test_mul_add_matches_reference_on_random_scalars():
     scalars = random_scalars("ec-mul-add", 8)
-    tables = ec.wnaf_tables(Y)
+    tables = ec.point_tables(Y, 5)
     for a, b in zip(scalars[::2], scalars[1::2]):
         assert ec.point_mul_add(a, Y, b) == reference_mul_add(a, Y, b)
         assert ec.point_mul_add(a, Y, b, tables) == reference_mul_add(a, Y, b)
@@ -163,6 +196,54 @@ def test_each_mul_add_counts_two_point_muls(a, q, b):
     assert counters.point_muls == 2
 
 
+def test_longest_halves_reach_the_last_block():
+    tops = [max(p for p, _ in ec._wnaf(abs(h), w)) for k1, k2 in EDGE_HALVES[-4:]
+            for h in (k1, k2) for w in (5, 8)]
+    assert max(tops) == 128  # block 3, step 29
+
+
+def test_block_edge_halves_in_both_scalars_of_mul_add():
+    tables = ec.point_tables(Y, 5)
+    for a, b in zip(EDGE_SCALARS, EDGE_SCALARS[1:] + EDGE_SCALARS[:1]):
+        expected = reference_mul_add(a, Y, b)
+        assert ec.point_mul_add(a, Y, b) == expected
+        assert ec.point_mul_add(a, Y, b, tables) == expected
+
+
+def test_products_with_and_without_cached_tables():
+    """G's cached width-8 tables, G's width-5 tables built on the call, and
+    tables a caller built once at widths 4 and 6 all give the reference."""
+    g6 = ec.point_tables(ec.G, 6)
+    y4 = ec.point_tables(Y, 4)
+    for k in random_scalars("ec-cached", 3) + EDGE_SCALARS[:4]:
+        expected = reference_mul(ec.G, k)
+        assert ec.point_mul(ec.G, k) == expected
+        assert ec.point_mul_add(0, ec.G, k) == expected
+        assert ec.point_mul_add(0, ec.G, k, g6) == expected
+        assert ec.point_mul_add(k, Y, k, y4) == reference_mul_add(k, Y, k)
+
+
+def test_verify_key_builds_y_tables_once_over_2k_verifies(monkeypatch):
+    k = 3
+    signer = KTimeSigner(Rng("test-ec-tables").take_bytes(32), k)
+    vk = signer.verify_key()
+    y = ec.point_decode(vk.data[:64])
+    ec._g_tables()
+    built = []
+
+    def counted(q, width):
+        built.append((q, width))
+        return point_tables(q, width)
+
+    point_tables = ec.point_tables
+    monkeypatch.setattr(ec, "point_tables", counted)
+    for index in range(1, k + 1):
+        sig = signer.sign_at(index, b"m%d" % index)
+        assert vk.verify(b"m%d" % index, sig)
+        assert not vk.verify(b"other", sig)
+    assert built == [(y, 5)]
+
+
 def test_endomorphism_constants():
     assert ec.BETA != 1 and pow(ec.BETA, 3, ec.P) == 1
     assert ec.LAMBDA != 1 and pow(ec.LAMBDA, 3, ec.N) == 1
@@ -180,20 +261,22 @@ def test_split_recombines_into_short_halves():
 
 def test_wnaf_digits_rebuild_the_scalar():
     for k in random_scalars("ec-wnaf", 50) + [1, 15, 16, 17, 31, 32, 33, (1 << 128) - 1]:
-        digits = ec._wnaf(k, k.bit_length() + 1)
-        assert sum(d << i for i, d in enumerate(digits)) == k
-        nonzero = [i for i, d in enumerate(digits) if d]
-        assert all(d % 2 and abs(d) < 16 for d in digits if d)
+        digits = list(ec._wnaf(k, 5))
+        assert sum(d << i for i, d in digits) == k
+        nonzero = [i for i, _ in digits]
+        assert all(d % 2 and abs(d) < 16 for _, d in digits)
         assert all(b - a >= 5 for a, b in zip(nonzero, nonzero[1:]))
+        assert nonzero[-1] <= k.bit_length()
 
 
 def test_width_8_wnaf_digits_rebuild_the_scalar():
     for k in random_scalars("ec-wnaf8", 50) + [1, 127, 128, 129, 255, 256, (1 << 128) - 1]:
-        digits = ec._wnaf(k, k.bit_length() + 1, 8)
-        assert sum(d << i for i, d in enumerate(digits)) == k
-        nonzero = [i for i, d in enumerate(digits) if d]
-        assert all(d % 2 and abs(d) < 128 for d in digits if d)
+        digits = list(ec._wnaf(k, 8))
+        assert sum(d << i for i, d in digits) == k
+        nonzero = [i for i, _ in digits]
+        assert all(d % 2 and abs(d) < 128 for _, d in digits)
         assert all(b - a >= 8 for a, b in zip(nonzero, nonzero[1:]))
+        assert nonzero[-1] <= k.bit_length()
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
