@@ -71,6 +71,16 @@ PTPT_FAMILIES = {
 }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rfpop",
@@ -87,14 +97,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", required=True, help="reader database file")
     p.add_argument("--host", help="bind host (default from the database's config)")
     p.add_argument("--port", type=int, help="bind port (default from the database's config)")
-    p.add_argument("--sessions", type=int, default=1, help="sessions to serve before exiting")
+    p.add_argument("--sessions", type=_positive_int, default=1,
+                   help="sessions to serve before exiting (at least 1)")
 
     p = sub.add_parser("tag-run", help="run sessions as a tag against a reader")
     p.add_argument("--config", help="config JSON (default: $RFPOP_CONFIG or built-ins)")
     p.add_argument("--tag", required=True, help="tag key file (updated in place)")
     p.add_argument("--host", help="reader host (default from config)")
     p.add_argument("--port", type=int, help="reader port (default from config)")
-    p.add_argument("--sessions", type=int, default=1)
+    p.add_argument("--sessions", type=_positive_int, default=1,
+                   help="sessions to run (at least 1)")
     p.add_argument("--cred-out", help="write a received credential to this file")
 
     p = sub.add_parser("experiment", help="run an experiment and check its declared bound")
@@ -313,7 +325,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "cred":
             return _cmd_cred_verify(args)
         return handlers[args.command](args)
-    except RfpopError as exc:
+    except (RfpopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

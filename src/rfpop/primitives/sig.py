@@ -22,11 +22,21 @@ Two instantiations:
   system and in a loaded database file, so a tag's key is decoded once, not
   twice per session.
 
+A `VerifyKey` of either scheme also decodes itself once (an Ed25519 key that
+is not 32 bytes decodes to None), and it remembers the last (msg, sig) pair
+that verified under it, as bytes copies outside its dataclass fields. An
+exact repeat of that pair returns True without running the check again;
+every other pair, and every pair that failed, runs the full check. So a
+credential's possession signature, which the reader verified in the session's
+last round under the same key object, is not checked a second time by
+`cred_veri`.
+
 Cost accounting: the K-time scheme's hash and group operations are counted
 for real by the primitives it calls. Ed25519's internals are not
 instrumentable, so its signer/verifier report the scheme's declared unit
 costs (sign: 1 point-mul + 1 hash + 1 scalar-mul, pool-backed sign: 1 hash +
-1 scalar-mul, verify: 2 point-muls + 1 hash).
+1 scalar-mul, verify: 2 point-muls + 1 hash). A verify answered from memory
+counts the verify's cost too, so operation counts do not depend on it.
 """
 
 from __future__ import annotations
@@ -65,15 +75,36 @@ class VerifyKey:
         return SIG_LEN[self.scheme]
 
     def verify(self, msg: bytes, sig: bytes) -> bool:
-        """True iff sig is valid; malformed inputs are invalid, not errors."""
+        """True iff sig is valid; malformed inputs are invalid, not errors.
+
+        An exact repeat of the last pair that verified under this key is
+        answered from memory, and counts the same declared cost."""
+        if (msg, sig) == self.__dict__.get("_accepted"):
+            count_point_mul(2)
+            count_hash()
+            return True
+        if self.scheme == FULLTIME:
+            check, key = _ed25519_verify, self._ed25519_key
+        elif self.scheme == KTIME:
+            check, key = _ktime_verify, self._ktime_key
+        else:
+            raise ValueError(f"unknown signature scheme {self.scheme!r}")
         try:
-            if self.scheme == FULLTIME:
-                return _ed25519_verify(self.data, msg, sig)
-            if self.scheme == KTIME:
-                return _ktime_verify(self._ktime_key, msg, sig)
+            valid = check(key, msg, sig)
         except (ValueError, OverflowError):
             return False
-        raise ValueError(f"unknown signature scheme {self.scheme!r}")
+        if valid:
+            self.__dict__["_accepted"] = (bytes(msg), bytes(sig))
+        return valid
+
+    @cached_property
+    def _ed25519_key(self) -> Optional[Ed25519PublicKey]:
+        """The Ed25519 key decoded on its first verify and kept for the key's
+        lifetime, None if it is not 32 bytes."""
+        try:
+            return Ed25519PublicKey.from_public_bytes(self.data)
+        except ValueError:
+            return None
 
     @cached_property
     def _ktime_key(self) -> Optional[_KTimeKey]:
@@ -131,15 +162,15 @@ class FullTimeSigner(_Signer):
         }
 
 
-def _ed25519_verify(vk: bytes, msg: bytes, sig: bytes) -> bool:
+def _ed25519_verify(key: Optional[Ed25519PublicKey], msg: bytes, sig: bytes) -> bool:
     count_point_mul(2)
     count_hash()
-    if len(sig) != 64:
+    if key is None or len(sig) != 64:
         return False
     try:
-        Ed25519PublicKey.from_public_bytes(vk).verify(sig, msg)
+        key.verify(sig, msg)
         return True
-    except (InvalidSignature, ValueError):
+    except InvalidSignature:
         return False
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import socket
 
 import pytest
 
@@ -165,6 +166,48 @@ def test_serve_reader_has_no_session_mode(capsys):
         main(["serve-reader", "--db", "reader.db", "--mode", "ma"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --mode ma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve-reader", "--db", "reader.db", "--sessions", "-3"],
+        ["serve-reader", "--db", "reader.db", "--sessions", "0"],
+        ["tag-run", "--tag", "tag.json", "--sessions", "-1"],
+        ["tag-run", "--tag", "tag.json", "--sessions", "0"],
+        ["tag-run", "--tag", "tag.json", "--sessions", "two"],
+    ],
+)
+def test_sessions_below_one_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --sessions" in capsys.readouterr().err
+
+
+def test_missing_files_are_reported_without_a_traceback(tmp_path, capsys):
+    missing = str(tmp_path / "missing.db")
+    rc, _, stderr = run_cli(capsys, "cred", "verify", "--db", missing, "--cred", "x")
+    assert rc == 2
+    assert stderr.startswith("error: ") and "missing.db" in stderr
+    rc, _, stderr = run_cli(capsys, "serve-reader", "--db", missing)
+    assert rc == 2
+    assert stderr.startswith("error: ") and "missing.db" in stderr
+
+
+def test_tag_run_against_a_closed_port_is_reported(tmp_path, capsys):
+    out = tmp_path / "sys"
+    rc, _, _ = run_cli(capsys, "setup", "--out", str(out))
+    assert rc == 0
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    rc, _, stderr = run_cli(
+        capsys, "tag-run", "--tag", str(out / "tag-000.json"),
+        "--host", "127.0.0.1", "--port", str(port),
+    )
+    assert rc == 2
+    assert stderr.startswith("error: ")
 
 
 def test_experiment_bad_adversary_options_rc2(capsys):

@@ -1,4 +1,7 @@
-"""Signature schemes: round trips, budget exhaustion, declared costs."""
+"""Signature schemes: round trips, budget exhaustion, declared costs, and
+the verify memo."""
+
+import dataclasses
 
 import pytest
 
@@ -96,6 +99,35 @@ def test_ktime_key_with_y_off_the_curve_fails_on_every_call(rng):
     assert [key.verify(b"m", bytes(32)) for _ in range(3)] == [False] * 3
 
 
+def test_fulltime_key_that_does_not_decode_fails_on_every_call(rng):
+    signer, vk = fulltime_keygen(rng)
+    sig = signer.sign(b"m")
+    for data in (vk.data[:31], vk.data + b"\x00", b""):
+        key = VerifyKey(FULLTIME, data)
+        assert [key.verify(b"m", sig) for _ in range(3)] == [False] * 3
+        assert key._ed25519_key is None
+    assert vk.verify(b"m", sig)
+
+
+def test_fulltime_key_decodes_once(rng, monkeypatch):
+    signer, vk = fulltime_keygen(rng)
+    decodes = []
+    real = sig_mod.Ed25519PublicKey
+
+    class Counting:
+        @staticmethod
+        def from_public_bytes(data):
+            decodes.append(data)
+            return real.from_public_bytes(data)
+
+    monkeypatch.setattr(sig_mod, "Ed25519PublicKey", Counting)
+    for i in range(3):
+        msg = f"m{i}".encode()
+        assert vk.verify(msg, signer.sign(msg))
+        assert not vk.verify(msg, bytes(64))
+    assert decodes == [vk.data]
+
+
 def test_ktime_s_at_or_above_n_fails_on_every_call(rng):
     # A key whose one published point is e*Y: s = 0 is its valid signature on
     # b"m", and s = N would pass too if it were reduced instead of rejected.
@@ -180,3 +212,86 @@ def test_signer_serialization_round_trip(rng):
     assert kvk.verify(b"x", restored.sign(b"x"))
     with pytest.raises(ValueError):
         signer_from_dict({"scheme": "unknown"})
+
+
+def _keypair(scheme, rng):
+    return fulltime_keygen(rng) if scheme == FULLTIME else ktime_keygen(rng, 4)
+
+
+def _count_checks(monkeypatch):
+    """Count the full checks `VerifyKey.verify` runs, for either scheme."""
+    calls = []
+    for name in ("_ed25519_verify", "_ktime_verify"):
+        real = getattr(sig_mod, name)
+
+        def counted(key, msg, sig, real=real):
+            calls.append((bytes(msg), bytes(sig)))
+            return real(key, msg, sig)
+
+        monkeypatch.setattr(sig_mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("scheme", [FULLTIME, KTIME])
+def test_a_repeated_pair_counts_the_declared_cost_without_a_second_check(
+    scheme, rng, monkeypatch
+):
+    signer, vk = _keypair(scheme, rng)
+    sig = signer.sign(b"m")
+    checks = _count_checks(monkeypatch)
+    for _ in range(3):
+        ops = OpCounters()
+        with counting(ops):
+            assert vk.verify(b"m", sig)
+        assert (ops.hashes, ops.point_muls, ops.scalar_muls) == (1, 2, 0)
+    assert checks == [(b"m", sig)]
+
+
+@pytest.mark.parametrize("scheme", [FULLTIME, KTIME])
+def test_the_memo_accepts_only_the_exact_pair(scheme, rng, monkeypatch):
+    signer, vk = _keypair(scheme, rng)
+    sig = signer.sign(b"m")
+    assert vk.verify(b"m", sig)
+    other_sig = bytes([sig[0] ^ 1]) + sig[1:]
+    checks = _count_checks(monkeypatch)
+    assert not vk.verify(b"m", other_sig)
+    assert not vk.verify(b"m2", sig)
+    assert not vk.verify(b"m", sig[:-1])
+    # A failed pair is not remembered: asking again runs the check again.
+    assert not vk.verify(b"m", other_sig)
+    assert checks == [(b"m", other_sig), (b"m2", sig), (b"m", sig[:-1]), (b"m", other_sig)]
+    # The failures left the accepted pair in place.
+    assert vk.verify(b"m", sig)
+    assert len(checks) == 4
+    # A new accepted pair replaces it: the memo holds one pair.
+    sig2 = signer.sign(b"m2")
+    assert vk.verify(b"m2", sig2)
+    assert vk.verify(b"m", sig)
+    assert len(checks) == 6
+
+
+@pytest.mark.parametrize("scheme", [FULLTIME, KTIME])
+def test_mutating_an_accepted_message_cannot_pass_another(scheme, rng):
+    signer, vk = _keypair(scheme, rng)
+    msg = bytearray(b"message")
+    sig = bytearray(signer.sign(bytes(msg)))
+    assert vk.verify(msg, sig)
+    msg[0] ^= 1
+    assert not vk.verify(msg, sig)
+    assert not vk.verify(bytes(msg), bytes(sig))
+    msg[0] ^= 1
+    sig[0] ^= 1
+    assert not vk.verify(msg, sig)
+    sig[0] ^= 1
+    assert vk.verify(b"message", bytes(sig))
+
+
+@pytest.mark.parametrize("scheme", [FULLTIME, KTIME])
+def test_the_memo_leaves_the_key_value_alone(scheme, rng):
+    assert [f.name for f in dataclasses.fields(VerifyKey)] == ["scheme", "data"]
+    signer, vk = _keypair(scheme, rng)
+    twin = VerifyKey(vk.scheme, vk.data)
+    assert vk.verify(b"m", signer.sign(b"m"))
+    assert vk == twin and hash(vk) == hash(twin)
+    assert repr(vk) == repr(twin)
+    assert {vk: 1}[twin] == 1
