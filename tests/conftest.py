@@ -1,7 +1,9 @@
-"""Shared fixtures: deterministic RNGs and small prebuilt systems."""
+"""Shared fixtures: deterministic RNGs, small prebuilt systems, and a log of
+the full signature checks `VerifyKey.verify` runs."""
 
 import pytest
 
+from rfpop.primitives import sig as sig_mod
 from rfpop.primitives.rng import Rng
 from rfpop.system import build_cex_system, build_ma_system, build_pop_system
 
@@ -24,3 +26,19 @@ def pop_system():
 @pytest.fixture
 def cex_system():
     return build_cex_system(Rng("cex-fixture"), tag_count=3)
+
+
+@pytest.fixture
+def sig_checks(monkeypatch):
+    """Every full signature check run from here on, as (check, msg, sig) with
+    check `"_ed25519_verify"` or `"_ktime_verify"`."""
+    calls = []
+    for name in ("_ed25519_verify", "_ktime_verify"):
+        real = getattr(sig_mod, name)
+
+        def counted(key, msg, sig, name=name, real=real):
+            calls.append((name, bytes(msg), bytes(sig)))
+            return real(key, msg, sig)
+
+        monkeypatch.setattr(sig_mod, name, counted)
+    return calls

@@ -24,7 +24,6 @@ from rfpop.pop import (
 )
 from rfpop.primitives.bitstring import flip_bit, split, xor
 from rfpop.primitives.prf import hash_digest
-from rfpop.primitives import sig as sig_mod
 from rfpop.primitives.rng import Rng
 from rfpop.primitives.sig import fulltime_keygen
 from rfpop.system import build_pop_system, mapop_session
@@ -226,36 +225,22 @@ def test_each_signature_instantiation_round_trips(impl, params):
     assert cred_veri(params, system.directory, cred) == 1
 
 
-def _count_full_checks(monkeypatch):
-    """Count the signature checks `VerifyKey.verify` runs, per scheme."""
-    calls = {"_ed25519_verify": 0, "_ktime_verify": 0}
-    for name in calls:
-        real = getattr(sig_mod, name)
-
-        def counted(key, msg, sig, name=name, real=real):
-            calls[name] += 1
-            return real(key, msg, sig)
-
-        monkeypatch.setattr(sig_mod, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize(
     "params,checks",
     [
-        (PopParams(), {"_ed25519_verify": 2, "_ktime_verify": 0}),
-        (PopParams(sig_impl=IMPL_KTIME, k_time=4), {"_ed25519_verify": 1, "_ktime_verify": 1}),
+        (PopParams(), ["_ed25519_verify", "_ed25519_verify"]),
+        (PopParams(sig_impl=IMPL_KTIME, k_time=4), ["_ktime_verify", "_ed25519_verify"]),
     ],
+    ids=["impl1", "impl3"],
 )
-def test_cred_veri_does_not_check_the_possession_signature_again(params, checks, monkeypatch):
+def test_cred_veri_does_not_check_the_possession_signature_again(params, checks, sig_checks):
     # The reader verified the possession signature in round 3 under the key
     # object the directory holds, so cred_veri checks only the issuer's.
     system = build_pop_system(Rng("verify-once"), tag_count=2, params=params, lifetime=8)
-    calls = _count_full_checks(monkeypatch)
     assert mapop_session(system).o_reader == 1
     cred = cred_gen(params, system.reader, system.reader_signer, 1)
     assert cred_veri(params, system.directory, cred) == 1
-    assert calls == checks
+    assert [name for name, _, _ in sig_checks] == checks
 
 
 @pytest.mark.parametrize(
