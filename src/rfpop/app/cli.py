@@ -102,7 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tag-run", help="run sessions as a tag against a reader")
     p.add_argument("--config", help="config JSON (default: $RFPOP_CONFIG or built-ins)")
-    p.add_argument("--tag", required=True, help="tag key file (updated in place)")
+    p.add_argument("--tag", required=True,
+                   help="tag key file (state appended to the .log file beside it)")
     p.add_argument("--host", help="reader host (default from config)")
     p.add_argument("--port", type=int, help="reader port (default from config)")
     p.add_argument("--sessions", type=_positive_int, default=1,

@@ -37,6 +37,13 @@ _IMPL_ALIASES = {
 }
 
 
+def check_port(port: int) -> int:
+    """`port` if it is a TCP port number, 0 to 65535; else ConfigError."""
+    if not 0 <= port <= 65535:
+        raise ConfigError(f"port must be 0-65535, got {port}")
+    return port
+
+
 def canonical_impl(impl: str) -> str:
     key = str(impl).strip().lower()
     if key not in _IMPL_ALIASES:
@@ -105,8 +112,9 @@ class Config:
                     f"{self.effective_lifetime}"
                 )
         host, _, port = str(self.listen).rpartition(":")
-        if not isinstance(self.listen, str) or not host or not port.isdigit():
+        if not isinstance(self.listen, str) or not host or not port.isdecimal():
             raise ConfigError(f"listen must be host:port, got {self.listen!r}")
+        check_port(int(port))
 
     @property
     def effective_lifetime(self) -> int:

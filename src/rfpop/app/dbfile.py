@@ -1,4 +1,4 @@
-"""Reader database files and per-tag key files.
+"""Reader database files and per-tag key files with their state logs.
 
 A database file starts with the magic ``RFPOP1``, a canonical-JSON metadata
 block (config, reader identity, reader signing key, public-key directory), and
@@ -22,13 +22,23 @@ field against the configured lengths, and every metadata entry; damage is a
 A journal entry stores its session's `via_step` as one byte; a session that
 closed without reaching a verdict step (timeout, out-of-space message, failed
 possession proof) has `via_step` None, stored as `VIA_STEP_NONE`.
+
+A tag key file is a JSON document written whole (`save_tag`), with an
+append-only state log beside it, `<key file>.log` (`TagLog`). A log record
+holds the absolute values a running tag commits: `ctr`, `key_version` and the
+one spendable signer or cex field. `read_tag` folds the last whole record into
+the JSON; a record cut short at the end of the log is a torn tail, and any
+other damage, in the JSON or the log, is a `FrameError`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,9 +48,9 @@ from rfpop.ma import MaReaderRecord, MaTagState, index_for
 from rfpop.model.database import History, SessionRecord
 from rfpop.model.types import SID_BITS
 from rfpop.pop import KeyDirectory, PopReaderRecord, PopTagState
-from rfpop.primitives.sig import SIG_LEN, VerifyKey, signer_from_dict
+from rfpop.primitives.sig import KTIME, SIG_LEN, VerifyKey, signer_from_dict
 
-from rfpop.app.config import Config, config_from_dict
+from rfpop.app.config import MODES, Config, config_from_dict
 
 MAGIC = b"RFPOP1"
 _U32 = struct.Struct(">I")
@@ -333,12 +343,16 @@ def db_snapshot_load(path: str, j: int) -> dict[bytes, object]:
     return load_db(path).history.db_at(j)
 
 
-def save_tag(path: str, mode: str, state, key_version: int = 0):
-    """Write one tag's secrets as a JSON key file.
+TAG_LOG_CAP = 32
+"""Whole records a tag's state log may hold before its sink compacts it into
+the key file. Each `tag_run` checks every record once at start-up, so the cap
+bounds that work, and one JSON rewrite is shared by TAG_LOG_CAP appends."""
 
-    A running tag rewrites it before each send that spends state (see
-    `netrun.tag_run`). The file is written beside its final name and renamed
-    over it, so a crash during the write leaves the previous key file whole."""
+_LOG_SUFFIX = ".log"
+_LOG_HEAD = struct.Struct(">HH")  # body length, and the length XOR 0xFFFF
+
+
+def _tag_doc(mode: str, state, key_version: int) -> dict:
     doc = {
         "mode": mode,
         "tag_id": state.tag_id.hex(),
@@ -351,11 +365,118 @@ def save_tag(path: str, mode: str, state, key_version: int = 0):
         doc["signer"] = state.signer.to_dict()
     elif mode == "cex":
         doc["st"] = state.st
+    return doc
+
+
+def _spendable(doc: dict):
+    """(block, name) of the one spendable field of a key file document: the
+    K-time signer's `used`, a pair pool's `pool_remaining` or cex `st`; None
+    if it has none."""
+    if doc["mode"] == "cex":
+        return doc, "st"
+    signer = doc.get("signer")
+    if doc["mode"] == "mapop" and isinstance(signer, dict):
+        if signer.get("scheme") == KTIME:
+            return signer, "used"
+        if signer.get("pool_remaining") is not None:
+            return signer, "pool_remaining"
+    return None
+
+
+def _int_bytes(value: int) -> bytes:
+    return value.to_bytes((value.bit_length() + 7) // 8, "big")
+
+
+def _log_record(check: bytes, doc: dict) -> bytes:
+    """One state log record: the length, the body (`check`, then `ctr`,
+    `key_version` and the spendable field, 0 if none, as length-prefixed
+    fields) and a CRC-32 over both."""
+    spendable = _spendable(doc)
+    spent = spendable[0][spendable[1]] if spendable else 0
+    body = _pack_fields([check] + [_int_bytes(v) for v in (doc["ctr"], doc["key_version"], spent)])
+    framed = _LOG_HEAD.pack(len(body), len(body) ^ 0xFFFF) + body
+    return framed + _U32.pack(zlib.crc32(framed))
+
+
+class TagLog:
+    """A key file's append-only state log, `<key file>.log`, as `read_tag`
+    found it: `records` whole records, then `torn_bytes` of a record that an
+    append left cut short. `check` ties its records to the key file's
+    `tag_id` and `key`."""
+
+    def __init__(self, key_path: str, mode: str, check: bytes):
+        self.key_path = key_path
+        self.path = key_path + _LOG_SUFFIX
+        self.mode = mode
+        self.check = check
+        self.records = 0
+        self.torn_bytes = 0
+
+    def append(self, state, key_version: int):
+        """The tag's write-ahead sink (see `Tag`): append one record of
+        `state`. At TAG_LOG_CAP records the key file is rewritten through
+        `save_tag`, which removes the log; the record is appended first, so a
+        log left beside the new key file only repeats it."""
+        doc = _tag_doc(self.mode, state, key_version)
+        with open(self.path, "ab", buffering=0) as handle:
+            handle.write(_log_record(self.check, doc))
+        self.records += 1
+        if self.records >= TAG_LOG_CAP:
+            save_tag(self.key_path, self.mode, state, key_version)
+            self.records = 0
+
+    def fold(self, doc: dict):
+        """Fold the log's last whole record into the key file document `doc`,
+        and count its whole records and its torn tail. A damaged record is a
+        FrameError naming it."""
+        try:
+            with open(self.path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            return
+        pos, last = 0, None
+        while len(data) - pos >= _LOG_HEAD.size:
+            size, inverse = _LOG_HEAD.unpack_from(data, pos)
+            number = self.records + 1
+            if size ^ inverse != 0xFFFF:
+                raise FrameError(f"tag state log record {number} has a damaged length")
+            end = pos + _LOG_HEAD.size + size + _U32.size
+            if end > len(data):
+                break
+            if zlib.crc32(data[pos : end - _U32.size]) != _U32.unpack_from(data, end - _U32.size)[0]:
+                raise FrameError(f"tag state log record {number} fails its checksum")
+            last = data[pos + _LOG_HEAD.size : end - _U32.size]
+            self.records, pos = number, end
+        self.torn_bytes = len(data) - pos
+        if last is None:
+            return
+        cursor = _Cursor(last)
+        fields = cursor.fields()
+        if len(fields) != 4 or cursor.remaining:
+            raise FrameError(f"tag state log record {self.records} is malformed")
+        if fields[0] != self.check:
+            raise FrameError(f"tag state log record {self.records} is for another tag key")
+        doc["ctr"], doc["key_version"], spent = (int.from_bytes(v, "big") for v in fields[1:])
+        spendable = _spendable(doc)
+        if spendable:
+            spendable[0][spendable[1]] = spent
+        elif spent:
+            raise FrameError(f"tag state log record {self.records} spends a field the key file lacks")
+
+
+def save_tag(path: str, mode: str, state, key_version: int = 0):
+    """Write one tag's secrets as a JSON key file, and remove its state log.
+
+    `setup` writes key files, and a running tag's sink compacts its log into
+    one (see `TagLog`). The file is written beside its final name and renamed
+    over it, so a crash during the write leaves the previous key file whole."""
     staged = path + ".tmp"
     with open(staged, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
+        json.dump(_tag_doc(mode, state, key_version), handle, indent=2, sort_keys=True)
         handle.write("\n")
     os.replace(staged, path)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path + _LOG_SUFFIX)
 
 
 def _unhex(doc: dict, name: str) -> bytes:
@@ -371,16 +492,27 @@ def _natural(value, name: str) -> int:
     return value
 
 
-def load_tag(path: str):
-    """Read a tag key file back into (mode, state, key_version).  Lengths, the
-    counter's upper bound and the signer's scheme are not checked here: the
-    file does not say which config it runs under."""
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    mode = doc["mode"]
-    common = dict(
-        tag_id=_unhex(doc, "tag_id"), key=_unhex(doc, "key"), ctr=_natural(doc["ctr"], "ctr")
-    )
+def read_tag(path: str):
+    """Read a key file and fold its state log into it: (mode, state,
+    key_version, log). The log's last whole record wins; a record cut off by
+    the end of the log is dropped and counted in `log.torn_bytes`. A key file
+    that is not a JSON object of well-formed fields is a FrameError. Lengths,
+    the counter's upper bound and the signer's scheme are not checked here:
+    the file does not say which config it runs under."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise FrameError(f"tag file {path} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FrameError(f"tag file {path} is not a JSON object")
+    mode = doc.get("mode")
+    if mode not in MODES:
+        raise FrameError(f"tag file mode is {mode!r}, not one of {MODES}")
+    tag_id, key = _unhex(doc, "tag_id"), _unhex(doc, "key")
+    log = TagLog(path, mode, hashlib.blake2b(_pack_fields([tag_id, key]), digest_size=8).digest())
+    log.fold(doc)
+    common = dict(tag_id=tag_id, key=key, ctr=_natural(doc.get("ctr"), "ctr"))
     if mode == "mapop":
         try:
             signer = signer_from_dict(doc.get("signer"))
@@ -394,4 +526,10 @@ def load_tag(path: str):
         state = CexTagState(**common, st=st)
     else:
         state = MaTagState(**common)
-    return mode, state, _natural(doc.get("key_version", 0), "key_version")
+    return mode, state, _natural(doc.get("key_version", 0), "key_version"), log
+
+
+def load_tag(path: str):
+    """(mode, state, key_version) of a key file with its state log folded in
+    (see `read_tag`)."""
+    return read_tag(path)[:3]

@@ -3,18 +3,22 @@
 Both sides speak the length-prefixed frame protocol from `rfpop.app.wire`.
 The reader serves one session per connection and opens it with the round-0
 challenge; from there both ends run one exchange loop, `_exchange`.  The
-durable writes are the session machines' sinks: the reader's journals each
+durable writes are the session machines' sinks: the reader journals each
 session before the step that closed it returns, so a reader that crashes has
-told no peer of a session its file does not hold, and the tag's writes each
-state it commits to its key file before the send that spends it.
+told no peer of a session its file does not hold, and the tag appends each
+state it commits to its key file's state log before the send that spends it.
+Neither calls `fsync`, so both writes survive a process crash, not a power
+loss.
 
 Timeouts are configured in ticks; the socket layer maps one tick to
 `TICK_SECONDS` of wall-clock time.  The budget is a deadline for the whole
-session, not for each recv, so a peer that trickles bytes cannot hold the
-single-connection reader.  A peer that stalls past the deadline, closes
-mid-frame, or violates framing ends the exchange: a session still open times
-out with output 0, exactly as on the radio, and a frame that cannot be sent
-is dropped.
+session, not for each recv, so a peer that trickles bytes cannot stretch its
+session past the budget.  The budget itself still holds the reader, which
+serves one connection at a time: a peer that connects and stalls keeps every
+other tag waiting until its deadline passes.  A peer that stalls past the
+deadline, closes mid-frame, or violates framing ends the exchange: a session
+still open times out with output 0, exactly as on the radio, and a frame that
+cannot be sent is dropped.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from rfpop.model.session import Reader, Tag
 from rfpop.pop import PopProtocol, cred_gen
 from rfpop.primitives.rng import Rng
 
-from rfpop.app.config import Config
-from rfpop.app.dbfile import DbFileData, append_journal, load_db, load_tag, save_tag
+from rfpop.app.config import Config, check_port
+from rfpop.app.dbfile import DbFileData, append_journal, load_db, read_tag
 from rfpop.app.wire import (
     ROUND_TYPES,
     TYPE_CREDENTIAL,
@@ -94,6 +98,8 @@ def serve_reader(
     A torn last journal entry is cut off the file before the first append."""
     data, reader = reader_from_file(db_path)
     config = data.config
+    bind_host = host if host is not None else config.host
+    bind_port = config.port if port is None else check_port(port)
     reader.sink = lambda record: append_journal(db_path, config, record.j, record)
     if data.torn_bytes:
         os.truncate(db_path, os.path.getsize(db_path) - data.torn_bytes)
@@ -101,8 +107,6 @@ def serve_reader(
                  f"after session {len(data.journal)}")
     if rng is None:
         rng = Rng(config.seed).spawn("net-reader")
-    bind_host = host if host is not None else config.host
-    bind_port = port if port is not None else config.port
     results = []
     with socket.create_server((bind_host, bind_port)) as server:
         actual_port = server.getsockname()[1]
@@ -161,11 +165,14 @@ def tag_run(
     announce: Callable[[str], None] = print,
     cred_out: Optional[str] = None,
 ) -> list[dict]:
-    """Run `sessions` sessions against a reader server, with the key file as
-    the tag's sink (see `Tag`). Each result carries the tag's output, the
-    reader's, the credential (hex) and the tag's reason for its output (""
-    on accept, None when the tag never opened a session)."""
-    mode, state, key_version = load_tag(tag_path)
+    """Run `sessions` sessions against a reader server, with the key file's
+    state log as the tag's sink (see `Tag` and `dbfile.TagLog`). Each result
+    carries the tag's output, the reader's, the credential (hex) and the
+    tag's reason for its output ("" on accept, None when the tag never opened
+    a session).
+
+    A torn last log record is cut off the log before the first append."""
+    mode, state, key_version, log = read_tag(tag_path)
     if mode != config.mode:
         raise FrameError(f"tag file is for mode {mode!r} but config says {config.mode!r}")
     protocol = protocol_for(config)
@@ -184,13 +191,16 @@ def tag_run(
             f"tag file signer scheme is {state.signer.scheme!r}, config {config.impl} "
             f"signs with {params.sig_scheme!r}"
         )
+    peer_host = host if host is not None else config.host
+    peer_port = config.port if port is None else check_port(port)
+    if log.torn_bytes:
+        os.truncate(log.path, os.path.getsize(log.path) - log.torn_bytes)
+        announce(f"dropped a torn state-log tail of {log.torn_bytes} bytes "
+                 f"after record {log.records}")
     if rng is None:
         rng = Rng(config.seed).spawn("net-tag")
-    peer_host = host if host is not None else config.host
-    peer_port = port if port is not None else config.port
     timeout_s = config.timeout_ticks * TICK_SECONDS
-    tag = Tag(protocol, state, config.effective_lifetime, key_version,
-              sink=lambda new, version: save_tag(tag_path, mode, new, version))
+    tag = Tag(protocol, state, config.effective_lifetime, key_version, sink=log.append)
     results = []
     for _ in range(sessions):
         with socket.create_connection((peer_host, peer_port), timeout=timeout_s) as sock:

@@ -22,6 +22,10 @@ Two instantiations:
   system and in a loaded database file, so a tag's key is decoded once, not
   twice per session.
 
+A `FullTimeSigner` remembers the last (msg, sig) pair it signed, so the
+reader's `cred_gen`, which signs the nonce its session's round 2 signed,
+returns that signature without a second Ed25519 signing.
+
 A `VerifyKey` of either scheme also decodes itself once (an Ed25519 key that
 is not 32 bytes decodes to None), and it remembers the last (msg, sig) pair
 that verified under it, as bytes copies outside its dataclass fields. An
@@ -35,8 +39,8 @@ Cost accounting: the K-time scheme's hash and group operations are counted
 for real by the primitives it calls. Ed25519's internals are not
 instrumentable, so its signer/verifier report the scheme's declared unit
 costs (sign: 1 point-mul + 1 hash + 1 scalar-mul, pool-backed sign: 1 hash +
-1 scalar-mul, verify: 2 point-muls + 1 hash). A verify answered from memory
-counts the verify's cost too, so operation counts do not depend on it.
+1 scalar-mul, verify: 2 point-muls + 1 hash). A sign or verify answered from
+memory counts its declared cost too, so operation counts do not depend on it.
 """
 
 from __future__ import annotations
@@ -131,6 +135,7 @@ class FullTimeSigner(_Signer):
         self._seed = seed
         self._key = Ed25519PrivateKey.from_private_bytes(seed)
         self.pool_remaining = pool_remaining
+        self._signed = None  # the last (msg, sig) pair signed
 
     def verify_key(self) -> VerifyKey:
         from cryptography.hazmat.primitives.serialization import (
@@ -142,6 +147,9 @@ class FullTimeSigner(_Signer):
         return VerifyKey(FULLTIME, raw)
 
     def sign(self, msg: bytes) -> bytes:
+        """Ed25519 is deterministic (RFC 8032), so an exact repeat of the
+        last message returns the signature made for it; it still counts the
+        declared cost and spends a pair."""
         if self.pool_remaining is not None:
             if self.pool_remaining <= 0:
                 raise PairPoolExhausted("precomputed signing pairs used up")
@@ -152,7 +160,9 @@ class FullTimeSigner(_Signer):
             count_point_mul()
             count_hash()
             count_scalar_mul()
-        return self._key.sign(msg)
+        if self._signed is None or self._signed[0] != msg:
+            self._signed = (bytes(msg), self._key.sign(msg))
+        return self._signed[1]
 
     def to_dict(self) -> dict:
         return {

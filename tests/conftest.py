@@ -1,5 +1,6 @@
-"""Shared fixtures: deterministic RNGs, small prebuilt systems, and a log of
-the full signature checks `VerifyKey.verify` runs."""
+"""Shared fixtures: deterministic RNGs, small prebuilt systems, a log of the
+full signature checks `VerifyKey.verify` runs, and a log of the Ed25519
+signings signers run."""
 
 import pytest
 
@@ -41,4 +42,30 @@ def sig_checks(monkeypatch):
             return real(key, msg, sig)
 
         monkeypatch.setattr(sig_mod, name, counted)
+    return calls
+
+
+@pytest.fixture
+def ed25519_signs(monkeypatch):
+    """The message of every Ed25519 signing run from here on by a signer
+    made from here on."""
+    calls = []
+    real = sig_mod.Ed25519PrivateKey
+
+    class Counting:
+        def __init__(self, key):
+            self._key = key
+
+        @classmethod
+        def from_private_bytes(cls, seed):
+            return cls(real.from_private_bytes(seed))
+
+        def public_key(self):
+            return self._key.public_key()
+
+        def sign(self, msg):
+            calls.append(bytes(msg))
+            return self._key.sign(msg)
+
+    monkeypatch.setattr(sig_mod, "Ed25519PrivateKey", Counting)
     return calls

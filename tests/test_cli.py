@@ -210,6 +210,31 @@ def test_tag_run_against_a_closed_port_is_reported(tmp_path, capsys):
     assert stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["serve-reader", "tag-run"])
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_a_port_outside_0_to_65535_is_reported(tmp_path, capsys, command, port):
+    out = tmp_path / "sys"
+    rc, _, _ = run_cli(capsys, "setup", "--out", str(out))
+    assert rc == 0
+    files = {"serve-reader": ["--db", str(out / "reader.db")],
+             "tag-run": ["--tag", str(out / "tag-000.json")]}[command]
+    rc, _, stderr = run_cli(capsys, command, *files, "--host", "127.0.0.1", "--port", port)
+    assert rc == 2
+    assert stderr == f"error: port must be 0-65535, got {port}\n"
+
+
+def test_tag_run_on_a_cut_key_file_is_reported(tmp_path, capsys):
+    out = tmp_path / "sys"
+    rc, _, _ = run_cli(capsys, "setup", "--out", str(out))
+    assert rc == 0
+    tag = out / "tag-000.json"
+    tag.write_bytes(tag.read_bytes()[:100])
+    rc, _, stderr = run_cli(capsys, "tag-run", "--tag", str(tag), "--port", "1")
+    assert rc == 2
+    assert stderr.startswith("error: tag file ") and "is not JSON" in stderr
+    assert stderr.count("\n") == 1
+
+
 def test_experiment_bad_adversary_options_rc2(capsys):
     rc, _, stderr = run_cli(
         capsys,

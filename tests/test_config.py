@@ -85,8 +85,12 @@ def test_listen_validation():
         Config(listen="no-port")
     with pytest.raises(ConfigError):
         Config(listen="host:notanumber")
+    for listen in ("host:65536", "host:70000", "host:²"):
+        with pytest.raises(ConfigError):
+            Config(listen=listen)
     config = Config(listen="0.0.0.0:9000")
     assert (config.host, config.port) == ("0.0.0.0", 9000)
+    assert Config(listen="h:65535").port == 65535
 
 
 @pytest.mark.parametrize("seed", [None, -1, 1.5, [], {}, True], ids=repr)

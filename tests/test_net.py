@@ -13,8 +13,8 @@ import time
 import pytest
 
 from rfpop.app.config import Config
-from rfpop.app.dbfile import load_db, load_tag, save_db, save_tag
-from rfpop.app import netrun
+from rfpop.app.dbfile import TagLog, load_db, load_tag, save_db, save_tag
+from rfpop.app import dbfile, netrun
 from rfpop.app.netrun import TICK_SECONDS, reader_from_file, serve_reader, tag_run
 from rfpop.app.wire import (
     TYPE_RESULT_READER,
@@ -55,6 +55,19 @@ def deploy(tmp_path, config):
     return db_path, tag_paths, system
 
 
+def count_appends(monkeypatch):
+    """Count the tag sink's appends to its state log; returns their list."""
+    appends = []
+    append = TagLog.append
+
+    def counted(self, *args):
+        appends.append(args)
+        append(self, *args)
+
+    monkeypatch.setattr(TagLog, "append", counted)
+    return appends
+
+
 def start_server(db_path, *, sessions, rng=None, announce=lambda line: None):
     """Run serve_reader on a free loopback port in a daemon thread."""
     ports = queue.Queue()
@@ -93,14 +106,8 @@ def finish(box, timeout=10):
 
 
 def run_client(box, tag_path, config, **kwargs):
-    return tag_run(
-        tag_path,
-        config,
-        host="127.0.0.1",
-        port=box["port"],
-        announce=lambda line: None,
-        **kwargs,
-    )
+    kwargs.setdefault("announce", lambda line: None)
+    return tag_run(tag_path, config, host="127.0.0.1", port=box["port"], **kwargs)
 
 
 def test_ma_sessions_over_loopback(tmp_path):
@@ -350,18 +357,11 @@ def test_rejected_session_ends_without_waiting_out_the_budget(
 def test_tag_times_out_when_the_reader_sends_a_frame_it_does_not_accept(tmp_path, monkeypatch):
     """A reader that answers the tag's round-1 reply with a tag-result frame
     ends the exchange: the tag times out its open session and says so. The
-    key file keeps the version written before the round-1 reply, because the
-    timeout commits the same state at the same version."""
+    state log keeps the version appended before the round-1 reply, because
+    the timeout commits the same state at the same version."""
     config = Config(mode="ma", tags=1, seed="net-tag-odd-frame", timeout_ticks=4)
     _db_path, tag_paths, _system = deploy(tmp_path, config)
-    saves = []
-    save = netrun.save_tag
-
-    def counted(*args):
-        saves.append(args)
-        save(*args)
-
-    monkeypatch.setattr(netrun, "save_tag", counted)
+    saves = count_appends(monkeypatch)
     server = socket.create_server(("127.0.0.1", 0))
     seen = []
 
@@ -655,19 +655,71 @@ def test_tag_killed_after_a_send_spends_nothing_twice(tmp_path, monkeypatch, mod
         assert state.signer.pool_remaining == config.s - signed
 
 
+@pytest.mark.parametrize("mode, impl", [("ma", "impl1"), ("mapop", "impl2")])
+def test_tag_killed_mid_append_restarts_from_the_record_before(tmp_path, monkeypatch, mode, impl):
+    """A tag process that dies while it appends its round-1 record has sent
+    nothing of that session. For a cut at every byte of that record, the
+    restarted tag loads the state before it, drops the torn tail and says
+    so, and both sides accept its next session."""
+    config = Config(mode=mode, impl=impl, tags=1, seed=f"net-torn-log-{mode}", timeout_ticks=4)
+    db_path, tag_paths, _system = deploy(tmp_path, config)
+    # Every cut here tears a record; compaction has its own tests.
+    monkeypatch.setattr(dbfile, "TAG_LOG_CAP", 10**6)
+    append = TagLog.append
+    torn = {"cut": None}
+
+    def torn_append(self, state, key_version):
+        size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
+        append(self, state, key_version)
+        if torn["cut"] is not None:
+            os.truncate(self.path, size + torn["cut"])
+            raise TagKilled
+
+    monkeypatch.setattr(TagLog, "append", torn_append)
+    # An impl2 tag appends before its round-1 and its round-3 reply.
+    record_size, appends = (41, 2) if impl == "impl2" else (38, 1)
+    box = start_server(db_path, sessions=1 + 2 * record_size)
+    assert run_client(box, tag_paths[0], config)[0]["o_tag"] == 1
+    assert os.path.getsize(tag_paths[0] + ".log") == appends * record_size
+    for cut in range(record_size):
+        before = load_tag(tag_paths[0])
+        torn["cut"] = cut
+        with pytest.raises(TagKilled):
+            run_client(box, tag_paths[0], config)
+        assert load_tag(tag_paths[0]) == before
+        torn["cut"] = None
+        lines = []
+        client = run_client(box, tag_paths[0], config, announce=lines.append)
+        assert (client[0]["o_tag"], client[0]["o_reader"]) == (1, 1)
+        assert any(f"torn state-log tail of {cut} bytes" in line for line in lines) == (cut > 0)
+    server = finish(box)
+    assert [r["o_reader"] for r in server] == [1] + [0, 1] * record_size
+
+
+def test_the_reader_signs_each_served_nonce_once(tmp_path, ed25519_signs):
+    """`cred_gen` signs the nonce that its session's round 2 signed, and the
+    reader's signer returns the signature it made then: one Ed25519 signing
+    by the reader and one by the tag per served credential."""
+    config = Config(mode="mapop", tags=1, seed="net-one-sign")
+    db_path, tag_paths, _system = deploy(tmp_path, config)
+    box = start_server(db_path, sessions=2)
+    client = run_client(box, tag_paths[0], config, sessions=2)
+    finish(box)
+    directory = load_db(db_path).directory
+    for result in client:
+        cred = Credential.decode(bytes.fromhex(result["credential"]))
+        assert cred_veri(config.pop_params(), directory, cred) == 1
+        assert ed25519_signs.count(cred.nonce) == 1
+    assert len(ed25519_signs) == 2 * len(client)
+
+
 def test_served_session_saves_the_tag_file_once(tmp_path, monkeypatch):
-    """An impl1 tag writes its key file once per served session: the write
-    that lands before its round-1 reply covers the rest of the session."""
+    """An impl1 tag appends to its state log once per served session: the
+    record that lands before its round-1 reply covers the rest of the
+    session."""
     config = Config(mode="mapop", tags=1, seed="net-save-count")
     db_path, tag_paths, _system = deploy(tmp_path, config)
-    saves = []
-    save = netrun.save_tag
-
-    def counted(*args):
-        saves.append(args)
-        save(*args)
-
-    monkeypatch.setattr(netrun, "save_tag", counted)
+    saves = count_appends(monkeypatch)
     box = start_server(db_path, sessions=2)
     client = run_client(box, tag_paths[0], config, sessions=2)
     finish(box)

@@ -50,6 +50,26 @@ def test_pool_exhaustion(rng):
         signer.sign(b"c")
 
 
+@pytest.mark.parametrize("pool", [None, 4], ids=["unpooled", "pooled"])
+def test_a_repeated_message_is_signed_once(pool, rng, ed25519_signs):
+    """A repeat of the last message returns the signature made for it, and
+    counts the declared cost and spends a pair like any other signing."""
+    signer, vk = fulltime_keygen(rng, pool_size=pool)
+    sigs = []
+    for msg in (b"m", b"m", b"n", b"m"):
+        ops = OpCounters()
+        with counting(ops):
+            sigs.append(signer.sign(msg))
+        assert (ops.hashes, ops.point_muls, ops.scalar_muls) == (1, 0 if pool else 1, 1)
+    assert sigs[0] == sigs[1] == sigs[3] != sigs[2]
+    assert vk.verify(b"n", sigs[2]) and vk.verify(b"m", sigs[3])
+    assert ed25519_signs == [b"m", b"n", b"m"]
+    if pool:
+        assert signer.pool_remaining == 0
+        with pytest.raises(PairPoolExhausted):
+            signer.sign(b"m")
+
+
 def test_ktime_round_trip_and_budget(rng):
     signer, vk = ktime_keygen(rng, 3)
     assert vk.scheme == KTIME
