@@ -49,7 +49,7 @@ from rfpop.primitives.ptpt import (
 from rfpop.primitives.rng import Rng
 
 from rfpop.app.config import Config, load_config
-from rfpop.app.dbfile import load_db, save_db, save_tag
+from rfpop.app.dbfile import load_db, save_db
 from rfpop.app.netrun import serve_reader, tag_run
 from rfpop.app.reports import (
     IMPL_CHOICES,
@@ -59,6 +59,7 @@ from rfpop.app.reports import (
     report_ops,
     report_sizes,
 )
+from rfpop.app.tagfile import save_tag
 
 EXPERIMENTS = ("unp-sharp", "unp-star", "cred-ufrg", "ptpt")
 PTPT_DISTINGUISHERS = {

@@ -1,4 +1,4 @@
-"""Reader database files and per-tag key files with their state logs.
+"""Reader database files.
 
 A database file starts with the magic ``RFPOP1``, a canonical-JSON metadata
 block (config, reader identity, reader signing key, public-key directory), and
@@ -23,77 +23,31 @@ A journal entry stores its session's `via_step` as one byte; a session that
 closed without reaching a verdict step (timeout, out-of-space message, failed
 possession proof) has `via_step` None, stored as `VIA_STEP_NONE`.
 
-A tag key file is a JSON document written whole (`save_tag`), with an
-append-only state log beside it, `<key file>.log` (`TagLog`). A log record
-holds the absolute values a running tag commits: `ctr`, `key_version` and the
-one spendable signer or cex field. `read_tag` folds the last whole record into
-the JSON; a record cut short at the end of the log is a torn tail, and any
-other damage, in the JSON or the log, is a `FrameError`.
+Tag key files are `rfpop.app.tagfile`'s; `load_tag` and `save_tag` stay
+importable from here.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
 import json
-import os
-import struct
-import zlib
 from dataclasses import dataclass
 from typing import Optional
 
-from rfpop.counterexample import CexReaderRecord, CexTagState
+from rfpop.counterexample import CexReaderRecord
 from rfpop.errors import ConfigError, FrameError
-from rfpop.ma import MaReaderRecord, MaTagState, index_for
+from rfpop.ma import MaReaderRecord, index_for
 from rfpop.model.database import History, SessionRecord
 from rfpop.model.types import SID_BITS
-from rfpop.pop import KeyDirectory, PopReaderRecord, PopTagState
-from rfpop.primitives.sig import KTIME, SIG_LEN, VerifyKey, signer_from_dict
+from rfpop.pop import KeyDirectory, PopReaderRecord
+from rfpop.primitives.sig import SIG_LEN, VerifyKey, signer_from_dict
 
-from rfpop.app.config import MODES, Config, config_from_dict
+from rfpop.app.config import Config, config_from_dict
+from rfpop.app.framing import U32, Cursor, Truncated, pack_fields
+from rfpop.app.tagfile import load_tag, save_tag  # noqa: F401  (see the module docstring)
 
 MAGIC = b"RFPOP1"
-_U32 = struct.Struct(">I")
 _JOURNAL_MARK = b"J"
 VIA_STEP_NONE = 0xFF
-
-
-def _pack_fields(fields: list[bytes]) -> bytes:
-    out = [_U32.pack(len(fields))]
-    for blob in fields:
-        out.append(_U32.pack(len(blob)))
-        out.append(blob)
-    return b"".join(out)
-
-
-class _Truncated(FrameError):
-    """The data ended inside a field."""
-
-
-class _Cursor:
-    def __init__(self, data: bytes, pos: int = 0):
-        self.data = data
-        self.pos = pos
-
-    @property
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
-
-    def take(self, n: int) -> bytes:
-        if self.remaining < n:
-            raise _Truncated("database file truncated")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def blob(self) -> bytes:
-        return self.take(self.u32())
-
-    def fields(self) -> list[bytes]:
-        return [self.blob() for _ in range(self.u32())]
 
 
 def record_fields(mode: str, params, rec) -> list[tuple[str, bytes]]:
@@ -137,7 +91,7 @@ def _ctr_width(params) -> int:
 
 
 def encode_record(mode: str, params, rec) -> bytes:
-    return _pack_fields([blob for _, blob in record_fields(mode, params, rec)])
+    return pack_fields([blob for _, blob in record_fields(mode, params, rec)])
 
 
 def _sized(name: str, blob: bytes, nbits: int) -> bytes:
@@ -146,7 +100,7 @@ def _sized(name: str, blob: bytes, nbits: int) -> bytes:
     return blob
 
 
-def decode_record(mode: str, params, cursor: _Cursor, keys: dict):
+def decode_record(mode: str, params, cursor: Cursor, keys: dict):
     fields = cursor.fields()
     if mode == "mapop":
         if len(fields) != 6:
@@ -202,7 +156,7 @@ def save_db(path: str, config: Config, records, reader_id: bytes = b"reader-0",
     meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("ascii")
     params = config.params()
     ordered = sorted(records, key=lambda r: r.tag_id)
-    body = [MAGIC, _U32.pack(len(meta_blob)), meta_blob, _U32.pack(len(ordered))]
+    body = [MAGIC, U32.pack(len(meta_blob)), meta_blob, U32.pack(len(ordered))]
     body += [encode_record(config.mode, params, rec) for rec in ordered]
     with open(path, "wb") as handle:
         handle.write(b"".join(body))
@@ -211,7 +165,7 @@ def save_db(path: str, config: Config, records, reader_id: bytes = b"reader-0",
 def load_db(path: str) -> DbFileData:
     with open(path, "rb") as handle:
         data = handle.read()
-    cursor = _Cursor(data)
+    cursor = Cursor(data)
     if cursor.take(len(MAGIC)) != MAGIC:
         raise FrameError(f"{path} is not a reader database (bad magic)")
     try:
@@ -238,11 +192,11 @@ def load_db(path: str) -> DbFileData:
         expect = len(history.sessions) + 1
         try:
             record = _read_journal_entry(cursor, config, params, keys)
-        except _Truncated:
+        except Truncated:
             # A crash mid-append cuts the last entry short.  Damage that makes
             # an earlier entry run past the end leaves the next entry's
             # header in the dropped bytes.
-            if data.find(_JOURNAL_MARK + _U32.pack(expect + 1), start + 1) != -1:
+            if data.find(_JOURNAL_MARK + U32.pack(expect + 1), start + 1) != -1:
                 raise FrameError(f"journal entry {expect} is corrupt") from None
             torn_bytes = len(data) - start
             break
@@ -293,7 +247,7 @@ def _directory_from_dict(doc, keys: dict) -> KeyDirectory:
     return KeyDirectory(entries=entries)
 
 
-def _read_journal_entry(cursor: _Cursor, config: Config, params, keys: dict) -> SessionRecord:
+def _read_journal_entry(cursor: Cursor, config: Config, params, keys: dict) -> SessionRecord:
     if cursor.take(1) != _JOURNAL_MARK:
         raise FrameError("corrupt journal marker")
     j = cursor.u32()
@@ -322,17 +276,17 @@ def append_journal(path: str, config: Config, j: int, session: SessionRecord):
     params = config.params()
     parts = [
         _JOURNAL_MARK,
-        _U32.pack(j),
+        U32.pack(j),
         session.sid,
         bytes([session.o_reader & 1]),
         bytes([VIA_STEP_NONE if session.via_step is None else session.via_step]),
     ]
     mode_blob = (session.mode or "").encode("ascii")
-    parts += [_U32.pack(len(mode_blob)), mode_blob]
+    parts += [U32.pack(len(mode_blob)), mode_blob]
     tag_blob = session.tag_id or b""
-    parts += [_U32.pack(len(tag_blob)), tag_blob]
+    parts += [U32.pack(len(tag_blob)), tag_blob]
     changed = sorted(session.delta.items())
-    parts.append(_U32.pack(len(changed)))
+    parts.append(U32.pack(len(changed)))
     parts += [encode_record(config.mode, params, rec) for _, rec in changed]
     with open(path, "ab") as handle:
         handle.write(b"".join(parts))
@@ -341,195 +295,3 @@ def append_journal(path: str, config: Config, j: int, session: SessionRecord):
 def db_snapshot_load(path: str, j: int) -> dict[bytes, object]:
     """Load the reader records exactly as they stood after journaled session `j`."""
     return load_db(path).history.db_at(j)
-
-
-TAG_LOG_CAP = 32
-"""Whole records a tag's state log may hold before its sink compacts it into
-the key file. Each `tag_run` checks every record once at start-up, so the cap
-bounds that work, and one JSON rewrite is shared by TAG_LOG_CAP appends."""
-
-_LOG_SUFFIX = ".log"
-_LOG_HEAD = struct.Struct(">HH")  # body length, and the length XOR 0xFFFF
-
-
-def _tag_doc(mode: str, state, key_version: int) -> dict:
-    doc = {
-        "mode": mode,
-        "tag_id": state.tag_id.hex(),
-        "key": state.key.hex(),
-        "ctr": state.ctr,
-        "key_version": key_version,
-    }
-    if mode == "mapop":
-        doc["pop_key"] = state.pop_key.hex()
-        doc["signer"] = state.signer.to_dict()
-    elif mode == "cex":
-        doc["st"] = state.st
-    return doc
-
-
-def _spendable(doc: dict):
-    """(block, name) of the one spendable field of a key file document: the
-    K-time signer's `used`, a pair pool's `pool_remaining` or cex `st`; None
-    if it has none."""
-    if doc["mode"] == "cex":
-        return doc, "st"
-    signer = doc.get("signer")
-    if doc["mode"] == "mapop" and isinstance(signer, dict):
-        if signer.get("scheme") == KTIME:
-            return signer, "used"
-        if signer.get("pool_remaining") is not None:
-            return signer, "pool_remaining"
-    return None
-
-
-def _int_bytes(value: int) -> bytes:
-    return value.to_bytes((value.bit_length() + 7) // 8, "big")
-
-
-def _log_record(check: bytes, doc: dict) -> bytes:
-    """One state log record: the length, the body (`check`, then `ctr`,
-    `key_version` and the spendable field, 0 if none, as length-prefixed
-    fields) and a CRC-32 over both."""
-    spendable = _spendable(doc)
-    spent = spendable[0][spendable[1]] if spendable else 0
-    body = _pack_fields([check] + [_int_bytes(v) for v in (doc["ctr"], doc["key_version"], spent)])
-    framed = _LOG_HEAD.pack(len(body), len(body) ^ 0xFFFF) + body
-    return framed + _U32.pack(zlib.crc32(framed))
-
-
-class TagLog:
-    """A key file's append-only state log, `<key file>.log`, as `read_tag`
-    found it: `records` whole records, then `torn_bytes` of a record that an
-    append left cut short. `check` ties its records to the key file's
-    `tag_id` and `key`."""
-
-    def __init__(self, key_path: str, mode: str, check: bytes):
-        self.key_path = key_path
-        self.path = key_path + _LOG_SUFFIX
-        self.mode = mode
-        self.check = check
-        self.records = 0
-        self.torn_bytes = 0
-
-    def append(self, state, key_version: int):
-        """The tag's write-ahead sink (see `Tag`): append one record of
-        `state`. At TAG_LOG_CAP records the key file is rewritten through
-        `save_tag`, which removes the log; the record is appended first, so a
-        log left beside the new key file only repeats it."""
-        doc = _tag_doc(self.mode, state, key_version)
-        with open(self.path, "ab", buffering=0) as handle:
-            handle.write(_log_record(self.check, doc))
-        self.records += 1
-        if self.records >= TAG_LOG_CAP:
-            save_tag(self.key_path, self.mode, state, key_version)
-            self.records = 0
-
-    def fold(self, doc: dict):
-        """Fold the log's last whole record into the key file document `doc`,
-        and count its whole records and its torn tail. A damaged record is a
-        FrameError naming it."""
-        try:
-            with open(self.path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            return
-        pos, last = 0, None
-        while len(data) - pos >= _LOG_HEAD.size:
-            size, inverse = _LOG_HEAD.unpack_from(data, pos)
-            number = self.records + 1
-            if size ^ inverse != 0xFFFF:
-                raise FrameError(f"tag state log record {number} has a damaged length")
-            end = pos + _LOG_HEAD.size + size + _U32.size
-            if end > len(data):
-                break
-            if zlib.crc32(data[pos : end - _U32.size]) != _U32.unpack_from(data, end - _U32.size)[0]:
-                raise FrameError(f"tag state log record {number} fails its checksum")
-            last = data[pos + _LOG_HEAD.size : end - _U32.size]
-            self.records, pos = number, end
-        self.torn_bytes = len(data) - pos
-        if last is None:
-            return
-        cursor = _Cursor(last)
-        fields = cursor.fields()
-        if len(fields) != 4 or cursor.remaining:
-            raise FrameError(f"tag state log record {self.records} is malformed")
-        if fields[0] != self.check:
-            raise FrameError(f"tag state log record {self.records} is for another tag key")
-        doc["ctr"], doc["key_version"], spent = (int.from_bytes(v, "big") for v in fields[1:])
-        spendable = _spendable(doc)
-        if spendable:
-            spendable[0][spendable[1]] = spent
-        elif spent:
-            raise FrameError(f"tag state log record {self.records} spends a field the key file lacks")
-
-
-def save_tag(path: str, mode: str, state, key_version: int = 0):
-    """Write one tag's secrets as a JSON key file, and remove its state log.
-
-    `setup` writes key files, and a running tag's sink compacts its log into
-    one (see `TagLog`). The file is written beside its final name and renamed
-    over it, so a crash during the write leaves the previous key file whole."""
-    staged = path + ".tmp"
-    with open(staged, "w", encoding="utf-8") as handle:
-        json.dump(_tag_doc(mode, state, key_version), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(staged, path)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(path + _LOG_SUFFIX)
-
-
-def _unhex(doc: dict, name: str) -> bytes:
-    try:
-        return bytes.fromhex(doc.get(name))
-    except (TypeError, ValueError) as exc:
-        raise FrameError(f"tag file {name} is not hex: {exc}") from exc
-
-
-def _natural(value, name: str) -> int:
-    if type(value) is not int or value < 0:
-        raise FrameError(f"tag file {name} is {value!r}, not a non-negative integer")
-    return value
-
-
-def read_tag(path: str):
-    """Read a key file and fold its state log into it: (mode, state,
-    key_version, log). The log's last whole record wins; a record cut off by
-    the end of the log is dropped and counted in `log.torn_bytes`. A key file
-    that is not a JSON object of well-formed fields is a FrameError. Lengths,
-    the counter's upper bound and the signer's scheme are not checked here:
-    the file does not say which config it runs under."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise FrameError(f"tag file {path} is not JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FrameError(f"tag file {path} is not a JSON object")
-    mode = doc.get("mode")
-    if mode not in MODES:
-        raise FrameError(f"tag file mode is {mode!r}, not one of {MODES}")
-    tag_id, key = _unhex(doc, "tag_id"), _unhex(doc, "key")
-    log = TagLog(path, mode, hashlib.blake2b(_pack_fields([tag_id, key]), digest_size=8).digest())
-    log.fold(doc)
-    common = dict(tag_id=tag_id, key=key, ctr=_natural(doc.get("ctr"), "ctr"))
-    if mode == "mapop":
-        try:
-            signer = signer_from_dict(doc.get("signer"))
-        except ValueError as exc:
-            raise FrameError(f"tag file {exc}") from exc
-        state = PopTagState(**common, pop_key=_unhex(doc, "pop_key"), signer=signer)
-    elif mode == "cex":
-        st = doc.get("st", 0)
-        if type(st) is not int or st not in (0, 1):
-            raise FrameError(f"tag file st is {st!r}, not 0 or 1")
-        state = CexTagState(**common, st=st)
-    else:
-        state = MaTagState(**common)
-    return mode, state, _natural(doc.get("key_version", 0), "key_version"), log
-
-
-def load_tag(path: str):
-    """(mode, state, key_version) of a key file with its state log folded in
-    (see `read_tag`)."""
-    return read_tag(path)[:3]

@@ -37,7 +37,8 @@ from rfpop.pop import PopProtocol, cred_gen
 from rfpop.primitives.rng import Rng
 
 from rfpop.app.config import Config, check_port
-from rfpop.app.dbfile import DbFileData, append_journal, load_db, read_tag
+from rfpop.app.dbfile import DbFileData, append_journal, load_db
+from rfpop.app.tagfile import read_tag
 from rfpop.app.wire import (
     ROUND_TYPES,
     TYPE_CREDENTIAL,
@@ -166,7 +167,7 @@ def tag_run(
     cred_out: Optional[str] = None,
 ) -> list[dict]:
     """Run `sessions` sessions against a reader server, with the key file's
-    state log as the tag's sink (see `Tag` and `dbfile.TagLog`). Each result
+    state log as the tag's sink (see `Tag` and `tagfile.TagLog`). Each result
     carries the tag's output, the reader's, the credential (hex) and the
     tag's reason for its output ("" on accept, None when the tag never opened
     a session).

@@ -13,8 +13,8 @@ import time
 import pytest
 
 from rfpop.app.config import Config
-from rfpop.app.dbfile import TagLog, load_db, load_tag, save_db, save_tag
-from rfpop.app import dbfile, netrun
+from rfpop.app.dbfile import load_db, load_tag, save_db, save_tag
+from rfpop.app import netrun, tagfile
 from rfpop.app.netrun import TICK_SECONDS, reader_from_file, serve_reader, tag_run
 from rfpop.app.wire import (
     TYPE_RESULT_READER,
@@ -58,13 +58,13 @@ def deploy(tmp_path, config):
 def count_appends(monkeypatch):
     """Count the tag sink's appends to its state log; returns their list."""
     appends = []
-    append = TagLog.append
+    append = tagfile.TagLog.append
 
     def counted(self, *args):
         appends.append(args)
         append(self, *args)
 
-    monkeypatch.setattr(TagLog, "append", counted)
+    monkeypatch.setattr(tagfile.TagLog, "append", counted)
     return appends
 
 
@@ -664,8 +664,8 @@ def test_tag_killed_mid_append_restarts_from_the_record_before(tmp_path, monkeyp
     config = Config(mode=mode, impl=impl, tags=1, seed=f"net-torn-log-{mode}", timeout_ticks=4)
     db_path, tag_paths, _system = deploy(tmp_path, config)
     # Every cut here tears a record; compaction has its own tests.
-    monkeypatch.setattr(dbfile, "TAG_LOG_CAP", 10**6)
-    append = TagLog.append
+    monkeypatch.setattr(tagfile, "TAG_LOG_CAP", 10**6)
+    append = tagfile.TagLog.append
     torn = {"cut": None}
 
     def torn_append(self, state, key_version):
@@ -675,7 +675,7 @@ def test_tag_killed_mid_append_restarts_from_the_record_before(tmp_path, monkeyp
             os.truncate(self.path, size + torn["cut"])
             raise TagKilled
 
-    monkeypatch.setattr(TagLog, "append", torn_append)
+    monkeypatch.setattr(tagfile.TagLog, "append", torn_append)
     # An impl2 tag appends before its round-1 and its round-3 reply.
     record_size, appends = (41, 2) if impl == "impl2" else (38, 1)
     box = start_server(db_path, sessions=1 + 2 * record_size)
