@@ -110,8 +110,8 @@ class TagLog:
 
     def fold(self, doc: dict):
         """Fold the log's last whole record into the key file document `doc`,
-        and count its whole records and its torn tail. A damaged record is a
-        FrameError naming it."""
+        and count its whole records and its torn tail. A damaged record, or a
+        last record older than the key file, is a FrameError naming it."""
         try:
             with open(self.path, "rb") as handle:
                 data = handle.read()
@@ -139,7 +139,12 @@ class TagLog:
             raise FrameError(f"tag state log record {self.records} is malformed")
         if fields[0] != self.check:
             raise FrameError(f"tag state log record {self.records} is for another tag key")
-        doc["ctr"], doc["key_version"], spent = (int.from_bytes(v, "big") for v in fields[1:])
+        ctr, key_version, spent = (int.from_bytes(v, "big") for v in fields[1:])
+        if ctr < doc["ctr"] or key_version < doc["key_version"]:
+            # A log from before the key file's last rewrite would roll the
+            # counter back; every log the sink leaves is at least as new.
+            raise FrameError(f"tag state log record {self.records} is older than the key file")
+        doc["ctr"], doc["key_version"] = ctr, key_version
         spendable = _spendable(doc)
         if spendable:
             spendable[0][spendable[1]] = spent
@@ -193,9 +198,11 @@ def read_tag(path: str):
     if mode not in MODES:
         raise FrameError(f"tag file mode is {mode!r}, not one of {MODES}")
     tag_id, key = _unhex(doc, "tag_id"), _unhex(doc, "key")
+    doc["ctr"] = _natural(doc.get("ctr"), "ctr")
+    doc["key_version"] = _natural(doc.get("key_version", 0), "key_version")
     log = TagLog(path, mode, hashlib.blake2b(pack_fields([tag_id, key]), digest_size=8).digest())
     log.fold(doc)
-    common = dict(tag_id=tag_id, key=key, ctr=_natural(doc.get("ctr"), "ctr"))
+    common = dict(tag_id=tag_id, key=key, ctr=doc["ctr"])
     if mode == "mapop":
         try:
             signer = signer_from_dict(doc.get("signer"))
@@ -209,7 +216,7 @@ def read_tag(path: str):
         state = CexTagState(**common, st=st)
     else:
         state = MaTagState(**common)
-    return mode, state, _natural(doc.get("key_version", 0), "key_version"), log
+    return mode, state, doc["key_version"], log
 
 
 def load_tag(path: str):

@@ -168,6 +168,18 @@ def test_a_stale_log_beside_a_new_key_file_is_rejected(tmp_path):
         read_tag(path)
 
 
+def test_a_log_older_than_its_key_file_is_rejected(tmp_path):
+    """A log copied back from before the key file's last rewrite would roll
+    the counter back, so a counter would serve two sessions."""
+    path, tag, _appended = tag_with_log(tmp_path, Config(mode="ma"), 2)
+    log_path = tmp_path / "tag.json.log"
+    old = log_path.read_bytes()
+    save_tag(path, "ma", dataclasses.replace(tag.state, ctr=tag.state.ctr + 1), tag.key_version + 1)
+    log_path.write_bytes(old)
+    with pytest.raises(FrameError, match="tag state log record 2 is older than the key file"):
+        read_tag(path)
+
+
 def mutate(data: bytes, rnd: random.Random) -> bytes:
     """One seeded damage: a bit flip, a cut, an inserted byte (random or a
     JSON character), or a span copied over another part of the data."""
