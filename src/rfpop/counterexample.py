@@ -55,12 +55,12 @@ from rfpop.primitives.rng import Rng
 CexParams = MaParams  # same length profile as the main protocol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CexTagState(MaTagState):
     st: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CexReaderRecord:
     tag_id: bytes
     key: bytes
@@ -108,11 +108,9 @@ def cex_reader_respond(
     scan kernel; the third message is always sent (random on reject)."""
     hit = scan_first(
         db,
-        params.prf,
+        params,
         (_padded_block(params, challenge), _padded_block(params, challenge + nonce)),
         int.from_bytes(r1, "big"),
-        lambda rec, state, ctr: ctr == rec.ctr,
-        eligible=lambda rec: rec.ctr + 1 <= params.max_counter,
     )
     if hit is None:
         return False, None, rng.take_bits(params.out_bits)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 from rfpop.errors import CounterOverflow, LengthMismatch
 from rfpop.model.database import ReaderDatabase
@@ -38,13 +38,7 @@ from rfpop.model.session import Action
 from rfpop.model.types import MessageSlot, Msg, evolve
 from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.counters import count_hash
-from rfpop.primitives.prf import (
-    PrfDescriptor,
-    check_input,
-    prf_eval,
-    prf_state,
-    prf_state_eval,
-)
+from rfpop.primitives.prf import PrfDescriptor, check_input, prf_eval
 from rfpop.primitives.rng import Rng
 
 
@@ -88,14 +82,14 @@ class MaParams:
         return PrfDescriptor("ma-f", self.key_bits, self.prf_input_bits, self.out_bits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaTagState:
     tag_id: bytes
     key: bytes
     ctr: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaReaderRecord:
     tag_id: bytes
     key: bytes
@@ -180,42 +174,49 @@ def ma_tag_respond(
 
 def scan_first(
     db: ReaderDatabase,
-    desc: PrfDescriptor,
+    params: MaParams,
     inputs: tuple[bytes, ...],
     masked: int,
-    accept: Callable[[object, object, int], bool],
-    eligible: Optional[Callable[[object], bool]] = None,
+    index: Optional[bytes] = None,
 ) -> Optional[tuple[object, int]]:
     """The reader's Step-2 scan: the first record, in ascending tag-id order,
-    for which accept(rec, state, F_key(x) XOR masked) holds for an input x of
-    `inputs` (tried in order); returns (rec, that value), or None.
+    whose recovered value F_key(x) XOR masked passes the check, for an input
+    x of `inputs` (tried in order); returns (rec, that value), or None.
 
-    Records that fail eligible(rec) are skipped without an evaluation. The
-    fixed inputs are length-checked once per scan. Each record key is keyed
-    into a BLAKE2b state once per database (`db.keyed_states`), and each
-    evaluation runs on a copy of it; `accept` gets the state so it can
-    evaluate more inputs with prf_state_eval. Every evaluation counts as one
-    hash, however the scan ends."""
+    With `index` (MA) the check is recovered < max_counter and
+    F_key(recovered || pad) == index. Without it (cex) the check is
+    recovered == rec.ctr, and records at the counter bound are skipped
+    without an evaluation. The fixed inputs are length-checked once per
+    scan. The records come zipped with their keyed BLAKE2b states
+    (`db.keyed_states_for`), and each evaluation runs on a copy of one. Every
+    evaluation counts as one hash, however the scan ends."""
+    desc, top = params.prf, params.max_counter
+    width, pad = params.out_bits // 8, params.pad
     for x in inputs:
         check_input(desc, x)
-    states = db.keyed_states.setdefault(desc, {})
+    states = db.keyed_states_for(desc)
+    from_bytes = int.from_bytes  # bound once: the lookup costs 5% of a scan
     evaluated = 0
     try:
         # records_ascending is the one way in: the benchmark tracer counts
         # scanned records through it.
-        for rec in db.records_ascending():
-            if eligible is not None and not eligible(rec):
+        for rec, state in zip(db.records_ascending(), states):
+            if index is None and rec.ctr >= top:
                 continue
-            state = states.get(rec.key)
-            if state is None:
-                state = states[rec.key] = prf_state(desc, rec.key)
             for x in inputs:
                 h = state.copy()
                 h.update(x)
                 evaluated += 1
-                value = int.from_bytes(h.digest(), "big") ^ masked
-                if accept(rec, state, value):
-                    return rec, value
+                value = from_bytes(h.digest(), "big") ^ masked
+                if index is None:
+                    if value == rec.ctr:
+                        return rec, value
+                elif value < top:
+                    h = state.copy()
+                    h.update(value.to_bytes(width, "big") + pad)
+                    evaluated += 1
+                    if h.digest() == index:
+                        return rec, value
         return None
     finally:
         count_hash(evaluated)
@@ -250,17 +251,8 @@ def ma_reader_auth(
             return _accept(params, db, rec, recovered, challenge, reply.nonce, 1)
     # Step 2: desynchronized scan; the received index must be reproducible
     # from the recovered counter under the record's key.
-    width, pad = params.out_bits // 8, params.pad
-
-    def reproduces_index(rec, state, recovered: int) -> bool:
-        # recovered < max_counter keeps recovered+1 a valid counter.
-        return (
-            recovered < params.max_counter
-            and prf_state_eval(state, recovered.to_bytes(width, "big") + pad) == reply.index
-        )
-
     hit = scan_first(
-        db, params.prf, (challenge + reply.index + reply.nonce,), masked, reproduces_index
+        db, params, (challenge + reply.index + reply.nonce,), masked, reply.index
     )
     if hit is None:
         return MaAuthResult(False)

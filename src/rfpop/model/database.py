@@ -22,21 +22,25 @@ from typing import Optional
 
 from rfpop.errors import UnknownSnapshot
 from rfpop.model.types import Msg
+from rfpop.primitives.prf import PrfDescriptor, prf_state
 
 
 class ReaderDatabase:
     """Current records, kept in ascending tag-id order, plus the index map
     used for constant-time sync lookup.
 
-    `keyed_states` holds, per PRF descriptor, a keyed BLAKE2b state per record
-    key (see `rfpop.primitives.prf.prf_state`). The Step-2 scan fills it on
-    first use; a record whose key changes misses it and gets a fresh state."""
+    `keyed_states` holds, per PRF descriptor, a keyed BLAKE2b state of each
+    record key (`rfpop.primitives.prf.prf_state`), listed in
+    `records_ascending()` order so that the Step-2 scan can zip records with
+    states. The first scan builds the list, about 0.45 KB per record; a
+    database that never scans holds none. A `put` that changes a record's
+    key drops the lists, and the next scan builds them again."""
 
     def __init__(self, records):
         self._records: dict[bytes, object] = {}
         self._by_index: dict[bytes, list[bytes]] = {}
         self._delta: dict[bytes, object] = {}
-        self.keyed_states: dict[object, dict[bytes, object]] = {}
+        self.keyed_states: dict[object, list] = {}
         for rec in sorted(records, key=lambda r: r.tag_id):
             if rec.tag_id in self._records:
                 raise ValueError(f"duplicate tag id {rec.tag_id.hex()}")
@@ -72,14 +76,25 @@ class ReaderDatabase:
         ids = sorted(self._by_index.get(index, []))
         return [self._records[i] for i in ids]
 
+    def keyed_states_for(self, desc: PrfDescriptor) -> list:
+        """A keyed state (`prf_state`) of each record key under `desc`, in
+        `records_ascending()` order; built on the first call, and after a
+        `put` that changed a key."""
+        states = self.keyed_states.get(desc)
+        if states is None:
+            states = [prf_state(desc, rec.key) for rec in self._records.values()]
+            self.keyed_states[desc] = states
+        return states
+
     def image(self) -> dict[bytes, object]:
         """A new dict of the current records by tag id, ascending; the records
         themselves are shared."""
         return dict(self._records)
 
     def put(self, rec):
-        """Replace the record for rec.tag_id with `rec`: fix the index map
-        and add `rec` to the current session's delta."""
+        """Replace the record for rec.tag_id with `rec`: fix the index map,
+        drop the keyed states of a changed key and add `rec` to the current
+        session's delta."""
         key = rec.tag_id
         old = self._records.get(key)
         if old is None:
@@ -88,6 +103,8 @@ class ReaderDatabase:
         if old_index != getattr(rec, "index", None):
             self._index_remove(key, old_index)
             self._index_insert(rec)
+        if self.keyed_states and rec.key != old.key:
+            self.keyed_states.clear()
         self._records[key] = rec
         self._delta[key] = rec
 
@@ -97,7 +114,7 @@ class ReaderDatabase:
         return delta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionRecord:
     """Everything the reader keeps about one terminated session.
 

@@ -41,7 +41,7 @@ from rfpop.model.types import IGNORE, Msg, SID_BITS, StepOutcome, Transcript
 from rfpop.primitives.rng import Rng
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     """Protocol verdict on a message delivered to a party (see the module
     docstring). A reader's terminal verdict also carries the accepted tag,

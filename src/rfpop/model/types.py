@@ -19,7 +19,7 @@ from typing import Optional
 SID_BITS = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Msg:
     """One protocol message: round index (0 = session-start challenge) plus
     payload bytes."""
@@ -58,7 +58,7 @@ class Transcript:
         return self.o_reader == 1 and self.o_tag == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepOutcome:
     """Result of delivering one message to a party: the message it sends
     next, if any, and its terminal output bit, if it ended. Neither set means

@@ -123,13 +123,13 @@ class PopParams(MaParams):
         return PrfDescriptor("pop-g", self.pop_key_bits, None, self.hash_bits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PopTagState(MaTagState):
     pop_key: bytes = None
     signer: object = None  # FullTimeSigner or KTimeSigner; spent on a copy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PopReaderRecord(MaReaderRecord):
     pop_key: bytes = None
     verify_key: VerifyKey = None

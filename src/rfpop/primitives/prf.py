@@ -11,8 +11,8 @@ independent functions by construction.
 Every evaluation counts as one hash operation for cost accounting.
 
 A caller that evaluates many inputs under one key can key a BLAKE2b state
-once (`prf_state`) and evaluate on copies of it (`prf_state_eval`); the
-reader's Step-2 scan does this for every record.
+once (`prf_state`) and evaluate on copies of it. The reader's Step-2 scan
+does this for every record, and counts its evaluations itself.
 """
 
 from __future__ import annotations
@@ -95,15 +95,6 @@ def prf_state(desc: PrfDescriptor, key: bytes):
     and counts no hash."""
     _check_key(desc, key)
     return hashlib.blake2b(key=key, digest_size=desc.out_bits // 8)
-
-
-def prf_state_eval(state, data: bytes) -> bytes:
-    """F_key(data) on a state from prf_state; counts one hash. The caller
-    vouches for the input length."""
-    h = state.copy()
-    h.update(data)
-    count_hash()
-    return h.digest()
 
 
 def hash_digest(data: bytes, out_bits: int = 256) -> bytes:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec as openssl_ec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from rfpop.primitives.rng import Rng
 from rfpop.primitives.sig import KTimeSigner
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SECP256K1 = openssl_ec.SECP256K1()
 
 
 def reference_mul(p, k):
@@ -284,3 +286,42 @@ def test_width_8_wnaf_digits_rebuild_the_scalar():
 def test_random_bases_and_scalars_match_reference(base_scalar, k):
     base = ec.point_mul(ec.G, base_scalar)
     assert ec.point_mul(base, k) == reference_mul(base, k)
+
+
+# -- differential against OpenSSL (through the `cryptography` package) ------
+
+# 33 scalars; each gives four comparisons with OpenSSL.
+ORACLE_SCALARS = (random_scalars("ec-openssl", 12)
+                  + [1, ec.N - 1, 1 << 33, 1 << 66, 1 << 99, *SIGNED_SCALARS, *EDGE_SCALARS])
+
+
+def openssl_base_mul(k):
+    """k*G from OpenSSL, as an affine pair; None at infinity."""
+    k %= ec.N
+    if k == 0:
+        return None
+    numbers = openssl_ec.derive_private_key(k, SECP256K1).public_key().public_numbers()
+    return numbers.x, numbers.y
+
+
+def openssl_x_of_mul(k, q):
+    """x(k*q), by ECDH of the private scalar k with the public point q."""
+    public = openssl_ec.EllipticCurvePublicNumbers(*q, SECP256K1).public_key()
+    secret = openssl_ec.derive_private_key(k, SECP256K1).exchange(openssl_ec.ECDH(), public)
+    return int.from_bytes(secret, "big")
+
+
+def test_products_match_openssl():
+    """k*G, x(k*Q) for Q a K-time key's Y and a random point, and
+    a*G + b*Q on the random point's tables, against OpenSSL."""
+    q_scalar = random_scalars("ec-openssl-q", 1)[0]
+    q = openssl_base_mul(q_scalar)
+    q_tables = ec.point_tables(q, 5)
+    for i, a in enumerate(ORACLE_SCALARS):
+        assert ec.point_mul(ec.G, a) == openssl_base_mul(a)
+        for base in (Y, q):
+            assert ec.point_mul(base, a)[0] == openssl_x_of_mul(a, base)
+        b = ORACLE_SCALARS[(i + 7) % len(ORACLE_SCALARS)]
+        assert ec.point_mul_add(a, q, b, q_tables) == openssl_base_mul(a + b * q_scalar)
+    # a*G + b*Q is infinity when a = -b*q.
+    assert ec.point_mul_add(ec.N - q_scalar, q, 1, q_tables) is None

@@ -329,6 +329,58 @@ def test_scan_kernel_matches_reference_scan(case):
         assert outcomes[0] == outcomes[1]
 
 
+WIDE = 300  # records in the wide-database scan test
+
+
+def test_scan_kernel_matches_reference_scan_over_a_wide_database():
+    """Hits at the first, a middle and the last of 300 records, a miss, and
+    a key reassigned beyond where the previous scan stopped, each against
+    the reference on result, hash count and record states. The Hypothesis
+    cases hold at most 6 records, too few to show a state list out of line
+    with the records."""
+    tags, records = ma_setup(PARAMS, WIDE, Rng("wide-scan"))
+    dbs = [ReaderDatabase(records) for _ in range(2)]
+    rng = Rng("wide-scan-replies")
+
+    def scan(reply_for, expect_at):
+        challenge, nonce = rng.take_bits(256), rng.take_bits(256)
+        reply = reply_for(challenge, nonce)
+        outcomes = []
+        for auth, db in zip((reference_auth, ma_reader_auth), dbs):
+            ops = OpCounters()
+            with counting(ops):
+                result = auth(PARAMS, db, challenge, reply)
+            outcomes.append((result, ops.hashes, record_states(db)))
+        assert outcomes[0] == outcomes[1]
+        result = outcomes[1][0]
+        if expect_at is None:
+            assert not result.accepted
+        else:
+            assert result.via_step == 2 and result.tag_id == tags[expect_at].tag_id
+        return outcomes[1][1]
+
+    def ahead(i):
+        """A reply from tag i two counter steps ahead of its record."""
+        rec = dbs[0].get(tags[i].tag_id)
+        return lambda challenge, nonce: crafted_reply(rec.key, rec.ctr + 2, challenge, nonce)
+
+    def garbage(challenge, nonce):
+        return MaTagReply(nonce, challenge, hashlib.blake2b(nonce, digest_size=32).digest())
+
+    assert scan(ahead(0), 0) == 2 + 2  # one record scanned, then _accept
+    scan(ahead(WIDE // 2), WIDE // 2)
+    scan(ahead(WIDE - 1), WIDE - 1)
+    assert scan(garbage, None) == 2 * WIDE
+    scan(ahead(40), 40)
+    key = rng.take_bits(PARAMS.key_bits)
+    for db in dbs:
+        rec = db.get(tags[220].tag_id)
+        db.put(dataclasses.replace(rec, key=key, index=index_for(PARAMS, key, rec.ctr)))
+    scan(ahead(220), 220)
+    scan(ahead(260), 260)
+    scan(ahead(40), 40)
+
+
 def desync_reply(state, rng):
     """Drop one challenge to the tag, then return a fresh (challenge, reply)."""
     _, _, state = ma_tag_respond(PARAMS, state, rng.take_bits(PARAMS.challenge_bits), rng)
