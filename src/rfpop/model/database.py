@@ -93,8 +93,8 @@ class ReaderDatabase:
 
     def put(self, rec):
         """Replace the record for rec.tag_id with `rec`: fix the index map,
-        drop the keyed states of a changed key and add `rec` to the current
-        session's delta."""
+        drop the keyed states if the key changed, and add `rec` to the
+        current session's delta."""
         key = rec.tag_id
         old = self._records.get(key)
         if old is None:
