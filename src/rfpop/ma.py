@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from rfpop.errors import CounterOverflow, LengthMismatch
 from rfpop.model.database import ReaderDatabase
@@ -97,7 +97,7 @@ class MaReaderRecord:
     index: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class MaTagScratch:
     challenge: bytes
     nonce: bytes
@@ -105,8 +105,7 @@ class MaTagScratch:
     reply: bytes  # the tag's round-1 payload
 
 
-@dataclass(frozen=True)
-class MaTagReply:
+class MaTagReply(NamedTuple):
     index: bytes
     nonce: bytes
     masked_ctr: bytes
@@ -115,8 +114,7 @@ class MaTagReply:
         return self.index + self.nonce + self.masked_ctr
 
 
-@dataclass(frozen=True)
-class MaAuthResult:
+class MaAuthResult(NamedTuple):
     accepted: bool
     tag_id: Optional[bytes] = None
     confirm: Optional[bytes] = None

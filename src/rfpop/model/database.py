@@ -16,7 +16,7 @@ session j is one bisect away; j=0 is the state right after setup.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,7 +27,8 @@ from rfpop.primitives.prf import PrfDescriptor, prf_state
 
 class ReaderDatabase:
     """Current records, kept in ascending tag-id order, plus the index map
-    used for constant-time sync lookup.
+    used for constant-time sync lookup, each of whose buckets lists its tag
+    ids in ascending order.
 
     `keyed_states` holds, per PRF descriptor, a keyed BLAKE2b state of each
     record key (`rfpop.primitives.prf.prf_state`), listed in
@@ -50,7 +51,7 @@ class ReaderDatabase:
     def _index_insert(self, rec):
         idx = getattr(rec, "index", None)
         if idx is not None:
-            self._by_index.setdefault(idx, []).append(rec.tag_id)
+            insort(self._by_index.setdefault(idx, []), rec.tag_id)
 
     def _index_remove(self, rec_id: bytes, idx: Optional[bytes]):
         if idx is None:
@@ -72,9 +73,9 @@ class ReaderDatabase:
         return iter(self._records.values())
 
     def candidates_for_index(self, index: bytes) -> list:
-        """Records whose stored index equals `index`, ascending by tag id."""
-        ids = sorted(self._by_index.get(index, []))
-        return [self._records[i] for i in ids]
+        """Records whose stored index equals `index`, ascending by tag id
+        (each bucket is kept in that order as it is filled)."""
+        return [self._records[i] for i in self._by_index.get(index, ())]
 
     def keyed_states_for(self, desc: PrfDescriptor) -> list:
         """A keyed state (`prf_state`) of each record key under `desc`, in

@@ -20,6 +20,11 @@ message it sends (None: it sends nothing), and `output` is its terminal
 output (None: the session goes on; 1 accept, 0 reject). A party may both
 send and end in one step.
 
+An `Action`, like the `StepOutcome` a step returns, is a `NamedTuple`: it
+lives only within the step, so it is built at C speed and never copied. The
+open-session scratch records are slotted dataclasses; what the reader keeps
+(`SessionRecord`, `Msg`, the protocol records) stays frozen.
+
 Dispatch rules follow the session model: a tag checks "is this a session
 start?" before anything else, restarting (and voiding the current session)
 if one is already open; a reader ignores wrong-sid messages and treats any
@@ -33,7 +38,7 @@ the tag its state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from rfpop.errors import LifetimeExceeded, NoOpenSession, SessionInProgress
 from rfpop.model.database import History, ReaderDatabase, SessionRecord
@@ -41,8 +46,7 @@ from rfpop.model.types import IGNORE, Msg, SID_BITS, StepOutcome, Transcript
 from rfpop.primitives.rng import Rng
 
 
-@dataclass(frozen=True, slots=True)
-class Action:
+class Action(NamedTuple):
     """Protocol verdict on a message delivered to a party (see the module
     docstring). A reader's terminal verdict also carries the accepted tag,
     the authentication step that decided it and a reason for the record."""
@@ -54,7 +58,7 @@ class Action:
     note: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class OpenReaderSession:
     sid: bytes
     messages: list[Msg] = field(default_factory=list)
@@ -67,7 +71,7 @@ class OpenReaderSession:
         return self.messages[0].payload
 
 
-@dataclass
+@dataclass(slots=True)
 class OpenTagSession:
     sid: bytes
     awaiting_round: int
@@ -113,21 +117,21 @@ class Reader:
         if sid != ses.sid:
             return IGNORE
         slots = self.protocol.slots()
-        in_space = (
-            msg.round == ses.awaiting_round
-            and msg.round < len(slots)
-            and slots[msg.round].allows(msg.payload)
-        )
-        if not in_space:
+        rnd = msg.round
+        if not (
+            rnd == ses.awaiting_round
+            and rnd < len(slots)
+            and len(msg.payload) == slots[rnd].byte_len
+        ):
             return self._finalize(0, None, None, "message outside expected round space")
         action = self.protocol.reader_on_message(self.db, ses, msg, rng)
         ses.messages.append(msg)
         reply = None
         if action.payload is not None:
-            reply = Msg(msg.round + 1, action.payload)
+            reply = Msg(rnd + 1, action.payload)
             ses.messages.append(reply)
         if action.output is None:
-            ses.awaiting_round = msg.round + 2
+            ses.awaiting_round = rnd + 2
         else:
             self._finalize(action.output, action.tag_id, action.via_step, action.note)
         return StepOutcome(sid, reply, action.output)
@@ -182,7 +186,8 @@ class Tag:
 
     def step(self, sid: bytes, msg: Msg, rng: Rng) -> StepOutcome:
         slots = self.protocol.slots()
-        if msg.round == 0 and slots[0].allows(msg.payload):
+        rnd = msg.round
+        if rnd == 0 and len(msg.payload) == slots[0].byte_len:
             # Session start, checked before anything else: an open session is
             # voided (output 0, key update) and a fresh one replaces it.
             restarted = self.session is not None
@@ -200,17 +205,17 @@ class Tag:
         if (
             ses is not None
             and sid == ses.sid
-            and msg.round == ses.awaiting_round
-            and msg.round < len(slots)
-            and slots[msg.round].allows(msg.payload)
+            and rnd == ses.awaiting_round
+            and rnd < len(slots)
+            and len(msg.payload) == slots[rnd].byte_len
         ):
             action, state = self.protocol.tag_on_message(self.state, ses.scratch, msg, rng)
             self._commit(state)
             if action.output is None:
-                ses.awaiting_round = msg.round + 2
+                ses.awaiting_round = rnd + 2
             else:
                 self._terminal(action.note)
-            reply = None if action.payload is None else Msg(msg.round + 1, action.payload)
+            reply = None if action.payload is None else Msg(rnd + 1, action.payload)
             return StepOutcome(sid, reply, action.output)
         return IGNORE
 

@@ -9,12 +9,16 @@ session-start challenge and a final confirmation the same length, so "does
 this message open a session?" cannot be decided from length alone; the
 marker is structural framing (the wire format encodes it as the frame type),
 not secret data.
+
+A `Msg` is kept in the reader's journal, so it is a frozen slotted
+dataclass. A `StepOutcome` lives only until its caller has read it, so it is
+a `NamedTuple`: immutable as well, and built at C speed on every delivery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 SID_BITS = 128
 
@@ -58,8 +62,7 @@ class Transcript:
         return self.o_reader == 1 and self.o_tag == 1
 
 
-@dataclass(frozen=True, slots=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """Result of delivering one message to a party: the message it sends
     next, if any, and its terminal output bit, if it ended. Neither set means
     the message was dropped without a state change.

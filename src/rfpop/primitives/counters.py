@@ -26,6 +26,8 @@ class OpCounters:
         }
 
 
+# Changed only in place: `prf.prf_eval` tests and counts through its own
+# binding of this list.
 _stack: list[OpCounters] = []
 
 

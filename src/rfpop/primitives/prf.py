@@ -9,6 +9,9 @@ parameter block includes the digest size, so different output lengths give
 independent functions by construction.
 
 Every evaluation counts as one hash operation for cost accounting.
+`prf_eval` is the one evaluation entry: it runs six times per honest `ma`
+session, so it checks its arguments in one pass, and it counts the hash
+itself rather than through `count_hash`.
 
 A caller that evaluates many inputs under one key can key a BLAKE2b state
 once (`prf_state`) and evaluate on copies of it. The reader's Step-2 scan
@@ -17,12 +20,12 @@ does this for every record, and counts its evaluations itself.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
+from hashlib import blake2b
 from typing import Optional
 
 from rfpop.errors import LengthMismatch
-from rfpop.primitives.counters import count_hash
+from rfpop.primitives.counters import _stack, count_hash
 
 _MAX_DIGEST = 64  # BLAKE2b ceiling; all protocol outputs fit
 
@@ -77,14 +80,24 @@ def prf_eval(
     out_bits overrides the descriptor's default output length (the masking
     family is evaluated at several output lengths; each length is an
     independent function).
+
+    The key and input lengths are tested inline, in one pass, and the
+    checkers are called only to raise; the width is re-checked only when
+    `out_bits` is passed, since the descriptor validated its own.
     """
-    _check_key(desc, key)
-    check_input(desc, data)
-    width = out_bits if out_bits is not None else desc.out_bits
-    if width <= 0 or width % 8 or width > 8 * _MAX_DIGEST:
-        raise LengthMismatch(f"{desc.name}: unsupported output length {width}")
-    count_hash()
-    return hashlib.blake2b(data, key=key, digest_size=width // 8).digest()
+    if 8 * len(key) != desc.key_bits:
+        _check_key(desc, key)
+    if desc.in_bits is not None and 8 * len(data) != desc.in_bits:
+        check_input(desc, data)
+    if out_bits is None:
+        width = desc.out_bits
+    elif out_bits <= 0 or out_bits % 8 or out_bits > 8 * _MAX_DIGEST:
+        raise LengthMismatch(f"{desc.name}: unsupported output length {out_bits}")
+    else:
+        width = out_bits
+    if _stack:
+        _stack[-1].hashes += 1
+    return blake2b(data, key=key, digest_size=width // 8).digest()
 
 
 def prf_state(desc: PrfDescriptor, key: bytes):
@@ -94,7 +107,7 @@ def prf_state(desc: PrfDescriptor, key: bytes):
     prf_eval(desc, key, x) returns. Building the state checks the key length
     and counts no hash."""
     _check_key(desc, key)
-    return hashlib.blake2b(key=key, digest_size=desc.out_bits // 8)
+    return blake2b(key=key, digest_size=desc.out_bits // 8)
 
 
 def hash_digest(data: bytes, out_bits: int = 256) -> bytes:
@@ -102,4 +115,4 @@ def hash_digest(data: bytes, out_bits: int = 256) -> bytes:
     if out_bits <= 0 or out_bits % 8 or out_bits > 8 * _MAX_DIGEST:
         raise LengthMismatch(f"unsupported hash output length {out_bits}")
     count_hash()
-    return hashlib.blake2b(data, digest_size=out_bits // 8).digest()
+    return blake2b(data, digest_size=out_bits // 8).digest()

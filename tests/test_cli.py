@@ -8,7 +8,7 @@ import pytest
 
 from rfpop.app.cli import main
 from rfpop.app.config import Config
-from rfpop.app.dbfile import load_db
+from rfpop.app.dbfile import append_journal, load_db
 from rfpop.pop import cred_gen
 from rfpop.primitives.rng import Rng
 
@@ -296,3 +296,53 @@ def test_cred_verify_needs_extended_mode(tmp_path, capsys):
     )
     assert rc == 2
     assert "no key directory" in stdout
+
+
+def damaged_db(tmp_path, capsys, damage):
+    """A set-up extended-mode reader.db with a one-session journal, damaged
+    by `damage(blob, setup_len)`."""
+    out = tmp_path / "sys"
+    rc, _, _ = run_cli(capsys, "setup", "--out", str(out))
+    assert rc == 0
+    db = out / "reader.db"
+    setup_len = db.stat().st_size
+    config = Config()
+    system = config.build_system(Rng(config.seed))
+    system.run_honest()
+    append_journal(str(db), config, 1, system.reader.history.session(1))
+    blob = db.read_bytes()
+    db.write_bytes(damage(blob, setup_len))
+    return db
+
+
+DB_DAMAGE = {
+    "cut-in-setup": lambda blob, setup_len: blob[: setup_len // 2],
+    "journal-marker": lambda blob, setup_len: blob[:setup_len] + b"X" + blob[setup_len + 1 :],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DB_DAMAGE))
+@pytest.mark.parametrize("command", ["serve-reader", "cred-verify"])
+def test_a_damaged_database_is_reported(tmp_path, capsys, command, damage):
+    db = damaged_db(tmp_path, capsys, DB_DAMAGE[damage])
+    if command == "serve-reader":
+        argv = ["serve-reader", "--db", str(db), "--host", "127.0.0.1", "--port", "0"]
+    else:
+        cred = tmp_path / "any.cred"
+        cred.write_bytes(b"\x01")
+        argv = ["cred", "verify", "--db", str(db), "--cred", str(cred)]
+    rc, stdout, stderr = run_cli(capsys, *argv)
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert "Traceback" not in stderr
+
+
+def test_a_damaged_credential_is_reported(tmp_path, capsys):
+    db, good, _, _ = make_credential_files(tmp_path, capsys)
+    cut = tmp_path / "cut.cred"
+    cut.write_bytes(good.read_bytes()[:-7])
+    rc, stdout, stderr = run_cli(capsys, "cred", "verify", "--db", str(db), "--cred", str(cut))
+    assert rc == 2
+    assert stderr == ""
+    assert stdout.startswith("malformed credential: ") and stdout.count("\n") == 1

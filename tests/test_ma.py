@@ -159,6 +159,22 @@ def test_random_reply_rejected():
     assert result.tag_id is None and result.via_step == 0
 
 
+def test_index_collisions_come_back_in_ascending_tag_id_order():
+    # Two hand-built records take the same index, put in descending tag-id
+    # order; Step 1 must still see them in ascending order.
+    ids = [bytes(31) + bytes([i]) for i in (1, 5, 9)]
+    keys = [Rng(f"collide-{i}").take_bits(256) for i in range(3)]
+    db = ReaderDatabase(
+        [MaReaderRecord(tid, key, 1, index_for(PARAMS, key, 1)) for tid, key in zip(ids, keys)]
+    )
+    shared = bytes(32)
+    for tid, key in sorted(zip(ids[1:], keys[1:]), reverse=True):
+        db.put(MaReaderRecord(tid, key, 2, shared))
+    assert [rec.tag_id for rec in db.candidates_for_index(shared)] == ids[1:]
+    db.put(MaReaderRecord(ids[0], keys[0], 2, shared))
+    assert [rec.tag_id for rec in db.candidates_for_index(shared)] == ids
+
+
 def test_scan_prefers_lowest_tag_id_on_ties():
     # Two records share a key and counter, so a desynchronized reply matches
     # both; the scan must settle on the smaller tag id.

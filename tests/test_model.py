@@ -13,7 +13,8 @@ from rfpop.errors import (
     UnknownSnapshot,
 )
 from rfpop.harness.blinded import SessionWorld, blinded_world
-from rfpop.model.session import Tag, run_honest_session
+from rfpop.ma import MaAuthResult, MaTagReply
+from rfpop.model.session import Action, Tag, run_honest_session
 from rfpop.model.types import IGNORE, Msg, StepOutcome
 from rfpop.primitives.bitstring import flip_bit
 from rfpop.primitives.rng import Rng
@@ -32,6 +33,30 @@ from rfpop.primitives.rng import Rng
 def test_step_outcome_kind_follows_msg_and_output(msg, output, kind):
     assert StepOutcome(bytes(16), msg, output).kind == kind
     assert IGNORE.kind == "ignore"
+
+
+@pytest.mark.parametrize(
+    "cls, fields, defaults",
+    [
+        (Action, ("payload", "output", "tag_id", "via_step", "note"), (None, None, None, None, "")),
+        (StepOutcome, ("sid", "msg", "output"), (None, None, None)),
+        (MaTagReply, ("index", "nonce", "masked_ctr"), ()),
+        (MaAuthResult, ("accepted", "tag_id", "confirm", "new_ctr", "via_step"),
+         (None, None, None, 0)),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else None,
+)
+def test_per_step_values_keep_their_fields_and_refuse_assignment(cls, fields, defaults):
+    value = cls(*range(len(fields)))
+    assert [getattr(value, name) for name in fields] == list(range(len(fields)))
+    required = len(fields) - len(defaults)
+    bare = cls(*range(required))
+    assert tuple(getattr(bare, name) for name in fields[required:]) == defaults
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, "changed")
+    assert StepOutcome().kind == "ignore"
+    assert MaAuthResult(False).via_step == 0
 
 
 def test_honest_session_accepts_and_identifies(ma_system, rng):

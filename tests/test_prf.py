@@ -82,3 +82,22 @@ def test_deterministic_and_key_sensitive(key, data):
     assert len(out1) == 32
     flipped = prf_eval(MA_DESC, flip_bit(key, 0), data)
     assert flipped != out1
+
+
+@pytest.mark.parametrize(
+    "desc, key, data, out_bits, message",
+    [
+        (MA_DESC, bytes(16), DATA, None, "ma-f: key is 128 bits, descriptor says 256"),
+        (MA_DESC, KEY, bytes(1), None, "ma-f: input is 8 bits, descriptor says 768"),
+        (MA_DESC, bytes(16), bytes(1), None, "ma-f: key is 128 bits, descriptor says 256"),
+        (VAR_DESC, KEY, DATA, 12, "pop-g: unsupported output length 12"),
+        (VAR_DESC, KEY, DATA, 0, "pop-g: unsupported output length 0"),
+        (VAR_DESC, KEY, DATA, 1024, "pop-g: unsupported output length 1024"),
+    ],
+)
+def test_length_errors_name_the_lengths_and_count_nothing(desc, key, data, out_bits, message):
+    ops = OpCounters()
+    with counting(ops), pytest.raises(LengthMismatch) as err:
+        prf_eval(desc, key, data, out_bits)
+    assert str(err.value) == message
+    assert ops.hashes == 0
