@@ -21,9 +21,10 @@ output (None: the session goes on; 1 accept, 0 reject). A party may both
 send and end in one step.
 
 An `Action`, like the `StepOutcome` a step returns, is a `NamedTuple`: it
-lives only within the step, so it is built at C speed and never copied. The
-open-session scratch records are slotted dataclasses; what the reader keeps
-(`SessionRecord`, `Msg`, the protocol records) stays frozen.
+lives only within the step, and a tuple is immutable and built at C speed.
+The open-session scratch records are slotted dataclasses; what the parties
+keep (`SessionRecord`, `Msg`, the tag states and the reader records) stays
+frozen.
 
 Dispatch rules follow the session model: a tag checks "is this a session
 start?" before anything else, restarting (and voiding the current session)

@@ -346,3 +346,14 @@ def test_a_damaged_credential_is_reported(tmp_path, capsys):
     assert rc == 2
     assert stderr == ""
     assert stdout.startswith("malformed credential: ") and stdout.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ['{"mode": "ma", "tags": ', '{"mode": "ma", "tags": "two"}', "[]"],
+                         ids=["cut", "wrong-type", "not-an-object"])
+def test_a_damaged_config_file_is_reported(tmp_path, capsys, text):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    rc, stdout, stderr = run_cli(capsys, "setup", "--config", str(cfg), "--out", str(tmp_path / "s"))
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
