@@ -23,10 +23,11 @@ from rfpop.harness.adversaries import (
     make_adversary,
     relay_session,
 )
-from rfpop.harness.experiments import exp_cred_unforge, exp_unp_sharp
+from rfpop.harness.experiments import exp_cred_unforge, exp_unp_sharp, exp_unp_star
 from rfpop.harness.oracles import OracleHub
 from rfpop.model.session import run_honest_session
 from rfpop.model.types import Msg
+from rfpop.primitives.ptpt import ptpt_experiment, statistical_probe
 from rfpop.primitives.rng import Rng
 
 
@@ -159,19 +160,25 @@ GOLDEN_EXPERIMENTS = {
     "replayer": "4fcbb43eb6e19c04ee4538db0f259af527346de830d6e26c395fb62b18b1a2ed",
     "desync-attacker": "87c04e672c8f02e30277387d7a439a6f6a2bcee128863db8dbfab5c76cfe5197",
     "db-splicer": "1a4453d9ce42857e3f33d127d36aba0e227d7560ebfe5332c29fcd45a236b0d1",
+    "cex-distinguisher": "934656ad3f6cde54bf385aaf8ffab3ddca05d2f28e0fabda663c83d4274ea9d4",
+    "statistical-probe": "ab1a76997d15299df59adc298b393151d20c357165b0ba08ae2b103f08a98ca7",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_EXPERIMENTS))
 def test_experiment_reports_are_pinned(name):
-    protocol = "ma" if name == "desync-attacker" else "mapop"
-    factory = Config(mode=protocol, tags=2).build_system
+    """One report of each game: unp-sharp, unp-star, cred-ufrg and ptpt."""
     rng = Rng(f"golden-exp-{name}")
-    adversary = make_adversary(name)
-    if name == "db-splicer":
-        report = exp_cred_unforge(factory, adversary, 4, rng)
+    protocol = {"desync-attacker": "ma", "cex-distinguisher": "cex"}.get(name, "mapop")
+    factory = Config(mode=protocol, tags=2).build_system
+    if name == "statistical-probe":
+        report = ptpt_experiment(Config(mode="ma").ma_params().prf, statistical_probe, 20, rng)
+    elif name == "db-splicer":
+        report = exp_cred_unforge(factory, make_adversary(name), 4, rng)
+    elif name == "cex-distinguisher":
+        report = exp_unp_star(factory, make_adversary(name), 6, rng)
     else:
-        report = exp_unp_sharp(factory, adversary, 6, rng)
+        report = exp_unp_sharp(factory, make_adversary(name), 6, rng)
     assert digest(report.to_json()) == GOLDEN_EXPERIMENTS[name]
 
 
