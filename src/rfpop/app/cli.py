@@ -37,15 +37,15 @@ from rfpop.harness.experiments import (
     exp_unp_star,
 )
 from rfpop.harness.oracles import AdversaryBudget
-from rfpop.harness.report import ExperimentReport
-from rfpop.pop import Credential, cred_veri
-from rfpop.primitives.prf import prf_eval
-from rfpop.primitives.ptpt import (
+from rfpop.harness.ptpt import (
     broken_identity_family,
     identity_catcher,
     ptpt_experiment,
     statistical_probe,
 )
+from rfpop.harness.report import ExperimentReport
+from rfpop.pop import Credential, cred_veri
+from rfpop.primitives.prf import prf_eval
 from rfpop.primitives.rng import Rng
 
 from rfpop.app.config import Config, load_config

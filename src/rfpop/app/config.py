@@ -24,7 +24,6 @@ from rfpop.system import DEFAULT_LIFETIME, SYSTEM_BUILDERS, System
 ENV_CONFIG = "RFPOP_CONFIG"
 
 MODES = ("ma", "mapop", "cex")
-IMPLS = (IMPL_FULLTIME, IMPL_POOLED, IMPL_KTIME)
 
 # Accept both the short table names and the canonical identifiers.
 _IMPL_ALIASES = {

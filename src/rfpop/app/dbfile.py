@@ -21,7 +21,9 @@ field against the configured lengths, and every metadata entry; damage is a
 
 A journal entry stores its session's `via_step` as one byte; a session that
 closed without reaching a verdict step (timeout, out-of-space message, failed
-possession proof) has `via_step` None, stored as `VIA_STEP_NONE`.
+possession proof) has `via_step` None, stored as `VIA_STEP_NONE`.  An entry
+whose output or `via_step` byte is out of range, or that names a tag no
+set-up record has, is a `FrameError` naming the entry.
 
 Tag key files are `rfpop.app.tagfile`'s; `load_tag` and `save_tag` stay
 importable from here.
@@ -191,7 +193,7 @@ def load_db(path: str) -> DbFileData:
         start = cursor.pos
         expect = len(history.sessions) + 1
         try:
-            record = _read_journal_entry(cursor, config, params, keys)
+            record = _read_journal_entry(cursor, config, params, keys, initial)
         except Truncated:
             # A crash mid-append cuts the last entry short.  Damage that makes
             # an earlier entry run past the end leaves the next entry's
@@ -247,15 +249,17 @@ def _directory_from_dict(doc, keys: dict) -> KeyDirectory:
     return KeyDirectory(entries=entries)
 
 
-def _read_journal_entry(cursor: Cursor, config: Config, params, keys: dict) -> SessionRecord:
+def _read_journal_entry(cursor: Cursor, config: Config, params, keys: dict,
+                        initial: dict) -> SessionRecord:
+    """One journal entry. An output byte other than 0/1, a via_step byte
+    other than 0, 1, 2 or VIA_STEP_NONE, or a tag the set-up records lack is
+    a FrameError naming the entry."""
     if cursor.take(1) != _JOURNAL_MARK:
         raise FrameError("corrupt journal marker")
     j = cursor.u32()
     sid = cursor.take(SID_BITS // 8)
     o_reader = cursor.take(1)[0]
     via_step = cursor.take(1)[0]
-    if via_step == VIA_STEP_NONE:
-        via_step = None
     try:
         mode = cursor.blob().decode("ascii")
     except UnicodeDecodeError as exc:
@@ -265,9 +269,17 @@ def _read_journal_entry(cursor: Cursor, config: Config, params, keys: dict) -> S
     for _ in range(cursor.u32()):
         rec = decode_record(config.mode, params, cursor, keys)
         delta[rec.tag_id] = rec
+    if o_reader not in (0, 1):
+        raise FrameError(f"journal entry {j} has o_reader byte {o_reader}")
+    if via_step not in (0, 1, 2, VIA_STEP_NONE):
+        raise FrameError(f"journal entry {j} has via_step byte {via_step}")
+    for tag in (tag_id, *delta):
+        if tag is not None and tag not in initial:
+            raise FrameError(f"journal entry {j} names tag {tag.hex()}, "
+                             "which no set-up record has")
     return SessionRecord(
-        j=j, sid=sid, o_reader=o_reader, tag_id=tag_id, mode=mode,
-        delta=delta, via_step=via_step,
+        j=j, sid=sid, o_reader=o_reader, tag_id=tag_id, mode=mode, delta=delta,
+        via_step=None if via_step == VIA_STEP_NONE else via_step,
     )
 
 

@@ -1,8 +1,11 @@
 """Executable security experiments.
 
-Each experiment runs independent trials against freshly built systems; a
-trial's randomness is a labeled substream of the master seed, so runs are
-replayable and trials are order-independent.
+Every game runs independent trials through one loop, `run_trials`, which
+keeps the replay contract: trial i draws only from the master seed's
+substream labeled "<name>-trial-<i>", its seed is kept in the report's
+`trial_seeds`, and the events it returns are tallied into the report. So
+runs are replayable, trials are order-independent, and a longer run's first
+trials are a shorter run's.
 
 Privacy games (exp_unp_sharp, exp_unp_star): the adversary first learns with
 all five oracles against the real system and names a challenge tag. Every
@@ -16,11 +19,14 @@ in the guess stage for both worlds.
 Forgery game (exp_cred_unforge): the adversary uses the oracles and then
 emits a credential (optionally registering its own issuer key); the report
 counts the two forgery events.
+
+The PRF distinguishing game (`rfpop.harness.ptpt`) runs through the same loop.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from collections import Counter
+from typing import Callable, Iterable
 
 from rfpop.errors import BudgetExceeded, GuessStageViolation, InvalidChallenge
 from rfpop.harness.blinded import PureRandomWorld, blinded_world
@@ -34,6 +40,42 @@ SystemFactory = Callable[[Rng], System]
 
 BUDGET_FAIL = "fail"  # budget overrun = adversary failure for that trial
 BUDGET_ABORT = "abort"  # budget overrun aborts the whole experiment
+SUCCESS = "success"  # the event a trial returns when the adversary wins
+
+
+def run_trials(
+    name: str,
+    trials: int,
+    rng: Rng,
+    trial: Callable[[Rng], tuple[str, Iterable[str]]],
+    extra: dict,
+    build=ExperimentReport.from_counts,
+) -> ExperimentReport:
+    """Run `trial` on each trial's substream and tally what it returns.
+
+    trial(trial_rng) returns the protocol it ran against and the names of the
+    events that fired. SUCCESS counts towards the report's successes; every
+    other event is counted under its own name in `extra`, on top of the
+    given entries.
+    """
+    tally: Counter[str] = Counter()
+    trial_seeds = []
+    protocol = "?"
+    for i in range(trials):
+        trial_rng = rng.spawn(f"{name}-trial-{i}")
+        trial_seeds.append(trial_rng.seed_hex)
+        protocol, events = trial(trial_rng)
+        tally.update(events)
+    successes = tally.pop(SUCCESS, 0)
+    return build(
+        experiment=name,
+        protocol=protocol,
+        successes=successes,
+        trials=trials,
+        seed=rng.seed_hex,
+        extra={**extra, **tally},
+        trial_seeds=trial_seeds,
+    )
 
 
 def _privacy_experiment(
@@ -47,16 +89,8 @@ def _privacy_experiment(
     budget: AdversaryBudget,
     budget_policy: str,
 ) -> ExperimentReport:
-    successes = 0
-    invalid = 0
-    budget_failures = 0
-    protocol = "?"
-    trial_seeds = []
-    for i in range(trials):
-        trial_rng = rng.spawn(f"{name}-trial-{i}")
-        trial_seeds.append(trial_rng.seed_hex)
+    def trial(trial_rng: Rng) -> tuple[str, tuple[str, ...]]:
         system = system_factory(trial_rng.spawn("system"))
-        protocol = system.kind
         hub = OracleHub(system, budget)
         try:
             challenge_tag, st = adversary.learn(hub, trial_rng.spawn("learn"))
@@ -72,28 +106,15 @@ def _privacy_experiment(
             else:
                 hub.enter_guess_stage()
             b_prime = adversary.guess(hub, challenge_tag, st, trial_rng.spawn("guess"))
-            if b_prime == b:
-                successes += 1
         except InvalidChallenge:
-            invalid += 1
+            return system.kind, ("invalid_trials",)
         except (BudgetExceeded, GuessStageViolation):
             if budget_policy == BUDGET_ABORT:
                 raise
-            budget_failures += 1
-    extra = {"adversary": adversary.name}
-    if invalid:
-        extra["invalid_trials"] = invalid
-    if budget_failures:
-        extra["budget_failures"] = budget_failures
-    return ExperimentReport.from_counts(
-        experiment=name,
-        protocol=protocol,
-        successes=successes,
-        trials=trials,
-        seed=rng.seed_hex,
-        extra=extra,
-        trial_seeds=trial_seeds,
-    )
+            return system.kind, ("budget_failures",)
+        return system.kind, (SUCCESS,) if b_prime == b else ()
+
+    return run_trials(name, trials, rng, trial, {"adversary": adversary.name})
 
 
 def exp_unp_sharp(
@@ -142,47 +163,38 @@ def exp_cred_unforge(
     adversary-registered issuer and an uncorrupted tag and verifies under
     the extended key directory.
     """
-    e1 = e2 = 0
-    successes = 0
-    protocol = "?"
-    trial_seeds = []
-    for i in range(trials):
-        trial_rng = rng.spawn(f"cred-ufrg-trial-{i}")
-        trial_seeds.append(trial_rng.seed_hex)
+    def trial(trial_rng: Rng) -> tuple[str, list[str]]:
         system = system_factory(trial_rng.spawn("system"))
-        protocol = system.kind
         hub = OracleHub(system, budget)
         try:
             out = adversary.run(hub, trial_rng.spawn("adv"))
         except BudgetExceeded:
             out = None
         if out is None:
-            continue
+            return system.kind, []
         cred, extra_keys = out
-        if extra_keys:
-            for party_id, key in extra_keys.items():
-                system.directory.register_extra(party_id, key)
-        fired_e1 = _event1(system, hub, cred)
-        fired_e2 = _event2(system, hub, cred, extra_keys or {})
-        e1 += fired_e1
-        e2 += fired_e2
-        if fired_e1 or fired_e2:
-            successes += 1
-    return ExperimentReport.from_proportion(
-        experiment="cred-ufrg",
-        protocol=protocol,
-        successes=successes,
-        trials=trials,
-        seed=rng.seed_hex,
-        extra={"adversary": adversary.name, "e1": e1, "e2": e2},
-        trial_seeds=trial_seeds,
-    )
+        extra_keys = extra_keys or {}
+        for party_id, key in extra_keys.items():
+            system.directory.register_extra(party_id, key)
+        e1 = _event1(system, hub, cred)
+        e2 = _event2(system, hub, cred, extra_keys)
+        return system.kind, [event for event, fired in (("e1", e1), ("e2", e2), (SUCCESS, e1 or e2))
+                             if fired]
+
+    return run_trials("cred-ufrg", trials, rng, trial,
+                      {"adversary": adversary.name, "e1": 0, "e2": 0},
+                      build=ExperimentReport.from_proportion)
+
+
+def _names_honest_tag(system: System, hub: OracleHub, cred) -> bool:
+    """The credential names a tag of the system that was never corrupted."""
+    return cred.tag_id in system.tags and cred.tag_id not in hub.corrupted
 
 
 def _event1(system: System, hub: OracleHub, cred) -> bool:
     if cred.reader_id != system.reader.reader_id:
         return False
-    if cred.tag_id not in system.tags or cred.tag_id in hub.corrupted:
+    if not _names_honest_tag(system, hub, cred):
         return False
     if cred_veri(system.params, system.directory, cred) != 1:
         return False
@@ -199,8 +211,6 @@ def _event1(system: System, hub: OracleHub, cred) -> bool:
 
 
 def _event2(system: System, hub: OracleHub, cred, extra_keys: dict) -> bool:
-    if cred.reader_id not in extra_keys:
-        return False
-    if cred.tag_id not in system.tags or cred.tag_id in hub.corrupted:
+    if cred.reader_id not in extra_keys or not _names_honest_tag(system, hub, cred):
         return False
     return cred_veri(system.params, system.directory, cred) == 1

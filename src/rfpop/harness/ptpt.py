@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 from rfpop.errors import BudgetExceeded
+from rfpop.harness.experiments import SUCCESS, run_trials
 from rfpop.harness.report import ExperimentReport
 from rfpop.primitives.prf import PrfDescriptor, prf_eval
 from rfpop.primitives.rng import Rng
@@ -45,37 +46,26 @@ def ptpt_experiment(
     distinguisher(oracle, desc, rng) must return a bit. A trial succeeds when
     the guess equals the hidden bit.
     """
-    successes = 0
-    trial_seeds = []
     in_bits = desc.in_bits if desc.in_bits is not None else 256
-    for i in range(trials):
-        trial_rng = rng.spawn(f"ptpt-trial-{i}")
-        trial_seeds.append(trial_rng.seed_hex)
+
+    def trial(trial_rng: Rng) -> tuple[str, tuple[str, ...]]:
         b = trial_rng.spawn("coin").coin()
         if b == 1:
             key = trial_rng.spawn("key").take_bits(desc.key_bits)
-            fn = lambda x, key=key: family(desc, key, x)
+            fn = lambda x: family(desc, key, x)
         else:
             draw = trial_rng.spawn("random-function")
             memo: dict[bytes, bytes] = {}
 
-            def fn(x: bytes, memo=memo, draw=draw):
+            def fn(x: bytes) -> bytes:
                 if x not in memo:
                     memo[x] = draw.take_bits(desc.out_bits)
                 return memo[x]
 
         guess = distinguisher(_Oracle(fn, max_queries), desc, trial_rng.spawn("adv"))
-        if guess == b:
-            successes += 1
-    return ExperimentReport.from_counts(
-        experiment="ptpt",
-        protocol=desc.name,
-        successes=successes,
-        trials=trials,
-        seed=rng.seed_hex,
-        extra={"max_queries": max_queries, "in_bits": in_bits},
-        trial_seeds=trial_seeds,
-    )
+        return desc.name, (SUCCESS,) if guess == b else ()
+
+    return run_trials("ptpt", trials, rng, trial, {"max_queries": max_queries, "in_bits": in_bits})
 
 
 def broken_identity_family(desc: PrfDescriptor, key: bytes, data: bytes, out_bits=None) -> bytes:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 
@@ -72,18 +72,8 @@ class ExperimentReport:
         trial_seeds: Optional[list[str]] = None,
     ) -> "ExperimentReport":
         adv, lo, hi = advantage_interval(successes, trials)
-        return cls(
-            experiment=experiment,
-            protocol=protocol,
-            trials=trials,
-            successes=successes,
-            advantage=adv,
-            ci_low=lo,
-            ci_high=hi,
-            seed=seed,
-            extra=dict(extra or {}),
-            trial_seeds=trial_seeds,
-        )
+        return cls(experiment, protocol, trials, successes, adv, lo, hi, seed,
+                   dict(extra or {}), trial_seeds)
 
     @classmethod
     def from_proportion(
@@ -99,49 +89,21 @@ class ExperimentReport:
         """Report where the figure of merit is the raw success proportion
         (forgery-style events), not a guessing advantage."""
         lo, hi = wilson_interval(successes, trials)
-        return cls(
-            experiment=experiment,
-            protocol=protocol,
-            trials=trials,
-            successes=successes,
-            advantage=successes / trials,
-            ci_low=lo,
-            ci_high=hi,
-            seed=seed,
-            extra=dict(extra or {}),
-            trial_seeds=trial_seeds,
-        )
+        return cls(experiment, protocol, trials, successes, successes / trials, lo, hi, seed,
+                   dict(extra or {}), trial_seeds)
 
     @property
     def ci_contains_zero(self) -> bool:
         return self.ci_low == 0.0
 
     def to_json(self) -> str:
-        payload = {
-            "experiment": self.experiment,
-            "protocol": self.protocol,
-            "trials": self.trials,
-            "successes": self.successes,
-            "advantage": self.advantage,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "seed": self.seed,
-        }
+        payload = {name: getattr(self, name) for name, _ in FIELDS}
         if self.extra:
             payload["extra"] = self.extra
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
-        lines = [
-            f"experiment: {self.experiment}",
-            f"protocol: {self.protocol}",
-            f"trials: {self.trials}",
-            f"successes: {self.successes}",
-            f"advantage: {self.advantage:.6f}",
-            f"ci_low: {self.ci_low:.6f}",
-            f"ci_high: {self.ci_high:.6f}",
-            f"seed: {self.seed}",
-        ]
+        lines = [f"{name}: {getattr(self, name):{spec}}" for name, spec in FIELDS]
         for key in sorted(self.extra):
             lines.append(f"extra.{key}: {self.extra[key]}")
         return "\n".join(lines) + "\n"
@@ -149,14 +111,10 @@ class ExperimentReport:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
         d = json.loads(text)
-        return cls(
-            experiment=d["experiment"],
-            protocol=d["protocol"],
-            trials=d["trials"],
-            successes=d["successes"],
-            advantage=d["advantage"],
-            ci_low=d["ci_low"],
-            ci_high=d["ci_high"],
-            seed=d["seed"],
-            extra=d.get("extra", {}),
-        )
+        return cls(**{name: d[name] for name, _ in FIELDS}, extra=d.get("extra", {}))
+
+
+# The eight fields every report serializes, in the order the dataclass
+# declares them, each with the format spec its text line uses.
+FIELDS = tuple((f.name, ".6f" if f.type == "float" else "")
+               for f in fields(ExperimentReport) if f.name not in ("extra", "trial_seeds"))

@@ -17,12 +17,12 @@ from rfpop.errors import KTimeExhausted
 from rfpop.harness.adversaries import drop_tag_replies, make_adversary, relay_session
 from rfpop.harness.experiments import exp_cred_unforge, exp_unp_sharp, exp_unp_star
 from rfpop.harness.oracles import AdversaryBudget, OracleHub
+from rfpop.harness.ptpt import ptpt_experiment, statistical_probe
 from rfpop.model.session import run_honest_session
 from rfpop.model.types import Msg
 from rfpop.pop import cred_gen, cred_veri
 from rfpop.primitives.bitstring import flip_bit
 from rfpop.primitives.prf import PrfDescriptor, hash_digest
-from rfpop.primitives.ptpt import ptpt_experiment, statistical_probe
 from rfpop.primitives.rng import Rng
 from rfpop.primitives.sig import ktime_keygen
 from rfpop.system import build_cex_system, build_ma_system

@@ -1,6 +1,7 @@
 """Reader database files and tag key files."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -327,6 +328,39 @@ def test_non_ascii_session_mode_is_corrupt(tmp_path):
     blob[sizes[0] + 1 + 4 + 16 + 1 + 1 + 4] = 0xC3  # first byte of the mode
     path.write_bytes(bytes(blob))
     with pytest.raises(FrameError, match="mode"):
+        load_db(str(path))
+
+
+JOURNAL_DAMAGE = ["o_reader 7", "via_step 9", "unknown session tag and changed record",
+                  "unknown session tag", "unknown changed record"]
+
+
+@pytest.mark.parametrize("damage", JOURNAL_DAMAGE)
+def test_journal_entry_the_reader_cannot_write_is_corrupt(tmp_path, damage):
+    """An entry loads only with what a reader writes: o_reader 0 or 1,
+    via_step 0, 1, 2 or none, and tags among the set-up records."""
+    path, sizes, system = journaled(tmp_path, sessions=1)
+    record = system.reader.history.session(1)
+    tag = record.tag_id
+    stranger = bytes(b ^ 0xFF for b in tag)
+    assert tag in record.delta and stranger not in system.tags
+    moved = {stranger: replace(record.delta[tag], tag_id=stranger)}
+    blob = bytearray(path.read_bytes())
+    o_reader_at = sizes[0] + 1 + 4 + 16  # marker, j, sid
+    if damage == "o_reader 7":
+        blob[o_reader_at] = 7
+    elif damage == "via_step 9":
+        blob[o_reader_at + 1] = 9
+    else:
+        blob = blob[: sizes[0]]
+    path.write_bytes(bytes(blob))
+    if damage.startswith("unknown"):
+        if "session tag" in damage:
+            record = replace(record, tag_id=stranger)
+        if "changed record" in damage:
+            record = replace(record, delta=moved)
+        append_journal(str(path), Config(mode="ma", tags=2), 1, record)
+    with pytest.raises(FrameError, match="journal entry 1"):
         load_db(str(path))
 
 

@@ -13,12 +13,15 @@ from rfpop.harness.experiments import (
     exp_unp_star,
 )
 from rfpop.harness.oracles import AdversaryBudget
+from rfpop.harness.ptpt import ptpt_experiment, statistical_probe
 from rfpop.harness.report import ExperimentReport, advantage_interval, wilson_interval
 from rfpop.pop import Credential
-from rfpop.primitives.prf import hash_digest
+from rfpop.primitives.prf import PrfDescriptor, hash_digest
 from rfpop.primitives.rng import Rng
 from rfpop.primitives.sig import fulltime_keygen
 from rfpop.system import build_ma_system, build_pop_system
+
+PTPT_DESC = PrfDescriptor("ma-f", 256, 768, 256)
 
 # Wilson endpoints recomputed from the quadratic-root form of the interval:
 # roots of (1 + z^2/n) p^2 - (2 phat + z^2/n) p + phat^2, clipped to [0, 1].
@@ -155,9 +158,18 @@ def test_privacy_experiment_deterministic_per_seed():
 
 
 def test_trials_are_order_independent_prefixes():
-    short = exp_unp_sharp(ma_factory, CoinFlipAdversary(), 3, Rng("exp-prefix"))
-    long = exp_unp_sharp(ma_factory, CoinFlipAdversary(), 5, Rng("exp-prefix"))
-    assert long.trial_seeds[:3] == short.trial_seeds
+    """Every game seeds trial i from its own label, so a longer run's first
+    trials are a shorter run's."""
+    games = {
+        "unp-sharp": lambda n, rng: exp_unp_sharp(ma_factory, CoinFlipAdversary(), n, rng),
+        "cred-ufrg": lambda n, rng: exp_cred_unforge(pop_factory, HonestReplayForger(), n, rng),
+        "ptpt": lambda n, rng: ptpt_experiment(PTPT_DESC, statistical_probe, n, rng),
+    }
+    for name, run in games.items():
+        short = run(3, Rng("exp-prefix"))
+        long = run(5, Rng("exp-prefix"))
+        assert len(short.trial_seeds) == 3, name
+        assert long.trial_seeds[:3] == short.trial_seeds, name
 
 
 def test_budget_policy_fail_counts_trials():

@@ -25,9 +25,9 @@ from rfpop.harness.adversaries import (
 )
 from rfpop.harness.experiments import exp_cred_unforge, exp_unp_sharp, exp_unp_star
 from rfpop.harness.oracles import OracleHub
+from rfpop.harness.ptpt import ptpt_experiment, statistical_probe
 from rfpop.model.session import run_honest_session
 from rfpop.model.types import Msg
-from rfpop.primitives.ptpt import ptpt_experiment, statistical_probe
 from rfpop.primitives.rng import Rng
 
 

@@ -221,3 +221,36 @@ def test_reader_records_are_replaced_not_copied():
     assert record_copies("db.put(replace(rec, ctr=2))\n") == []
     found = {str(p.relative_to(SRC)): record_copies(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+UPPER_PACKAGES = ("rfpop.harness", "rfpop.app")
+LOWER_PACKAGES = ("primitives", "model")
+
+
+def upward_imports(source: str) -> list[str]:
+    """Lines that import from the security harness or the application."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        hits += [f"line {node.lineno}: {name}" for name in names
+                 if any(name == pkg or name.startswith(pkg + ".") for pkg in UPPER_PACKAGES)]
+    return hits
+
+
+def test_lower_layers_import_neither_harness_nor_app():
+    """primitives/ and model/ sit under everything that runs games or
+    serves sessions, so they import from neither."""
+    assert upward_imports(
+        "from rfpop.harness.report import ExperimentReport\nimport rfpop.app.cli\n"
+        "from rfpop import harness\n"
+    ) == ["line 1: rfpop.harness.report.ExperimentReport", "line 2: rfpop.app.cli",
+          "line 3: rfpop.harness"]
+    assert upward_imports("from rfpop.primitives.rng import Rng\nimport rfpop.application\n") == []
+    found = {str(p.relative_to(SRC)): upward_imports(p.read_text(encoding="utf-8"))
+             for p in MODULES if p.relative_to(SRC).parts[0] in LOWER_PACKAGES}
+    assert found and {path: lines for path, lines in found.items() if lines} == {}

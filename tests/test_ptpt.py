@@ -3,13 +3,13 @@
 import pytest
 
 from rfpop.errors import BudgetExceeded
-from rfpop.primitives.prf import PrfDescriptor
-from rfpop.primitives.ptpt import (
+from rfpop.harness.ptpt import (
     broken_identity_family,
     identity_catcher,
     ptpt_experiment,
     statistical_probe,
 )
+from rfpop.primitives.prf import PrfDescriptor
 from rfpop.primitives.rng import Rng
 
 DESC = PrfDescriptor("ma-f", 256, 768, 256)
