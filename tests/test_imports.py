@@ -227,14 +227,18 @@ UPPER_PACKAGES = ("rfpop.harness", "rfpop.app")
 LOWER_PACKAGES = ("primitives", "model")
 
 
-def upward_imports(source: str) -> list[str]:
-    """Lines that import from the security harness or the application."""
+def upward_imports(source: str, package: str = "rfpop") -> list[str]:
+    """Lines that import from the security harness or the application; a
+    relative import is resolved against `package`."""
     hits = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            names = [f"{node.module}.{alias.name}" for alias in node.names]
+            parts = package.split(".")
+            base = parts[: len(parts) + 1 - node.level] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            names = [f"{module}.{alias.name}" for alias in node.names]
         else:
             continue
         hits += [f"line {node.lineno}: {name}" for name in names
@@ -250,7 +254,13 @@ def test_lower_layers_import_neither_harness_nor_app():
         "from rfpop import harness\n"
     ) == ["line 1: rfpop.harness.report.ExperimentReport", "line 2: rfpop.app.cli",
           "line 3: rfpop.harness"]
+    assert upward_imports("from ..app import cli\nfrom .rng import Rng\n", "rfpop.primitives") == [
+        "line 1: rfpop.app.cli"]
     assert upward_imports("from rfpop.primitives.rng import Rng\nimport rfpop.application\n") == []
-    found = {str(p.relative_to(SRC)): upward_imports(p.read_text(encoding="utf-8"))
-             for p in MODULES if p.relative_to(SRC).parts[0] in LOWER_PACKAGES}
+    found = {}
+    for path in MODULES:
+        relative = path.relative_to(SRC)
+        if relative.parts[0] in LOWER_PACKAGES:
+            package = ".".join(("rfpop",) + relative.parent.parts)
+            found[str(relative)] = upward_imports(path.read_text(encoding="utf-8"), package)
     assert found and {path: lines for path, lines in found.items() if lines} == {}
