@@ -22,8 +22,9 @@ field against the configured lengths, and every metadata entry; damage is a
 A journal entry stores its session's `via_step` as one byte; a session that
 closed without reaching a verdict step (timeout, out-of-space message, failed
 possession proof) has `via_step` None, stored as `VIA_STEP_NONE`.  An entry
-whose output or `via_step` byte is out of range, or that names a tag no
-set-up record has, is a `FrameError` naming the entry.
+whose output or `via_step` byte is out of range, whose session mode is not
+the one its config's reader writes, or that names a tag no set-up record has,
+is a `FrameError` naming the entry.
 
 Tag key files are `rfpop.app.tagfile`'s; `load_tag` and `save_tag` stay
 importable from here.
@@ -35,12 +36,12 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from rfpop.counterexample import CexReaderRecord
+from rfpop.counterexample import CexProtocol, CexReaderRecord
 from rfpop.errors import ConfigError, FrameError
-from rfpop.ma import MaReaderRecord, index_for
+from rfpop.ma import MaProtocol, MaReaderRecord, index_for
 from rfpop.model.database import History, SessionRecord
 from rfpop.model.types import SID_BITS
-from rfpop.pop import KeyDirectory, PopReaderRecord
+from rfpop.pop import KeyDirectory, PopProtocol, PopReaderRecord
 from rfpop.primitives.sig import SIG_LEN, VerifyKey, signer_from_dict
 
 from rfpop.app.config import Config, config_from_dict
@@ -50,6 +51,9 @@ from rfpop.app.tagfile import load_tag, save_tag  # noqa: F401  (see the module 
 MAGIC = b"RFPOP1"
 _JOURNAL_MARK = b"J"
 VIA_STEP_NONE = 0xFF
+# The session mode a reader of each config mode writes into its entries.
+_SESSION_MODE = {"ma": MaProtocol.record_mode, "mapop": PopProtocol.record_mode,
+                "cex": CexProtocol.record_mode}
 
 
 def record_fields(mode: str, params, rec) -> list[tuple[str, bytes]]:
@@ -252,8 +256,9 @@ def _directory_from_dict(doc, keys: dict) -> KeyDirectory:
 def _read_journal_entry(cursor: Cursor, config: Config, params, keys: dict,
                         initial: dict) -> SessionRecord:
     """One journal entry. An output byte other than 0/1, a via_step byte
-    other than 0, 1, 2 or VIA_STEP_NONE, or a tag the set-up records lack is
-    a FrameError naming the entry."""
+    other than 0, 1, 2 or VIA_STEP_NONE, a session mode other than the
+    config's `_SESSION_MODE`, or a tag the set-up records lack is a FrameError
+    naming the entry."""
     if cursor.take(1) != _JOURNAL_MARK:
         raise FrameError("corrupt journal marker")
     j = cursor.u32()
@@ -273,6 +278,9 @@ def _read_journal_entry(cursor: Cursor, config: Config, params, keys: dict,
         raise FrameError(f"journal entry {j} has o_reader byte {o_reader}")
     if via_step not in (0, 1, 2, VIA_STEP_NONE):
         raise FrameError(f"journal entry {j} has via_step byte {via_step}")
+    if mode != _SESSION_MODE[config.mode]:
+        raise FrameError(f"journal entry {j} has session mode {mode!r}, "
+                         f"not {_SESSION_MODE[config.mode]!r}")
     for tag in (tag_id, *delta):
         if tag is not None and tag not in initial:
             raise FrameError(f"journal entry {j} names tag {tag.hex()}, "

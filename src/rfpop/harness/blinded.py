@@ -77,7 +77,8 @@ class _Ledger:
 
     A conversation is the tuple of its payloads: the session machines only
     pass on a message of the round that comes next, so its round is its
-    position."""
+    position. The reader's conversation is its open session's `messages`,
+    which already holds payloads by round; a tag's is its scratch list."""
 
     record_mode = "ledger"
 
@@ -105,7 +106,7 @@ class _Ledger:
         return self._send((), rng)
 
     def reader_on_message(self, db, session, msg: Msg, rng: Rng) -> Action:
-        return self._answer((*(m.payload for m in session.messages), msg.payload), rng)
+        return self._answer((*session.messages, msg.payload), rng)
 
     def tag_respond(self, state, sid, challenge: bytes, rng: Rng):
         reply = self._send((challenge,), rng)

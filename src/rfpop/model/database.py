@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from rfpop.errors import UnknownSnapshot
-from rfpop.model.types import Msg
 from rfpop.primitives.prf import PrfDescriptor, prf_state
 
 
@@ -119,15 +118,18 @@ class ReaderDatabase:
 class SessionRecord:
     """Everything the reader keeps about one terminated session.
 
-    A database file stores no messages, coins or note, so a record loaded
-    from one leaves them empty."""
+    `messages` holds the session's payloads indexed by round (position r is
+    round r), as a tuple of `bytes`, which the garbage collector stops
+    tracking after its first collection. A database file stores no messages,
+    coins or note, so a record loaded from one leaves them empty: its
+    `messages` is ()."""
 
     j: int
     sid: bytes
     o_reader: int
     tag_id: Optional[bytes]
     mode: str
-    messages: list[Msg] = field(default_factory=list)
+    messages: tuple[bytes, ...] = ()
     coins: dict[str, bytes] = field(default_factory=dict)
     delta: dict[bytes, object] = field(default_factory=dict)
     via_step: Optional[int] = None

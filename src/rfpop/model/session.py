@@ -23,8 +23,8 @@ send and end in one step.
 An `Action`, like the `StepOutcome` a step returns, is a `NamedTuple`: it
 lives only within the step, and a tuple is immutable and built at C speed.
 The open-session scratch records are slotted dataclasses; what the parties
-keep (`SessionRecord`, `Msg`, the tag states and the reader records) stays
-frozen.
+keep (`SessionRecord`, the tag states and the reader records) stays frozen,
+and a session record keeps its messages as a tuple of payloads.
 
 Dispatch rules follow the session model: a tag checks "is this a session
 start?" before anything else, restarting (and voiding the current session)
@@ -61,15 +61,19 @@ class Action(NamedTuple):
 
 @dataclass(slots=True)
 class OpenReaderSession:
+    """The reader's open session. `messages` holds the payloads sent and
+    received so far, indexed by round: the reader only takes in the round it
+    awaits, so position r is round r."""
+
     sid: bytes
-    messages: list[Msg] = field(default_factory=list)
+    messages: list[bytes] = field(default_factory=list)
     coins: dict[str, bytes] = field(default_factory=dict)
     awaiting_round: int = 1
     scratch: dict = field(default_factory=dict)
 
     @property
     def challenge(self) -> bytes:
-        return self.messages[0].payload
+        return self.messages[0]
 
 
 @dataclass(slots=True)
@@ -104,10 +108,10 @@ class Reader:
             raise SessionInProgress("reader already has an open session")
         sid = rng.take_bits(SID_BITS)
         ses = OpenReaderSession(sid=sid)
-        msg = Msg(0, self.protocol.reader_open(self.db, ses, rng))
-        ses.messages.append(msg)
+        payload = self.protocol.reader_open(self.db, ses, rng)
+        ses.messages.append(payload)
         self.session = ses
-        return sid, msg
+        return sid, Msg(0, payload)
 
     def step(self, sid: bytes, msg: Msg, rng: Rng) -> StepOutcome:
         """Deliver a message; wrong sids are ignored, anything else that is
@@ -126,11 +130,11 @@ class Reader:
         ):
             return self._finalize(0, None, None, "message outside expected round space")
         action = self.protocol.reader_on_message(self.db, ses, msg, rng)
-        ses.messages.append(msg)
+        ses.messages.append(msg.payload)
         reply = None
         if action.payload is not None:
             reply = Msg(rnd + 1, action.payload)
-            ses.messages.append(reply)
+            ses.messages.append(action.payload)
         if action.output is None:
             ses.awaiting_round = rnd + 2
         else:
@@ -151,7 +155,7 @@ class Reader:
             o_reader=o_reader,
             tag_id=tag_id,
             mode=self.protocol.record_mode,
-            messages=ses.messages,
+            messages=tuple(ses.messages),
             coins=ses.coins,
             delta=self.db.take_delta(),
             via_step=via_step,

@@ -332,10 +332,8 @@ def cred_gen(
     tag_record = reader.history.record_at(record.tag_id, j - 1)
     nonce = record.coins["pop_nonce"]
     issuer_sig = reader_signer.sign(nonce)
-    finalize = next(m.payload for m in record.messages if m.round == 2)
-    final_reply = next(m.payload for m in record.messages if m.round == 3)
-    _, _, binder = _split_finalize(params, finalize)
-    masked, _ = _split_final_reply(params, final_reply)
+    _, _, binder = _split_finalize(params, record.messages[2])
+    masked, _ = _split_final_reply(params, record.messages[3])
     possession = xor(masked, signature_mask(params, tag_record.pop_key, binder))
     return Credential(
         reader_id=reader.reader_id,

@@ -138,13 +138,7 @@ class FullTimeSigner(_Signer):
         self._signed = None  # the last (msg, sig) pair signed
 
     def verify_key(self) -> VerifyKey:
-        from cryptography.hazmat.primitives.serialization import (
-            Encoding,
-            PublicFormat,
-        )
-
-        raw = self._key.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-        return VerifyKey(FULLTIME, raw)
+        return VerifyKey(FULLTIME, self._key.public_key().public_bytes_raw())
 
     def sign(self, msg: bytes) -> bytes:
         """Ed25519 is deterministic (RFC 8032), so an exact repeat of the

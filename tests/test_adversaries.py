@@ -33,7 +33,7 @@ def test_relay_session_records_full_transcript():
     assert [m.round for m in run.messages] == [0, 1, 2, 3]
     # The recorded transcript matches what the reader archived.
     record = hub.system.reader.history.session(1)
-    assert [m.payload for m in record.messages] == [m.payload for m in run.messages]
+    assert list(record.messages) == [m.payload for m in run.messages]
 
 
 def test_relay_session_flip_keeps_original_in_log():
@@ -43,7 +43,7 @@ def test_relay_session_flip_keeps_original_in_log():
     assert run.o_tag == 1  # the tag accepted before the message was tampered
     # The log holds the message as sent by the tag, not the tampered copy.
     record = hub.system.reader.history.session(1)
-    assert record.messages[3].payload == flip_bit(run.messages[3].payload, 0)
+    assert record.messages[3] == flip_bit(run.messages[3].payload, 0)
 
 
 def test_bit_flipper_final_message_always_rejects():

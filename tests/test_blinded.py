@@ -28,7 +28,7 @@ def test_reader_session_registration():
     assert challenge.round == 0
     assert len(challenge.payload) == MA_SLOTS[0].byte_len
     assert world.reader.session.sid == sid
-    assert world.reader.session.messages == [challenge]
+    assert world.reader.session.messages == [challenge.payload]
 
 
 def test_faithful_relay_three_rounds():

@@ -331,14 +331,15 @@ def test_non_ascii_session_mode_is_corrupt(tmp_path):
         load_db(str(path))
 
 
-JOURNAL_DAMAGE = ["o_reader 7", "via_step 9", "unknown session tag and changed record",
+JOURNAL_DAMAGE = ["o_reader 7", "via_step 9", "mode za", "unknown session tag and changed record",
                   "unknown session tag", "unknown changed record"]
 
 
 @pytest.mark.parametrize("damage", JOURNAL_DAMAGE)
 def test_journal_entry_the_reader_cannot_write_is_corrupt(tmp_path, damage):
     """An entry loads only with what a reader writes: o_reader 0 or 1,
-    via_step 0, 1, 2 or none, and tags among the set-up records."""
+    via_step 0, 1, 2 or none, its config's session mode (`ma` here), and
+    tags among the set-up records."""
     path, sizes, system = journaled(tmp_path, sessions=1)
     record = system.reader.history.session(1)
     tag = record.tag_id
@@ -351,6 +352,10 @@ def test_journal_entry_the_reader_cannot_write_is_corrupt(tmp_path, damage):
         blob[o_reader_at] = 7
     elif damage == "via_step 9":
         blob[o_reader_at + 1] = 9
+    elif damage == "mode za":
+        mode_at = o_reader_at + 2 + 4  # o_R, via_step, the mode's length
+        assert blob[mode_at : mode_at + 2] == b"ma"
+        blob[mode_at] = ord("z")
     else:
         blob = blob[: sizes[0]]
     path.write_bytes(bytes(blob))

@@ -60,7 +60,7 @@ def history_doc(reader) -> list:
             "mode": rec.mode,
             "via_step": rec.via_step,
             "note": rec.note,
-            "messages": [[m.round, *bits_doc(m.payload)] for m in rec.messages],
+            "messages": [[rnd, *bits_doc(payload)] for rnd, payload in enumerate(rec.messages)],
         }
         for rec in reader.history.sessions
     ]

@@ -3,6 +3,7 @@
 import collections
 import copy
 import dataclasses
+import gc
 
 import pytest
 
@@ -16,8 +17,11 @@ from rfpop.harness.blinded import SessionWorld, blinded_world
 from rfpop.ma import MaAuthResult, MaTagReply
 from rfpop.model.session import Action, Tag, run_honest_session
 from rfpop.model.types import IGNORE, Msg, StepOutcome
+from rfpop.pop import Credential, cred_gen
 from rfpop.primitives.bitstring import flip_bit
+from rfpop.primitives.prf import hash_digest
 from rfpop.primitives.rng import Rng
+from rfpop.system import build_ma_system, mapop_session
 
 
 @pytest.mark.parametrize(
@@ -388,3 +392,43 @@ def test_tag_callbacks_leave_their_input_state_alone(name):
     assert tag.step(sid, Msg(confirm.round, flip_bit(confirm.payload, 0)), rng).output == 0
     assert tag.key_version == 5
     assert checker.calls == {"tag_respond": 5, "tag_on_message": 3, "tag_terminal": 5}
+
+
+def test_history_keeps_payload_tuples_the_collector_drops(pop_system):
+    """Each session record keeps its messages as a tuple of `bytes`, one per
+    round, which a collection stops tracking, so the reader's history adds
+    few objects for the garbage collector to scan; cred_gen still rebuilds
+    the issued credential from such a tuple."""
+    system = build_ma_system(Rng("gc-survivors"), tag_count=4)
+    ids = system.tag_ids()
+    system.run_honest(ids[0])  # lazy set-up out of the count
+    gc.collect()
+    before = len(gc.get_objects())
+    for i in range(500):
+        system.run_honest(ids[i % len(ids)])
+    gc.collect()
+    assert (len(gc.get_objects()) - before) / 500 <= 4.5
+    round_lengths = [slot.byte_len for slot in system.protocol.slots()]
+    for rec in system.reader.history.sessions:
+        assert type(rec.messages) is tuple
+        assert all(type(payload) is bytes for payload in rec.messages)
+        assert [len(payload) for payload in rec.messages] == round_lengths
+        assert not gc.is_tracked(rec.messages)
+
+    tag_id = pop_system.first_tag_id()
+    trs = mapop_session(pop_system, tag_id)
+    record = pop_system.reader.history.session(1)
+    assert record.messages == tuple(m.payload for m in trs.messages)
+    params = pop_system.params
+    nonce = record.coins["pop_nonce"]
+    issuer_sig = pop_system.reader_signer.sign(nonce)
+    issued = Credential(
+        reader_id=pop_system.reader.reader_id,
+        tag_id=tag_id,
+        nonce=nonce,
+        issuer_sig=issuer_sig,
+        possession_sig=pop_system.tag(tag_id).state.signer.sign(
+            hash_digest(issuer_sig, params.hash_bits)
+        ),
+    )
+    assert cred_gen(params, pop_system.reader, pop_system.reader_signer, 1) == issued
