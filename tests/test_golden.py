@@ -14,7 +14,7 @@ import pytest
 
 from rfpop.app.cli import main
 from rfpop.app.config import Config, save_config
-from rfpop.app.dbfile import save_tag
+from rfpop.app.dbfile import append_journal, save_tag
 from rfpop.app.reports import report_ops, report_sizes
 from rfpop.harness.adversaries import (
     DbSplicer,
@@ -253,3 +253,44 @@ def test_tag_files_after_sessions_are_pinned(name, tmp_path):
         save_tag(str(path), mode, tag.state, tag.key_version)
         sha.update(path.read_bytes())
     assert sha.hexdigest() == GOLDEN_TAG_FILES[name]
+
+
+GOLDEN_JOURNALS = {
+    "ma": "6e57bc0261a3786718a63381a599793f5d09591b7a8f235a06f1d2abd0c65221",
+    "cex": "cceb272257642107ba8484498493ef8629a7a1c94f5746ccd3d04e43353fab3d",
+    "mapop-impl1": "51ee74e72beded802533278cb022fba93f0b654b6369591d8c30cfa6f9e2fc5d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JOURNALS))
+def test_journals_are_pinned(name, tmp_path, capsys):
+    """The bytes of a set-up `reader.db` after `append_journal` has written
+    one entry per session of each kind: honest (Step 1), honest after a
+    stray challenge (Step 2), a reply that matches no record, and a timeout."""
+    mode, _, impl = name.partition("-")
+    config = Config(mode=mode, impl=impl or "impl1", tags=2, seed=f"golden-journal-{name}")
+    config_path = tmp_path / "config.json"
+    save_config(config, str(config_path))
+    out = tmp_path / "out"
+    assert main(["setup", "--config", str(config_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    system = config.build_system()
+    reader, rng = system.reader, system.rng
+    width = system.protocol.slots()[0].byte_len
+    for tag_id in system.tag_ids():
+        tag = system.tag(tag_id)
+        run_honest_session(reader, tag, rng)
+        tag.step(rng.take_bits(128), Msg(0, rng.take_bytes(width)), rng)
+        run_honest_session(reader, tag, rng)
+        sid, _ = reader.start(rng)
+        reader.step(sid, Msg(1, bytes(system.protocol.slots()[1].byte_len)), rng)
+        reader.start(rng)
+        reader.timeout()
+    # cex matches only the stored counter, so a tag whose counter ran ahead is rejected.
+    recovered = (0, 0) if mode == "cex" else (1, 2)
+    assert [(rec.o_reader, rec.via_step) for rec in reader.history.sessions] == [
+        (1, 1), recovered, (0, 0), (0, None)] * 2
+    db = out / "reader.db"
+    for rec in reader.history.sessions:
+        append_journal(str(db), config, rec.j, rec)
+    assert hashlib.sha256(db.read_bytes()).hexdigest() == GOLDEN_JOURNALS[name]
