@@ -117,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--protocol", choices=("ma", "mapop", "cex"), default="mapop")
     p.add_argument("--impl", choices=IMPL_CHOICES, default="1",
-                   help="signature implementation for mapop systems")
+                   help="signature implementation for mapop systems: 1, 2 or 3")
     p.add_argument("--tags", type=int, default=2)
     p.add_argument("--seed", default="rfpop-experiment")
     p.add_argument("--out", help="write the JSON report here")
@@ -234,6 +234,10 @@ def declared_bound(name: str, protocol: str, adversary: str, family: str,
 def _cmd_experiment(args) -> int:
     name = args.name
     adversary_name = args.adversary.replace("_", "-")
+    if args.impl == "ma":
+        raise ConfigError("experiment --impl takes 1, 2 or 3; run MA with --protocol ma")
+    if name == "cred-ufrg" and args.protocol != "mapop":
+        raise ConfigError("cred-ufrg runs on mapop only: ma and cex issue no credentials")
     rng = Rng(args.seed)
     if name == "ptpt":
         if adversary_name not in PTPT_DISTINGUISHERS:

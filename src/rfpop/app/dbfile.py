@@ -4,8 +4,8 @@ A database file starts with the magic ``RFPOP1``, a canonical-JSON metadata
 block (config, reader identity, reader signing key, public-key directory), and
 the initial reader records.  After the header the file is an append-only
 journal: one entry per terminated session recording the verdict and the
-records that session changed.  `load_db` reads the entries into the same
-`History` a live reader keeps, so the database state after any journaled
+record that session changed, if any.  `load_db` reads the entries into the
+same `History` a live reader keeps, so the database state after any journaled
 session `j` stays loadable for credential audits.
 
 An append cut short by a crash leaves a torn last entry.  `load_db` drops it
@@ -23,8 +23,8 @@ A journal entry stores its session's `via_step` as one byte; a session that
 closed without reaching a verdict step (timeout, out-of-space message, failed
 possession proof) has `via_step` None, stored as `VIA_STEP_NONE`.  An entry
 whose output or `via_step` byte is out of range, whose session mode is not
-the one its config's reader writes, or that names a tag no set-up record has,
-is a `FrameError` naming the entry.
+the one its config's reader writes, that holds more than one changed record,
+or that names a tag no set-up record has, is a `FrameError` naming the entry.
 
 Tag key files are `rfpop.app.tagfile`'s; `load_tag` and `save_tag` stay
 importable from here.
@@ -257,8 +257,8 @@ def _read_journal_entry(cursor: Cursor, config: Config, params, keys: dict,
                         initial: dict) -> SessionRecord:
     """One journal entry. An output byte other than 0/1, a via_step byte
     other than 0, 1, 2 or VIA_STEP_NONE, a session mode other than the
-    config's `_SESSION_MODE`, or a tag the set-up records lack is a FrameError
-    naming the entry."""
+    config's `_SESSION_MODE`, more than one changed record or a tag the
+    set-up records lack is a FrameError naming the entry."""
     if cursor.take(1) != _JOURNAL_MARK:
         raise FrameError("corrupt journal marker")
     j = cursor.u32()
@@ -270,10 +270,10 @@ def _read_journal_entry(cursor: Cursor, config: Config, params, keys: dict,
     except UnicodeDecodeError as exc:
         raise FrameError(f"corrupt journal mode: {exc}") from exc
     tag_id = cursor.blob() or None
-    delta = {}
-    for _ in range(cursor.u32()):
-        rec = decode_record(config.mode, params, cursor, keys)
-        delta[rec.tag_id] = rec
+    count = cursor.u32()
+    if count > 1:
+        raise FrameError(f"journal entry {j} holds {count} changed records, not 0 or 1")
+    changed = decode_record(config.mode, params, cursor, keys) if count else None
     if o_reader not in (0, 1):
         raise FrameError(f"journal entry {j} has o_reader byte {o_reader}")
     if via_step not in (0, 1, 2, VIA_STEP_NONE):
@@ -281,33 +281,32 @@ def _read_journal_entry(cursor: Cursor, config: Config, params, keys: dict,
     if mode != _SESSION_MODE[config.mode]:
         raise FrameError(f"journal entry {j} has session mode {mode!r}, "
                          f"not {_SESSION_MODE[config.mode]!r}")
-    for tag in (tag_id, *delta):
+    for tag in (tag_id, None if changed is None else changed.tag_id):
         if tag is not None and tag not in initial:
             raise FrameError(f"journal entry {j} names tag {tag.hex()}, "
                              "which no set-up record has")
     return SessionRecord(
-        j=j, sid=sid, o_reader=o_reader, tag_id=tag_id, mode=mode, delta=delta,
+        j=j, sid=sid, o_reader=o_reader, tag_id=tag_id, changed=changed,
         via_step=None if via_step == VIA_STEP_NONE else via_step,
     )
 
 
-def append_journal(path: str, config: Config, j: int, session: SessionRecord):
-    """Append one terminated session to the file's snapshot journal."""
+def append_journal(path: str, config: Config, session: SessionRecord):
+    """Append terminated session `session.j` to the file's snapshot journal."""
     params = config.params()
     parts = [
         _JOURNAL_MARK,
-        U32.pack(j),
+        U32.pack(session.j),
         session.sid,
         bytes([session.o_reader & 1]),
         bytes([VIA_STEP_NONE if session.via_step is None else session.via_step]),
     ]
-    mode_blob = (session.mode or "").encode("ascii")
+    mode_blob = _SESSION_MODE[config.mode].encode("ascii")
     parts += [U32.pack(len(mode_blob)), mode_blob]
     tag_blob = session.tag_id or b""
     parts += [U32.pack(len(tag_blob)), tag_blob]
-    changed = sorted(session.delta.items())
-    parts.append(U32.pack(len(changed)))
-    parts += [encode_record(config.mode, params, rec) for _, rec in changed]
+    changed = () if session.changed is None else (session.changed,)
+    parts += [U32.pack(len(changed)), *(encode_record(config.mode, params, r) for r in changed)]
     with open(path, "ab") as handle:
         handle.write(b"".join(parts))
 

@@ -101,7 +101,7 @@ def serve_reader(
     config = data.config
     bind_host = host if host is not None else config.host
     bind_port = config.port if port is None else check_port(port)
-    reader.sink = lambda record: append_journal(db_path, config, record.j, record)
+    reader.sink = lambda record: append_journal(db_path, config, record)
     if data.torn_bytes:
         os.truncate(db_path, os.path.getsize(db_path) - data.torn_bytes)
         announce(f"dropped a torn journal tail of {data.torn_bytes} bytes "

@@ -80,8 +80,6 @@ class _Ledger:
     position. The reader's conversation is its open session's `messages`,
     which already holds payloads by round; a tag's is its scratch list."""
 
-    record_mode = "ledger"
-
     def __init__(self, slots: tuple[MessageSlot, ...]):
         self._slots = slots
         self.sent: set[tuple[bytes, ...]] = set()

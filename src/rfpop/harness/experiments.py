@@ -202,7 +202,7 @@ def _event1(system: System, hub: OracleHub, cred) -> bool:
     # sessions with both can have issued this one.
     encoded = cred.encode()
     for rec in system.reader.history.sessions:
-        if rec.tag_id != cred.tag_id or rec.coins.get("pop_nonce") != cred.nonce:
+        if rec.tag_id != cred.tag_id or rec.pop_nonce != cred.nonce:
             continue
         issued = cred_gen(system.params, system.reader, system.reader_signer, rec.j)
         if issued is not None and issued.encode() == encoded:

@@ -3,13 +3,13 @@
 The database maps tag identities to protocol-specific records. Records are
 frozen dataclasses: a protocol changes a tag's record by building a new one
 (`rfpop.model.types.evolve`) and handing it to `ReaderDatabase.put`, the one write,
-which keeps the index map and the current session's delta in step. Lookups
-return the stored records themselves, shared with the journal; no record is
-ever copied, because none can change once written.
+which keeps the index map and the current session's changed record in step.
+Lookups return the stored records themselves, shared with the journal; no
+record is ever copied, because none can change once written.
 
 The journal (`History`) is the one record of terminated sessions, for a live
-reader and for a database file alike. For each session it stores the records
-that session changed (their post-session values), and for each tag the
+reader and for a database file alike. For each session it stores the record
+that session changed (its post-session value), if any, and for each tag the
 ascending list of sessions that changed it, so the record a tag had after any
 session j is one bisect away; j=0 is the state right after setup.
 """
@@ -34,12 +34,15 @@ class ReaderDatabase:
     `records_ascending()` order so that the Step-2 scan can zip records with
     states. The first scan builds the list, about 0.45 KB per record; a
     database that never scans holds none. A `put` that changes a record's
-    key drops the lists, and the next scan builds them again."""
+    key drops the lists, and the next scan builds them again. A session puts
+    at most once (MA and cex at their round-1 match; MAPoP's round 3 and the
+    b=0 ledger never), so one slot keeps the last record put until
+    `take_changed`."""
 
     def __init__(self, records):
         self._records: dict[bytes, object] = {}
         self._by_index: dict[bytes, list[bytes]] = {}
-        self._delta: dict[bytes, object] = {}
+        self._changed = None
         self.keyed_states: dict[object, list] = {}
         for rec in sorted(records, key=lambda r: r.tag_id):
             if rec.tag_id in self._records:
@@ -93,8 +96,8 @@ class ReaderDatabase:
 
     def put(self, rec):
         """Replace the record for rec.tag_id with `rec`: fix the index map,
-        drop the keyed states if the key changed, and add `rec` to the
-        current session's delta."""
+        drop the keyed states if the key changed, and keep `rec` as the
+        current session's changed record."""
         key = rec.tag_id
         old = self._records.get(key)
         if old is None:
@@ -106,12 +109,12 @@ class ReaderDatabase:
         if self.keyed_states and rec.key != old.key:
             self.keyed_states.clear()
         self._records[key] = rec
-        self._delta[key] = rec
+        self._changed = rec
 
-    def take_delta(self) -> dict[bytes, object]:
-        """The records put since the last call: this session's changes."""
-        delta, self._delta = self._delta, {}
-        return delta
+    def take_changed(self):
+        """The record put since the last call, or None: this session's change."""
+        changed, self._changed = self._changed, None
+        return changed
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,39 +123,36 @@ class SessionRecord:
 
     `messages` holds the session's payloads indexed by round (position r is
     round r), as a tuple of `bytes`, which the garbage collector stops
-    tracking after its first collection. A database file stores no messages,
-    coins or note, so a record loaded from one leaves them empty: its
-    `messages` is ()."""
+    tracking after its first collection; `changed` is the record the session
+    changed, or None. A database file stores no messages, `pop_nonce` or
+    note, so a record loaded from one leaves them empty: its `messages` is ()."""
 
     j: int
     sid: bytes
     o_reader: int
     tag_id: Optional[bytes]
-    mode: str
     messages: tuple[bytes, ...] = ()
-    coins: dict[str, bytes] = field(default_factory=dict)
-    delta: dict[bytes, object] = field(default_factory=dict)
+    pop_nonce: Optional[bytes] = None
+    changed: Optional[object] = None
     via_step: Optional[int] = None
     note: str = ""
 
 
 @dataclass
 class History:
-    """Initial database image plus the append-only per-session deltas."""
+    """Initial database image plus the append-only session records."""
 
     initial: dict[bytes, object]
     sessions: list[SessionRecord] = field(default_factory=list)
-    sid_to_j: dict[bytes, int] = field(default_factory=dict)
-    # tag id -> ascending numbers of the sessions whose delta holds it
+    # tag id -> ascending numbers of the sessions that changed its record
     changed_in: dict[bytes, list[int]] = field(default_factory=dict)
 
     def append(self, record: SessionRecord):
         if record.j != len(self.sessions) + 1:
             raise ValueError("session records must be appended in order")
         self.sessions.append(record)
-        self.sid_to_j.setdefault(record.sid, record.j)
-        for key in record.delta:
-            self.changed_in.setdefault(key, []).append(record.j)
+        if record.changed is not None:
+            self.changed_in.setdefault(record.changed.tag_id, []).append(record.j)
 
     def session(self, j: int) -> SessionRecord:
         if not 1 <= j <= len(self.sessions):
@@ -160,7 +160,8 @@ class History:
         return self.sessions[j - 1]
 
     def j_for_sid(self, sid: bytes) -> Optional[int]:
-        return self.sid_to_j.get(sid)
+        # A scan: only the harness's credential oracle asks.
+        return next((rec.j for rec in self.sessions if rec.sid == sid), None)
 
     def _check_snapshot(self, j: int):
         if not 0 <= j <= len(self.sessions):
@@ -174,7 +175,7 @@ class History:
         at = bisect_right(changed, j)
         if at == 0:
             return self.initial[tag_id]
-        return self.sessions[changed[at - 1] - 1].delta[tag_id]
+        return self.sessions[changed[at - 1] - 1].changed
 
     def db_at(self, j: int) -> dict[bytes, object]:
         """Database image after session j (j=0: right after setup)."""

@@ -1,14 +1,13 @@
 """Generic reader and tag session machines.
 
 The machines own the session-model bookkeeping that is common to every
-protocol: session scratch state, round sequencing, terminal outputs, database
-snapshot deltas, tag key-version bumps, and lifetime limits. A protocol
+protocol: session scratch state, round sequencing, terminal outputs, changed
+records, tag key-version bumps, and lifetime limits. A protocol
 object plugs in the cryptographic content via a small duck-typed interface:
 
     name                   protocol label
     slots()                tuple[MessageSlot, ...], round 0 first; the same
                            object on every call
-    record_mode            label every session record of this protocol carries
     reader_open(db, session, rng)            -> round-0 payload
     reader_on_message(db, session, msg, rng) -> Action
     tag_respond(state, sid, challenge, rng)  -> (reply payload, scratch, state)
@@ -63,11 +62,11 @@ class Action(NamedTuple):
 class OpenReaderSession:
     """The reader's open session. `messages` holds the payloads sent and
     received so far, indexed by round: the reader only takes in the round it
-    awaits, so position r is round r."""
+    awaits, so position r is round r. `pop_nonce` is MAPoP's credential nonce."""
 
     sid: bytes
     messages: list[bytes] = field(default_factory=list)
-    coins: dict[str, bytes] = field(default_factory=dict)
+    pop_nonce: Optional[bytes] = None
     awaiting_round: int = 1
     scratch: dict = field(default_factory=dict)
 
@@ -154,10 +153,9 @@ class Reader:
             sid=ses.sid,
             o_reader=o_reader,
             tag_id=tag_id,
-            mode=self.protocol.record_mode,
             messages=tuple(ses.messages),
-            coins=ses.coins,
-            delta=self.db.take_delta(),
+            pop_nonce=ses.pop_nonce,
+            changed=self.db.take_changed(),
             via_step=via_step,
             note=note,
         )

@@ -221,7 +221,7 @@ class PopProtocol(MaProtocol):
         pop_challenge = hash_digest(self.reader_signer.sign(nonce), params.hash_bits)
         trs = transcript_digest(params, session.challenge, msg.payload, action.payload)
         binder = binder_value(params, pop_key, trs, pop_challenge)
-        session.coins["pop_nonce"] = nonce
+        session.pop_nonce = nonce
         session.scratch = {
             "tag_id": action.tag_id,
             "via_step": action.via_step,
@@ -330,7 +330,7 @@ def cred_gen(
     if not record.messages:
         raise UnknownSnapshot(f"session {j} was loaded from a journal, which keeps no messages")
     tag_record = reader.history.record_at(record.tag_id, j - 1)
-    nonce = record.coins["pop_nonce"]
+    nonce = record.pop_nonce
     issuer_sig = reader_signer.sign(nonce)
     _, _, binder = _split_finalize(params, record.messages[2])
     masked, _ = _split_final_reply(params, record.messages[3])

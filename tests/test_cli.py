@@ -161,6 +161,21 @@ def test_experiment_unknown_adversary_rc2(capsys):
     assert "error:" in stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["--name", "unp-sharp", "--adversary", "coin-flipper", "--protocol", "mapop", "--impl", "ma"],
+    ["--name", "cred-ufrg", "--adversary", "honest-replayer", "--protocol", "cex"],
+    ["--name", "cred-ufrg", "--adversary", "honest-replayer", "--protocol", "ma"],
+], ids=["mapop-with-impl-ma", "cred-ufrg-cex", "cred-ufrg-ma"])
+def test_experiment_that_would_run_something_else_rc2(capsys, argv):
+    """A pairing that names a game the run would not play exits 2 with one
+    line: `--impl ma` would run MA under a mapop label, and neither MA nor
+    cex issues a credential a forger could attack."""
+    rc, stdout, stderr = run_cli(capsys, "experiment", *argv, "--trials", "2")
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
 def test_serve_reader_has_no_session_mode(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["serve-reader", "--db", "reader.db", "--mode", "ma"])
@@ -309,7 +324,7 @@ def damaged_db(tmp_path, capsys, damage):
     config = Config()
     system = config.build_system(Rng(config.seed))
     system.run_honest()
-    append_journal(str(db), config, 1, system.reader.history.session(1))
+    append_journal(str(db), config, system.reader.history.session(1))
     blob = db.read_bytes()
     db.write_bytes(damage(blob, setup_len))
     return db

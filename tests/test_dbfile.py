@@ -95,14 +95,14 @@ def test_loaded_impl3_database_keeps_one_verify_key_per_tag(tmp_path):
     write_db(path, config, system)
     for j, tag_id in enumerate(system.tag_ids() * 2, start=1):
         system.run_honest(tag_id)
-        append_journal(str(path), config, j, system.reader.history.session(j))
+        append_journal(str(path), config, system.reader.history.session(j))
     loaded = load_db(str(path))
     assert len(loaded.journal) == 4
     for tag_id, rec in loaded.initial.items():
         assert loaded.directory.entries[tag_id] is rec.verify_key
     for session in loaded.journal:
-        for tag_id, rec in session.delta.items():
-            assert rec.verify_key is loaded.initial[tag_id].verify_key
+        rec = session.changed
+        assert rec.verify_key is loaded.initial[rec.tag_id].verify_key
 
 
 def test_journal_replays_counter_history(tmp_path):
@@ -114,7 +114,7 @@ def test_journal_replays_counter_history(tmp_path):
     for tag_id in (tag_a, tag_b, tag_a):
         system.run_honest(tag_id)
     for j in (1, 2, 3):
-        append_journal(str(path), config, j, system.reader.history.session(j))
+        append_journal(str(path), config, system.reader.history.session(j))
     loaded = load_db(str(path))
     assert [e.j for e in loaded.journal] == [1, 2, 3]
     assert loaded.journal[0].tag_id == tag_a
@@ -139,14 +139,13 @@ def test_journal_records_session_metadata(tmp_path):
     write_db(path, config, system)
     system.run_honest(mode="pop")
     record = system.reader.history.session(1)
-    append_journal(str(path), config, 1, record)
+    append_journal(str(path), config, record)
     entry = load_db(str(path)).journal[0]
     assert entry.sid == record.sid
     assert entry.o_reader == 1
     assert entry.via_step == 1
-    assert entry.mode == "pop"
     assert entry.tag_id == record.tag_id
-    assert set(entry.delta) == set(record.delta)
+    assert entry.changed.tag_id == record.changed.tag_id
 
 
 def test_journal_tells_a_timeout_from_a_no_match_reject(tmp_path):
@@ -165,7 +164,7 @@ def test_journal_tells_a_timeout_from_a_no_match_reject(tmp_path):
     reader.step(sid, Msg(1, bytes(96)), rng)
     assert [(r.via_step, r.note) for r in reader.history.sessions] == [(None, "timeout"), (0, "")]
     for j in (1, 2):
-        append_journal(str(path), config, j, reader.history.session(j))
+        append_journal(str(path), config, reader.history.session(j))
     assert [e.via_step for e in load_db(str(path)).journal] == [None, 0]
 
     blob = bytearray(path.read_bytes())
@@ -194,7 +193,7 @@ def test_load_rejects_corrupt_files(tmp_path):
         load_db(str(truncated))
 
     system.run_honest()
-    append_journal(str(path), config, 1, system.reader.history.session(1))
+    append_journal(str(path), config, system.reader.history.session(1))
 
     bad_marker = tmp_path / "marker.db"
     with_journal = path.read_bytes()
@@ -206,7 +205,7 @@ def test_load_rejects_corrupt_files(tmp_path):
 
     out_of_order = tmp_path / "order.db"
     write_db(out_of_order, config, build(config))
-    append_journal(str(out_of_order), config, 2, system.reader.history.session(1))
+    append_journal(str(out_of_order), config, replace(system.reader.history.session(1), j=2))
     with pytest.raises(FrameError):
         load_db(str(out_of_order))
 
@@ -290,7 +289,7 @@ def journaled(tmp_path, sessions=3):
     sizes = [path.stat().st_size]
     for j in range(1, sessions + 1):
         system.run_honest(system.tag_ids()[j % 2])
-        append_journal(str(path), config, j, system.reader.history.session(j))
+        append_journal(str(path), config, system.reader.history.session(j))
         sizes.append(path.stat().st_size)
     return path, sizes, system
 
@@ -344,8 +343,8 @@ def test_journal_entry_the_reader_cannot_write_is_corrupt(tmp_path, damage):
     record = system.reader.history.session(1)
     tag = record.tag_id
     stranger = bytes(b ^ 0xFF for b in tag)
-    assert tag in record.delta and stranger not in system.tags
-    moved = {stranger: replace(record.delta[tag], tag_id=stranger)}
+    assert record.changed.tag_id == tag and stranger not in system.tags
+    moved = replace(record.changed, tag_id=stranger)
     blob = bytearray(path.read_bytes())
     o_reader_at = sizes[0] + 1 + 4 + 16  # marker, j, sid
     if damage == "o_reader 7":
@@ -363,9 +362,23 @@ def test_journal_entry_the_reader_cannot_write_is_corrupt(tmp_path, damage):
         if "session tag" in damage:
             record = replace(record, tag_id=stranger)
         if "changed record" in damage:
-            record = replace(record, delta=moved)
-        append_journal(str(path), Config(mode="ma", tags=2), 1, record)
+            record = replace(record, changed=moved)
+        append_journal(str(path), Config(mode="ma", tags=2), record)
     with pytest.raises(FrameError, match="journal entry 1"):
+        load_db(str(path))
+
+
+def test_journal_entry_with_two_changed_records_is_corrupt(tmp_path):
+    """A session changes at most one record, so an entry whose changed-record
+    count is 2 (here: the one record, stored twice) does not load."""
+    path, sizes, system = journaled(tmp_path, sessions=1)
+    tag = system.reader.history.session(1).tag_id
+    blob = path.read_bytes()
+    count_at = sizes[0] + 1 + 4 + 16 + 1 + 1 + 4 + 2 + 4 + len(tag)  # ... mode "ma", tag
+    assert blob[count_at : count_at + 4] == (1).to_bytes(4, "big")
+    record = blob[count_at + 4 : sizes[1]]
+    path.write_bytes(blob[:count_at] + (2).to_bytes(4, "big") + record + record)
+    with pytest.raises(FrameError, match="journal entry 1 holds 2 changed records"):
         load_db(str(path))
 
 

@@ -114,7 +114,7 @@ def journaled_db(config: Config, path) -> bytes:
             directory=system.directory)
     for j, tag_id in enumerate(system.tag_ids() + system.tag_ids()[:1], start=1):
         system.run_honest(tag_id)
-        append_journal(str(path), config, j, system.reader.history.session(j))
+        append_journal(str(path), config, system.reader.history.session(j))
     return path.read_bytes()
 
 

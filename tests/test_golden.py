@@ -51,13 +51,14 @@ def run_doc(run) -> dict:
 
 
 def history_doc(reader) -> list:
+    mode = reader.protocol.record_mode
     return [
         {
             "j": rec.j,
             "sid": bits_doc(rec.sid),
             "o_reader": rec.o_reader,
             "tag_id": None if rec.tag_id is None else rec.tag_id.hex(),
-            "mode": rec.mode,
+            "mode": mode,
             "via_step": rec.via_step,
             "note": rec.note,
             "messages": [[rnd, *bits_doc(payload)] for rnd, payload in enumerate(rec.messages)],
@@ -292,5 +293,5 @@ def test_journals_are_pinned(name, tmp_path, capsys):
         (1, 1), recovered, (0, 0), (0, None)] * 2
     db = out / "reader.db"
     for rec in reader.history.sessions:
-        append_journal(str(db), config, rec.j, rec)
+        append_journal(str(db), config, rec)
     assert hashlib.sha256(db.read_bytes()).hexdigest() == GOLDEN_JOURNALS[name]

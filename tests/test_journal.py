@@ -25,10 +25,12 @@ ACTIONS = st.lists(
 
 
 def replay(history, j):
-    """Reference snapshot: the initial image with deltas 1..j applied in order."""
+    """Reference snapshot: the initial image with the changed records of
+    sessions 1..j applied in order."""
     image = dict(history.initial)
     for record in history.sessions[:j]:
-        image.update(record.delta)
+        if record.changed is not None:
+            image[record.changed.tag_id] = record.changed
     return image
 
 
@@ -86,11 +88,11 @@ def test_loaded_journal_agrees_with_full_replay(mode, actions):
         save(path, config, system)
         play(system, actions)
         for record in system.reader.history.sessions:
-            append_journal(path, config, record.j, record)
+            append_journal(path, config, record)
         loaded = load_db(path).history
     live = system.reader.history
-    assert [(r.j, r.sid, r.o_reader, r.tag_id, r.mode, r.delta) for r in loaded.sessions] == [
-        (r.j, r.sid, r.o_reader, r.tag_id, r.mode, r.delta) for r in live.sessions
+    assert [(r.j, r.sid, r.o_reader, r.tag_id, r.changed) for r in loaded.sessions] == [
+        (r.j, r.sid, r.o_reader, r.tag_id, r.changed) for r in live.sessions
     ]
     assert_matches_replay(loaded, live)
 
@@ -119,7 +121,7 @@ def test_restarted_reader_matches_an_uninterrupted_twin(order, restart_at):
             run_honest_session(twin.reader, twin.tag(ids[i]), twin.rng)
             record = reader.history.sessions[-1]
             assert record.j == n + 1 == twin.reader.history.sessions[-1].j
-            append_journal(path, config, record.j, record)
+            append_journal(path, config, record)
             mine = cred_gen(config.pop_params(), reader, reader.protocol.reader_signer, n + 1)
             theirs = cred_gen(config.pop_params(), twin.reader, twin.reader_signer, n + 1)
             assert mine.encode() == theirs.encode()

@@ -173,7 +173,6 @@ def test_mapop_session_issues_verifiable_credential(tmp_path):
     assert cred_path.read_bytes().hex() == server[0]["credential"]
 
     data = load_db(db_path)
-    assert data.journal[0].mode == "pop"
     cred = Credential.decode(cred_path.read_bytes())
     assert cred_veri(config.pop_params(), data.directory, cred) == 1
     assert cred.tag_id == system.first_tag_id()

@@ -44,7 +44,6 @@ def test_honest_session_four_messages(pop_system):
     assert trs.o_reader == 1 and trs.o_tag == 1
     assert len(trs.messages) == 4
     record = pop_system.reader.history.session(1)
-    assert record.mode == "pop"
     assert record.via_step == 1
     assert record.tag_id == tag_id
 
@@ -93,7 +92,7 @@ def test_finalize_message_structure(pop_system):
         split(tag_reply, out, params.nonce_bits // 8, out)[1],
     )
     # pop_challenge: hash of the issuer signature on the session nonce.
-    issuer_sig = pop_system.reader_signer.sign(record.coins["pop_nonce"])
+    issuer_sig = pop_system.reader_signer.sign(record.pop_nonce)
     assert pop_challenge == hash_digest(issuer_sig, params.hash_bits)
     # binder: masked transcript digest under the shared masking key.
     trs_digest = transcript_digest(params, challenge, tag_reply, confirm)
