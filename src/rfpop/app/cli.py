@@ -23,7 +23,7 @@ import os
 import sys
 from typing import Optional
 
-from rfpop.errors import ConfigError, FrameError, RfpopError
+from rfpop.errors import ConfigError, RfpopError
 from rfpop.harness.adversaries import (
     FORGERY_ADVERSARIES,
     PRIVACY_ADVERSARIES,
@@ -114,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run an experiment and check its declared bound")
     p.add_argument("--name", required=True, choices=EXPERIMENTS)
     p.add_argument("--adversary", required=True, help="adversary or distinguisher name")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--protocol", choices=("ma", "mapop", "cex"), default="mapop")
     p.add_argument("--impl", choices=IMPL_CHOICES, default="1",
                    help="signature implementation for mapop systems: 1, 2 or 3")
@@ -122,8 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default="rfpop-experiment")
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--budget-policy", choices=(BUDGET_FAIL, BUDGET_ABORT), default=BUDGET_FAIL)
-    p.add_argument("--drop-count", type=int, help="desync-attacker: replies to destroy")
-    p.add_argument("--message-index", type=int,
+    p.add_argument("--drop-count", type=_positive_int,
+                   help="desync-attacker: replies to destroy")
+    p.add_argument("--message-index", type=_positive_int,
                    help="bit-flipper / replayer: 1-based transcript position to attack")
     p.add_argument("--bit", type=int, help="bit-flipper: bit position to flip")
     p.add_argument("--family", choices=sorted(PTPT_FAMILIES), default="prf",
@@ -302,15 +303,10 @@ def _cmd_report_ops(args) -> int:
 def _cmd_cred_verify(args) -> int:
     data = load_db(args.db)
     if data.config.mode != "mapop" or data.directory is None:
-        print("database has no key directory; credentials need an extended-mode setup")
-        return 2
+        raise ConfigError(
+            "database has no key directory; credentials need an extended-mode setup")
     with open(args.cred, "rb") as handle:
-        blob = handle.read()
-    try:
-        cred = Credential.decode(blob)
-    except FrameError as exc:
-        print(f"malformed credential: {exc}")
-        return 2
+        cred = Credential.decode(handle.read())
     verdict = cred_veri(data.config.pop_params(), data.directory, cred)
     print(f"cred_veri: {verdict}")
     return 0 if verdict == 1 else 2

@@ -309,8 +309,3 @@ def append_journal(path: str, config: Config, session: SessionRecord):
     parts += [U32.pack(len(changed)), *(encode_record(config.mode, params, r) for r in changed)]
     with open(path, "ab") as handle:
         handle.write(b"".join(parts))
-
-
-def db_snapshot_load(path: str, j: int) -> dict[bytes, object]:
-    """Load the reader records exactly as they stood after journaled session `j`."""
-    return load_db(path).history.db_at(j)

@@ -67,17 +67,6 @@ def _parse_header(header: bytes) -> tuple[int, int, bytes]:
     return length, msg_type, sid
 
 
-def decode_frame(data: bytes) -> Frame:
-    """Parse one complete frame; the buffer must hold exactly one frame."""
-    if len(data) < _HEADER.size:
-        raise FrameError(f"truncated frame header ({len(data)} bytes)")
-    length, msg_type, sid = _parse_header(data)
-    payload = data[_HEADER.size :]
-    if len(payload) != length:
-        raise FrameError(f"declared payload length {length} but got {len(payload)} bytes")
-    return Frame(msg_type=msg_type, sid=sid, payload=payload)
-
-
 def read_frame(sock, deadline: Optional[float] = None) -> Frame:
     """Read one frame from a socket-like object with recv().
 

@@ -47,7 +47,7 @@ from rfpop.ma import (
 )
 from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import Action
-from rfpop.model.types import MessageSlot, Msg, evolve
+from rfpop.model.types import Msg, evolve
 from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.prf import prf_eval
 from rfpop.primitives.rng import Rng
@@ -92,7 +92,7 @@ def cex_tag_respond(
     branch = _branch_value(params, state.key, challenge, nonce if state.st else None)
     r1 = xor(branch, counter_bytes(params, state.ctr))
     state = evolve(state, ctr=state.ctr + 1, st=1)
-    scratch = MaTagScratch(challenge, nonce, state.ctr, r1 + nonce)
+    scratch = MaTagScratch(challenge, nonce, r1 + nonce)
     return scratch.reply, scratch, state
 
 
@@ -128,7 +128,7 @@ class CexProtocol(MaProtocol):
 
     def __init__(self, params: CexParams):
         super().__init__(params)
-        reply = MessageSlot("tag", (params.out_bits + params.nonce_bits) // 8)
+        reply = (params.out_bits + params.nonce_bits) // 8
         self._slots = (self._slots[0], reply, self._slots[2])
 
     # The benchmark tracer wraps each protocol class's own callbacks

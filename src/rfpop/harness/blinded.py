@@ -26,7 +26,7 @@ from typing import Optional
 
 from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import Action, Reader, Tag
-from rfpop.model.types import IGNORE, MessageSlot, Msg, SID_BITS, StepOutcome
+from rfpop.model.types import IGNORE, Msg, SID_BITS, StepOutcome
 from rfpop.primitives.rng import Rng
 from rfpop.system import System
 
@@ -78,17 +78,19 @@ class _Ledger:
     A conversation is the tuple of its payloads: the session machines only
     pass on a message of the round that comes next, so its round is its
     position. The reader's conversation is its open session's `messages`,
-    which already holds payloads by round; a tag's is its scratch list."""
+    which already holds payloads by round. A tag's is its scratch, the
+    challenge and its reply: the round-2 delivery that extends it is the
+    last the tag receives, so nothing extends the scratch itself."""
 
-    def __init__(self, slots: tuple[MessageSlot, ...]):
+    def __init__(self, slots: tuple[int, ...]):
         self._slots = slots
         self.sent: set[tuple[bytes, ...]] = set()
 
-    def slots(self) -> tuple[MessageSlot, ...]:
+    def slots(self) -> tuple[int, ...]:
         return self._slots
 
     def _send(self, heard: tuple[bytes, ...], rng: Rng) -> bytes:
-        payload = rng.take_bytes(self._slots[len(heard)].byte_len)
+        payload = rng.take_bytes(self._slots[len(heard)])
         self.sent.add(heard + (payload,))
         return payload
 
@@ -108,13 +110,10 @@ class _Ledger:
 
     def tag_respond(self, state, sid, challenge: bytes, rng: Rng):
         reply = self._send((challenge,), rng)
-        return reply, [challenge, reply], state
+        return reply, (challenge, reply), state
 
-    def tag_on_message(self, state, scratch: list[bytes], msg: Msg, rng: Rng):
-        action = self._answer((*scratch, msg.payload), rng)
-        if action.payload is not None:
-            scratch += [msg.payload, action.payload]
-        return action, state
+    def tag_on_message(self, state, scratch: tuple[bytes, bytes], msg: Msg, rng: Rng):
+        return self._answer((*scratch, msg.payload), rng), state
 
     def tag_terminal(self, state):
         return state
@@ -147,14 +146,16 @@ class PureRandomWorld:
         self.draw = draw_rng
 
     def _valid(self, msg: Msg) -> bool:
-        return msg.round < len(self.slots) and self.slots[msg.round].allows(msg.payload)
+        return msg.round < len(self.slots) and len(msg.payload) == self.slots[msg.round]
 
     def _draw_msg(self, round: int) -> Msg:
-        return Msg(round, self.draw.take_bytes(self.slots[round].byte_len))
+        return Msg(round, self.draw.take_bytes(self.slots[round]))
 
-    def _answer(self, sid, msg: Msg, sender: str) -> StepOutcome:
+    def _answer(self, sid, msg: Msg, parity: int) -> StepOutcome:
+        """Answer with the next round if the answering party sends it: the
+        reader sends the even rounds (`parity` 0), the tag the odd ones (1)."""
         nxt = msg.round + 1
-        if self._valid(msg) and nxt < len(self.slots) and self.slots[nxt].sender == sender:
+        if self._valid(msg) and nxt < len(self.slots) and nxt % 2 == parity:
             return StepOutcome(sid, self._draw_msg(nxt))
         return IGNORE
 
@@ -162,10 +163,10 @@ class PureRandomWorld:
         return self.draw.take_bits(SID_BITS), self._draw_msg(0)
 
     def o2(self, tag_id: bytes, sid: bytes, msg: Msg) -> StepOutcome:
-        return self._answer(sid, msg, "tag")
+        return self._answer(sid, msg, 1)
 
     def o3(self, sid: bytes, msg: Msg) -> StepOutcome:
-        return self._answer(sid, msg, "reader")
+        return self._answer(sid, msg, 0)
 
     def timeout(self) -> None:
         return None

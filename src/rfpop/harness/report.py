@@ -108,11 +108,6 @@ class ExperimentReport:
             lines.append(f"extra.{key}: {self.extra[key]}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentReport":
-        d = json.loads(text)
-        return cls(**{name: d[name] for name, _ in FIELDS}, extra=d.get("extra", {}))
-
 
 # The eight fields every report serializes, in the order the dataclass
 # declares them, each with the format spec its text line uses.

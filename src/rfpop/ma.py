@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 from rfpop.errors import CounterOverflow, LengthMismatch
 from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import Action
-from rfpop.model.types import MessageSlot, Msg, evolve
+from rfpop.model.types import Msg, evolve
 from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.counters import count_hash
 from rfpop.primitives.prf import PrfDescriptor, check_input, prf_eval
@@ -101,7 +101,6 @@ class MaReaderRecord:
 class MaTagScratch:
     challenge: bytes
     nonce: bytes
-    expect_ctr: int
     reply: bytes  # the tag's round-1 payload
 
 
@@ -118,7 +117,6 @@ class MaAuthResult(NamedTuple):
     accepted: bool
     tag_id: Optional[bytes] = None
     confirm: Optional[bytes] = None
-    new_ctr: Optional[int] = None
     via_step: int = 0
 
 
@@ -166,7 +164,7 @@ def ma_tag_respond(
     )
     state = evolve(state, ctr=state.ctr + 1)
     reply = MaTagReply(index, nonce, masked)
-    scratch = MaTagScratch(challenge, nonce, state.ctr, reply.payload())
+    scratch = MaTagScratch(challenge, nonce, reply.payload())
     return reply, scratch, state
 
 
@@ -233,7 +231,7 @@ def _accept(
     ctr = recovered + 1
     db.put(evolve(rec, ctr=ctr, index=index_for(params, rec.key, ctr)))
     confirm = confirm_value(params, rec.key, challenge, ctr, nonce)
-    return MaAuthResult(True, rec.tag_id, confirm, ctr, via_step=via_step)
+    return MaAuthResult(True, rec.tag_id, confirm, via_step)
 
 
 def ma_reader_auth(
@@ -261,10 +259,9 @@ def ma_reader_auth(
 def ma_tag_verify(
     params: MaParams, state: MaTagState, scratch: MaTagScratch, confirm: bytes
 ) -> bool:
-    """Check the reader's confirmation against the tag's updated counter."""
-    expected = confirm_value(
-        params, state.key, scratch.challenge, scratch.expect_ctr, scratch.nonce
-    )
+    """Check the reader's confirmation against the tag's updated counter:
+    `state` is the tag's state as round 1 committed it."""
+    expected = confirm_value(params, state.key, scratch.challenge, state.ctr, scratch.nonce)
     return expected == confirm
 
 
@@ -276,13 +273,9 @@ class MaProtocol:
 
     def __init__(self, params: MaParams):
         self.params = params
-        self._slots = (
-            MessageSlot("reader", params.challenge_bits // 8),
-            MessageSlot("tag", params.reply_bits // 8),
-            MessageSlot("reader", params.out_bits // 8),
-        )
+        self._slots = (params.challenge_bits // 8, params.reply_bits // 8, params.out_bits // 8)
 
-    def slots(self) -> tuple[MessageSlot, ...]:
+    def slots(self) -> tuple[int, ...]:
         return self._slots
 
     def reader_open(self, db, session, rng: Rng) -> bytes:

@@ -56,8 +56,6 @@ class ReaderDatabase:
             insort(self._by_index.setdefault(idx, []), rec.tag_id)
 
     def _index_remove(self, rec_id: bytes, idx: Optional[bytes]):
-        if idx is None:
-            return
         bucket = self._by_index.get(idx)
         if bucket and rec_id in bucket:
             bucket.remove(rec_id)

@@ -6,8 +6,9 @@ records, tag key-version bumps, and lifetime limits. A protocol
 object plugs in the cryptographic content via a small duck-typed interface:
 
     name                   protocol label
-    slots()                tuple[MessageSlot, ...], round 0 first; the same
-                           object on every call
+    slots()                tuple[int, ...]: the payload length, in bytes, of
+                           each round, round 0 first; the same object on
+                           every call
     reader_open(db, session, rng)            -> round-0 payload
     reader_on_message(db, session, msg, rng) -> Action
     tag_respond(state, sid, challenge, rng)  -> (reply payload, scratch, state)
@@ -18,6 +19,13 @@ An `Action` says what the delivery does to the party: `payload` is the next
 message it sends (None: it sends nothing), and `output` is its terminal
 output (None: the session goes on; 1 accept, 0 reject). A party may both
 send and end in one step.
+
+Every session has one shape. The reader opens it with round 0 and the two
+parties alternate: the reader sends the even rounds and the tag the odd ones.
+The tag's part ends on its round-2 delivery, so `tag_on_message` always
+returns an output (it may also send round 3). A reader step that returns no
+output sends a message, so the round the reader awaits is the number of
+messages its open session holds.
 
 An `Action`, like the `StepOutcome` a step returns, is a `NamedTuple`: it
 lives only within the step, and a tuple is immutable and built at C speed.
@@ -62,13 +70,13 @@ class Action(NamedTuple):
 class OpenReaderSession:
     """The reader's open session. `messages` holds the payloads sent and
     received so far, indexed by round: the reader only takes in the round it
-    awaits, so position r is round r. `pop_nonce` is MAPoP's credential nonce."""
+    awaits, so position r is round r. `pop_nonce` is MAPoP's credential nonce
+    and `scratch` what a protocol keeps from one of its rounds to the next."""
 
     sid: bytes
     messages: list[bytes] = field(default_factory=list)
     pop_nonce: Optional[bytes] = None
-    awaiting_round: int = 1
-    scratch: dict = field(default_factory=dict)
+    scratch: object = None
 
     @property
     def challenge(self) -> bytes:
@@ -78,7 +86,6 @@ class OpenReaderSession:
 @dataclass(slots=True)
 class OpenTagSession:
     sid: bytes
-    awaiting_round: int
     scratch: object
 
 
@@ -123,9 +130,9 @@ class Reader:
         slots = self.protocol.slots()
         rnd = msg.round
         if not (
-            rnd == ses.awaiting_round
+            rnd == len(ses.messages)
             and rnd < len(slots)
-            and len(msg.payload) == slots[rnd].byte_len
+            and len(msg.payload) == slots[rnd]
         ):
             return self._finalize(0, None, None, "message outside expected round space")
         action = self.protocol.reader_on_message(self.db, ses, msg, rng)
@@ -134,9 +141,7 @@ class Reader:
         if action.payload is not None:
             reply = Msg(rnd + 1, action.payload)
             ses.messages.append(action.payload)
-        if action.output is None:
-            ses.awaiting_round = rnd + 2
-        else:
+        if action.output is not None:
             self._finalize(action.output, action.tag_id, action.via_step, action.note)
         return StepOutcome(sid, reply, action.output)
 
@@ -183,14 +188,10 @@ class Tag:
         self.sink = sink
         self._sunk = None
 
-    @property
-    def tag_id(self) -> bytes:
-        return self.state.tag_id
-
     def step(self, sid: bytes, msg: Msg, rng: Rng) -> StepOutcome:
         slots = self.protocol.slots()
         rnd = msg.round
-        if rnd == 0 and len(msg.payload) == slots[0].byte_len:
+        if rnd == 0 and len(msg.payload) == slots[0]:
             # Session start, checked before anything else: an open session is
             # voided (output 0, key update) and a fresh one replaces it.
             restarted = self.session is not None
@@ -201,24 +202,16 @@ class Tag:
                     f"tag exhausted its {self.lifetime}-session lifetime"
                 )
             payload, scratch, state = self.protocol.tag_respond(self.state, sid, msg.payload, rng)
-            self.session = OpenTagSession(sid=sid, awaiting_round=2, scratch=scratch)
+            self.session = OpenTagSession(sid, scratch)
             self._commit(state)
             return StepOutcome(sid, Msg(1, payload), 0 if restarted else None)
         ses = self.session
-        if (
-            ses is not None
-            and sid == ses.sid
-            and rnd == ses.awaiting_round
-            and rnd < len(slots)
-            and len(msg.payload) == slots[rnd].byte_len
-        ):
+        if ses is not None and sid == ses.sid and rnd == 2 and len(msg.payload) == slots[2]:
+            # Round 2 is the tag's last delivery: it always ends the session.
             action, state = self.protocol.tag_on_message(self.state, ses.scratch, msg, rng)
             self._commit(state)
-            if action.output is None:
-                ses.awaiting_round = rnd + 2
-            else:
-                self._terminal(action.note)
-            reply = None if action.payload is None else Msg(rnd + 1, action.payload)
+            self._terminal(action.note)
+            reply = None if action.payload is None else Msg(3, action.payload)
             return StepOutcome(sid, reply, action.output)
         return IGNORE
 
@@ -257,8 +250,8 @@ def relay(sid: bytes, first: Msg, to_tag, to_reader) -> Transcript:
     trs = Transcript(sid, [first])
     msg = first
     while True:
-        # No tag (ma, pop, cex) answers the reader's terminal message with a
-        # message, only an output, so the session ends with that delivery.
+        # A tag's round-2 delivery ends its session; a round-3 reply goes to
+        # the reader, whose step on it sends nothing.
         out = to_tag(msg)
         if out.output is not None:
             trs.o_tag = out.output

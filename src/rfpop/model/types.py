@@ -1,8 +1,8 @@
 """Message and outcome types for the session model.
 
-Every protocol value a message carries, and every sid, is `bytes`; the
-message slots say which payload lengths (in bytes) each round admits, and the
-session machines check a payload against them before a protocol sees it.
+Every protocol value a message carries, and every sid, is `bytes`; a
+protocol's slots are the one payload length (in bytes) each round admits, and
+the session machines check a payload against them before a protocol sees it.
 
 Messages carry an explicit round marker. The default parameter sizes make a
 session-start challenge and a final confirmation the same length, so "does
@@ -34,18 +34,6 @@ class Msg:
     def __post_init__(self):
         if self.round < 0:
             raise ValueError("round index must be non-negative")
-
-
-@dataclass(frozen=True)
-class MessageSlot:
-    """Shape of one round: who sends it and the one payload length, in bytes,
-    that it admits."""
-
-    sender: str  # "reader" or "tag"
-    byte_len: int
-
-    def allows(self, payload: bytes) -> bool:
-        return len(payload) == self.byte_len
 
 
 @dataclass

@@ -55,7 +55,7 @@ from rfpop.ma import (
     tag_id_for,
 )
 from rfpop.model.session import Action, Reader
-from rfpop.model.types import MessageSlot, Msg, evolve
+from rfpop.model.types import Msg, evolve
 from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.prf import PrfDescriptor, hash_digest, prf_eval
 from rfpop.primitives.rng import Rng
@@ -197,10 +197,8 @@ class PopProtocol(MaProtocol):
     def __init__(self, params: PopParams, reader_signer: FullTimeSigner):
         super().__init__(params)
         self.reader_signer = reader_signer
-        self._slots = self._slots[:2] + (
-            MessageSlot("reader", params.finalize_bits // 8),
-            MessageSlot("tag", params.final_reply_bits // 8),
-        )
+        self._slots = self._slots[:2] + (params.finalize_bits // 8,
+                                         params.final_reply_bits // 8)
 
     # The benchmark tracer wraps each protocol class's own callbacks
     # (`cls.__dict__`), so the inherited ones are bound here by name.
@@ -222,27 +220,23 @@ class PopProtocol(MaProtocol):
         trs = transcript_digest(params, session.challenge, msg.payload, action.payload)
         binder = binder_value(params, pop_key, trs, pop_challenge)
         session.pop_nonce = nonce
-        session.scratch = {
-            "tag_id": action.tag_id,
-            "via_step": action.via_step,
-            "pop_challenge": pop_challenge,
-            "binder": binder,
-        }
+        session.scratch = (action.tag_id, action.via_step)
         return Action(action.payload + pop_challenge + binder)
 
     def _reader_on_final(self, db, session, msg: Msg) -> Action:
         """Unmask the tag's possession signature; accept iff it verifies
         under the tag's key and sig_tag matches."""
-        sc = session.scratch
-        record = db.get(sc["tag_id"])
+        tag_id, via_step = session.scratch
+        record = db.get(tag_id)
+        _, pop_challenge, binder = _split_finalize(self.params, session.messages[2])
         masked, tag_check = _split_final_reply(self.params, msg.payload)
-        sig = xor(masked, signature_mask(self.params, record.pop_key, sc["binder"]))
+        sig = xor(masked, signature_mask(self.params, record.pop_key, binder))
         # sig_tag is computed only for a signature that verifies.
         if (
-            record.verify_key.verify(sc["pop_challenge"], sig)
+            record.verify_key.verify(pop_challenge, sig)
             and signature_tag(self.params, record.pop_key, sig) == tag_check
         ):
-            return Action(output=1, tag_id=sc["tag_id"], via_step=sc["via_step"])
+            return Action(output=1, tag_id=tag_id, via_step=via_step)
         return Action(output=0, note="possession proof invalid")
 
     def tag_on_message(self, state: PopTagState, scratch, msg: Msg, rng: Rng):

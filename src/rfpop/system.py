@@ -93,13 +93,6 @@ def build_cex_system(rng: Rng, tag_count: int = 2, params: Optional[CexParams] =
     return _system(rng, CexProtocol(params), states, records, lifetime)
 
 
-def mapop_session(system: System, tag_id: Optional[bytes] = None) -> Transcript:
-    """One full four-round session against the chosen tag."""
-    if system.kind != "mapop":
-        raise ValueError("mapop_session needs a proof-of-possession system")
-    return system.run_honest(tag_id=tag_id)
-
-
 SYSTEM_BUILDERS = {
     "ma": build_ma_system,
     "mapop": build_pop_system,

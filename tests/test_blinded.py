@@ -26,7 +26,7 @@ def test_reader_session_registration():
     sid, challenge = world.o1()
     assert len(sid) == 16
     assert challenge.round == 0
-    assert len(challenge.payload) == MA_SLOTS[0].byte_len
+    assert len(challenge.payload) == MA_SLOTS[0]
     assert world.reader.session.sid == sid
     assert world.reader.session.messages == [challenge.payload]
 
@@ -129,7 +129,7 @@ def test_out_of_turn_deliveries_ignored():
 def test_adversarial_tag_only_session():
     world, tag = make_world()
     sid = Rng("adv-sid").take_bits(128)
-    challenge = Msg(0, Rng("adv-chal").take_bytes(MA_SLOTS[0].byte_len))
+    challenge = Msg(0, Rng("adv-chal").take_bytes(MA_SLOTS[0]))
     t1 = world.o2(tag, sid, challenge)
     assert t1.kind == "reply" and t1.msg.round == 1
     # The reader never opened a session.

@@ -62,6 +62,14 @@ def test_length_validation():
         Config(l_v=-8)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("K", -1), ("s", 0), ("lifetime", 0), ("timeout_ticks", 0)]
+)
+def test_counts_below_their_floor_are_rejected(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        Config(mode="ma", **{field: value})
+
+
 def test_ktime_budget_rules():
     # A positive signing budget is required, and the tag lifetime cannot
     # exceed it: each session spends one signature.

@@ -139,7 +139,7 @@ def test_cex_extends_ma():
     assert issubclass(CexProtocol, MaProtocol) and issubclass(CexTagState, MaTagState)
     cex, ma = CexProtocol(PARAMS).slots(), MaProtocol(PARAMS).slots()
     assert (cex[0], cex[2]) == (ma[0], ma[2])
-    assert cex[1].byte_len == (PARAMS.out_bits + PARAMS.nonce_bits) // 8
+    assert cex[1] == (PARAMS.out_bits + PARAMS.nonce_bits) // 8
     tags, db = fresh_setup()
     state = dataclasses.replace(tags[0], st=1)
     rng = Rng("cex-extends-ma")

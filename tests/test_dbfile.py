@@ -10,7 +10,6 @@ from rfpop.app.dbfile import (
     MAGIC,
     VIA_STEP_NONE,
     append_journal,
-    db_snapshot_load,
     load_db,
     load_tag,
     record_fields,
@@ -124,11 +123,11 @@ def test_journal_replays_counter_history(tmp_path):
         assert {t: r.ctr for t, r in image.items()} == {
             t: r.ctr for t, r in expected.items()
         }
-    assert db_snapshot_load(str(path), 2)[tag_b].ctr == 2
+    assert load_db(str(path)).history.db_at(2)[tag_b].ctr == 2
     with pytest.raises(UnknownSnapshot):
         loaded.history.db_at(4)
     with pytest.raises(UnknownSnapshot):
-        db_snapshot_load(str(path), -1)
+        load_db(str(path)).history.db_at(-1)
     assert loaded.history.record_at(tag_a, 3).ctr == 3
 
 

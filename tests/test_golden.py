@@ -99,7 +99,7 @@ def test_honest_transcripts_are_pinned(mode):
     system = Config(mode=mode, tags=3, seed=f"golden-{mode}").build_system()
     ids = system.tag_ids()
     rng = system.rng
-    width = system.protocol.slots()[0].byte_len
+    width = system.protocol.slots()[0]
     session_mode = "pop" if mode == "mapop" else None
     runs = []
     for i in range(15):
@@ -277,14 +277,14 @@ def test_journals_are_pinned(name, tmp_path, capsys):
     capsys.readouterr()
     system = config.build_system()
     reader, rng = system.reader, system.rng
-    width = system.protocol.slots()[0].byte_len
+    width = system.protocol.slots()[0]
     for tag_id in system.tag_ids():
         tag = system.tag(tag_id)
         run_honest_session(reader, tag, rng)
         tag.step(rng.take_bits(128), Msg(0, rng.take_bytes(width)), rng)
         run_honest_session(reader, tag, rng)
         sid, _ = reader.start(rng)
-        reader.step(sid, Msg(1, bytes(system.protocol.slots()[1].byte_len)), rng)
+        reader.step(sid, Msg(1, bytes(system.protocol.slots()[1])), rng)
         reader.start(rng)
         reader.timeout()
     # cex matches only the stored counter, so a tag whose counter ran ahead is rejected.

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfpop.app.config import Config
-from rfpop.app.dbfile import append_journal, db_snapshot_load, load_db, save_db
+from rfpop.app.dbfile import append_journal, load_db, save_db
 from rfpop.app.netrun import reader_from_file
 from rfpop.errors import UnknownSnapshot
 from rfpop.model.session import run_honest_session
@@ -37,7 +37,7 @@ def replay(history, j):
 def play(system, actions):
     ids = system.tag_ids()
     rng = system.rng
-    width = system.protocol.slots()[0].byte_len
+    width = system.protocol.slots()[0]
     for kind, i in actions:
         if kind == "honest":
             system.run_honest(ids[i])
@@ -116,7 +116,7 @@ def test_restarted_reader_matches_an_uninterrupted_twin(order, restart_at):
         for n, i in enumerate(order):
             if n == restart_at:
                 _data, reader = reader_from_file(path)
-                before = {j: db_snapshot_load(path, j) for j in range(n + 1)}
+                before = {j: load_db(path).history.db_at(j) for j in range(n + 1)}
             run_honest_session(reader, system.tag(ids[i]), system.rng)
             run_honest_session(twin.reader, twin.tag(ids[i]), twin.rng)
             record = reader.history.sessions[-1]

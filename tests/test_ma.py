@@ -73,7 +73,6 @@ def test_tag_respond_matches_formulas():
     assert reply.masked_ctr == xor(expected_mask, counter_bytes(PARAMS, KAT_CTR))
     assert advanced == dataclasses.replace(state, ctr=KAT_CTR + 1)
     assert state.ctr == KAT_CTR
-    assert scratch.expect_ctr == KAT_CTR + 1
     assert scratch.challenge == KAT_CHAL
     assert scratch.nonce == reply.nonce
 
@@ -98,7 +97,6 @@ def test_synchronized_auth_uses_step_one():
     assert result.accepted
     assert result.via_step == 1
     assert result.tag_id == state.tag_id
-    assert result.new_ctr == state.ctr
     rec = db.get(state.tag_id)
     assert rec.ctr == state.ctr
     assert rec.index == index_for(PARAMS, state.key, state.ctr)
@@ -253,7 +251,7 @@ def test_session_accepts_for_arbitrary_counters(ctr, salt):
     reply, scratch, state = ma_tag_respond(PARAMS, state, challenge, rng)
     result = ma_reader_auth(PARAMS, db, challenge, reply)
     assert result.accepted and result.via_step == 1
-    assert result.new_ctr == ctr + 1
+    assert db.get(tag_id).ctr == ctr + 1
     assert ma_tag_verify(PARAMS, state, scratch, result.confirm)
 
 
@@ -270,7 +268,7 @@ def reference_auth(params, db, challenge, reply):
         rec = dataclasses.replace(rec, ctr=ctr, index=index_for(params, rec.key, ctr))
         db.put(rec)
         confirm = confirm_value(params, rec.key, challenge, rec.ctr, reply.nonce)
-        return MaAuthResult(True, rec.tag_id, confirm, rec.ctr, via_step)
+        return MaAuthResult(True, rec.tag_id, confirm, via_step)
 
     for rec in db.candidates_for_index(reply.index):
         mask = counter_mask(params, rec.key, challenge, reply.index, reply.nonce)

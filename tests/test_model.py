@@ -21,7 +21,7 @@ from rfpop.pop import Credential, cred_gen
 from rfpop.primitives.bitstring import flip_bit
 from rfpop.primitives.prf import hash_digest
 from rfpop.primitives.rng import Rng
-from rfpop.system import build_ma_system, mapop_session
+from rfpop.system import build_ma_system
 
 
 @pytest.mark.parametrize(
@@ -45,8 +45,7 @@ def test_step_outcome_kind_follows_msg_and_output(msg, output, kind):
         (Action, ("payload", "output", "tag_id", "via_step", "note"), (None, None, None, None, "")),
         (StepOutcome, ("sid", "msg", "output"), (None, None, None)),
         (MaTagReply, ("index", "nonce", "masked_ctr"), ()),
-        (MaAuthResult, ("accepted", "tag_id", "confirm", "new_ctr", "via_step"),
-         (None, None, None, 0)),
+        (MaAuthResult, ("accepted", "tag_id", "confirm", "via_step"), (None, None, 0)),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else None,
 )
@@ -394,6 +393,46 @@ def test_tag_callbacks_leave_their_input_state_alone(name):
     assert checker.calls == {"tag_respond": 5, "tag_on_message": 3, "tag_terminal": 5}
 
 
+@pytest.mark.parametrize("flip", [False, True], ids=["valid", "bit-flipped"])
+@pytest.mark.parametrize(
+    "name",
+    ["ma", "cex", "mapop-impl1", "mapop-impl2", "mapop-impl3", "ledger-ma", "ledger-mapop"],
+)
+def test_sessions_keep_the_machine_contract(name, flip):
+    """The session shape the machines rely on: a tag's round-2 delivery,
+    valid or with one bit flipped, ends its session with an output (and at
+    most a round-3 reply), and every reader step that gives no output sends
+    the next round. `ledger-*` is the b=0 world's plug-in on that protocol's
+    slots."""
+    system = _system_for(name.removeprefix("ledger-"))
+    world = SessionWorld(system.reader, system.tags, system.rng)
+    if name.startswith("ledger-"):
+        world = blinded_world(system, Rng("contract-ledger"))
+    reader, rng = world.reader, world.rng
+    tag = world.tags[system.first_tag_id()]
+
+    def reader_step(sid, msg):
+        out = reader.step(sid, msg, rng)
+        assert out.output is not None or (out.msg is not None and out.msg.round == msg.round + 1)
+        return out
+
+    sid, challenge = reader.start(rng)
+    reply = tag.step(sid, challenge, rng)
+    assert reply.output is None and reply.msg.round == 1
+    to_tag = reader_step(sid, reply.msg).msg
+    assert to_tag.round == 2
+    if flip:
+        to_tag = Msg(2, flip_bit(to_tag.payload, 0))
+    end = tag.step(sid, to_tag, rng)
+    assert end.output == (0 if flip else 1)
+    assert tag.session is None and tag.key_version == 1
+    if end.msg is not None:
+        assert end.msg.round == 3
+        assert reader_step(sid, end.msg).output == 1
+    if not flip:
+        assert reader.session is None
+
+
 def test_history_keeps_payload_tuples_the_collector_drops(pop_system):
     """Each session record keeps its messages as a tuple of `bytes`, one per
     round, which a collection stops tracking, so the reader's history adds
@@ -408,7 +447,7 @@ def test_history_keeps_payload_tuples_the_collector_drops(pop_system):
         system.run_honest(ids[i % len(ids)])
     gc.collect()
     assert (len(gc.get_objects()) - before) / 500 <= 2.5
-    round_lengths = [slot.byte_len for slot in system.protocol.slots()]
+    round_lengths = list(system.protocol.slots())
     for rec in system.reader.history.sessions:
         assert not any(isinstance(getattr(rec, f.name), dict) for f in dataclasses.fields(rec))
         assert type(rec.messages) is tuple
@@ -417,7 +456,7 @@ def test_history_keeps_payload_tuples_the_collector_drops(pop_system):
         assert not gc.is_tracked(rec.messages)
 
     tag_id = pop_system.first_tag_id()
-    trs = mapop_session(pop_system, tag_id)
+    trs = pop_system.run_honest(tag_id)
     record = pop_system.reader.history.session(1)
     assert record.messages == tuple(m.payload for m in trs.messages)
     params = pop_system.params

@@ -26,7 +26,7 @@ from rfpop.primitives.bitstring import flip_bit, split, xor
 from rfpop.primitives.prf import hash_digest
 from rfpop.primitives.rng import Rng
 from rfpop.primitives.sig import fulltime_keygen
-from rfpop.system import build_pop_system, mapop_session
+from rfpop.system import build_pop_system
 
 
 def test_pop_params_run_the_interior_length_checks():
@@ -40,7 +40,7 @@ def test_pop_protocol_extends_the_interior_protocol():
 
 def test_honest_session_four_messages(pop_system):
     tag_id = pop_system.first_tag_id()
-    trs = mapop_session(pop_system, tag_id)
+    trs = pop_system.run_honest(tag_id)
     assert trs.o_reader == 1 and trs.o_tag == 1
     assert len(trs.messages) == 4
     record = pop_system.reader.history.session(1)
@@ -76,7 +76,7 @@ def test_interior_rounds_unchanged(pop_system):
 def test_finalize_message_structure(pop_system):
     params = pop_system.params
     tag_id = pop_system.first_tag_id()
-    trs = mapop_session(pop_system, tag_id)
+    trs = pop_system.run_honest(tag_id)
     record = pop_system.reader.history.session(1)
     tag_record = pop_system.reader.history.db_at(0)[tag_id]
     challenge = trs.messages[0].payload
@@ -203,7 +203,7 @@ def test_truncated_finalize_is_ignored(pop_system):
 def test_exhausted_signer_fails_closed():
     params = PopParams(sig_impl=IMPL_KTIME, k_time=1)
     system = build_pop_system(Rng("exhaust"), tag_count=1, params=params, lifetime=8)
-    assert mapop_session(system).o_reader == 1  # consumes the only signature
+    assert system.run_honest().o_reader == 1  # consumes the only signature
     o_reader, o_tag = step_by_step_session(system)
     assert (o_reader, o_tag) == (0, 0)
 
@@ -218,7 +218,7 @@ def test_exhausted_signer_fails_closed():
 )
 def test_each_signature_instantiation_round_trips(impl, params):
     system = build_pop_system(Rng(f"impl-{impl}"), tag_count=2, params=params, lifetime=8)
-    trs = mapop_session(system)
+    trs = system.run_honest()
     assert trs.o_reader == 1 and trs.o_tag == 1
     cred = cred_gen(params, system.reader, system.reader_signer, 1)
     assert cred_veri(params, system.directory, cred) == 1
@@ -236,7 +236,7 @@ def test_cred_veri_does_not_check_the_possession_signature_again(params, checks,
     # The reader verified the possession signature in round 3 under the key
     # object the directory holds, so cred_veri checks only the issuer's.
     system = build_pop_system(Rng("verify-once"), tag_count=2, params=params, lifetime=8)
-    assert mapop_session(system).o_reader == 1
+    assert system.run_honest().o_reader == 1
     cred = cred_gen(params, system.reader, system.reader_signer, 1)
     assert cred_veri(params, system.directory, cred) == 1
     assert [name for name, _, _ in sig_checks] == checks
@@ -249,8 +249,8 @@ def test_spliced_credential_after_two_honest_ones_fails(params):
     # One tag, so both sessions' possession signatures were accepted under
     # the one key object the directory holds.
     system = build_pop_system(Rng("splice-after-memo"), tag_count=1, params=params, lifetime=8)
-    assert mapop_session(system).o_reader == 1
-    assert mapop_session(system).o_reader == 1
+    assert system.run_honest().o_reader == 1
+    assert system.run_honest().o_reader == 1
     cred_a = cred_gen(params, system.reader, system.reader_signer, 1)
     cred_b = cred_gen(params, system.reader, system.reader_signer, 2)
     spliced = dataclasses.replace(cred_a, possession_sig=cred_b.possession_sig)
@@ -262,7 +262,7 @@ def test_spliced_credential_after_two_honest_ones_fails(params):
 
 def test_credential_contents_and_independent_signature(pop_system):
     tag_id = pop_system.first_tag_id()
-    mapop_session(pop_system, tag_id)
+    pop_system.run_honest(tag_id)
     params = pop_system.params
     cred = cred_gen(params, pop_system.reader, pop_system.reader_signer, 1)
     assert cred.reader_id == b"reader-0"
@@ -283,7 +283,7 @@ def test_cred_gen_none_for_failed_sessions(pop_system):
 
 
 def test_cred_veri_rejects_each_broken_field(pop_system):
-    mapop_session(pop_system)
+    pop_system.run_honest()
     params = pop_system.params
     directory = pop_system.directory
     cred = cred_gen(params, pop_system.reader, pop_system.reader_signer, 1)
@@ -304,7 +304,7 @@ def test_cred_veri_rejects_each_broken_field(pop_system):
 
 
 def test_credential_encoding_round_trip(pop_system):
-    mapop_session(pop_system)
+    pop_system.run_honest()
     cred = cred_gen(pop_system.params, pop_system.reader, pop_system.reader_signer, 1)
     blob = cred.encode()
     assert blob[0] == CRED_VERSION

@@ -5,10 +5,13 @@ import dataclasses
 import json
 import os
 import random
+import struct
+import zlib
 
 import pytest
 
 from rfpop.app.config import Config
+from rfpop.app.framing import U32, pack_fields
 from rfpop.app.tagfile import TAG_LOG_CAP, load_tag, read_tag, save_tag
 from rfpop.errors import FrameError
 from rfpop.primitives.rng import Rng
@@ -116,6 +119,24 @@ def test_every_bit_flip_of_a_whole_record_is_a_frame_error(config, tmp_path):
         log_path.write_bytes(damaged)
         with pytest.raises(FrameError, match="tag state log record"):
             read_tag(path)
+
+
+def test_a_key_file_that_is_a_json_array_is_rejected(tmp_path):
+    path = tmp_path / "tag.json"
+    path.write_text("[]\n", encoding="utf-8")
+    with pytest.raises(FrameError, match="is not a JSON object"):
+        read_tag(str(path))
+
+
+def test_a_log_record_with_a_valid_checksum_and_a_malformed_body_is_rejected(tmp_path):
+    """One field where a record holds four, framed and checksummed as the
+    sink frames a record: the checksum passes and the body is refused."""
+    path, _tag, _appended = tag_with_log(tmp_path, Config(mode="ma"), 0)
+    body = pack_fields([b"x"])
+    framed = struct.pack(">HH", len(body), len(body) ^ 0xFFFF) + body
+    (tmp_path / "tag.json.log").write_bytes(framed + U32.pack(zlib.crc32(framed)))
+    with pytest.raises(FrameError, match="tag state log record 1 is malformed"):
+        read_tag(path)
 
 
 class Killed(Exception):

@@ -15,7 +15,6 @@ from rfpop.app.wire import (
     TYPE_RESULT_TAG,
     TYPE_ROUND_CHALLENGE,
     Frame,
-    decode_frame,
     frame_for_msg,
     msg_from_frame,
     read_frame,
@@ -54,7 +53,7 @@ def test_frame_layout():
 )
 def test_encode_decode_round_trip(msg_type, payload):
     frame = Frame(msg_type, SID, payload)
-    assert decode_frame(frame.encode()) == frame
+    assert read_frame(FakeSocket(frame.encode())) == frame
 
 
 def test_encode_rejects_bad_fields():
@@ -69,17 +68,15 @@ def test_encode_rejects_bad_fields():
 def test_decode_rejects_malformed_buffers():
     good = Frame(TYPE_ROUND_CHALLENGE, SID, b"abc").encode()
     with pytest.raises(FrameError):
-        decode_frame(good[:10])  # truncated header
+        read_frame(FakeSocket(good[:10]))  # truncated header
     with pytest.raises(FrameError):
-        decode_frame(good[:-1])  # payload shorter than declared
-    with pytest.raises(FrameError):
-        decode_frame(good + b"x")  # trailing bytes
+        read_frame(FakeSocket(good[:-1]))  # payload shorter than declared
     bad_type = good[:4] + bytes([0x7F]) + good[5:]
     with pytest.raises(FrameError):
-        decode_frame(bad_type)
+        read_frame(FakeSocket(bad_type))
     oversized = (MAX_PAYLOAD + 1).to_bytes(4, "big") + good[4:]
     with pytest.raises(FrameError):
-        decode_frame(oversized)
+        read_frame(FakeSocket(oversized))
 
 
 def test_read_frame_from_stream_in_chunks():
@@ -114,7 +111,7 @@ def test_result_frames():
     for msg_type in (TYPE_RESULT_READER, TYPE_RESULT_TAG):
         for value in (0, 1):
             frame = result_frame(msg_type, SID, value)
-            assert result_value(decode_frame(frame.encode())) == value
+            assert result_value(read_frame(FakeSocket(frame.encode()))) == value
     with pytest.raises(FrameError):
         result_frame(TYPE_CREDENTIAL, SID, 1)
     with pytest.raises(FrameError):
