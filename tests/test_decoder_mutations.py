@@ -4,11 +4,11 @@ Each mutant is a valid encoding with one flipped bit, a cut, an inserted
 byte run, or a splice of two valid encodings. The frame and credential
 decoders may reject a mutant only with FrameError. A credential they accept
 must re-encode to the same bytes; the frame decoder reads a stream, so a
-mutant it accepts must start with the frame's re-encoding. A reader database file may be rejected only
-with a FrameError (Truncated is one); the JSON blocks of a config (ConfigError) and a signer
-(ValueError), and a curve point (ValueError), each only with the error their
-decoder names; a signature check on a mutated key or signature only answers
-a bool.
+mutant it accepts must start with the frame's re-encoding. A reader database
+file may be rejected only with a FrameError (Truncated is one); the JSON
+blocks of a config (ConfigError) and a signer (ValueError), and a curve point
+(ValueError), each only with the error their decoder names; a signature check
+on a mutated key or signature only answers a bool.
 """
 
 import io
