@@ -266,6 +266,14 @@ def _cmd_experiment(args) -> int:
             adversary = make_adversary(adversary_name, **_adversary_kwargs(args))
         except TypeError as exc:
             raise ConfigError(f"bad options for {adversary_name}: {exc}") from exc
+        # A position past the last message would attack nothing: the run
+        # would relay honestly and pass.
+        index = getattr(adversary, "message_index", None)
+        if index is not None:
+            rounds = len(factory().protocol.slots())
+            if index > rounds:
+                raise ConfigError(f"--message-index {index} is past the last of "
+                                  f"{args.protocol}'s {rounds} messages")
         if name == "cred-ufrg":
             report = exp_cred_unforge(factory, adversary, args.trials, rng)
         else:

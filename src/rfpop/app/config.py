@@ -84,15 +84,15 @@ class Config:
                 raise ConfigError(f"{name} must be a positive multiple of 8, got {value!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.K, int) or self.K < 0:
+        if type(self.K) is not int or self.K < 0:
             raise ConfigError(f"K must be a non-negative integer, got {self.K!r}")
-        if not isinstance(self.s, int) or self.s < 1:
+        if type(self.s) is not int or self.s < 1:
             raise ConfigError(f"s must be a positive integer, got {self.s!r}")
-        if self.lifetime is not None and (not isinstance(self.lifetime, int) or self.lifetime < 1):
+        if self.lifetime is not None and (type(self.lifetime) is not int or self.lifetime < 1):
             raise ConfigError(f"lifetime must be a positive integer, got {self.lifetime!r}")
-        if not isinstance(self.tags, int) or self.tags < 1:
+        if type(self.tags) is not int or self.tags < 1:
             raise ConfigError(f"tags must be a positive integer, got {self.tags!r}")
-        if not isinstance(self.timeout_ticks, int) or self.timeout_ticks < 1:
+        if type(self.timeout_ticks) is not int or self.timeout_ticks < 1:
             raise ConfigError(f"timeout_ticks must be a positive integer, got {self.timeout_ticks!r}")
         if not (isinstance(self.seed, str) or (type(self.seed) is int and self.seed >= 0)):
             raise ConfigError(f"seed must be a string or a non-negative integer, got {self.seed!r}")

@@ -31,7 +31,7 @@ An `Action`, like the `StepOutcome` a step returns, is a `NamedTuple`: it
 lives only within the step, and a tuple is immutable and built at C speed.
 The open-session scratch records are slotted dataclasses; what the parties
 keep (`SessionRecord`, the tag states and the reader records) stays frozen,
-and a session record keeps its messages as a tuple of payloads.
+and a session record keeps its payloads packed into one `bytes`.
 
 Dispatch rules follow the session model: a tag checks "is this a session
 start?" before anything else, restarting (and voiding the current session)
@@ -158,7 +158,7 @@ class Reader:
             sid=ses.sid,
             o_reader=o_reader,
             tag_id=tag_id,
-            messages=tuple(ses.messages),
+            messages=b"".join(ses.messages),
             pop_nonce=ses.pop_nonce,
             changed=self.db.take_changed(),
             via_step=via_step,
@@ -177,6 +177,9 @@ class Tag:
     `state` is a frozen value that only `_commit` replaces, before a step
     returns the message that spends it, handing an optional `sink(state,
     key_version)` the version the open session ends at (each ends in one bump)."""
+
+    __slots__ = ("protocol", "state", "lifetime", "key_version", "session", "note",
+                 "sink", "_sunk")
 
     def __init__(self, protocol, state, lifetime: int, key_version: int = 0, sink=None):
         self.protocol = protocol

@@ -10,9 +10,10 @@ this message open a session?" cannot be decided from length alone; the
 marker is structural framing (the wire format encodes it as the frame type),
 not secret data.
 
-A `Msg` (frozen, slotted) is held by transcripts; the journal keeps payloads
-(`SessionRecord.messages`). A `StepOutcome` lives only until its caller has
-read it, so it is a `NamedTuple`: immutable as well, and built at C speed.
+A `Msg` (frozen, slotted) is held by transcripts; the journal keeps payloads,
+packed into one `bytes` per session (`SessionRecord.messages`). A
+`StepOutcome` lives only until its caller has read it, so it is a
+`NamedTuple`: immutable as well, and built at C speed.
 """
 
 from __future__ import annotations

@@ -326,8 +326,12 @@ def cred_gen(
     tag_record = reader.history.record_at(record.tag_id, j - 1)
     nonce = record.pop_nonce
     issuer_sig = reader_signer.sign(nonce)
-    _, _, binder = _split_finalize(params, record.messages[2])
-    masked, _ = _split_final_reply(params, record.messages[3])
+    # An accepted session ran all four rounds: rounds 2 and 3 end the packed
+    # payloads.
+    finalize = params.finalize_bits // 8
+    tail = record.messages[-(finalize + params.final_reply_bits // 8):]
+    _, _, binder = _split_finalize(params, tail[:finalize])
+    masked, _ = _split_final_reply(params, tail[finalize:])
     possession = xor(masked, signature_mask(params, tag_record.pop_key, binder))
     return Credential(
         reader_id=reader.reader_id,

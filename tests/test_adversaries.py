@@ -31,9 +31,10 @@ def test_relay_session_records_full_transcript():
     assert run.completed
     assert len(run.messages) == 4
     assert [m.round for m in run.messages] == [0, 1, 2, 3]
-    # The recorded transcript matches what the reader archived.
+    # The recorded transcript matches what the reader archived, packed.
     record = hub.system.reader.history.session(1)
-    assert list(record.messages) == [m.payload for m in run.messages]
+    assert [len(m.payload) for m in run.messages] == list(hub.system.protocol.slots())
+    assert record.messages == b"".join(m.payload for m in run.messages)
 
 
 def test_relay_session_flip_keeps_original_in_log():
@@ -43,7 +44,8 @@ def test_relay_session_flip_keeps_original_in_log():
     assert run.o_tag == 1  # the tag accepted before the message was tampered
     # The log holds the message as sent by the tag, not the tampered copy.
     record = hub.system.reader.history.session(1)
-    assert record.messages[3] == flip_bit(run.messages[3].payload, 0)
+    received = flip_bit(run.messages[3].payload, 0)
+    assert record.messages == b"".join(m.payload for m in run.messages[:3]) + received
 
 
 def test_bit_flipper_final_message_always_rejects():

@@ -246,6 +246,22 @@ def test_experiment_counts_below_one_are_rejected(option, value, adversary, caps
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--adversary", "bit-flipper", "--protocol", "ma"],  # the default index, 4
+    ["--adversary", "bit-flipper", "--protocol", "cex", "--message-index", "4"],
+    ["--adversary", "bit-flipper", "--protocol", "mapop", "--message-index", "5"],
+    ["--adversary", "replayer", "--protocol", "ma", "--message-index", "9"],
+], ids=["flip-ma-default", "flip-cex-4", "flip-mapop-5", "replay-ma-9"])
+def test_experiment_message_index_past_the_last_message_rc2(capsys, argv):
+    """An index past the protocol's last message would attack nothing, so the
+    run would relay honestly and print PASS; it exits 2 with one line."""
+    rc, stdout, stderr = run_cli(capsys, "experiment", "--name", "unp-sharp", *argv,
+                                 "--trials", "2")
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error: --message-index") and stderr.count("\n") == 1
+
+
 def test_missing_files_are_reported_without_a_traceback(tmp_path, capsys):
     missing = str(tmp_path / "missing.db")
     rc, _, stderr = run_cli(capsys, "cred", "verify", "--db", missing, "--cred", "x")

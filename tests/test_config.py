@@ -63,7 +63,10 @@ def test_length_validation():
 
 
 @pytest.mark.parametrize(
-    "field, value", [("K", -1), ("s", 0), ("lifetime", 0), ("timeout_ticks", 0)]
+    "field, value",
+    [("K", -1), ("s", 0), ("lifetime", 0), ("timeout_ticks", 0),
+     # A bool is an int to isinstance, but no count.
+     ("K", True), ("s", True), ("lifetime", True), ("tags", True), ("timeout_ticks", True)],
 )
 def test_counts_below_their_floor_are_rejected(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be"):

@@ -50,8 +50,22 @@ def run_doc(run) -> dict:
     }
 
 
+def split_payloads(packed: bytes, slots) -> list:
+    """A session record's packed payloads, one per round run: each round's
+    payload has that round's slot length, so the slots cut them apart."""
+    payloads, at = [], 0
+    for width in slots:
+        if at == len(packed):
+            break
+        payloads.append(packed[at : at + width])
+        at += width
+    assert at == len(packed)
+    return payloads
+
+
 def history_doc(reader) -> list:
     mode = reader.protocol.record_mode
+    slots = reader.protocol.slots()
     return [
         {
             "j": rec.j,
@@ -61,7 +75,8 @@ def history_doc(reader) -> list:
             "mode": mode,
             "via_step": rec.via_step,
             "note": rec.note,
-            "messages": [[rnd, *bits_doc(payload)] for rnd, payload in enumerate(rec.messages)],
+            "messages": [[rnd, *bits_doc(payload)]
+                         for rnd, payload in enumerate(split_payloads(rec.messages, slots))],
         }
         for rec in reader.history.sessions
     ]

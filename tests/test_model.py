@@ -4,6 +4,7 @@ import collections
 import copy
 import dataclasses
 import gc
+import tracemalloc
 
 import pytest
 
@@ -433,11 +434,11 @@ def test_sessions_keep_the_machine_contract(name, flip):
         assert reader.session is None
 
 
-def test_history_keeps_payload_tuples_the_collector_drops(pop_system):
-    """Each session record keeps its messages as a tuple of `bytes`, one per
-    round, which a collection stops tracking, so the reader's history adds
-    few objects for the garbage collector to scan; cred_gen still rebuilds
-    the issued credential from such a tuple."""
+def test_history_keeps_packed_payloads_the_collector_drops(pop_system):
+    """Each session record packs its payloads into one `bytes`, in round
+    order and each at its slot length, which the collector never tracks, so
+    the reader's history adds few objects for the garbage collector to scan;
+    cred_gen still rebuilds the issued credential from the packed bytes."""
     system = build_ma_system(Rng("gc-survivors"), tag_count=4)
     ids = system.tag_ids()
     system.run_honest(ids[0])  # lazy set-up out of the count
@@ -447,18 +448,18 @@ def test_history_keeps_payload_tuples_the_collector_drops(pop_system):
         system.run_honest(ids[i % len(ids)])
     gc.collect()
     assert (len(gc.get_objects()) - before) / 500 <= 2.5
-    round_lengths = list(system.protocol.slots())
+    slots = system.protocol.slots()
     for rec in system.reader.history.sessions:
         assert not any(isinstance(getattr(rec, f.name), dict) for f in dataclasses.fields(rec))
-        assert type(rec.messages) is tuple
-        assert all(type(payload) is bytes for payload in rec.messages)
-        assert [len(payload) for payload in rec.messages] == round_lengths
+        assert type(rec.messages) is bytes
+        assert len(rec.messages) == sum(slots)
         assert not gc.is_tracked(rec.messages)
 
     tag_id = pop_system.first_tag_id()
     trs = pop_system.run_honest(tag_id)
     record = pop_system.reader.history.session(1)
-    assert record.messages == tuple(m.payload for m in trs.messages)
+    assert len(trs.messages) == len(pop_system.protocol.slots())
+    assert record.messages == b"".join(m.payload for m in trs.messages)
     params = pop_system.params
     nonce = record.pop_nonce
     issuer_sig = pop_system.reader_signer.sign(nonce)
@@ -472,3 +473,45 @@ def test_history_keeps_payload_tuples_the_collector_drops(pop_system):
         ),
     )
     assert cred_gen(params, pop_system.reader, pop_system.reader_signer, 1) == issued
+
+
+
+def _retained_bytes(work):
+    """What `work()` returns, and the bytes tracemalloc sees it leave
+    allocated once both ends are collected."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = work()
+        gc.collect()
+        return kept, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_ma_session_retains_at_most_560_bytes():
+    """Memory regression bound, by the `history_bytes_per_session` method of
+    BENCH_inventory.json: a 10-tag MA system's growth over 2,000 honest
+    sessions after 10 warm-up sessions. Packed payloads keep it near 521 B;
+    a tuple of payloads kept 651 B."""
+    system = build_ma_system(Rng("history-bytes"), tag_count=10)
+    ids = system.tag_ids()
+    for tag_id in ids:
+        system.run_honest(tag_id)
+
+    def sessions():
+        for i in range(2000):
+            system.run_honest(ids[i % len(ids)])
+
+    _, grown = _retained_bytes(sessions)
+    assert grown / 2000 <= 560
+
+
+def test_a_tag_of_a_10k_tag_ma_system_retains_at_most_620_bytes():
+    """Memory regression bound: a 10,000-tag MA system takes near 577 B a
+    tag, with a slotted `Tag` and an index bucket that is a tuple; a `Tag`
+    with a `__dict__` and list buckets took 665 B."""
+    system, grown = _retained_bytes(lambda: build_ma_system(Rng("tag-bytes"), tag_count=10_000))
+    assert grown / 10_000 <= 620
+    assert not hasattr(system.tag(system.first_tag_id()), "__dict__")
