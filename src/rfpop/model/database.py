@@ -16,7 +16,7 @@ session j is one bisect away; j=0 is the state right after setup.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -55,16 +55,19 @@ class ReaderDatabase:
     def _index_insert(self, rec):
         idx = getattr(rec, "index", None)
         if idx is not None:
-            bucket = self._by_index.get(idx, ())
-            at = bisect_left(bucket, rec.tag_id)
-            self._by_index[idx] = (*bucket[:at], rec.tag_id, *bucket[at:])
+            bucket = self._by_index.get(idx)
+            if bucket is None:
+                self._by_index[idx] = (rec.tag_id,)
+            else:
+                self._by_index[idx] = tuple(sorted((*bucket, rec.tag_id)))
 
     def _index_remove(self, rec_id: bytes, idx: Optional[bytes]):
         bucket = self._by_index.get(idx, ())
-        if bucket == (rec_id,):
-            del self._by_index[idx]
-        elif rec_id in bucket:
-            self._by_index[idx] = tuple(i for i in bucket if i != rec_id)
+        if rec_id in bucket:
+            if len(bucket) == 1:
+                del self._by_index[idx]
+            else:
+                self._by_index[idx] = tuple(i for i in bucket if i != rec_id)
 
     def __len__(self) -> int:
         return len(self._records)

@@ -171,6 +171,11 @@ def test_index_collisions_come_back_in_ascending_tag_id_order():
     assert [rec.tag_id for rec in db.candidates_for_index(shared)] == ids[1:]
     db.put(MaReaderRecord(ids[0], keys[0], 2, shared))
     assert [rec.tag_id for rec in db.candidates_for_index(shared)] == ids
+    # Moving the middle id off the bucket keeps the others in order.
+    moved = bytes([1]) * 32
+    db.put(MaReaderRecord(ids[1], keys[1], 3, moved))
+    assert [rec.tag_id for rec in db.candidates_for_index(shared)] == [ids[0], ids[2]]
+    assert [rec.tag_id for rec in db.candidates_for_index(moved)] == [ids[1]]
 
 
 def test_scan_prefers_lowest_tag_id_on_ties():
