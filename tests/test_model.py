@@ -475,7 +475,6 @@ def test_history_keeps_packed_payloads_the_collector_drops(pop_system):
     assert cred_gen(params, pop_system.reader, pop_system.reader_signer, 1) == issued
 
 
-
 def _retained_bytes(work):
     """What `work()` returns, and the bytes tracemalloc sees it leave
     allocated once both ends are collected."""
