@@ -31,7 +31,6 @@ ctr XOR (ctr+1), an all-ones-suffix pattern a distinguisher can spot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from rfpop.errors import CounterOverflow, LengthMismatch
@@ -47,7 +46,7 @@ from rfpop.ma import (
 )
 from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import Action
-from rfpop.model.types import Msg, evolve
+from rfpop.model.types import Msg, evolve, value
 from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.prf import prf_eval
 from rfpop.primitives.rng import Rng
@@ -55,13 +54,18 @@ from rfpop.primitives.rng import Rng
 CexParams = MaParams  # same length profile as the main protocol
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class CexTagState(MaTagState):
+    """An MA tag state plus the flag st: 0 when the tag's last session finished
+    cleanly, 1 when it did not."""
+
     st: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class CexReaderRecord:
+    """The reader's record of one tag: its key and counter, with no index."""
+
     tag_id: bytes
     key: bytes
     ctr: int

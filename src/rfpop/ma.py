@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 from rfpop.errors import CounterOverflow, LengthMismatch
 from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import Action
-from rfpop.model.types import Msg, evolve
+from rfpop.model.types import Msg, evolve, value
 from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.counters import count_hash
 from rfpop.primitives.prf import PrfDescriptor, check_input, prf_eval
@@ -82,15 +82,20 @@ class MaParams:
         return PrfDescriptor("ma-f", self.key_bits, self.prf_input_bits, self.out_bits)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class MaTagState:
+    """A tag's kept state: its identity, key and counter."""
+
     tag_id: bytes
     key: bytes
     ctr: int
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class MaReaderRecord:
+    """The reader's record of one tag: its key, its counter and the index
+    that counter gives, under which Step 1 finds the tag."""
+
     tag_id: bytes
     key: bytes
     ctr: int

@@ -1,9 +1,11 @@
 """Reader-side database and the session journal.
 
 The database maps tag identities to protocol-specific records. Records are
-frozen dataclasses: a protocol changes a tag's record by building a new one
-(`rfpop.model.types.evolve`) and handing it to `ReaderDatabase.put`, the one write,
-which keeps the index map and the current session's changed record in step.
+`rfpop.model.types.value` classes, frozen slotted dataclasses: a protocol
+changes a tag's record by building a changed copy with
+`rfpop.model.types.evolve` and handing it to `ReaderDatabase.put`, the one
+write, which keeps the index map and the current session's changed record in
+step.
 Lookups return the stored records themselves, shared with the journal; no
 record is ever copied, because none can change once written.
 
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from rfpop.errors import UnknownSnapshot
+from rfpop.model.types import value
 from rfpop.primitives.prf import PrfDescriptor, prf_state
 
 
@@ -122,7 +125,7 @@ class ReaderDatabase:
         return changed
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class SessionRecord:
     """Everything the reader keeps about one terminated session.
 

@@ -10,21 +10,72 @@ this message open a session?" cannot be decided from length alone; the
 marker is structural framing (the wire format encodes it as the frame type),
 not secret data.
 
-A `Msg` (frozen, slotted) is held by transcripts; the journal keeps payloads,
-packed into one `bytes` per session (`SessionRecord.messages`). A
-`StepOutcome` lives only until its caller has read it, so it is a
-`NamedTuple`: immutable as well, and built at C speed.
+A `Msg` is held by transcripts; the journal keeps payloads, packed into one
+`bytes` per session (`SessionRecord.messages`). A `StepOutcome` lives only
+until its caller has read it, so it is a `NamedTuple`: immutable, and built
+at C speed.
+
+Every value that is kept or shared (`Msg`, the journal's `SessionRecord`,
+the tag states and the reader records) is a `value` class: a frozen slotted
+dataclass with a generated `__init__` and a generated builder behind
+`evolve`, its one way to make a changed copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple, Optional
 
 SID_BITS = 128
 
+_KEEP = object()  # an `evolve` argument left out: the field keeps its value
+_BUILDERS = {}  # value class -> its evolve builder
 
-@dataclass(frozen=True, slots=True)
+
+def value(cls):
+    """Class decorator: `cls` as a frozen slotted dataclass whose `__init__`
+    and `evolve` builder are generated here, both in one `exec`.
+
+    Both write each field through its slot's member descriptor, the write
+    that `object.__setattr__` ends in, so a build makes no global lookup and
+    no generic attribute dispatch per field; they keep the defaults and call
+    `__post_init__` last, as the dataclass `__init__` does. `dataclass` is
+    asked for no `__init__` of its own. A field that is keyword-only, has a
+    `default_factory` or is left out of `__init__` is refused when the class
+    is defined, since the generated functions take every field positionally
+    and fill it from an argument."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    scope = {"_new": object.__new__, "_cls": cls, "_KEEP": _KEEP}
+    names, params = [], []
+    for f in fields(cls):
+        if f.default_factory is not MISSING or not f.init or f.kw_only:
+            raise TypeError(f"{cls.__name__}.{f.name}: a value field is a positional "
+                            f"__init__ argument with no default_factory")
+        names.append(f.name)
+        scope[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            scope[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+    post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+    exec(
+        f"def __init__(self, {', '.join(params)}):\n"
+        + "".join(f"    _set_{n}(self, {n})\n" for n in names) + post
+        + f"def evolve(old, {', '.join(f'{n}=_KEEP' for n in names)}):\n"
+        + "    self = _new(_cls)\n"
+        + "".join(f"    _set_{n}(self, old.{n} if {n} is _KEEP else {n})\n" for n in names)
+        + post + "    return self\n",
+        scope,
+    )
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    _BUILDERS[cls] = scope["evolve"]
+    return cls
+
+
+@value
 class Msg:
     """One protocol message: round index (0 = session-start challenge) plus
     payload bytes."""
@@ -75,9 +126,8 @@ IGNORE = StepOutcome()
 
 
 def evolve(value, **changes):
-    """`dataclasses.replace` for a frozen dataclass with no `__post_init__`,
-    without its checks and keyword call: it runs per session on each side."""
-    new = object.__new__(type(value))
-    for name in value.__dataclass_fields__:
-        object.__setattr__(new, name, changes[name] if name in changes else getattr(value, name))
-    return new
+    """`dataclasses.replace` for a `value` instance: a copy of the same class
+    with `changes` applied, built by that class's generated builder. A name
+    that is not a field raises `TypeError`, and `__post_init__` runs. It runs
+    per session on each side, where `replace`'s checks would cost more."""
+    return _BUILDERS[type(value)](value, **changes)

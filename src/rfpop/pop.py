@@ -55,7 +55,7 @@ from rfpop.ma import (
     tag_id_for,
 )
 from rfpop.model.session import Action, Reader
-from rfpop.model.types import Msg, evolve
+from rfpop.model.types import Msg, evolve, value
 from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.prf import PrfDescriptor, hash_digest, prf_eval
 from rfpop.primitives.rng import Rng
@@ -123,14 +123,18 @@ class PopParams(MaParams):
         return PrfDescriptor("pop-g", self.pop_key_bits, None, self.hash_bits)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class PopTagState(MaTagState):
+    """An MA tag state plus the possession key and the tag's signer."""
+
     pop_key: bytes = None
     signer: object = None  # FullTimeSigner or KTimeSigner; spent on a copy
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class PopReaderRecord(MaReaderRecord):
+    """An MA reader record plus the tag's possession key and verifying key."""
+
     pop_key: bytes = None
     verify_key: VerifyKey = None
 

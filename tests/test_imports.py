@@ -264,3 +264,35 @@ def test_lower_layers_import_neither_harness_nor_app():
             package = ".".join(("rfpop",) + relative.parent.parts)
             found[str(relative)] = upward_imports(path.read_text(encoding="utf-8"), package)
     assert found and {path: lines for path, lines in found.items() if lines} == {}
+
+
+def frozen_slotted_dataclasses(source: str) -> list[str]:
+    """Lines of classes decorated with `dataclass(frozen=True, slots=True)`."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for decorator in node.decorator_list:
+            if not isinstance(decorator, ast.Call):
+                continue
+            func = decorator.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            flags = {kw.arg for kw in decorator.keywords
+                     if isinstance(kw.value, ast.Constant) and kw.value.value is True}
+            if name == "dataclass" and {"frozen", "slots"} <= flags:
+                hits.append(f"line {node.lineno}: {node.name}")
+    return hits
+
+
+def test_kept_values_are_built_by_value():
+    """A frozen slotted class is a `model.types.value`, whose generated
+    `__init__` and `evolve` builder write through the slots."""
+    assert frozen_slotted_dataclasses(
+        "@dataclass(frozen=True, slots=True)\nclass A:\n    x: int\n\n\n"
+        "@dataclasses.dataclass(slots=True, frozen=True, eq=False)\nclass B:\n    x: int\n"
+    ) == ["line 2: A", "line 7: B"]
+    assert frozen_slotted_dataclasses(
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n\n\n@value\nclass B:\n    x: int\n"
+    ) == []
+    found = {str(p.relative_to(SRC)): frozen_slotted_dataclasses(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {path: lines for path, lines in found.items() if lines} == {}
