@@ -40,10 +40,12 @@ def value(cls):
     that `object.__setattr__` ends in, so a build makes no global lookup and
     no generic attribute dispatch per field; they keep the defaults and call
     `__post_init__` last, as the dataclass `__init__` does. `dataclass` is
-    asked for no `__init__` of its own. A field that is keyword-only, has a
-    `default_factory` or is left out of `__init__` is refused when the class
-    is defined, since the generated functions take every field positionally
-    and fill it from an argument."""
+    asked for no `__init__` of its own, which would only be compiled to be
+    replaced; without it, `dataclass` would describe a class that has no
+    docstring by an inherited signature, so each value class has one. A
+    field that is keyword-only, has a `default_factory` or is left out of
+    `__init__` is refused when the class is defined, since the generated
+    functions take every field positionally and fill it from an argument."""
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     scope = {"_new": object.__new__, "_cls": cls, "_KEEP": _KEEP}
     names, params = [], []
@@ -59,15 +61,11 @@ def value(cls):
             scope[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
     post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
-    exec(
-        f"def __init__(self, {', '.join(params)}):\n"
-        + "".join(f"    _set_{n}(self, {n})\n" for n in names) + post
-        + f"def evolve(old, {', '.join(f'{n}=_KEEP' for n in names)}):\n"
-        + "    self = _new(_cls)\n"
-        + "".join(f"    _set_{n}(self, old.{n} if {n} is _KEEP else {n})\n" for n in names)
-        + post + "    return self\n",
-        scope,
-    )
+    sets = "".join(f"    _set_{n}(self, {n})\n" for n in names)
+    keeps = "".join(f"    _set_{n}(self, old.{n} if {n} is _KEEP else {n})\n" for n in names)
+    exec(f"def __init__(self, {', '.join(params)}):\n{sets}{post}"
+         f"def evolve(old, {', '.join(f'{n}=_KEEP' for n in names)}):\n"
+         f"    self = _new(_cls)\n{keeps}{post}    return self\n", scope)
     init = scope["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
