@@ -123,9 +123,9 @@ class StepOutcome(NamedTuple):
 IGNORE = StepOutcome()
 
 
-def evolve(value, **changes):
+def evolve(obj, /, **changes):
     """`dataclasses.replace` for a `value` instance: a copy of the same class
     with `changes` applied, built by that class's generated builder. A name
     that is not a field raises `TypeError`, and `__post_init__` runs. It runs
     per session on each side, where `replace`'s checks would cost more."""
-    return _BUILDERS[type(value)](value, **changes)
+    return _BUILDERS[type(obj)](obj, **changes)
