@@ -32,8 +32,8 @@ A session that accepted yields a transferable credential:
     cred = (reader_id, tag_id, r', Sign_reader(r'), sig)
 
 rebuilt offline from the reader's session snapshot; the signature sig is
-recovered by recomputing the mask, never stored. cred_veri checks the issuer
-signature on r' and the tag signature on H(Sign_reader(r')).
+recovered by recomputing the mask, never stored. cred_veri checks the tag
+signature on H(Sign_reader(r')), then the issuer signature on r'.
 """
 
 from __future__ import annotations
@@ -347,16 +347,23 @@ def cred_gen(
 
 
 def cred_veri(params: PopParams, directory: KeyDirectory, cred: Credential) -> int:
-    """1 iff the issuer signature and the possession signature both verify
-    under the directory's keys; unknown parties and malformed values give 0."""
+    """1 iff the possession signature and the issuer signature both verify
+    under the directory's keys; unknown parties and malformed values give 0.
+
+    The possession signature goes first. The reader verified an issued
+    credential's possession signature in the session's last round, under the
+    key object the directory holds, so that check is answered from the key's
+    memo. A spliced or guessed possession signature fails it, and then the
+    issuer signature is not checked at all. Both must pass, so the order
+    changes no verdict."""
     issuer_key = directory.key_for(cred.reader_id)
     tag_key = directory.key_for(cred.tag_id)
     if issuer_key is None or tag_key is None:
         return 0
-    if not issuer_key.verify(cred.nonce, cred.issuer_sig):
-        return 0
     pop_challenge = hash_digest(cred.issuer_sig, params.hash_bits)
     if not tag_key.verify(pop_challenge, cred.possession_sig):
+        return 0
+    if not issuer_key.verify(cred.nonce, cred.issuer_sig):
         return 0
     return 1
 

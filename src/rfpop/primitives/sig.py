@@ -22,7 +22,18 @@ Two instantiations:
   system and in a loaded database file, so a tag's key is decoded once, not
   twice per session.
 
-A `FullTimeSigner` remembers the last (msg, sig) pair it signed, so the
+A `FullTimeSigner` keeps its 32-byte seed and derives the Ed25519 key pair
+from it when the pair is first needed: at its first signing, or at the first
+verify or the first read of `data` of a `VerifyKey` it made. The signer, its
+copies (`copy.copy`, `copy.deepcopy`) and its verifying keys share that one
+derivation. Such a `VerifyKey` is the value `VerifyKey(scheme, data)`: it
+derives `data` when it is first read, and equality, hashing and repr read
+it. A security-game trial builds a key pair for the reader and for each tag,
+and most trials sign or verify with only some of them. K-time keys are
+still built at key generation, which keeps the K+1 point multiplications of
+the verifying key in set-up and out of the first session.
+
+A `FullTimeSigner` also remembers the last (msg, sig) pair it signed, so the
 reader's `cred_gen`, which signs the nonce its session's round 2 signed,
 returns that signature without a second Ed25519 signing.
 
@@ -33,7 +44,7 @@ exact repeat of that pair returns True without running the check again;
 every other pair, and every pair that failed, runs the full check. So a
 credential's possession signature, which the reader verified in the session's
 last round under the same key object, is not checked a second time by
-`cred_veri`.
+`cred_veri`, which checks it before the issuer signature.
 
 Cost accounting: the K-time scheme's hash and group operations are counted
 for real by the primitives it calls. Ed25519's internals are not
@@ -93,10 +104,7 @@ class VerifyKey:
             check, key = _ktime_verify, self._ktime_key
         else:
             raise ValueError(f"unknown signature scheme {self.scheme!r}")
-        try:
-            valid = check(key, msg, sig)
-        except (ValueError, OverflowError):
-            return False
+        valid = check(key, msg, sig)
         if valid:
             self.__dict__["_accepted"] = (bytes(msg), bytes(sig))
         return valid
@@ -117,6 +125,22 @@ class VerifyKey:
         return _ktime_decode(self.data)
 
 
+class _DerivedOnRead:
+    """`VerifyKey.data` of a key that a `FullTimeSigner` made before deriving
+    its pair. An instance's own `data` hides this descriptor, so only such a
+    key reaches it: the first read derives the pair and keeps the public key
+    as the instance's `data`, which equality, hashing and repr then read."""
+
+    def __get__(self, key, owner=None):
+        if key is None:
+            return self
+        data = key.__dict__["data"] = key.__dict__["_pair"].derived()[1]
+        return data
+
+
+VerifyKey.data = _DerivedOnRead()
+
+
 class _Signer:
     """Signers are equal when they save alike (`to_dict`)."""
 
@@ -132,13 +156,15 @@ class FullTimeSigner(_Signer):
     def __init__(self, seed: bytes, pool_remaining: Optional[int] = None):
         if len(seed) != 32:
             raise ValueError("ed25519 seed must be 32 bytes")
-        self._seed = seed
-        self._key = Ed25519PrivateKey.from_private_bytes(seed)
+        self._pair = _Ed25519Pair(seed)
         self.pool_remaining = pool_remaining
         self._signed = None  # the last (msg, sig) pair signed
 
     def verify_key(self) -> VerifyKey:
-        return VerifyKey(FULLTIME, self._key.public_key().public_bytes_raw())
+        """The verifying key, its `data` derived when it is first read."""
+        key = object.__new__(VerifyKey)
+        key.__dict__.update(scheme=FULLTIME, _pair=self._pair)
+        return key
 
     def sign(self, msg: bytes) -> bytes:
         """Ed25519 is deterministic (RFC 8032), so an exact repeat of the
@@ -155,15 +181,46 @@ class FullTimeSigner(_Signer):
             count_hash()
             count_scalar_mul()
         if self._signed is None or self._signed[0] != msg:
-            self._signed = (bytes(msg), self._key.sign(msg))
+            self._signed = (bytes(msg), self._pair.derived()[0].sign(msg))
         return self._signed[1]
 
     def to_dict(self) -> dict:
         return {
             "scheme": self.scheme,
-            "seed": self._seed.hex(),
+            "seed": self._pair.seed.hex(),
             "pool_remaining": self.pool_remaining,
         }
+
+
+class _Ed25519Pair:
+    """An Ed25519 key pair kept as its seed until it is first used. A signer,
+    its copies and its verifying key share one, so they derive it once."""
+
+    __slots__ = ("seed", "_derived")
+
+    def __init__(self, seed: bytes):
+        self.seed = seed
+        self._derived = None
+
+    def derived(self) -> tuple[Ed25519PrivateKey, bytes]:
+        """The private key and the raw public key, derived on the first call."""
+        if self._derived is None:
+            self._derived = _ed25519_derive(self.seed)
+        return self._derived
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return _Ed25519Pair, (self.seed,)
+
+
+def _ed25519_derive(seed: bytes) -> tuple[Ed25519PrivateKey, bytes]:
+    key = Ed25519PrivateKey.from_private_bytes(seed)
+    return key, key.public_key().public_bytes_raw()
 
 
 def _ed25519_verify(key: Optional[Ed25519PublicKey], msg: bytes, sig: bytes) -> bool:

@@ -1,6 +1,6 @@
 """Shared fixtures: deterministic RNGs, small prebuilt systems, a log of the
-full signature checks `VerifyKey.verify` runs, and a log of the Ed25519
-signings signers run."""
+full signature checks `VerifyKey.verify` runs, a log of the Ed25519 key pairs
+derived, and a log of the Ed25519 signings signers run."""
 
 import pytest
 
@@ -46,9 +46,23 @@ def sig_checks(monkeypatch):
 
 
 @pytest.fixture
+def ed25519_derivations(monkeypatch):
+    """The seed of every Ed25519 key pair derived from here on."""
+    seeds = []
+    real = sig_mod._ed25519_derive
+
+    def counted(seed):
+        seeds.append(bytes(seed))
+        return real(seed)
+
+    monkeypatch.setattr(sig_mod, "_ed25519_derive", counted)
+    return seeds
+
+
+@pytest.fixture
 def ed25519_signs(monkeypatch):
     """The message of every Ed25519 signing run from here on by a signer
-    made from here on."""
+    whose key pair is derived from here on."""
     calls = []
     real = sig_mod.Ed25519PrivateKey
 

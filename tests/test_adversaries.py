@@ -10,6 +10,7 @@ from rfpop.harness.adversaries import (
     make_adversary,
     relay_session,
 )
+from rfpop.harness import experiments
 from rfpop.harness.experiments import exp_cred_unforge, exp_unp_sharp, exp_unp_star
 from rfpop.harness.oracles import OracleHub
 from rfpop.primitives.bitstring import flip_bit
@@ -142,3 +143,24 @@ def test_forgery_adversaries_never_forge(name):
 def test_make_adversary_unknown_name():
     with pytest.raises(KeyError):
         make_adversary("nonexistent")
+
+
+def cred_veri_without_possession(params, directory, cred) -> int:
+    """A broken `cred_veri` that checks the issuer signature and never the
+    possession signature."""
+    issuer_key = directory.key_for(cred.reader_id)
+    if issuer_key is None or directory.key_for(cred.tag_id) is None:
+        return 0
+    return int(issuer_key.verify(cred.nonce, cred.issuer_sig))
+
+
+def test_db_splicer_wins_only_where_the_possession_check_is_skipped(monkeypatch):
+    def run():
+        return exp_cred_unforge(lambda rng: build_pop_system(rng, tag_count=2),
+                                make_adversary("db-splicer"), 20, Rng("splice-broken"))
+
+    assert run().successes == 0
+    monkeypatch.setattr(experiments, "cred_veri", cred_veri_without_possession)
+    broken = run()
+    assert broken.successes >= 18
+    assert broken.extra["e1"] == broken.successes and broken.extra["e2"] == 0

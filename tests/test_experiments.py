@@ -5,6 +5,7 @@ import json
 import pytest
 
 from rfpop.errors import BudgetExceeded
+from rfpop.harness.adversaries import make_adversary, relay_session
 from rfpop.harness.experiments import (
     BUDGET_ABORT,
     BUDGET_FAIL,
@@ -12,10 +13,10 @@ from rfpop.harness.experiments import (
     exp_unp_sharp,
     exp_unp_star,
 )
-from rfpop.harness.oracles import AdversaryBudget
+from rfpop.harness.oracles import AdversaryBudget, OracleHub
 from rfpop.harness.ptpt import ptpt_experiment, statistical_probe
 from rfpop.harness.report import FIELDS, ExperimentReport, advantage_interval, wilson_interval
-from rfpop.pop import Credential
+from rfpop.pop import Credential, cred_veri
 from rfpop.primitives.prf import PrfDescriptor, hash_digest
 from rfpop.primitives.rng import Rng
 from rfpop.primitives.sig import fulltime_keygen
@@ -268,3 +269,105 @@ def test_forgery_event_detectors_fire_on_stolen_keys():
     report = exp_cred_unforge(pop_factory, KeyStealingForger(2), 5, Rng("exp-e2"))
     assert report.successes == 5
     assert report.extra["e1"] == 0 and report.extra["e2"] == 5
+
+
+class OverrunningForger(KeyStealingForger):
+    """Holds a stolen-key forgery, then queries past its o1 budget."""
+
+    name = "overrunner"
+
+    def run(self, hub, rng):
+        out = super().run(hub, rng)
+        for _ in range(hub.budget.n1 + 1):
+            hub.o1_init_reader()
+        return out
+
+
+class EmptyHandedForger:
+    name = "empty-handed"
+
+    def run(self, hub, rng):
+        return None
+
+
+def test_a_forger_that_overruns_its_budget_or_hands_in_nothing_scores_nothing():
+    for forger in (OverrunningForger(1), EmptyHandedForger()):
+        report = exp_cred_unforge(pop_factory, forger, 3, Rng("exp-no-cred"),
+                                  budget=AdversaryBudget(n1=2))
+        assert (report.trials, report.successes) == (3, 0)
+        assert report.extra == {"adversary": forger.name, "e1": 0, "e2": 0}
+
+
+class CorruptingForger(KeyStealingForger):
+    """The stolen-key forgery of event 1, for a tag it corrupted first."""
+
+    name = "corrupting-forger"
+
+    def run(self, hub, rng):
+        hub.o4_corrupt(hub.system.first_tag_id())
+        return super().run(hub, rng)
+
+
+class GhostTagForger:
+    """Signs a nonce with the reader's stolen key, and the possession
+    challenge with its own key, registered under a tag id the system does not
+    have."""
+
+    name = "ghost-tag"
+    tag_id = b"ghost-tag"
+
+    def run(self, hub, rng):
+        nonce = rng.take_bits(256)
+        issuer_sig = hub.system.reader_signer.sign(nonce)
+        signer, vk = fulltime_keygen(rng)
+        cred = Credential(
+            reader_id=hub.system.reader.reader_id,
+            tag_id=self.tag_id,
+            nonce=nonce,
+            issuer_sig=issuer_sig,
+            possession_sig=signer.sign(hash_digest(issuer_sig, 256)),
+        )
+        return cred, {self.tag_id: vk}
+
+
+@pytest.mark.parametrize("forger", [CorruptingForger(1), GhostTagForger()],
+                         ids=["corrupted", "unknown"])
+def test_a_verifying_credential_for_a_corrupted_or_unknown_tag_is_no_forgery(forger):
+    system = pop_factory(Rng("exp-not-honest"))
+    cred, extra = forger.run(OracleHub(system), Rng("exp-not-honest-adv"))
+    for party_id, key in (extra or {}).items():
+        system.directory.register_extra(party_id, key)
+    assert cred_veri(system.params, system.directory, cred) == 1
+    report = exp_cred_unforge(pop_factory, forger, 3, Rng("exp-not-honest"))
+    assert report.successes == 0
+    assert report.extra == {"adversary": forger.name, "e1": 0, "e2": 0}
+
+
+class LaterSessionReplayer:
+    """Relays sessions with the first tag, the second tag and the first tag
+    again, and hands in the credential of the last."""
+
+    name = "later-session-replayer"
+
+    def run(self, hub, rng):
+        first, second = hub.system.tag_ids()
+        for tag_id in (first, second):
+            relay_session(hub, tag_id)
+        run = relay_session(hub, first)
+        return hub.o5_get_cred(run.sid), None
+
+
+def test_an_issued_credential_is_found_past_the_sessions_that_did_not_issue_it():
+    report = exp_cred_unforge(pop_factory, LaterSessionReplayer(), 3, Rng("exp-later"))
+    assert report.successes == 0
+    assert report.extra == {"adversary": "later-session-replayer", "e1": 0, "e2": 0}
+
+
+@pytest.mark.parametrize("name,most", [("repeated-query", 1), ("transcript-statistics", 2)])
+def test_a_privacy_trial_derives_only_the_key_pairs_it_uses(name, most, ed25519_derivations):
+    """A trial builds three key pairs, the reader's and one per tag, and
+    derives only those its sessions sign or verify with."""
+    for i in range(6):
+        ed25519_derivations.clear()
+        exp_unp_sharp(pop_factory, make_adversary(name), 1, Rng(f"exp-derive-{name}-{i}"))
+        assert len(ed25519_derivations) <= most

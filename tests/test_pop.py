@@ -260,6 +260,26 @@ def test_spliced_credential_after_two_honest_ones_fails(params):
     assert cred_veri(params, system.directory, cred_a) == 1
 
 
+@pytest.mark.parametrize(
+    "params,check",
+    [(PopParams(), "_ed25519_verify"), (PopParams(sig_impl=IMPL_KTIME, k_time=4), "_ktime_verify")],
+    ids=["impl1", "impl3"],
+)
+def test_a_spliced_credential_costs_one_full_check(params, check, sig_checks):
+    # The possession signature is checked first. One tag's signature spliced
+    # into the other tag's credential fails it, which decides the verdict.
+    system = build_pop_system(Rng("splice-one-check"), tag_count=2, params=params, lifetime=8)
+    for tag_id in system.tag_ids():
+        assert system.run_honest(tag_id).o_reader == 1
+    cred_a = cred_gen(params, system.reader, system.reader_signer, 1)
+    cred_b = cred_gen(params, system.reader, system.reader_signer, 2)
+    spliced = dataclasses.replace(cred_a, possession_sig=cred_b.possession_sig)
+    sig_checks.clear()
+    assert cred_veri(params, system.directory, spliced) == 0
+    pop_challenge = hash_digest(spliced.issuer_sig, params.hash_bits)
+    assert sig_checks == [(check, pop_challenge, spliced.possession_sig)]
+
+
 def test_credential_contents_and_independent_signature(pop_system):
     tag_id = pop_system.first_tag_id()
     pop_system.run_honest(tag_id)

@@ -1,7 +1,9 @@
-"""Signature schemes: round trips, budget exhaustion, declared costs, and
-the verify memo."""
+"""Signature schemes: round trips, budget exhaustion, declared costs, the
+verify memo, and Ed25519 key pairs derived on first use."""
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -305,3 +307,69 @@ def test_the_memo_leaves_the_key_value_alone(scheme, rng):
     assert vk == twin and hash(vk) == hash(twin)
     assert repr(vk) == repr(twin)
     assert {vk: 1}[twin] == 1
+
+
+def test_a_signer_and_its_copies_derive_once(rng, ed25519_derivations):
+    signer, vk = fulltime_keygen(rng)
+    copies = [copy.copy(signer), copy.deepcopy(signer), copy.deepcopy(vk)]
+    assert ed25519_derivations == []
+    sigs = [signer.sign(b"m"), copies[0].sign(b"n"), copies[1].sign(b"o")]
+    for key in (vk, copies[2], signer.verify_key()):
+        assert [key.verify(msg, s) for msg, s in zip((b"m", b"n", b"o"), sigs)] == [True] * 3
+    assert copies[0] == copies[1] == signer
+    assert ed25519_derivations == [bytes.fromhex(signer.to_dict()["seed"])]
+
+
+@pytest.mark.parametrize("use", ["sign", "verify", "data"])
+def test_a_key_pair_is_derived_on_its_first_use(use, rng, ed25519_derivations):
+    signer, vk = fulltime_keygen(rng, pool_size=2)
+    assert ed25519_derivations == []
+    first = {"sign": lambda: signer.sign(b"m"),
+             "verify": lambda: vk.verify(b"m", bytes(64)),
+             "data": lambda: vk.data}[use]
+    first()
+    assert len(ed25519_derivations) == 1
+    assert vk.verify(b"x", signer.sign(b"x")) and len(vk.data) == 32
+    assert len(ed25519_derivations) == 1
+    assert signer.pool_remaining == (0 if use == "sign" else 1)
+
+
+def test_a_deferred_verify_key_is_the_value_it_derives(rng):
+    signer, vk = fulltime_keygen(rng)
+    seed = bytes.fromhex(signer.to_dict()["seed"])
+    data = sig_mod.Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
+    eager = VerifyKey(FULLTIME, data)
+    # Each of these reads the deferred key first: nothing has derived it.
+    assert hash(signer.verify_key()) == hash(eager)
+    assert repr(signer.verify_key()) == repr(eager)
+    assert signer.verify_key() == eager and eager == signer.verify_key()
+    assert dataclasses.replace(signer.verify_key()) == eager
+    assert pickle.loads(pickle.dumps(signer.verify_key())) == eager
+    assert dataclasses.astuple(vk) == (FULLTIME, data)
+    assert type(vk) is VerifyKey and vk.data == data
+
+
+ED25519_L = (1 << 252) + 27742317777372353535851937790883648493
+
+
+def test_edge_signatures_are_rejected_without_an_error(rng):
+    """Neither check raises on a signature of the right length: an Ed25519 s
+    at or above the group order, an R that is no point, and a K-time s*G + e*Y
+    at infinity all verify False."""
+    signer, vk = fulltime_keygen(rng)
+    sig = signer.sign(b"m")
+    s = int.from_bytes(sig[32:], "little")
+    for bad in (
+        sig[:32] + (s + ED25519_L).to_bytes(32, "little"),
+        sig[:32] + ED25519_L.to_bytes(32, "little"),
+        b"\xff" * 64,
+        bytes(32) + sig[32:],
+    ):
+        assert [vk.verify(b"m", bad) for _ in range(2)] == [False, False]
+    y = 5
+    key = VerifyKey(KTIME, ec.point_encode(ec.point_mul(ec.G, y)) + (1).to_bytes(4, "big")
+                    + ec.point_encode(ec.G))
+    e = sig_mod._ktime_challenge(b"m")
+    at_infinity = (-e * y % ec.N).to_bytes(32, "big")
+    assert ec.point_mul_add(int.from_bytes(at_infinity, "big"), ec.point_mul(ec.G, y), e) is None
+    assert [key.verify(b"m", at_infinity) for _ in range(2)] == [False, False]
