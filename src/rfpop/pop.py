@@ -355,7 +355,10 @@ def cred_veri(params: PopParams, directory: KeyDirectory, cred: Credential) -> i
     key object the directory holds, so that check is answered from the key's
     memo. A spliced or guessed possession signature fails it, and then the
     issuer signature is not checked at all. Both must pass, so the order
-    changes no verdict."""
+    changes no verdict. In process, the directory's reader key is the one
+    the reader's signer made, so the issuer check of the nonce that signer
+    signed last is answered from the signer's memory (`primitives.sig`); a
+    key loaded from a file checks it in full."""
     issuer_key = directory.key_for(cred.reader_id)
     tag_key = directory.key_for(cred.tag_id)
     if issuer_key is None or tag_key is None:

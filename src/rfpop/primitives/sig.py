@@ -33,9 +33,18 @@ and most trials sign or verify with only some of them. K-time keys are
 still built at key generation, which keeps the K+1 point multiplications of
 the verifying key in set-up and out of the first session.
 
-A `FullTimeSigner` also remembers the last (msg, sig) pair it signed, so the
+The shared key pair also remembers the last (msg, sig) pair it signed. A
+signing of that same message returns the remembered signature, so the
 reader's `cred_gen`, which signs the nonce its session's round 2 signed,
-returns that signature without a second Ed25519 signing.
+runs no second Ed25519 signing. A `VerifyKey` that a signer made answers
+that exact pair True without running the check: the genuine private key
+made the signature for that message, and such a signature always verifies
+(RFC 8032). In process, the reader's round-3 check of the tag's possession
+signature and `cred_veri`'s check of the reader's issuer signature are
+answered this way. The memory holds only what the key pair itself signed,
+and unpickling a pair empties it. A key decoded from bytes, as a key file
+or a credential check in another process loads it, has no pair and runs
+the full check.
 
 A `VerifyKey` of either scheme also decodes itself once (an Ed25519 key that
 is not 32 bytes decodes to None), and it remembers the last (msg, sig) pair
@@ -44,7 +53,9 @@ exact repeat of that pair returns True without running the check again;
 every other pair, and every pair that failed, runs the full check. So a
 credential's possession signature, which the reader verified in the session's
 last round under the same key object, is not checked a second time by
-`cred_veri`, which checks it before the issuer signature.
+`cred_veri`, which checks it before the issuer signature. Pickling a key
+keeps its scheme, its data and its signer's pair, and drops what it decoded
+and remembered.
 
 Cost accounting: the K-time scheme's hash and group operations are counted
 for real by the primitives it calls. Ed25519's internals are not
@@ -92,9 +103,13 @@ class VerifyKey:
     def verify(self, msg: bytes, sig: bytes) -> bool:
         """True iff sig is valid; malformed inputs are invalid, not errors.
 
-        An exact repeat of the last pair that verified under this key is
-        answered from memory, and counts the same declared cost."""
-        if (msg, sig) == self.__dict__.get("_accepted"):
+        An exact repeat of the last pair that verified under this key, or of
+        the last pair its signer's key pair signed, is answered from memory,
+        and counts the same declared cost."""
+        pair = self.__dict__.get("_pair")
+        if (msg, sig) == self.__dict__.get("_accepted") or (
+            pair is not None and (msg, sig) == pair.signed
+        ):
             count_point_mul(2)
             count_hash()
             return True
@@ -108,6 +123,11 @@ class VerifyKey:
         if valid:
             self.__dict__["_accepted"] = (bytes(msg), bytes(sig))
         return valid
+
+    def __getstate__(self):
+        """Pickle the key's value and its signer's pair, not what it decoded
+        or remembered: a decoded Ed25519 key cannot be pickled."""
+        return {k: v for k, v in self.__dict__.items() if k in ("scheme", "data", "_pair")}
 
     @cached_property
     def _ed25519_key(self) -> Optional[Ed25519PublicKey]:
@@ -158,7 +178,6 @@ class FullTimeSigner(_Signer):
             raise ValueError("ed25519 seed must be 32 bytes")
         self._pair = _Ed25519Pair(seed)
         self.pool_remaining = pool_remaining
-        self._signed = None  # the last (msg, sig) pair signed
 
     def verify_key(self) -> VerifyKey:
         """The verifying key, its `data` derived when it is first read."""
@@ -180,9 +199,10 @@ class FullTimeSigner(_Signer):
             count_point_mul()
             count_hash()
             count_scalar_mul()
-        if self._signed is None or self._signed[0] != msg:
-            self._signed = (bytes(msg), self._pair.derived()[0].sign(msg))
-        return self._signed[1]
+        pair = self._pair
+        if pair.signed is None or pair.signed[0] != msg:
+            pair.signed = (bytes(msg), pair.derived()[0].sign(msg))
+        return pair.signed[1]
 
     def to_dict(self) -> dict:
         return {
@@ -193,14 +213,16 @@ class FullTimeSigner(_Signer):
 
 
 class _Ed25519Pair:
-    """An Ed25519 key pair kept as its seed until it is first used. A signer,
-    its copies and its verifying key share one, so they derive it once."""
+    """An Ed25519 key pair kept as its seed until it is first used, and the
+    last (msg, sig) pair it signed. A signer, its copies and its verifying
+    keys share one, so they derive it once and share that memory."""
 
-    __slots__ = ("seed", "_derived")
+    __slots__ = ("seed", "_derived", "signed")
 
     def __init__(self, seed: bytes):
         self.seed = seed
         self._derived = None
+        self.signed = None
 
     def derived(self) -> tuple[Ed25519PrivateKey, bytes]:
         """The private key and the raw public key, derived on the first call."""

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from rfpop.app.config import Config
+from rfpop.app.reports import config_for_impl
 from rfpop.errors import BudgetExceeded
 from rfpop.harness.adversaries import make_adversary, relay_session
 from rfpop.harness.experiments import (
@@ -19,7 +21,8 @@ from rfpop.harness.report import FIELDS, ExperimentReport, advantage_interval, w
 from rfpop.pop import Credential, cred_veri
 from rfpop.primitives.prf import PrfDescriptor, hash_digest
 from rfpop.primitives.rng import Rng
-from rfpop.primitives.sig import fulltime_keygen
+from rfpop.primitives import sig as sig_mod
+from rfpop.primitives.sig import FULLTIME, VerifyKey, fulltime_keygen
 from rfpop.system import build_ma_system, build_pop_system
 
 PTPT_DESC = PrfDescriptor("ma-f", 256, 768, 256)
@@ -371,3 +374,61 @@ def test_a_privacy_trial_derives_only_the_key_pairs_it_uses(name, most, ed25519_
         ed25519_derivations.clear()
         exp_unp_sharp(pop_factory, make_adversary(name), 1, Rng(f"exp-derive-{name}-{i}"))
         assert len(ed25519_derivations) <= most
+
+
+# The four acceptance pairings one op of the games benchmark runs, each on
+# the system `rfpop experiment` builds for it.
+GAMES = (
+    ("unp-sharp", "transcript-statistics", "mapop"),
+    ("unp-sharp", "repeated-query", "mapop"),
+    ("unp-star", "cex-distinguisher", "cex"),
+    ("cred-ufrg", "db-splicer", "mapop"),
+)
+
+
+def run_game(name, adversary, protocol, trials, rng):
+    config = config_for_impl("1", tags=2) if protocol == "mapop" else Config(mode="cex", tags=2)
+    if name == "cred-ufrg":
+        return exp_cred_unforge(config.build_system, make_adversary(adversary), trials, rng)
+    runner = exp_unp_sharp if name == "unp-sharp" else exp_unp_star
+    return runner(config.build_system, make_adversary(adversary), trials, rng)
+
+
+@pytest.mark.parametrize("name,adversary,protocol,full", [
+    (*GAMES[0], 0), (*GAMES[1], 0), (*GAMES[3], 1),
+], ids=["transcript-statistics", "repeated-query", "db-splicer"])
+def test_a_games_trial_runs_a_full_ed25519_verify_only_for_a_spliced_signature(
+    name, adversary, protocol, full, sig_checks
+):
+    """Every Ed25519 check of an honest signature is answered by the memory
+    of the key pair that made it; the spliced possession signature of a
+    `db-splicer` credential runs the one full check, and fails it."""
+    for i in range(4):
+        sig_checks.clear()
+        run_game(name, adversary, protocol, 1, Rng(f"games-verifies-{adversary}-{i}"))
+        assert [check for check, _, _ in sig_checks] == ["_ed25519_verify"] * full
+
+
+def test_every_verify_answered_from_memory_agrees_with_the_full_check(sig_checks, monkeypatch):
+    """Two trials of each games pairing, where each verify that runs no
+    full check runs the Ed25519 check as well, which must also accept."""
+    real_verify = VerifyKey.verify
+    answered = []
+
+    def cross_checked(key, msg, sig):
+        before = len(sig_checks)
+        valid = real_verify(key, msg, sig)
+        if len(sig_checks) == before:
+            assert key.scheme == FULLTIME
+            assert valid == sig_mod._ed25519_verify(key._ed25519_key, msg, sig) == True
+            answered.append((bytes(msg), bytes(sig)))
+        return valid
+
+    monkeypatch.setattr(VerifyKey, "verify", cross_checked)
+    answered_any = []
+    for name, adversary, protocol in GAMES:
+        answered.clear()
+        run_game(name, adversary, protocol, 2, Rng(f"games-cross-check-{adversary}"))
+        answered_any.append(bool(answered))
+    # A repeated-query trial verifies no signature, and cex has none.
+    assert answered_any == [True, False, False, True]

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from rfpop import pop as pop_mod
 from rfpop.errors import FrameError, LengthMismatch
 from rfpop.ma import MaProtocol, MaTagState, confirm_value, ma_tag_respond
 from rfpop.model.types import Msg
@@ -25,7 +26,7 @@ from rfpop.pop import (
 from rfpop.primitives.bitstring import flip_bit, split, xor
 from rfpop.primitives.prf import hash_digest
 from rfpop.primitives.rng import Rng
-from rfpop.primitives.sig import fulltime_keygen
+from rfpop.primitives.sig import FULLTIME, VerifyKey, fulltime_keygen
 from rfpop.system import build_pop_system
 
 
@@ -224,6 +225,27 @@ def test_each_signature_instantiation_round_trips(impl, params):
     assert cred_veri(params, system.directory, cred) == 1
 
 
+def _keygen_decoded(rng, pool_size=None):
+    signer, vk = fulltime_keygen(rng, pool_size)
+    return signer, VerifyKey(FULLTIME, vk.data)
+
+
+@pytest.mark.parametrize(
+    "params,checks",
+    [(PopParams(), []), (PopParams(sig_impl=IMPL_KTIME, k_time=4), ["_ktime_verify"])],
+    ids=["impl1", "impl3"],
+)
+def test_in_process_the_signers_memory_answers_every_ed25519_check(params, checks, sig_checks):
+    # The tag's signer just signed the possession challenge and the reader's
+    # signer the nonce, and the keys the reader and the directory hold share
+    # those signers' key pairs. K-time keys keep their full check.
+    system = build_pop_system(Rng("verify-once"), tag_count=2, params=params, lifetime=8)
+    assert system.run_honest().o_reader == 1
+    cred = cred_gen(params, system.reader, system.reader_signer, 1)
+    assert cred_veri(params, system.directory, cred) == 1
+    assert [name for name, _, _ in sig_checks] == checks
+
+
 @pytest.mark.parametrize(
     "params,checks",
     [
@@ -232,9 +254,13 @@ def test_each_signature_instantiation_round_trips(impl, params):
     ],
     ids=["impl1", "impl3"],
 )
-def test_cred_veri_does_not_check_the_possession_signature_again(params, checks, sig_checks):
+def test_cred_veri_does_not_check_the_possession_signature_again(
+    params, checks, sig_checks, monkeypatch
+):
+    # Ed25519 keys decoded from bytes, so no signer's memory answers a check.
     # The reader verified the possession signature in round 3 under the key
     # object the directory holds, so cred_veri checks only the issuer's.
+    monkeypatch.setattr(pop_mod, "fulltime_keygen", _keygen_decoded)
     system = build_pop_system(Rng("verify-once"), tag_count=2, params=params, lifetime=8)
     assert system.run_honest().o_reader == 1
     cred = cred_gen(params, system.reader, system.reader_signer, 1)

@@ -1,9 +1,11 @@
 """Signature schemes: round trips, budget exhaustion, declared costs, the
-verify memo, and Ed25519 key pairs derived on first use."""
+verify memo, Ed25519 key pairs derived on first use, and the memory of the
+last pair a key pair signed."""
 
 import copy
 import dataclasses
 import pickle
+import pydoc
 
 import pytest
 
@@ -237,7 +239,11 @@ def test_signer_serialization_round_trip(rng):
 
 
 def _keypair(scheme, rng):
-    return fulltime_keygen(rng) if scheme == FULLTIME else ktime_keygen(rng, 4)
+    """A signer and its key decoded from bytes. An Ed25519 key its signer
+    made would answer the signer's last pair from the shared key pair, so
+    these tests of the verify memo read the bytes alone."""
+    signer, vk = fulltime_keygen(rng) if scheme == FULLTIME else ktime_keygen(rng, 4)
+    return signer, VerifyKey(scheme, vk.data)
 
 
 @pytest.mark.parametrize("scheme", [FULLTIME, KTIME])
@@ -373,3 +379,60 @@ def test_edge_signatures_are_rejected_without_an_error(rng):
     at_infinity = (-e * y % ec.N).to_bytes(32, "big")
     assert ec.point_mul_add(int.from_bytes(at_infinity, "big"), ec.point_mul(ec.G, y), e) is None
     assert [key.verify(b"m", at_infinity) for _ in range(2)] == [False, False]
+
+
+def test_a_verified_key_pickles_as_its_value(rng):
+    """A key that has verified pickles its scheme, its data and its signer's
+    pair, not its decoded key or its memo, and the copy still verifies."""
+    signer, made = fulltime_keygen(rng)
+    eager = VerifyKey(FULLTIME, made.data)
+    ksigner, kvk = ktime_keygen(rng, 2)
+    for key, sign in ((eager, signer.sign), (made, signer.sign), (kvk, ksigner.sign)):
+        sig = sign(b"m")
+        assert key.verify(b"m", sig)
+        restored = pickle.loads(pickle.dumps(key))
+        assert restored == key and hash(restored) == hash(key)
+        assert set(vars(restored)) <= {"scheme", "data", "_pair"}
+        assert restored.verify(b"m", sig) and not restored.verify(b"n", sig)
+
+
+def test_the_signers_memory_passes_only_the_exact_pair(rng, sig_checks):
+    """A key its signer made answers the signer's last pair from memory;
+    every near miss runs the full check and fails."""
+    signer, vk = fulltime_keygen(rng)
+    other, _ = fulltime_keygen(rng)
+    sig = signer.sign(b"m")
+    flipped = bytes([sig[0] ^ 1]) + sig[1:]
+    near_misses = [(b"m", flipped), (b"n", sig), (b"m", sig[:-1]), (b"m", other.sign(b"m"))]
+    assert vk.verify(b"m", sig) and sig_checks == []
+    for msg, bad in near_misses:
+        assert not vk.verify(msg, bad)
+    assert [(m, s) for _, m, s in sig_checks] == near_misses
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
+def test_a_copy_of_the_signer_fills_the_memory_of_the_originals_key(copier, rng, sig_checks):
+    signer, vk = fulltime_keygen(rng)
+    twin = copier(signer)
+    assert vk.verify(b"m", twin.sign(b"m"))
+    assert copy.copy(signer._pair) is signer._pair is twin._pair
+    assert sig_checks == []
+
+
+def test_an_unpickled_signer_remembers_nothing(rng, sig_checks, ed25519_signs):
+    signer, vk = fulltime_keygen(rng)
+    sig = signer.sign(b"m")
+    restored = pickle.loads(pickle.dumps(signer))
+    assert restored == signer and restored._pair.signed is None
+    assert restored.verify_key().verify(b"m", sig)
+    assert [(m, s) for _, m, s in sig_checks] == [(b"m", sig)]
+    # The copy signs the message again, where the original would not.
+    assert restored.sign(b"m") == sig
+    assert ed25519_signs == [b"m", b"m"]
+
+
+def test_the_deferred_data_descriptor_reads_on_the_class(rng):
+    """`VerifyKey.data` on the class is the descriptor itself, so help() and
+    introspection of the class work."""
+    assert isinstance(VerifyKey.data, sig_mod._DerivedOnRead)
+    assert "class VerifyKey" in pydoc.render_doc(VerifyKey)
