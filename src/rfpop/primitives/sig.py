@@ -31,7 +31,9 @@ derives `data` when it is first read, and equality, hashing and repr read
 it. A security-game trial builds a key pair for the reader and for each tag,
 and most trials sign or verify with only some of them. K-time keys are
 still built at key generation, which keeps the K+1 point multiplications of
-the verifying key in set-up and out of the first session.
+the verifying key in set-up and out of the first session. Those are products
+with G, so each walks G's 13-bit comb (`ec.base_muls`): 12 doublings, not
+the 32 of a verify, and the K+1 results share one inversion.
 
 The shared key pair also remembers the last (msg, sig) pair it signed. A
 signing of that same message returns the remembered signature, so the
@@ -42,7 +44,7 @@ made the signature for that message, and such a signature always verifies
 (RFC 8032). In process, the reader's round-3 check of the tag's possession
 signature and `cred_veri`'s check of the reader's issuer signature are
 answered this way. The memory holds only what the key pair itself signed,
-and unpickling a pair empties it. A key decoded from bytes, as a key file
+and unpickling a signer empties it. A key decoded from bytes, as a key file
 or a credential check in another process loads it, has no pair and runs
 the full check.
 
@@ -54,8 +56,11 @@ every other pair, and every pair that failed, runs the full check. So a
 credential's possession signature, which the reader verified in the session's
 last round under the same key object, is not checked a second time by
 `cred_veri`, which checks it before the issuer signature. Pickling a key
-keeps its scheme, its data and its signer's pair, and drops what it decoded
-and remembered.
+keeps only its scheme and its data, derived first if it was unread: the
+signer's pair, which holds the private seed, and what the key decoded and
+remembered are dropped, so an unpickled key is `VerifyKey(scheme, data)`.
+A copy (`copy.copy`, `copy.deepcopy`) stays in the process and keeps the
+pair, so copying a key derives nothing.
 
 Cost accounting: the K-time scheme's hash and group operations are counted
 for real by the primitives it calls. Ed25519's internals are not
@@ -125,9 +130,21 @@ class VerifyKey:
         return valid
 
     def __getstate__(self):
-        """Pickle the key's value and its signer's pair, not what it decoded
-        or remembered: a decoded Ed25519 key cannot be pickled."""
-        return {k: v for k, v in self.__dict__.items() if k in ("scheme", "data", "_pair")}
+        """Pickle only the key's value, deriving `data` if it is unread: the
+        signer's pair holds its private seed, and a decoded Ed25519 key
+        cannot be pickled."""
+        return {"scheme": self.scheme, "data": self.data}
+
+    def __copy__(self):
+        """A copy keeps the signer's pair, so copying derives nothing; like
+        pickling, it drops what the key decoded and remembered."""
+        key = object.__new__(VerifyKey)
+        kept = ("scheme", "data", "_pair")
+        key.__dict__.update((k, v) for k, v in self.__dict__.items() if k in kept)
+        return key
+
+    def __deepcopy__(self, memo):
+        return self.__copy__()
 
     @cached_property
     def _ed25519_key(self) -> Optional[Ed25519PublicKey]:
@@ -287,12 +304,12 @@ class KTimeSigner(_Signer):
         self._y = _ktime_secret_scalar(seed)
 
     def verify_key(self) -> VerifyKey:
-        y_point = ec.point_mul(ec.G, self._y)
-        points = []
-        for j in range(1, self.k + 1):
-            points.append(ec.point_encode(ec.point_mul(ec.G, _ktime_nonce_scalar(self._seed, j))))
-        data = ec.point_encode(y_point) + self.k.to_bytes(4, "big") + b"".join(points)
-        return VerifyKey(KTIME, data)
+        """Y and the K nonce points, K+1 products with G made affine with
+        one shared inversion."""
+        scalars = [_ktime_nonce_scalar(self._seed, j) for j in range(1, self.k + 1)]
+        y_point, *points = ec.base_muls([self._y, *scalars])
+        return VerifyKey(KTIME, ec.point_encode(y_point) + self.k.to_bytes(4, "big")
+                         + b"".join(map(ec.point_encode, points)))
 
     def sign_at(self, index: int, msg: bytes) -> bytes:
         """Signature for a specific one-time index (1-based); stateless."""

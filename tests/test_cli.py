@@ -71,6 +71,13 @@ def test_report_sizes_text(capsys):
     assert "reader record bytes: 192" in stdout
 
 
+def test_report_sizes_text_gives_the_ktime_key_sizes(capsys):
+    rc, stdout, _ = run_cli(capsys, "report-sizes", "--impl", "3")
+    assert rc == 0
+    assert ("K-time verifying key bytes (68 + 64K): K=8: 580, K=1024: 65604, K=131072: 8388676"
+            in stdout.splitlines())
+
+
 def test_report_ops_json(capsys):
     rc, stdout, _ = run_cli(capsys, "report-ops", "--impl", "1", "--json")
     assert rc == 0

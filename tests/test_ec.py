@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from rfpop.primitives import ec
 from rfpop.primitives.counters import OpCounters, counting
 from rfpop.primitives.rng import Rng
-from rfpop.primitives.sig import KTimeSigner
+from rfpop.primitives.sig import KTimeSigner, _ktime_secret_scalar
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SECP256K1 = openssl_ec.SECP256K1()
@@ -35,7 +35,9 @@ def reference_mul(p, k):
 
 
 # A K-time verifying key's Y: a base other than G that the scheme really uses.
-Y = ec.point_decode(KTimeSigner(Rng("test-ec").take_bytes(32), 2).verify_key().data[:64])
+Y_SEED = Rng("test-ec").take_bytes(32)
+Y = ec.point_decode(KTimeSigner(Y_SEED, 2).verify_key().data[:64])
+Y_SCALAR = _ktime_secret_scalar(Y_SEED)
 
 
 def random_scalars(seed, count):
@@ -70,8 +72,23 @@ def longest_halves(s1, s2):
     return round(e * (s1 * ec.A1 + s2 * ec.A2)), round(e * (s1 * ec.B1 + s2 * ec.B2))
 
 
-# Halves whose NAF digits sit on either side of each block edge (bits 32/33,
-# 65/66, 98/99), with both signs, and the longest halves of each sign pattern.
+# 2^128 - 127*2^120: its width-8 NAF digits are -127 at bit 120 and 1 at bit
+# 128, the last bit of G's last block (block 9, step 11).
+TOP = (1 << 128) - (127 << 120)
+# Halves whose width-8 NAF digits sit on either side of each edge of G's
+# 13-bit blocks (bits 13b-1 and 13b for b = 1..9): one digit in each half,
+# with both signs, then all nine edges at once; and halves with a width-8
+# digit at bit 128.
+COMB_EDGE_HALVES = [
+    *(((-1) ** b << (13 * b - 1), 1 << (13 * b)) for b in range(1, 10)),
+    (-sum(1 << (13 * b) for b in range(1, 10)), sum(1 << (13 * b - 1) for b in range(1, 10))),
+    (TOP, 1 << 126),
+    (-TOP, -(1 << 126)),
+    (1 << 126, TOP),
+]
+# Halves whose NAF digits sit on either side of each edge of the 33-bit
+# blocks of other bases (bits 32/33, 65/66, 98/99), with both signs, the
+# halves across G's block edges, and the longest halves of each sign pattern.
 EDGE_HALVES = [
     (1 << 32, 1 << 33),
     ((1 << 32) + (1 << 33), (1 << 33) - 1),
@@ -81,9 +98,11 @@ EDGE_HALVES = [
     (-(1 << 99), -((1 << 98) + (1 << 99))),
     ((1 << 99) - 1, -((1 << 66) - 1)),
     (-((1 << 33) + (1 << 66) + (1 << 99)), (1 << 32) + (1 << 65) + (1 << 98)),
+    *COMB_EDGE_HALVES,
     *(longest_halves(s1, s2) for s1 in (1, -1) for s2 in (1, -1)),
 ]
 EDGE_SCALARS = [scalar_of_halves(k1, k2) for k1, k2 in EDGE_HALVES]
+COMB_EDGE_SCALARS = [scalar_of_halves(k1, k2) for k1, k2 in COMB_EDGE_HALVES]
 
 
 @pytest.mark.parametrize("base", [ec.G, Y], ids=["G", "Y"])
@@ -201,7 +220,33 @@ def test_each_mul_add_counts_two_point_muls(a, q, b):
 def test_longest_halves_reach_the_last_block():
     tops = [max(p for p, _ in ec._wnaf(abs(h), w)) for k1, k2 in EDGE_HALVES[-4:]
             for h in (k1, k2) for w in (5, 8)]
-    assert max(tops) == 128  # block 3, step 29
+    assert max(tops) == 128  # block 3, step 29 of a 33-bit comb
+    assert max(p for p, _ in ec._wnaf(TOP, 8)) == 128  # block 9, step 11 of G's
+
+
+def test_g_tables_are_ten_blocks_of_13_bits():
+    tables, images = ec._g_tables()
+    assert len(tables) == len(images) == 10
+    for b, (table, image) in enumerate(zip(tables, images)):
+        base = reference_mul(ec.G, 2 ** (13 * b))
+        assert len(table) == len(image) == 256
+        assert table[1] == base and table[-1] == negate(base)
+        assert image[1] == (ec.BETA * base[0] % ec.P, base[1])
+
+
+def test_comb_block_edges_match_reference_and_openssl():
+    for k in COMB_EDGE_SCALARS:
+        assert ec.point_mul(ec.G, k) == reference_mul(ec.G, k) == openssl_base_mul(k)
+        expected = openssl_base_mul(k + k * Y_SCALAR)
+        assert ec.point_mul_add(k, Y, k) == reference_mul_add(k, Y, k) == expected
+
+
+@pytest.mark.parametrize("blocks", [3, 2, 1, 0, -4])
+def test_point_tables_refuses_blocks_that_miss_the_walk(blocks):
+    """Fewer than 4 blocks are longer than the walk's 33 steps, and no
+    blocks cover none of the 130 digits."""
+    with pytest.raises(ValueError):
+        ec.point_tables(Y, 5, blocks)
 
 
 def test_block_edge_halves_in_both_scalars_of_mul_add():
@@ -214,15 +259,30 @@ def test_block_edge_halves_in_both_scalars_of_mul_add():
 
 def test_products_with_and_without_cached_tables():
     """G's cached width-8 tables, G's width-5 tables built on the call, and
-    tables a caller built once at widths 4 and 6 all give the reference."""
+    tables a caller built once at widths 4 and 6, with 4, 6 and 11 blocks,
+    all give the reference."""
     g6 = ec.point_tables(ec.G, 6)
+    g6_11 = ec.point_tables(ec.G, 6, blocks=11)
     y4 = ec.point_tables(Y, 4)
-    for k in random_scalars("ec-cached", 3) + EDGE_SCALARS[:4]:
+    y4_6 = ec.point_tables(Y, 4, blocks=6)
+    for k in random_scalars("ec-cached", 3) + EDGE_SCALARS[:4] + COMB_EDGE_SCALARS[-3:]:
         expected = reference_mul(ec.G, k)
         assert ec.point_mul(ec.G, k) == expected
         assert ec.point_mul_add(0, ec.G, k) == expected
         assert ec.point_mul_add(0, ec.G, k, g6) == expected
+        assert ec.point_mul_add(0, ec.G, k, g6_11) == expected
         assert ec.point_mul_add(k, Y, k, y4) == reference_mul_add(k, Y, k)
+        assert ec.point_mul_add(k, Y, k, y4_6) == reference_mul_add(k, Y, k)
+
+
+def test_base_muls_match_point_mul_and_count_each_product():
+    scalars = [*random_scalars("ec-base-muls", 3), 0, ec.N, 1, *COMB_EDGE_SCALARS[:2]]
+    with counting(OpCounters()) as counters:
+        products = ec.base_muls(scalars)
+    assert counters.point_muls == len(scalars)
+    assert products == [reference_mul(ec.G, k) for k in scalars]
+    assert products[3] is None and products[4] is None
+    assert ec.base_muls([]) == []
 
 
 def test_verify_key_builds_y_tables_once_over_2k_verifies(monkeypatch):
@@ -290,7 +350,7 @@ def test_random_bases_and_scalars_match_reference(base_scalar, k):
 
 # -- differential against OpenSSL (through the `cryptography` package) ------
 
-# 33 scalars; each gives four comparisons with OpenSSL.
+# 46 scalars; each gives four comparisons with OpenSSL.
 ORACLE_SCALARS = (random_scalars("ec-openssl", 12)
                   + [1, ec.N - 1, 1 << 33, 1 << 66, 1 << 99, *SIGNED_SCALARS, *EDGE_SCALARS])
 

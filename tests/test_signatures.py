@@ -396,6 +396,24 @@ def test_a_verified_key_pickles_as_its_value(rng):
         assert restored.verify(b"m", sig) and not restored.verify(b"n", sig)
 
 
+def test_a_pickled_key_holds_no_private_seed(rng):
+    """A key its signer made pickles as its value whether it is deferred,
+    derived or has verified; the signer's seed stays out of the bytes."""
+    signer, _ = fulltime_keygen(rng)
+    seed = bytes.fromhex(signer.to_dict()["seed"])
+    deferred = signer.verify_key()
+    derived = signer.verify_key()
+    data = derived.data
+    verified = signer.verify_key()
+    assert verified.verify(b"m", signer.sign(b"m"))
+    for key in (deferred, derived, verified):
+        dumped = pickle.dumps(key)
+        assert seed not in dumped
+        restored = pickle.loads(dumped)
+        assert vars(restored) == {"scheme": FULLTIME, "data": data}
+        assert restored == VerifyKey(FULLTIME, data)
+
+
 def test_the_signers_memory_passes_only_the_exact_pair(rng, sig_checks):
     """A key its signer made answers the signer's last pair from memory;
     every near miss runs the full check and fails."""
