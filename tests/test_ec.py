@@ -243,8 +243,8 @@ def test_comb_block_edges_match_reference_and_openssl():
 
 @pytest.mark.parametrize("blocks", [3, 2, 1, 0, -4])
 def test_point_tables_refuses_blocks_that_miss_the_walk(blocks):
-    """Fewer than 4 blocks are longer than the walk's 33 steps, and no
-    blocks cover none of the 130 digits."""
+    """Fewer than 4 blocks are longer than the walk's 33 steps, and 0 or
+    fewer blocks cover none of the 130 digits."""
     with pytest.raises(ValueError):
         ec.point_tables(Y, 5, blocks)
 
@@ -275,7 +275,7 @@ def test_products_with_and_without_cached_tables():
         assert ec.point_mul_add(k, Y, k, y4_6) == reference_mul_add(k, Y, k)
 
 
-def test_base_muls_match_point_mul_and_count_each_product():
+def test_base_muls_match_the_reference_and_count_each_product():
     scalars = [*random_scalars("ec-base-muls", 3), 0, ec.N, 1, *COMB_EDGE_SCALARS[:2]]
     with counting(OpCounters()) as counters:
         products = ec.base_muls(scalars)
