@@ -13,11 +13,13 @@ Two instantiations:
   sign at most K times; signatures are 32 bytes; verification recomputes
   s*G + e*Y once and accepts iff it equals one of the K published points, so
   it needs no signing index. Both products run in one interleaved walk
-  (`ec.point_mul_add`) of 32 shared doublings. A `VerifyKey` decodes itself
-  on its first K-time verify and keeps the result as long as the key object
-  lives: Y (checked to be on the curve), K, the set of published points and
-  Y's width-5 tables (`ec.point_tables`, about one walk's work to build). A
-  malformed key decodes to None and every verify under it fails. The reader's
+  (`ec.point_mul_add_in`) of 32 shared doublings, and the walk's Jacobian
+  result is compared with each published point, so no inversion runs. A
+  `VerifyKey` decodes itself on its first K-time verify and keeps the result
+  as long as the key object lives: Y (checked to be on the curve), K, the set
+  of published points with coordinates below P and Y's width-5 tables
+  (`ec.point_tables`, about one walk's work to build). A malformed key
+  decodes to None and every verify under it fails. The reader's
   records and the key directory share one `VerifyKey` per tag, in a live
   system and in a loaded database file, so a tag's key is decoded once, not
   twice per session.
@@ -62,6 +64,15 @@ remembered are dropped, so an unpickled key is `VerifyKey(scheme, data)`.
 A copy (`copy.copy`, `copy.deepcopy`) stays in the process and keeps the
 pair, so copying a key derives nothing.
 
+The `cryptography` package, which maps OpenSSL, is imported on first use:
+when a full-time key pair is first derived, an Ed25519 verifying key is first
+decoded, or a full check catches `InvalidSignature`. Reading
+`Ed25519PrivateKey`, `Ed25519PublicKey` or `InvalidSignature` off this module
+loads it too. MA and cex sign nothing, so an MA or cex process, and a MAPoP
+process that has not yet signed or verified with Ed25519, never maps it:
+importing the CLI holds about 6 MB less (max RSS 27.0 -> 20.8 MB, CPython
+3.11.7, `cryptography` 48.0.0).
+
 Cost accounting: the K-time scheme's hash and group operations are counted
 for real by the primitives it calls. Ed25519's internals are not
 instrumentable, so its signer/verifier report the scheme's declared unit
@@ -76,12 +87,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
-
 from rfpop.errors import KTimeExhausted, PairPoolExhausted
 from rfpop.primitives import ec
 from rfpop.primitives.counters import count_hash, count_point_mul, count_scalar_mul
@@ -92,6 +97,34 @@ FULLTIME = "ed25519"
 KTIME = "ktime-secp256k1"
 
 SIG_LEN = {FULLTIME: 64, KTIME: 32}
+
+_ED25519_NAMES = ("Ed25519PrivateKey", "Ed25519PublicKey", "InvalidSignature")
+
+
+def _ed25519(name: str):
+    """The backend's `name`, one of `_ED25519_NAMES`. The first call imports
+    `cryptography` and binds all three on the module; a name already bound,
+    by an earlier call or a test's patch, is kept."""
+    names = globals()
+    if name not in names:
+        from cryptography.exceptions import InvalidSignature
+        from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+            Ed25519PrivateKey,
+            Ed25519PublicKey,
+        )
+
+        loaded = (Ed25519PrivateKey, Ed25519PublicKey, InvalidSignature)
+        for bound, value in zip(_ED25519_NAMES, loaded):
+            names.setdefault(bound, value)
+    return names[name]
+
+
+def __getattr__(name: str):
+    """`sig.Ed25519PrivateKey` and the other backend names load the backend
+    on their first read (PEP 562)."""
+    if name in _ED25519_NAMES:
+        return _ed25519(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +184,7 @@ class VerifyKey:
         """The Ed25519 key decoded on its first verify and kept for the key's
         lifetime, None if it is not 32 bytes."""
         try:
-            return Ed25519PublicKey.from_public_bytes(self.data)
+            return _ed25519("Ed25519PublicKey").from_public_bytes(self.data)
         except ValueError:
             return None
 
@@ -258,7 +291,7 @@ class _Ed25519Pair:
 
 
 def _ed25519_derive(seed: bytes) -> tuple[Ed25519PrivateKey, bytes]:
-    key = Ed25519PrivateKey.from_private_bytes(seed)
+    key = _ed25519("Ed25519PrivateKey").from_private_bytes(seed)
     return key, key.public_key().public_bytes_raw()
 
 
@@ -270,7 +303,7 @@ def _ed25519_verify(key: Optional[Ed25519PublicKey], msg: bytes, sig: bytes) -> 
     try:
         key.verify(sig, msg)
         return True
-    except InvalidSignature:
+    except _ed25519("InvalidSignature"):
         return False
 
 
@@ -338,8 +371,9 @@ class KTimeSigner(_Signer):
 
 @dataclass(frozen=True)
 class _KTimeKey:
-    """A K-time verifying key, decoded: Y, the signing budget K, the K
-    published nonce points, and Y's digit tables for `ec.point_mul_add`."""
+    """A K-time verifying key, decoded: Y, the signing budget K, the
+    published nonce points whose coordinates are below P, and Y's digit
+    tables for `ec.point_mul_add_in`."""
 
     y: tuple[int, int]
     k: int
@@ -360,10 +394,13 @@ def _ktime_decode(vk: bytes) -> Optional[_KTimeKey]:
     body = vk[68:]
     if len(body) != 64 * k:
         return None
-    points = frozenset(
+    decoded = (
         (int.from_bytes(body[j : j + 32], "big"), int.from_bytes(body[j + 32 : j + 64], "big"))
         for j in range(0, len(body), 64)
     )
+    # No product equals a point with a coordinate at or above P, and
+    # `ec.point_mul_add_in` compares modulo P, so such a point is dropped.
+    points = frozenset(point for point in decoded if max(point) < ec.P)
     return _KTimeKey(y_point, k, points, ec.point_tables(y_point, 5))
 
 
@@ -373,9 +410,7 @@ def _ktime_verify(key: Optional[_KTimeKey], msg: bytes, sig: bytes) -> bool:
     s = int.from_bytes(sig, "big")
     if s >= ec.N:
         return False
-    e = _ktime_challenge(msg)
-    target = ec.point_mul_add(s, key.y, e, key.y_tables)
-    return target is not None and target in key.points
+    return ec.point_mul_add_in(s, key.y, _ktime_challenge(msg), key.points, key.y_tables)
 
 
 def ktime_pk_size(k: int) -> int:

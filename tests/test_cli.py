@@ -1,14 +1,19 @@
 """Command-line interface: setup, reports, experiments, credential checks."""
 
 import dataclasses
+import functools
 import json
+import queue
 import socket
+import threading
 
 import pytest
 
+from rfpop.app import cli
 from rfpop.app.cli import main
 from rfpop.app.config import Config
 from rfpop.app.dbfile import append_journal, load_db
+from rfpop.app.netrun import serve_reader
 from rfpop.pop import cred_gen
 from rfpop.primitives.rng import Rng
 
@@ -163,6 +168,36 @@ def test_experiment_ptpt_broken_family(capsys):
     assert "broken family caught" in stdout
 
 
+def test_experiment_ptpt_prf_family_is_held_to_the_privacy_bound(capsys):
+    rc, stdout, _ = run_cli(
+        capsys,
+        "experiment",
+        "--name", "ptpt",
+        "--adversary", "statistical-probe",
+        "--trials", "20",
+        "--seed", "cli-ptpt-prf",
+    )
+    assert rc == 0
+    assert "declared bound: advantage <= 0.05 or interval contains 0 -> PASS" in stdout
+
+
+def test_experiment_bit_option_reaches_the_bit_flipper(capsys):
+    rc, stdout, _ = run_cli(
+        capsys,
+        "experiment",
+        "--name", "unp-sharp",
+        "--adversary", "bit-flipper",
+        "--protocol", "ma",
+        "--message-index", "2",
+        "--bit", "5",
+        "--trials", "4",
+        "--seed", "cli-bit",
+    )
+    assert rc == 0
+    assert "extra.adversary: bit-flipper-m2-b5" in stdout
+    assert "declared bound: advantage <= 0.05 or interval contains 0 -> PASS" in stdout
+
+
 def test_experiment_failing_bound_returns_one(capsys):
     # The repeated-query probe expects the two privacy notions to diverge,
     # but the flawed counter protocol answers its scripted checks identically
@@ -187,6 +222,16 @@ def test_experiment_unknown_adversary_rc2(capsys):
     )
     assert rc == 2
     assert "error:" in stderr
+
+
+def test_experiment_unknown_ptpt_distinguisher_rc2(capsys):
+    rc, stdout, stderr = run_cli(
+        capsys,
+        "experiment", "--name", "ptpt", "--adversary", "coin-flipper", "--trials", "2",
+    )
+    assert rc == 2
+    assert stdout == ""
+    assert stderr == "error: ptpt distinguishers: identity-catcher, statistical-probe\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -292,6 +337,28 @@ def test_tag_run_against_a_closed_port_is_reported(tmp_path, capsys):
     )
     assert rc == 2
     assert stderr.startswith("error: ")
+
+
+def test_served_sessions_through_the_cli_exit_zero(tmp_path, capsys, monkeypatch):
+    """`serve-reader` exits 0 once it has served its sessions, and `tag-run`
+    exits 0 when the reader accepted every one."""
+    out = tmp_path / "sys"
+    rc, _, _ = run_cli(capsys, "setup", "--out", str(out))
+    assert rc == 0
+    ports = queue.Queue()
+    monkeypatch.setattr(cli, "serve_reader", functools.partial(serve_reader, ready=ports.put))
+    served = []
+    argv = ["serve-reader", "--db", str(out / "reader.db"), "--host", "127.0.0.1", "--port", "0",
+            "--sessions", "2"]
+    thread = threading.Thread(target=lambda: served.append(main(argv)), daemon=True)
+    thread.start()
+    port = ports.get(timeout=5)
+    rc = main(["tag-run", "--tag", str(out / "tag-000.json"), "--host", "127.0.0.1",
+               "--port", str(port), "--sessions", "2"])
+    thread.join(10)
+    assert not thread.is_alive()
+    assert (rc, served) == (0, [0])
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["serve-reader", "tag-run"])

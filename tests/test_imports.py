@@ -296,3 +296,44 @@ def test_kept_values_are_built_by_value():
     ) == []
     found = {str(p.relative_to(SRC)): frozen_slotted_dataclasses(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def cryptography_imports(source: str) -> list[str]:
+    """Lines that import `cryptography` or a submodule of it, each marked
+    `module level` or `in a function`."""
+    hits = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""] if not child.level else []
+            else:
+                names = []
+            if any(name == "cryptography" or name.startswith("cryptography.") for name in names):
+                hits.append(f"line {child.lineno}: {'in a function' if in_function else 'module level'}")
+            visit(child, in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    visit(ast.parse(source), False)
+    return hits
+
+
+def test_only_the_sig_loader_imports_cryptography():
+    """MA runs on a PRF alone: OpenSSL's Ed25519 loads when a full-time key
+    pair is first derived or decoded, from a function in primitives/sig.py,
+    so no process that signs nothing maps it."""
+    assert cryptography_imports(
+        "import cryptography\n"
+        "from cryptography.exceptions import InvalidSignature\n"
+        "if True:\n    import cryptography.hazmat\n"
+        "class A:\n    from cryptography import x\n"
+        "def f():\n    from cryptography.hazmat import y\n"
+        "    def g():\n        import cryptography\n"
+    ) == ["line 1: module level", "line 2: module level", "line 4: module level",
+          "line 6: module level", "line 8: in a function", "line 10: in a function"]
+    assert cryptography_imports("import cryptographyx\nfrom .cryptography import y\n") == []
+    found = {str(p.relative_to(SRC)): cryptography_imports(p.read_text(encoding="utf-8")) for p in MODULES}
+    found = {path: lines for path, lines in found.items() if lines}
+    assert set(found) == {"primitives/sig.py"}
+    assert all(line.endswith("in a function") for line in found["primitives/sig.py"])

@@ -4,8 +4,13 @@ last pair a key pair signed."""
 
 import copy
 import dataclasses
+import os
 import pickle
 import pydoc
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +28,9 @@ from rfpop.primitives.sig import (
     ktime_pk_size,
     signer_from_dict,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -173,6 +181,50 @@ def test_ktime_valid_signature_verifies_after_a_rejected_one(rng):
     assert not vk.verify(b"m", b"short")
     assert vk.verify(b"m", sig)
     assert vk.verify(b"m", sig)
+
+
+def test_each_published_point_accepts_without_an_inversion(rng, monkeypatch):
+    """The verify compares s*G + e*Y with the published points in Jacobian
+    coordinates, so each index's signature verifies, and a signature made for
+    another message fails, with `_to_affine` gone."""
+    signer, vk = ktime_keygen(rng, 4)
+    key = VerifyKey(KTIME, vk.data)
+    assert len(key._ktime_key.points) == 4
+
+    def no_inversion(points):
+        raise AssertionError("a K-time verify made a point affine")
+
+    monkeypatch.setattr(ec, "_to_affine", no_inversion)
+    for index in range(1, 5):
+        msg = f"m{index}".encode()
+        assert key.verify(msg, signer.sign_at(index, msg))
+        assert not key.verify(msg, signer.sign_at(index % 4 + 1, msg[::-1]))
+
+
+def test_ktime_product_at_a_published_points_negation_rejects(rng):
+    # One published point, T = s*G + e*Y for s = 7, as (x, y) and as (x, -y).
+    y, s = 5, 7
+    y_point = ec.point_mul(ec.G, y)
+    e = sig_mod._ktime_challenge(b"m")
+    x_t, y_t = ec.point_mul(ec.G, s + e * y)
+    head = ec.point_encode(y_point) + (1).to_bytes(4, "big")
+    genuine = VerifyKey(KTIME, head + ec.point_encode((x_t, y_t)))
+    negated = VerifyKey(KTIME, head + ec.point_encode((x_t, ec.P - y_t)))
+    sig = s.to_bytes(32, "big")
+    assert genuine.verify(b"m", sig)
+    assert [negated.verify(b"m", sig) for _ in range(2)] == [False, False]
+
+
+def test_ktime_published_points_off_the_field_are_dropped(rng):
+    """The check compares modulo P, so a decoded key keeps only published
+    points whose coordinates are below P."""
+    signer, vk = ktime_keygen(rng, 1)
+    genuine = ec.point_decode(vk.data[68:])
+    data = (vk.data[:64] + (3).to_bytes(4, "big") + vk.data[68:] + b"\xff" * 64
+            + ec.P.to_bytes(32, "big") + vk.data[100:])
+    key = VerifyKey(KTIME, data)
+    assert key._ktime_key.points == {genuine}
+    assert key.verify(b"m", signer.sign(b"m"))
 
 
 def test_ktime_sign_at_bounds(rng):
@@ -454,3 +506,34 @@ def test_the_deferred_data_descriptor_reads_on_the_class(rng):
     introspection of the class work."""
     assert isinstance(VerifyKey.data, sig_mod._DerivedOnRead)
     assert "class VerifyKey" in pydoc.render_doc(VerifyKey)
+
+
+def test_only_a_full_time_key_pair_loads_the_backend():
+    """MA and cex sign nothing, so importing the CLI, running their sessions
+    and `report-ops --impl ma` leave OpenSSL's Ed25519 unloaded; a MAPoP
+    impl1 session loads it at its first signing."""
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        from rfpop.app import cli
+        from rfpop.app.config import Config
+        from rfpop.app.reports import config_for_impl
+
+        def loaded():
+            return "cryptography.hazmat.bindings._rust" in sys.modules
+
+        seen = [("import", loaded())]
+        for mode in ("ma", "cex"):
+            assert Config(mode=mode).build_system().run_honest().o_reader == 1
+            seen.append((mode, loaded()))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["report-ops", "--impl", "ma"]) == 0
+        seen.append(("report-ops", loaded()))
+        assert config_for_impl("1").build_system().run_honest().o_reader == 1
+        seen.append(("mapop", loaded()))
+        print(seen)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == repr([("import", False), ("ma", False), ("cex", False),
+                                       ("report-ops", False), ("mapop", True)])
