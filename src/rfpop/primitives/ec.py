@@ -25,24 +25,21 @@ built once, on first use, not at import: about 10 ms, and 413 KiB live under
 four blocks of 33 bits, so a*G + b*q runs q's 32 doublings: a caller that
 reuses a base builds its width-5 tables once with `point_tables`, and a
 one-shot product builds them on the call. A batch of products with G
-(`base_muls`, as a K-time verifying key needs) shares one inversion, and a
-check of a*G + b*q against known affine points (`point_mul_add_in`, the
-K-time verify) runs none: it compares in Jacobian coordinates. None of
+(`base_muls`, as a K-time verifying key needs) shares one inversion. None of
 this is constant-time: the walk branches on the scalars' digits, so it
 models cost, not a side-channel-safe signer.
 
 Each scalar-by-point product counts as one point-multiplication unit for cost
-accounting, so `point_mul_add` and `point_mul_add_in` count two and
-`base_muls` one per scalar. The Jacobian formulas are the standard ones for
-a = 0, and the width-w NAF and the interleaved walk follow Hankerson, Menezes
-and Vanstone, Guide to Elliptic Curve Cryptography, 2004, sections 3.2.2, 3.3
-and 3.3.3.
+accounting, so `point_mul_add` counts two and `base_muls` one per scalar. The
+Jacobian formulas are the standard ones for a = 0, and the width-w NAF and
+the interleaved walk follow Hankerson, Menezes and Vanstone, Guide to
+Elliptic Curve Cryptography, 2004, sections 3.2.2, 3.3 and 3.3.3.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from rfpop.primitives.counters import count_point_mul
 
@@ -111,21 +108,6 @@ def point_mul_add(a: int, q: Point, b: int, q_tables: Optional[_Tables] = None) 
     once for a q that is used many times."""
     count_point_mul(2)
     return _to_affine([_walk(a % N, q, b % N, q_tables)])[0]
-
-
-def point_mul_add_in(a: int, q: Point, b: int, points: Iterable[tuple[int, int]],
-                     q_tables: Optional[_Tables] = None) -> bool:
-    """Whether a*G + b*q is one of the affine `points`, each coordinate below
-    P; the point at infinity is none of them. The walk's Jacobian (X, Y, Z)
-    is compared with each (x, y) as X == x*Z^2 and Y == y*Z^3, so no
-    inversion runs. Counts two point-mul units, as `point_mul_add` does."""
-    count_point_mul(2)
-    x, y, z = _walk(a % N, q, b % N, q_tables)
-    if not z:
-        return False
-    zz = z * z % P
-    zzz = zz * z % P
-    return any(x == px * zz % P and y == py * zzz % P for px, py in points)
 
 
 def point_tables(q: tuple[int, int], width: int, blocks: int = 4) -> _Tables:

@@ -13,13 +13,11 @@ Two instantiations:
   sign at most K times; signatures are 32 bytes; verification recomputes
   s*G + e*Y once and accepts iff it equals one of the K published points, so
   it needs no signing index. Both products run in one interleaved walk
-  (`ec.point_mul_add_in`) of 32 shared doublings, and the walk's Jacobian
-  result is compared with each published point, so no inversion runs. A
-  `VerifyKey` decodes itself on its first K-time verify and keeps the result
-  as long as the key object lives: Y (checked to be on the curve), K, the set
-  of published points with coordinates below P and Y's width-5 tables
-  (`ec.point_tables`, about one walk's work to build). A malformed key
-  decodes to None and every verify under it fails. The reader's
+  (`ec.point_mul_add`) of 32 shared doublings. A `VerifyKey` decodes itself
+  on its first K-time verify and keeps the result as long as the key object
+  lives: Y (checked to be on the curve), K, the set of published points and
+  Y's width-5 tables (`ec.point_tables`, about one walk's work to build). A
+  malformed key decodes to None and every verify under it fails. The reader's
   records and the key directory share one `VerifyKey` per tag, in a live
   system and in a loaded database file, so a tag's key is decoded once, not
   twice per session.
@@ -371,9 +369,8 @@ class KTimeSigner(_Signer):
 
 @dataclass(frozen=True)
 class _KTimeKey:
-    """A K-time verifying key, decoded: Y, the signing budget K, the
-    published nonce points whose coordinates are below P, and Y's digit
-    tables for `ec.point_mul_add_in`."""
+    """A K-time verifying key, decoded: Y, the signing budget K, the K
+    published nonce points, and Y's digit tables for `ec.point_mul_add`."""
 
     y: tuple[int, int]
     k: int
@@ -394,13 +391,10 @@ def _ktime_decode(vk: bytes) -> Optional[_KTimeKey]:
     body = vk[68:]
     if len(body) != 64 * k:
         return None
-    decoded = (
+    points = frozenset(
         (int.from_bytes(body[j : j + 32], "big"), int.from_bytes(body[j + 32 : j + 64], "big"))
         for j in range(0, len(body), 64)
     )
-    # No product equals a point with a coordinate at or above P, and
-    # `ec.point_mul_add_in` compares modulo P, so such a point is dropped.
-    points = frozenset(point for point in decoded if max(point) < ec.P)
     return _KTimeKey(y_point, k, points, ec.point_tables(y_point, 5))
 
 
@@ -410,7 +404,9 @@ def _ktime_verify(key: Optional[_KTimeKey], msg: bytes, sig: bytes) -> bool:
     s = int.from_bytes(sig, "big")
     if s >= ec.N:
         return False
-    return ec.point_mul_add_in(s, key.y, _ktime_challenge(msg), key.points, key.y_tables)
+    e = _ktime_challenge(msg)
+    target = ec.point_mul_add(s, key.y, e, key.y_tables)
+    return target is not None and target in key.points
 
 
 def ktime_pk_size(k: int) -> int:

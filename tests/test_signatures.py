@@ -183,50 +183,6 @@ def test_ktime_valid_signature_verifies_after_a_rejected_one(rng):
     assert vk.verify(b"m", sig)
 
 
-def test_each_published_point_accepts_without_an_inversion(rng, monkeypatch):
-    """The verify compares s*G + e*Y with the published points in Jacobian
-    coordinates, so each index's signature verifies, and a signature made for
-    another message fails, with `_to_affine` gone."""
-    signer, vk = ktime_keygen(rng, 4)
-    key = VerifyKey(KTIME, vk.data)
-    assert len(key._ktime_key.points) == 4
-
-    def no_inversion(points):
-        raise AssertionError("a K-time verify made a point affine")
-
-    monkeypatch.setattr(ec, "_to_affine", no_inversion)
-    for index in range(1, 5):
-        msg = f"m{index}".encode()
-        assert key.verify(msg, signer.sign_at(index, msg))
-        assert not key.verify(msg, signer.sign_at(index % 4 + 1, msg[::-1]))
-
-
-def test_ktime_product_at_a_published_points_negation_rejects(rng):
-    # One published point, T = s*G + e*Y for s = 7, as (x, y) and as (x, -y).
-    y, s = 5, 7
-    y_point = ec.point_mul(ec.G, y)
-    e = sig_mod._ktime_challenge(b"m")
-    x_t, y_t = ec.point_mul(ec.G, s + e * y)
-    head = ec.point_encode(y_point) + (1).to_bytes(4, "big")
-    genuine = VerifyKey(KTIME, head + ec.point_encode((x_t, y_t)))
-    negated = VerifyKey(KTIME, head + ec.point_encode((x_t, ec.P - y_t)))
-    sig = s.to_bytes(32, "big")
-    assert genuine.verify(b"m", sig)
-    assert [negated.verify(b"m", sig) for _ in range(2)] == [False, False]
-
-
-def test_ktime_published_points_off_the_field_are_dropped(rng):
-    """The check compares modulo P, so a decoded key keeps only published
-    points whose coordinates are below P."""
-    signer, vk = ktime_keygen(rng, 1)
-    genuine = ec.point_decode(vk.data[68:])
-    data = (vk.data[:64] + (3).to_bytes(4, "big") + vk.data[68:] + b"\xff" * 64
-            + ec.P.to_bytes(32, "big") + vk.data[100:])
-    key = VerifyKey(KTIME, data)
-    assert key._ktime_key.points == {genuine}
-    assert key.verify(b"m", signer.sign(b"m"))
-
-
 def test_ktime_sign_at_bounds(rng):
     signer, _ = ktime_keygen(rng, 2)
     with pytest.raises(KTimeExhausted):
