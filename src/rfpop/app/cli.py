@@ -48,9 +48,9 @@ from rfpop.pop import Credential, cred_veri
 from rfpop.primitives.prf import prf_eval
 from rfpop.primitives.rng import Rng
 
-from rfpop.app.config import Config, load_config
+from rfpop.app.config import MODES, Config, load_config
 from rfpop.app.dbfile import load_db, save_db
-from rfpop.app.netrun import serve_reader, tag_run
+from rfpop.app.netrun import protocol_for, serve_reader, tag_run
 from rfpop.app.reports import (
     IMPL_CHOICES,
     config_for_impl,
@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, choices=EXPERIMENTS)
     p.add_argument("--adversary", required=True, help="adversary or distinguisher name")
     p.add_argument("--trials", type=_positive_int, default=200)
-    p.add_argument("--protocol", choices=("ma", "mapop", "cex"), default="mapop")
+    p.add_argument("--protocol", choices=MODES, default="mapop")
     p.add_argument("--impl", choices=IMPL_CHOICES, default="1",
                    help="signature implementation for mapop systems: 1, 2 or 3")
     p.add_argument("--tags", type=int, default=2)
@@ -270,7 +270,7 @@ def _cmd_experiment(args) -> int:
         # would relay honestly and pass.
         index = getattr(adversary, "message_index", None)
         if index is not None:
-            rounds = len(factory().protocol.slots())
+            rounds = len(protocol_for(config).slots())
             if index > rounds:
                 raise ConfigError(f"--message-index {index} is past the last of "
                                   f"{args.protocol}'s {rounds} messages")

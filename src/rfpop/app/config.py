@@ -23,7 +23,7 @@ from rfpop.system import DEFAULT_LIFETIME, SYSTEM_BUILDERS, System
 
 ENV_CONFIG = "RFPOP_CONFIG"
 
-MODES = ("ma", "mapop", "cex")
+MODES = tuple(SYSTEM_BUILDERS)  # the one list of modes: the builder table's keys
 
 # Accept both the short table names and the canonical identifiers.
 _IMPL_ALIASES = {
@@ -110,8 +110,8 @@ class Config:
                     f"impl2 pair pool s={self.s} is below the expected session count "
                     f"{self.effective_lifetime}"
                 )
-        host, _, port = str(self.listen).rpartition(":")
-        if not isinstance(self.listen, str) or not host or not port.isdecimal():
+        port = str(self.listen).rpartition(":")[2]
+        if not isinstance(self.listen, str) or not self.host or not port.isdecimal():
             raise ConfigError(f"listen must be host:port, got {self.listen!r}")
         check_port(int(port))
 
@@ -125,7 +125,9 @@ class Config:
 
     @property
     def host(self) -> str:
-        return self.listen.rpartition(":")[0]
+        """The listen host; a bracketed IPv6 literal loses its brackets."""
+        host = self.listen.rpartition(":")[0]
+        return host[1:-1] if host.startswith("[") and host.endswith("]") else host
 
     @property
     def port(self) -> int:

@@ -12,12 +12,13 @@ An append cut short by a crash leaves a torn last entry.  `load_db` drops it
 and reports how many bytes it dropped; damage anywhere before the last entry
 is an error.
 
-Records are stored as fixed-order length-prefixed fields (4-byte big-endian
-prefixes, since K-time verifying keys can be large).  Counters are stored as
-fixed-width big-endian integers of the counter length, so a save/load/save
-round trip is byte-identical.  Loading checks every key, index and counter
-field against the configured lengths, and every metadata entry; damage is a
-`FrameError` naming what is damaged.
+A record is stored as the length-prefixed fields its mode's `LAYOUTS` entry
+lists, in that order (4-byte big-endian prefixes, since K-time verifying keys
+can be large); the encoder, the decoder and the size report read that one
+entry.  Counters are stored as fixed-width big-endian integers of the counter
+length, so a save/load/save round trip is byte-identical.  Loading checks
+every key, index and counter field against `params.widths`, and every
+metadata entry; damage is a `FrameError` naming what is damaged.
 
 A journal entry stores its session's `via_step` as one byte; a session that
 closed without reaching a verdict step (timeout, out-of-space message, failed
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from rfpop.counterexample import CexProtocol, CexReaderRecord
 from rfpop.errors import ConfigError, FrameError
@@ -51,83 +52,76 @@ from rfpop.app.tagfile import load_tag, save_tag  # noqa: F401  (see the module 
 MAGIC = b"RFPOP1"
 _JOURNAL_MARK = b"J"
 VIA_STEP_NONE = 0xFF
-# The session mode a reader of each config mode writes into its entries.
-_SESSION_MODE = {"ma": MaProtocol.record_mode, "mapop": PopProtocol.record_mode,
-                "cex": CexProtocol.record_mode}
+
+
+class Layout(NamedTuple):
+    """How one mode's reader records and tag secrets are stored."""
+
+    protocol: type  # the mode's protocol; its `record_mode` is the journal's session mode
+    record: type  # the reader-record class
+    fields: tuple[str, ...]  # the record's stored fields, in file order
+    tag_fields: tuple[str, ...]  # the tag's secret fields, in storage order
+
+
+# One layout per mode, keyed by the mode's protocol name.
+LAYOUTS = {layout.protocol.name: layout for layout in (
+    Layout(MaProtocol, MaReaderRecord, ("tag_id", "key", "ctr"), ("key", "ctr")),
+    Layout(PopProtocol, PopReaderRecord,
+           ("index", "key", "pop_key", "ctr", "tag_id", "verify_key"),
+           ("key", "ctr", "pop_key", "signer_seed")),
+    Layout(CexProtocol, CexReaderRecord, ("tag_id", "key", "ctr"), ("key", "ctr")),
+)}
+
+
+def check_widths(params, fields: dict, what: str = "record"):
+    """A FrameError naming `what` and the first byte field of `fields`
+    (name -> bytes) that is not as wide as `params.widths` says."""
+    for name, size in params.widths.items():
+        blob = fields.get(name)
+        if blob is not None and len(blob) != size:
+            raise FrameError(f"{what} {name} is {len(blob)} bytes, config says {size}")
+
+
+def _stored(params, obj, name: str) -> bytes:
+    """The bytes field `name` of a reader record or tag state is stored as."""
+    if name == "ctr":
+        return obj.ctr.to_bytes(params.widths["ctr"], "big")
+    if name == "verify_key":
+        return obj.verify_key.data
+    if name == "signer_seed":
+        return bytes.fromhex(obj.signer.to_dict()["seed"])
+    return getattr(obj, name)
 
 
 def record_fields(mode: str, params, rec) -> list[tuple[str, bytes]]:
-    """Named byte fields of one reader record, in storage order.
-
-    The byte-size tables sum exactly these field lengths, so the encoders and
-    the reported sizes cannot drift apart.
-    """
-    ctr_bytes = _ctr_width(params)
-    if mode == "mapop":
-        return [
-            ("index", rec.index),
-            ("key", rec.key),
-            ("pop_key", rec.pop_key),
-            ("ctr", rec.ctr.to_bytes(ctr_bytes, "big")),
-            ("tag_id", rec.tag_id),
-            ("verify_key", rec.verify_key.data),
-        ]
-    # Plain readers derive the index from (key, ctr); the counterexample
-    # protocol has no index at all.  Either way only three fields persist.
-    return [
-        ("tag_id", rec.tag_id),
-        ("key", rec.key),
-        ("ctr", rec.ctr.to_bytes(ctr_bytes, "big")),
-    ]
+    """Named byte fields of one reader record, in storage order; the size
+    report sums exactly these, so it cannot drift from the encoder."""
+    return [(name, _stored(params, rec, name)) for name in LAYOUTS[mode].fields]
 
 
 def tag_fields(mode: str, params, state) -> list[tuple[str, bytes]]:
     """Named secret fields a tag stores, in storage order."""
-    fields = [("key", state.key), ("ctr", state.ctr.to_bytes(_ctr_width(params), "big"))]
-    if mode == "mapop":
-        fields += [
-            ("pop_key", state.pop_key),
-            ("signer_seed", bytes.fromhex(state.signer.to_dict()["seed"])),
-        ]
-    return fields
-
-
-def _ctr_width(params) -> int:
-    return params.out_bits // 8
+    return [(name, _stored(params, state, name)) for name in LAYOUTS[mode].tag_fields]
 
 
 def encode_record(mode: str, params, rec) -> bytes:
-    return pack_fields([blob for _, blob in record_fields(mode, params, rec)])
-
-
-def _sized(name: str, blob: bytes, nbits: int) -> bytes:
-    if 8 * len(blob) != nbits:
-        raise FrameError(f"record {name} is {len(blob)} bytes, config says {nbits // 8}")
-    return blob
+    return pack_fields([_stored(params, rec, name) for name in LAYOUTS[mode].fields])
 
 
 def decode_record(mode: str, params, cursor: Cursor, keys: dict):
-    fields = cursor.fields()
-    if mode == "mapop":
-        if len(fields) != 6:
-            raise FrameError(f"extended reader record needs 6 fields, got {len(fields)}")
-        index, key, pop_key, ctr, tag_id, vk = fields
-        return PopReaderRecord(
-            tag_id=tag_id,
-            key=_sized("key", key, params.key_bits),
-            ctr=int.from_bytes(_sized("ctr", ctr, params.out_bits), "big"),
-            index=_sized("index", index, params.out_bits),
-            pop_key=_sized("pop_key", pop_key, params.pop_key_bits),
-            verify_key=_shared_key(keys, params.sig_scheme, vk),
-        )
-    if len(fields) != 3:
-        raise FrameError(f"reader record needs 3 fields, got {len(fields)}")
-    tag_id, key, ctr = fields
-    key = _sized("key", key, params.key_bits)
-    ctr = int.from_bytes(_sized("ctr", ctr, params.out_bits), "big")
-    if mode == "cex":
-        return CexReaderRecord(tag_id=tag_id, key=key, ctr=ctr)
-    return MaReaderRecord(tag_id=tag_id, key=key, ctr=ctr, index=index_for(params, key, ctr))
+    layout = LAYOUTS[mode]
+    blobs = cursor.fields()
+    if len(blobs) != len(layout.fields):
+        raise FrameError(f"reader record needs {len(layout.fields)} fields, got {len(blobs)}")
+    values = dict(zip(layout.fields, blobs))
+    check_widths(params, values)
+    values["ctr"] = int.from_bytes(values["ctr"], "big")
+    if "verify_key" in values:
+        values["verify_key"] = _shared_key(keys, params.sig_scheme, values["verify_key"])
+    # A plain reader derives its index from (key, ctr); cex records have none.
+    if "index" not in values and "index" in layout.record.__dataclass_fields__:
+        values["index"] = index_for(params, values["key"], values["ctr"])
+    return layout.record(**values)
 
 
 @dataclass
@@ -257,8 +251,8 @@ def _read_journal_entry(cursor: Cursor, config: Config, params, keys: dict,
                         initial: dict) -> SessionRecord:
     """One journal entry. An output byte other than 0/1, a via_step byte
     other than 0, 1, 2 or VIA_STEP_NONE, a session mode other than the
-    config's `_SESSION_MODE`, more than one changed record or a tag the
-    set-up records lack is a FrameError naming the entry."""
+    `record_mode` of the config's protocol, more than one changed record or
+    a tag the set-up records lack is a FrameError naming the entry."""
     if cursor.take(1) != _JOURNAL_MARK:
         raise FrameError("corrupt journal marker")
     j = cursor.u32()
@@ -278,9 +272,9 @@ def _read_journal_entry(cursor: Cursor, config: Config, params, keys: dict,
         raise FrameError(f"journal entry {j} has o_reader byte {o_reader}")
     if via_step not in (0, 1, 2, VIA_STEP_NONE):
         raise FrameError(f"journal entry {j} has via_step byte {via_step}")
-    if mode != _SESSION_MODE[config.mode]:
-        raise FrameError(f"journal entry {j} has session mode {mode!r}, "
-                         f"not {_SESSION_MODE[config.mode]!r}")
+    expected = LAYOUTS[config.mode].protocol.record_mode
+    if mode != expected:
+        raise FrameError(f"journal entry {j} has session mode {mode!r}, not {expected!r}")
     for tag in (tag_id, None if changed is None else changed.tag_id):
         if tag is not None and tag not in initial:
             raise FrameError(f"journal entry {j} names tag {tag.hex()}, "
@@ -301,7 +295,7 @@ def append_journal(path: str, config: Config, session: SessionRecord):
         bytes([session.o_reader & 1]),
         bytes([VIA_STEP_NONE if session.via_step is None else session.via_step]),
     ]
-    mode_blob = _SESSION_MODE[config.mode].encode("ascii")
+    mode_blob = LAYOUTS[config.mode].protocol.record_mode.encode("ascii")
     parts += [U32.pack(len(mode_blob)), mode_blob]
     tag_blob = session.tag_id or b""
     parts += [U32.pack(len(tag_blob)), tag_blob]

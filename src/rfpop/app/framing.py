@@ -33,10 +33,10 @@ class Cursor:
         return len(self.data) - self.pos
 
     def take(self, n: int) -> bytes:
-        if self.remaining < n:
+        end = self.pos + n
+        if end > len(self.data):
             raise Truncated("database file truncated")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
+        chunk, self.pos = self.data[self.pos : end], end
         return chunk
 
     def u32(self) -> int:

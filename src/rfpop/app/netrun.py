@@ -28,16 +28,14 @@ import socket
 import time
 from typing import Callable, Optional
 
-from rfpop.counterexample import CexProtocol
 from rfpop.errors import FrameError
-from rfpop.ma import MaProtocol
 from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import Reader, Tag
 from rfpop.pop import PopProtocol, cred_gen
 from rfpop.primitives.rng import Rng
 
 from rfpop.app.config import Config, check_port
-from rfpop.app.dbfile import DbFileData, append_journal, load_db
+from rfpop.app.dbfile import LAYOUTS, DbFileData, append_journal, check_widths, load_db, tag_fields
 from rfpop.app.tagfile import read_tag
 from rfpop.app.wire import (
     ROUND_TYPES,
@@ -57,10 +55,8 @@ TICK_SECONDS = 0.05
 
 def protocol_for(config: Config, reader_signer=None):
     """The protocol a reader or tag process runs; only a mapop reader signs."""
-    params = config.params()
-    if config.mode == "mapop":
-        return PopProtocol(params, reader_signer)
-    return CexProtocol(params) if config.mode == "cex" else MaProtocol(params)
+    protocol, params = LAYOUTS[config.mode].protocol, config.params()
+    return PopProtocol(params, reader_signer) if protocol is PopProtocol else protocol(params)
 
 
 def reader_from_file(db_path: str) -> tuple[DbFileData, Reader]:
@@ -109,7 +105,8 @@ def serve_reader(
     if rng is None:
         rng = Rng(config.seed).spawn("net-reader")
     results = []
-    with socket.create_server((bind_host, bind_port)) as server:
+    family = socket.AF_INET6 if ":" in bind_host else socket.AF_INET  # a ":" means IPv6
+    with socket.create_server((bind_host, bind_port), family=family) as server:
         actual_port = server.getsockname()[1]
         announce(f"reader listening on {bind_host}:{actual_port}")
         if ready is not None:
@@ -178,15 +175,9 @@ def tag_run(
         raise FrameError(f"tag file is for mode {mode!r} but config says {config.mode!r}")
     protocol = protocol_for(config)
     params = protocol.params
-    sizes = {"key": params.key_bits // 8}
-    if mode == "mapop":
-        sizes["pop_key"] = params.pop_key_bits // 8
-    for name, size in sizes.items():
-        got = len(getattr(state, name))
-        if got != size:
-            raise FrameError(f"tag file {name} is {got} bytes, config says {size}")
     if state.ctr > params.max_counter:
         raise FrameError(f"tag file ctr is above the config's bound {params.max_counter}")
+    check_widths(params, dict(tag_fields(mode, params, state)), "tag file")
     if mode == "mapop" and state.signer.scheme != params.sig_scheme:
         raise FrameError(
             f"tag file signer scheme is {state.signer.scheme!r}, config {config.impl} "

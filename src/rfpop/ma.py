@@ -81,6 +81,12 @@ class MaParams:
     def prf(self) -> PrfDescriptor:
         return PrfDescriptor("ma-f", self.key_bits, self.prf_input_bits, self.out_bits)
 
+    @cached_property
+    def widths(self) -> dict[str, int]:
+        """The width in bytes of each fixed-width value a reader record or a
+        tag state holds, by field name; stored files are checked against it."""
+        return {"index": self.out_bits // 8, "key": self.key_bits // 8, "ctr": self.out_bits // 8}
+
 
 @value
 class MaTagState:

@@ -122,6 +122,10 @@ class PopParams(MaParams):
     def mask_prf(self) -> PrfDescriptor:
         return PrfDescriptor("pop-g", self.pop_key_bits, None, self.hash_bits)
 
+    @cached_property
+    def widths(self) -> dict[str, int]:
+        return {**super().widths, "pop_key": self.pop_key_bits // 8}
+
 
 @value
 class PopTagState(MaTagState):

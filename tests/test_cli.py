@@ -314,6 +314,20 @@ def test_experiment_message_index_past_the_last_message_rc2(capsys, argv):
     assert stderr.startswith("error: --message-index") and stderr.count("\n") == 1
 
 
+def test_experiment_message_index_check_builds_no_system(capsys, monkeypatch):
+    """The round count comes from the config's protocol, so an index past
+    the last message is refused before any party's keys are generated."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a system to count rounds")
+
+    monkeypatch.setattr(Config, "build_system", no_build)
+    rc, stdout, stderr = run_cli(capsys, "experiment", "--name", "unp-sharp", "--adversary",
+                                 "replayer", "--protocol", "mapop", "--impl", "3",
+                                 "--message-index", "5", "--trials", "2")
+    assert (rc, stdout) == (2, "")
+    assert stderr == "error: --message-index 5 is past the last of mapop's 4 messages\n"
+
+
 def test_missing_files_are_reported_without_a_traceback(tmp_path, capsys):
     missing = str(tmp_path / "missing.db")
     rc, _, stderr = run_cli(capsys, "cred", "verify", "--db", missing, "--cred", "x")

@@ -102,6 +102,11 @@ def test_listen_validation():
     config = Config(listen="0.0.0.0:9000")
     assert (config.host, config.port) == ("0.0.0.0", 9000)
     assert Config(listen="h:65535").port == 65535
+    config = Config(listen="[::1]:7410")
+    assert (config.host, config.port) == ("::1", 7410)
+    assert Config(listen="::1:0").host == "::1"
+    with pytest.raises(ConfigError):
+        Config(listen="[]:7410")
 
 
 @pytest.mark.parametrize("seed", [None, -1, 1.5, [], {}, True], ids=repr)

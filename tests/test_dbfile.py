@@ -10,6 +10,8 @@ from rfpop.app.dbfile import (
     MAGIC,
     VIA_STEP_NONE,
     append_journal,
+    decode_record,
+    encode_record,
     load_db,
     load_tag,
     record_fields,
@@ -17,6 +19,7 @@ from rfpop.app.dbfile import (
     save_tag,
     tag_fields,
 )
+from rfpop.app.framing import Cursor
 from rfpop.errors import FrameError, UnknownSnapshot
 from rfpop.model.types import Msg
 from rfpop.primitives.rng import Rng
@@ -40,6 +43,7 @@ def write_db(path, config, system):
 CONFIGS = [
     Config(mode="ma"),
     Config(mode="mapop", impl="impl1"),
+    Config(mode="mapop", impl="impl2", s=8, lifetime=8),
     Config(mode="mapop", impl="impl3", K=8, lifetime=8),
     Config(mode="cex"),
 ]
@@ -64,6 +68,26 @@ def test_save_load_save_byte_identical(config, tmp_path):
         directory=loaded.directory,
     )
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}-{c.impl}")
+def test_decode_record_inverts_encode_record(config):
+    """Each record, set up or changed by a session, decodes to an equal
+    record; a second decode of the same record shares the first's
+    verifying key through `keys`, so a K-time key is decoded once."""
+    system = build(config)
+    system.run_honest()
+    params = config.params()
+    keys = {}
+    for rec in system.reader.db.records_ascending():
+        blob = encode_record(config.mode, params, rec)
+        cursor = Cursor(blob)
+        first = decode_record(config.mode, params, cursor, keys)
+        assert first == rec and cursor.remaining == 0
+        if config.mode == "mapop":
+            again = decode_record(config.mode, params, Cursor(blob), keys)
+            assert again.verify_key is first.verify_key is keys[rec.verify_key]
+    assert len(keys) == (config.tags if config.mode == "mapop" else 0)
 
 
 def test_loaded_records_preserve_values(tmp_path):

@@ -7,9 +7,12 @@ the module's `__all__` or carries `# noqa: F401` on its import line.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+from rfpop.app.config import MODES
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "rfpop"
@@ -337,3 +340,61 @@ def test_only_the_sig_loader_imports_cryptography():
     found = {path: lines for path, lines in found.items() if lines}
     assert set(found) == {"primitives/sig.py"}
     assert all(line.endswith("in a function") for line in found["primitives/sig.py"])
+
+
+MODE_NAMES = {"ma", "mapop", "cex"}
+
+
+def mode_comparisons(source: str) -> list[str]:
+    """Lines that compare a value to a mode name literal, alone or in a
+    tuple, list or set, or match a case against one."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.MatchValue):
+            operands = [node.value]
+        else:
+            continue
+        for operand in operands:
+            elts = operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) else [operand]
+            if any(isinstance(e, ast.Constant) and e.value in MODE_NAMES for e in elts):
+                hits.append(f"line {node.lineno}")
+                break
+    return hits
+
+
+def test_the_record_codec_has_no_mode_branch():
+    """Each mode's reader-record layout is one `LAYOUTS` entry, so
+    app/dbfile.py never asks which mode it is handling."""
+    assert mode_comparisons(
+        'if mode == "ma":\n    pass\n'
+        'x = "cex" != mode\n'
+        'y = mode in ("ma", "cex")\n'
+        'match mode:\n    case "mapop":\n        pass\n'
+    ) == ["line 1", "line 3", "line 4", "line 6"]
+    assert mode_comparisons('x = mode == "pop"\ny = mode in MODES\nz = LAYOUTS["ma"]\n') == []
+    assert mode_comparisons((SRC / "app" / "dbfile.py").read_text(encoding="utf-8")) == []
+
+
+def mode_tables(namespaces: dict[str, dict], modes) -> dict[str, bool]:
+    """Each module-level dict keyed by a mode, as module.name -> whether its
+    keys are exactly `modes`."""
+    return {f"{module}.{name}": set(table) == set(modes)
+            for module, namespace in namespaces.items() for name, table in namespace.items()
+            if isinstance(table, dict) and any(key in modes for key in table)}
+
+
+def test_every_mode_table_has_the_modes_of_the_one_list():
+    """The modes are listed once, as `config.MODES`, and every table keyed by
+    mode has exactly those keys."""
+    assert mode_tables({"m": {"T": {"a": 1, "b": 2}, "U": {"a": 1}, "V": {1: "a"}, "W": ("a",)}},
+                       ("a", "b")) == {"m.T": True, "m.U": False}
+    namespaces = {}
+    for path in MODULES:
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        namespaces[name] = vars(importlib.import_module(name))
+    tables = mode_tables(namespaces, MODES)
+    assert {"rfpop.system.SYSTEM_BUILDERS", "rfpop.app.dbfile.LAYOUTS"} <= set(tables)
+    assert [name for name, exact in tables.items() if not exact] == []

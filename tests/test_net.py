@@ -68,8 +68,9 @@ def count_appends(monkeypatch):
     return appends
 
 
-def start_server(db_path, *, sessions, rng=None, announce=lambda line: None):
-    """Run serve_reader on a free loopback port in a daemon thread."""
+def start_server(db_path, *, sessions, rng=None, announce=lambda line: None, host="127.0.0.1"):
+    """Run serve_reader on a free loopback port in a daemon thread; `host`
+    None binds the database config's host."""
     ports = queue.Queue()
     box = {}
 
@@ -77,7 +78,7 @@ def start_server(db_path, *, sessions, rng=None, announce=lambda line: None):
         try:
             box["results"] = serve_reader(
                 db_path,
-                host="127.0.0.1",
+                host=host,
                 port=0,
                 sessions=sessions,
                 rng=rng,
@@ -108,6 +109,20 @@ def finish(box, timeout=10):
 def run_client(box, tag_path, config, **kwargs):
     kwargs.setdefault("announce", lambda line: None)
     return tag_run(tag_path, config, host="127.0.0.1", port=box["port"], **kwargs)
+
+
+def test_a_session_over_a_bracketed_ipv6_listen_address(tmp_path):
+    """A config listening on `[::1]:0` serves on the IPv6 loopback, and a
+    tag reaches it through the same config's host."""
+    config = Config(mode="ma", tags=1, seed="net-ipv6", listen="[::1]:0")
+    db_path, tag_paths, _system = deploy(tmp_path, config)
+    lines = []
+    box = start_server(db_path, sessions=1, host=None, announce=lines.append)
+    client = tag_run(tag_paths[0], config, port=box["port"], announce=lambda line: None)
+    server = finish(box)
+    assert lines[0] == f"reader listening on ::1:{box['port']}"
+    assert client == [{"o_tag": 1, "o_reader": 1, "credential": None, "note": ""}]
+    assert [(r["o_reader"], r["o_tag"]) for r in server] == [(1, 1)]
 
 
 def test_ma_sessions_over_loopback(tmp_path):
