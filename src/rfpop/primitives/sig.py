@@ -2,11 +2,17 @@
 
 Two instantiations:
 
-* Full-time: Ed25519 (via the cryptography package). 32-byte verifying keys,
-  64-byte deterministic signatures, unlimited signings. Optionally the signer
-  models a precomputed-pair pool: signing then skips the online point
-  multiplication (it was done offline) and the pool depletes by one per
-  signature.
+* Full-time: Ed25519 (libsodium, through `primitives.ed25519`). 32-byte
+  verifying keys, 64-byte deterministic signatures, unlimited signings.
+  Optionally the signer models a precomputed-pair pool: signing then skips
+  the online point multiplication (it was done offline) and the pool
+  depletes by one per signature. Keys and signatures are byte-identical to
+  OpenSSL's (RFC 8032), and so are verdicts, with one intended difference:
+  libsodium's check is stricter, and rejects a verifying key or a signature
+  R of small order before it checks the equation. Under a small-order key
+  anyone can forge: the identity key `01 00..00` with R = B, S = 1
+  satisfies [S]B = R + [k]A for every message, and OpenSSL accepts it, but
+  it verifies nothing here.
 
 * K-time: a Schnorr variant over secp256k1 in which the per-signature nonce
   points are fixed at key generation and published in the verifying key. Keys
@@ -62,14 +68,17 @@ remembered are dropped, so an unpickled key is `VerifyKey(scheme, data)`.
 A copy (`copy.copy`, `copy.deepcopy`) stays in the process and keeps the
 pair, so copying a key derives nothing.
 
-The `cryptography` package, which maps OpenSSL, is imported on first use:
-when a full-time key pair is first derived, an Ed25519 verifying key is first
-decoded, or a full check catches `InvalidSignature`. Reading
+`primitives.ed25519`, which loads `ctypes` and libsodium, is imported on
+first use: when a full-time key pair is first derived, an Ed25519 verifying
+key is first decoded, or a full check catches `InvalidSignature`. Reading
 `Ed25519PrivateKey`, `Ed25519PublicKey` or `InvalidSignature` off this module
-loads it too. MA and cex sign nothing, so an MA or cex process, and a MAPoP
-process that has not yet signed or verified with Ed25519, never maps it:
-importing the CLI holds about 6 MB less (max RSS 27.0 -> 20.8 MB, CPython
-3.11.7, `cryptography` 48.0.0).
+loads it too, and where libsodium is missing that first use raises its
+ImportError. MA and cex sign nothing, so an MA or cex process, and a MAPoP
+process that has not yet signed or verified with Ed25519, never loads it.
+Loading it adds about 0.5 MB: importing the CLI and running one impl1
+session peaks at 21.5 MB max RSS, against 27.7 MB through the `cryptography`
+package's OpenSSL binding, and importing the CLI alone at 20.8 MB (CPython
+3.11.7, libsodium 1.0.18, `cryptography` 48.0.0).
 
 Cost accounting: the K-time scheme's hash and group operations are counted
 for real by the primitives it calls. Ed25519's internals are not
@@ -101,14 +110,15 @@ _ED25519_NAMES = ("Ed25519PrivateKey", "Ed25519PublicKey", "InvalidSignature")
 
 def _ed25519(name: str):
     """The backend's `name`, one of `_ED25519_NAMES`. The first call imports
-    `cryptography` and binds all three on the module; a name already bound,
-    by an earlier call or a test's patch, is kept."""
+    `primitives.ed25519`, which loads libsodium, and binds all three on the
+    module; a name already bound, by an earlier call or a test's patch, is
+    kept."""
     names = globals()
     if name not in names:
-        from cryptography.exceptions import InvalidSignature
-        from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+        from rfpop.primitives.ed25519 import (
             Ed25519PrivateKey,
             Ed25519PublicKey,
+            InvalidSignature,
         )
 
         loaded = (Ed25519PrivateKey, Ed25519PublicKey, InvalidSignature)

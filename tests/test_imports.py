@@ -301,8 +301,8 @@ def test_kept_values_are_built_by_value():
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 
-def cryptography_imports(source: str) -> list[str]:
-    """Lines that import `cryptography` or a submodule of it, each marked
+def imports_of(source: str, package: str) -> list[str]:
+    """Lines that import `package` or a submodule of it, each marked
     `module level` or `in a function`."""
     hits = []
 
@@ -314,7 +314,7 @@ def cryptography_imports(source: str) -> list[str]:
                 names = [child.module or ""] if not child.level else []
             else:
                 names = []
-            if any(name == "cryptography" or name.startswith("cryptography.") for name in names):
+            if any(name == package or name.startswith(package + ".") for name in names):
                 hits.append(f"line {child.lineno}: {'in a function' if in_function else 'module level'}")
             visit(child, in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
 
@@ -322,24 +322,33 @@ def cryptography_imports(source: str) -> list[str]:
     return hits
 
 
-def test_only_the_sig_loader_imports_cryptography():
-    """MA runs on a PRF alone: OpenSSL's Ed25519 loads when a full-time key
-    pair is first derived or decoded, from a function in primitives/sig.py,
-    so no process that signs nothing maps it."""
-    assert cryptography_imports(
+def test_nothing_imports_cryptography_and_only_the_ed25519_module_imports_ctypes():
+    """MA runs on a PRF alone: libsodium's Ed25519 loads, through `ctypes` in
+    primitives/ed25519.py, when a full-time key pair is first derived or
+    decoded, from a function in primitives/sig.py, so no process that signs
+    nothing maps it. The `cryptography` package is a test reference only."""
+    assert imports_of(
         "import cryptography\n"
         "from cryptography.exceptions import InvalidSignature\n"
         "if True:\n    import cryptography.hazmat\n"
         "class A:\n    from cryptography import x\n"
         "def f():\n    from cryptography.hazmat import y\n"
-        "    def g():\n        import cryptography\n"
+        "    def g():\n        import cryptography\n", "cryptography"
     ) == ["line 1: module level", "line 2: module level", "line 4: module level",
           "line 6: module level", "line 8: in a function", "line 10: in a function"]
-    assert cryptography_imports("import cryptographyx\nfrom .cryptography import y\n") == []
-    found = {str(p.relative_to(SRC)): cryptography_imports(p.read_text(encoding="utf-8")) for p in MODULES}
-    found = {path: lines for path, lines in found.items() if lines}
-    assert set(found) == {"primitives/sig.py"}
-    assert all(line.endswith("in a function") for line in found["primitives/sig.py"])
+    assert imports_of("import cryptographyx\nfrom .cryptography import y\n", "cryptography") == []
+    assert imports_of("from ctypes.util import find_library\n", "ctypes") == ["line 1: module level"]
+
+    def importers(package):
+        found = {str(p.relative_to(SRC)): imports_of(p.read_text(encoding="utf-8"), package)
+                 for p in MODULES}
+        return {path: lines for path, lines in found.items() if lines}
+
+    assert importers("cryptography") == {}
+    assert set(importers("ctypes")) == {"primitives/ed25519.py"}
+    loaders = importers("rfpop.primitives.ed25519")
+    assert set(loaders) == {"primitives/sig.py"}
+    assert all(line.endswith("in a function") for line in loaders["primitives/sig.py"])
 
 
 MODE_NAMES = {"ma", "mapop", "cex"}

@@ -389,6 +389,17 @@ def test_edge_signatures_are_rejected_without_an_error(rng):
     assert [key.verify(b"m", at_infinity) for _ in range(2)] == [False, False]
 
 
+def test_a_small_order_key_verifies_nothing():
+    """Under the identity key `01 00..00`, R = B and S = 1 satisfy the
+    cofactorless equation [S]B = R + [k]A for any message, so a check that
+    takes that key accepts a forgery; the key is rejected for its small
+    order instead."""
+    identity = VerifyKey(FULLTIME, b"\x01" + bytes(31))
+    forged = bytes.fromhex("58" + "66" * 31) + (1).to_bytes(32, "little")
+    for msg in (b"", b"m", bytes(1024)):
+        assert [identity.verify(msg, forged) for _ in range(2)] == [False, False]
+
+
 def test_a_verified_key_pickles_as_its_value(rng):
     """A key that has verified pickles its scheme, its data and its signer's
     pair, not its decoded key or its memo, and the copy still verifies."""
@@ -466,7 +477,7 @@ def test_the_deferred_data_descriptor_reads_on_the_class(rng):
 
 def test_only_a_full_time_key_pair_loads_the_backend():
     """MA and cex sign nothing, so importing the CLI, running their sessions
-    and `report-ops --impl ma` leave OpenSSL's Ed25519 unloaded; a MAPoP
+    and `report-ops --impl ma` leave the libsodium binding unloaded; a MAPoP
     impl1 session loads it at its first signing."""
     code = textwrap.dedent("""
         import contextlib, io, sys
@@ -475,7 +486,7 @@ def test_only_a_full_time_key_pair_loads_the_backend():
         from rfpop.app.reports import config_for_impl
 
         def loaded():
-            return "cryptography.hazmat.bindings._rust" in sys.modules
+            return "rfpop.primitives.ed25519" in sys.modules
 
         seen = [("import", loaded())]
         for mode in ("ma", "cex"):
