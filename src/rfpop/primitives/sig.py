@@ -75,10 +75,10 @@ key is first decoded, or a full check catches `InvalidSignature`. Reading
 loads it too, and where libsodium is missing that first use raises its
 ImportError. MA and cex sign nothing, so an MA or cex process, and a MAPoP
 process that has not yet signed or verified with Ed25519, never loads it.
-Loading it adds about 0.5 MB: importing the CLI and running one impl1
-session peaks at 21.5 MB max RSS, against 27.7 MB through the `cryptography`
-package's OpenSSL binding, and importing the CLI alone at 20.8 MB (CPython
-3.11.7, libsodium 1.0.18, `cryptography` 48.0.0).
+Loading and first using it adds about 0.7 MB: importing the CLI and running
+one impl1 session peaks at 21.5 MB max RSS, against 27.7 MB through the
+`cryptography` package's OpenSSL binding, and importing the CLI alone at
+20.8 MB (CPython 3.11.7, libsodium 1.0.18, `cryptography` 48.0.0).
 
 Cost accounting: the K-time scheme's hash and group operations are counted
 for real by the primitives it calls. Ed25519's internals are not
