@@ -46,7 +46,7 @@ from rfpop.ma import (
 )
 from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import Action
-from rfpop.model.types import Msg, evolve, value
+from rfpop.model.types import Msg, value
 from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.prf import prf_eval
 from rfpop.primitives.rng import Rng
@@ -95,7 +95,7 @@ def cex_tag_respond(
     nonce = rng.take_bits(params.nonce_bits)
     branch = _branch_value(params, state.key, challenge, nonce if state.st else None)
     r1 = xor(branch, counter_bytes(params, state.ctr))
-    state = evolve(state, ctr=state.ctr + 1, st=1)
+    state = state.evolve(ctr=state.ctr + 1, st=1)
     scratch = MaTagScratch(challenge, nonce, r1 + nonce)
     return scratch.reply, scratch, state
 
@@ -118,7 +118,7 @@ def cex_reader_respond(
     )
     if hit is None:
         return False, None, rng.take_bits(params.out_bits)
-    rec = evolve(hit[0], ctr=hit[0].ctr + 1)
+    rec = hit[0].evolve(ctr=hit[0].ctr + 1)
     db.put(rec)
     return True, rec.tag_id, confirm_value(params, rec.key, challenge, rec.ctr, nonce)
 
@@ -155,7 +155,7 @@ class CexProtocol(MaProtocol):
     def tag_on_message(self, state: CexTagState, scratch, msg: Msg, rng: Rng):
         action, state = super().tag_on_message(state, scratch, msg, rng)
         if action.output == 1:
-            state = evolve(state, st=0)
+            state = state.evolve(st=0)
         return action, state
 
 

@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 from rfpop.errors import CounterOverflow, LengthMismatch
 from rfpop.model.database import ReaderDatabase
 from rfpop.model.session import Action
-from rfpop.model.types import Msg, evolve, value
+from rfpop.model.types import Msg, value
 from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.counters import count_hash
 from rfpop.primitives.prf import PrfDescriptor, check_input, prf_eval
@@ -173,7 +173,7 @@ def ma_tag_respond(
         counter_mask(params, state.key, challenge, index, nonce),
         counter_bytes(params, state.ctr),
     )
-    state = evolve(state, ctr=state.ctr + 1)
+    state = state.evolve(ctr=state.ctr + 1)
     reply = MaTagReply(index, nonce, masked)
     scratch = MaTagScratch(challenge, nonce, reply.payload())
     return reply, scratch, state
@@ -240,7 +240,7 @@ def _accept(
 ) -> MaAuthResult:
     """Store recovered+1 and the refreshed index; confirm the new counter."""
     ctr = recovered + 1
-    db.put(evolve(rec, ctr=ctr, index=index_for(params, rec.key, ctr)))
+    db.put(rec.evolve(ctr=ctr, index=index_for(params, rec.key, ctr)))
     confirm = confirm_value(params, rec.key, challenge, ctr, nonce)
     return MaAuthResult(True, rec.tag_id, confirm, via_step)
 

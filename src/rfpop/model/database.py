@@ -2,10 +2,9 @@
 
 The database maps tag identities to protocol-specific records. Records are
 `rfpop.model.types.value` classes, frozen slotted dataclasses: a protocol
-changes a tag's record by building a changed copy with
-`rfpop.model.types.evolve` and handing it to `ReaderDatabase.put`, the one
-write, which keeps the index map and the current session's changed record in
-step.
+changes a tag's record by building a changed copy with the record's
+`evolve` method and handing it to `ReaderDatabase.put`, the one write, which
+keeps the index map and the current session's changed record in step.
 Lookups return the stored records themselves, shared with the journal; no
 record is ever copied, because none can change once written.
 

@@ -17,8 +17,8 @@ at C speed.
 
 Every value that is kept or shared (`Msg`, the journal's `SessionRecord`,
 the tag states and the reader records) is a `value` class: a frozen slotted
-dataclass with a generated `__init__` and a generated builder behind
-`evolve`, its one way to make a changed copy.
+dataclass with a generated `__init__` and a generated `evolve` method, its
+one way to make a changed copy.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ from typing import NamedTuple, Optional
 SID_BITS = 128
 
 _KEEP = object()  # an `evolve` argument left out: the field keeps its value
-_BUILDERS = {}  # value class -> its evolve builder
 
 
 def value(cls):
     """Class decorator: `cls` as a frozen slotted dataclass whose `__init__`
-    and `evolve` builder are generated here, both in one `exec`.
+    and `evolve` method are generated here, both in one `exec`.
 
     Both write each field through its slot's member descriptor, the write
     that `object.__setattr__` ends in, so a build makes no global lookup and
@@ -45,7 +44,12 @@ def value(cls):
     docstring by an inherited signature, so each value class has one. A
     field that is keyword-only, has a `default_factory` or is left out of
     `__init__` is refused when the class is defined, since the generated
-    functions take every field positionally and fill it from an argument."""
+    functions take every field positionally and fill it from an argument.
+
+    `obj.evolve(**changes)` is `dataclasses.replace(obj, **changes)`: a copy
+    of the same class with `changes` applied. A name that is not a field
+    raises `TypeError`, and `__post_init__` runs. It runs per session on
+    each side, where `replace`'s checks would cost more."""
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     scope = {"_new": object.__new__, "_cls": cls, "_KEEP": _KEEP}
     names, params = [], []
@@ -66,10 +70,9 @@ def value(cls):
     exec(f"def __init__(self, {', '.join(params)}):\n{sets}{post}"
          f"def evolve(old, {', '.join(f'{n}=_KEEP' for n in names)}):\n"
          f"    self = _new(_cls)\n{keeps}{post}    return self\n", scope)
-    init = scope["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-    _BUILDERS[cls] = scope["evolve"]
+    for name in ("__init__", "evolve"):
+        scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, scope[name])
     return cls
 
 
@@ -121,11 +124,3 @@ class StepOutcome(NamedTuple):
 
 
 IGNORE = StepOutcome()
-
-
-def evolve(obj, /, **changes):
-    """`dataclasses.replace` for a `value` instance: a copy of the same class
-    with `changes` applied, built by that class's generated builder. A name
-    that is not a field raises `TypeError`, and `__post_init__` runs. It runs
-    per session on each side, where `replace`'s checks would cost more."""
-    return _BUILDERS[type(obj)](obj, **changes)

@@ -55,7 +55,7 @@ from rfpop.ma import (
     tag_id_for,
 )
 from rfpop.model.session import Action, Reader
-from rfpop.model.types import Msg, evolve, value
+from rfpop.model.types import Msg, value
 from rfpop.primitives.bitstring import split, xor
 from rfpop.primitives.prf import PrfDescriptor, hash_digest, prf_eval
 from rfpop.primitives.rng import Rng
@@ -264,7 +264,7 @@ class PopProtocol(MaProtocol):
             return Action(output=0, note=f"signing unavailable: {exc}"), state
         masked = xor(signature_mask(params, state.pop_key, binder), sig)
         reply = masked + signature_tag(params, state.pop_key, sig)
-        return Action(reply, 1), evolve(state, signer=signer)
+        return Action(reply, 1), state.evolve(signer=signer)
 
 
 CRED_VERSION = 0x01

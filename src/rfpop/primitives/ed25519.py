@@ -1,14 +1,13 @@
 """Ed25519 (RFC 8032) through libsodium, called with `ctypes`.
 
-Three libsodium calls do the work: `crypto_sign_ed25519_seed_keypair`,
-`crypto_sign_ed25519_detached` and `crypto_sign_ed25519_verify_detached`.
-The names follow the `cryptography` package's, so `primitives/sig.py` reads
-`Ed25519PrivateKey.from_private_bytes(seed)`, `.public_key()
-.public_bytes_raw()` and `.sign(msg)`, `Ed25519PublicKey.from_public_bytes`
-and `.verify(sig, msg)`, which raises `InvalidSignature`. A key is plain
-bytes, the 64-byte secret key (seed, then public key) or the 32-byte public
-key, so no native handle needs freeing. Every buffer's length is checked here
-before libsodium reads it.
+Three functions on bytes, one libsodium call each: `keypair(seed)` returns
+the 64-byte secret key (seed, then public key) and the 32-byte public key
+(`crypto_sign_ed25519_seed_keypair`), `sign(sk, msg)` the 64-byte signature
+(`crypto_sign_ed25519_detached`) and `verify(pk, msg, sig)` the verdict
+(`crypto_sign_ed25519_verify_detached`). No native handle needs freeing.
+Every buffer's length is checked here before libsodium reads it: a wrong
+seed or secret key raises ValueError, and a wrong public key or signature
+verifies False.
 
 libsodium's verify also rejects a public key or an R of small order, which
 OpenSSL's accepts (see `primitives/sig.py`). Importing this module loads
@@ -54,10 +53,6 @@ _verify = _lib.crypto_sign_ed25519_verify_detached
 _verify.argtypes, _verify.restype = (_P, _P, _LEN, _P), ctypes.c_int
 
 
-class InvalidSignature(Exception):
-    """A signature that does not verify under the key."""
-
-
 def _sized(data, size: int, what: str) -> bytes:
     data = bytes(data)
     if len(data) != size:
@@ -65,44 +60,23 @@ def _sized(data, size: int, what: str) -> bytes:
     return data
 
 
-class Ed25519PublicKey:
-    __slots__ = ("_pk",)
-
-    def __init__(self, pk: bytes):
-        self._pk = _sized(pk, 32, "public key")
-
-    @classmethod
-    def from_public_bytes(cls, data: bytes) -> Ed25519PublicKey:
-        return cls(data)
-
-    def public_bytes_raw(self) -> bytes:
-        return self._pk
-
-    def verify(self, signature: bytes, data: bytes) -> None:
-        """Returns None if `signature` is valid on `data`, else raises
-        InvalidSignature, without calling libsodium if it is not 64 bytes."""
-        signature, data = bytes(signature), bytes(data)
-        if len(signature) != 64 or _verify(signature, data, len(data), self._pk) != 0:
-            raise InvalidSignature
+def keypair(seed: bytes) -> tuple[bytes, bytes]:
+    """The secret key and the public key that `seed` derives."""
+    seed = _sized(seed, 32, "seed")
+    pk, sk = ctypes.create_string_buffer(32), ctypes.create_string_buffer(64)
+    _keypair(pk, sk, seed)
+    return sk.raw, pk.raw
 
 
-class Ed25519PrivateKey:
-    __slots__ = ("_sk",)
+def sign(sk: bytes, msg: bytes) -> bytes:
+    """The signature of `msg` under the secret key `sk`."""
+    sk, msg, sig = _sized(sk, 64, "secret key"), bytes(msg), ctypes.create_string_buffer(64)
+    _sign(sig, None, msg, len(msg), sk)
+    return sig.raw
 
-    def __init__(self, sk: bytes):
-        self._sk = _sized(sk, 64, "secret key")
 
-    @classmethod
-    def from_private_bytes(cls, seed: bytes) -> Ed25519PrivateKey:
-        seed = _sized(seed, 32, "seed")
-        pk, sk = ctypes.create_string_buffer(32), ctypes.create_string_buffer(64)
-        _keypair(pk, sk, seed)
-        return cls(sk.raw)
-
-    def public_key(self) -> Ed25519PublicKey:
-        return Ed25519PublicKey(self._sk[32:])
-
-    def sign(self, data: bytes) -> bytes:
-        data, sig = bytes(data), ctypes.create_string_buffer(64)
-        _sign(sig, None, data, len(data), self._sk)
-        return sig.raw
+def verify(pk: bytes, msg: bytes, sig: bytes) -> bool:
+    """True iff `sig` is valid on `msg` under `pk`; libsodium is not called
+    if either is the wrong length."""
+    pk, msg, sig = bytes(pk), bytes(msg), bytes(sig)
+    return len(pk) == 32 and len(sig) == 64 and _verify(sig, msg, len(msg), pk) == 0

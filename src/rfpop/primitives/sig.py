@@ -54,9 +54,9 @@ and unpickling a signer empties it. A key decoded from bytes, as a key file
 or a credential check in another process loads it, has no pair and runs
 the full check.
 
-A `VerifyKey` of either scheme also decodes itself once (an Ed25519 key that
-is not 32 bytes decodes to None), and it remembers the last (msg, sig) pair
-that verified under it, as bytes copies outside its dataclass fields. An
+An Ed25519 `VerifyKey`'s `data` is the public key libsodium reads, so it has
+no decode step. A `VerifyKey` of either scheme remembers the last (msg, sig)
+pair that verified under it, as bytes copies outside its dataclass fields. An
 exact repeat of that pair returns True without running the check again;
 every other pair, and every pair that failed, runs the full check. So a
 credential's possession signature, which the reader verified in the session's
@@ -69,12 +69,11 @@ A copy (`copy.copy`, `copy.deepcopy`) stays in the process and keeps the
 pair, so copying a key derives nothing.
 
 `primitives.ed25519`, which loads `ctypes` and libsodium, is imported on
-first use: when a full-time key pair is first derived, an Ed25519 verifying
-key is first decoded, or a full check catches `InvalidSignature`. Reading
-`Ed25519PrivateKey`, `Ed25519PublicKey` or `InvalidSignature` off this module
-loads it too, and where libsodium is missing that first use raises its
-ImportError. MA and cex sign nothing, so an MA or cex process, and a MAPoP
-process that has not yet signed or verified with Ed25519, never loads it.
+first use, by the function that first derives a full-time key pair, signs
+or runs a full Ed25519 check; where libsodium is missing, that first use
+raises its ImportError. MA and cex sign nothing, so an MA or cex process,
+and a MAPoP process that has not yet signed or verified with Ed25519, never
+loads it.
 Loading and first using it adds about 0.7 MB: importing the CLI and running
 one impl1 session peaks at 21.5 MB max RSS, against 27.7 MB through the
 `cryptography` package's OpenSSL binding, and importing the CLI alone at
@@ -105,35 +104,6 @@ KTIME = "ktime-secp256k1"
 
 SIG_LEN = {FULLTIME: 64, KTIME: 32}
 
-_ED25519_NAMES = ("Ed25519PrivateKey", "Ed25519PublicKey", "InvalidSignature")
-
-
-def _ed25519(name: str):
-    """The backend's `name`, one of `_ED25519_NAMES`. The first call imports
-    `primitives.ed25519`, which loads libsodium, and binds all three on the
-    module; a name already bound, by an earlier call or a test's patch, is
-    kept."""
-    names = globals()
-    if name not in names:
-        from rfpop.primitives.ed25519 import (
-            Ed25519PrivateKey,
-            Ed25519PublicKey,
-            InvalidSignature,
-        )
-
-        loaded = (Ed25519PrivateKey, Ed25519PublicKey, InvalidSignature)
-        for bound, value in zip(_ED25519_NAMES, loaded):
-            names.setdefault(bound, value)
-    return names[name]
-
-
-def __getattr__(name: str):
-    """`sig.Ed25519PrivateKey` and the other backend names load the backend
-    on their first read (PEP 562)."""
-    if name in _ED25519_NAMES:
-        return _ed25519(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 @dataclass(frozen=True)
 class VerifyKey:
@@ -160,20 +130,18 @@ class VerifyKey:
             count_hash()
             return True
         if self.scheme == FULLTIME:
-            check, key = _ed25519_verify, self._ed25519_key
+            valid = _ed25519_verify(self.data, msg, sig)
         elif self.scheme == KTIME:
-            check, key = _ktime_verify, self._ktime_key
+            valid = _ktime_verify(self._ktime_key, msg, sig)
         else:
             raise ValueError(f"unknown signature scheme {self.scheme!r}")
-        valid = check(key, msg, sig)
         if valid:
             self.__dict__["_accepted"] = (bytes(msg), bytes(sig))
         return valid
 
     def __getstate__(self):
         """Pickle only the key's value, deriving `data` if it is unread: the
-        signer's pair holds its private seed, and a decoded Ed25519 key
-        cannot be pickled."""
+        signer's pair holds its private seed."""
         return {"scheme": self.scheme, "data": self.data}
 
     def __copy__(self):
@@ -186,15 +154,6 @@ class VerifyKey:
 
     def __deepcopy__(self, memo):
         return self.__copy__()
-
-    @cached_property
-    def _ed25519_key(self) -> Optional[Ed25519PublicKey]:
-        """The Ed25519 key decoded on its first verify and kept for the key's
-        lifetime, None if it is not 32 bytes."""
-        try:
-            return _ed25519("Ed25519PublicKey").from_public_bytes(self.data)
-        except ValueError:
-            return None
 
     @cached_property
     def _ktime_key(self) -> Optional[_KTimeKey]:
@@ -247,19 +206,19 @@ class FullTimeSigner(_Signer):
         """Ed25519 is deterministic (RFC 8032), so an exact repeat of the
         last message returns the signature made for it; it still counts the
         declared cost and spends a pair."""
-        if self.pool_remaining is not None:
-            if self.pool_remaining <= 0:
-                raise PairPoolExhausted("precomputed signing pairs used up")
-            self.pool_remaining -= 1
-            count_hash()
-            count_scalar_mul()
+        if self.pool_remaining is None:
+            count_point_mul()  # a pool-backed signing did it offline
+        elif self.pool_remaining <= 0:
+            raise PairPoolExhausted("precomputed signing pairs used up")
         else:
-            count_point_mul()
-            count_hash()
-            count_scalar_mul()
+            self.pool_remaining -= 1
+        count_hash()
+        count_scalar_mul()
         pair = self._pair
         if pair.signed is None or pair.signed[0] != msg:
-            pair.signed = (bytes(msg), pair.derived()[0].sign(msg))
+            from rfpop.primitives.ed25519 import sign
+
+            pair.signed = (bytes(msg), sign(pair.derived()[0], msg))
         return pair.signed[1]
 
     def to_dict(self) -> dict:
@@ -282,8 +241,8 @@ class _Ed25519Pair:
         self._derived = None
         self.signed = None
 
-    def derived(self) -> tuple[Ed25519PrivateKey, bytes]:
-        """The private key and the raw public key, derived on the first call."""
+    def derived(self) -> tuple[bytes, bytes]:
+        """The secret key and the public key, derived on the first call."""
         if self._derived is None:
             self._derived = _ed25519_derive(self.seed)
         return self._derived
@@ -298,21 +257,18 @@ class _Ed25519Pair:
         return _Ed25519Pair, (self.seed,)
 
 
-def _ed25519_derive(seed: bytes) -> tuple[Ed25519PrivateKey, bytes]:
-    key = _ed25519("Ed25519PrivateKey").from_private_bytes(seed)
-    return key, key.public_key().public_bytes_raw()
+def _ed25519_derive(seed: bytes) -> tuple[bytes, bytes]:
+    from rfpop.primitives.ed25519 import keypair
+
+    return keypair(seed)
 
 
-def _ed25519_verify(key: Optional[Ed25519PublicKey], msg: bytes, sig: bytes) -> bool:
+def _ed25519_verify(pk: bytes, msg: bytes, sig: bytes) -> bool:
+    from rfpop.primitives.ed25519 import verify
+
     count_point_mul(2)
     count_hash()
-    if key is None or len(sig) != 64:
-        return False
-    try:
-        key.verify(sig, msg)
-        return True
-    except _ed25519("InvalidSignature"):
-        return False
+    return verify(pk, msg, sig)
 
 
 def _ktime_secret_scalar(seed: bytes) -> int:

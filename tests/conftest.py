@@ -4,6 +4,7 @@ derived, and a log of the Ed25519 signings signers run."""
 
 import pytest
 
+from rfpop.primitives import ed25519
 from rfpop.primitives import sig as sig_mod
 from rfpop.primitives.rng import Rng
 from rfpop.system import build_cex_system, build_ma_system, build_pop_system
@@ -61,25 +62,13 @@ def ed25519_derivations(monkeypatch):
 
 @pytest.fixture
 def ed25519_signs(monkeypatch):
-    """The message of every Ed25519 signing run from here on by a signer
-    whose key pair is derived from here on."""
+    """The message of every Ed25519 signing run from here on."""
     calls = []
-    real = sig_mod.Ed25519PrivateKey
+    real = ed25519.sign
 
-    class Counting:
-        def __init__(self, key):
-            self._key = key
+    def counted(sk, msg):
+        calls.append(bytes(msg))
+        return real(sk, msg)
 
-        @classmethod
-        def from_private_bytes(cls, seed):
-            return cls(real.from_private_bytes(seed))
-
-        def public_key(self):
-            return self._key.public_key()
-
-        def sign(self, msg):
-            calls.append(bytes(msg))
-            return self._key.sign(msg)
-
-    monkeypatch.setattr(sig_mod, "Ed25519PrivateKey", Counting)
+    monkeypatch.setattr(ed25519, "sign", counted)
     return calls

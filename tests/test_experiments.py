@@ -420,7 +420,7 @@ def test_every_verify_answered_from_memory_agrees_with_the_full_check(sig_checks
         valid = real_verify(key, msg, sig)
         if len(sig_checks) == before:
             assert key.scheme == FULLTIME
-            assert valid and sig_mod._ed25519_verify(key._ed25519_key, msg, sig)
+            assert valid and sig_mod._ed25519_verify(key.data, msg, sig)
             answered.append(msg)
         return valid
 

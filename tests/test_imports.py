@@ -289,7 +289,7 @@ def frozen_slotted_dataclasses(source: str) -> list[str]:
 
 def test_kept_values_are_built_by_value():
     """A frozen slotted class is a `model.types.value`, whose generated
-    `__init__` and `evolve` builder write through the slots."""
+    `__init__` and `evolve` method write through the slots."""
     assert frozen_slotted_dataclasses(
         "@dataclass(frozen=True, slots=True)\nclass A:\n    x: int\n\n\n"
         "@dataclasses.dataclass(slots=True, frozen=True, eq=False)\nclass B:\n    x: int\n"

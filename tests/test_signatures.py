@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from rfpop.errors import KTimeExhausted, PairPoolExhausted
-from rfpop.primitives import ec
+from rfpop.primitives import ec, ed25519
 from rfpop.primitives import sig as sig_mod
 from rfpop.primitives.counters import OpCounters, counting
 from rfpop.primitives.rng import Rng
@@ -137,27 +137,7 @@ def test_fulltime_key_that_does_not_decode_fails_on_every_call(rng):
     for data in (vk.data[:31], vk.data + b"\x00", b""):
         key = VerifyKey(FULLTIME, data)
         assert [key.verify(b"m", sig) for _ in range(3)] == [False] * 3
-        assert key._ed25519_key is None
     assert vk.verify(b"m", sig)
-
-
-def test_fulltime_key_decodes_once(rng, monkeypatch):
-    signer, vk = fulltime_keygen(rng)
-    decodes = []
-    real = sig_mod.Ed25519PublicKey
-
-    class Counting:
-        @staticmethod
-        def from_public_bytes(data):
-            decodes.append(data)
-            return real.from_public_bytes(data)
-
-    monkeypatch.setattr(sig_mod, "Ed25519PublicKey", Counting)
-    for i in range(3):
-        msg = f"m{i}".encode()
-        assert vk.verify(msg, signer.sign(msg))
-        assert not vk.verify(msg, bytes(64))
-    assert decodes == [vk.data]
 
 
 def test_ktime_s_at_or_above_n_fails_on_every_call(rng):
@@ -351,7 +331,7 @@ def test_a_key_pair_is_derived_on_its_first_use(use, rng, ed25519_derivations):
 def test_a_deferred_verify_key_is_the_value_it_derives(rng):
     signer, vk = fulltime_keygen(rng)
     seed = bytes.fromhex(signer.to_dict()["seed"])
-    data = sig_mod.Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
+    data = ed25519.keypair(seed)[1]
     eager = VerifyKey(FULLTIME, data)
     # Each of these reads the deferred key first: nothing has derived it.
     assert hash(signer.verify_key()) == hash(eager)

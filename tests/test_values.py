@@ -1,5 +1,5 @@
 """The kept values: frozen slotted dataclasses whose `__init__` and `evolve`
-builder `model.types.value` generates."""
+method `model.types.value` generates."""
 
 import copy
 import dataclasses
@@ -10,7 +10,7 @@ import pytest
 from rfpop.counterexample import CexReaderRecord, CexTagState
 from rfpop.ma import MaReaderRecord, MaTagState
 from rfpop.model.database import SessionRecord
-from rfpop.model.types import Msg, evolve, value
+from rfpop.model.types import Msg, value
 from rfpop.pop import PopReaderRecord, PopTagState
 
 KEY = bytes(range(32))
@@ -45,9 +45,9 @@ def test_value_classes_are_frozen_slotted_and_every_copy_equals_a_fresh_build(cl
         (cls(**dict(zip(names, args))), fresh),
         (copy.deepcopy(built), fresh),
         (pickle.loads(pickle.dumps(built)), fresh),
-        (evolve(built), fresh),
+        (built.evolve(), fresh),
         (dataclasses.replace(built), fresh),
-        (evolve(built, **changes), changed),
+        (built.evolve(**changes), changed),
         (dataclasses.replace(built, **changes), changed),
     ]:
         assert type(copied) is cls
@@ -61,10 +61,10 @@ def test_value_classes_are_frozen_slotted_and_every_copy_equals_a_fresh_build(cl
 def test_evolve_keeps_the_subclass_and_the_fields_it_was_not_given():
     signer = object()
     state = PopTagState(KEY, KEY, 3, KEY[::-1], signer)
-    bumped = evolve(state, ctr=4)
+    bumped = state.evolve(ctr=4)
     assert type(bumped) is PopTagState
     assert bumped.signer is signer and bumped.pop_key == KEY[::-1] and bumped.ctr == 4
-    assert type(evolve(CexTagState(KEY, KEY, 3), st=1)) is CexTagState
+    assert type(CexTagState(KEY, KEY, 3).evolve(st=1)) is CexTagState
 
 
 def test_defaults_fill_the_trailing_fields():
@@ -76,9 +76,9 @@ def test_defaults_fill_the_trailing_fields():
 def test_evolve_refuses_an_unknown_field_and_runs_post_init():
     state = MaTagState(KEY, KEY, 3)
     with pytest.raises(TypeError, match="ctrr"):
-        evolve(state, ctrr=9)
+        state.evolve(ctrr=9)
     with pytest.raises(ValueError, match="non-negative"):
-        evolve(Msg(1, b"x"), round=-1)
+        Msg(1, b"x").evolve(round=-1)
     with pytest.raises(ValueError, match="non-negative"):
         Msg(-1, b"")
     assert state == MaTagState(KEY, KEY, 3)
