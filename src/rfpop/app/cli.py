@@ -93,6 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="config JSON (default: $RFPOP_CONFIG or built-ins)")
     p.add_argument("--tags", type=int, help="number of tags (overrides config)")
     p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(run=_cmd_setup)
 
     p = sub.add_parser("serve-reader", help="serve sessions from a reader database")
     p.add_argument("--db", required=True, help="reader database file")
@@ -100,6 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, help="bind port (default from the database's config)")
     p.add_argument("--sessions", type=_positive_int, default=1,
                    help="sessions to serve before exiting (at least 1)")
+    p.set_defaults(run=_cmd_serve_reader)
 
     p = sub.add_parser("tag-run", help="run sessions as a tag against a reader")
     p.add_argument("--config", help="config JSON (default: $RFPOP_CONFIG or built-ins)")
@@ -110,6 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sessions", type=_positive_int, default=1,
                    help="sessions to run (at least 1)")
     p.add_argument("--cred-out", help="write a received credential to this file")
+    p.set_defaults(run=_cmd_tag_run)
 
     p = sub.add_parser("experiment", help="run an experiment and check its declared bound")
     p.add_argument("--name", required=True, choices=EXPERIMENTS)
@@ -129,20 +132,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bit", type=int, help="bit-flipper: bit position to flip")
     p.add_argument("--family", choices=sorted(PTPT_FAMILIES), default="prf",
                    help="ptpt only: function family under test")
+    p.set_defaults(run=_cmd_experiment)
 
-    p = sub.add_parser("report-sizes", help="measured byte sizes")
-    p.add_argument("--impl", required=True, choices=IMPL_CHOICES)
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-
-    p = sub.add_parser("report-ops", help="measured operation counts")
-    p.add_argument("--impl", required=True, choices=IMPL_CHOICES)
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    for name, text, build, render in (
+        ("report-sizes", "measured byte sizes", report_sizes, format_sizes),
+        ("report-ops", "measured operation counts", report_ops, format_ops),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--impl", required=True, choices=IMPL_CHOICES)
+        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        p.set_defaults(run=_cmd_report, build=build, render=render)
 
     p = sub.add_parser("cred", help="credential utilities")
     cred_sub = p.add_subparsers(dest="cred_command", required=True)
     v = cred_sub.add_parser("verify", help="verify an encoded credential offline")
     v.add_argument("--db", required=True, help="reader database (holds the key directory)")
     v.add_argument("--cred", required=True, help="file with the encoded credential")
+    v.set_defaults(run=_cmd_cred_verify)
 
     return parser
 
@@ -296,21 +302,15 @@ def _cmd_experiment(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_report_sizes(args) -> int:
-    report = report_sizes(args.impl)
-    print(json.dumps(report, indent=2, sort_keys=True) if args.json else format_sizes(report))
-    return 0
-
-
-def _cmd_report_ops(args) -> int:
-    report = report_ops(args.impl)
-    print(json.dumps(report, indent=2, sort_keys=True) if args.json else format_ops(report))
+def _cmd_report(args) -> int:
+    report = args.build(args.impl)
+    print(json.dumps(report, indent=2, sort_keys=True) if args.json else args.render(report))
     return 0
 
 
 def _cmd_cred_verify(args) -> int:
     data = load_db(args.db)
-    if data.config.mode != "mapop" or data.directory is None:
+    if data.config.mode != "mapop":
         raise ConfigError(
             "database has no key directory; credentials need an extended-mode setup")
     with open(args.cred, "rb") as handle:
@@ -321,20 +321,9 @@ def _cmd_cred_verify(args) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "setup": _cmd_setup,
-        "serve-reader": _cmd_serve_reader,
-        "tag-run": _cmd_tag_run,
-        "experiment": _cmd_experiment,
-        "report-sizes": _cmd_report_sizes,
-        "report-ops": _cmd_report_ops,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "cred":
-            return _cmd_cred_verify(args)
-        return handlers[args.command](args)
+        return args.run(args)
     except (RfpopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,9 @@ can be large); the encoder, the decoder and the size report read that one
 entry.  Counters are stored as fixed-width big-endian integers of the counter
 length, so a save/load/save round trip is byte-identical.  Loading checks
 every key, index and counter field against `params.widths`, and every
-metadata entry; damage is a `FrameError` naming what is damaged.
+metadata entry; damage is a `FrameError` naming what is damaged.  The
+database of a mode that issues credentials (mapop) must hold the reader's
+signer, an Ed25519 one as `pop_setup` makes it, and the key directory.
 
 A journal entry stores its session's `via_step` as one byte; a session that
 closed without reaching a verdict step (timeout, out-of-space message, failed
@@ -43,7 +45,7 @@ from rfpop.ma import MaProtocol, MaReaderRecord, index_for
 from rfpop.model.database import History, SessionRecord
 from rfpop.model.types import SID_BITS
 from rfpop.pop import KeyDirectory, PopProtocol, PopReaderRecord
-from rfpop.primitives.sig import SIG_LEN, VerifyKey, signer_from_dict
+from rfpop.primitives.sig import FULLTIME, SIG_LEN, VerifyKey, signer_from_dict
 
 from rfpop.app.config import Config, config_from_dict
 from rfpop.app.framing import U32, Cursor, Truncated, pack_fields
@@ -61,6 +63,8 @@ class Layout(NamedTuple):
     record: type  # the reader-record class
     fields: tuple[str, ...]  # the record's stored fields, in file order
     tag_fields: tuple[str, ...]  # the tag's secret fields, in storage order
+    # A mode that issues credentials stores the reader's signer and the key directory.
+    credentials: bool = False
 
 
 # One layout per mode, keyed by the mode's protocol name.
@@ -68,7 +72,7 @@ LAYOUTS = {layout.protocol.name: layout for layout in (
     Layout(MaProtocol, MaReaderRecord, ("tag_id", "key", "ctr"), ("key", "ctr")),
     Layout(PopProtocol, PopReaderRecord,
            ("index", "key", "pop_key", "ctr", "tag_id", "verify_key"),
-           ("key", "ctr", "pop_key", "signer_seed")),
+           ("key", "ctr", "pop_key", "signer_seed"), credentials=True),
     Layout(CexProtocol, CexReaderRecord, ("tag_id", "key", "ctr"), ("key", "ctr")),
 )}
 
@@ -176,10 +180,11 @@ def load_db(path: str) -> DbFileData:
         raise FrameError("corrupt metadata block: not a JSON object")
     config = _meta_entry(meta, "config", config_from_dict)
     reader_id = _meta_entry(meta, "reader_id", bytes.fromhex)
-    signer = _meta_entry(meta, "reader_signer", signer_from_dict, required=False)
+    credentials = LAYOUTS[config.mode].credentials
+    signer = _meta_entry(meta, "reader_signer", _reader_signer, required=credentials)
     keys: dict[VerifyKey, VerifyKey] = {}
     directory = _meta_entry(meta, "directory", lambda doc: _directory_from_dict(doc, keys),
-                            required=False)
+                            required=credentials)
     params = config.params()
     initial = {}
     for _ in range(cursor.u32()):
@@ -224,6 +229,14 @@ def _meta_entry(meta: dict, name: str, parse, required: bool = True):
         return parse(meta[name])
     except (ConfigError, TypeError, ValueError) as exc:
         raise FrameError(f"corrupt {name} block: {exc}") from exc
+
+
+def _reader_signer(doc):
+    """The reader's signer block: Ed25519 only, as `pop_setup` makes it."""
+    signer = signer_from_dict(doc)
+    if signer.scheme != FULLTIME:
+        raise ValueError(f"reader signer scheme {signer.scheme!r} is not {FULLTIME!r}")
+    return signer
 
 
 def _shared_key(keys: dict, scheme: str, data: bytes) -> VerifyKey:

@@ -8,9 +8,6 @@ honest if parameters change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from rfpop.harness.adversaries import drop_tag_replies
 from rfpop.harness.oracles import OracleHub
 from rfpop.model.session import relay
@@ -19,7 +16,6 @@ from rfpop.pop import IMPL_KTIME, cred_gen
 from rfpop.primitives.counters import OpCounters, counting
 from rfpop.primitives.rng import Rng
 from rfpop.primitives.sig import ktime_pk_size
-from rfpop.system import System
 
 from rfpop.app.config import Config, canonical_impl
 from rfpop.app.dbfile import record_fields, tag_fields
@@ -39,20 +35,17 @@ def config_for_impl(impl: str, tags: int = 2, seed: str = "report") -> Config:
     return Config(mode="mapop", impl=name, tags=tags, seed=seed)
 
 
-@dataclass
-class SessionMeasure:
-    transcript: Transcript
-    reader_ops: OpCounters
-    tag_ops: OpCounters
-    via_step: Optional[int]
-
-
-def instrumented_session(system: System, tag_id: Optional[bytes] = None) -> SessionMeasure:
-    """Run one honest session in the protocol's default mode, charging each
-    party's operations separately."""
-    reader = system.reader
-    tag = system.tag(tag_id if tag_id is not None else system.first_tag_id())
-    rng = system.rng
+def session_ops(config: Config, seed: str, desync: bool, position: int = 0) -> dict:
+    """Each party's operation counts in one honest session of the tag at
+    `position` in `config`'s system built from `Rng(seed)`, and the step
+    the reader matched it by. With `desync` the tag first loses one reply, so
+    the reader must match it by the Step-2 scan; a session that does not
+    complete through the step expected is an error."""
+    system = config.build_system(Rng(seed))
+    tag_id = system.tag_ids()[position]
+    if desync:
+        drop_tag_replies(OracleHub(system), tag_id, 1, system.rng.spawn("desync"))
+    reader, tag, rng = system.reader, system.tag(tag_id), system.rng
     reader_ops = OpCounters()
     tag_ops = OpCounters()
     with counting(reader_ops):
@@ -67,8 +60,10 @@ def instrumented_session(system: System, tag_id: Optional[bytes] = None) -> Sess
             return reader.step(sid, msg, rng)
 
     transcript = relay(sid, challenge, to_tag, to_reader)
-    via_step = reader.history.sessions[-1].via_step if reader.history.sessions else None
-    return SessionMeasure(transcript, reader_ops, tag_ops, via_step)
+    via_step = reader.history.sessions[-1].via_step
+    if not transcript.completed or via_step != 1 + desync:
+        raise RuntimeError(f"measured session {seed!r} did not complete via step {1 + desync}")
+    return {"tag": tag_ops.as_dict(), "reader": reader_ops.as_dict(), "via_step": via_step}
 
 
 def report_sizes(impl: str, seed: str = "report-sizes") -> dict:
@@ -120,44 +115,20 @@ def format_sizes(report: dict) -> str:
 def measure_scan_cost(tag_count: int, config: Config, seed: str = "scan") -> int:
     """Reader hash count to re-accept a desynchronized tag scanned last."""
     scan_config = config.with_overrides(mode="ma", impl="1", tags=tag_count)
-    system = scan_config.build_system(Rng(f"{seed}-{tag_count}"))
-    last = system.tag_ids()[-1]
-    drop_tag_replies(OracleHub(system), last, 1, system.rng.spawn("desync"))
-    measure = instrumented_session(system, tag_id=last)
-    if measure.transcript.o_reader != 1 or measure.via_step != 2:
-        raise RuntimeError("scan measurement expected a full-scan recovery")
-    return measure.reader_ops.hashes
+    return session_ops(scan_config, f"{seed}-{tag_count}", True, -1)["reader"]["hashes"]
 
 
 def report_ops(impl: str, seed: str = "report-ops") -> dict:
     config = config_for_impl(impl, seed=seed)
-    sync_system = config.build_system(Rng(f"{seed}-sync"))
-    sync = instrumented_session(sync_system)
-    if not sync.transcript.completed:
-        raise RuntimeError("sync measurement session failed")
-
-    desync_system = config.build_system(Rng(f"{seed}-desync"))
-    first = desync_system.first_tag_id()
-    drop_tag_replies(OracleHub(desync_system), first, 1, desync_system.rng.spawn("desync"))
-    desync = instrumented_session(desync_system, tag_id=first)
-    if not desync.transcript.completed:
-        raise RuntimeError("desync recovery session failed")
-
+    sync = session_ops(config, f"{seed}-sync", False)
+    desync = session_ops(config, f"{seed}-desync", True)
     scan_small = measure_scan_cost(100, config, seed=seed)
     scan_large = measure_scan_cost(200, config, seed=seed)
     return {
         "impl": impl,
         "mode": config.mode,
-        "sync": {
-            "tag": sync.tag_ops.as_dict(),
-            "reader": sync.reader_ops.as_dict(),
-            "via_step": sync.via_step,
-        },
-        "desync": {
-            "tag": desync.tag_ops.as_dict(),
-            "reader": desync.reader_ops.as_dict(),
-            "via_step": desync.via_step,
-        },
+        "sync": sync,
+        "desync": desync,
         "scan": {
             "tags_100_reader_hashes": scan_small,
             "tags_200_reader_hashes": scan_large,

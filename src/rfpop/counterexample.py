@@ -146,10 +146,11 @@ class CexProtocol(MaProtocol):
             self.params, db, session.challenge, r1, nonce, rng
         )
         if accepted:
+            session.changed = db.get(tag_id)
             return Action(f, 1, tag_id, via_step=1)
         return Action(f, 0, via_step=0)
 
-    def tag_respond(self, state: CexTagState, sid, challenge: bytes, rng: Rng):
+    def tag_respond(self, state: CexTagState, challenge: bytes, rng: Rng):
         return cex_tag_respond(self.params, state, challenge, rng)
 
     def tag_on_message(self, state: CexTagState, scratch, msg: Msg, rng: Rng):

@@ -102,13 +102,13 @@ class _Ledger:
         reply = self._send(heard, rng) if round < last else None
         return Action(reply, 1 if round + 1 >= last else None)
 
-    def reader_open(self, db, session, rng: Rng) -> bytes:
+    def reader_open(self, rng: Rng) -> bytes:
         return self._send((), rng)
 
     def reader_on_message(self, db, session, msg: Msg, rng: Rng) -> Action:
         return self._answer((*session.messages, msg.payload), rng)
 
-    def tag_respond(self, state, sid, challenge: bytes, rng: Rng):
+    def tag_respond(self, state, challenge: bytes, rng: Rng):
         reply = self._send((challenge,), rng)
         return reply, (challenge, reply), state
 

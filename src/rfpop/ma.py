@@ -289,7 +289,7 @@ class MaProtocol:
     def slots(self) -> tuple[int, ...]:
         return self._slots
 
-    def reader_open(self, db, session, rng: Rng) -> bytes:
+    def reader_open(self, rng: Rng) -> bytes:
         return rng.take_bits(self.params.challenge_bits)
 
     def reader_on_message(self, db, session, msg: Msg, rng: Rng) -> Action:
@@ -297,9 +297,10 @@ class MaProtocol:
         result = ma_reader_auth(self.params, db, session.challenge, reply)
         if not result.accepted:
             return Action(output=0, via_step=0)
+        session.changed = db.get(result.tag_id)
         return Action(result.confirm, 1, result.tag_id, result.via_step)
 
-    def tag_respond(self, state: MaTagState, sid, challenge: bytes, rng: Rng):
+    def tag_respond(self, state: MaTagState, challenge: bytes, rng: Rng):
         _, scratch, state = ma_tag_respond(self.params, state, challenge, rng)
         return scratch.reply, scratch, state
 

@@ -4,7 +4,7 @@ The database maps tag identities to protocol-specific records. Records are
 `rfpop.model.types.value` classes, frozen slotted dataclasses: a protocol
 changes a tag's record by building a changed copy with the record's
 `evolve` method and handing it to `ReaderDatabase.put`, the one write, which
-keeps the index map and the current session's changed record in step.
+keeps the index map in step.
 Lookups return the stored records themselves, shared with the journal; no
 record is ever copied, because none can change once written.
 
@@ -38,15 +38,15 @@ class ReaderDatabase:
     `records_ascending()` order so that the Step-2 scan can zip records with
     states. The first scan builds the list, about 0.45 KB per record; a
     database that never scans holds none. A `put` that changes a record's
-    key drops the lists, and the next scan builds them again. A session puts
-    at most once (MA and cex at their round-1 match; MAPoP's round 3 and the
-    b=0 ledger never), so one slot keeps the last record put until
-    `take_changed`."""
+    key drops the lists, and the next scan builds them again. The database
+    remembers no session: a session puts at most once (MA and cex at their
+    round-1 match; MAPoP's round 3 and the b=0 ledger never), and the
+    protocol that puts records the record on its open session
+    (`rfpop.model.session.OpenReaderSession.changed`)."""
 
     def __init__(self, records):
         self._records: dict[bytes, object] = {}
         self._by_index: dict[bytes, tuple[bytes, ...]] = {}
-        self._changed = None
         self.keyed_states: dict[object, list] = {}
         for rec in sorted(records, key=lambda r: r.tag_id):
             if rec.tag_id in self._records:
@@ -102,9 +102,8 @@ class ReaderDatabase:
         return dict(self._records)
 
     def put(self, rec):
-        """Replace the record for rec.tag_id with `rec`: fix the index map,
-        drop the keyed states if the key changed, and keep `rec` as the
-        current session's changed record."""
+        """Replace the record for rec.tag_id with `rec`: fix the index map
+        and drop the keyed states if the key changed."""
         key = rec.tag_id
         old = self._records.get(key)
         if old is None:
@@ -116,12 +115,6 @@ class ReaderDatabase:
         if self.keyed_states and rec.key != old.key:
             self.keyed_states.clear()
         self._records[key] = rec
-        self._changed = rec
-
-    def take_changed(self):
-        """The record put since the last call, or None: this session's change."""
-        changed, self._changed = self._changed, None
-        return changed
 
 
 @value

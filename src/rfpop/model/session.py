@@ -9,11 +9,15 @@ object plugs in the cryptographic content via a small duck-typed interface:
     slots()                tuple[int, ...]: the payload length, in bytes, of
                            each round, round 0 first; the same object on
                            every call
-    reader_open(db, session, rng)            -> round-0 payload
+    reader_open(rng)                         -> round-0 payload
     reader_on_message(db, session, msg, rng) -> Action
-    tag_respond(state, sid, challenge, rng)  -> (reply payload, scratch, state)
+    tag_respond(state, challenge, rng)       -> (reply payload, scratch, state)
     tag_on_message(state, scratch, msg, rng) -> (Action, state)
     tag_terminal(state)                      -> state (key update at an output)
+
+A reader callback that changes a tag's record (`ReaderDatabase.put`, at most
+once a session) also sets the open session's `changed` to that record, which
+the session's record keeps; the database remembers no session.
 
 An `Action` says what the delivery does to the party: `payload` is the next
 message it sends (None: it sends nothing), and `output` is its terminal
@@ -45,7 +49,7 @@ the tag its state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from rfpop.errors import LifetimeExceeded, NoOpenSession, SessionInProgress
@@ -70,11 +74,13 @@ class Action(NamedTuple):
 class OpenReaderSession:
     """The reader's open session. `messages` holds the payloads sent and
     received so far, indexed by round: the reader only takes in the round it
-    awaits, so position r is round r. `pop_nonce` is MAPoP's credential nonce
-    and `scratch` what a protocol keeps from one of its rounds to the next."""
+    awaits, so position r is round r. `changed` is the record the session
+    put, if any, `pop_nonce` MAPoP's credential nonce and `scratch` what a
+    protocol keeps from one of its rounds to the next."""
 
     sid: bytes
-    messages: list[bytes] = field(default_factory=list)
+    messages: list[bytes]
+    changed: object = None
     pop_nonce: Optional[bytes] = None
     scratch: object = None
 
@@ -113,10 +119,8 @@ class Reader:
         if self.session is not None:
             raise SessionInProgress("reader already has an open session")
         sid = rng.take_bits(SID_BITS)
-        ses = OpenReaderSession(sid=sid)
-        payload = self.protocol.reader_open(self.db, ses, rng)
-        ses.messages.append(payload)
-        self.session = ses
+        payload = self.protocol.reader_open(rng)
+        self.session = OpenReaderSession(sid, [payload])
         return sid, Msg(0, payload)
 
     def step(self, sid: bytes, msg: Msg, rng: Rng) -> StepOutcome:
@@ -160,7 +164,7 @@ class Reader:
             tag_id=tag_id,
             messages=b"".join(ses.messages),
             pop_nonce=ses.pop_nonce,
-            changed=self.db.take_changed(),
+            changed=ses.changed,
             via_step=via_step,
             note=note,
         )
@@ -204,7 +208,7 @@ class Tag:
                 raise LifetimeExceeded(
                     f"tag exhausted its {self.lifetime}-session lifetime"
                 )
-            payload, scratch, state = self.protocol.tag_respond(self.state, sid, msg.payload, rng)
+            payload, scratch, state = self.protocol.tag_respond(self.state, msg.payload, rng)
             self.session = OpenTagSession(sid, scratch)
             self._commit(state)
             return StepOutcome(sid, Msg(1, payload), 0 if restarted else None)

@@ -222,7 +222,7 @@ class PopProtocol(MaProtocol):
         if action.output != 1:
             return action
         params = self.params
-        pop_key = db.get(action.tag_id).pop_key
+        pop_key = session.changed.pop_key
         nonce = rng.take_bits(params.hash_bits)
         pop_challenge = hash_digest(self.reader_signer.sign(nonce), params.hash_bits)
         trs = transcript_digest(params, session.challenge, msg.payload, action.payload)

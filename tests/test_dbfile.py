@@ -259,6 +259,11 @@ def first_party(change):
          "corrupt reader_signer block: signer scheme 'rsa' is unknown"),
         (in_entry("reader_signer", lambda block: {**block, "pool_remaining": "5"}),
          "corrupt reader_signer block: pool_remaining is '5', not a non-negative integer"),
+        (without("reader_signer"), "corrupt metadata block: no reader_signer entry"),
+        (in_entry("reader_signer",
+                  lambda block: {"scheme": "ktime-secp256k1", "seed": block["seed"], "k": 4}),
+         "corrupt reader_signer block: reader signer scheme 'ktime-secp256k1' is not 'ed25519'"),
+        (without("directory"), "corrupt metadata block: no directory entry"),
         (lambda meta: [meta], "corrupt metadata block: not a JSON object"),
         (without("reader_id"), "corrupt metadata block: no reader_id entry"),
         (in_entry("reader_id", lambda _: "reader"), "corrupt reader_id block: non-hex"),
@@ -280,7 +285,8 @@ def first_party(change):
          "corrupt directory block: party .* scheme 'rsa' is unknown"),
     ],
     ids=[
-        "short-seed", "unknown-scheme", "string-pool_remaining", "not-an-object",
+        "short-seed", "unknown-scheme", "string-pool_remaining",
+        "no-reader_signer", "ktime-reader_signer", "no-directory", "not-an-object",
         "no-reader_id", "non-hex-reader_id", "int-reader_id", "no-config", "invalid-config",
         "non-string-listen",
         "directory-not-an-object", "non-hex-party", "non-hex-data", "no-scheme",
@@ -288,8 +294,10 @@ def first_party(change):
     ],
 )
 def test_load_rejects_damaged_metadata(tmp_path, damage, error):
-    """Every damaged metadata entry is a FrameError naming it; the reader's
-    signer block is checked by the same parser as a tag file's."""
+    """Every damaged metadata entry, and a mapop database's missing or
+    non-Ed25519 reader signer or missing key directory, is a FrameError
+    naming it; the reader's signer block is checked by the same parser as a
+    tag file's."""
     config = Config(mode="mapop", impl="impl2")
     path = tmp_path / "s.db"
     write_db(path, config, build(config))

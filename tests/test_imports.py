@@ -195,7 +195,7 @@ def test_one_session_shape_per_protocol():
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 
-RETIRED_COPY_NAMES = {"record_updated", "clone_records", "_clone"}
+RETIRED_COPY_NAMES = {"record_updated", "clone_records", "_clone", "take_changed"}
 
 
 def record_copies(source: str) -> list[str]:
@@ -218,7 +218,8 @@ def record_copies(source: str) -> list[str]:
 
 def test_reader_records_are_replaced_not_copied():
     """Reader records are frozen and `ReaderDatabase.put` is the one write,
-    so no module reports an in-place change or copies a record to guard it."""
+    so no module reports an in-place change or copies a record to guard it,
+    and the open session, not the database, holds what it changed."""
     assert record_copies("def _clone(r):\n    pass\n\n\ndb.record_updated(rec, None)\n") == [
         "line 1: _clone", "line 5: record_updated"]
     assert record_copies("db.put(replace(rec, ctr=2))\n") == []

@@ -363,6 +363,29 @@ def test_tag_states_are_frozen(name):
         state.ctr = 0
 
 
+@pytest.mark.parametrize("name", ["ma", "cex", "mapop-impl1"])
+def test_each_session_records_only_its_own_change(name):
+    """A record put between sessions is no session's change: a session that
+    times out or rejects at round 1 records None, an accepted one the record
+    its own round 1 put."""
+    system = _system_for(name)
+    reader, rng = system.reader, system.rng
+    tag_id = system.first_tag_id()
+    stray = reader.db.get(tag_id)
+    reader.db.put(stray)
+    reader.start(rng)
+    reader.timeout()
+    reader.db.put(stray)
+    sid, _ = reader.start(rng)
+    assert reader.step(sid, Msg(1, bytes(system.protocol.slots()[1])), rng).output == 0
+    reader.db.put(stray)
+    system.run_honest(tag_id)
+    history = reader.history
+    assert [history.session(j).changed for j in (1, 2)] == [None, None]
+    assert history.session(3).changed is reader.db.get(tag_id) is not stray
+    assert history.changed_in == {tag_id: [3]}
+
+
 @pytest.mark.parametrize(
     "name", ["ma", "cex", "mapop-impl1", "mapop-impl2", "mapop-impl3", "ledger"]
 )
