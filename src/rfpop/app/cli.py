@@ -48,6 +48,7 @@ from rfpop.pop import Credential, cred_veri
 from rfpop.primitives.prf import prf_eval
 from rfpop.primitives.rng import Rng
 
+from rfpop.app import files
 from rfpop.app.config import MODES, Config, load_config
 from rfpop.app.dbfile import load_db, save_db
 from rfpop.app.netrun import protocol_for, serve_reader, tag_run
@@ -160,26 +161,15 @@ def _cmd_setup(args) -> int:
     system = config.build_system(Rng(config.seed))
     os.makedirs(args.out, exist_ok=True)
     db_path = os.path.join(args.out, "reader.db")
-    records = list(system.reader.db.records_ascending())
-    save_db(
-        db_path,
-        config,
-        records,
-        reader_id=system.reader.reader_id,
-        reader_signer=system.reader_signer,
-        directory=system.directory,
-    )
-    digest = hashlib.blake2b(digest_size=32)
-    with open(db_path, "rb") as handle:
-        digest.update(handle.read())
-    tag_paths = []
-    for i, tag_id in enumerate(system.tag_ids()):
+    digest = hashlib.blake2b(save_db(db_path, config, system.reader.db.records_ascending(),
+                                     reader_id=system.reader.reader_id,
+                                     reader_signer=system.reader_signer,
+                                     directory=system.directory), digest_size=32)
+    tag_ids = system.tag_ids()
+    for i, tag_id in enumerate(tag_ids):
         path = os.path.join(args.out, f"tag-{i:03d}.json")
-        save_tag(path, config.mode, system.tag(tag_id).state)
-        tag_paths.append(path)
-        with open(path, "rb") as handle:
-            digest.update(handle.read())
-    print(f"wrote {db_path} and {len(tag_paths)} tag key files")
+        digest.update(save_tag(path, config.mode, system.tag(tag_id).state))
+    print(f"wrote {db_path} and {len(tag_ids)} tag key files")
     print(f"parameter digest: {digest.hexdigest()}")
     return 0
 
@@ -294,9 +284,7 @@ def _cmd_experiment(args) -> int:
             )
     print(report.to_text())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
+        files.write(args.out, (report.to_json() + "\n").encode("utf-8"))
     ok, description = declared_bound(name, args.protocol, adversary_name, args.family, report)
     print(f"declared bound: {description} -> {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1

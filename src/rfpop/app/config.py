@@ -21,6 +21,8 @@ from rfpop.pop import DEFAULT_K, IMPL_FULLTIME, IMPL_KTIME, IMPL_POOLED, PopPara
 from rfpop.primitives.rng import Rng
 from rfpop.system import DEFAULT_LIFETIME, SYSTEM_BUILDERS, System
 
+from rfpop.app import files
+
 ENV_CONFIG = "RFPOP_CONFIG"
 
 MODES = tuple(SYSTEM_BUILDERS)  # the one list of modes: the builder table's keys
@@ -206,6 +208,5 @@ def load_config(path: Optional[str] = None) -> Config:
 
 
 def save_config(config: Config, path: str):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(config.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    text = json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
+    files.write(path, text.encode("utf-8"))

@@ -37,44 +37,23 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from rfpop.counterexample import CexProtocol, CexReaderRecord
 from rfpop.errors import ConfigError, FrameError
-from rfpop.ma import MaProtocol, MaReaderRecord, index_for
+from rfpop.ma import index_for
 from rfpop.model.database import History, SessionRecord
 from rfpop.model.types import SID_BITS
-from rfpop.pop import KeyDirectory, PopProtocol, PopReaderRecord
+from rfpop.pop import KeyDirectory
 from rfpop.primitives.sig import FULLTIME, SIG_LEN, VerifyKey, signer_from_dict
 
+from rfpop.app import files
 from rfpop.app.config import Config, config_from_dict
-from rfpop.app.framing import U32, Cursor, Truncated, pack_fields
+from rfpop.app.framing import LAYOUTS, U32, Cursor, Truncated, pack_fields
 from rfpop.app.tagfile import load_tag, save_tag  # noqa: F401  (see the module docstring)
 
 MAGIC = b"RFPOP1"
 _JOURNAL_MARK = b"J"
 VIA_STEP_NONE = 0xFF
-
-
-class Layout(NamedTuple):
-    """How one mode's reader records and tag secrets are stored."""
-
-    protocol: type  # the mode's protocol; its `record_mode` is the journal's session mode
-    record: type  # the reader-record class
-    fields: tuple[str, ...]  # the record's stored fields, in file order
-    tag_fields: tuple[str, ...]  # the tag's secret fields, in storage order
-    # A mode that issues credentials stores the reader's signer and the key directory.
-    credentials: bool = False
-
-
-# One layout per mode, keyed by the mode's protocol name.
-LAYOUTS = {layout.protocol.name: layout for layout in (
-    Layout(MaProtocol, MaReaderRecord, ("tag_id", "key", "ctr"), ("key", "ctr")),
-    Layout(PopProtocol, PopReaderRecord,
-           ("index", "key", "pop_key", "ctr", "tag_id", "verify_key"),
-           ("key", "ctr", "pop_key", "signer_seed"), credentials=True),
-    Layout(CexProtocol, CexReaderRecord, ("tag_id", "key", "ctr"), ("key", "ctr")),
-)}
 
 
 def check_widths(params, fields: dict, what: str = "record"):
@@ -148,7 +127,8 @@ class DbFileData:
 
 def save_db(path: str, config: Config, records, reader_id: bytes = b"reader-0",
             reader_signer=None, directory: Optional[KeyDirectory] = None):
-    """Write a fresh database file (header and initial records, no journal)."""
+    """Write a fresh database file (header and initial records, no journal);
+    returns its bytes."""
     meta = {"config": config.to_dict(), "reader_id": reader_id.hex()}
     if reader_signer is not None:
         meta["reader_signer"] = reader_signer.to_dict()
@@ -162,8 +142,7 @@ def save_db(path: str, config: Config, records, reader_id: bytes = b"reader-0",
     ordered = sorted(records, key=lambda r: r.tag_id)
     body = [MAGIC, U32.pack(len(meta_blob)), meta_blob, U32.pack(len(ordered))]
     body += [encode_record(config.mode, params, rec) for rec in ordered]
-    with open(path, "wb") as handle:
-        handle.write(b"".join(body))
+    return files.write(path, b"".join(body))
 
 
 def load_db(path: str) -> DbFileData:
@@ -314,5 +293,4 @@ def append_journal(path: str, config: Config, session: SessionRecord):
     parts += [U32.pack(len(tag_blob)), tag_blob]
     changed = () if session.changed is None else (session.changed,)
     parts += [U32.pack(len(changed)), *(encode_record(config.mode, params, r) for r in changed)]
-    with open(path, "ab") as handle:
-        handle.write(b"".join(parts))
+    files.append(path, b"".join(parts))

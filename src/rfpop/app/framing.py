@@ -1,14 +1,41 @@
-"""Length-prefixed byte fields, shared by the reader database file and the
-tag state log: a list of fields is a 4-byte big-endian count, then each field
-as a 4-byte big-endian length and its bytes."""
+"""What the reader database file and the tag files share: each mode's storage
+`Layout`, and length-prefixed byte fields. A list of fields is a 4-byte
+big-endian count, then each field as a 4-byte big-endian length and its
+bytes."""
 
 from __future__ import annotations
 
 import struct
+from typing import NamedTuple
 
+from rfpop.counterexample import CexProtocol, CexReaderRecord, CexTagState
 from rfpop.errors import FrameError
+from rfpop.ma import MaProtocol, MaReaderRecord, MaTagState
+from rfpop.pop import PopProtocol, PopReaderRecord, PopTagState
 
 U32 = struct.Struct(">I")
+
+
+class Layout(NamedTuple):
+    """How one mode's reader records and tag secrets are stored."""
+
+    protocol: type  # the mode's protocol; its `record_mode` is the journal's session mode
+    record: type  # the reader-record class
+    fields: tuple[str, ...]  # the record's stored fields, in file order
+    tag_state: type  # the tag-state class; a key file stores each of its fields
+    tag_fields: tuple[str, ...]  # the tag's secret fields, in storage order
+    # A mode that issues credentials stores the reader's signer and the key directory.
+    credentials: bool = False
+
+
+# One layout per mode, keyed by the mode's protocol name.
+LAYOUTS = {layout.protocol.name: layout for layout in (
+    Layout(MaProtocol, MaReaderRecord, ("tag_id", "key", "ctr"), MaTagState, ("key", "ctr")),
+    Layout(PopProtocol, PopReaderRecord,
+           ("index", "key", "pop_key", "ctr", "tag_id", "verify_key"), PopTagState,
+           ("key", "ctr", "pop_key", "signer_seed"), credentials=True),
+    Layout(CexProtocol, CexReaderRecord, ("tag_id", "key", "ctr"), CexTagState, ("key", "ctr")),
+)}
 
 
 def pack_fields(fields: list[bytes]) -> bytes:

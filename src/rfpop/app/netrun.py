@@ -34,6 +34,7 @@ from rfpop.model.session import Reader, Tag
 from rfpop.pop import PopProtocol, cred_gen
 from rfpop.primitives.rng import Rng
 
+from rfpop.app import files
 from rfpop.app.config import Config, check_port
 from rfpop.app.dbfile import LAYOUTS, DbFileData, append_journal, check_widths, load_db, tag_fields
 from rfpop.app.tagfile import read_tag
@@ -178,7 +179,7 @@ def tag_run(
     if state.ctr > params.max_counter:
         raise FrameError(f"tag file ctr is above the config's bound {params.max_counter}")
     check_widths(params, dict(tag_fields(mode, params, state)), "tag file")
-    if mode == "mapop" and state.signer.scheme != params.sig_scheme:
+    if LAYOUTS[mode].credentials and state.signer.scheme != params.sig_scheme:
         raise FrameError(
             f"tag file signer scheme is {state.signer.scheme!r}, config {config.impl} "
             f"signs with {params.sig_scheme!r}"
@@ -203,8 +204,7 @@ def tag_run(
                   "credential": _credential_hex(frames),
                   "note": tag.note if o_tag is not None else None}
         if result["credential"] and cred_out:
-            with open(cred_out, "wb") as handle:
-                handle.write(bytes.fromhex(result["credential"]))
+            files.write(cred_out, bytes.fromhex(result["credential"]))
         announce("session: o_T={o_tag} o_R={o_reader}".format(**result))
         results.append(result)
     return results

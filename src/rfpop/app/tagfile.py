@@ -1,7 +1,8 @@
 """Tag key files and their state logs.
 
-A tag key file is a JSON document written whole (`save_tag`), with an
-append-only state log beside it, `<key file>.log` (`TagLog`). A log record
+A tag key file is a JSON document written whole (`save_tag`): the mode,
+`key_version` and each field of the mode's `LAYOUTS` tag state. An
+append-only state log sits beside it, `<key file>.log` (`TagLog`). A log record
 holds the absolute values a running tag commits: `ctr`, `key_version` and the
 one spendable signer or cex field. `read_tag` folds the last whole record into
 the JSON; a record cut short at the end of the log is a torn tail, and any
@@ -11,20 +12,19 @@ other damage, in the JSON or the log, is a `FrameError`.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
 import struct
 import zlib
 
-from rfpop.counterexample import CexTagState
 from rfpop.errors import FrameError
-from rfpop.ma import MaTagState
-from rfpop.pop import PopTagState
 from rfpop.primitives.sig import KTIME, signer_from_dict
 
+from rfpop.app import files
 from rfpop.app.config import MODES
-from rfpop.app.framing import U32, Cursor, pack_fields
+from rfpop.app.framing import LAYOUTS, U32, Cursor, pack_fields
 
 TAG_LOG_CAP = 32
 """Whole records a tag's state log may hold before its sink compacts it into
@@ -36,29 +36,29 @@ _LOG_HEAD = struct.Struct(">HH")  # body length, and the length XOR 0xFFFF
 
 
 def _tag_doc(mode: str, state, key_version: int) -> dict:
-    doc = {
-        "mode": mode,
-        "tag_id": state.tag_id.hex(),
-        "key": state.key.hex(),
-        "ctr": state.ctr,
-        "key_version": key_version,
-    }
-    if mode == "mapop":
-        doc["pop_key"] = state.pop_key.hex()
-        doc["signer"] = state.signer.to_dict()
-    elif mode == "cex":
-        doc["st"] = state.st
+    """The key file document: the mode, `key_version` and each field of the
+    tag state, bytes as hex, the signer as its `to_dict()` block and ints as
+    they are."""
+    doc = {"mode": mode, "key_version": key_version}
+    for field in dataclasses.fields(state):
+        value = getattr(state, field.name)
+        if isinstance(value, bytes):
+            value = value.hex()
+        elif not isinstance(value, int):
+            value = value.to_dict()
+        doc[field.name] = value
     return doc
 
 
 def _spendable(doc: dict):
     """(block, name) of the one spendable field of a key file document: the
     K-time signer's `used`, a pair pool's `pool_remaining` or cex `st`; None
-    if it has none."""
-    if doc["mode"] == "cex":
+    if its mode's tag state has none."""
+    fields = LAYOUTS[doc["mode"]].tag_state.__dataclass_fields__
+    if "st" in fields:
         return doc, "st"
     signer = doc.get("signer")
-    if doc["mode"] == "mapop" and isinstance(signer, dict):
+    if "signer" in fields and isinstance(signer, dict):
         if signer.get("scheme") == KTIME:
             return signer, "used"
         if signer.get("pool_remaining") is not None:
@@ -100,9 +100,7 @@ class TagLog:
         `state`. At TAG_LOG_CAP records the key file is rewritten through
         `save_tag`, which removes the log; the record is appended first, so a
         log left beside the new key file only repeats it."""
-        doc = _tag_doc(self.mode, state, key_version)
-        with open(self.path, "ab", buffering=0) as handle:
-            handle.write(_log_record(self.check, doc))
+        files.append(self.path, _log_record(self.check, _tag_doc(self.mode, state, key_version)))
         self.records += 1
         if self.records >= TAG_LOG_CAP:
             save_tag(self.key_path, self.mode, state, key_version)
@@ -152,19 +150,18 @@ class TagLog:
             raise FrameError(f"tag state log record {self.records} spends a field the key file lacks")
 
 
-def save_tag(path: str, mode: str, state, key_version: int = 0):
-    """Write one tag's secrets as a JSON key file, and remove its state log.
+def save_tag(path: str, mode: str, state, key_version: int = 0) -> bytes:
+    """Write one tag's secrets as a JSON key file, remove its state log, and
+    return the file's bytes.
 
     `setup` writes key files, and a running tag's sink compacts its log into
-    one (see `TagLog`). The file is written beside its final name and renamed
-    over it, so a crash during the write leaves the previous key file whole."""
-    staged = path + ".tmp"
-    with open(staged, "w", encoding="utf-8") as handle:
-        json.dump(_tag_doc(mode, state, key_version), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(staged, path)
+    one (see `TagLog`). `files.write` stages and renames the file, so a crash
+    during the write leaves the previous key file whole."""
+    text = json.dumps(_tag_doc(mode, state, key_version), indent=2, sort_keys=True) + "\n"
+    data = files.write(path, text.encode("ascii"))
     with contextlib.suppress(FileNotFoundError):
         os.remove(path + _LOG_SUFFIX)
+    return data
 
 
 def _unhex(doc: dict, name: str) -> bytes:
@@ -174,10 +171,30 @@ def _unhex(doc: dict, name: str) -> bytes:
         raise FrameError(f"tag file {name} is not hex: {exc}") from exc
 
 
-def _natural(value, name: str) -> int:
+def _natural(doc: dict, name: str, default=None) -> int:
+    value = doc.get(name, default)
     if type(value) is not int or value < 0:
         raise FrameError(f"tag file {name} is {value!r}, not a non-negative integer")
     return value
+
+
+def _flag(doc: dict, name: str) -> int:
+    value = doc.get(name, 0)
+    if type(value) is not int or value not in (0, 1):
+        raise FrameError(f"tag file {name} is {value!r}, not 0 or 1")
+    return value
+
+
+def _signer(doc: dict, name: str):
+    try:
+        return signer_from_dict(doc.get(name))
+    except ValueError as exc:
+        raise FrameError(f"tag file {exc}") from exc
+
+
+# How `read_tag` reads and checks each tag-state field of a key file.
+_FIELD_READERS = {"tag_id": _unhex, "key": _unhex, "pop_key": _unhex,
+                  "ctr": _natural, "st": _flag, "signer": _signer}
 
 
 def read_tag(path: str):
@@ -198,24 +215,13 @@ def read_tag(path: str):
     if mode not in MODES:
         raise FrameError(f"tag file mode is {mode!r}, not one of {MODES}")
     tag_id, key = _unhex(doc, "tag_id"), _unhex(doc, "key")
-    doc["ctr"] = _natural(doc.get("ctr"), "ctr")
-    doc["key_version"] = _natural(doc.get("key_version", 0), "key_version")
+    doc["ctr"] = _natural(doc, "ctr")
+    doc["key_version"] = _natural(doc, "key_version", 0)
     log = TagLog(path, mode, hashlib.blake2b(pack_fields([tag_id, key]), digest_size=8).digest())
     log.fold(doc)
-    common = dict(tag_id=tag_id, key=key, ctr=doc["ctr"])
-    if mode == "mapop":
-        try:
-            signer = signer_from_dict(doc.get("signer"))
-        except ValueError as exc:
-            raise FrameError(f"tag file {exc}") from exc
-        state = PopTagState(**common, pop_key=_unhex(doc, "pop_key"), signer=signer)
-    elif mode == "cex":
-        st = doc.get("st", 0)
-        if type(st) is not int or st not in (0, 1):
-            raise FrameError(f"tag file st is {st!r}, not 0 or 1")
-        state = CexTagState(**common, st=st)
-    else:
-        state = MaTagState(**common)
+    state_class = LAYOUTS[mode].tag_state
+    state = state_class(**{field.name: _FIELD_READERS[field.name](doc, field.name)
+                           for field in dataclasses.fields(state_class)})
     return mode, state, doc["key_version"], log
 
 

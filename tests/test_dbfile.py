@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from rfpop.app import files
 from rfpop.app.config import Config
 from rfpop.app.dbfile import (
     MAGIC,
@@ -494,11 +495,13 @@ def test_torn_tag_write_keeps_previous_key_file(tmp_path, monkeypatch):
     before = path.read_bytes()
     system.run_honest()
 
-    def torn_dump(doc, handle, **kwargs):
-        handle.write('{"ctr": ')
+    def torn_open(fd, mode):
+        """The staged file takes part of the key file, then the disk fills."""
+        with open(fd, mode) as handle:
+            handle.write(b'{"ctr": ')
         raise OSError("disk full")
 
-    monkeypatch.setattr(json, "dump", torn_dump)
+    monkeypatch.setattr(files, "open", torn_open, raising=False)
     with pytest.raises(OSError, match="disk full"):
         save_tag(str(path), "ma", tag.state, key_version=tag.key_version)
     monkeypatch.undo()
