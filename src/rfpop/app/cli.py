@@ -17,6 +17,7 @@ scriptable check.
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -158,6 +159,11 @@ def _cmd_setup(args) -> int:
     config = load_config(args.config)
     if args.tags is not None:
         config = config.with_overrides(tags=args.tags)
+    # A deployment's files; a config file beside them is allowed.
+    taken = sorted(path for name in ("reader.db", "tag-*.json", "*.log")
+                   for path in glob.glob(os.path.join(glob.escape(args.out), name)))
+    if taken:
+        raise RfpopError(f"{args.out} already holds a deployment: {', '.join(taken)}")
     system = config.build_system(Rng(config.seed))
     os.makedirs(args.out, exist_ok=True)
     db_path = os.path.join(args.out, "reader.db")

@@ -4,7 +4,8 @@
 them over it, so a crash mid-write leaves the previous file, or none, never a
 cut one. `append` adds bytes to the end of a file. Both create files with mode
 0600 whatever the umask, since a reader database and a tag key file hold
-secrets.
+secrets. `lock` keeps a second process off a file for as long as one holds
+it.
 
 Nothing calls `fsync` yet: a write survives a process crash but not a power
 loss. That policy, when it is set, is set here.
@@ -12,7 +13,11 @@ loss. That policy, when it is set, is set here.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import os
+
+from rfpop.errors import RfpopError
 
 _MODE = 0o600
 
@@ -34,3 +39,17 @@ def append(path: str, data: bytes):
     with open(os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, _MODE), "ab") as handle:
         handle.write(data)
 
+
+@contextlib.contextmanager
+def lock(path: str):
+    """Hold an exclusive lock for `path` until the block exits. The lock is
+    taken on `<path>.lock`, which nothing renames or removes, so it holds
+    across `write`'s renames of `path`. A `path` that another process (or
+    another open of the lock file) holds is an RfpopError naming it, at
+    once: nothing waits for a lock."""
+    with open(os.open(path + ".lock", os.O_WRONLY | os.O_CREAT, _MODE), "wb") as handle:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise RfpopError(f"{path} is in use by another process") from None
+        yield

@@ -7,8 +7,11 @@ durable writes are the session machines' sinks: the reader journals each
 session before the step that closed it returns, so a reader that crashes has
 told no peer of a session its file does not hold, and the tag appends each
 state it commits to its key file's state log before the send that spends it.
-Neither calls `fsync`, so both writes survive a process crash, not a power
-loss.
+Both go through `rfpop.app.files`, which calls no `fsync` yet, so both writes
+survive a process crash, not a power loss. Each process holds `files.lock` on
+its file, the database or the key file, from load to exit: a second reader on
+one database, or a second tag on one key file, fails at once. Each draws its
+sids, challenges and nonces from `os.urandom` unless the caller passes `rng`.
 
 Timeouts are configured in ticks; the socket layer maps one tick to
 `TICK_SECONDS` of wall-clock time.  The budget is a deadline for the whole
@@ -91,35 +94,35 @@ def serve_reader(
 ) -> list[dict]:
     """Accept `sessions` connections, one session each, with the journal as
     the reader's sink (see `Reader`), so every verdict is on file before it
-    is sent.
+    is sent. The database stays locked until the function returns.
 
     A torn last journal entry is cut off the file before the first append."""
-    data, reader = reader_from_file(db_path)
-    config = data.config
-    bind_host = host if host is not None else config.host
-    bind_port = config.port if port is None else check_port(port)
-    reader.sink = lambda record: append_journal(db_path, config, record)
-    if data.torn_bytes:
-        os.truncate(db_path, os.path.getsize(db_path) - data.torn_bytes)
-        announce(f"dropped a torn journal tail of {data.torn_bytes} bytes "
-                 f"after session {len(data.journal)}")
-    if rng is None:
-        rng = Rng(config.seed).spawn("net-reader")
-    results = []
-    family = socket.AF_INET6 if ":" in bind_host else socket.AF_INET  # a ":" means IPv6
-    with socket.create_server((bind_host, bind_port), family=family) as server:
-        actual_port = server.getsockname()[1]
-        announce(f"reader listening on {bind_host}:{actual_port}")
-        if ready is not None:
-            ready(actual_port)
-        for _ in range(sessions):
-            conn, _peer = server.accept()
-            with conn:
-                summary = _serve_one(reader, conn, rng, config)
-            announce(
-                "session {j}: o_R={o_reader} o_T={o_tag} via_step={via_step}".format(**summary)
-            )
-            results.append(summary)
+    with files.lock(db_path):
+        data, reader = reader_from_file(db_path)
+        config = data.config
+        bind_host = host if host is not None else config.host
+        bind_port = config.port if port is None else check_port(port)
+        reader.sink = lambda record: append_journal(db_path, config, record)
+        if data.torn_bytes:
+            os.truncate(db_path, os.path.getsize(db_path) - data.torn_bytes)
+            announce(f"dropped a torn journal tail of {data.torn_bytes} bytes "
+                     f"after session {len(data.journal)}")
+        if rng is None:
+            rng = Rng(os.urandom(32))
+        results = []
+        family = socket.AF_INET6 if ":" in bind_host else socket.AF_INET  # a ":" means IPv6
+        with socket.create_server((bind_host, bind_port), family=family) as server:
+            actual_port = server.getsockname()[1]
+            announce(f"reader listening on {bind_host}:{actual_port}")
+            if ready is not None:
+                ready(actual_port)
+            for _ in range(sessions):
+                conn, _peer = server.accept()
+                with conn:
+                    summary = _serve_one(reader, conn, rng, config)
+                announce("session {j}: o_R={o_reader} o_T={o_tag} "
+                         "via_step={via_step}".format(**summary))
+                results.append(summary)
     return results
 
 
@@ -168,45 +171,44 @@ def tag_run(
     state log as the tag's sink (see `Tag` and `tagfile.TagLog`). Each result
     carries the tag's output, the reader's, the credential (hex) and the
     tag's reason for its output ("" on accept, None when the tag never opened
-    a session).
+    a session). The key file stays locked until the function returns.
 
     A torn last log record is cut off the log before the first append."""
-    mode, state, key_version, log = read_tag(tag_path)
-    if mode != config.mode:
-        raise FrameError(f"tag file is for mode {mode!r} but config says {config.mode!r}")
-    protocol = protocol_for(config)
-    params = protocol.params
-    if state.ctr > params.max_counter:
-        raise FrameError(f"tag file ctr is above the config's bound {params.max_counter}")
-    check_widths(params, dict(tag_fields(mode, params, state)), "tag file")
-    if LAYOUTS[mode].credentials and state.signer.scheme != params.sig_scheme:
-        raise FrameError(
-            f"tag file signer scheme is {state.signer.scheme!r}, config {config.impl} "
-            f"signs with {params.sig_scheme!r}"
-        )
-    peer_host = host if host is not None else config.host
-    peer_port = config.port if port is None else check_port(port)
-    if log.torn_bytes:
-        os.truncate(log.path, os.path.getsize(log.path) - log.torn_bytes)
-        announce(f"dropped a torn state-log tail of {log.torn_bytes} bytes "
-                 f"after record {log.records}")
-    if rng is None:
-        rng = Rng(config.seed).spawn("net-tag")
-    timeout_s = config.timeout_ticks * TICK_SECONDS
-    tag = Tag(protocol, state, config.effective_lifetime, key_version, sink=log.append)
-    results = []
-    for _ in range(sessions):
-        with socket.create_connection((peer_host, peer_port), timeout=timeout_s) as sock:
-            frames = _exchange(tag, sock, rng, timeout_s, TYPE_RESULT_TAG,
-                               (TYPE_RESULT_READER, TYPE_CREDENTIAL))
-        o_tag = _result(frames, TYPE_RESULT_TAG)
-        result = {"o_tag": o_tag, "o_reader": _result(frames, TYPE_RESULT_READER),
-                  "credential": _credential_hex(frames),
-                  "note": tag.note if o_tag is not None else None}
-        if result["credential"] and cred_out:
-            files.write(cred_out, bytes.fromhex(result["credential"]))
-        announce("session: o_T={o_tag} o_R={o_reader}".format(**result))
-        results.append(result)
+    with files.lock(tag_path):
+        mode, state, key_version, log = read_tag(tag_path)
+        if mode != config.mode:
+            raise FrameError(f"tag file is for mode {mode!r} but config says {config.mode!r}")
+        protocol = protocol_for(config)
+        params = protocol.params
+        if state.ctr > params.max_counter:
+            raise FrameError(f"tag file ctr is above the config's bound {params.max_counter}")
+        check_widths(params, dict(tag_fields(mode, params, state)), "tag file")
+        if LAYOUTS[mode].credentials and state.signer.scheme != params.sig_scheme:
+            raise FrameError(f"tag file signer scheme is {state.signer.scheme!r}, "
+                             f"config {config.impl} signs with {params.sig_scheme!r}")
+        peer_host = host if host is not None else config.host
+        peer_port = config.port if port is None else check_port(port)
+        if log.torn_bytes:
+            os.truncate(log.path, os.path.getsize(log.path) - log.torn_bytes)
+            announce(f"dropped a torn state-log tail of {log.torn_bytes} bytes "
+                     f"after record {log.records}")
+        if rng is None:
+            rng = Rng(os.urandom(32))
+        timeout_s = config.timeout_ticks * TICK_SECONDS
+        tag = Tag(protocol, state, config.effective_lifetime, key_version, sink=log.append)
+        results = []
+        for _ in range(sessions):
+            with socket.create_connection((peer_host, peer_port), timeout=timeout_s) as sock:
+                frames = _exchange(tag, sock, rng, timeout_s, TYPE_RESULT_TAG,
+                                   (TYPE_RESULT_READER, TYPE_CREDENTIAL))
+            o_tag = _result(frames, TYPE_RESULT_TAG)
+            result = {"o_tag": o_tag, "o_reader": _result(frames, TYPE_RESULT_READER),
+                      "credential": _credential_hex(frames),
+                      "note": tag.note if o_tag is not None else None}
+            if result["credential"] and cred_out:
+                files.write(cred_out, bytes.fromhex(result["credential"]))
+            announce("session: o_T={o_tag} o_R={o_reader}".format(**result))
+            results.append(result)
     return results
 
 

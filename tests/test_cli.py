@@ -3,15 +3,17 @@
 import dataclasses
 import functools
 import json
+import os
 import queue
 import socket
+import stat
 import threading
 
 import pytest
 
-from rfpop.app import cli
+from rfpop.app import cli, files
 from rfpop.app.cli import main
-from rfpop.app.config import Config
+from rfpop.app.config import Config, save_config
 from rfpop.app.dbfile import append_journal, load_db
 from rfpop.app.netrun import serve_reader
 from rfpop.pop import cred_gen
@@ -373,6 +375,79 @@ def test_served_sessions_through_the_cli_exit_zero(tmp_path, capsys, monkeypatch
     assert not thread.is_alive()
     assert (rc, served) == (0, [0])
     assert capsys.readouterr().err == ""
+
+
+def serve_one_session(out, *tag_args) -> int:
+    """Serve one session of `out`'s first tag, the tag run through the CLI
+    with `tag_args`; returns `tag-run`'s exit code."""
+    ports = queue.Queue()
+    thread = threading.Thread(target=serve_reader, args=(str(out / "reader.db"),), daemon=True,
+                              kwargs=dict(host="127.0.0.1", port=0, announce=lambda line: None,
+                                          ready=ports.put))
+    thread.start()
+    rc = main(["tag-run", "--tag", str(out / "tag-000.json"), "--host", "127.0.0.1",
+               "--port", str(ports.get(timeout=5)), *tag_args])
+    thread.join(10)
+    assert not thread.is_alive()
+    return rc
+
+
+def test_setup_into_a_served_deployment_exits_2_and_touches_nothing(tmp_path, capsys):
+    """Re-running `setup` over a served deployment would wipe the journal
+    and the state logs; it exits 2 and every file stays as it was. A config
+    file in `--out` is allowed, as in the first run."""
+    out = tmp_path / "deploy"
+    out.mkdir()
+    config = str(out / "config.json")
+    save_config(Config(mode="ma", seed="cli-resetup"), config)
+    assert run_cli(capsys, "setup", "--config", config, "--out", str(out))[0] == 0
+    assert serve_one_session(out, "--config", config) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert {"config.json", "reader.db", "tag-000.json.log", "tag-001.json"} <= set(before)
+    rc, _, stderr = run_cli(capsys, "setup", "--config", config, "--out", str(out))
+    assert rc == 2
+    assert stderr.startswith(f"error: {out} already holds a deployment: {out / 'reader.db'}, ")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("name", ["reader.db", "tag-007.json", "tag-000.json.log"])
+def test_setup_refuses_any_part_of_a_deployment(tmp_path, capsys, name):
+    out = tmp_path / "deploy"
+    out.mkdir()
+    (out / name).write_bytes(b"kept")
+    rc, _, stderr = run_cli(capsys, "setup", "--out", str(out))
+    assert (rc, stderr) == (2, f"error: {out} already holds a deployment: {out / name}\n")
+    assert [(path.name, path.read_bytes()) for path in out.iterdir()] == [(name, b"kept")]
+
+
+def test_secret_files_are_private_whatever_the_umask(tmp_path, capsys):
+    """Under umask 022, every file `setup` and `tag-run` write is 0600, and
+    so is a key file staged over a leftover that a crash left at 0644."""
+    out = tmp_path / "deploy"
+    out.mkdir()
+    leftover = out / "tag-000.json.tmp"
+    leftover.write_text("{")
+    leftover.chmod(0o644)
+    umask = os.umask(0o022)
+    try:
+        assert run_cli(capsys, "setup", "--out", str(out))[0] == 0
+        assert serve_one_session(out, "--cred-out", str(out / "cred.bin")) == 0
+    finally:
+        os.umask(umask)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
+    assert {"reader.db", "tag-000.json", "tag-000.json.log", "tag-001.json", "cred.bin"} <= set(modes)
+    assert {name: oct(mode) for name, mode in modes.items() if mode & 0o077} == {}
+
+
+@pytest.mark.parametrize("command, flag, name",
+                         [("serve-reader", "--db", "reader.db"), ("tag-run", "--tag", "tag-000.json")])
+def test_a_file_another_process_holds_exits_2(tmp_path, capsys, command, flag, name):
+    out = tmp_path / "sys"
+    assert run_cli(capsys, "setup", "--out", str(out))[0] == 0
+    path = str(out / name)
+    with files.lock(path):
+        rc, _, stderr = run_cli(capsys, command, flag, path, "--host", "127.0.0.1", "--port", "1")
+    assert (rc, stderr) == (2, f"error: {path} is in use by another process\n")
 
 
 @pytest.mark.parametrize("command", ["serve-reader", "tag-run"])

@@ -1,11 +1,11 @@
 """Reader database files and tag key files."""
 
+import builtins
 import json
 from dataclasses import replace
 
 import pytest
 
-from rfpop.app import files
 from rfpop.app.config import Config
 from rfpop.app.dbfile import (
     MAGIC,
@@ -487,6 +487,22 @@ def test_tag_file_preserves_cex_interrupt_flag(tmp_path):
     assert state.st == 1
 
 
+def tear_writes(monkeypatch):
+    """Make every open for writing take a few bytes, then fail as a full
+    disk would."""
+    real_open = open
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if "w" not in mode:
+            return handle
+        with handle:
+            handle.write(b'{"ctr": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(builtins, "open", torn_open)
+
+
 def test_torn_tag_write_keeps_previous_key_file(tmp_path, monkeypatch):
     system = build(Config(mode="ma"))
     tag = system.tag(system.first_tag_id())
@@ -495,16 +511,21 @@ def test_torn_tag_write_keeps_previous_key_file(tmp_path, monkeypatch):
     before = path.read_bytes()
     system.run_honest()
 
-    def torn_open(fd, mode):
-        """The staged file takes part of the key file, then the disk fills."""
-        with open(fd, mode) as handle:
-            handle.write(b'{"ctr": ')
-        raise OSError("disk full")
-
-    monkeypatch.setattr(files, "open", torn_open, raising=False)
+    tear_writes(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         save_tag(str(path), "ma", tag.state, key_version=tag.key_version)
     monkeypatch.undo()
     assert path.read_bytes() == before
     _mode, state, key_version = load_tag(str(path))
     assert (state.ctr, key_version) == (1, 0)
+
+
+def test_a_database_write_cut_short_leaves_no_database(tmp_path, monkeypatch):
+    """A `save_db` that fails mid-write leaves no `reader.db`, not a cut one
+    that would load as corrupt."""
+    config = Config(mode="ma")
+    tear_writes(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        write_db(tmp_path / "reader.db", config, build(config))
+    monkeypatch.undo()
+    assert not (tmp_path / "reader.db").exists()

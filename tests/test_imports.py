@@ -375,8 +375,9 @@ def mode_comparisons(source: str) -> list[str]:
 
 
 def test_the_record_codec_has_no_mode_branch():
-    """Each mode's reader-record layout is one `LAYOUTS` entry, so
-    app/dbfile.py never asks which mode it is handling."""
+    """Each mode's reader-record and tag-state layout is one `LAYOUTS`
+    entry, so app/dbfile.py, app/tagfile.py and app/netrun.py never ask
+    which mode they are handling."""
     assert mode_comparisons(
         'if mode == "ma":\n    pass\n'
         'x = "cex" != mode\n'
@@ -384,7 +385,8 @@ def test_the_record_codec_has_no_mode_branch():
         'match mode:\n    case "mapop":\n        pass\n'
     ) == ["line 1", "line 3", "line 4", "line 6"]
     assert mode_comparisons('x = mode == "pop"\ny = mode in MODES\nz = LAYOUTS["ma"]\n') == []
-    assert mode_comparisons((SRC / "app" / "dbfile.py").read_text(encoding="utf-8")) == []
+    for name in ("dbfile.py", "tagfile.py", "netrun.py"):
+        assert mode_comparisons((SRC / "app" / name).read_text(encoding="utf-8")) == [], name
 
 
 def mode_tables(namespaces: dict[str, dict], modes) -> dict[str, bool]:
@@ -408,3 +410,46 @@ def test_every_mode_table_has_the_modes_of_the_one_list():
     tables = mode_tables(namespaces, MODES)
     assert {"rfpop.system.SYSTEM_BUILDERS", "rfpop.app.dbfile.LAYOUTS"} <= set(tables)
     assert [name for name, exact in tables.items() if not exact] == []
+
+
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
+
+
+def write_sites(source: str) -> list[str]:
+    """Lines that open a file for writing or appending (`open` with a mode
+    that is not a read-only literal, `os.open` with a write flag), call
+    `os.replace` or `os.rename`, or call a `write_text` or `write_bytes`
+    method."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            writes = any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+                         or set(m.value) & set("wax+") for m in modes)
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "os":
+            flags = {n.attr for arg in node.args[1:2] for n in ast.walk(arg) if isinstance(n, ast.Attribute)}
+            writes = func.attr in ("replace", "rename") or (func.attr == "open" and bool(flags & WRITE_FLAGS))
+        else:
+            writes = isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes")
+        if writes:
+            hits.append(f"line {node.lineno}")
+    return hits
+
+
+def test_only_the_files_module_writes_files():
+    """Every file the package keeps is written through app/files.py, so how
+    a file is written (its mode, staging, and later its fsync) is decided in
+    one place."""
+    assert write_sites(
+        'open(p, "wb")\nopen(p)\nopen(p, "rb")\nopen(p, mode="a")\nopen(p, m)\n'
+        "os.open(p, os.O_RDONLY)\nos.open(p, os.O_WRONLY | os.O_CREAT)\nos.replace(a, b)\n"
+        'path.write_text("x")\nos.path.join(a, b)\n'
+    ) == ["line 1", "line 4", "line 5", "line 7", "line 8", "line 9"]
+    found = {str(p.relative_to(SRC)): write_sites(p.read_text(encoding="utf-8")) for p in MODULES}
+    writers = {path: lines for path, lines in found.items() if lines}
+    assert "app/files.py" in writers
+    del writers["app/files.py"]
+    assert writers == {}

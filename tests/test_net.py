@@ -5,7 +5,9 @@ import dataclasses
 import json
 import os
 import queue
+import re
 import select
+import shutil
 import socket
 import threading
 import time
@@ -27,7 +29,7 @@ from rfpop.app.wire import (
     result_frame,
     result_value,
 )
-from rfpop.errors import FrameError, UnknownSnapshot
+from rfpop.errors import FrameError, RfpopError, UnknownSnapshot
 from rfpop.model.session import run_honest_session
 from rfpop.pop import Credential, PopParams, cred_gen, cred_veri
 from rfpop.primitives.bitstring import flip_bit
@@ -827,3 +829,90 @@ def test_damaged_key_file_is_rejected_before_connecting(
         json.dump(doc, handle)
     with pytest.raises(FrameError, match=error):
         tag_run(tag_paths[0], config, host="127.0.0.1", port=1, announce=lambda line: None)
+
+
+def test_a_second_reader_on_a_held_database_is_refused(tmp_path):
+    """`serve_reader` holds its database from load to exit. A second reader
+    on the same file fails at once, naming it, and journals nothing: the file
+    loads afterwards with the first reader's session alone."""
+    config = Config(mode="ma", tags=1, seed="net-lock-reader")
+    db_path, tag_paths, _system = deploy(tmp_path, config)
+    box = start_server(db_path, sessions=1)
+
+    def started(port):
+        raise AssertionError("a second reader started on a held database")
+
+    with pytest.raises(RfpopError, match=f"{re.escape(db_path)} is in use"):
+        serve_reader(db_path, host="127.0.0.1", port=0, announce=lambda line: None, ready=started)
+    client = run_client(box, tag_paths[0], config)
+    server = finish(box)
+    assert (client[0]["o_tag"], server[0]["j"], server[0]["o_reader"]) == (1, 1, 1)
+    assert len(load_db(db_path).journal) == 1
+
+
+def test_a_second_tag_on_a_held_key_file_is_refused(tmp_path):
+    """`tag_run` holds its key file from load to exit. While one waits on a
+    silent reader, a second on the same file fails at once, naming it; the
+    key file loads afterwards."""
+    config = Config(mode="ma", tags=1, seed="net-lock-tag", timeout_ticks=20)
+    _db_path, tag_paths, _system = deploy(tmp_path, config)
+    first = []
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        server.settimeout(5)
+        port = server.getsockname()[1]
+        thread = threading.Thread(target=lambda: first.append(tag_run(
+            tag_paths[0], config, host="127.0.0.1", port=port, announce=lambda line: None)),
+            daemon=True)
+        thread.start()
+        conn, _peer = server.accept()
+        with conn, pytest.raises(RfpopError, match=f"{re.escape(tag_paths[0])} is in use"):
+            tag_run(tag_paths[0], config, host="127.0.0.1", port=port, announce=lambda line: None)
+        thread.join(5)
+    assert not thread.is_alive()
+    assert first == [[{"o_tag": None, "o_reader": None, "credential": None, "note": None}]]
+    assert load_tag(tag_paths[0])[1].ctr == 1
+
+
+def round_zero(box) -> tuple[bytes, bytes]:
+    """The sid and challenge of the reader's next session; the session then
+    ends with the connection."""
+    with socket.create_connection(("127.0.0.1", box["port"]), timeout=5) as sock:
+        frame = read_frame(sock)
+    finish(box)
+    return frame.sid, frame.payload
+
+
+def test_readers_given_no_rng_open_fresh_sessions(tmp_path):
+    """With no `rng`, `serve_reader` draws from the operating system, so two
+    runs on one database open with different sids and challenges."""
+    config = Config(mode="ma", tags=1, seed="net-fresh-reader")
+    db_path, _tag_paths, _system = deploy(tmp_path, config)
+    first = round_zero(start_server(db_path, sessions=1))
+    second = round_zero(start_server(db_path, sessions=1))
+    assert first[0] != second[0] and first[1] != second[1]
+
+
+def round_one_reply(tag_path, config) -> bytes:
+    """The reply `tag_run`, given no `rng`, sends to a fixed challenge."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        server.settimeout(5)
+        thread = threading.Thread(target=tag_run, args=(tag_path, config), daemon=True, kwargs=dict(
+            host="127.0.0.1", port=server.getsockname()[1], announce=lambda line: None))
+        thread.start()
+        conn, _peer = server.accept()
+        with conn:
+            challenge = bytes(config.params().challenge_bits // 8)
+            conn.sendall(Frame(TYPE_ROUND_CHALLENGE, bytes(16), challenge).encode())
+            reply = read_frame(conn, time.monotonic() + 5)
+        thread.join(5)
+    assert not thread.is_alive()
+    return reply.payload
+
+
+def test_tags_given_no_rng_draw_fresh_nonces(tmp_path):
+    """With no `rng`, `tag_run` draws from the operating system, so two
+    copies of one key file answer one challenge differently."""
+    config = Config(mode="ma", tags=1, seed="net-fresh-tag")
+    _db_path, tag_paths, _system = deploy(tmp_path, config)
+    copy = shutil.copy(tag_paths[0], tmp_path / "copy.json")
+    assert round_one_reply(tag_paths[0], config) != round_one_reply(str(copy), config)
