@@ -171,11 +171,10 @@ def _cmd_setup(args) -> int:
                                      reader_id=system.reader.reader_id,
                                      reader_signer=system.reader_signer,
                                      directory=system.directory), digest_size=32)
-    tag_ids = system.tag_ids()
-    for i, tag_id in enumerate(tag_ids):
+    for i, tag_id in enumerate(system.tag_ids()):
         path = os.path.join(args.out, f"tag-{i:03d}.json")
         digest.update(save_tag(path, config.mode, system.tag(tag_id).state))
-    print(f"wrote {db_path} and {len(tag_ids)} tag key files")
+    print(f"wrote {db_path} and {len(system.tags)} tag key files")
     print(f"parameter digest: {digest.hexdigest()}")
     return 0
 

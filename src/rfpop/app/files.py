@@ -13,7 +13,6 @@ loss. That policy, when it is set, is set here.
 
 from __future__ import annotations
 
-import contextlib
 import fcntl
 import os
 
@@ -35,21 +34,23 @@ def write(path: str, data: bytes) -> bytes:
 
 
 def append(path: str, data: bytes):
-    """Append `data` to `path`, creating it with mode 0600."""
-    with open(os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, _MODE), "ab") as handle:
+    """Append `data` to `path` in one unbuffered write, creating the file
+    with mode 0600."""
+    with open(os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, _MODE), "ab", 0) as handle:
         handle.write(data)
 
 
-@contextlib.contextmanager
 def lock(path: str):
-    """Hold an exclusive lock for `path` until the block exits. The lock is
-    taken on `<path>.lock`, which nothing renames or removes, so it holds
-    across `write`'s renames of `path`. A `path` that another process (or
-    another open of the lock file) holds is an RfpopError naming it, at
-    once: nothing waits for a lock."""
-    with open(os.open(path + ".lock", os.O_WRONLY | os.O_CREAT, _MODE), "wb") as handle:
-        try:
-            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            raise RfpopError(f"{path} is in use by another process") from None
-        yield
+    """The existing file `path`, open and exclusively locked until it is
+    closed; use it as `with lock(path):`. A lock is on the file, not the
+    name, so `path` must be one that nothing replaces or removes while it is
+    held: an append-only file, which `append` and truncation change in place.
+    A `path` that another process (or another open of it) holds is an
+    RfpopError naming it, at once: nothing waits for a lock."""
+    handle = open(path, "rb", 0)
+    try:
+        fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        handle.close()
+        raise RfpopError(f"{path} is in use by another process") from None
+    return handle

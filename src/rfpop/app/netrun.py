@@ -9,8 +9,9 @@ told no peer of a session its file does not hold, and the tag appends each
 state it commits to its key file's state log before the send that spends it.
 Both go through `rfpop.app.files`, which calls no `fsync` yet, so both writes
 survive a process crash, not a power loss. Each process holds `files.lock` on
-its file, the database or the key file, from load to exit: a second reader on
-one database, or a second tag on one key file, fails at once. Each draws its
+the append-only file it writes, the database or the key file's state log, from
+load to exit: a second reader on one database, or a second tag on one key
+file, fails at once. Each draws its
 sids, challenges and nonces from `os.urandom` unless the caller passes `rng`.
 
 Timeouts are configured in ticks; the socket layer maps one tick to
@@ -40,7 +41,7 @@ from rfpop.primitives.rng import Rng
 from rfpop.app import files
 from rfpop.app.config import Config, check_port
 from rfpop.app.dbfile import LAYOUTS, DbFileData, append_journal, check_widths, load_db, tag_fields
-from rfpop.app.tagfile import read_tag
+from rfpop.app.tagfile import lock_tag, read_tag
 from rfpop.app.wire import (
     ROUND_TYPES,
     TYPE_CREDENTIAL,
@@ -174,7 +175,7 @@ def tag_run(
     a session). The key file stays locked until the function returns.
 
     A torn last log record is cut off the log before the first append."""
-    with files.lock(tag_path):
+    with lock_tag(tag_path):
         mode, state, key_version, log = read_tag(tag_path)
         if mode != config.mode:
             raise FrameError(f"tag file is for mode {mode!r} but config says {config.mode!r}")

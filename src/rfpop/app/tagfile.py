@@ -6,13 +6,13 @@ append-only state log sits beside it, `<key file>.log` (`TagLog`). A log record
 holds the absolute values a running tag commits: `ctr`, `key_version` and the
 one spendable signer or cex field. `read_tag` folds the last whole record into
 the JSON; a record cut short at the end of the log is a torn tail, and any
-other damage, in the JSON or the log, is a `FrameError`.
+other damage, in the JSON or the log, is a `FrameError`. A running tag holds
+its log's lock (`lock_tag`), and a key file rewrite empties the log in place.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import json
 import os
@@ -40,13 +40,13 @@ def _tag_doc(mode: str, state, key_version: int) -> dict:
     tag state, bytes as hex, the signer as its `to_dict()` block and ints as
     they are."""
     doc = {"mode": mode, "key_version": key_version}
-    for field in dataclasses.fields(state):
-        value = getattr(state, field.name)
+    for name in state.__dataclass_fields__:
+        value = getattr(state, name)
         if isinstance(value, bytes):
             value = value.hex()
         elif not isinstance(value, int):
             value = value.to_dict()
-        doc[field.name] = value
+        doc[name] = value
     return doc
 
 
@@ -98,8 +98,8 @@ class TagLog:
     def append(self, state, key_version: int):
         """The tag's write-ahead sink (see `Tag`): append one record of
         `state`. At TAG_LOG_CAP records the key file is rewritten through
-        `save_tag`, which removes the log; the record is appended first, so a
-        log left beside the new key file only repeats it."""
+        `save_tag`, which empties the log; the record is appended first, so a
+        log left full beside the new key file only repeats it."""
         files.append(self.path, _log_record(self.check, _tag_doc(self.mode, state, key_version)))
         self.records += 1
         if self.records >= TAG_LOG_CAP:
@@ -151,17 +151,27 @@ class TagLog:
 
 
 def save_tag(path: str, mode: str, state, key_version: int = 0) -> bytes:
-    """Write one tag's secrets as a JSON key file, remove its state log, and
+    """Write one tag's secrets as a JSON key file, empty its state log, and
     return the file's bytes.
 
     `setup` writes key files, and a running tag's sink compacts its log into
     one (see `TagLog`). `files.write` stages and renames the file, so a crash
-    during the write leaves the previous key file whole."""
+    during the write leaves the previous key file whole. The log is emptied in
+    place, not removed, because a running tag holds its lock (see
+    `lock_tag`)."""
     text = json.dumps(_tag_doc(mode, state, key_version), indent=2, sort_keys=True) + "\n"
     data = files.write(path, text.encode("ascii"))
     with contextlib.suppress(FileNotFoundError):
-        os.remove(path + _LOG_SUFFIX)
+        os.truncate(path + _LOG_SUFFIX, 0)
     return data
+
+
+def lock_tag(path: str):
+    """`files.lock` on a key file's state log, created empty if it is
+    missing: compaction replaces the key file but only empties the log, so
+    the log is the file one tag process at a time may hold."""
+    files.append(path + _LOG_SUFFIX, b"")
+    return files.lock(path + _LOG_SUFFIX)
 
 
 def _unhex(doc: dict, name: str) -> bytes:
@@ -220,8 +230,8 @@ def read_tag(path: str):
     log = TagLog(path, mode, hashlib.blake2b(pack_fields([tag_id, key]), digest_size=8).digest())
     log.fold(doc)
     state_class = LAYOUTS[mode].tag_state
-    state = state_class(**{field.name: _FIELD_READERS[field.name](doc, field.name)
-                           for field in dataclasses.fields(state_class)})
+    state = state_class(**{name: _FIELD_READERS[name](doc, name)
+                           for name in state_class.__dataclass_fields__})
     return mode, state, doc["key_version"], log
 
 

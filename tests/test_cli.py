@@ -16,6 +16,7 @@ from rfpop.app.cli import main
 from rfpop.app.config import Config, save_config
 from rfpop.app.dbfile import append_journal, load_db
 from rfpop.app.netrun import serve_reader
+from rfpop.app.tagfile import lock_tag
 from rfpop.pop import cred_gen
 from rfpop.primitives.rng import Rng
 
@@ -439,15 +440,18 @@ def test_secret_files_are_private_whatever_the_umask(tmp_path, capsys):
     assert {name: oct(mode) for name, mode in modes.items() if mode & 0o077} == {}
 
 
-@pytest.mark.parametrize("command, flag, name",
-                         [("serve-reader", "--db", "reader.db"), ("tag-run", "--tag", "tag-000.json")])
-def test_a_file_another_process_holds_exits_2(tmp_path, capsys, command, flag, name):
+@pytest.mark.parametrize("command, flag, name, lock, held", [
+    ("serve-reader", "--db", "reader.db", files.lock, "reader.db"),
+    ("tag-run", "--tag", "tag-000.json", lock_tag, "tag-000.json.log"),
+], ids=["serve-reader", "tag-run"])
+def test_a_file_another_process_holds_exits_2(tmp_path, capsys, command, flag, name, lock, held):
+    """A reader holds its database, and a tag its key file's state log."""
     out = tmp_path / "sys"
     assert run_cli(capsys, "setup", "--out", str(out))[0] == 0
     path = str(out / name)
-    with files.lock(path):
+    with lock(path):
         rc, _, stderr = run_cli(capsys, command, flag, path, "--host", "127.0.0.1", "--port", "1")
-    assert (rc, stderr) == (2, f"error: {path} is in use by another process\n")
+    assert (rc, stderr) == (2, f"error: {out / held} is in use by another process\n")
 
 
 @pytest.mark.parametrize("command", ["serve-reader", "tag-run"])

@@ -865,7 +865,7 @@ def test_a_second_tag_on_a_held_key_file_is_refused(tmp_path):
             daemon=True)
         thread.start()
         conn, _peer = server.accept()
-        with conn, pytest.raises(RfpopError, match=f"{re.escape(tag_paths[0])} is in use"):
+        with conn, pytest.raises(RfpopError, match=f"{re.escape(tag_paths[0])}.log is in use"):
             tag_run(tag_paths[0], config, host="127.0.0.1", port=port, announce=lambda line: None)
         thread.join(5)
     assert not thread.is_alive()
