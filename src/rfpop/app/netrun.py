@@ -11,8 +11,8 @@ Both go through `rfpop.app.files`, which calls no `fsync` yet, so both writes
 survive a process crash, not a power loss. Each process holds `files.lock` on
 the append-only file it writes, the database or the key file's state log, from
 load to exit: a second reader on one database, or a second tag on one key
-file, fails at once. Each draws its
-sids, challenges and nonces from `os.urandom` unless the caller passes `rng`.
+file, fails at once. Each draws its sids, challenges and nonces from
+`os.urandom` unless the caller passes `rng`.
 
 Timeouts are configured in ticks; the socket layer maps one tick to
 `TICK_SECONDS` of wall-clock time.  The budget is a deadline for the whole
