@@ -2,29 +2,28 @@
 
 A tag key file is a JSON document written whole (`save_tag`): the mode,
 `key_version` and each field of the mode's `LAYOUTS` tag state. An
-append-only state log sits beside it, `<key file>.log` (`TagLog`). A log record
-holds the absolute values a running tag commits: `ctr`, `key_version` and the
-one spendable signer or cex field. `read_tag` folds the last whole record into
-the JSON; a record cut short at the end of the log is a torn tail, and any
-other damage, in the JSON or the log, is a `FrameError`. A running tag holds
+append-only state log sits beside it, `<key file>.log` (`TagLog`). Each log
+record's body is the key file document of a state the running tag commits, as
+compact JSON. `read_tag` takes the last whole record's document in place of
+the key file's; a record cut short at the end of the log is a torn tail, and
+any other damage, in the JSON or the log, is a `FrameError`. A running tag holds
 its log's lock (`lock_tag`), and a key file rewrite empties the log in place.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import struct
 import zlib
 
 from rfpop.errors import FrameError
-from rfpop.primitives.sig import KTIME, signer_from_dict
+from rfpop.primitives.sig import signer_from_dict
 
 from rfpop.app import files
 from rfpop.app.config import MODES
-from rfpop.app.framing import LAYOUTS, U32, Cursor, pack_fields
+from rfpop.app.framing import LAYOUTS, U32
 
 TAG_LOG_CAP = 32
 """Whole records a tag's state log may hold before its sink compacts it into
@@ -50,33 +49,10 @@ def _tag_doc(mode: str, state, key_version: int) -> dict:
     return doc
 
 
-def _spendable(doc: dict):
-    """(block, name) of the one spendable field of a key file document: the
-    K-time signer's `used`, a pair pool's `pool_remaining` or cex `st`; None
-    if its mode's tag state has none."""
-    fields = LAYOUTS[doc["mode"]].tag_state.__dataclass_fields__
-    if "st" in fields:
-        return doc, "st"
-    signer = doc.get("signer")
-    if "signer" in fields and isinstance(signer, dict):
-        if signer.get("scheme") == KTIME:
-            return signer, "used"
-        if signer.get("pool_remaining") is not None:
-            return signer, "pool_remaining"
-    return None
-
-
-def _int_bytes(value: int) -> bytes:
-    return value.to_bytes((value.bit_length() + 7) // 8, "big")
-
-
-def _log_record(check: bytes, doc: dict) -> bytes:
-    """One state log record: the length, the body (`check`, then `ctr`,
-    `key_version` and the spendable field, 0 if none, as length-prefixed
-    fields) and a CRC-32 over both."""
-    spendable = _spendable(doc)
-    spent = spendable[0][spendable[1]] if spendable else 0
-    body = pack_fields([check] + [_int_bytes(v) for v in (doc["ctr"], doc["key_version"], spent)])
+def _log_record(doc: dict) -> bytes:
+    """One state log record: the body's length and its complement, the body
+    (the key file document `doc` as compact JSON) and a CRC-32 over both."""
+    body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
     framed = _LOG_HEAD.pack(len(body), len(body) ^ 0xFFFF) + body
     return framed + U32.pack(zlib.crc32(framed))
 
@@ -84,14 +60,13 @@ def _log_record(check: bytes, doc: dict) -> bytes:
 class TagLog:
     """A key file's append-only state log, `<key file>.log`, as `read_tag`
     found it: `records` whole records, then `torn_bytes` of a record that an
-    append left cut short. `check` ties its records to the key file's
-    `tag_id` and `key`."""
+    append left cut short. Each record is a whole key file document, and the
+    last one replaces the key file's."""
 
-    def __init__(self, key_path: str, mode: str, check: bytes):
+    def __init__(self, key_path: str, mode: str):
         self.key_path = key_path
         self.path = key_path + _LOG_SUFFIX
         self.mode = mode
-        self.check = check
         self.records = 0
         self.torn_bytes = 0
 
@@ -100,21 +75,22 @@ class TagLog:
         `state`. At TAG_LOG_CAP records the key file is rewritten through
         `save_tag`, which empties the log; the record is appended first, so a
         log left full beside the new key file only repeats it."""
-        files.append(self.path, _log_record(self.check, _tag_doc(self.mode, state, key_version)))
+        files.append(self.path, _log_record(_tag_doc(self.mode, state, key_version)))
         self.records += 1
         if self.records >= TAG_LOG_CAP:
             save_tag(self.key_path, self.mode, state, key_version)
             self.records = 0
 
-    def fold(self, doc: dict):
-        """Fold the log's last whole record into the key file document `doc`,
-        and count its whole records and its torn tail. A damaged record, or a
-        last record older than the key file, is a FrameError naming it."""
+    def fold(self, doc: dict) -> dict:
+        """The document of the log's last whole record, or the key file
+        document `doc` if the log has none; counts the log's whole records and
+        its torn tail. A damaged record, a last record for another tag key or
+        older than the key file is a FrameError naming it."""
         try:
             with open(self.path, "rb") as handle:
                 data = handle.read()
         except FileNotFoundError:
-            return
+            return doc
         pos, last = 0, None
         while len(data) - pos >= _LOG_HEAD.size:
             size, inverse = _LOG_HEAD.unpack_from(data, pos)
@@ -130,24 +106,25 @@ class TagLog:
             self.records, pos = number, end
         self.torn_bytes = len(data) - pos
         if last is None:
-            return
-        cursor = Cursor(last)
-        fields = cursor.fields()
-        if len(fields) != 4 or cursor.remaining:
-            raise FrameError(f"tag state log record {self.records} is malformed")
-        if fields[0] != self.check:
-            raise FrameError(f"tag state log record {self.records} is for another tag key")
-        ctr, key_version, spent = (int.from_bytes(v, "big") for v in fields[1:])
-        if ctr < doc["ctr"] or key_version < doc["key_version"]:
+            return doc
+        name = f"tag state log record {self.records}"
+        try:
+            record = json.loads(last)
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+            raise FrameError(f"{name} is malformed: {exc}") from exc
+        if not isinstance(record, dict):
+            raise FrameError(f"{name} is malformed: not a JSON object")
+        for field in ("ctr", "key_version"):
+            value = record.get(field)
+            if type(value) is not int or value < 0:
+                raise FrameError(f"{name} is malformed: {field} is {value!r}, not a non-negative integer")
+        if any(record.get(field) != doc.get(field) for field in ("mode", "tag_id", "key")):
+            raise FrameError(f"{name} is for another tag key")
+        if record["ctr"] < doc["ctr"] or record["key_version"] < doc["key_version"]:
             # A log from before the key file's last rewrite would roll the
             # counter back; every log the sink leaves is at least as new.
-            raise FrameError(f"tag state log record {self.records} is older than the key file")
-        doc["ctr"], doc["key_version"] = ctr, key_version
-        spendable = _spendable(doc)
-        if spendable:
-            spendable[0][spendable[1]] = spent
-        elif spent:
-            raise FrameError(f"tag state log record {self.records} spends a field the key file lacks")
+            raise FrameError(f"{name} is older than the key file")
+        return record
 
 
 def save_tag(path: str, mode: str, state, key_version: int = 0) -> bytes:
@@ -209,26 +186,26 @@ _FIELD_READERS = {"tag_id": _unhex, "key": _unhex, "pop_key": _unhex,
 
 def read_tag(path: str):
     """Read a key file and fold its state log into it: (mode, state,
-    key_version, log). The log's last whole record wins; a record cut off by
-    the end of the log is dropped and counted in `log.torn_bytes`. A key file
-    that is not a JSON object of well-formed fields is a FrameError. Lengths,
+    key_version, log). The log's last whole record replaces the key file's
+    document; a record cut off by the end of the log is dropped and counted in
+    `log.torn_bytes`. A document that is not a JSON object of well-formed
+    fields is a FrameError. Lengths,
     the counter's upper bound and the signer's scheme are not checked here:
     the file does not say which config it runs under."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise FrameError(f"tag file {path} is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FrameError(f"tag file {path} is not a JSON object")
     mode = doc.get("mode")
     if mode not in MODES:
         raise FrameError(f"tag file mode is {mode!r}, not one of {MODES}")
-    tag_id, key = _unhex(doc, "tag_id"), _unhex(doc, "key")
     doc["ctr"] = _natural(doc, "ctr")
     doc["key_version"] = _natural(doc, "key_version", 0)
-    log = TagLog(path, mode, hashlib.blake2b(pack_fields([tag_id, key]), digest_size=8).digest())
-    log.fold(doc)
+    log = TagLog(path, mode)
+    doc = log.fold(doc)
     state_class = LAYOUTS[mode].tag_state
     state = state_class(**{name: _FIELD_READERS[name](doc, name)
                            for name in state_class.__dataclass_fields__})

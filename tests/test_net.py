@@ -16,7 +16,7 @@ import pytest
 
 from rfpop.app.config import Config
 from rfpop.app.dbfile import load_db, load_tag, save_db, save_tag
-from rfpop.app import netrun, tagfile
+from rfpop.app import files, netrun, tagfile
 from rfpop.app.netrun import TICK_SECONDS, reader_from_file, serve_reader, tag_run
 from rfpop.app.wire import (
     TYPE_RESULT_READER,
@@ -679,24 +679,27 @@ def test_tag_killed_mid_append_restarts_from_the_record_before(tmp_path, monkeyp
     so, and both sides accept its next session."""
     config = Config(mode=mode, impl=impl, tags=1, seed=f"net-torn-log-{mode}", timeout_ticks=4)
     db_path, tag_paths, _system = deploy(tmp_path, config)
-    # Every cut here tears a record; compaction has its own tests.
-    monkeypatch.setattr(tagfile, "TAG_LOG_CAP", 10**6)
     append = tagfile.TagLog.append
     torn = {"cut": None}
 
     def torn_append(self, state, key_version):
-        size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
-        append(self, state, key_version)
-        if torn["cut"] is not None:
-            os.truncate(self.path, size + torn["cut"])
-            raise TagKilled
+        # The first `cut` bytes of the record reach the log; nothing compacts.
+        if torn["cut"] is None:
+            return append(self, state, key_version)
+        record = tagfile._log_record(tagfile._tag_doc(self.mode, state, key_version))
+        files.append(self.path, record[: torn["cut"]])
+        raise TagKilled
 
     monkeypatch.setattr(tagfile.TagLog, "append", torn_append)
     # An impl2 tag appends before its round-1 and its round-3 reply.
-    record_size, appends = (41, 2) if impl == "impl2" else (38, 1)
-    box = start_server(db_path, sessions=1 + 2 * record_size)
+    appends = 2 if impl == "impl2" else 1
+    box = start_server(db_path, sessions=1)
     assert run_client(box, tag_paths[0], config)[0]["o_tag"] == 1
+    first = finish(box)
+    # A record is its body's length, its complement, the body and a CRC-32.
+    record_size = 8 + int.from_bytes(open(tag_paths[0] + ".log", "rb").read(2), "big")
     assert os.path.getsize(tag_paths[0] + ".log") == appends * record_size
+    box = start_server(db_path, sessions=2 * record_size)
     for cut in range(record_size):
         before = load_tag(tag_paths[0])
         torn["cut"] = cut
@@ -708,7 +711,7 @@ def test_tag_killed_mid_append_restarts_from_the_record_before(tmp_path, monkeyp
         client = run_client(box, tag_paths[0], config, announce=lines.append)
         assert (client[0]["o_tag"], client[0]["o_reader"]) == (1, 1)
         assert any(f"torn state-log tail of {cut} bytes" in line for line in lines) == (cut > 0)
-    server = finish(box)
+    server = first + finish(box)
     assert [r["o_reader"] for r in server] == [1] + [0, 1] * record_size
 
 

@@ -2,6 +2,7 @@
 compaction, stale logs."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -113,12 +114,16 @@ def test_every_bit_flip_of_a_whole_record_is_a_frame_error(config, tmp_path):
     path, _tag, _appended = tag_with_log(tmp_path, config, 2)
     log_path = tmp_path / "tag.json.log"
     whole = log_path.read_bytes()
-    for bit in range(8 * len(whole)):
-        damaged = bytearray(whole)
-        damaged[bit // 8] ^= 0x80 >> (bit % 8)
-        log_path.write_bytes(damaged)
-        with pytest.raises(FrameError, match="tag state log record"):
-            read_tag(path)
+    fd = os.open(log_path, os.O_WRONLY)
+    try:
+        for bit in range(8 * len(whole)):
+            at = bit // 8
+            os.pwrite(fd, bytes([whole[at] ^ (0x80 >> (bit % 8))]), at)
+            with pytest.raises(FrameError, match="tag state log record"):
+                read_tag(path)
+            os.pwrite(fd, whole[at : at + 1], at)
+    finally:
+        os.close(fd)
 
 
 def test_a_key_file_that_is_a_json_array_is_rejected(tmp_path):
@@ -128,14 +133,60 @@ def test_a_key_file_that_is_a_json_array_is_rejected(tmp_path):
         read_tag(str(path))
 
 
-def test_a_log_record_with_a_valid_checksum_and_a_malformed_body_is_rejected(tmp_path):
-    """One field where a record holds four, framed and checksummed as the
-    sink frames a record: the checksum passes and the body is refused."""
-    path, _tag, _appended = tag_with_log(tmp_path, Config(mode="ma"), 0)
-    body = pack_fields([b"x"])
+def log_record(body: bytes) -> bytes:
+    """`body` framed and checksummed as the sink frames a record."""
     framed = struct.pack(">HH", len(body), len(body) ^ 0xFFFF) + body
-    (tmp_path / "tag.json.log").write_bytes(framed + U32.pack(zlib.crc32(framed)))
+    return framed + U32.pack(zlib.crc32(framed))
+
+
+@pytest.mark.parametrize("config", LOG_CONFIGS, ids=lambda c: f"{c.mode}-{c.impl}")
+def test_each_log_record_body_is_the_key_file_document(config, tmp_path):
+    """A record's body is the document `save_tag` writes for the state the
+    record holds, as compact JSON."""
+    _path, _tag, appended = tag_with_log(tmp_path, config, 2)
+    data = (tmp_path / "tag.json.log").read_bytes()
+    copy = tmp_path / "copy.json"
+    start = 0
+    for state, key_version, end in appended:
+        save_tag(str(copy), config.mode, state, key_version)
+        body = data[start + 4 : end - 4]
+        assert log_record(body) == data[start:end]
+        assert json.loads(body) == json.loads(copy.read_text())
+        assert body == json.dumps(json.loads(body), sort_keys=True, separators=(",", ":")).encode()
+        start = end
+
+
+def test_a_log_record_with_a_valid_checksum_and_a_malformed_body_is_rejected(tmp_path):
+    """A body that is not JSON, framed and checksummed as the sink frames a
+    record: the checksum passes and the body is refused."""
+    path, _tag, _appended = tag_with_log(tmp_path, Config(mode="ma"), 0)
+    (tmp_path / "tag.json.log").write_bytes(log_record(pack_fields([b"x"])))
     with pytest.raises(FrameError, match="tag state log record 1 is malformed"):
+        read_tag(path)
+
+
+def test_a_log_in_the_earlier_binary_form_is_refused_as_malformed(tmp_path):
+    """A record in the binary body state logs once held (an 8-byte BLAKE2b
+    check over `tag_id` and `key`, then `ctr`, `key_version` and a spent
+    count as length-prefixed fields) is not read as a newer state: it is
+    refused, naming its record."""
+    path, tag, _appended = tag_with_log(tmp_path, Config(mode="ma"), 0)
+    state = tag.state
+    check = hashlib.blake2b(pack_fields([state.tag_id, state.key]), digest_size=8).digest()
+    body = pack_fields([check, bytes([state.ctr + 1]), b"\x01", b""])
+    (tmp_path / "tag.json.log").write_bytes(log_record(body))
+    with pytest.raises(FrameError, match="tag state log record 1 is malformed"):
+        read_tag(path)
+
+
+@pytest.mark.parametrize("name", ["tag.json", "tag.json.log"])
+def test_json_nested_too_deep_is_a_frame_error(name, tmp_path):
+    """A key file, or a checksummed log record, of JSON nested deeper than
+    the decoder recurses fails closed like any other damage."""
+    path, _tag, _appended = tag_with_log(tmp_path, Config(mode="ma"), 0)
+    deep = b"[" * 20000
+    (tmp_path / name).write_bytes(log_record(deep) if name.endswith(".log") else deep)
+    with pytest.raises(FrameError, match="is not JSON|is malformed"):
         read_tag(path)
 
 
