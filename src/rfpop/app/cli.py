@@ -164,6 +164,9 @@ def _cmd_setup(args) -> int:
                    for path in glob.glob(os.path.join(glob.escape(args.out), name)))
     if taken:
         raise RfpopError(f"{args.out} already holds a deployment: {', '.join(taken)}")
+    if config.seed == Config.seed:
+        print(f"warning: seed {config.seed!r} is the built-in default, so anyone can derive "
+              "this deployment's keys; set a secret seed in --config", file=sys.stderr)
     system = config.build_system(Rng(config.seed))
     os.makedirs(args.out, exist_ok=True)
     db_path = os.path.join(args.out, "reader.db")

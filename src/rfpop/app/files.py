@@ -2,9 +2,9 @@
 
 `write` replaces a file whole: it stages the bytes beside the file and renames
 them over it, so a crash mid-write leaves the previous file, or none, never a
-cut one. `append` adds bytes to the end of a file. Both create files with mode
-0600 whatever the umask, since a reader database and a tag key file hold
-secrets. `lock` keeps a second process off a file for as long as one holds
+cut one. `append` adds bytes to the end of a file, and `truncate` cuts bytes
+off it. `write` and `append` create files with mode 0600 whatever the umask,
+since a reader database and a tag key file hold secrets. `lock` keeps a second process off a file for as long as one holds
 it.
 
 Nothing calls `fsync` yet: a write survives a process crash but not a power
@@ -38,6 +38,11 @@ def append(path: str, data: bytes):
     with mode 0600."""
     with open(os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, _MODE), "ab", 0) as handle:
         handle.write(data)
+
+
+def truncate(path: str, size: int):
+    """Cut `path` to its first `size` bytes, in place."""
+    os.truncate(path, size)
 
 
 def lock(path: str):

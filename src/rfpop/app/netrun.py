@@ -105,7 +105,7 @@ def serve_reader(
         bind_port = config.port if port is None else check_port(port)
         reader.sink = lambda record: append_journal(db_path, config, record)
         if data.torn_bytes:
-            os.truncate(db_path, os.path.getsize(db_path) - data.torn_bytes)
+            files.truncate(db_path, os.path.getsize(db_path) - data.torn_bytes)
             announce(f"dropped a torn journal tail of {data.torn_bytes} bytes "
                      f"after session {len(data.journal)}")
         if rng is None:
@@ -190,7 +190,7 @@ def tag_run(
         peer_host = host if host is not None else config.host
         peer_port = config.port if port is None else check_port(port)
         if log.torn_bytes:
-            os.truncate(log.path, os.path.getsize(log.path) - log.torn_bytes)
+            files.truncate(log.path, os.path.getsize(log.path) - log.torn_bytes)
             announce(f"dropped a torn state-log tail of {log.torn_bytes} bytes "
                      f"after record {log.records}")
         if rng is None:

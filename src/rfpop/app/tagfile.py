@@ -139,14 +139,16 @@ def save_tag(path: str, mode: str, state, key_version: int = 0) -> bytes:
     text = json.dumps(_tag_doc(mode, state, key_version), indent=2, sort_keys=True) + "\n"
     data = files.write(path, text.encode("ascii"))
     with contextlib.suppress(FileNotFoundError):
-        os.truncate(path + _LOG_SUFFIX, 0)
+        files.truncate(path + _LOG_SUFFIX, 0)
     return data
 
 
 def lock_tag(path: str):
     """`files.lock` on a key file's state log, created empty if it is
     missing: compaction replaces the key file but only empties the log, so
-    the log is the file one tag process at a time may hold."""
+    the log is the file one tag process at a time may hold. A missing key
+    file is a FileNotFoundError, and no log is created beside it."""
+    os.stat(path)
     files.append(path + _LOG_SUFFIX, b"")
     return files.lock(path + _LOG_SUFFIX)
 

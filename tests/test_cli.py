@@ -15,7 +15,7 @@ from rfpop.app import cli, files
 from rfpop.app.cli import main
 from rfpop.app.config import Config, save_config
 from rfpop.app.dbfile import append_journal, load_db
-from rfpop.app.netrun import serve_reader
+from rfpop.app.netrun import serve_reader, tag_run
 from rfpop.app.tagfile import lock_tag
 from rfpop.pop import cred_gen
 from rfpop.primitives.rng import Rng
@@ -409,6 +409,32 @@ def test_setup_into_a_served_deployment_exits_2_and_touches_nothing(tmp_path, ca
     assert rc == 2
     assert stderr.startswith(f"error: {out} already holds a deployment: {out / 'reader.db'}, ")
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_setup_warns_about_the_default_seed(tmp_path, capsys):
+    """Every key derives from the seed, so a deployment built from the
+    built-in default can be derived by anyone: `setup` says so and still
+    writes it. A config with its own seed gets no warning."""
+    rc, _, stderr = run_cli(capsys, "setup", "--out", str(tmp_path / "default"))
+    assert rc == 0
+    assert stderr.startswith("warning: seed 'rfpop' is the built-in default") and stderr.count("\n") == 1
+    config = str(tmp_path / "config.json")
+    save_config(Config(seed="cli-own-seed"), config)
+    assert run_cli(capsys, "setup", "--config", config, "--out", str(tmp_path / "own"))[::2] == (0, "")
+
+
+def test_tag_run_on_a_missing_key_file_creates_no_file(tmp_path, capsys):
+    """`tag-run` on a key file that is not there fails before it creates the
+    file's state log, so a `setup` into that directory still runs."""
+    out = tmp_path / "deploy"
+    out.mkdir()
+    missing = out / "typo.json"
+    with pytest.raises(FileNotFoundError, match="typo.json"):
+        tag_run(str(missing), Config())
+    rc, _, stderr = run_cli(capsys, "tag-run", "--tag", str(missing))
+    assert (rc, stderr) == (2, f"error: [Errno 2] No such file or directory: '{missing}'\n")
+    assert list(out.iterdir()) == []
+    assert run_cli(capsys, "setup", "--out", str(out))[0] == 0
 
 
 @pytest.mark.parametrize("name", ["reader.db", "tag-007.json", "tag-000.json.log"])

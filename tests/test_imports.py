@@ -418,8 +418,8 @@ WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
 def write_sites(source: str) -> list[str]:
     """Lines that open a file for writing or appending (`open` with a mode
     that is not a read-only literal, `os.open` with a write flag), call
-    `os.replace` or `os.rename`, or call a `write_text` or `write_bytes`
-    method."""
+    `os.replace`, `os.rename`, `os.truncate` or `os.ftruncate`, or call a
+    `write_text` or `write_bytes` method."""
     hits = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -431,7 +431,7 @@ def write_sites(source: str) -> list[str]:
                          or set(m.value) & set("wax+") for m in modes)
         elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "os":
             flags = {n.attr for arg in node.args[1:2] for n in ast.walk(arg) if isinstance(n, ast.Attribute)}
-            writes = func.attr in ("replace", "rename") or (func.attr == "open" and bool(flags & WRITE_FLAGS))
+            writes = func.attr in ("replace", "rename", "truncate", "ftruncate") or (func.attr == "open" and bool(flags & WRITE_FLAGS))
         else:
             writes = isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes")
         if writes:
@@ -446,8 +446,8 @@ def test_only_the_files_module_writes_files():
     assert write_sites(
         'open(p, "wb")\nopen(p)\nopen(p, "rb")\nopen(p, mode="a")\nopen(p, m)\n'
         "os.open(p, os.O_RDONLY)\nos.open(p, os.O_WRONLY | os.O_CREAT)\nos.replace(a, b)\n"
-        'path.write_text("x")\nos.path.join(a, b)\n'
-    ) == ["line 1", "line 4", "line 5", "line 7", "line 8", "line 9"]
+        'path.write_text("x")\nos.path.join(a, b)\nos.truncate(p, 0)\nos.ftruncate(fd, 0)\n'
+    ) == ["line 1", "line 4", "line 5", "line 7", "line 8", "line 9", "line 11", "line 12"]
     found = {str(p.relative_to(SRC)): write_sites(p.read_text(encoding="utf-8")) for p in MODULES}
     writers = {path: lines for path, lines in found.items() if lines}
     assert "app/files.py" in writers
