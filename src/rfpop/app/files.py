@@ -4,8 +4,8 @@
 them over it, so a crash mid-write leaves the previous file, or none, never a
 cut one. `append` adds bytes to the end of a file, and `truncate` cuts bytes
 off it. `write` and `append` create files with mode 0600 whatever the umask,
-since a reader database and a tag key file hold secrets. `lock` keeps a second process off a file for as long as one holds
-it.
+since a reader database and a tag key file hold secrets. `lock` keeps a
+second process off a file for as long as one holds it.
 
 Nothing calls `fsync` yet: a write survives a process crash but not a power
 loss. That policy, when it is set, is set here.

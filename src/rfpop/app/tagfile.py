@@ -6,8 +6,9 @@ append-only state log sits beside it, `<key file>.log` (`TagLog`). Each log
 record's body is the key file document of a state the running tag commits, as
 compact JSON. `read_tag` takes the last whole record's document in place of
 the key file's; a record cut short at the end of the log is a torn tail, and
-any other damage, in the JSON or the log, is a `FrameError`. A running tag holds
-its log's lock (`lock_tag`), and a key file rewrite empties the log in place.
+any other damage, in the JSON or the log, is a `FrameError`. A running tag
+holds its log's lock (`lock_tag`), and a key file rewrite empties the log in
+place.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ class TagLog:
         for field in ("ctr", "key_version"):
             value = record.get(field)
             if type(value) is not int or value < 0:
-                raise FrameError(f"{name} is malformed: {field} is {value!r}, not a non-negative integer")
+                raise FrameError(f"{name} is malformed: {field} is {value!r}, "
+                                 "not a non-negative integer")
         if any(record.get(field) != doc.get(field) for field in ("mode", "tag_id", "key")):
             raise FrameError(f"{name} is for another tag key")
         if record["ctr"] < doc["ctr"] or record["key_version"] < doc["key_version"]:
@@ -191,9 +193,9 @@ def read_tag(path: str):
     key_version, log). The log's last whole record replaces the key file's
     document; a record cut off by the end of the log is dropped and counted in
     `log.torn_bytes`. A document that is not a JSON object of well-formed
-    fields is a FrameError. Lengths,
-    the counter's upper bound and the signer's scheme are not checked here:
-    the file does not say which config it runs under."""
+    fields is a FrameError. Lengths, the counter's upper bound and the
+    signer's scheme are not checked here: the file does not say which config
+    it runs under."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
