@@ -431,7 +431,8 @@ def write_sites(source: str) -> list[str]:
                          or set(m.value) & set("wax+") for m in modes)
         elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "os":
             flags = {n.attr for arg in node.args[1:2] for n in ast.walk(arg) if isinstance(n, ast.Attribute)}
-            writes = func.attr in ("replace", "rename", "truncate", "ftruncate") or (func.attr == "open" and bool(flags & WRITE_FLAGS))
+            writes = (func.attr in ("replace", "rename", "truncate", "ftruncate")
+                      or (func.attr == "open" and bool(flags & WRITE_FLAGS)))
         else:
             writes = isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes")
         if writes:

@@ -697,7 +697,8 @@ def test_tag_killed_mid_append_restarts_from_the_record_before(tmp_path, monkeyp
     assert run_client(box, tag_paths[0], config)[0]["o_tag"] == 1
     first = finish(box)
     # A record is its body's length, its complement, the body and a CRC-32.
-    record_size = 8 + int.from_bytes(open(tag_paths[0] + ".log", "rb").read(2), "big")
+    with open(tag_paths[0] + ".log", "rb") as handle:
+        record_size = 8 + int.from_bytes(handle.read(2), "big")
     assert os.path.getsize(tag_paths[0] + ".log") == appends * record_size
     box = start_server(db_path, sessions=2 * record_size)
     for cut in range(record_size):
