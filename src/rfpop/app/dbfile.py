@@ -3,14 +3,16 @@
 A database file starts with the magic ``RFPOP1``, a canonical-JSON metadata
 block (config, reader identity, reader signing key, public-key directory), and
 the initial reader records.  After the header the file is an append-only
-journal: one entry per terminated session recording the verdict and the
-record that session changed, if any.  `load_db` reads the entries into the
-same `History` a live reader keeps, so the database state after any journaled
-session `j` stays loadable for credential audits.
+journal: one record (`framing.frame`: a length, its complement, a body and a
+CRC-32) per terminated session.  An entry's body holds the whole session, so
+`load_db` reads the entries into a `History` equal to the one the live reader
+kept, and the database state after any journaled session `j`, and the
+credential of any accepted one, stay rebuildable from the file.
 
-An append cut short by a crash leaves a torn last entry.  `load_db` drops it
-and reports how many bytes it dropped; damage anywhere before the last entry
-is an error.
+An append cut short by a crash leaves a torn last record.  `load_db` drops it
+and reports how many bytes it dropped; a whole record with a bad length or
+checksum is a `FrameError` naming the entry.  A journal in the earlier,
+unframed form fails the same way, at its first entry.
 
 A record is stored as the length-prefixed fields its mode's `LAYOUTS` entry
 lists, in that order (4-byte big-endian prefixes, since K-time verifying keys
@@ -22,12 +24,18 @@ metadata entry; damage is a `FrameError` naming what is damaged.  The
 database of a mode that issues credentials (mapop) must hold the reader's
 signer, an Ed25519 one as `pop_setup` makes it, and the key directory.
 
-A journal entry stores its session's `via_step` as one byte; a session that
-closed without reaching a verdict step (timeout, out-of-space message, failed
-possession proof) has `via_step` None, stored as `VIA_STEP_NONE`.  An entry
-whose output or `via_step` byte is out of range, whose session mode is not
-the one its config's reader writes, that holds more than one changed record,
-or that names a tag no set-up record has, is a `FrameError` naming the entry.
+A journal entry's body is the length-prefixed fields `ENTRY_FIELDS` names.
+The session's `via_step` is one byte; a session that closed without reaching
+a verdict step (timeout, out-of-space message, failed possession proof) has
+`via_step` None, stored as `VIA_STEP_NONE`.  The record the session changed
+is stored as its tag id and counter: a session changes only its tag's counter
+and the index that counter gives, so `load_db` rebuilds the record from the
+tag's record before the session.  The checksum guards against damage; behind
+it, an entry with the wrong number of fields, a fixed-width field of the
+wrong width, an output or `via_step` byte out of range, a session mode or
+note that is not text, a session mode that is not the one its config's
+reader writes, or a tag no set-up record has is a `FrameError` naming the
+entry.
 
 Tag key files are `rfpop.app.tagfile`'s; `load_tag` and `save_tag` stay
 importable from here.
@@ -48,12 +56,15 @@ from rfpop.primitives.sig import FULLTIME, SIG_LEN, VerifyKey, signer_from_dict
 
 from rfpop.app import files
 from rfpop.app.config import Config, config_from_dict
-from rfpop.app.framing import LAYOUTS, U32, Cursor, Truncated, pack_fields
+from rfpop.app.framing import LAYOUTS, U32, Cursor, frame, pack_fields, unframe
 from rfpop.app.tagfile import load_tag, save_tag  # noqa: F401  (see the module docstring)
 
 MAGIC = b"RFPOP1"
-_JOURNAL_MARK = b"J"
 VIA_STEP_NONE = 0xFF
+# A journal entry's fields, in storage order: `changed_tag_id` and `ctr` are
+# the changed record's, each empty when the session changed none.
+ENTRY_FIELDS = ("j", "sid", "o_reader", "via_step", "mode", "tag_id", "note", "messages",
+                 "pop_nonce", "changed_tag_id", "ctr")
 
 
 def check_widths(params, fields: dict, what: str = "record"):
@@ -114,7 +125,7 @@ class DbFileData:
     history: History
     reader_signer: Optional[object] = None
     directory: Optional[KeyDirectory] = None
-    torn_bytes: int = 0  # length of the cut-short last journal entry load_db dropped
+    torn_bytes: int = 0  # length of the cut-short last journal record load_db dropped
 
     @property
     def initial(self) -> dict[bytes, object]:
@@ -153,7 +164,7 @@ def load_db(path: str) -> DbFileData:
         raise FrameError(f"{path} is not a reader database (bad magic)")
     try:
         meta = json.loads(cursor.blob().decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # not ASCII, not JSON, or nested too deep
         raise FrameError(f"corrupt metadata block: {exc}") from exc
     if not isinstance(meta, dict):
         raise FrameError("corrupt metadata block: not a JSON object")
@@ -170,23 +181,9 @@ def load_db(path: str) -> DbFileData:
         rec = decode_record(config.mode, params, cursor, keys)
         initial[rec.tag_id] = rec
     history = History(initial=initial)
-    torn_bytes = 0
-    while cursor.remaining:
-        start = cursor.pos
-        expect = len(history.sessions) + 1
-        try:
-            record = _read_journal_entry(cursor, config, params, keys, initial)
-        except Truncated:
-            # A crash mid-append cuts the last entry short.  Damage that makes
-            # an earlier entry run past the end leaves the next entry's
-            # header in the dropped bytes.
-            if data.find(_JOURNAL_MARK + U32.pack(expect + 1), start + 1) != -1:
-                raise FrameError(f"journal entry {expect} is corrupt") from None
-            torn_bytes = len(data) - start
-            break
-        if record.j != expect:
-            raise FrameError(f"journal entry {expect} carries j={record.j}")
-        history.append(record)
+    bodies, torn_bytes = unframe(data, cursor.pos, "journal entry")
+    for body in bodies:
+        history.append(_read_journal_entry(body, config, params, history))
     return DbFileData(
         config=config,
         reader_id=reader_id,
@@ -239,58 +236,64 @@ def _directory_from_dict(doc, keys: dict) -> KeyDirectory:
     return KeyDirectory(entries=entries)
 
 
-def _read_journal_entry(cursor: Cursor, config: Config, params, keys: dict,
-                        initial: dict) -> SessionRecord:
-    """One journal entry. An output byte other than 0/1, a via_step byte
-    other than 0, 1, 2 or VIA_STEP_NONE, a session mode other than the
-    `record_mode` of the config's protocol, more than one changed record or
-    a tag the set-up records lack is a FrameError naming the entry."""
-    if cursor.take(1) != _JOURNAL_MARK:
-        raise FrameError("corrupt journal marker")
-    j = cursor.u32()
-    sid = cursor.take(SID_BITS // 8)
-    o_reader = cursor.take(1)[0]
-    via_step = cursor.take(1)[0]
-    try:
-        mode = cursor.blob().decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FrameError(f"corrupt journal mode: {exc}") from exc
-    tag_id = cursor.blob() or None
-    count = cursor.u32()
-    if count > 1:
-        raise FrameError(f"journal entry {j} holds {count} changed records, not 0 or 1")
-    changed = decode_record(config.mode, params, cursor, keys) if count else None
+def _read_journal_entry(body: bytes, config: Config, params, history: History) -> SessionRecord:
+    """The session of the journal entry after `history`'s last, from its
+    record's body (see the module docstring for what fails it)."""
+    j = len(history.sessions) + 1
+    what = f"journal entry {j}"
+    fields = Cursor(body, what).fields()
+    if len(fields) != len(ENTRY_FIELDS):
+        raise FrameError(f"{what} holds {len(fields)} fields, not {len(ENTRY_FIELDS)}")
+    entry = dict(zip(ENTRY_FIELDS, fields))
+    changed_id = entry["changed_tag_id"]
+    widths = {"j": U32.size, "sid": SID_BITS // 8, "o_reader": 1, "via_step": 1,
+              "ctr": params.widths["ctr"] if changed_id else 0}
+    for name, size in widths.items():
+        if len(entry[name]) != size:
+            raise FrameError(f"{what} {name} is {len(entry[name])} bytes, not {size}")
+    if int.from_bytes(entry["j"], "big") != j:
+        raise FrameError(f"{what} carries j={int.from_bytes(entry['j'], 'big')}")
+    (o_reader,), (via_step,) = entry["o_reader"], entry["via_step"]
     if o_reader not in (0, 1):
-        raise FrameError(f"journal entry {j} has o_reader byte {o_reader}")
+        raise FrameError(f"{what} has o_reader byte {o_reader}")
     if via_step not in (0, 1, 2, VIA_STEP_NONE):
-        raise FrameError(f"journal entry {j} has via_step byte {via_step}")
+        raise FrameError(f"{what} has via_step byte {via_step}")
+    try:
+        mode, note = entry["mode"].decode("ascii"), entry["note"].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FrameError(f"{what} has a session mode or note that is not text: {exc}") from exc
     expected = LAYOUTS[config.mode].protocol.record_mode
     if mode != expected:
-        raise FrameError(f"journal entry {j} has session mode {mode!r}, not {expected!r}")
-    for tag in (tag_id, None if changed is None else changed.tag_id):
-        if tag is not None and tag not in initial:
-            raise FrameError(f"journal entry {j} names tag {tag.hex()}, "
-                             "which no set-up record has")
+        raise FrameError(f"{what} has session mode {mode!r}, not {expected!r}")
+    tag_id = entry["tag_id"] or None
+    for tag in (tag_id, changed_id):
+        if tag and tag not in history.initial:
+            raise FrameError(f"{what} names tag {tag.hex()}, which no set-up record has")
+    changed = None
+    if changed_id:
+        # The same derivation of the index as `decode_record` and `ma._accept`.
+        ctr = int.from_bytes(entry["ctr"], "big")
+        before = history.record_at(changed_id, j - 1)
+        indexed = "index" in LAYOUTS[config.mode].record.__dataclass_fields__
+        index = {"index": index_for(params, before.key, ctr)} if indexed else {}
+        changed = before.evolve(ctr=ctr, **index)
     return SessionRecord(
-        j=j, sid=sid, o_reader=o_reader, tag_id=tag_id, changed=changed,
-        via_step=None if via_step == VIA_STEP_NONE else via_step,
+        j=j, sid=entry["sid"], o_reader=o_reader, tag_id=tag_id,
+        messages=entry["messages"], pop_nonce=entry["pop_nonce"] or None, changed=changed,
+        via_step=None if via_step == VIA_STEP_NONE else via_step, note=note,
     )
 
 
 def append_journal(path: str, config: Config, session: SessionRecord):
-    """Append terminated session `session.j` to the file's snapshot journal."""
-    params = config.params()
-    parts = [
-        _JOURNAL_MARK,
-        U32.pack(session.j),
-        session.sid,
-        bytes([session.o_reader & 1]),
-        bytes([VIA_STEP_NONE if session.via_step is None else session.via_step]),
+    """Append terminated session `session.j` to the file's journal: one
+    record of its `ENTRY_FIELDS`."""
+    changed = session.changed
+    via_step = VIA_STEP_NONE if session.via_step is None else session.via_step
+    fields = [
+        U32.pack(session.j), session.sid, bytes([session.o_reader & 1]), bytes([via_step]),
+        LAYOUTS[config.mode].protocol.record_mode.encode("ascii"), session.tag_id or b"",
+        session.note.encode("utf-8"), session.messages, session.pop_nonce or b"",
+        b"" if changed is None else changed.tag_id,
+        b"" if changed is None else changed.ctr.to_bytes(config.params().widths["ctr"], "big"),
     ]
-    mode_blob = LAYOUTS[config.mode].protocol.record_mode.encode("ascii")
-    parts += [U32.pack(len(mode_blob)), mode_blob]
-    tag_blob = session.tag_id or b""
-    parts += [U32.pack(len(tag_blob)), tag_blob]
-    changed = () if session.changed is None else (session.changed,)
-    parts += [U32.pack(len(changed)), *(encode_record(config.mode, params, r) for r in changed)]
-    files.append(path, b"".join(parts))
+    files.append(path, frame(pack_fields(fields)))

@@ -1,11 +1,18 @@
 """What the reader database file and the tag files share: each mode's storage
-`Layout`, and length-prefixed byte fields. A list of fields is a 4-byte
-big-endian count, then each field as a 4-byte big-endian length and its
-bytes."""
+`Layout`, length-prefixed byte fields, and the checksummed record framing of
+the two append-only files.
+
+A list of fields is a 4-byte big-endian count, then each field as a 4-byte
+big-endian length and its bytes. A record (`frame`) is its body's length as a
+4-byte big-endian integer, that length XOR 0xFFFFFFFF, the body, and a CRC-32
+over all three, as LevelDB's log frames a record. The reader's journal holds
+one record per session (`dbfile.append_journal`) and a tag's state log one per
+committed state (`tagfile.TagLog`); `unframe` reads either back."""
 
 from __future__ import annotations
 
 import struct
+import zlib
 from typing import NamedTuple
 
 from rfpop.counterexample import CexProtocol, CexReaderRecord, CexTagState
@@ -14,6 +21,7 @@ from rfpop.ma import MaProtocol, MaReaderRecord, MaTagState
 from rfpop.pop import PopProtocol, PopReaderRecord, PopTagState
 
 U32 = struct.Struct(">I")
+HEAD = struct.Struct(">II")  # a record's body length, and the length XOR 0xFFFFFFFF
 
 
 class Layout(NamedTuple):
@@ -46,23 +54,47 @@ def pack_fields(fields: list[bytes]) -> bytes:
     return b"".join(out)
 
 
-class Truncated(FrameError):
-    """The data ended inside a field."""
+def frame(body: bytes) -> bytes:
+    """One record of `body`: its length and the length's complement, the
+    body, and a CRC-32 over all three."""
+    framed = HEAD.pack(len(body), len(body) ^ 0xFFFFFFFF) + body
+    return framed + U32.pack(zlib.crc32(framed))
+
+
+def unframe(data: bytes, pos: int, what: str) -> tuple[list[bytes], int]:
+    """The bodies of the whole records in `data[pos:]`, and the length of a
+    last record that runs past the end of the data (a torn tail, which an
+    append cut short leaves). A whole record with a bad length or a bad
+    checksum is a FrameError naming `what` and the record's number."""
+    bodies = []
+    while len(data) - pos >= HEAD.size:
+        size, inverse = HEAD.unpack_from(data, pos)
+        name = f"{what} {len(bodies) + 1}"
+        if size ^ inverse != 0xFFFFFFFF:
+            raise FrameError(f"{name} has a damaged length")
+        end = pos + HEAD.size + size + U32.size
+        if end > len(data):
+            break
+        if zlib.crc32(data[pos : end - U32.size]) != U32.unpack_from(data, end - U32.size)[0]:
+            raise FrameError(f"{name} fails its checksum")
+        bodies.append(data[pos + HEAD.size : end - U32.size])
+        pos = end
+    return bodies, len(data) - pos
 
 
 class Cursor:
-    def __init__(self, data: bytes, pos: int = 0):
-        self.data = data
-        self.pos = pos
+    """Reads fields off `data`; data that ends inside a field is a
+    FrameError saying that `what` is truncated."""
 
-    @property
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
+    def __init__(self, data: bytes, what: str = "database file"):
+        self.data = data
+        self.what = what
+        self.pos = 0
 
     def take(self, n: int) -> bytes:
         end = self.pos + n
         if end > len(self.data):
-            raise Truncated("database file truncated")
+            raise FrameError(f"{self.what} truncated")
         chunk, self.pos = self.data[self.pos : end], end
         return chunk
 

@@ -2,11 +2,12 @@
 
 A tag key file is a JSON document written whole (`save_tag`): the mode,
 `key_version` and each field of the mode's `LAYOUTS` tag state. An
-append-only state log sits beside it, `<key file>.log` (`TagLog`). Each log
-record's body is the key file document of a state the running tag commits, as
-compact JSON. `read_tag` takes the last whole record's document in place of
-the key file's; a record cut short at the end of the log is a torn tail, and
-any other damage, in the JSON or the log, is a `FrameError`. A running tag
+append-only state log sits beside it, `<key file>.log` (`TagLog`), of records
+framed by `framing.frame`. Each record's body is the key file document of a
+state the running tag commits, as compact JSON. `read_tag` takes the last
+whole record's document in place of the key file's; a record cut short at the
+end of the log is a torn tail, and any other damage, in the JSON or the log,
+is a `FrameError`. A running tag
 holds its log's lock (`lock_tag`), and a key file rewrite empties the log in
 place.
 """
@@ -16,15 +17,13 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import struct
-import zlib
 
 from rfpop.errors import FrameError
 from rfpop.primitives.sig import signer_from_dict
 
 from rfpop.app import files
 from rfpop.app.config import MODES
-from rfpop.app.framing import LAYOUTS, U32
+from rfpop.app.framing import LAYOUTS, frame, unframe
 
 TAG_LOG_CAP = 32
 """Whole records a tag's state log may hold before its sink compacts it into
@@ -32,7 +31,6 @@ the key file. Each `tag_run` checks every record once at start-up, so the cap
 bounds that work, and one JSON rewrite is shared by TAG_LOG_CAP appends."""
 
 _LOG_SUFFIX = ".log"
-_LOG_HEAD = struct.Struct(">HH")  # body length, and the length XOR 0xFFFF
 
 
 def _tag_doc(mode: str, state, key_version: int) -> dict:
@@ -51,11 +49,9 @@ def _tag_doc(mode: str, state, key_version: int) -> dict:
 
 
 def _log_record(doc: dict) -> bytes:
-    """One state log record: the body's length and its complement, the body
-    (the key file document `doc` as compact JSON) and a CRC-32 over both."""
-    body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
-    framed = _LOG_HEAD.pack(len(body), len(body) ^ 0xFFFF) + body
-    return framed + U32.pack(zlib.crc32(framed))
+    """One state log record: the key file document `doc` as compact JSON,
+    framed by `framing.frame`."""
+    return frame(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii"))
 
 
 class TagLog:
@@ -92,25 +88,13 @@ class TagLog:
                 data = handle.read()
         except FileNotFoundError:
             return doc
-        pos, last = 0, None
-        while len(data) - pos >= _LOG_HEAD.size:
-            size, inverse = _LOG_HEAD.unpack_from(data, pos)
-            number = self.records + 1
-            if size ^ inverse != 0xFFFF:
-                raise FrameError(f"tag state log record {number} has a damaged length")
-            end = pos + _LOG_HEAD.size + size + U32.size
-            if end > len(data):
-                break
-            if zlib.crc32(data[pos : end - U32.size]) != U32.unpack_from(data, end - U32.size)[0]:
-                raise FrameError(f"tag state log record {number} fails its checksum")
-            last = data[pos + _LOG_HEAD.size : end - U32.size]
-            self.records, pos = number, end
-        self.torn_bytes = len(data) - pos
-        if last is None:
+        bodies, self.torn_bytes = unframe(data, 0, "tag state log record")
+        self.records = len(bodies)
+        if not bodies:
             return doc
         name = f"tag state log record {self.records}"
         try:
-            record = json.loads(last)
+            record = json.loads(bodies[-1])
         except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise FrameError(f"{name} is malformed: {exc}") from exc
         if not isinstance(record, dict):

@@ -46,8 +46,7 @@ class InvalidChallenge(RfpopError):
 
 
 class UnknownSnapshot(RfpopError):
-    """A snapshot or session is out of range for the journal, or its messages
-    were not kept (sessions loaded from a database file)."""
+    """A snapshot or session is out of range for the journal."""
 
 
 class FrameError(RfpopError):

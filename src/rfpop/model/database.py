@@ -125,8 +125,8 @@ class SessionRecord:
     order; each has its round's `slots()` length, so a protocol's `slots()`
     splits them again. One `bytes` is one allocation, which the garbage
     collector never tracks. `changed` is the record the session changed, or
-    None. A database file stores no messages, `pop_nonce` or note, so a
-    record loaded from one leaves them empty: its `messages` is b""."""
+    None. A database file's journal keeps every field, so a record loaded
+    from one equals the live record it was written from."""
 
     j: int
     sid: bytes

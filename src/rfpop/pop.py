@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from rfpop.errors import FrameError, KTimeExhausted, PairPoolExhausted, UnknownSnapshot
+from rfpop.errors import FrameError, KTimeExhausted, PairPoolExhausted
 from rfpop.ma import (
     MaParams,
     MaProtocol,
@@ -324,13 +324,12 @@ def cred_gen(
 
     The tag's possession signature is recovered by recomputing the mask from
     the masking key in the tag's record as the session found it; it is never
-    stored. A session loaded from a database file has no messages to unmask,
-    so asking for its credential raises UnknownSnapshot."""
+    stored. A history loaded from a database file keeps every session's
+    messages and nonce, so a restarted reader rebuilds the credential of any
+    journaled session as the live one did."""
     record = reader.history.session(j)
     if record.o_reader != 1 or record.tag_id is None:
         return None
-    if not record.messages:
-        raise UnknownSnapshot(f"session {j} was loaded from a journal, which keeps no messages")
     tag_record = reader.history.record_at(record.tag_id, j - 1)
     nonce = record.pop_nonce
     issuer_sig = reader_signer.sign(nonce)

@@ -2,12 +2,14 @@
 
 import builtins
 import json
+import os
 from dataclasses import replace
 
 import pytest
 
 from rfpop.app.config import Config
 from rfpop.app.dbfile import (
+    ENTRY_FIELDS,
     MAGIC,
     VIA_STEP_NONE,
     append_journal,
@@ -20,7 +22,7 @@ from rfpop.app.dbfile import (
     save_tag,
     tag_fields,
 )
-from rfpop.app.framing import Cursor
+from rfpop.app.framing import Cursor, frame, pack_fields, unframe
 from rfpop.errors import FrameError, UnknownSnapshot
 from rfpop.model.types import Msg
 from rfpop.primitives.rng import Rng
@@ -84,7 +86,7 @@ def test_decode_record_inverts_encode_record(config):
         blob = encode_record(config.mode, params, rec)
         cursor = Cursor(blob)
         first = decode_record(config.mode, params, cursor, keys)
-        assert first == rec and cursor.remaining == 0
+        assert first == rec and cursor.pos == len(blob)
         if config.mode == "mapop":
             again = decode_record(config.mode, params, Cursor(blob), keys)
             assert again.verify_key is first.verify_key is keys[rec.verify_key]
@@ -173,9 +175,9 @@ def test_journal_records_session_metadata(tmp_path):
 
 
 def test_journal_tells_a_timeout_from_a_no_match_reject(tmp_path):
-    """A session closed without a verdict step (via_step None) and a reply
-    that matched no record (via_step 0) load back apart; a file that stores 0
-    for both, as earlier versions wrote it, still loads."""
+    """A session closed without a verdict step (via_step None, stored as
+    VIA_STEP_NONE) and a reply that matched no record (via_step 0) load back
+    apart, each with its note."""
     config = Config(mode="ma", tags=2)
     system = build(config)
     path = tmp_path / "v.db"
@@ -189,14 +191,8 @@ def test_journal_tells_a_timeout_from_a_no_match_reject(tmp_path):
     assert [(r.via_step, r.note) for r in reader.history.sessions] == [(None, "timeout"), (0, "")]
     for j in (1, 2):
         append_journal(str(path), config, reader.history.session(j))
-    assert [e.via_step for e in load_db(str(path)).journal] == [None, 0]
-
-    blob = bytearray(path.read_bytes())
-    via_step_at = header + 1 + 4 + 16 + 1  # marker, j, sid, o_R
-    assert blob[via_step_at] == VIA_STEP_NONE
-    blob[via_step_at] = 0
-    path.write_bytes(bytes(blob))
-    assert [e.via_step for e in load_db(str(path)).journal] == [0, 0]
+    assert [(e.via_step, e.note) for e in load_db(str(path)).journal] == [(None, "timeout"), (0, "")]
+    assert entry_fields(path, header)["via_step"] == bytes([VIA_STEP_NONE])
 
 
 def test_load_rejects_corrupt_files(tmp_path):
@@ -341,76 +337,117 @@ def test_load_drops_torn_last_entry(tmp_path, kept):
     assert loaded.history.db_at(complete) == system.reader.history.db_at(complete)
 
 
+def test_every_bit_flip_of_the_journal_is_a_frame_error(tmp_path):
+    """Flip each bit of a three-entry mapop journal in turn (a Step-1
+    session, a Step-2 session and a timeout): none loads as another history,
+    and none is mistaken for a torn tail."""
+    config = Config(mode="mapop", tags=2)
+    system = build(config)
+    path = tmp_path / "f.db"
+    write_db(path, config, system)
+    header = path.stat().st_size
+    reader, rng, tag = system.reader, system.rng, system.tag(system.first_tag_id())
+    system.run_honest()
+    tag.step(rng.take_bits(128), Msg(0, rng.take_bytes(system.protocol.slots()[0])), rng)
+    system.run_honest()
+    reader.start(rng)
+    reader.timeout()
+    assert [(r.o_reader, r.via_step) for r in reader.history.sessions] == [(1, 1), (1, 2), (0, None)]
+    for record in reader.history.sessions:
+        append_journal(str(path), config, record)
+    whole = path.read_bytes()
+    fd = os.open(path, os.O_WRONLY)
+    try:
+        for bit in range(8 * header, 8 * len(whole)):
+            at = bit // 8
+            os.pwrite(fd, bytes([whole[at] ^ (0x80 >> (bit % 8))]), at)
+            with pytest.raises(FrameError, match="journal entry"):
+                load_db(str(path))
+            os.pwrite(fd, whole[at : at + 1], at)
+    finally:
+        os.close(fd)
+
+
 def test_entry_running_past_the_end_mid_file_is_corrupt(tmp_path):
-    """A damaged length prefix in entry 1 makes it overrun the file; entry 2
-    follows it, so this is not a torn tail."""
+    """A damaged length in entry 1 would make it overrun the file, but the
+    length's complement no longer matches, so this is not a torn tail."""
     path, sizes, _system = journaled(tmp_path, sessions=2)
     blob = bytearray(path.read_bytes())
-    mode_len_at = sizes[0] + 1 + 4 + 16 + 1 + 1  # marker, j, sid, o_R, via_step
-    blob[mode_len_at : mode_len_at + 4] = b"\xff\xff\xff\xff"
+    blob[sizes[0] : sizes[0] + 4] = b"\xff\xff\xff\xff"
     path.write_bytes(bytes(blob))
-    with pytest.raises(FrameError, match="entry 1 is corrupt"):
+    with pytest.raises(FrameError, match="journal entry 1 has a damaged length"):
         load_db(str(path))
 
 
 def test_non_ascii_session_mode_is_corrupt(tmp_path):
     path, sizes, _system = journaled(tmp_path, sessions=1)
-    blob = bytearray(path.read_bytes())
-    blob[sizes[0] + 1 + 4 + 16 + 1 + 1 + 4] = 0xC3  # first byte of the mode
-    path.write_bytes(bytes(blob))
+    rewrite_entry(path, sizes[0], lambda entry: {**entry, "mode": b"\xc3a"})
     with pytest.raises(FrameError, match="mode"):
         load_db(str(path))
 
 
-JOURNAL_DAMAGE = ["o_reader 7", "via_step 9", "mode za", "unknown session tag and changed record",
-                  "unknown session tag", "unknown changed record"]
+def entry_fields(path, header, n=0) -> dict:
+    """Journal entry n+1 of the file whose header ends at byte `header`, as
+    its fields by name."""
+    bodies, _torn = unframe(path.read_bytes(), header, "journal entry")
+    return dict(zip(ENTRY_FIELDS, Cursor(bodies[n]).fields()))
+
+
+def rewrite_entry(path, header, change, n=0):
+    """Replace journal entry n+1 by change(its fields by name), framed with a
+    valid checksum, so the damage reaches the entry checks."""
+    blob = path.read_bytes()
+    bodies, _torn = unframe(blob, header, "journal entry")
+    entry = dict(zip(ENTRY_FIELDS, Cursor(bodies[n]).fields()))
+    bodies[n] = pack_fields(list(change(entry).values()))
+    path.write_bytes(blob[:header] + b"".join(map(frame, bodies)))
+
+
+JOURNAL_DAMAGE = {
+    "o_reader 7": ({"o_reader": b"\x07"}, "has o_reader byte 7"),
+    "via_step 9": ({"via_step": b"\x09"}, "has via_step byte 9"),
+    "mode za": ({"mode": b"za"}, "has session mode 'za', not 'ma'"),
+    "j 2": ({"j": (2).to_bytes(4, "big")}, "carries j=2"),
+    "3-byte j": ({"j": b"\x00\x00\x01"}, "j is 3 bytes, not 4"),
+    "15-byte sid": ({"sid": bytes(15)}, "sid is 15 bytes, not 16"),
+    "2-byte o_reader": ({"o_reader": b"\x01\x01"}, "o_reader is 2 bytes, not 1"),
+    "empty via_step": ({"via_step": b""}, "via_step is 0 bytes, not 1"),
+    "31-byte ctr": ({"ctr": bytes(31)}, "ctr is 31 bytes, not 32"),
+    "ctr with no changed record": ({"changed_tag_id": b""}, "ctr is 32 bytes, not 0"),
+    "note not UTF-8": ({"note": b"\xff"}, "has a session mode or note that is not text"),
+    "unknown session tag and changed record": ({"tag_id": "stranger", "changed_tag_id": "stranger"},
+                                               "names tag .*, which no set-up record has"),
+    "unknown session tag": ({"tag_id": "stranger"}, "names tag"),
+    "unknown changed record": ({"changed_tag_id": "stranger"}, "names tag"),
+}
 
 
 @pytest.mark.parametrize("damage", JOURNAL_DAMAGE)
 def test_journal_entry_the_reader_cannot_write_is_corrupt(tmp_path, damage):
-    """An entry loads only with what a reader writes: o_reader 0 or 1,
-    via_step 0, 1, 2 or none, its config's session mode (`ma` here), and
-    tags among the set-up records."""
+    """An entry loads only with what a reader writes: fixed-width fields of
+    their width, its own session number, o_reader 0 or 1, via_step 0, 1, 2 or
+    none, its config's session mode (`ma` here), a UTF-8 note, and tags among
+    the set-up records. Each damaged entry is framed with a valid checksum,
+    so these checks are what refuse it."""
     path, sizes, system = journaled(tmp_path, sessions=1)
     record = system.reader.history.session(1)
-    tag = record.tag_id
-    stranger = bytes(b ^ 0xFF for b in tag)
-    assert record.changed.tag_id == tag and stranger not in system.tags
-    moved = replace(record.changed, tag_id=stranger)
-    blob = bytearray(path.read_bytes())
-    o_reader_at = sizes[0] + 1 + 4 + 16  # marker, j, sid
-    if damage == "o_reader 7":
-        blob[o_reader_at] = 7
-    elif damage == "via_step 9":
-        blob[o_reader_at + 1] = 9
-    elif damage == "mode za":
-        mode_at = o_reader_at + 2 + 4  # o_R, via_step, the mode's length
-        assert blob[mode_at : mode_at + 2] == b"ma"
-        blob[mode_at] = ord("z")
-    else:
-        blob = blob[: sizes[0]]
-    path.write_bytes(bytes(blob))
-    if damage.startswith("unknown"):
-        if "session tag" in damage:
-            record = replace(record, tag_id=stranger)
-        if "changed record" in damage:
-            record = replace(record, changed=moved)
-        append_journal(str(path), Config(mode="ma", tags=2), record)
-    with pytest.raises(FrameError, match="journal entry 1"):
+    stranger = bytes(b ^ 0xFF for b in record.tag_id)
+    assert record.changed.tag_id == record.tag_id and stranger not in system.tags
+    changes, error = JOURNAL_DAMAGE[damage]
+    changes = {name: stranger if value == "stranger" else value for name, value in changes.items()}
+    rewrite_entry(path, sizes[0], lambda entry: {**entry, **changes})
+    with pytest.raises(FrameError, match=f"journal entry 1 {error}"):
         load_db(str(path))
 
 
 def test_journal_entry_with_two_changed_records_is_corrupt(tmp_path):
-    """A session changes at most one record, so an entry whose changed-record
-    count is 2 (here: the one record, stored twice) does not load."""
-    path, sizes, system = journaled(tmp_path, sessions=1)
-    tag = system.reader.history.session(1).tag_id
-    blob = path.read_bytes()
-    count_at = sizes[0] + 1 + 4 + 16 + 1 + 1 + 4 + 2 + 4 + len(tag)  # ... mode "ma", tag
-    assert blob[count_at : count_at + 4] == (1).to_bytes(4, "big")
-    record = blob[count_at + 4 : sizes[1]]
-    path.write_bytes(blob[:count_at] + (2).to_bytes(4, "big") + record + record)
-    with pytest.raises(FrameError, match="journal entry 1 holds 2 changed records"):
+    """A session changes at most one record, so an entry that stores the
+    changed record's tag id and counter twice holds two fields too many and
+    does not load."""
+    path, sizes, _system = journaled(tmp_path, sessions=1)
+    rewrite_entry(path, sizes[0], lambda entry: {
+        **entry, "again_tag_id": entry["changed_tag_id"], "again_ctr": entry["ctr"]})
+    with pytest.raises(FrameError, match="journal entry 1 holds 13 fields, not 11"):
         load_db(str(path))
 
 

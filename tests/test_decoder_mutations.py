@@ -5,10 +5,14 @@ byte run, or a splice of two valid encodings. The frame and credential
 decoders may reject a mutant only with FrameError. A credential they accept
 must re-encode to the same bytes; the frame decoder reads a stream, so a
 mutant it accepts must start with the frame's re-encoding. A reader database
-file may be rejected only with a FrameError (Truncated is one); the JSON
-blocks of a config (ConfigError) and a signer (ValueError), and a curve point
-(ValueError), each only with the error their decoder names; a signature check
-on a mutated key or signature only answers a bool.
+file may be rejected only with a FrameError. Its journal entries are
+checksummed records, so a mutant that leaves the header whole either fails
+with a FrameError or loads a prefix of the journal (a cut one, or one whose
+last record the mutant cut short); the header is not checksummed, so a
+mutant of the header may load as another database. The JSON blocks of a
+config (ConfigError) and a signer (ValueError), and a curve point
+(ValueError), are each rejected only with the error their decoder names; a
+signature check on a mutated key or signature only answers a bool.
 """
 
 import io
@@ -118,32 +122,40 @@ DB_CONFIGS = [
 ]
 
 
-def journaled_db(config: Config, path) -> bytes:
-    """A set-up reader database with a journal of three sessions."""
+def journaled_db(config: Config, path) -> tuple[bytes, int]:
+    """A set-up reader database with a journal of three sessions, and the
+    length of its header (everything before the journal)."""
     system = config.build_system(Rng("db-mutants"), config.tags)
     save_db(str(path), config, list(system.reader.db.records_ascending()),
             reader_id=system.reader.reader_id, reader_signer=system.reader_signer,
             directory=system.directory)
+    header = path.stat().st_size
     for j, tag_id in enumerate(system.tag_ids() + system.tag_ids()[:1], start=1):
         system.run_honest(tag_id)
         append_journal(str(path), config, system.reader.history.session(j))
-    return path.read_bytes()
+    return path.read_bytes(), header
 
 
 @pytest.mark.parametrize("config", DB_CONFIGS, ids=lambda c: f"{c.mode}-{c.impl}")
 def test_database_loader_mutants(config, tmp_path):
-    blob = journaled_db(config, tmp_path / "reader.db")
-    assert len(load_db(str(tmp_path / "reader.db")).journal) == 3
+    blob, header = journaled_db(config, tmp_path / "reader.db")
+    sessions = load_db(str(tmp_path / "reader.db")).journal
+    assert len(sessions) == 3
     rnd = random.Random(f"db-mutants-{config.mode}-{config.impl}")
     path = tmp_path / "mutant.db"
     rejected = 0
     for _ in range(MUTANTS):
-        path.write_bytes(mutate(rnd, blob, [blob]))
+        mutant = mutate(rnd, blob, [blob])
+        path.write_bytes(mutant)
         try:
-            load_db(str(path))
-        except FrameError:  # Truncated included
+            loaded = load_db(str(path)).journal
+        except FrameError:
             rejected += 1
-    # Some mutants load: nothing in the file is checksummed.
+            continue
+        if mutant[:header] == blob[:header]:
+            assert loaded == sessions[: len(loaded)]
+    # Some mutants load: the header is not checksummed, and a cut journal
+    # loads its whole entries.
     assert 0 < rejected < MUTANTS
 
 

@@ -272,9 +272,9 @@ def test_tag_files_after_sessions_are_pinned(name, tmp_path):
 
 
 GOLDEN_JOURNALS = {
-    "ma": "6e57bc0261a3786718a63381a599793f5d09591b7a8f235a06f1d2abd0c65221",
-    "cex": "cceb272257642107ba8484498493ef8629a7a1c94f5746ccd3d04e43353fab3d",
-    "mapop-impl1": "51ee74e72beded802533278cb022fba93f0b654b6369591d8c30cfa6f9e2fc5d",
+    "ma": "f56226217e67b1a18325ab6a86ad20376813fe0018ef2c6bfb7f4a85309ff061",
+    "cex": "430435de0071bda010c2e17979b45b1cb4bc60217f6df146a8a9e4b8f9c2e171",
+    "mapop-impl1": "776a35d8b932ee4ecc8e76b7c6b25232f24e82da86d2d94ae1ee045b58736f1d",
 }
 
 

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from rfpop.app.config import Config
 from rfpop.app.dbfile import append_journal, load_db, save_db
 from rfpop.app.netrun import reader_from_file
-from rfpop.errors import UnknownSnapshot
-from rfpop.model.session import run_honest_session
+from rfpop.model.session import relay, run_honest_session
 from rfpop.model.types import Msg
 from rfpop.pop import cred_gen
+from rfpop.primitives.bitstring import flip_bit
 
 TAGS = 3
 MODES = st.sampled_from(["ma", "mapop", "cex"])
@@ -102,8 +102,8 @@ def test_loaded_journal_agrees_with_full_replay(mode, actions):
 def test_restarted_reader_matches_an_uninterrupted_twin(order, restart_at):
     """Sessions journaled, the reader restarted from its file, then more
     sessions: every credential the restarted reader issues is byte-for-byte
-    the twin's, and the pre-restart snapshots do not move.  The file keeps
-    no messages, so a pre-restart session's credential cannot be rebuilt."""
+    the twin's, so is every pre-restart session's credential it rebuilds from
+    the file, and the pre-restart snapshots do not move."""
     restart_at %= len(order)
     config = Config(mode="mapop", tags=2, seed="journal-restart")
     system = config.build_system()
@@ -126,9 +126,10 @@ def test_restarted_reader_matches_an_uninterrupted_twin(order, restart_at):
             theirs = cred_gen(config.pop_params(), twin.reader, twin.reader_signer, n + 1)
             assert mine.encode() == theirs.encode()
         after = load_db(path).history
-    if restart_at:
-        with pytest.raises(UnknownSnapshot):
-            cred_gen(config.pop_params(), reader, reader.protocol.reader_signer, 1)
+    for j in range(1, restart_at + 1):
+        mine = cred_gen(config.pop_params(), reader, reader.protocol.reader_signer, j)
+        theirs = cred_gen(config.pop_params(), twin.reader, twin.reader_signer, j)
+        assert mine.encode() == theirs.encode()
     for j, image in before.items():
         assert after.db_at(j) == image
     for j in range(len(order) + 1):
@@ -157,3 +158,73 @@ def test_records_are_frozen_values(mode, tmp_path):
     stranger = dataclasses.replace(reader.db.get(tag_id), tag_id=b"\xff" * len(tag_id))
     with pytest.raises(KeyError, match="unknown tag id"):
         reader.db.put(stranger)
+
+
+def end_each_way(system):
+    """For each tag, a session that ends each way a reader session can end:
+    through Step 1; through Step 2 after a stray challenge (cex rejects
+    there); on a reply that matches no record; on a timeout; on a message
+    outside the round space; and, for mapop, on a failed possession proof."""
+    reader, rng = system.reader, system.rng
+    slots = system.protocol.slots()
+    for tag_id in system.tag_ids():
+        tag = system.tag(tag_id)
+        run_honest_session(reader, tag, rng)
+        tag.step(rng.take_bits(128), Msg(0, rng.take_bytes(slots[0])), rng)
+        run_honest_session(reader, tag, rng)
+        sid, _ = reader.start(rng)
+        reader.step(sid, Msg(1, bytes(slots[1])), rng)
+        reader.start(rng)
+        reader.timeout()
+        sid, _ = reader.start(rng)
+        reader.step(sid, Msg(1, b"short"), rng)
+        if len(slots) == 4:
+            sid, challenge = reader.start(rng)
+
+            def to_reader(msg, sid=sid):
+                return reader.step(sid, Msg(3, flip_bit(msg.payload, 0)) if msg.round == 3 else msg, rng)
+
+            relay(sid, challenge, lambda msg, sid=sid: tag.step(sid, msg, rng), to_reader)
+
+
+LOADED_CONFIGS = [
+    Config(mode="ma", tags=2, seed="journal-equal"),
+    Config(mode="cex", tags=2, seed="journal-equal"),
+    Config(mode="mapop", impl="impl1", tags=2, seed="journal-equal"),
+    Config(mode="mapop", impl="impl3", K=8, lifetime=8, tags=2, seed="journal-equal"),
+]
+
+
+@pytest.mark.parametrize("config", LOADED_CONFIGS, ids=lambda c: f"{c.mode}-{c.impl}")
+def test_a_loaded_journal_equals_the_live_one(config, tmp_path):
+    """Every session, however it ended, loads back equal to the live record:
+    its note, messages, possession nonce and changed record included."""
+    system = config.build_system()
+    path = str(tmp_path / "reader.db")
+    save(path, config, system)
+    end_each_way(system)
+    live = system.reader.history
+    notes = {record.note for record in live.sessions}
+    assert {"timeout", "message outside expected round space"} <= notes
+    assert ("possession proof invalid" in notes) == (config.mode == "mapop")
+    for record in live.sessions:
+        append_journal(path, config, record)
+    loaded = load_db(path).history
+    assert loaded.sessions == live.sessions
+    assert loaded.changed_in == live.changed_in
+
+
+def test_an_impl3_entry_does_not_grow_with_k(tmp_path):
+    """An entry stores the changed record as its tag and counter, so an impl3
+    entry does not carry the tag's K-time verifying key."""
+    sizes = []
+    for k in (4, 64):
+        config = Config(mode="mapop", impl="impl3", K=k, lifetime=4, tags=1, seed="journal-k")
+        system = config.build_system()
+        path = tmp_path / f"k{k}.db"
+        save(str(path), config, system)
+        header = path.stat().st_size
+        system.run_honest()
+        append_journal(str(path), config, system.reader.history.session(1))
+        sizes.append(path.stat().st_size - header)
+    assert sizes[0] == sizes[1]

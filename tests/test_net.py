@@ -16,7 +16,7 @@ import pytest
 
 from rfpop.app.config import Config
 from rfpop.app.dbfile import load_db, load_tag, save_db, save_tag
-from rfpop.app import files, netrun, tagfile
+from rfpop.app import files, framing, netrun, tagfile
 from rfpop.app.netrun import TICK_SECONDS, reader_from_file, serve_reader, tag_run
 from rfpop.app.wire import (
     TYPE_RESULT_READER,
@@ -29,7 +29,7 @@ from rfpop.app.wire import (
     result_frame,
     result_value,
 )
-from rfpop.errors import FrameError, RfpopError, UnknownSnapshot
+from rfpop.errors import FrameError, RfpopError
 from rfpop.model.session import run_honest_session
 from rfpop.pop import Credential, PopParams, cred_gen, cred_veri
 from rfpop.primitives.bitstring import flip_bit
@@ -555,8 +555,9 @@ def test_reader_killed_before_its_append_resyncs_through_step_two(tmp_path, monk
 def test_reader_killed_after_its_append_resumes_on_step_one(tmp_path, monkeypatch):
     """The reader journaled session 1 and died before sending its verdict and
     credential.  Reader and tag agree on the counter, so the restarted reader
-    accepts the next session through Step 1 as session 2.  The credential the
-    crash withheld is lost: the journal keeps no messages to rebuild it from."""
+    accepts the next session through Step 1 as session 2.  The journal keeps
+    the session whole, so the restarted reader rebuilds the credential the
+    crash withheld, and it verifies."""
     crashed, client, server, deployment = crash_then_restart(
         tmp_path, monkeypatch, "net-kill-after-append", after_write=True)
     config, db_path, tag_paths, system = deployment
@@ -569,8 +570,9 @@ def test_reader_killed_after_its_append_resumes_on_step_one(tmp_path, monkeypatc
     assert data.journal[0].o_reader == 1
     _mode, state, _version = load_tag(tag_paths[0])
     assert data.history.db_at(2)[system.first_tag_id()].ctr == state.ctr == 3
-    with pytest.raises(UnknownSnapshot, match="keeps no messages"):
-        cred_gen(config.pop_params(), reader, data.reader_signer, 1)
+    withheld = cred_gen(config.pop_params(), reader, data.reader_signer, 1)
+    assert withheld.tag_id == system.first_tag_id()
+    assert cred_veri(config.pop_params(), data.directory, withheld) == 1
     cred = Credential.decode(bytes.fromhex(client["credential"]))
     assert cred_veri(config.pop_params(), data.directory, cred) == 1
 
@@ -698,7 +700,8 @@ def test_tag_killed_mid_append_restarts_from_the_record_before(tmp_path, monkeyp
     first = finish(box)
     # A record is its body's length, its complement, the body and a CRC-32.
     with open(tag_paths[0] + ".log", "rb") as handle:
-        record_size = 8 + int.from_bytes(handle.read(2), "big")
+        body_size, _complement = framing.HEAD.unpack(handle.read(framing.HEAD.size))
+    record_size = framing.HEAD.size + body_size + framing.U32.size
     assert os.path.getsize(tag_paths[0] + ".log") == appends * record_size
     box = start_server(db_path, sessions=2 * record_size)
     for cut in range(record_size):

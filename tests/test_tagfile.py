@@ -6,13 +6,12 @@ import hashlib
 import json
 import os
 import random
-import struct
 import zlib
 
 import pytest
 
 from rfpop.app.config import Config
-from rfpop.app.framing import U32, pack_fields
+from rfpop.app.framing import HEAD, U32, frame, pack_fields, unframe
 from rfpop.app.tagfile import TAG_LOG_CAP, load_tag, read_tag, save_tag
 from rfpop.errors import FrameError
 from rfpop.primitives.rng import Rng
@@ -133,10 +132,18 @@ def test_a_key_file_that_is_a_json_array_is_rejected(tmp_path):
         read_tag(str(path))
 
 
-def log_record(body: bytes) -> bytes:
-    """`body` framed and checksummed as the sink frames a record."""
-    framed = struct.pack(">HH", len(body), len(body) ^ 0xFFFF) + body
-    return framed + U32.pack(zlib.crc32(framed))
+def test_a_record_is_a_length_its_complement_the_body_and_a_crc():
+    """`frame` writes one record as a 4-byte big-endian length, the length
+    XOR 0xFFFFFFFF, the body and a CRC-32 over all three; `unframe` reads the
+    bodies back and counts a last record cut short as a torn tail."""
+    head = (3).to_bytes(4, "big") + (0xFFFFFFFC).to_bytes(4, "big")
+    record = head + b"abc" + U32.pack(zlib.crc32(head + b"abc"))
+    assert frame(b"abc") == record and HEAD.size == 8
+    assert unframe(b"xy" + record + frame(b"") + record[:-1], 2, "record") == ([b"abc", b""], 14)
+    with pytest.raises(FrameError, match="record 2 fails its checksum"):
+        unframe(record + record[:-1] + b"\x00", 0, "record")
+    with pytest.raises(FrameError, match="record 1 has a damaged length"):
+        unframe((2).to_bytes(4, "big") + record[4:], 0, "record")
 
 
 @pytest.mark.parametrize("config", LOG_CONFIGS, ids=lambda c: f"{c.mode}-{c.impl}")
@@ -149,8 +156,8 @@ def test_each_log_record_body_is_the_key_file_document(config, tmp_path):
     start = 0
     for state, key_version, end in appended:
         save_tag(str(copy), config.mode, state, key_version)
-        body = data[start + 4 : end - 4]
-        assert log_record(body) == data[start:end]
+        body = data[start + HEAD.size : end - U32.size]
+        assert frame(body) == data[start:end]
         assert json.loads(body) == json.loads(copy.read_text())
         assert body == json.dumps(json.loads(body), sort_keys=True, separators=(",", ":")).encode()
         start = end
@@ -160,7 +167,7 @@ def test_a_log_record_with_a_valid_checksum_and_a_malformed_body_is_rejected(tmp
     """A body that is not JSON, framed and checksummed as the sink frames a
     record: the checksum passes and the body is refused."""
     path, _tag, _appended = tag_with_log(tmp_path, Config(mode="ma"), 0)
-    (tmp_path / "tag.json.log").write_bytes(log_record(pack_fields([b"x"])))
+    (tmp_path / "tag.json.log").write_bytes(frame(pack_fields([b"x"])))
     with pytest.raises(FrameError, match="tag state log record 1 is malformed"):
         read_tag(path)
 
@@ -174,7 +181,7 @@ def test_a_log_in_the_earlier_binary_form_is_refused_as_malformed(tmp_path):
     state = tag.state
     check = hashlib.blake2b(pack_fields([state.tag_id, state.key]), digest_size=8).digest()
     body = pack_fields([check, bytes([state.ctr + 1]), b"\x01", b""])
-    (tmp_path / "tag.json.log").write_bytes(log_record(body))
+    (tmp_path / "tag.json.log").write_bytes(frame(body))
     with pytest.raises(FrameError, match="tag state log record 1 is malformed"):
         read_tag(path)
 
@@ -185,7 +192,7 @@ def test_json_nested_too_deep_is_a_frame_error(name, tmp_path):
     the decoder recurses fails closed like any other damage."""
     path, _tag, _appended = tag_with_log(tmp_path, Config(mode="ma"), 0)
     deep = b"[" * 20000
-    (tmp_path / name).write_bytes(log_record(deep) if name.endswith(".log") else deep)
+    (tmp_path / name).write_bytes(frame(deep) if name.endswith(".log") else deep)
     with pytest.raises(FrameError, match="is not JSON|is malformed"):
         read_tag(path)
 
