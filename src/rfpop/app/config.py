@@ -202,7 +202,7 @@ def load_config(path: Optional[str] = None) -> Config:
             doc = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(doc)
 

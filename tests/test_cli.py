@@ -14,7 +14,7 @@ import pytest
 from rfpop.app import cli, files
 from rfpop.app.cli import main
 from rfpop.app.config import Config, save_config
-from rfpop.app.dbfile import append_journal, load_db
+from rfpop.app.dbfile import MAGIC, append_journal, load_db
 from rfpop.app.netrun import serve_reader, tag_run
 from rfpop.app.tagfile import lock_tag
 from rfpop.pop import cred_gen
@@ -587,9 +587,19 @@ def damaged_db(tmp_path, capsys, damage):
     return db
 
 
+def deep_metadata(blob, setup_len):
+    """The metadata block replaced by JSON nested deeper than the decoder
+    recurses."""
+    start = len(MAGIC) + 4
+    end = start + int.from_bytes(blob[len(MAGIC) : start], "big")
+    deep = b"[" * 20000
+    return MAGIC + len(deep).to_bytes(4, "big") + deep + blob[end:]
+
+
 DB_DAMAGE = {
     "cut-in-setup": lambda blob, setup_len: blob[: setup_len // 2],
     "journal-marker": lambda blob, setup_len: blob[:setup_len] + b"X" + blob[setup_len + 1 :],
+    "metadata-nested-too-deep": deep_metadata,
 }
 
 
@@ -620,11 +630,12 @@ def test_a_damaged_credential_is_reported(tmp_path, capsys):
     assert stderr.startswith("error: truncated credential") and stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("text", ['{"mode": "ma", "tags": ', '{"mode": "ma", "tags": "two"}', "[]"],
-                         ids=["cut", "wrong-type", "not-an-object"])
+@pytest.mark.parametrize("text", [b'{"mode": "ma", "tags": ', b'{"mode": "ma", "tags": "two"}', b"[]",
+                                  b"\xff\xfe{}", b"[" * 20000],
+                         ids=["cut", "wrong-type", "not-an-object", "not-utf-8", "nested-too-deep"])
 def test_a_damaged_config_file_is_reported(tmp_path, capsys, text):
     cfg = tmp_path / "config.json"
-    cfg.write_text(text)
+    cfg.write_bytes(text)
     rc, stdout, stderr = run_cli(capsys, "setup", "--config", str(cfg), "--out", str(tmp_path / "s"))
     assert rc == 2
     assert stdout == ""

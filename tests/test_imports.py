@@ -454,3 +454,14 @@ def test_only_the_files_module_writes_files():
     assert "app/files.py" in writers
     del writers["app/files.py"]
     assert writers == {}
+
+
+def test_only_the_framing_module_imports_zlib():
+    """Both append-only files, the reader's journal and a tag's state log,
+    frame their records through app/framing.py, so the one module that
+    checksums a record is the one that imports `zlib`."""
+    assert imports_of("import zlib\nfrom zlib import crc32\ndef f():\n    import zlib\n", "zlib") == [
+        "line 1: module level", "line 2: module level", "line 4: in a function"]
+    assert imports_of("import zlibx\nfrom .zlib import crc32\n", "zlib") == []
+    found = {str(p.relative_to(SRC)): imports_of(p.read_text(encoding="utf-8"), "zlib") for p in MODULES}
+    assert {path for path, lines in found.items() if lines} == {"app/framing.py"}
