@@ -271,11 +271,11 @@ def _read_journal_entry(body: bytes, config: Config, params, history: History) -
             raise FrameError(f"{what} names tag {tag.hex()}, which no set-up record has")
     changed = None
     if changed_id:
-        # The same derivation of the index as `decode_record` and `ma._accept`.
+        # The index is derived as `decode_record` and `ma._accept` derive it;
+        # cex records have none.
         ctr = int.from_bytes(entry["ctr"], "big")
         before = history.record_at(changed_id, j - 1)
-        indexed = "index" in LAYOUTS[config.mode].record.__dataclass_fields__
-        index = {"index": index_for(params, before.key, ctr)} if indexed else {}
+        index = {"index": index_for(params, before.key, ctr)} if hasattr(before, "index") else {}
         changed = before.evolve(ctr=ctr, **index)
     return SessionRecord(
         j=j, sid=entry["sid"], o_reader=o_reader, tag_id=tag_id,

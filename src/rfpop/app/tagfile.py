@@ -7,9 +7,8 @@ framed by `framing.frame`. Each record's body is the key file document of a
 state the running tag commits, as compact JSON. `read_tag` takes the last
 whole record's document in place of the key file's; a record cut short at the
 end of the log is a torn tail, and any other damage, in the JSON or the log,
-is a `FrameError`. A running tag
-holds its log's lock (`lock_tag`), and a key file rewrite empties the log in
-place.
+is a `FrameError`. A running tag holds its log's lock (`lock_tag`), and a key
+file rewrite empties the log in place.
 """
 
 from __future__ import annotations
