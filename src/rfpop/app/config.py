@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -24,6 +25,11 @@ from rfpop.system import DEFAULT_LIFETIME, SYSTEM_BUILDERS, System
 from rfpop.app import files
 
 ENV_CONFIG = "RFPOP_CONFIG"
+
+TICK_SECONDS = 0.05
+"""Wall-clock seconds of one timeout tick on the socket layer (`netrun`)."""
+# No socket may wait longer than threading.TIMEOUT_MAX seconds.
+MAX_TIMEOUT_TICKS = int(threading.TIMEOUT_MAX / TICK_SECONDS)
 
 MODES = tuple(SYSTEM_BUILDERS)  # the one list of modes: the builder table's keys
 
@@ -94,8 +100,9 @@ class Config:
             raise ConfigError(f"lifetime must be a positive integer, got {self.lifetime!r}")
         if type(self.tags) is not int or self.tags < 1:
             raise ConfigError(f"tags must be a positive integer, got {self.tags!r}")
-        if type(self.timeout_ticks) is not int or self.timeout_ticks < 1:
-            raise ConfigError(f"timeout_ticks must be a positive integer, got {self.timeout_ticks!r}")
+        if type(self.timeout_ticks) is not int or not 1 <= self.timeout_ticks <= MAX_TIMEOUT_TICKS:
+            raise ConfigError(f"timeout_ticks must be an integer from 1 to {MAX_TIMEOUT_TICKS}, "
+                              f"got {self.timeout_ticks!r}")
         if not (isinstance(self.seed, str) or (type(self.seed) is int and self.seed >= 0)):
             raise ConfigError(f"seed must be a string or a non-negative integer, got {self.seed!r}")
         if self.mode == "mapop":

@@ -1,28 +1,34 @@
 """Reader database files.
 
-A database file starts with the magic ``RFPOP1``, a canonical-JSON metadata
-block (config, reader identity, reader signing key, public-key directory), and
-the initial reader records.  After the header the file is an append-only
-journal: one record (`framing.frame`: a length, its complement, a body and a
-CRC-32) per terminated session.  An entry's body holds the whole session, so
-`load_db` reads the entries into a `History` equal to the one the live reader
-kept, and the database state after any journaled session `j`, and the
-credential of any accepted one, stay rebuildable from the file.
+A database file is the magic ``RFPOP1`` followed by records only
+(`framing.frame`: a length, its complement, a body and a CRC-32).  Record 0
+is the set-up, snapshot 0 of the reader's `History`: its body is the
+length-prefixed fields (`framing.pack_fields`) of a canonical-JSON metadata
+block (config, reader identity, reader signing key, public-key directory)
+and then each initial reader record.  Every later record is a journal entry,
+one per terminated session, numbered from 1 as the session is.  An entry's
+body holds the whole session, so `load_db` reads the entries into a
+`History` equal to the one the live reader kept, and the database state
+after any journaled session `j`, and the credential of any accepted one,
+stay rebuildable from the file.
 
 An append cut short by a crash leaves a torn last record.  `load_db` drops it
 and reports how many bytes it dropped; a whole record with a bad length or
-checksum is a `FrameError` naming the entry.  A journal in the earlier,
-unframed form fails the same way, at its first entry.
+checksum is a `FrameError` naming the entry (the set-up is entry 0).  A file
+with no whole set-up record is a `FrameError` naming the set-up, never a torn
+tail.  A file in an earlier, unframed form fails at its set-up.
 
-A record is stored as the length-prefixed fields its mode's `LAYOUTS` entry
-lists, in that order (4-byte big-endian prefixes, since K-time verifying keys
-can be large); the encoder, the decoder and the size report read that one
-entry.  Counters are stored as fixed-width big-endian integers of the counter
-length, so a save/load/save round trip is byte-identical.  Loading checks
-every key, index and counter field against `params.widths`, and every
-metadata entry; damage is a `FrameError` naming what is damaged.  The
-database of a mode that issues credentials (mapop) must hold the reader's
-signer, an Ed25519 one as `pop_setup` makes it, and the key directory.
+A reader record is stored as the length-prefixed fields its mode's `LAYOUTS`
+entry lists, in that order (4-byte big-endian prefixes, since K-time
+verifying keys can be large); the encoder, the decoder and the size report
+read that one entry.  Counters are stored as fixed-width big-endian integers
+of the counter length, so a save/load/save round trip is byte-identical.  The
+checksum guards against damage; behind it, loading checks every key, index
+and counter field against `params.widths`, and every metadata entry, and a
+record or entry with bytes after its last field is refused: damage is a
+`FrameError` naming what is damaged.  The database of a mode that issues
+credentials (mapop) must hold the reader's signer, an Ed25519 one as
+`pop_setup` makes it, and the key directory.
 
 A journal entry's body is the length-prefixed fields `ENTRY_FIELDS` names.
 The session's `via_step` is one byte; a session that closed without reaching
@@ -56,7 +62,7 @@ from rfpop.primitives.sig import FULLTIME, SIG_LEN, VerifyKey, signer_from_dict
 
 from rfpop.app import files
 from rfpop.app.config import Config, config_from_dict
-from rfpop.app.framing import LAYOUTS, U32, Cursor, frame, pack_fields, unframe
+from rfpop.app.framing import LAYOUTS, U32, frame, json_object, pack_fields, unframe, unpack_fields
 from rfpop.app.tagfile import load_tag, save_tag  # noqa: F401  (see the module docstring)
 
 MAGIC = b"RFPOP1"
@@ -67,13 +73,13 @@ ENTRY_FIELDS = ("j", "sid", "o_reader", "via_step", "mode", "tag_id", "note", "m
                  "pop_nonce", "changed_tag_id", "ctr")
 
 
-def check_widths(params, fields: dict, what: str = "record"):
+def check_widths(widths: dict, fields: dict, what: str):
     """A FrameError naming `what` and the first byte field of `fields`
-    (name -> bytes) that is not as wide as `params.widths` says."""
-    for name, size in params.widths.items():
+    (name -> bytes) that is not as wide as `widths` (name -> bytes) says."""
+    for name, size in widths.items():
         blob = fields.get(name)
         if blob is not None and len(blob) != size:
-            raise FrameError(f"{what} {name} is {len(blob)} bytes, config says {size}")
+            raise FrameError(f"{what} {name} is {len(blob)} bytes, not {size}")
 
 
 def _stored(params, obj, name: str) -> bytes:
@@ -102,13 +108,14 @@ def encode_record(mode: str, params, rec) -> bytes:
     return pack_fields([_stored(params, rec, name) for name in LAYOUTS[mode].fields])
 
 
-def decode_record(mode: str, params, cursor: Cursor, keys: dict):
+def decode_record(mode: str, params, blob: bytes, keys: dict):
+    """The reader record `encode_record` stored as `blob`."""
     layout = LAYOUTS[mode]
-    blobs = cursor.fields()
+    blobs = unpack_fields(blob, "reader record")
     if len(blobs) != len(layout.fields):
         raise FrameError(f"reader record needs {len(layout.fields)} fields, got {len(blobs)}")
     values = dict(zip(layout.fields, blobs))
-    check_widths(params, values)
+    check_widths(params.widths, values, "reader record")
     values["ctr"] = int.from_bytes(values["ctr"], "big")
     if "verify_key" in values:
         values["verify_key"] = _shared_key(keys, params.sig_scheme, values["verify_key"])
@@ -138,8 +145,8 @@ class DbFileData:
 
 def save_db(path: str, config: Config, records, reader_id: bytes = b"reader-0",
             reader_signer=None, directory: Optional[KeyDirectory] = None):
-    """Write a fresh database file (header and initial records, no journal);
-    returns its bytes."""
+    """Write a fresh database file (the magic and the set-up record, no
+    journal); returns its bytes."""
     meta = {"config": config.to_dict(), "reader_id": reader_id.hex()}
     if reader_signer is not None:
         meta["reader_signer"] = reader_signer.to_dict()
@@ -148,26 +155,24 @@ def save_db(path: str, config: Config, records, reader_id: bytes = b"reader-0",
             party.hex(): {"scheme": vk.scheme, "data": vk.data.hex()}
             for party, vk in sorted(directory.entries.items())
         }
-    meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("ascii")
+    setup = [json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("ascii")]
     params = config.params()
     ordered = sorted(records, key=lambda r: r.tag_id)
-    body = [MAGIC, U32.pack(len(meta_blob)), meta_blob, U32.pack(len(ordered))]
-    body += [encode_record(config.mode, params, rec) for rec in ordered]
-    return files.write(path, b"".join(body))
+    setup += [encode_record(config.mode, params, rec) for rec in ordered]
+    return files.write(path, MAGIC + frame(pack_fields(setup)))
 
 
 def load_db(path: str) -> DbFileData:
     with open(path, "rb") as handle:
         data = handle.read()
-    cursor = Cursor(data)
-    if cursor.take(len(MAGIC)) != MAGIC:
+    if data[: len(MAGIC)] != MAGIC:
         raise FrameError(f"{path} is not a reader database (bad magic)")
-    try:
-        meta = json.loads(cursor.blob().decode("ascii"))
-    except (ValueError, RecursionError) as exc:  # not ASCII, not JSON, or nested too deep
-        raise FrameError(f"corrupt metadata block: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise FrameError("corrupt metadata block: not a JSON object")
+    bodies, torn_bytes = unframe(data, len(MAGIC), "journal entry", first=0)
+    if not bodies:
+        raise FrameError(f"{path} has no whole set-up record")
+    # A set-up of no fields has an empty metadata block, which is not JSON.
+    meta_blob, *records = unpack_fields(bodies[0], "set-up") or [b""]
+    meta = json_object(meta_blob, "metadata block")
     config = _meta_entry(meta, "config", config_from_dict)
     reader_id = _meta_entry(meta, "reader_id", bytes.fromhex)
     credentials = LAYOUTS[config.mode].credentials
@@ -177,12 +182,11 @@ def load_db(path: str) -> DbFileData:
                             required=credentials)
     params = config.params()
     initial = {}
-    for _ in range(cursor.u32()):
-        rec = decode_record(config.mode, params, cursor, keys)
+    for blob in records:
+        rec = decode_record(config.mode, params, blob, keys)
         initial[rec.tag_id] = rec
     history = History(initial=initial)
-    bodies, torn_bytes = unframe(data, cursor.pos, "journal entry")
-    for body in bodies:
+    for body in bodies[1:]:
         history.append(_read_journal_entry(body, config, params, history))
     return DbFileData(
         config=config,
@@ -241,16 +245,13 @@ def _read_journal_entry(body: bytes, config: Config, params, history: History) -
     record's body (see the module docstring for what fails it)."""
     j = len(history.sessions) + 1
     what = f"journal entry {j}"
-    fields = Cursor(body, what).fields()
+    fields = unpack_fields(body, what)
     if len(fields) != len(ENTRY_FIELDS):
         raise FrameError(f"{what} holds {len(fields)} fields, not {len(ENTRY_FIELDS)}")
     entry = dict(zip(ENTRY_FIELDS, fields))
     changed_id = entry["changed_tag_id"]
-    widths = {"j": U32.size, "sid": SID_BITS // 8, "o_reader": 1, "via_step": 1,
-              "ctr": params.widths["ctr"] if changed_id else 0}
-    for name, size in widths.items():
-        if len(entry[name]) != size:
-            raise FrameError(f"{what} {name} is {len(entry[name])} bytes, not {size}")
+    check_widths({"j": U32.size, "sid": SID_BITS // 8, "o_reader": 1, "via_step": 1,
+                  "ctr": params.widths["ctr"] if changed_id else 0}, entry, what)
     if int.from_bytes(entry["j"], "big") != j:
         raise FrameError(f"{what} carries j={int.from_bytes(entry['j'], 'big')}")
     (o_reader,), (via_step,) = entry["o_reader"], entry["via_step"]

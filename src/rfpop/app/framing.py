@@ -1,16 +1,20 @@
 """What the reader database file and the tag files share: each mode's storage
-`Layout`, length-prefixed byte fields, and the checksummed record framing of
-the two append-only files.
+`Layout`, length-prefixed byte fields, the checksummed record framing of the
+two append-only files, and the one reader of a stored JSON object.
 
-A list of fields is a 4-byte big-endian count, then each field as a 4-byte
-big-endian length and its bytes. A record (`frame`) is its body's length as a
-4-byte big-endian integer, that length XOR 0xFFFFFFFF, the body, and a CRC-32
-over all three, as LevelDB's log frames a record. The reader's journal holds
-one record per session (`dbfile.append_journal`) and a tag's state log one per
-committed state (`tagfile.TagLog`); `unframe` reads either back."""
+A list of fields (`pack_fields`) is a 4-byte big-endian count, then each field
+as a 4-byte big-endian length and its bytes; `unpack_fields` reads one back
+and refuses a list cut short or followed by other bytes. A record (`frame`) is
+its body's length as a 4-byte big-endian integer, that length XOR 0xFFFFFFFF,
+the body, and a CRC-32 over all three, as LevelDB's log frames a record. The
+reader database holds, after its magic, the set-up as record 0 and one record
+per session (`dbfile`), and a tag's state log one record per committed state
+(`tagfile.TagLog`); `unframe` reads either back. Every stored byte a loader
+reads goes through `unframe`, `unpack_fields` or `json_object`."""
 
 from __future__ import annotations
 
+import json
 import struct
 import zlib
 from typing import NamedTuple
@@ -54,6 +58,37 @@ def pack_fields(fields: list[bytes]) -> bytes:
     return b"".join(out)
 
 
+def unpack_fields(body: bytes, what: str) -> list[bytes]:
+    """The fields `pack_fields` packed into `body`. A body that ends inside
+    its fields, or holds bytes after the last, is a FrameError naming
+    `what`."""
+    fields, pos = [], U32.size
+    try:
+        for _ in range(U32.unpack_from(body)[0]):
+            end = pos + U32.size + U32.unpack_from(body, pos)[0]
+            fields.append(body[pos + U32.size : end])
+            pos = end
+    except struct.error:  # a count or a length that runs past the end
+        raise FrameError(f"{what} is truncated") from None
+    if pos > len(body):
+        raise FrameError(f"{what} is truncated")
+    if pos < len(body):
+        raise FrameError(f"{what} has bytes after its last field")
+    return fields
+
+
+def json_object(text: bytes, what: str) -> dict:
+    """The JSON object the UTF-8 `text` holds. Text that is not UTF-8, not
+    JSON, nested too deep or not an object is a FrameError naming `what`."""
+    try:
+        doc = json.loads(text.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise FrameError(f"{what} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FrameError(f"{what} is not a JSON object")
+    return doc
+
+
 def frame(body: bytes) -> bytes:
     """One record of `body`: its length and the length's complement, the
     body, and a CRC-32 over all three."""
@@ -61,15 +96,16 @@ def frame(body: bytes) -> bytes:
     return framed + U32.pack(zlib.crc32(framed))
 
 
-def unframe(data: bytes, pos: int, what: str) -> tuple[list[bytes], int]:
+def unframe(data: bytes, pos: int, what: str, first: int = 1) -> tuple[list[bytes], int]:
     """The bodies of the whole records in `data[pos:]`, and the length of a
     last record that runs past the end of the data (a torn tail, which an
     append cut short leaves). A whole record with a bad length or a bad
-    checksum is a FrameError naming `what` and the record's number."""
+    checksum is a FrameError naming `what` and the record's number, counted
+    from `first`."""
     bodies = []
     while len(data) - pos >= HEAD.size:
         size, inverse = HEAD.unpack_from(data, pos)
-        name = f"{what} {len(bodies) + 1}"
+        name = f"{what} {len(bodies) + first}"
         if size ^ inverse != 0xFFFFFFFF:
             raise FrameError(f"{name} has a damaged length")
         end = pos + HEAD.size + size + U32.size
@@ -80,29 +116,3 @@ def unframe(data: bytes, pos: int, what: str) -> tuple[list[bytes], int]:
         bodies.append(data[pos + HEAD.size : end - U32.size])
         pos = end
     return bodies, len(data) - pos
-
-
-class Cursor:
-    """Reads fields off `data`; data that ends inside a field is a
-    FrameError saying that `what` is truncated."""
-
-    def __init__(self, data: bytes, what: str = "database file"):
-        self.data = data
-        self.what = what
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
-            raise FrameError(f"{self.what} truncated")
-        chunk, self.pos = self.data[self.pos : end], end
-        return chunk
-
-    def u32(self) -> int:
-        return U32.unpack(self.take(4))[0]
-
-    def blob(self) -> bytes:
-        return self.take(self.u32())
-
-    def fields(self) -> list[bytes]:
-        return [self.blob() for _ in range(self.u32())]

@@ -15,14 +15,16 @@ file, fails at once. Each draws its sids, challenges and nonces from
 `os.urandom` unless the caller passes `rng`.
 
 Timeouts are configured in ticks; the socket layer maps one tick to
-`TICK_SECONDS` of wall-clock time.  The budget is a deadline for the whole
-session, not for each recv, so a peer that trickles bytes cannot stretch its
-session past the budget.  The budget itself still holds the reader, which
+`config.TICK_SECONDS` of wall-clock time, and a config refuses a budget
+longer than a socket may wait (`threading.TIMEOUT_MAX`).  The budget is a
+deadline for the whole session, not for each recv, so a peer that trickles
+bytes cannot stretch its session past the budget.  The budget itself still holds the reader, which
 serves one connection at a time: a peer that connects and stalls keeps every
 other tag waiting until its deadline passes.  A peer that stalls past the
-deadline, closes mid-frame, or violates framing ends the exchange: a session
-still open times out with output 0, exactly as on the radio, and a frame that
-cannot be sent is dropped.
+deadline, closes mid-frame, or violates framing (a result frame that is not
+one 0/1 byte among them) ends the exchange: a session still open times out
+with output 0, exactly as on the radio, the bad frame counts as no result,
+and a frame that cannot be sent is dropped.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from rfpop.pop import PopProtocol, cred_gen
 from rfpop.primitives.rng import Rng
 
 from rfpop.app import files
-from rfpop.app.config import Config, check_port
+from rfpop.app.config import TICK_SECONDS, Config, check_port
 from rfpop.app.dbfile import LAYOUTS, DbFileData, append_journal, check_widths, load_db, tag_fields
 from rfpop.app.tagfile import lock_tag, read_tag
 from rfpop.app.wire import (
@@ -54,8 +56,6 @@ from rfpop.app.wire import (
     result_frame,
     result_value,
 )
-
-TICK_SECONDS = 0.05
 
 
 def protocol_for(config: Config, reader_signer=None):
@@ -183,7 +183,7 @@ def tag_run(
         params = protocol.params
         if state.ctr > params.max_counter:
             raise FrameError(f"tag file ctr is above the config's bound {params.max_counter}")
-        check_widths(params, dict(tag_fields(mode, params, state)), "tag file")
+        check_widths(params.widths, dict(tag_fields(mode, params, state)), "tag file")
         if LAYOUTS[mode].credentials and state.signer.scheme != params.sig_scheme:
             raise FrameError(f"tag file signer scheme is {state.signer.scheme!r}, "
                              f"config {config.impl} signs with {params.sig_scheme!r}")
@@ -221,7 +221,7 @@ def _exchange(party, conn, rng: Rng, budget: float, own: int, accepts: tuple[int
     Round frames go to `party.step` until it reaches its verdict; its reply
     is sent first, then the verdict as a result frame of type `own`, then the
     frame `after_verdict(sid)` returns, if any.  Any other frame, a failed
-    read or the deadline `budget` seconds away ends the exchange, and so does
+    read (a malformed result frame among them) or the deadline `budget` seconds away ends the exchange, and so does
     an accepted frame while the party's session is open: the peer sends every
     round before its verdict, so no further round can arrive.  A session still
     open at the end is timed out.  Returns the result and credential frames
@@ -242,6 +242,8 @@ def _exchange(party, conn, rng: Rng, budget: float, own: int, accepts: tuple[int
     while not wanted <= frames.keys():
         try:
             frame = read_frame(conn, deadline)
+            if frame.msg_type in (TYPE_RESULT_READER, TYPE_RESULT_TAG):
+                result_value(frame)  # a result that is not one 0/1 byte is a framing violation
         except (FrameError, OSError):
             break
         if frame.msg_type in ROUND_TYPES and own not in frames:

@@ -22,7 +22,7 @@ from rfpop.primitives.sig import signer_from_dict
 
 from rfpop.app import files
 from rfpop.app.config import MODES
-from rfpop.app.framing import LAYOUTS, frame, unframe
+from rfpop.app.framing import LAYOUTS, frame, json_object, unframe
 
 TAG_LOG_CAP = 32
 """Whole records a tag's state log may hold before its sink compacts it into
@@ -92,12 +92,7 @@ class TagLog:
         if not bodies:
             return doc
         name = f"tag state log record {self.records}"
-        try:
-            record = json.loads(bodies[-1])
-        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-            raise FrameError(f"{name} is malformed: {exc}") from exc
-        if not isinstance(record, dict):
-            raise FrameError(f"{name} is malformed: not a JSON object")
+        record = json_object(bodies[-1], name)
         for field in ("ctr", "key_version"):
             value = record.get(field)
             if type(value) is not int or value < 0:
@@ -179,13 +174,8 @@ def read_tag(path: str):
     fields is a FrameError. Lengths, the counter's upper bound and the
     signer's scheme are not checked here: the file does not say which config
     it runs under."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-        raise FrameError(f"tag file {path} is not JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FrameError(f"tag file {path} is not a JSON object")
+    with open(path, "rb") as handle:
+        doc = json_object(handle.read(), f"tag file {path}")
     mode = doc.get("mode")
     if mode not in MODES:
         raise FrameError(f"tag file mode is {mode!r}, not one of {MODES}")

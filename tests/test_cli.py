@@ -15,6 +15,7 @@ from rfpop.app import cli, files
 from rfpop.app.cli import main
 from rfpop.app.config import Config, save_config
 from rfpop.app.dbfile import MAGIC, append_journal, load_db
+from rfpop.app.framing import frame, pack_fields, unframe, unpack_fields
 from rfpop.app.netrun import serve_reader, tag_run
 from rfpop.app.tagfile import lock_tag
 from rfpop.pop import cred_gen
@@ -589,24 +590,28 @@ def damaged_db(tmp_path, capsys, damage):
 
 def deep_metadata(blob, setup_len):
     """The metadata block replaced by JSON nested deeper than the decoder
-    recurses."""
-    start = len(MAGIC) + 4
-    end = start + int.from_bytes(blob[len(MAGIC) : start], "big")
-    deep = b"[" * 20000
-    return MAGIC + len(deep).to_bytes(4, "big") + deep + blob[end:]
+    recurses, in a set-up framed with a valid checksum, so the JSON parser
+    is what refuses it."""
+    bodies, _torn = unframe(blob, len(MAGIC), "record", first=0)
+    _meta, *records = unpack_fields(bodies[0], "set-up")
+    bodies[0] = pack_fields([b"[" * 20000, *records])
+    return MAGIC + b"".join(map(frame, bodies))
 
 
+# Each damage, and the text its error line holds.
 DB_DAMAGE = {
-    "cut-in-setup": lambda blob, setup_len: blob[: setup_len // 2],
-    "journal-marker": lambda blob, setup_len: blob[:setup_len] + b"X" + blob[setup_len + 1 :],
-    "metadata-nested-too-deep": deep_metadata,
+    "cut-in-setup": (lambda blob, setup_len: blob[: setup_len // 2], "has no whole set-up record"),
+    "journal-marker": (lambda blob, setup_len: blob[:setup_len] + b"X" + blob[setup_len + 1 :],
+                       "journal entry 1 has a damaged length"),
+    "metadata-nested-too-deep": (deep_metadata, "metadata block is not JSON"),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(DB_DAMAGE))
 @pytest.mark.parametrize("command", ["serve-reader", "cred-verify"])
 def test_a_damaged_database_is_reported(tmp_path, capsys, command, damage):
-    db = damaged_db(tmp_path, capsys, DB_DAMAGE[damage])
+    damage, error = DB_DAMAGE[damage]
+    db = damaged_db(tmp_path, capsys, damage)
     if command == "serve-reader":
         argv = ["serve-reader", "--db", str(db), "--host", "127.0.0.1", "--port", "0"]
     else:
@@ -617,7 +622,7 @@ def test_a_damaged_database_is_reported(tmp_path, capsys, command, damage):
     assert rc == 2
     assert stdout == ""
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
-    assert "Traceback" not in stderr
+    assert "Traceback" not in stderr and error in stderr
 
 
 def test_a_damaged_credential_is_reported(tmp_path, capsys):
@@ -631,8 +636,9 @@ def test_a_damaged_credential_is_reported(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", [b'{"mode": "ma", "tags": ', b'{"mode": "ma", "tags": "two"}', b"[]",
-                                  b"\xff\xfe{}", b"[" * 20000],
-                         ids=["cut", "wrong-type", "not-an-object", "not-utf-8", "nested-too-deep"])
+                                  b"\xff\xfe{}", b"[" * 20000, b'{"timeout_ticks": 1000000000000}'],
+                         ids=["cut", "wrong-type", "not-an-object", "not-utf-8", "nested-too-deep",
+                              "timeout-longer-than-a-socket-waits"])
 def test_a_damaged_config_file_is_reported(tmp_path, capsys, text):
     cfg = tmp_path / "config.json"
     cfg.write_bytes(text)

@@ -1,11 +1,14 @@
 """Runtime configuration: defaults, aliases, validation, file and env loading."""
 
 import json
+import threading
 
 import pytest
 
 from rfpop.app.config import (
     ENV_CONFIG,
+    MAX_TIMEOUT_TICKS,
+    TICK_SECONDS,
     Config,
     canonical_impl,
     config_from_dict,
@@ -71,6 +74,16 @@ def test_length_validation():
 def test_counts_below_their_floor_are_rejected(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be"):
         Config(mode="ma", **{field: value})
+
+
+def test_a_budget_longer_than_a_socket_waits_is_rejected():
+    """A socket timeout above threading.TIMEOUT_MAX seconds overflows, so no
+    config may ask for one."""
+    assert MAX_TIMEOUT_TICKS * TICK_SECONDS <= threading.TIMEOUT_MAX
+    assert Config(mode="ma", timeout_ticks=MAX_TIMEOUT_TICKS).timeout_ticks == MAX_TIMEOUT_TICKS
+    for ticks in (MAX_TIMEOUT_TICKS + 1, 10**12):
+        with pytest.raises(ConfigError, match=f"^timeout_ticks must be an integer from 1 to {MAX_TIMEOUT_TICKS}"):
+            Config(mode="ma", timeout_ticks=ticks)
 
 
 def test_ktime_budget_rules():

@@ -22,7 +22,7 @@ from rfpop.app.dbfile import (
     save_tag,
     tag_fields,
 )
-from rfpop.app.framing import Cursor, frame, pack_fields, unframe
+from rfpop.app.framing import frame, pack_fields, unframe, unpack_fields
 from rfpop.errors import FrameError, UnknownSnapshot
 from rfpop.model.types import Msg
 from rfpop.primitives.rng import Rng
@@ -76,19 +76,21 @@ def test_save_load_save_byte_identical(config, tmp_path):
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}-{c.impl}")
 def test_decode_record_inverts_encode_record(config):
     """Each record, set up or changed by a session, decodes to an equal
-    record; a second decode of the same record shares the first's
-    verifying key through `keys`, so a K-time key is decoded once."""
+    record, and the same bytes with one more byte after them do not decode;
+    a second decode of the same record shares the first's verifying key
+    through `keys`, so a K-time key is decoded once."""
     system = build(config)
     system.run_honest()
     params = config.params()
     keys = {}
     for rec in system.reader.db.records_ascending():
         blob = encode_record(config.mode, params, rec)
-        cursor = Cursor(blob)
-        first = decode_record(config.mode, params, cursor, keys)
-        assert first == rec and cursor.pos == len(blob)
+        first = decode_record(config.mode, params, blob, keys)
+        assert first == rec
+        with pytest.raises(FrameError, match="reader record has bytes after its last field"):
+            decode_record(config.mode, params, blob + b"\x00", keys)
         if config.mode == "mapop":
-            again = decode_record(config.mode, params, Cursor(blob), keys)
+            again = decode_record(config.mode, params, blob, keys)
             assert again.verify_key is first.verify_key is keys[rec.verify_key]
     assert len(keys) == (config.tags if config.mode == "mapop" else 0)
 
@@ -261,7 +263,7 @@ def first_party(change):
                   lambda block: {"scheme": "ktime-secp256k1", "seed": block["seed"], "k": 4}),
          "corrupt reader_signer block: reader signer scheme 'ktime-secp256k1' is not 'ed25519'"),
         (without("directory"), "corrupt metadata block: no directory entry"),
-        (lambda meta: [meta], "corrupt metadata block: not a JSON object"),
+        (lambda meta: [meta], "metadata block is not a JSON object"),
         (without("reader_id"), "corrupt metadata block: no reader_id entry"),
         (in_entry("reader_id", lambda _: "reader"), "corrupt reader_id block: non-hex"),
         (in_entry("reader_id", lambda _: 7),
@@ -294,17 +296,69 @@ def test_load_rejects_damaged_metadata(tmp_path, damage, error):
     """Every damaged metadata entry, and a mapop database's missing or
     non-Ed25519 reader signer or missing key directory, is a FrameError
     naming it; the reader's signer block is checked by the same parser as a
-    tag file's."""
+    tag file's. The damaged set-up is framed with a valid checksum, so these
+    checks are what refuse it."""
     config = Config(mode="mapop", impl="impl2")
     path = tmp_path / "s.db"
     write_db(path, config, build(config))
-    blob = path.read_bytes()
-    start = len(MAGIC) + 4
-    end = start + int.from_bytes(blob[len(MAGIC) : start], "big")
-    damaged = json.dumps(damage(json.loads(blob[start:end]))).encode("ascii")
-    path.write_bytes(MAGIC + len(damaged).to_bytes(4, "big") + damaged + blob[end:])
+    rewrite_setup(path, lambda meta, *records: [
+        json.dumps(damage(json.loads(meta))).encode("ascii"), *records])
     with pytest.raises(FrameError, match=error):
         load_db(str(path))
+
+
+def rewrite_setup(path, change):
+    """Replace the set-up record's fields by change(*fields), framed with a
+    valid checksum, so the damage reaches the set-up checks."""
+    blob = path.read_bytes()
+    bodies, _torn = unframe(blob, len(MAGIC), "record", first=0)
+    bodies[0] = pack_fields(change(*unpack_fields(bodies[0], "set-up")))
+    path.write_bytes(MAGIC + b"".join(map(frame, bodies)))
+
+
+def test_a_set_up_with_bytes_after_its_last_field_is_corrupt(tmp_path):
+    config = Config(mode="ma", tags=2)
+    path = tmp_path / "p.db"
+    write_db(path, config, build(config))
+    blob = path.read_bytes()
+    bodies, _torn = unframe(blob, len(MAGIC), "record", first=0)
+    path.write_bytes(MAGIC + frame(bodies[0] + b"\x00"))
+    with pytest.raises(FrameError, match="set-up has bytes after its last field"):
+        load_db(str(path))
+
+
+def test_every_bit_flip_of_the_set_up_is_a_frame_error(tmp_path):
+    """Flip each bit of a 2-tag MA database's set-up (the magic and record
+    0) in turn: none loads, as another database or at all."""
+    config = Config(mode="ma", tags=2)
+    path = tmp_path / "f.db"
+    write_db(path, config, build(config, "f"))
+    whole = path.read_bytes()
+    assert load_db(str(path)).config == config
+    fd = os.open(path, os.O_WRONLY)
+    try:
+        for bit in range(8 * len(whole)):
+            at = bit // 8
+            os.pwrite(fd, bytes([whole[at] ^ (0x80 >> (bit % 8))]), at)
+            with pytest.raises(FrameError):
+                load_db(str(path))
+            os.pwrite(fd, whole[at : at + 1], at)
+    finally:
+        os.close(fd)
+
+
+def test_a_set_up_cut_anywhere_names_the_set_up(tmp_path):
+    """A file cut inside its set-up has no whole record 0: that is a damaged
+    file, never a torn journal tail."""
+    config = Config(mode="ma", tags=2)
+    path = tmp_path / "cut.db"
+    write_db(path, config, build(config))
+    whole = path.read_bytes()
+    for size in range(len(whole)):
+        path.write_bytes(whole[:size])
+        error = "bad magic" if size < len(MAGIC) else "has no whole set-up record"
+        with pytest.raises(FrameError, match=error):
+            load_db(str(path))
 
 
 def journaled(tmp_path, sessions=3):
@@ -390,7 +444,7 @@ def entry_fields(path, header, n=0) -> dict:
     """Journal entry n+1 of the file whose header ends at byte `header`, as
     its fields by name."""
     bodies, _torn = unframe(path.read_bytes(), header, "journal entry")
-    return dict(zip(ENTRY_FIELDS, Cursor(bodies[n]).fields()))
+    return dict(zip(ENTRY_FIELDS, unpack_fields(bodies[n], "entry")))
 
 
 def rewrite_entry(path, header, change, n=0):
@@ -398,9 +452,32 @@ def rewrite_entry(path, header, change, n=0):
     valid checksum, so the damage reaches the entry checks."""
     blob = path.read_bytes()
     bodies, _torn = unframe(blob, header, "journal entry")
-    entry = dict(zip(ENTRY_FIELDS, Cursor(bodies[n]).fields()))
+    entry = dict(zip(ENTRY_FIELDS, unpack_fields(bodies[n], "entry")))
     bodies[n] = pack_fields(list(change(entry).values()))
     path.write_bytes(blob[:header] + b"".join(map(frame, bodies)))
+
+
+def test_journal_entry_with_a_byte_after_its_last_field_is_corrupt(tmp_path):
+    """An entry framed with a valid checksum whose body holds one byte after
+    its last field does not load."""
+    path, sizes, _system = journaled(tmp_path, sessions=1)
+    blob = path.read_bytes()
+    bodies, _torn = unframe(blob, sizes[0], "journal entry")
+    path.write_bytes(blob[: sizes[0]] + frame(bodies[0] + b"\x00"))
+    with pytest.raises(FrameError, match="journal entry 1 has bytes after its last field"):
+        load_db(str(path))
+
+
+@pytest.mark.parametrize("body, error", [
+    (b"", "is truncated"),
+    (pack_fields([b"ab"])[:-1], "is truncated"),
+    ((3).to_bytes(4, "big") + pack_fields([b""])[4:], "is truncated"),
+    (pack_fields([b"ab"]) + b"\x00", "has bytes after its last field"),
+], ids=["empty", "cut-field", "count-too-large", "trailing-byte"])
+def test_unpack_fields_refuses_a_list_cut_short_or_padded(body, error):
+    assert unpack_fields(pack_fields([b"ab", b"", b"c"]), "list") == [b"ab", b"", b"c"]
+    with pytest.raises(FrameError, match=f"^list {error}$"):
+        unpack_fields(body, "list")
 
 
 JOURNAL_DAMAGE = {

@@ -5,14 +5,13 @@ byte run, or a splice of two valid encodings. The frame and credential
 decoders may reject a mutant only with FrameError. A credential they accept
 must re-encode to the same bytes; the frame decoder reads a stream, so a
 mutant it accepts must start with the frame's re-encoding. A reader database
-file may be rejected only with a FrameError. Its journal entries are
-checksummed records, so a mutant that leaves the header whole either fails
-with a FrameError or loads a prefix of the journal (a cut one, or one whose
-last record the mutant cut short); the header is not checksummed, so a
-mutant of the header may load as another database. The JSON blocks of a
-config (ConfigError) and a signer (ValueError), and a curve point
-(ValueError), are each rejected only with the error their decoder names; a
-signature check on a mutated key or signature only answers a bool.
+file may be rejected only with a FrameError. Its set-up and its journal
+entries are checksummed records, so every mutant either fails with a
+FrameError or loads the original set-up with a prefix of the original
+journal (a cut one, or one whose last record the mutant cut short). The
+JSON blocks of a config (ConfigError) and a signer (ValueError), and a curve
+point (ValueError), are each rejected only with the error their decoder
+names; a signature check on a mutated key or signature only answers a bool.
 """
 
 import io
@@ -122,24 +121,23 @@ DB_CONFIGS = [
 ]
 
 
-def journaled_db(config: Config, path) -> tuple[bytes, int]:
-    """A set-up reader database with a journal of three sessions, and the
-    length of its header (everything before the journal)."""
+def journaled_db(config: Config, path) -> bytes:
+    """A set-up reader database with a journal of three sessions."""
     system = config.build_system(Rng("db-mutants"), config.tags)
     save_db(str(path), config, list(system.reader.db.records_ascending()),
             reader_id=system.reader.reader_id, reader_signer=system.reader_signer,
             directory=system.directory)
-    header = path.stat().st_size
     for j, tag_id in enumerate(system.tag_ids() + system.tag_ids()[:1], start=1):
         system.run_honest(tag_id)
         append_journal(str(path), config, system.reader.history.session(j))
-    return path.read_bytes(), header
+    return path.read_bytes()
 
 
 @pytest.mark.parametrize("config", DB_CONFIGS, ids=lambda c: f"{c.mode}-{c.impl}")
 def test_database_loader_mutants(config, tmp_path):
-    blob, header = journaled_db(config, tmp_path / "reader.db")
-    sessions = load_db(str(tmp_path / "reader.db")).journal
+    blob = journaled_db(config, tmp_path / "reader.db")
+    original = load_db(str(tmp_path / "reader.db"))
+    sessions = original.journal
     assert len(sessions) == 3
     rnd = random.Random(f"db-mutants-{config.mode}-{config.impl}")
     path = tmp_path / "mutant.db"
@@ -148,14 +146,14 @@ def test_database_loader_mutants(config, tmp_path):
         mutant = mutate(rnd, blob, [blob])
         path.write_bytes(mutant)
         try:
-            loaded = load_db(str(path)).journal
+            loaded = load_db(str(path))
         except FrameError:
             rejected += 1
             continue
-        if mutant[:header] == blob[:header]:
-            assert loaded == sessions[: len(loaded)]
-    # Some mutants load: the header is not checksummed, and a cut journal
-    # loads its whole entries.
+        assert (loaded.config, loaded.reader_id, loaded.initial, loaded.directory) == (
+            original.config, original.reader_id, original.initial, original.directory)
+        assert loaded.journal == sessions[: len(loaded.journal)]
+    # Some mutants load: a cut journal loads its whole entries.
     assert 0 < rejected < MUTANTS
 
 

@@ -199,10 +199,10 @@ def test_experiment_reports_are_pinned(name):
 
 
 GOLDEN_SETUP = {
-    "ma": "b247ed25f59a2b685cef2fed2f4d76077d2a04347c874bc226b1921a8317ff3b",
-    "cex": "655b117c14c93a2ce15d10a7f0499cc0ee3853134c0d88473d37a0c7161c6020",
-    "mapop-impl1": "80c12aa8cdaf99534684306e61f59a5e9aff554baffb15c46f81bab5c57c8473",
-    "mapop-impl3": "0a32d58d5047642af878e7db9e5f2b6cc841c5c83d7ac5149e27f7cefd91a716",
+    "ma": "cad68de284dd02cf5914d64764829c8ad2f01aaeaf44a950d1a7c428e19aa978",
+    "cex": "4585a3632f25467588ea6d88a303898939e1400e02bd401998ce29fd807c2486",
+    "mapop-impl1": "67298ad8abbaa08e175a037ced4b00204c1034d3ce8d4fe56f2d1609539f976b",
+    "mapop-impl3": "6688bc50af33f5f7da80e0c6b53b4414309d23ca547e37e78b384a299c859f92",
 }
 
 
@@ -272,9 +272,9 @@ def test_tag_files_after_sessions_are_pinned(name, tmp_path):
 
 
 GOLDEN_JOURNALS = {
-    "ma": "f56226217e67b1a18325ab6a86ad20376813fe0018ef2c6bfb7f4a85309ff061",
-    "cex": "430435de0071bda010c2e17979b45b1cb4bc60217f6df146a8a9e4b8f9c2e171",
-    "mapop-impl1": "776a35d8b932ee4ecc8e76b7c6b25232f24e82da86d2d94ae1ee045b58736f1d",
+    "ma": "013bbc9c9e8ef6c9b5a54a852bdc0a38f99daf0e719ed09e37788bdd525e7e75",
+    "cex": "195ec5882c4aa7b64247c1220899cd563132fdce94dff579dbb5d5ca926ea7bf",
+    "mapop-impl1": "03c13b8535bc090e8fdd3716f34b3872f6b5e12d2b4bb9629fcc667121038498",
 }
 
 

@@ -465,3 +465,32 @@ def test_only_the_framing_module_imports_zlib():
     assert imports_of("import zlibx\nfrom .zlib import crc32\n", "zlib") == []
     found = {str(p.relative_to(SRC)): imports_of(p.read_text(encoding="utf-8"), "zlib") for p in MODULES}
     assert {path for path, lines in found.items() if lines} == {"app/framing.py"}
+
+
+def json_parse_sites(source: str) -> list[str]:
+    """Lines that call `json.load` or `json.loads`, or import either from
+    `json`."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            parses = any(alias.name in ("load", "loads") for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            parses = node.value.id == "json" and node.attr in ("load", "loads")
+        else:
+            continue
+        if parses:
+            lines.add(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_only_the_framing_and_config_modules_parse_json():
+    """Every stored JSON object a loader reads (the database's metadata
+    block, a key file, a state-log record) goes through
+    `framing.json_object`, so what a damaged one raises is decided in one
+    place; a config file keeps its own parse, which raises ConfigError."""
+    assert json_parse_sites(
+        "import json\njson.loads(b)\nfrom json import loads as parse\njson.dumps(d)\n"
+        "doc = json.load(handle)\nobj.loads(b)\n"
+    ) == ["line 2", "line 3", "line 5"]
+    found = {str(p.relative_to(SRC)): json_parse_sites(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {path for path, lines in found.items() if lines} == {"app/framing.py", "app/config.py"}

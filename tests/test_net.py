@@ -436,6 +436,58 @@ def test_framing_violations_score_reader_zero(tmp_path):
     assert [entry.o_reader for entry in data.journal] == [0, 0]
 
 
+BAD_RESULTS = {"byte-2": b"\x02", "two-bytes": b"\x01\x00", "empty": b""}
+
+
+@pytest.mark.parametrize("payload", BAD_RESULTS.values(), ids=BAD_RESULTS)
+def test_a_malformed_tag_result_ends_only_its_own_session(tmp_path, payload):
+    """A client whose tag-result frame is not one 0/1 byte violates framing:
+    its session times out with no tag result, and the same reader goes on
+    to serve an honest tag."""
+    config = Config(mode="ma", tags=1, seed="net-bad-result")
+    db_path, tag_paths, _system = deploy(tmp_path, config)
+    box = start_server(db_path, sessions=2)
+    with socket.create_connection(("127.0.0.1", box["port"]), timeout=5) as sock:
+        challenge = read_frame(sock)
+        sock.sendall(Frame(TYPE_RESULT_TAG, challenge.sid, payload).encode())
+        verdict = read_frame(sock)
+    assert (verdict.msg_type, result_value(verdict)) == (TYPE_RESULT_READER, 0)
+    client = run_client(box, tag_paths[0], config)
+    server = finish(box)
+    assert client == [{"o_tag": 1, "o_reader": 1, "credential": None, "note": ""}]
+    assert [(r["o_reader"], r["o_tag"]) for r in server] == [(0, None), (1, 1)]
+    assert [entry.note for entry in load_db(db_path).journal] == ["timeout", ""]
+
+
+@pytest.mark.parametrize("payload", BAD_RESULTS.values(), ids=BAD_RESULTS)
+def test_a_malformed_reader_result_counts_as_no_result(tmp_path, payload):
+    """A reader whose result frame is not one 0/1 byte ends the tag's
+    exchange: the tag times out its open session and reports no reader
+    result, instead of failing."""
+    config = Config(mode="ma", tags=1, seed="net-bad-reader-result")
+    _db_path, tag_paths, _system = deploy(tmp_path, config)
+    server = socket.create_server(("127.0.0.1", 0))
+
+    def fake_reader():
+        conn, _peer = server.accept()
+        with conn:
+            sid = bytes(16)
+            challenge = bytes(config.params().challenge_bits // 8)
+            conn.sendall(Frame(TYPE_ROUND_CHALLENGE, sid, challenge).encode())
+            read_frame(conn)
+            conn.sendall(Frame(TYPE_RESULT_READER, sid, payload).encode())
+            read_frame(conn)
+
+    thread = threading.Thread(target=fake_reader, daemon=True)
+    with server:
+        thread.start()
+        result = tag_run(tag_paths[0], config, host="127.0.0.1",
+                         port=server.getsockname()[1], announce=lambda line: None)
+        thread.join(5)
+    assert not thread.is_alive()
+    assert result == [{"o_tag": 0, "o_reader": None, "credential": None, "note": "timeout"}]
+
+
 def test_journal_numbering_survives_server_restart(tmp_path):
     config = Config(mode="ma", tags=1, seed="net-restart")
     db_path, tag_paths, system = deploy(tmp_path, config)
@@ -770,8 +822,8 @@ def _without(name):
 @pytest.mark.parametrize(
     "mode, impl, field, damage, error",
     [
-        ("ma", "impl1", "key", lambda text: text[:-2], "key is 31 bytes, config says 32"),
-        ("mapop", "impl1", "pop_key", lambda text: text[:-2], "pop_key is 31 bytes, config says 32"),
+        ("ma", "impl1", "key", lambda text: text[:-2], "key is 31 bytes, not 32"),
+        ("mapop", "impl1", "pop_key", lambda text: text[:-2], "pop_key is 31 bytes, not 32"),
         ("ma", "impl1", "key", lambda text: "zz" + text[2:], "key is not hex"),
         ("ma", "impl1", "ctr", lambda ctr: -1, "ctr is -1, not a non-negative integer"),
         ("ma", "impl1", "ctr", lambda ctr: str(ctr), "ctr is '1', not a non-negative integer"),
